@@ -1,11 +1,18 @@
 """Certification battery: every identity over a shared set of sampled points.
 
-``run_verify`` evaluates the full registry below and reports one row per
-check name, aggregating residuals over points (worst point wins).  Checks
-are independent: a failing identity never aborts the others.  In offset
-(non-integrable) mode the closed forms that presuppose integrability are
-skipped with a reason, and the Nijenhuis vanishing check is expected to
-fail — that failure is the negative test.
+``CHECKS`` is the registry: one row per check, in report order, holding its
+name, default tolerance, whether it needs the integrable (Kähler) profile,
+and whether it passes by exceeding its tolerance instead of staying below.
+
+``run_verify`` works in three steps.  ``evaluate_point`` computes every
+per-point check value at one sampled point (the integrable-only layers only
+for the Kähler profile).  ``_worst_over_points`` keeps, for each check, the
+largest value and the first point that reached it; the one cross-point
+value, ``hol_sect_nonconstancy``, is added after it.  A final loop over
+``CHECKS`` builds one report row per check.  Checks are independent: a
+failing identity never aborts the others.  In offset (non-integrable) mode
+the integrable-only rows are skipped with a reason, and the Nijenhuis
+vanishing check is expected to fail — that failure is the negative test.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import base_geometry, complex_structure, connection, curvature, lifted_metric
-from .base_geometry import DomainError, ModelParams, metric_at
+from .base_geometry import ModelParams
 from .frames import (
     BundlePoint,
     energy_frame_derivatives,
@@ -26,7 +33,7 @@ from .frames import (
     verify_brackets,
 )
 from .lifted_metric import KAHLER, LiftProfile, offset_profile
-from .report import CheckResult, SweepResult, SweepRow, VerifyReport
+from .report import CheckResult, SweepResult, SweepRow, VerifyReport, relative_spread
 from .sampling import sample_directions, sample_points
 
 
@@ -34,83 +41,80 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to CLI exit code 2)."""
 
 
-#: Registry of check names with default tolerances, in report order.
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "base_metric_inverse": 1e-12,
-    "base_christoffel_fd": 1e-6,
-    "base_riemann_fd": 1e-6,
-    "base_constant_curvature": 1e-10,
-    "base_bianchi": 1e-10,
-    "base_positive_definite": 0.0,
-    "bracket_vert_vert": 1e-6,
-    "bracket_mixed": 1e-6,
-    "bracket_horiz_horiz": 1e-6,
-    "frame_dual_pairing": 1e-12,
-    "frame_roundtrip": 1e-12,
-    "energy_frame_derivative": 1e-6,
-    "lifted_inverse_pair": 1e-12,
-    "lifted_positive_definite": 0.0,
-    "lifted_orthogonality": 1e-12,
-    "full_metric_blocks": 1e-12,
-    "lifted_kahler_identity": 1e-14,
-    "lifted_w_consistency": 1e-12,
-    "j_squared": 1e-12,
-    "hermitian": 1e-12,
-    "fundamental_form_blocks": 1e-12,
-    "fundamental_form_closed": 1e-8,
-    "nijenhuis_closed_form": 1e-12,
-    "nijenhuis_fd_match": 1e-5,
-    "connection_match": 1e-5,
-    "connection_nabla_g": 1e-5,
-    "connection_torsion": 1e-12,
-    "mtensor_parallel": 1e-6,
-    "curvature_match": 1e-4,
-    "curvature_antisymmetry": 1e-12,
-    "curvature_bianchi": 1e-6,
-    "curvature_pair_skew": 1e-6,
-    "curvature_j_invariance": 1e-5,
-    "einstein_identity": 1e-5,
-    "ricci_mixed_zero": 1e-5,
-    "local_symmetry": 1e-4,
-    "parallel_hhh_horizontal": 1e-4,
-    "parallel_hhh_vertical": 1e-4,
-    "parallel_vvh_horizontal": 1e-4,
-    "parallel_vvh_vertical": 1e-4,
-    "parallel_vhh_horizontal": 1e-4,
-    "parallel_vhh_vertical": 1e-4,
-    "parallel_vhv_horizontal": 1e-4,
-    "parallel_vhv_vertical": 1e-4,
-    "hol_sect_scale_invariance": 1e-10,
-    "hol_sect_nonconstancy": 1e-3,
-}
+@dataclass(frozen=True)
+class Check:
+    """One registry row: a named identity and how its worst value is judged."""
 
-#: Checks whose closed forms presuppose the integrable profile; skipped in
-#: offset mode.
-INTEGRABLE_ONLY: frozenset[str] = frozenset(
-    name
-    for name in DEFAULT_TOLERANCES
-    if name
-    in {
-        "lifted_kahler_identity",
-        "lifted_w_consistency",
-        "connection_match",
-        "connection_nabla_g",
-        "connection_torsion",
-        "mtensor_parallel",
-        "einstein_identity",
-        "ricci_mixed_zero",
-        "local_symmetry",
-        "hol_sect_scale_invariance",
-        "hol_sect_nonconstancy",
-    }
-    or name.startswith("curvature_")
-    or name.startswith("parallel_")
+    name: str
+    tolerance: float
+    integrable_only: bool = False  # skipped unless the profile is Kähler
+    lower_bound: bool = False  # passes when the value EXCEEDS the tolerance
+
+    def passes(self, value: float, tol: float) -> bool:
+        return value > tol if self.lower_bound else value <= tol
+
+
+#: The check registry, in report order.
+CHECKS: tuple[Check, ...] = (
+    Check("base_metric_inverse", 1e-12),
+    Check("base_christoffel_fd", 1e-6),
+    Check("base_riemann_fd", 1e-6),
+    Check("base_constant_curvature", 1e-10),
+    Check("base_bianchi", 1e-10),
+    Check("base_positive_definite", 0.0),
+    Check("bracket_vert_vert", 1e-6),
+    Check("bracket_mixed", 1e-6),
+    Check("bracket_horiz_horiz", 1e-6),
+    Check("frame_dual_pairing", 1e-12),
+    Check("frame_roundtrip", 1e-12),
+    Check("energy_frame_derivative", 1e-6),
+    Check("lifted_inverse_pair", 1e-12),
+    Check("lifted_positive_definite", 0.0),
+    Check("lifted_orthogonality", 1e-12),
+    Check("full_metric_blocks", 1e-12),
+    Check("lifted_kahler_identity", 1e-14, integrable_only=True),
+    Check("lifted_w_consistency", 1e-12, integrable_only=True),
+    Check("j_squared", 1e-12),
+    Check("hermitian", 1e-12),
+    Check("fundamental_form_blocks", 1e-12),
+    Check("fundamental_form_closed", 1e-8),
+    Check("nijenhuis_closed_form", 1e-12),
+    Check("nijenhuis_fd_match", 1e-5),
+    Check("connection_match", 1e-5, integrable_only=True),
+    Check("connection_nabla_g", 1e-5, integrable_only=True),
+    Check("connection_torsion", 1e-12, integrable_only=True),
+    Check("mtensor_parallel", 1e-6, integrable_only=True),
+    Check("curvature_match", 1e-4, integrable_only=True),
+    Check("curvature_antisymmetry", 1e-12, integrable_only=True),
+    Check("curvature_bianchi", 1e-6, integrable_only=True),
+    Check("curvature_pair_skew", 1e-6, integrable_only=True),
+    Check("curvature_j_invariance", 1e-5, integrable_only=True),
+    Check("einstein_identity", 1e-5, integrable_only=True),
+    Check("ricci_mixed_zero", 1e-5, integrable_only=True),
+    Check("local_symmetry", 1e-4, integrable_only=True),
+    Check("parallel_hhh_horizontal", 1e-4, integrable_only=True),
+    Check("parallel_hhh_vertical", 1e-4, integrable_only=True),
+    Check("parallel_vvh_horizontal", 1e-4, integrable_only=True),
+    Check("parallel_vvh_vertical", 1e-4, integrable_only=True),
+    Check("parallel_vhh_horizontal", 1e-4, integrable_only=True),
+    Check("parallel_vhh_vertical", 1e-4, integrable_only=True),
+    Check("parallel_vhv_horizontal", 1e-4, integrable_only=True),
+    Check("parallel_vhv_vertical", 1e-4, integrable_only=True),
+    Check("hol_sect_scale_invariance", 1e-10, integrable_only=True),
+    Check("hol_sect_nonconstancy", 1e-3, integrable_only=True, lower_bound=True),
 )
 
-#: Checks that pass when the measured value EXCEEDS the tolerance.
-LOWER_BOUND_CHECKS: frozenset[str] = frozenset({"hol_sect_nonconstancy"})
+#: Default tolerance of every check, in report order (the ``--tol`` keys).
+DEFAULT_TOLERANCES: dict[str, float] = {check.name: check.tolerance for check in CHECKS}
 
 _SKIP_REASON = "requires the integrable lift profile"
+
+#: A per-point check value, or a (value, detail) pair for rows with a detail.
+Value = float | tuple[float, str]
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -125,12 +129,14 @@ class RunConfig:
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_points, int) or self.num_points < 1:
+        if not _is_int(self.num_points) or self.num_points < 1:
             raise ConfigError("num_points must be a positive integer")
-        if not isinstance(self.num_directions, int) or self.num_directions < 1:
+        if not _is_int(self.num_directions) or self.num_directions < 1:
             raise ConfigError("num_directions must be a positive integer")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
+        if self.custom_v_offset is not None and not math.isfinite(self.custom_v_offset):
+            raise ConfigError("custom_v_offset must be a finite real")
         for name, value in self.tolerance_overrides.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown check name in tolerance override: {name!r}")
@@ -167,20 +173,8 @@ class RunConfig:
         }
 
 
-class _Tracker:
-    """Running worst residual for one check, with the point that set it."""
-
-    def __init__(self) -> None:
-        self.worst: float | None = None
-        self.worst_point: int | None = None
-        self.detail: str | None = None
-
-    def update(self, value: float, point_id: int, detail: str | None = None) -> None:
-        value = float(value)
-        if self.worst is None or value > self.worst:
-            self.worst = value
-            self.worst_point = point_id
-            self.detail = detail
+def _max_abs(array: np.ndarray) -> float:
+    return float(np.max(np.abs(array)))
 
 
 def _positive_definite_residual(matrix: np.ndarray) -> float:
@@ -189,207 +183,173 @@ def _positive_definite_residual(matrix: np.ndarray) -> float:
     return 0.0 if smallest > 0.0 else abs(smallest) + np.finfo(float).tiny
 
 
+def evaluate_point(
+    params: ModelParams, pt: BundlePoint, profile: LiftProfile, directions: np.ndarray
+) -> tuple[dict[str, Value], np.ndarray | None]:
+    """Every per-point check value at ``pt``, keyed by check name.
+
+    The integrable-only layers run only for the Kähler profile.  The second
+    item holds the holomorphic sectional curvatures over ``directions``
+    (None for any other profile), for the cross-point nonconstancy check.
+    """
+    n = params.dim
+    geo = point_geometry(params, pt)
+    base = geo.base
+    values: dict[str, Value] = {}
+
+    # Base chart: closed forms against their own fd recomputation.
+    base_field = base_geometry.metric_field(params)
+    values["base_metric_inverse"] = _max_abs(base.g @ base.g_inv - np.eye(n))
+    gamma_fd = connection.koszul_oracle(base_field, pt.x)
+    values["base_christoffel_fd"] = _max_abs(base.gamma - gamma_fd)
+    riem_fd = curvature.curvature_from_metric_field(base_field, pt.x)
+    values["base_riemann_fd"] = _max_abs(base.riem - riem_fd)
+    values["base_constant_curvature"] = base_geometry.verify_constant_curvature(
+        params, pt.x, base.riem
+    )
+    values["base_bianchi"] = base_geometry.first_bianchi_residual(base.riem)
+    values["base_positive_definite"] = _positive_definite_residual(base.g)
+
+    # Adapted frame: bracket table, duality, energy derivatives.
+    brackets = verify_brackets(params, pt)
+    values["bracket_vert_vert"] = brackets.vert_vert
+    values["bracket_mixed"] = brackets.mixed
+    values["bracket_horiz_horiz"] = brackets.horiz_horiz
+    values["frame_dual_pairing"] = geo.frame.dual_pairing_residual()
+    values["energy_frame_derivative"] = max(energy_frame_derivatives(params, pt))
+
+    # Lifted metric blocks (defined for every profile).
+    data = lifted_metric.components_from_geometry(params, geo, profile)
+    S_ad = lifted_metric.adapted_metric_matrix(data)
+    S_coord = frame_transform(S_ad, "dd", geo.frame, to="coordinate")
+    roundtrip = frame_transform(S_coord, "dd", geo.frame, to="adapted")
+    values["frame_roundtrip"] = _max_abs(roundtrip - S_ad)
+    values["lifted_inverse_pair"] = _max_abs(data.G @ data.H - np.eye(n))
+    values["lifted_positive_definite"] = max(
+        _positive_definite_residual(data.G), _positive_definite_residual(data.H)
+    )
+    blocks_back = geo.frame.M.T @ S_coord @ geo.frame.M
+    values["lifted_orthogonality"] = max(
+        _max_abs(blocks_back[:n, n:]), _max_abs(blocks_back[n:, :n])
+    )
+    values["full_metric_blocks"] = max(
+        _max_abs(blocks_back[:n, :n] - data.G), _max_abs(blocks_back[n:, n:] - data.H)
+    )
+
+    # Almost complex structure and fundamental form, in coordinates.
+    J_ad = complex_structure.j_matrix(params, pt, profile).j_adapted
+    J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
+    values["j_squared"] = _max_abs(J_coord @ J_coord + np.eye(2 * n))
+    values["hermitian"] = _max_abs(J_coord.T @ S_coord @ J_coord - S_coord)
+    form = complex_structure.fundamental_form(params, pt, profile)
+    values["fundamental_form_blocks"] = complex_structure.fundamental_form_block_residual(
+        form.adapted
+    )
+    values["fundamental_form_closed"] = form.dphi_residual
+
+    # Integrability dichotomy.
+    closed_n = complex_structure.nijenhuis_closed_form(params, pt, profile)
+    values["nijenhuis_closed_form"] = closed_n.max_abs()
+    fd_n, off_distribution = complex_structure.nijenhuis_fd_full(params, pt, profile)
+    values["nijenhuis_fd_match"] = max(
+        _max_abs(closed_n.horiz_horiz - fd_n.horiz_horiz),
+        _max_abs(closed_n.horiz_vert - fd_n.horiz_vert),
+        _max_abs(closed_n.vert_vert - fd_n.vert_vert),
+        off_distribution,
+    )
+
+    if not profile.is_kahler:
+        return values, None
+
+    values["lifted_kahler_identity"] = lifted_metric.kahler_identity_residual(params, data)
+    values["lifted_w_consistency"] = lifted_metric.w_consistency_residual(params, data)
+
+    # Levi-Civita connection: closed forms against the Koszul oracle.
+    comparison = connection.verify_connection(params, pt, profile)
+    values["connection_match"] = (comparison.closed_vs_oracle, comparison.worst_label)
+    values["connection_nabla_g"] = comparison.nabla_g
+    values["connection_torsion"] = comparison.torsion
+    values["mtensor_parallel"] = max(connection.mtensor_parallel_residuals(params, pt, profile))
+
+    # Curvature: closed blocks against the stacked-fd oracle; identity
+    # battery on the oracle output so it stands on its own.
+    blocks = curvature.curvature_blocks_closed_form(params, pt, profile)
+    R_closed_ad = curvature.assemble_adapted_curvature(blocks)
+    R_oracle_coord = curvature.curvature_oracle_coordinates(params, pt, profile)
+    R_oracle_ad = frame_transform(R_oracle_coord, "uddd", geo.frame, to="adapted")
+    sectors = curvature.sector_residuals(R_closed_ad, R_oracle_ad, n)
+    values["curvature_match"] = (
+        max(sectors.values()),
+        "per-family residuals: " + ", ".join(f"{k}={v:.3e}" for k, v in sectors.items()),
+    )
+    values["curvature_antisymmetry"] = curvature.direction_antisymmetry_residual(R_closed_ad)
+    values["curvature_bianchi"] = curvature.first_bianchi_residual(R_oracle_coord)
+    values["curvature_pair_skew"] = curvature.pair_skew_residual(R_oracle_coord, S_coord)
+    values["curvature_j_invariance"] = curvature.j_invariance_residual(R_oracle_ad, S_ad, J_ad)
+    einstein = curvature.einstein_residuals(params, pt, profile, R_coord=R_oracle_coord)
+    values["einstein_identity"] = einstein.identity
+    values["ricci_mixed_zero"] = einstein.mixed_block
+    values["local_symmetry"] = curvature.covariant_derivative_residual(params, pt, profile)
+    values.update(curvature.parallel_block_residuals(params, pt, profile))
+
+    sample = curvature.holomorphic_sample(params, pt, directions, profile)
+    values["hol_sect_scale_invariance"] = sample.scale_invariance
+    return values, sample.values
+
+
+def _worst_over_points(
+    per_point: list[dict[str, Value]],
+) -> dict[str, tuple[float, int, str | None]]:
+    """Per check: the largest value over the points, its point, its detail.
+
+    Ties keep the first point that reached the value.
+    """
+    worst: dict[str, tuple[float, int, str | None]] = {}
+    for idx, values in enumerate(per_point):
+        for name, entry in values.items():
+            value, detail = entry if isinstance(entry, tuple) else (entry, None)
+            value = float(value)
+            if name not in worst or value > worst[name][0]:
+                worst[name] = (value, idx, detail)
+    return worst
+
+
 def run_verify(cfg: RunConfig) -> VerifyReport:
     cfg.require_admissible()
     params = cfg.params
     profile = cfg.profile()
-    integrable = profile.is_kahler
     points = sample_points(params, cfg.num_points, cfg.seed)
     directions = sample_directions(params, cfg.num_directions, cfg.seed)
-    n = params.dim
 
-    trackers: dict[str, _Tracker] = {name: _Tracker() for name in DEFAULT_TOLERANCES}
-
-    def track(name: str, value: float, point_id: int, detail: str | None = None) -> None:
-        trackers[name].update(value, point_id, detail)
-
-    hol_values: list[np.ndarray] = []
-    for idx, pt in enumerate(points):
-        geo = point_geometry(params, pt)
-        base = geo.base
-
-        # Base chart: closed forms against their own fd recomputation.
-        track("base_metric_inverse", np.max(np.abs(base.g @ base.g_inv - np.eye(n))), idx)
-        gamma_fd = connection.koszul_oracle(base_geometry.metric_field(params), pt.x)
-        track("base_christoffel_fd", np.max(np.abs(base.gamma - gamma_fd)), idx)
-        riem_fd = curvature.curvature_from_metric_field(
-            base_geometry.metric_field(params), pt.x
-        )
-        track("base_riemann_fd", np.max(np.abs(base.riem - riem_fd)), idx)
-        track(
-            "base_constant_curvature",
-            base_geometry.verify_constant_curvature(params, pt.x, base.riem),
-            idx,
-        )
-        track("base_bianchi", base_geometry.first_bianchi_residual(base.riem), idx)
-        track("base_positive_definite", _positive_definite_residual(base.g), idx)
-
-        # Adapted frame: bracket table, duality, energy derivatives.
-        brackets = verify_brackets(params, pt)
-        track("bracket_vert_vert", brackets.vert_vert, idx)
-        track("bracket_mixed", brackets.mixed, idx)
-        track("bracket_horiz_horiz", brackets.horiz_horiz, idx)
-        track("frame_dual_pairing", geo.frame.dual_pairing_residual(), idx)
-        horiz_res, vert_res = energy_frame_derivatives(params, pt)
-        track("energy_frame_derivative", max(horiz_res, vert_res), idx)
-
-        # Lifted metric blocks (defined for every profile).
-        data = lifted_metric.components_from_geometry(params, geo, profile)
-        S_ad = lifted_metric.adapted_metric_matrix(data)
-        S_coord = frame_transform(S_ad, "dd", geo.frame, to="coordinate")
-        roundtrip = frame_transform(S_coord, "dd", geo.frame, to="adapted")
-        track("frame_roundtrip", np.max(np.abs(roundtrip - S_ad)), idx)
-        track("lifted_inverse_pair", np.max(np.abs(data.G @ data.H - np.eye(n))), idx)
-        track(
-            "lifted_positive_definite",
-            max(
-                _positive_definite_residual(data.G),
-                _positive_definite_residual(data.H),
-            ),
-            idx,
-        )
-        blocks_back = geo.frame.M.T @ S_coord @ geo.frame.M
-        track(
-            "lifted_orthogonality",
-            max(
-                np.max(np.abs(blocks_back[:n, n:])),
-                np.max(np.abs(blocks_back[n:, :n])),
-            ),
-            idx,
-        )
-        track(
-            "full_metric_blocks",
-            max(
-                np.max(np.abs(blocks_back[:n, :n] - data.G)),
-                np.max(np.abs(blocks_back[n:, n:] - data.H)),
-            ),
-            idx,
-        )
-        if integrable:
-            track(
-                "lifted_kahler_identity",
-                lifted_metric.kahler_identity_residual(params, data),
-                idx,
-            )
-            track(
-                "lifted_w_consistency",
-                lifted_metric.w_consistency_residual(params, data),
-                idx,
-            )
-
-        # Almost complex structure and fundamental form, in coordinates.
-        J_ad = complex_structure.j_matrix(params, pt, profile).j_adapted
-        J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
-        track("j_squared", np.max(np.abs(J_coord @ J_coord + np.eye(2 * n))), idx)
-        track("hermitian", np.max(np.abs(J_coord.T @ S_coord @ J_coord - S_coord)), idx)
-        form = complex_structure.fundamental_form(params, pt, profile)
-        track(
-            "fundamental_form_blocks",
-            complex_structure.fundamental_form_block_residual(form.adapted),
-            idx,
-        )
-        track("fundamental_form_closed", form.dphi_residual, idx)
-
-        # Integrability dichotomy.
-        closed_n = complex_structure.nijenhuis_closed_form(params, pt, profile)
-        track("nijenhuis_closed_form", closed_n.max_abs(), idx)
-        fd_n, off_distribution = complex_structure.nijenhuis_fd_full(params, pt, profile)
-        match = max(
-            float(np.max(np.abs(closed_n.horiz_horiz - fd_n.horiz_horiz))),
-            float(np.max(np.abs(closed_n.horiz_vert - fd_n.horiz_vert))),
-            float(np.max(np.abs(closed_n.vert_vert - fd_n.vert_vert))),
-            off_distribution,
-        )
-        track("nijenhuis_fd_match", match, idx)
-
-        if not integrable:
-            continue
-
-        # Levi-Civita connection: closed forms against the Koszul oracle.
-        comparison = connection.verify_connection(params, pt, profile)
-        track("connection_match", comparison.closed_vs_oracle, idx, comparison.worst_label)
-        track("connection_nabla_g", comparison.nabla_g, idx)
-        track("connection_torsion", comparison.torsion, idx)
-        res_g, res_h = connection.mtensor_parallel_residuals(params, pt, profile)
-        track("mtensor_parallel", max(res_g, res_h), idx)
-
-        # Curvature: closed blocks against the stacked-fd oracle; identity
-        # battery on the oracle output so it stands on its own.
-        blocks = curvature.curvature_blocks_closed_form(params, pt, profile)
-        R_closed_ad = curvature.assemble_adapted_curvature(blocks)
-        R_oracle_coord = curvature.curvature_oracle_coordinates(params, pt, profile)
-        R_oracle_ad = frame_transform(R_oracle_coord, "uddd", geo.frame, to="adapted")
-        sectors = curvature.sector_residuals(R_closed_ad, R_oracle_ad, n)
-        worst_family = max(sectors, key=lambda k: sectors[k])
-        track(
-            "curvature_match",
-            sectors[worst_family],
-            idx,
-            "per-family residuals: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in sectors.items()),
-        )
-        track(
-            "curvature_antisymmetry",
-            curvature.direction_antisymmetry_residual(R_closed_ad),
-            idx,
-        )
-        track("curvature_bianchi", curvature.first_bianchi_residual(R_oracle_coord), idx)
-        track("curvature_pair_skew", curvature.pair_skew_residual(R_oracle_coord, S_coord), idx)
-        track(
-            "curvature_j_invariance",
-            curvature.j_invariance_residual(R_oracle_ad, S_ad, J_ad),
-            idx,
-        )
-        einstein = curvature.einstein_residuals(params, pt, profile, R_coord=R_oracle_coord)
-        track("einstein_identity", einstein.identity, idx)
-        track("ricci_mixed_zero", einstein.mixed_block, idx)
-        track("local_symmetry", curvature.covariant_derivative_residual(params, pt, profile), idx)
-        for name, value in curvature.parallel_block_residuals(params, pt, profile).items():
-            track(name, value, idx)
-
-        sample = curvature.holomorphic_sample(params, pt, directions, profile)
-        track("hol_sect_scale_invariance", sample.scale_invariance, idx)
-        hol_values.append(sample.values)
-
-    if integrable and hol_values:
-        stacked = np.stack(hol_values)
+    evaluated = [evaluate_point(params, pt, profile, directions) for pt in points]
+    worst = _worst_over_points([values for values, _ in evaluated])
+    if profile.is_kahler:
+        stacked = np.stack([hol for _, hol in evaluated])
         lo, hi = float(np.min(stacked)), float(np.max(stacked))
-        scale = max(abs(lo), abs(hi))
-        spread = (hi - lo) / scale if scale > 0.0 else 0.0
         peak_point = int(np.unravel_index(int(np.argmax(stacked)), stacked.shape)[0])
-        track(
-            "hol_sect_nonconstancy",
-            spread,
-            peak_point,
-            f"min={lo:.6g}, max={hi:.6g}",
+        worst["hol_sect_nonconstancy"] = (
+            relative_spread(lo, hi), peak_point, f"min={lo:.6g}, max={hi:.6g}"
         )
 
     report = VerifyReport(config=cfg.as_dict())
-    for name, tolerance in DEFAULT_TOLERANCES.items():
-        tol = cfg.tolerance(name)
-        tracker = trackers[name]
-        if tracker.worst is None:
+    for check in CHECKS:
+        tol = cfg.tolerance(check.name)
+        if check.integrable_only and not profile.is_kahler:
             report.checks.append(
-                CheckResult(
-                    name=name,
-                    tolerance=tol,
-                    status="skipped",
-                    reason=_SKIP_REASON,
-                )
+                CheckResult(name=check.name, tolerance=tol, status="skipped", reason=_SKIP_REASON)
             )
             continue
-        if name in LOWER_BOUND_CHECKS:
-            passed = tracker.worst > tol
-        else:
-            passed = tracker.worst <= tol
+        if check.name not in worst:
+            raise RuntimeError(f"check {check.name!r} should have run but produced no value")
+        value, point_id, detail = worst[check.name]
         report.checks.append(
             CheckResult(
-                name=name,
+                name=check.name,
                 tolerance=tol,
-                max_residual=tracker.worst,
-                passed=passed,
-                worst_point_id=tracker.worst_point,
-                detail=tracker.detail,
+                max_residual=value,
+                passed=check.passes(value, tol),
+                worst_point_id=point_id,
+                detail=detail,
             )
         )
     return report

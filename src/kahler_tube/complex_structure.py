@@ -36,7 +36,14 @@ from .frames import (
     point_geometry,
     vertical_field,
 )
-from .lifted_metric import KAHLER, LiftProfile, LiftedMetricData, adapted_metric_matrix, components_from_geometry
+from .lifted_metric import (
+    KAHLER,
+    LiftProfile,
+    LiftedMetricData,
+    adapted_metric_matrix,
+    components_from_geometry,
+    metric_components,
+)
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,8 @@ class AlmostComplexData:
     H: np.ndarray
 
 
-def _j_adapted(data: LiftedMetricData) -> np.ndarray:
+def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
+    """The structure tensor as a 2n x 2n matrix in the adapted frame."""
     n = data.G.shape[0]
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = -data.H
@@ -58,12 +66,8 @@ def _j_adapted(data: LiftedMetricData) -> np.ndarray:
 
 def j_matrix(params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER) -> AlmostComplexData:
     """Almost complex structure at ``pt`` in adapted-frame components."""
-    data = metric_like(params, pt, profile)
-    return AlmostComplexData(j_adapted=_j_adapted(data), G=data.G, H=data.H)
-
-
-def metric_like(params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER) -> LiftedMetricData:
-    return components_from_geometry(params, point_geometry(params, pt), profile)
+    data = metric_components(params, pt, profile)
+    return AlmostComplexData(j_adapted=adapted_j_matrix(data), G=data.G, H=data.H)
 
 
 def j_field(params: ModelParams, profile: LiftProfile = KAHLER) -> Callable[[np.ndarray], np.ndarray]:
@@ -72,7 +76,7 @@ def j_field(params: ModelParams, profile: LiftProfile = KAHLER) -> Callable[[np.
     def field(z: np.ndarray) -> np.ndarray:
         geo = geometry_from_z(params, z)
         data = components_from_geometry(params, geo, profile)
-        return frame_transform(_j_adapted(data), "ud", geo.frame, to="coordinate")
+        return frame_transform(adapted_j_matrix(data), "ud", geo.frame, to="coordinate")
 
     return field
 
@@ -80,12 +84,12 @@ def j_field(params: ModelParams, profile: LiftProfile = KAHLER) -> Callable[[np.
 def hermitian_residual(data: LiftedMetricData) -> float:
     """Max |S(J., J.) - S| over adapted basis pairs."""
     S = adapted_metric_matrix(data)
-    J = _j_adapted(data)
+    J = adapted_j_matrix(data)
     return float(np.max(np.abs(J.T @ S @ J - S)))
 
 
 def j_squared_residual(data: LiftedMetricData) -> float:
-    J = _j_adapted(data)
+    J = adapted_j_matrix(data)
     eye = np.eye(J.shape[0])
     return float(np.max(np.abs(J @ J + eye)))
 
@@ -115,14 +119,14 @@ def fundamental_form(
     geo = point_geometry(params, pt)
     data = components_from_geometry(params, geo, profile)
     S = adapted_metric_matrix(data)
-    J = _j_adapted(data)
+    J = adapted_j_matrix(data)
     phi_ad = S @ J
     phi_coord = frame_transform(phi_ad, "dd", geo.frame, to="coordinate")
 
     def phi_field(z: np.ndarray) -> np.ndarray:
         g2 = geometry_from_z(params, z)
         d2 = components_from_geometry(params, g2, profile)
-        return frame_transform(adapted_metric_matrix(d2) @ _j_adapted(d2), "dd", g2.frame, to="coordinate")
+        return frame_transform(adapted_metric_matrix(d2) @ adapted_j_matrix(d2), "dd", g2.frame, to="coordinate")
 
     dphi = exterior_derivative_two_form(phi_field, pt.z, cfg)
     return FundamentalFormData(
@@ -184,30 +188,20 @@ def _nijenhuis_core(params: ModelParams, geo: PointGeometry, data: LiftedMetricD
     ) - geo.riem_p
 
 
-def nijenhuis_fd(
-    params: ModelParams,
-    pt: BundlePoint,
-    profile: LiftProfile = KAHLER,
-    cfg: FdConfig = DEFAULT_FD,
-) -> NijenhuisData:
-    """Recompute the Nijenhuis families from bracket definitions by fd.
-
-    N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] evaluated on frame
-    field pairs, then expressed in the adapted frame.  Antisymmetry fills
-    the redundant slots of the antisymmetric-input families.
-    """
-
-    return nijenhuis_fd_full(params, pt, profile, cfg)[0]
-
-
 def nijenhuis_fd_full(
     params: ModelParams,
     pt: BundlePoint,
     profile: LiftProfile = KAHLER,
     cfg: FdConfig = DEFAULT_FD,
 ) -> tuple[NijenhuisData, float]:
-    """fd families plus the largest component landing outside the expected
-    output distribution (structurally zero in the closed forms)."""
+    """Recompute the Nijenhuis families from bracket definitions by fd.
+
+    N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] evaluated on frame
+    field pairs, then expressed in the adapted frame.  Antisymmetry fills
+    the redundant slots of the antisymmetric-input families.  Also returns
+    the largest component landing outside the expected output distribution
+    (structurally zero in the closed forms).
+    """
 
     geo = point_geometry(params, pt)
     n = geo.n

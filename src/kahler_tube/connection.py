@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .base_geometry import DomainError, ModelParams
-from .fd import DEFAULT_FD, KOSZUL_FD, FdConfig, field_jacobian
-from .frames import BundlePoint, PointGeometry, point_geometry
+from .fd import DEFAULT_FD, KOSZUL_FD, FdConfig, directional_derivative, field_jacobian
+from .frames import BundlePoint, PointGeometry, geometry_from_z, point_geometry
 from .lifted_metric import (
     KAHLER,
     LiftProfile,
@@ -99,7 +99,7 @@ def adapted_connection_matrix(coeffs: ConnectionCoefficients) -> np.ndarray:
     """Assemble coefficients into W[c, a, b]: nabla_a e_b = W[c, a, b] e_c."""
     n = coeffs.gamma.shape[0]
     W = np.zeros((2 * n, 2 * n, 2 * n))
-    W[:n, :n, :n] = np.einsum("hij->hij", coeffs.gamma)
+    W[:n, :n, :n] = coeffs.gamma
     W[n:, :n, :n] = coeffs.hh_vert
     W[n:, :n, n:] = -np.einsum("jih->hij", coeffs.gamma)
     W[:n, :n, n:] = np.einsum("hji->hij", coeffs.mixed)
@@ -266,20 +266,14 @@ def mtensor_parallel_residuals(
     z = pt.z
 
     def g_block(zz: np.ndarray) -> np.ndarray:
-        from .frames import geometry_from_z
-
         g2 = geometry_from_z(params, zz)
         return components_from_geometry(params, g2, profile).G
 
     def h_block(zz: np.ndarray) -> np.ndarray:
-        from .frames import geometry_from_z
-
         g2 = geometry_from_z(params, zz)
         return components_from_geometry(params, g2, profile).H
 
     data = components_from_geometry(params, geo, profile)
-    from .fd import directional_derivative
-
     res_g = 0.0
     res_h = 0.0
     for i in range(n):

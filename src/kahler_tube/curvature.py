@@ -25,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .base_geometry import DomainError, ModelParams
+from .base_geometry import DomainError, ModelParams, first_bianchi_residual
+from .complex_structure import adapted_j_matrix
 from .connection import (
     adapted_connection_matrix,
     coefficients_closed_form,
@@ -57,6 +58,7 @@ from .lifted_metric import (
     components_from_geometry,
     metric_field,
 )
+from .report import relative_spread
 
 
 @dataclass(frozen=True)
@@ -247,11 +249,6 @@ def sector_residuals(
 
 def direction_antisymmetry_residual(R: np.ndarray) -> float:
     return float(np.max(np.abs(R + np.einsum("abcd->abdc", R))))
-
-
-def first_bianchi_residual(R: np.ndarray) -> float:
-    cyc = R + np.einsum("hkij->hijk", R) + np.einsum("hkij->hjki", R)
-    return float(np.max(np.abs(cyc)))
 
 
 def pair_skew_residual(R: np.ndarray, metric: np.ndarray) -> float:
@@ -481,9 +478,7 @@ class HolomorphicSample:
 
     @property
     def spread(self) -> float:
-        lo, hi = float(np.min(self.values)), float(np.max(self.values))
-        scale = max(abs(lo), abs(hi))
-        return (hi - lo) / scale if scale > 0.0 else 0.0
+        return relative_spread(float(np.min(self.values)), float(np.max(self.values)))
 
 
 def holomorphic_sample(
@@ -502,10 +497,7 @@ def holomorphic_sample(
     data = components_from_geometry(params, geo, profile)
     R_ad = assemble_adapted_curvature(_blocks(params, geo, data, profile))
     S_ad = adapted_metric_matrix(data)
-    n = geo.n
-    J_ad = np.zeros((2 * n, 2 * n))
-    J_ad[:n, n:] = -data.H
-    J_ad[n:, :n] = data.G
+    J_ad = adapted_j_matrix(data)
     vals = np.empty(len(directions))
     worst_scale = 0.0
     for k, X in enumerate(np.asarray(directions, dtype=float)):

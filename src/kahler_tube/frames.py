@@ -16,12 +16,12 @@ vector, a in [n, 2n) the (a - n)-th vertical one.  Coordinates are ordered
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .base_geometry import BaseMetricData, DomainError, ModelParams, metric_at
-from .fd import DEFAULT_FD, FdConfig, lie_bracket
+from .fd import DEFAULT_FD, FdConfig, directional_derivative, lie_bracket
 
 
 @dataclass(frozen=True)
@@ -191,49 +191,6 @@ def frame_transform(values: np.ndarray, variance: str, frame: AdaptedFrame, to: 
     return T
 
 
-@dataclass(frozen=True)
-class FrameBlockTensor:
-    """A tensor on the bundle stored as adapted-frame blocks.
-
-    Keys are strings with one letter per index, "h" for horizontal and "v"
-    for vertical; each block is an (n, ..., n) array.  Missing sectors are
-    treated as zero.
-    """
-
-    blocks: Mapping[str, np.ndarray]
-    variance: str
-    n: int
-
-    def __post_init__(self) -> None:
-        rank = len(self.variance)
-        for key, block in self.blocks.items():
-            if len(key) != rank or any(ch not in "hv" for ch in key):
-                raise ValueError(f"bad sector key {key!r} for rank {rank}")
-            if np.asarray(block).shape != (self.n,) * rank:
-                raise ValueError(f"sector {key!r} has shape {np.shape(block)}, expected {(self.n,) * rank}")
-
-    def to_full(self) -> np.ndarray:
-        rank = len(self.variance)
-        full = np.zeros((2 * self.n,) * rank)
-        for key, block in self.blocks.items():
-            index = tuple(slice(0, self.n) if ch == "h" else slice(self.n, 2 * self.n) for ch in key)
-            full[index] = block
-        return full
-
-    @classmethod
-    def from_full(cls, full: np.ndarray, variance: str, n: int) -> "FrameBlockTensor":
-        full = np.asarray(full, dtype=float)
-        rank = len(variance)
-        blocks = {}
-        for bits in range(2 ** rank):
-            key = "".join("h" if (bits >> k) & 1 == 0 else "v" for k in range(rank))
-            index = tuple(slice(0, n) if ch == "h" else slice(n, 2 * n) for ch in key)
-            sector = full[index]
-            if np.any(sector):
-                blocks[key] = sector.copy()
-        return cls(blocks=blocks, variance=variance, n=n)
-
-
 def horizontal_field(params: ModelParams, i: int) -> Callable[[np.ndarray], np.ndarray]:
     """The i-th horizontal frame field as a coordinate vector field on R^2n."""
 
@@ -326,8 +283,6 @@ def energy_frame_derivatives(params: ModelParams, pt: BundlePoint, cfg: FdConfig
     def t_field(zz: np.ndarray) -> float:
         g2 = geometry_from_z(params, zz)
         return g2.t
-
-    from .fd import directional_derivative
 
     res_h = 0.0
     for i in range(n):

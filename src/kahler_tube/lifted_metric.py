@@ -85,14 +85,19 @@ def tube_check(params: ModelParams, pt: BundlePoint) -> TubeCheck:
     violation = params.admissibility_violation()
     if violation is not None:
         return TubeCheck(False, violation, float("nan"), float("nan"))
-    geo = point_geometry(params, pt)
-    norm_sq = 2.0 * geo.t
+    reason, norm_sq, bound = _tube_test(params, point_geometry(params, pt).t)
+    return TubeCheck(reason is None, reason, norm_sq, bound)
+
+
+def _tube_test(params: ModelParams, t: float) -> tuple[str | None, float, float]:
+    """(violated inequality or None, |p|_g^2, 4c / A^2) at energy density t."""
+    norm_sq = 2.0 * t
     bound = 4.0 * params.curvature / params.lift_const**2
     if norm_sq <= 0.0:
-        return TubeCheck(False, "outside punctured bundle: momentum must be nonzero", norm_sq, bound)
+        return "outside punctured bundle: momentum must be nonzero", norm_sq, bound
     if norm_sq >= bound:
-        return TubeCheck(False, "momentum norm exceeds tube bound 4c / A^2", norm_sq, bound)
-    return TubeCheck(True, None, norm_sq, bound)
+        return "momentum norm exceeds tube bound 4c / A^2", norm_sq, bound
+    return None, norm_sq, bound
 
 
 @dataclass(frozen=True)
@@ -109,12 +114,9 @@ class LiftedMetricData:
 def _lift_guard(params: ModelParams, geo: PointGeometry, profile: LiftProfile) -> None:
     if profile.is_kahler:
         params.require_admissible()
-        norm_sq = 2.0 * geo.t
-        bound = 4.0 * params.curvature / params.lift_const**2
-        if norm_sq <= 0.0:
-            raise DomainError("outside punctured bundle: momentum must be nonzero")
-        if norm_sq >= bound:
-            raise DomainError("momentum norm exceeds tube bound 4c / A^2")
+        reason = _tube_test(params, geo.t)[0]
+        if reason is not None:
+            raise DomainError(reason)
     else:
         if params.lift_const <= 0.0:
             raise DomainError("lift constant must be positive")

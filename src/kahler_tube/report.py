@@ -21,6 +21,12 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def relative_spread(lo: float, hi: float) -> float:
+    """(hi - lo) over the larger of |lo| and |hi|; 0.0 when both vanish."""
+    scale = max(abs(lo), abs(hi))
+    return (hi - lo) / scale if scale > 0.0 else 0.0
+
+
 def _emit(value: Any, indent: int) -> str:
     pad = "  " * indent
     if value is None:
@@ -135,9 +141,7 @@ class SweepResult:
 
     @property
     def relative_spread(self) -> float:
-        lo, hi = self.minimum, self.maximum
-        scale = max(abs(lo), abs(hi))
-        return (hi - lo) / scale if scale > 0.0 else 0.0
+        return relative_spread(self.minimum, self.maximum)
 
     def to_csv(self) -> str:
         lines = ["point_id,t,direction_id,hol_sect_curv"]

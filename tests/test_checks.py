@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
+from kahler_tube import checks
 from kahler_tube.base_geometry import ModelParams
 from kahler_tube.checks import (
+    CHECKS,
     DEFAULT_TOLERANCES,
-    INTEGRABLE_ONLY,
-    LOWER_BOUND_CHECKS,
     ConfigError,
     RunConfig,
+    evaluate_point,
     run_sweep,
     run_verify,
 )
+from kahler_tube.lifted_metric import KAHLER, offset_profile
+from kahler_tube.sampling import sample_directions, sample_points
 
 SMALL = RunConfig(ModelParams(3), num_points=2, num_directions=8, seed=7)
 
@@ -41,6 +44,14 @@ def test_config_validation() -> None:
         RunConfig(ModelParams(3), tolerance_overrides={"einstein_identity": -1.0})
     with pytest.raises(ConfigError):
         RunConfig(ModelParams(3), tolerance_overrides={"einstein_identity": float("nan")})
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(ModelParams(3), seed=-1)
+    for offset in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="custom_v_offset"):
+            RunConfig(ModelParams(3), custom_v_offset=offset)
+    for field in ("num_points", "num_directions", "seed"):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(ModelParams(3), **{field: True})
 
 
 def test_inadmissible_params_rejected_before_compute() -> None:
@@ -84,14 +95,14 @@ def test_offset_profile_dichotomy(offset_report) -> None:
 
 def test_offset_profile_skips_integrable_only_checks(offset_report) -> None:
     by_name = {c.name: c for c in offset_report.checks}
-    for name in DEFAULT_TOLERANCES:
-        check = by_name[name]
-        if name in INTEGRABLE_ONLY:
-            assert check.status == "skipped", name
+    for registered in CHECKS:
+        check = by_name[registered.name]
+        if registered.integrable_only:
+            assert check.status == "skipped", registered.name
             assert check.reason == "requires the integrable lift profile"
             assert check.max_residual is None
         else:
-            assert check.status == "ran", name
+            assert check.status == "ran", registered.name
     # report completeness also holds in skip mode
     assert [c.name for c in offset_report.checks] == list(DEFAULT_TOLERANCES)
 
@@ -121,11 +132,36 @@ def test_curvature_match_carries_family_detail(small_report) -> None:
 
 
 def test_registry_internal_consistency() -> None:
-    assert LOWER_BOUND_CHECKS <= set(DEFAULT_TOLERANCES)
-    assert INTEGRABLE_ONLY <= set(DEFAULT_TOLERANCES)
-    assert len(DEFAULT_TOLERANCES) == 46
+    names = [check.name for check in CHECKS]
+    assert len(set(names)) == len(names) == 46
+    assert list(DEFAULT_TOLERANCES) == names
+    assert [c.name for c in CHECKS if c.lower_bound] == ["hol_sect_nonconstancy"]
+    integrable_only = [c for c in CHECKS if c.integrable_only]
     # offset runs keep a meaningful core: more than half the battery still runs
-    assert len(INTEGRABLE_ONLY) < len(DEFAULT_TOLERANCES) / 2 + 4
+    assert len(integrable_only) < len(CHECKS) / 2 + 4
+
+
+@pytest.mark.parametrize("offset", [None, 0.1])
+def test_evaluator_keys_match_running_registry_rows(offset) -> None:
+    params = ModelParams(3)
+    profile = KAHLER if offset is None else offset_profile(params, offset)
+    (pt,) = sample_points(params, 1, 7)
+    values, hol = evaluate_point(params, pt, profile, sample_directions(params, 4, 7))
+    running = {c.name for c in CHECKS if profile.is_kahler or not c.integrable_only}
+    assert set(values) == running - {"hol_sect_nonconstancy"}
+    assert (hol is not None) == profile.is_kahler
+
+
+def test_missing_check_value_raises_instead_of_skipping(monkeypatch) -> None:
+    def drop_einstein(*args):
+        values, hol = evaluate_point(*args)
+        del values["einstein_identity"]
+        return values, hol
+
+    monkeypatch.setattr(checks, "evaluate_point", drop_einstein)
+    cfg = RunConfig(ModelParams(3), num_points=1, num_directions=4, seed=7)
+    with pytest.raises(RuntimeError, match="einstein_identity"):
+        run_verify(cfg)
 
 
 def test_sweep_rows_and_summary() -> None:

@@ -63,6 +63,13 @@ def test_unknown_tolerance_name_exit_two(capsys) -> None:
     assert "unknown check name" in capsys.readouterr().err
 
 
+def test_invalid_seed_and_offset_exit_two(capsys) -> None:
+    for bad in (["--seed", "-1"], ["--custom-v-offset", "nan"], ["--custom-v-offset", "inf"]):
+        code = main(["verify", "--dim", "3", "--points", "1", "--directions", "2", *bad])
+        assert code == 2, bad
+        assert "error:" in capsys.readouterr().err
+
+
 def test_malformed_tolerance_rejected() -> None:
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--dim", "3", "--tol", "missing-equals"])
