@@ -237,7 +237,7 @@ def evaluate_point(
     )
 
     # Almost complex structure and fundamental form, in coordinates.
-    J_ad = complex_structure.j_matrix(params, pt, profile).j_adapted
+    J_ad = complex_structure.j_matrix(params, pt, profile)
     J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
     values["j_squared"] = _max_abs(J_coord @ J_coord + np.eye(2 * n))
     values["hermitian"] = _max_abs(J_coord.T @ S_coord @ J_coord - S_coord)
@@ -283,7 +283,7 @@ def evaluate_point(
         "per-family residuals: " + ", ".join(f"{k}={v:.3e}" for k, v in sectors.items()),
     )
     values["curvature_antisymmetry"] = curvature.direction_antisymmetry_residual(R_closed_ad)
-    values["curvature_bianchi"] = curvature.first_bianchi_residual(R_oracle_coord)
+    values["curvature_bianchi"] = base_geometry.first_bianchi_residual(R_oracle_coord)
     values["curvature_pair_skew"] = curvature.pair_skew_residual(R_oracle_coord, S_coord)
     values["curvature_j_invariance"] = curvature.j_invariance_residual(R_oracle_ad, S_ad, J_ad)
     einstein = curvature.einstein_residuals(params, pt, profile, R_coord=R_oracle_coord)

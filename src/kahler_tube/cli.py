@@ -8,7 +8,7 @@ Two subcommands:
   and directions as CSV (stdout, or ``--out PATH``).
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-configuration.
+configuration or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -124,24 +124,24 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _build_config(args)
         if args.command == "verify":
             report = run_verify(cfg)
-            text = report.to_json()
-            if args.report is None:
-                sys.stdout.write(text)
-            else:
-                args.report.write_text(text, encoding="utf-8")
-                print(f"wrote {args.report} (verdict {report.verdict})", file=sys.stderr)
-            return 0 if report.all_passed else 1
-        result = run_sweep(cfg)
-        text = result.to_csv()
-        if args.out is None:
-            sys.stdout.write(text)
+            text, path, code = report.to_json(), args.report, 0 if report.all_passed else 1
+            note = f"verdict {report.verdict}"
         else:
-            args.out.write_text(text, encoding="utf-8")
-            print(f"wrote {args.out} ({len(result.rows)} rows)", file=sys.stderr)
-        return 0
+            result = run_sweep(cfg)
+            text, path, code, note = result.to_csv(), args.out, 0, f"{len(result.rows)} rows"
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if path is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    print(f"wrote {path} ({note})", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

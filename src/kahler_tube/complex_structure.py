@@ -21,17 +21,15 @@ fields, providing an oracle that is independent of the closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .base_geometry import ModelParams
-from .fd import DEFAULT_FD, Derivative, FdConfig, exterior_derivative_two_form, lie_bracket
+from .fd import DEFAULT_FD, exterior_derivative_two_form, lie_bracket
 from .frames import (
     BundlePoint,
     PointGeometry,
     frame_transform,
-    geometry_from_z,
     horizontal_field,
     point_geometry,
     vertical_field,
@@ -42,17 +40,9 @@ from .lifted_metric import (
     LiftedMetricData,
     adapted_metric_matrix,
     components_from_geometry,
+    lifted_field,
     metric_components,
 )
-
-
-@dataclass(frozen=True)
-class AlmostComplexData:
-    """The structure tensor in the adapted frame, with its defining blocks."""
-
-    j_adapted: np.ndarray  # [a, b], 2n x 2n
-    G: np.ndarray
-    H: np.ndarray
 
 
 def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
@@ -64,21 +54,9 @@ def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
     return J
 
 
-def j_matrix(params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER) -> AlmostComplexData:
-    """Almost complex structure at ``pt`` in adapted-frame components."""
-    data = metric_components(params, pt, profile)
-    return AlmostComplexData(j_adapted=adapted_j_matrix(data), G=data.G, H=data.H)
-
-
-def j_field(params: ModelParams, profile: LiftProfile = KAHLER) -> Callable[[np.ndarray], np.ndarray]:
-    """Coordinate-frame matrix field of the structure tensor, for fd work."""
-
-    def field(z: np.ndarray) -> np.ndarray:
-        geo = geometry_from_z(params, z)
-        data = components_from_geometry(params, geo, profile)
-        return frame_transform(adapted_j_matrix(data), "ud", geo.frame, to="coordinate")
-
-    return field
+def j_matrix(params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER) -> np.ndarray:
+    """Almost complex structure at ``pt`` as a 2n x 2n adapted-frame matrix."""
+    return adapted_j_matrix(metric_components(params, pt, profile))
 
 
 def hermitian_residual(data: LiftedMetricData) -> float:
@@ -104,10 +82,7 @@ class FundamentalFormData:
 
 
 def fundamental_form(
-    params: ModelParams,
-    pt: BundlePoint,
-    profile: LiftProfile = KAHLER,
-    cfg: FdConfig = DEFAULT_FD,
+    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
 ) -> FundamentalFormData:
     """phi(X, Y) = S(X, JY) with the closedness of phi checked by fd.
 
@@ -123,12 +98,13 @@ def fundamental_form(
     phi_ad = S @ J
     phi_coord = frame_transform(phi_ad, "dd", geo.frame, to="coordinate")
 
-    def phi_field(z: np.ndarray) -> np.ndarray:
-        g2 = geometry_from_z(params, z)
-        d2 = components_from_geometry(params, g2, profile)
-        return frame_transform(adapted_metric_matrix(d2) @ adapted_j_matrix(d2), "dd", g2.frame, to="coordinate")
-
-    dphi = exterior_derivative_two_form(phi_field, pt.z, cfg)
+    phi_field = lifted_field(
+        params, profile,
+        lambda g2, d2: frame_transform(
+            adapted_metric_matrix(d2) @ adapted_j_matrix(d2), "dd", g2.frame, to="coordinate"
+        ),
+    )
+    dphi = exterior_derivative_two_form(phi_field, pt.z, DEFAULT_FD)
     return FundamentalFormData(
         adapted=phi_ad, coordinate=phi_coord, dphi_residual=float(np.max(np.abs(dphi.value))),
     )
@@ -189,10 +165,7 @@ def _nijenhuis_core(params: ModelParams, geo: PointGeometry, data: LiftedMetricD
 
 
 def nijenhuis_fd_full(
-    params: ModelParams,
-    pt: BundlePoint,
-    profile: LiftProfile = KAHLER,
-    cfg: FdConfig = DEFAULT_FD,
+    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
 ) -> tuple[NijenhuisData, float]:
     """Recompute the Nijenhuis families from bracket definitions by fd.
 
@@ -206,7 +179,10 @@ def nijenhuis_fd_full(
     geo = point_geometry(params, pt)
     n = geo.n
     z = pt.z
-    jf = j_field(params, profile)
+    jf = lifted_field(
+        params, profile,
+        lambda g2, d2: frame_transform(adapted_j_matrix(d2), "ud", g2.frame, to="coordinate"),
+    )
     j0 = jf(z)
     horiz = [horizontal_field(params, i) for i in range(n)]
     vert = [vertical_field(n, i) for i in range(n)]
@@ -217,11 +193,14 @@ def nijenhuis_fd_full(
 
         return jx
 
+    def bracket(xf, yf) -> np.ndarray:
+        return lie_bracket(xf, yf, z, DEFAULT_FD).value
+
     def tensor(xf, yf) -> np.ndarray:
-        b1 = lie_bracket(j_of(xf), j_of(yf), z, cfg).value
-        b2 = lie_bracket(j_of(xf), yf, z, cfg).value
-        b3 = lie_bracket(xf, j_of(yf), z, cfg).value
-        b4 = lie_bracket(xf, yf, z, cfg).value
+        b1 = bracket(j_of(xf), j_of(yf))
+        b2 = bracket(j_of(xf), yf)
+        b3 = bracket(xf, j_of(yf))
+        b4 = bracket(xf, yf)
         return geo.frame.Minv @ (b1 - j0 @ b2 - j0 @ b3 - b4)
 
     hh = np.zeros((2 * n, n, n))

@@ -26,13 +26,14 @@ from typing import Callable
 import numpy as np
 
 from .base_geometry import DomainError, ModelParams
-from .fd import DEFAULT_FD, KOSZUL_FD, FdConfig, directional_derivative, field_jacobian
-from .frames import BundlePoint, PointGeometry, geometry_from_z, point_geometry
+from .fd import DEFAULT_FD, KOSZUL_FD, directional_derivative, field_jacobian
+from .frames import BundlePoint, PointGeometry, point_geometry
 from .lifted_metric import (
     KAHLER,
     LiftProfile,
     LiftedMetricData,
     components_from_geometry,
+    lifted_field,
     metric_field,
 )
 
@@ -108,11 +109,7 @@ def adapted_connection_matrix(coeffs: ConnectionCoefficients) -> np.ndarray:
     return W
 
 
-def koszul_oracle(
-    metric_field_fn: Callable[[np.ndarray], np.ndarray],
-    z: np.ndarray,
-    cfg: FdConfig = KOSZUL_FD,
-) -> np.ndarray:
+def koszul_oracle(metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
     """Coordinate Christoffel symbols of an arbitrary metric field by fd.
 
     Works in any dimension; the only inputs are point evaluations of the
@@ -123,7 +120,7 @@ def koszul_oracle(
     z = np.asarray(z, dtype=float)
     G = np.asarray(metric_field_fn(z), dtype=float)
     Ginv = np.linalg.inv(G)
-    dG = field_jacobian(metric_field_fn, z, cfg).value  # [k, m, n]
+    dG = field_jacobian(metric_field_fn, z, KOSZUL_FD).value  # [k, m, n]
     return 0.5 * (
         np.einsum("ls,msn->lmn", Ginv, dG)
         + np.einsum("ls,nsm->lmn", Ginv, dG)
@@ -182,25 +179,20 @@ def torsion_residual(W: np.ndarray, geo: PointGeometry) -> float:
 
 
 def metric_compatibility_residual(
-    params: ModelParams,
-    pt: BundlePoint,
-    profile: LiftProfile = KAHLER,
-    cfg: FdConfig = DEFAULT_FD,
-    christoffel: np.ndarray | None = None,
+    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
 ) -> float:
     """Max |coordinate covariant derivative of the lifted metric|.
 
     The metric derivative comes from finite differences of the analytic
-    metric field; the connection defaults to the closed-form coordinate
+    metric field; the connection is the closed-form coordinate
     Christoffels, so the residual certifies metric compatibility of the
     closed-form coefficients rather than an algebraic identity of the oracle.
     """
 
     field = metric_field(params, profile)
     z = pt.z
-    if christoffel is None:
-        christoffel = coordinate_connection_closed_form(params, pt, profile)
-    dG = field_jacobian(field, z, cfg).value
+    christoffel = coordinate_connection_closed_form(params, pt, profile)
+    dG = field_jacobian(field, z, KOSZUL_FD).value
     G = field(z)
     nabla = (
         dG
@@ -221,16 +213,13 @@ class ConnectionComparison:
 
 
 def verify_connection(
-    params: ModelParams,
-    pt: BundlePoint,
-    profile: LiftProfile = KAHLER,
-    cfg: FdConfig = KOSZUL_FD,
+    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
 ) -> ConnectionComparison:
     """Compare closed-form coefficients against the Koszul oracle at ``pt``."""
     geo = point_geometry(params, pt)
     data = components_from_geometry(params, geo, profile)
     W_closed = adapted_connection_matrix(_coefficients(params, geo, data, profile))
-    christoffel = koszul_oracle(metric_field(params, profile), pt.z, cfg)
+    christoffel = koszul_oracle(metric_field(params, profile), pt.z)
     W_oracle = connection_to_adapted(christoffel, geo)
     diff = np.abs(W_closed - W_oracle)
     worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
@@ -238,7 +227,7 @@ def verify_connection(
         f"coefficient [{worst[0]},{worst[1]},{worst[2]}]: "
         f"closed-form {W_closed[worst]:.17g} vs oracle {W_oracle[worst]:.17g}"
     )
-    nabla_g = metric_compatibility_residual(params, pt, profile, cfg)
+    nabla_g = metric_compatibility_residual(params, pt, profile)
     torsion = torsion_residual(W_closed, geo)
     return ConnectionComparison(
         closed_vs_oracle=float(diff[worst]),
@@ -249,10 +238,7 @@ def verify_connection(
 
 
 def mtensor_parallel_residuals(
-    params: ModelParams,
-    pt: BundlePoint,
-    profile: LiftProfile = KAHLER,
-    cfg: FdConfig = DEFAULT_FD,
+    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
 ) -> tuple[float, float]:
     """Horizontal covariant constancy of the metric blocks.
 
@@ -262,24 +248,13 @@ def mtensor_parallel_residuals(
     """
 
     geo = point_geometry(params, pt)
-    n = geo.n
-    z = pt.z
-
-    def g_block(zz: np.ndarray) -> np.ndarray:
-        g2 = geometry_from_z(params, zz)
-        return components_from_geometry(params, g2, profile).G
-
-    def h_block(zz: np.ndarray) -> np.ndarray:
-        g2 = geometry_from_z(params, zz)
-        return components_from_geometry(params, g2, profile).H
-
+    blocks = lifted_field(params, profile, lambda g2, d2: np.stack([d2.G, d2.H]))
     data = components_from_geometry(params, geo, profile)
     res_g = 0.0
     res_h = 0.0
-    for i in range(n):
-        direction = geo.frame.M[:, i]
+    for i in range(geo.n):
+        dG, dH = directional_derivative(blocks, pt.z, geo.frame.M[:, i], DEFAULT_FD).value
         # nabla_i G_jk = delta_i G_jk - gamma^l_ij G_lk - gamma^l_ik G_jl
-        dG = directional_derivative(g_block, z, direction, cfg).value
         covG = (
             dG
             - np.einsum("lj,lk->jk", geo.gamma[:, i, :], data.G)
@@ -287,7 +262,6 @@ def mtensor_parallel_residuals(
         )
         res_g = max(res_g, float(np.max(np.abs(covG))))
         # nabla_i H^jk = delta_i H^jk + gamma^j_il H^lk + gamma^k_il H^jl
-        dH = directional_derivative(h_block, z, direction, cfg).value
         covH = (
             dH
             + np.einsum("jl,lk->jk", geo.gamma[:, i, :], data.H)

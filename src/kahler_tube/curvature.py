@@ -25,30 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .base_geometry import DomainError, ModelParams, first_bianchi_residual
+from .base_geometry import DomainError, ModelParams
 from .complex_structure import adapted_j_matrix
-from .connection import (
-    adapted_connection_matrix,
-    coefficients_closed_form,
-    coordinate_connection_closed_form,
-    koszul_oracle,
-)
-from .fd import (
-    DEFAULT_FD,
-    KOSZUL_FD,
-    STACKED_FD,
-    TWICE_STACKED_FD,
-    FdConfig,
-    directional_derivative,
-    field_jacobian,
-)
-from .frames import (
-    BundlePoint,
-    PointGeometry,
-    frame_transform,
-    geometry_from_z,
-    point_geometry,
-)
+from .connection import coefficients_closed_form, coordinate_connection_closed_form, koszul_oracle
+from .fd import DEFAULT_FD, STACKED_FD, TWICE_STACKED_FD, directional_derivative, field_jacobian
+from .frames import BundlePoint, PointGeometry, frame_transform, point_geometry
 from .lifted_metric import (
     KAHLER,
     LiftProfile,
@@ -56,6 +37,7 @@ from .lifted_metric import (
     adapted_metric_matrix,
     assemble_full_metric,
     components_from_geometry,
+    lifted_field,
     metric_field,
 )
 from .report import relative_spread
@@ -150,10 +132,7 @@ def assemble_adapted_curvature(blocks: CurvatureBlocks) -> np.ndarray:
 
 
 def curvature_from_metric_field(
-    metric_field_fn: Callable[[np.ndarray], np.ndarray],
-    z: np.ndarray,
-    inner_cfg: FdConfig = KOSZUL_FD,
-    outer_cfg: FdConfig = STACKED_FD,
+    metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray
 ) -> np.ndarray:
     """Coordinate curvature of an arbitrary metric field, twice-nested fd.
 
@@ -163,10 +142,10 @@ def curvature_from_metric_field(
     """
 
     def christoffel_field(zz: np.ndarray) -> np.ndarray:
-        return koszul_oracle(metric_field_fn, zz, inner_cfg)
+        return koszul_oracle(metric_field_fn, zz)
 
     gamma = christoffel_field(np.asarray(z, dtype=float))
-    dgamma = field_jacobian(christoffel_field, z, outer_cfg).value
+    dgamma = field_jacobian(christoffel_field, z, STACKED_FD).value
     return (
         np.einsum("cadb->abcd", dgamma)
         - np.einsum("dacb->abcd", dgamma)
@@ -176,25 +155,15 @@ def curvature_from_metric_field(
 
 
 def curvature_oracle_coordinates(
-    params: ModelParams,
-    pt: BundlePoint,
-    profile: LiftProfile = KAHLER,
-    inner_cfg: FdConfig = KOSZUL_FD,
-    outer_cfg: FdConfig = STACKED_FD,
+    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
 ) -> np.ndarray:
-    return curvature_from_metric_field(
-        metric_field(params, profile), pt.z, inner_cfg, outer_cfg
-    )
+    return curvature_from_metric_field(metric_field(params, profile), pt.z)
 
 
 def curvature_oracle_adapted(
-    params: ModelParams,
-    pt: BundlePoint,
-    profile: LiftProfile = KAHLER,
-    inner_cfg: FdConfig = KOSZUL_FD,
-    outer_cfg: FdConfig = STACKED_FD,
+    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
 ) -> np.ndarray:
-    R = curvature_oracle_coordinates(params, pt, profile, inner_cfg, outer_cfg)
+    R = curvature_oracle_coordinates(params, pt, profile)
     geo = point_geometry(params, pt)
     return frame_transform(R, "uddd", geo.frame, "adapted")
 
@@ -280,8 +249,6 @@ def einstein_residuals(
     params: ModelParams,
     pt: BundlePoint,
     profile: LiftProfile = KAHLER,
-    inner_cfg: FdConfig = KOSZUL_FD,
-    outer_cfg: FdConfig = STACKED_FD,
     R_coord: np.ndarray | None = None,
 ) -> EinsteinResiduals:
     """Ricci of the oracle curvature against (A n / 2) times the metric.
@@ -293,7 +260,7 @@ def einstein_residuals(
 
     geo = point_geometry(params, pt)
     if R_coord is None:
-        R_coord = curvature_oracle_coordinates(params, pt, profile, inner_cfg, outer_cfg)
+        R_coord = curvature_oracle_coordinates(params, pt, profile)
     ric = ricci_tensor(R_coord)
     S_coord = assemble_full_metric(params, pt, profile)
     factor = 0.5 * params.lift_const * params.dim
@@ -345,12 +312,13 @@ def covariant_derivative_residual(
         dK = field_jacobian(curv_field, z, TWICE_STACKED_FD).value
         chris = koszul_oracle(field, z)
     elif route == "closed_form":
-
-        def curv_field(zz: np.ndarray) -> np.ndarray:
-            return coordinate_curvature_closed_form(
-                params, BundlePoint(zz[: params.dim], zz[params.dim :]), profile
-            )
-
+        curv_field = lifted_field(
+            params, profile,
+            lambda geo, data: frame_transform(
+                assemble_adapted_curvature(_blocks(params, geo, data, profile)),
+                "uddd", geo.frame, "coordinate",
+            ),
+        )
         K = curv_field(z)
         dK = field_jacobian(curv_field, z, DEFAULT_FD).value
         chris = coordinate_connection_closed_form(params, pt, profile)
@@ -364,20 +332,6 @@ def covariant_derivative_residual(
         - np.einsum("sld,abcs->labcd", chris, K)
     )
     return float(np.max(np.abs(nabla)))
-
-
-def _family_fields(
-    params: ModelParams, profile: LiftProfile
-) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
-    def make(name: str) -> Callable[[np.ndarray], np.ndarray]:
-        def field(zz: np.ndarray) -> np.ndarray:
-            geo = geometry_from_z(params, zz)
-            data = components_from_geometry(params, geo, profile)
-            return getattr(_blocks(params, geo, data, profile), name)
-
-        return field
-
-    return {name: make(name) for name in ("hhh", "vvh", "vhh", "vhv")}
 
 
 def _parallel_rhs(name: str, T: np.ndarray, C: np.ndarray, l: int) -> np.ndarray:
@@ -422,10 +376,7 @@ def _parallel_rhs(name: str, T: np.ndarray, C: np.ndarray, l: int) -> np.ndarray
 
 
 def parallel_block_residuals(
-    params: ModelParams,
-    pt: BundlePoint,
-    profile: LiftProfile = KAHLER,
-    cfg: FdConfig = DEFAULT_FD,
+    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
 ) -> dict[str, float]:
     """Frame-derivative parallelism of each curvature family.
 
@@ -436,23 +387,25 @@ def parallel_block_residuals(
 
     geo = point_geometry(params, pt)
     coeffs = coefficients_closed_form(params, pt, profile)
-    fields = _family_fields(params, profile)
     n = geo.n
     z = pt.z
-    out: dict[str, float] = {}
-    for name, field in fields.items():
-        T = field(z)
-        for kind, C, offset in (
-            ("horizontal", geo.gamma, 0),
-            ("vertical", coeffs.mixed, n),
-        ):
-            worst = 0.0
-            for l in range(n):
-                direction = geo.frame.M[:, offset + l]
-                lhs = directional_derivative(field, z, direction, cfg).value
-                rhs = _parallel_rhs(name, T, C, l)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            out[f"parallel_{name}_{kind}"] = worst
+    families = ("hhh", "vvh", "vhh", "vhv")
+
+    def stacked(g2: PointGeometry, d2: LiftedMetricData) -> np.ndarray:
+        blocks = _blocks(params, g2, d2, profile)
+        return np.stack([getattr(blocks, name) for name in families])
+
+    field = lifted_field(params, profile, stacked)
+    T = field(z)
+    kinds = (("horizontal", geo.gamma, 0), ("vertical", coeffs.mixed, n))
+    out = {f"parallel_{name}_{kind}": 0.0 for name in families for kind, _, _ in kinds}
+    for kind, C, offset in kinds:
+        for l in range(n):
+            lhs = directional_derivative(field, z, geo.frame.M[:, offset + l], DEFAULT_FD).value
+            for k, name in enumerate(families):
+                key = f"parallel_{name}_{kind}"
+                rhs = _parallel_rhs(name, T[k], C, l)
+                out[key] = max(out[key], float(np.max(np.abs(lhs[k] - rhs))))
     return out
 
 

@@ -6,6 +6,11 @@ differences, an optional Richardson ladder, Lie brackets of vector fields,
 and the exterior derivative of a 2-form coefficient field.  All routines
 return an error estimate next to the value so callers can flag unreliable
 steps instead of silently trusting them.
+
+The routines here take an ``FdConfig``; the oracle layers built on them do
+not.  Each layer fixes its own step constant (``DEFAULT_FD``, ``KOSZUL_FD``,
+``STACKED_FD`` or ``TWICE_STACKED_FD``) at its fd call, and differentiates
+fields built by ``frames.geometry_field`` / ``lifted_metric.lifted_field``.
 """
 
 from __future__ import annotations

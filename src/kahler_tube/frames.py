@@ -16,12 +16,14 @@ vector, a in [n, 2n) the (a - n)-th vertical one.  Coordinates are ordered
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .base_geometry import BaseMetricData, DomainError, ModelParams, metric_at
-from .fd import DEFAULT_FD, FdConfig, directional_derivative, lie_bracket
+from .fd import DEFAULT_FD, directional_derivative, lie_bracket
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -151,10 +153,14 @@ def point_geometry(params: ModelParams, pt: BundlePoint) -> PointGeometry:
     return geometry_at(params, pt.x, pt.p)
 
 
-def geometry_from_z(params: ModelParams, z: np.ndarray) -> PointGeometry:
+def geometry_field(params: ModelParams, value: Callable[[PointGeometry], T]) -> Callable[[np.ndarray], T]:
+    """The field z = (q, p) -> value(geometry at z) on R^2n, for the fd oracles.
+
+    This is the only place a chart point z is split into (q, p); every field
+    differentiated by an oracle is built here or on top of it.
+    """
     n = params.dim
-    z = np.asarray(z, dtype=float)
-    return geometry_at(params, z[:n], z[n:])
+    return lambda z: value(geometry_at(params, z[:n], z[n:]))
 
 
 def energy_density(params: ModelParams, pt: BundlePoint) -> float:
@@ -193,12 +199,9 @@ def frame_transform(values: np.ndarray, variance: str, frame: AdaptedFrame, to: 
 
 def horizontal_field(params: ModelParams, i: int) -> Callable[[np.ndarray], np.ndarray]:
     """The i-th horizontal frame field as a coordinate vector field on R^2n."""
-
-    def field(z: np.ndarray) -> np.ndarray:
-        geo = geometry_from_z(params, z)
-        return geo.frame.M[:, i].copy()
-
-    return field
+    # A contiguous copy: matrix products with a strided column view round
+    # differently in the last bit, which changes the Nijenhuis fd residual.
+    return geometry_field(params, lambda geo: geo.frame.M[:, i].copy())
 
 
 def vertical_field(n: int, i: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -222,7 +225,7 @@ class BracketResiduals:
     reliable: bool
 
 
-def verify_brackets(params: ModelParams, pt: BundlePoint, cfg: FdConfig = DEFAULT_FD) -> BracketResiduals:
+def verify_brackets(params: ModelParams, pt: BundlePoint) -> BracketResiduals:
     """Check the three bracket relations of the adapted frame numerically.
 
     [d/dp_i, d/dp_j] = 0,
@@ -236,40 +239,28 @@ def verify_brackets(params: ModelParams, pt: BundlePoint, cfg: FdConfig = DEFAUL
     horiz = [horizontal_field(params, i) for i in range(n)]
     vert = [vertical_field(n, i) for i in range(n)]
     riem_p = geo.riem_p
-
     worst_err = 0.0
-    res_vv = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = lie_bracket(vert[i], vert[j], z, cfg)
-            res_vv = max(res_vv, float(np.max(np.abs(br.value))))
-            worst_err = max(worst_err, br.error)
 
-    res_mixed = 0.0
-    for i in range(n):
-        for j in range(n):
-            br = lie_bracket(vert[i], horiz[j], z, cfg)
-            expected = np.zeros(2 * n)
-            expected[n:] = geo.gamma[i, j, :]
-            res_mixed = max(res_mixed, float(np.max(np.abs(br.value - expected))))
-            worst_err = max(worst_err, br.error)
+    def residual(X, Y, expected_vertical: np.ndarray) -> float:
+        nonlocal worst_err
+        br = lie_bracket(X, Y, z, DEFAULT_FD)
+        worst_err = max(worst_err, br.error)
+        expected = np.concatenate([np.zeros(n), expected_vertical])
+        return float(np.max(np.abs(br.value - expected)))
 
-    res_hh = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = lie_bracket(horiz[i], horiz[j], z, cfg)
-            expected = np.zeros(2 * n)
-            expected[n:] = riem_p[:, i, j]
-            res_hh = max(res_hh, float(np.max(np.abs(br.value - expected))))
-            worst_err = max(worst_err, br.error)
-
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    res_vv = max((residual(vert[i], vert[j], np.zeros(n)) for i, j in pairs), default=0.0)
+    res_mixed = max(
+        residual(vert[i], horiz[j], geo.gamma[i, j, :]) for i in range(n) for j in range(n)
+    )
+    res_hh = max((residual(horiz[i], horiz[j], riem_p[:, i, j]) for i, j in pairs), default=0.0)
     return BracketResiduals(
         vert_vert=res_vv, mixed=res_mixed, horiz_horiz=res_hh,
-        reliable=worst_err <= cfg.disagreement_factor * 1e-6,
+        reliable=worst_err <= DEFAULT_FD.disagreement_factor * 1e-6,
     )
 
 
-def energy_frame_derivatives(params: ModelParams, pt: BundlePoint, cfg: FdConfig = DEFAULT_FD) -> tuple[float, float]:
+def energy_frame_derivatives(params: ModelParams, pt: BundlePoint) -> tuple[float, float]:
     """Residuals of the frame derivatives of t.
 
     Horizontally t is constant; vertically d t / dp_k equals the raised
@@ -278,18 +269,11 @@ def energy_frame_derivatives(params: ModelParams, pt: BundlePoint, cfg: FdConfig
 
     geo = point_geometry(params, pt)
     n = geo.n
-    z = pt.z
-
-    def t_field(zz: np.ndarray) -> float:
-        g2 = geometry_from_z(params, zz)
-        return g2.t
-
-    res_h = 0.0
-    for i in range(n):
-        d = directional_derivative(t_field, z, geo.frame.M[:, i], cfg)
-        res_h = max(res_h, abs(float(d.value)))
-    res_v = 0.0
-    for k in range(n):
-        d = directional_derivative(t_field, z, geo.frame.M[:, n + k], cfg)
-        res_v = max(res_v, abs(float(d.value) - geo.p_raised[k]))
+    t_field = geometry_field(params, lambda g: g.t)
+    dt = [
+        float(directional_derivative(t_field, pt.z, geo.frame.M[:, a], DEFAULT_FD).value)
+        for a in range(2 * n)
+    ]
+    res_h = max(abs(d) for d in dt[:n])
+    res_v = max(abs(d - pr) for d, pr in zip(dt[n:], geo.p_raised))
     return res_h, res_v

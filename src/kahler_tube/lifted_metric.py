@@ -12,12 +12,14 @@ tests; only A + 2v > 0 is then required.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .base_geometry import DomainError, ModelParams
-from .frames import BundlePoint, PointGeometry, frame_transform, geometry_from_z, point_geometry
+from .frames import BundlePoint, PointGeometry, frame_transform, geometry_field, point_geometry
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -156,15 +158,25 @@ def assemble_full_metric(params: ModelParams, pt: BundlePoint, profile: LiftProf
     return frame_transform(adapted_metric_matrix(data), "dd", geo.frame, to="coordinate")
 
 
+def lifted_field(
+    params: ModelParams,
+    profile: LiftProfile,
+    value: Callable[[PointGeometry, LiftedMetricData], T],
+) -> Callable[[np.ndarray], T]:
+    """The field z -> value(geometry, lifted blocks) on R^2n, for the fd oracles.
+
+    Built on frames.geometry_field; the blocks go through the same tube
+    guard as metric_components, so a stencil point outside the tube raises.
+    """
+    return geometry_field(params, lambda geo: value(geo, components_from_geometry(params, geo, profile)))
+
+
 def metric_field(params: ModelParams, profile: LiftProfile = KAHLER) -> Callable[[np.ndarray], np.ndarray]:
     """The full coordinate metric as a callable field for the oracles."""
-
-    def field(z: np.ndarray) -> np.ndarray:
-        geo = geometry_from_z(params, z)
-        data = components_from_geometry(params, geo, profile)
-        return frame_transform(adapted_metric_matrix(data), "dd", geo.frame, to="coordinate")
-
-    return field
+    return lifted_field(
+        params, profile,
+        lambda geo, data: frame_transform(adapted_metric_matrix(data), "dd", geo.frame, to="coordinate"),
+    )
 
 
 def kahler_identity_residual(params: ModelParams, data: LiftedMetricData) -> float:

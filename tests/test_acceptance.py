@@ -115,7 +115,7 @@ def test_criterion_1_almost_kahler(primary_points) -> None:
         data = components_from_geometry(PRIMARY, geo)
         S_ad = adapted_metric_matrix(data)
         S_coord = frame_transform(S_ad, "dd", geo.frame, to="coordinate")
-        J_ad = j_matrix(PRIMARY, pt).j_adapted
+        J_ad = j_matrix(PRIMARY, pt)
         J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
         algebraic = max(
             algebraic,

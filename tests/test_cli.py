@@ -82,6 +82,15 @@ def test_bad_dimension_exit_two(capsys) -> None:
     assert "dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("verify", "--report"), ("sweep", "--out")])
+def test_unwritable_output_path_exit_two(tmp_path, capsys, command, flag) -> None:
+    target = tmp_path / "missing" / "out.txt"
+    code = main([command, "--dim", "3", "--points", "1", "--directions", "2", flag, str(target)])
+    assert code == 2
+    assert f"error: cannot write {target}:" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_sweep_stdout_layout(capsys) -> None:
     code = main(["sweep", "--dim", "3", *FAST])
     assert code == 0

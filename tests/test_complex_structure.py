@@ -14,30 +14,28 @@ from kahler_tube.complex_structure import (
     nijenhuis_fd_full,
 )
 from kahler_tube.frames import BundlePoint, frame_transform, point_geometry
-from kahler_tube.lifted_metric import offset_profile
+from kahler_tube.lifted_metric import metric_components, offset_profile
 
 PARAMS = ModelParams(3)
 POINT = BundlePoint(x=np.array([0.2, -0.3, 0.4]), p=np.array([0.6, 0.2, -0.5]))
 
 
 def test_j_squared_is_minus_identity() -> None:
-    data = j_matrix(PARAMS, POINT)
-    assert j_squared_residual(data) < 1e-13
+    assert j_squared_residual(metric_components(PARAMS, POINT)) < 1e-13
     # and in coordinates, after the frame transform
     geo = point_geometry(PARAMS, POINT)
-    J_coord = frame_transform(data.j_adapted, "ud", geo.frame, to="coordinate")
+    J_coord = frame_transform(j_matrix(PARAMS, POINT), "ud", geo.frame, to="coordinate")
     assert np.max(np.abs(J_coord @ J_coord + np.eye(6))) < 1e-13
 
 
 def test_hermitian_compatibility() -> None:
-    data = j_matrix(PARAMS, POINT)
-    assert hermitian_residual(data) < 1e-13
+    assert hermitian_residual(metric_components(PARAMS, POINT)) < 1e-13
 
 
 def test_j_block_structure() -> None:
-    data = j_matrix(PARAMS, POINT)
+    data = metric_components(PARAMS, POINT)
     n = PARAMS.dim
-    J = data.j_adapted
+    J = j_matrix(PARAMS, POINT)
     assert np.max(np.abs(J[:n, :n])) == 0.0
     assert np.max(np.abs(J[n:, n:])) == 0.0
     assert np.max(np.abs(J[n:, :n] - data.G)) < 1e-14

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kahler_tube.base_geometry import ModelParams
+from kahler_tube.base_geometry import ModelParams, first_bianchi_residual
 from kahler_tube.complex_structure import j_matrix
 from kahler_tube.curvature import (
     assemble_adapted_curvature,
@@ -14,7 +14,6 @@ from kahler_tube.curvature import (
     curvature_oracle_coordinates,
     direction_antisymmetry_residual,
     einstein_residuals,
-    first_bianchi_residual,
     holomorphic_sample,
     holomorphic_sectional_curvature,
     j_invariance_residual,
@@ -41,7 +40,7 @@ def _adapted_setup(pt):
     data = components_from_geometry(PARAMS, geo)
     R_ad = assemble_adapted_curvature(curvature_blocks_closed_form(PARAMS, pt))
     S_ad = adapted_metric_matrix(data)
-    J_ad = j_matrix(PARAMS, pt).j_adapted
+    J_ad = j_matrix(PARAMS, pt)
     return geo, R_ad, S_ad, J_ad
 
 

@@ -14,7 +14,9 @@ from kahler_tube.lifted_metric import (
     assemble_full_metric,
     components_from_geometry,
     kahler_identity_residual,
+    lifted_field,
     metric_components,
+    metric_field,
     offset_profile,
     tube_check,
     w_consistency_residual,
@@ -84,6 +86,27 @@ def test_tube_check_reports_inadmissible_params() -> None:
 def test_metric_components_outside_tube_raise() -> None:
     with pytest.raises(DomainError):
         metric_components(PARAMS, BundlePoint(x=np.zeros(3), p=np.array([2.5, 0.0, 0.0])))
+
+
+GENERIC = BundlePoint(x=np.array([0.25, -0.15, 0.3]), p=np.array([0.5, 0.4, -0.2]))
+
+
+@pytest.mark.parametrize("offset", [None, 0.1])
+def test_metric_field_equals_pointwise_metric(offset) -> None:
+    profile = KAHLER if offset is None else offset_profile(PARAMS, offset)
+    field_value = metric_field(PARAMS, profile)(GENERIC.z)
+    assert np.array_equal(field_value, assemble_full_metric(PARAMS, GENERIC, profile))
+
+
+def test_lifted_field_equals_pointwise_components() -> None:
+    field = lifted_field(PARAMS, KAHLER, lambda geo, data: data.H)
+    assert np.array_equal(field(GENERIC.z), metric_components(PARAMS, GENERIC).H)
+
+
+def test_lifted_field_outside_tube_raises() -> None:
+    field = lifted_field(PARAMS, KAHLER, lambda geo, data: data.G)
+    with pytest.raises(DomainError):
+        field(np.array([0.0, 0.0, 0.0, 2.5, 0.0, 0.0]))
 
 
 def test_offset_profile_changes_v_only() -> None:

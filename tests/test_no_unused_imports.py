@@ -1,0 +1,62 @@
+"""Dead-import gate: every module-level import in the package is used.
+
+A name imported at module level must be referenced in the module or listed
+in its ``__all__`` (which is how ``__init__.py`` re-exports).  Pure ``ast``,
+so the gate needs no linter.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kahler_tube"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Module-level imported name -> line number (``__future__`` excluded)."""
+    names: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = _exported(tree)
+    return [
+        f"{name} (line {line})"
+        for name, line in _imported_names(tree).items()
+        if name not in used and name not in exported
+    ]
+
+
+def test_gate_flags_an_unused_import() -> None:
+    source = "import numpy as np\nfrom typing import Callable, Any\n\nx: Any = np.pi\n"
+    assert unused_imports(source) == ["Callable (line 2)"]
+    assert unused_imports("from .fd import FdConfig\n__all__ = ['FdConfig']\n") == []
+
+
+def test_package_has_modules() -> None:
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path: Path) -> None:
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
