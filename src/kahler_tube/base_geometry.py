@@ -7,6 +7,9 @@ Christoffel symbols, the curvature tensor, and first coordinate derivatives
 of g and Gamma; all of these are closed-form here.  Finite differences only
 appear in the verification oracles, never in the construction.
 
+Every function here accepts a stack of chart points ``(..., n)`` as well as
+a single point; the arrays below then carry the same leading batch axes.
+
 Index conventions used throughout the package:
     gamma[k, i, j]      Christoffel symbol with upper index k,
     dgamma[k, i, j, l]  its partial derivative along x^l,
@@ -17,6 +20,7 @@ Index conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,60 +96,77 @@ class BasePoint:
 
 @dataclass(frozen=True)
 class BaseMetricData:
-    """Closed-form metric data of the base manifold at one chart point."""
+    """Closed-form metric data of the base manifold at one chart point or a stack.
 
-    g: np.ndarray        # [i, j]
-    g_inv: np.ndarray    # [i, j]
-    dg: np.ndarray       # [k, i, j] = partial_k g_ij
-    gamma: np.ndarray    # [k, i, j]
-    dgamma: np.ndarray   # [k, i, j, l] = partial_l gamma^k_ij
-    riem: np.ndarray     # [h, k, i, j]
+    ``dgamma`` and ``riem`` are computed on first use: only single-point
+    callers read them, so fd stencils never pay for them.
+    """
+
+    x: np.ndarray        # [..., i]
+    curvature: float
+    u: np.ndarray        # [...], conformal factor
+    g: np.ndarray        # [..., i, j]
+    g_inv: np.ndarray    # [..., i, j]
+    gamma: np.ndarray    # [..., k, i, j]
+
+    @cached_property
+    def dgamma(self) -> np.ndarray:
+        """[..., k, i, j, l] = partial_l gamma^k_ij."""
+        x, c, u = self.x, self.curvature, self.u[..., None, None, None, None]
+        eye = np.eye(x.shape[-1])
+        outer = _core(x)[..., None] * x[..., None, None, None, :]
+        return (0.25 * c * c / (u * u)) * outer - (0.5 * c / u) * (
+            eye[:, :, None, None] * eye[None, None, :, :]
+            + eye[:, None, :, None] * eye[None, :, None, :]
+            - eye[None, :, :, None] * eye[:, None, None, :]
+        )
+
+    @cached_property
+    def riem(self) -> np.ndarray:
+        """[..., h, k, i, j] = c (delta^h_i g_jk - delta^h_j g_ik)."""
+        eye = np.eye(self.x.shape[-1])
+        g = self.g
+        return self.curvature * (
+            np.einsum("hi,...jk->...hkij", eye, g) - np.einsum("hj,...ik->...hkij", eye, g)
+        )
 
 
 def _coords(params: ModelParams, x) -> np.ndarray:
     x = x.x if isinstance(x, BasePoint) else np.asarray(x, dtype=float)
-    if x.shape != (params.dim,):
-        raise ValueError(f"expected a point of dimension {params.dim}, got shape {x.shape}")
+    if x.shape[-1:] != (params.dim,):
+        raise ValueError(f"expected points of dimension {params.dim}, got shape {x.shape}")
     return x
 
 
-def conformal_factor(params: ModelParams, x) -> float:
+def _core(x: np.ndarray) -> np.ndarray:
+    """[..., k, i, j] = delta_ki x_j + delta_kj x_i - delta_ij x_k."""
+    eye = np.eye(x.shape[-1])
+    return (
+        eye[:, :, None] * x[..., None, None, :]
+        + eye[:, None, :] * x[..., None, :, None]
+        - eye[None, :, :] * x[..., :, None, None]
+    )
+
+
+def conformal_factor(params: ModelParams, x) -> np.ndarray:
     """u(x) = 1 + c|x|^2/4; must stay positive for the chart to be valid."""
     x = _coords(params, x)
-    u = 1.0 + 0.25 * params.curvature * float(x @ x)
-    if u <= 0.0:
+    u = 1.0 + 0.25 * params.curvature * np.einsum("...i,...i->...", x, x)
+    if (u <= 0.0).any():
         raise DomainError("conformal factor 1 + c|x|^2/4 must be positive (chart domain)")
     return u
 
 
 def metric_at(params: ModelParams, x) -> BaseMetricData:
-    """Metric, inverse, Christoffels, curvature and derivatives at ``x``."""
+    """Metric, inverse and Christoffels at ``x`` (one point or a stack)."""
     x = _coords(params, x)
-    n, c = params.dim, params.curvature
+    c = params.curvature
     u = conformal_factor(params, x)
-    eye = np.eye(n)
-
-    g = eye / (u * u)
-    g_inv = eye * (u * u)
-    dg = -(c / u**3) * x[:, None, None] * eye[None, :, :]
-
+    eye = np.eye(params.dim)
+    uu = (u * u)[..., None, None]
     # gamma^k_ij for a conformal metric exp(2 phi) delta with phi = -log u.
-    core = (
-        eye[:, :, None] * x[None, None, :]
-        + eye[:, None, :] * x[None, :, None]
-        - eye[None, :, :] * x[:, None, None]
-    )  # [k, i, j]: delta_ki x_j + delta_kj x_i - delta_ij x_k
-    gamma = -(0.5 * c / u) * core
-    dgamma = (0.25 * c * c / (u * u)) * core[:, :, :, None] * x[None, None, None, :] - (
-        0.5 * c / u
-    ) * (
-        eye[:, :, None, None] * eye[None, None, :, :]
-        + eye[:, None, :, None] * eye[None, :, None, :]
-        - eye[None, :, :, None] * eye[:, None, None, :]
-    )
-
-    riem = c * (np.einsum("hi,jk->hkij", eye, g) - np.einsum("hj,ik->hkij", eye, g))
-    return BaseMetricData(g=g, g_inv=g_inv, dg=dg, gamma=gamma, dgamma=dgamma, riem=riem)
+    gamma = -(0.5 * c / u)[..., None, None, None] * _core(x)
+    return BaseMetricData(x=x, curvature=c, u=u, g=eye / uu, g_inv=eye * uu, gamma=gamma)
 
 
 def metric_field(params: ModelParams):

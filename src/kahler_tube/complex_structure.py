@@ -47,10 +47,10 @@ from .lifted_metric import (
 
 def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
     """The structure tensor as a 2n x 2n matrix in the adapted frame."""
-    n = data.G.shape[0]
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -data.H
-    J[n:, :n] = data.G
+    n = data.G.shape[-1]
+    J = np.zeros(data.G.shape[:-2] + (2 * n, 2 * n))
+    J[..., :n, n:] = -data.H
+    J[..., n:, :n] = data.G
     return J
 
 
@@ -158,7 +158,7 @@ def nijenhuis_closed_form(params: ModelParams, pt: BundlePoint, profile: LiftPro
 def _nijenhuis_core(params: ModelParams, geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
     A = params.lift_const
     scale = A * data.t * (data.v + A)
-    g, p = geo.g, geo.p
+    g, p = geo.base.g, geo.p
     return scale * (
         np.einsum("i,jk->kij", p, g) - np.einsum("j,ik->kij", p, g)
     ) - geo.riem_p
@@ -189,7 +189,7 @@ def nijenhuis_fd_full(
 
     def j_of(field):
         def jx(zz):
-            return jf(zz) @ field(zz)
+            return np.einsum("...ij,...j->...i", jf(zz), field(zz))
 
         return jx
 

@@ -75,7 +75,7 @@ def _coefficients(
         raise DomainError("closed-form connection coefficients require the integrable profile")
     n = geo.n
     c, A, t = params.curvature, params.lift_const, data.t
-    g, ginv, p, pr = geo.g, geo.g_inv, geo.p, geo.p_raised
+    g, ginv, p, pr = geo.base.g, geo.base.g_inv, geo.p, geo.p_raised
     eye = np.eye(n)
     bound = 2.0 * c - A * A * t
 
@@ -93,7 +93,9 @@ def _coefficients(
         + (0.5 * A * A * t) * np.einsum("hj,i->hij", g, p)
         + (0.5 * (3.0 * c - 2.0 * A * A * t) / t) * np.einsum("h,i,j->hij", p, p, p)
     )
-    return ConnectionCoefficients(vv_vert=vv_vert, mixed=mixed, hh_vert=hh_vert, gamma=geo.gamma)
+    return ConnectionCoefficients(
+        vv_vert=vv_vert, mixed=mixed, hh_vert=hh_vert, gamma=geo.base.gamma
+    )
 
 
 def adapted_connection_matrix(coeffs: ConnectionCoefficients) -> np.ndarray:
@@ -166,8 +168,8 @@ def frame_structure_functions(geo: PointGeometry) -> np.ndarray:
     out = np.zeros((2 * n, 2 * n, 2 * n))
     riem_p = geo.riem_p
     out[n:, :n, :n] = riem_p  # [k, i, j]
-    out[n:, n:, :n] = np.einsum("ijk->kij", geo.gamma)
-    out[n:, :n, n:] = -np.einsum("jik->kij", geo.gamma)
+    out[n:, n:, :n] = np.einsum("ijk->kij", geo.base.gamma)
+    out[n:, :n, n:] = -np.einsum("jik->kij", geo.base.gamma)
     return out
 
 
@@ -248,8 +250,9 @@ def mtensor_parallel_residuals(
     """
 
     geo = point_geometry(params, pt)
-    blocks = lifted_field(params, profile, lambda g2, d2: np.stack([d2.G, d2.H]))
+    blocks = lifted_field(params, profile, lambda g2, d2: np.stack([d2.G, d2.H], axis=-3))
     data = components_from_geometry(params, geo, profile)
+    gamma = geo.base.gamma
     res_g = 0.0
     res_h = 0.0
     for i in range(geo.n):
@@ -257,15 +260,15 @@ def mtensor_parallel_residuals(
         # nabla_i G_jk = delta_i G_jk - gamma^l_ij G_lk - gamma^l_ik G_jl
         covG = (
             dG
-            - np.einsum("lj,lk->jk", geo.gamma[:, i, :], data.G)
-            - np.einsum("lk,jl->jk", geo.gamma[:, i, :], data.G)
+            - np.einsum("lj,lk->jk", gamma[:, i, :], data.G)
+            - np.einsum("lk,jl->jk", gamma[:, i, :], data.G)
         )
         res_g = max(res_g, float(np.max(np.abs(covG))))
         # nabla_i H^jk = delta_i H^jk + gamma^j_il H^lk + gamma^k_il H^jl
         covH = (
             dH
-            + np.einsum("jl,lk->jk", geo.gamma[:, i, :], data.H)
-            + np.einsum("kl,jl->jk", geo.gamma[:, i, :], data.H)
+            + np.einsum("jl,lk->jk", gamma[:, i, :], data.H)
+            + np.einsum("kl,jl->jk", gamma[:, i, :], data.H)
         )
         res_h = max(res_h, float(np.max(np.abs(covH))))
     return res_g, res_h

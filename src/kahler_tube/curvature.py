@@ -28,7 +28,15 @@ import numpy as np
 from .base_geometry import DomainError, ModelParams
 from .complex_structure import adapted_j_matrix
 from .connection import coefficients_closed_form, coordinate_connection_closed_form, koszul_oracle
-from .fd import DEFAULT_FD, STACKED_FD, TWICE_STACKED_FD, directional_derivative, field_jacobian
+from .fd import (
+    DEFAULT_FD,
+    STACKED_FD,
+    TWICE_STACKED_FD,
+    directional_derivative,
+    field_jacobian,
+    partial_derivative,
+    pointwise,
+)
 from .frames import BundlePoint, PointGeometry, frame_transform, point_geometry
 from .lifted_metric import (
     KAHLER,
@@ -54,7 +62,7 @@ class CurvatureBlocks:
 
     @property
     def n(self) -> int:
-        return self.hhh.shape[0]
+        return self.hhh.shape[-1]
 
 
 def _blocks(
@@ -63,46 +71,71 @@ def _blocks(
     if not profile.is_kahler:
         raise DomainError("closed-form curvature blocks require the integrable profile")
     n = geo.n
-    c, A, t = params.curvature, params.lift_const, data.t
-    g, ginv, p, pr = geo.g, geo.g_inv, geo.p, geo.p_raised
+    c, A = params.curvature, params.lift_const
+    t = data.t[..., None, None, None, None]
+    g, ginv, p, pr = geo.base.g, geo.base.g_inv, geo.p, geo.p_raised
     G, H = data.G, data.H
     eye = np.eye(n)
     bound = 2.0 * c - A * A * t
 
     hhh = (
         (0.5 * A * A * t)
-        * (np.einsum("hi,jk->hijk", eye, g) - np.einsum("hj,ik->hijk", eye, g))
+        * (np.einsum("hi,...jk->...hijk", eye, g) - np.einsum("hj,...ik->...hijk", eye, g))
         + (0.25 * A * A)
-        * (np.einsum("ik,j,h->hijk", g, p, pr) - np.einsum("jk,i,h->hijk", g, p, pr))
+        * (
+            np.einsum("...ik,...j,...h->...hijk", g, p, pr)
+            - np.einsum("...jk,...i,...h->...hijk", g, p, pr)
+        )
         - (0.25 * A * A)
-        * (np.einsum("hi,j,k->hijk", eye, p, p) - np.einsum("hj,i,k->hijk", eye, p, p))
+        * (
+            np.einsum("hi,...j,...k->...hijk", eye, p, p)
+            - np.einsum("hj,...i,...k->...hijk", eye, p, p)
+        )
     )
 
     vvh = (
         -(0.5 / t)
-        * (np.einsum("ik,jh->ijhk", eye, ginv) - np.einsum("jk,ih->ijhk", eye, ginv))
+        * (np.einsum("ik,...jh->...ijhk", eye, ginv) - np.einsum("jk,...ih->...ijhk", eye, ginv))
         - (0.25 / (t * t))
-        * (np.einsum("ih,j,k->ijhk", ginv, pr, p) - np.einsum("jh,i,k->ijhk", ginv, pr, p))
+        * (
+            np.einsum("...ih,...j,...k->...ijhk", ginv, pr, p)
+            - np.einsum("...jh,...i,...k->...ijhk", ginv, pr, p)
+        )
         + (0.25 / (t * t))
-        * (np.einsum("ik,j,h->ijhk", eye, pr, pr) - np.einsum("jk,i,h->ijhk", eye, pr, pr))
+        * (
+            np.einsum("ik,...j,...h->...ijhk", eye, pr, pr)
+            - np.einsum("jk,...i,...h->...ijhk", eye, pr, pr)
+        )
     )
 
     vhh = (
-        (0.5 * A) * np.einsum("ij,hk->ijkh", eye, G)
+        (0.5 * A) * np.einsum("ij,...hk->...ijkh", eye, G)
         + (bound / (4.0 * t))
-        * (np.einsum("ik,h,j->ijkh", eye, p, p) + np.einsum("ih,k,j->ijkh", eye, p, p))
+        * (
+            np.einsum("ik,...h,...j->...ijkh", eye, p, p)
+            + np.einsum("ih,...k,...j->...ijkh", eye, p, p)
+        )
         + (0.25 * A * A)
-        * (np.einsum("jh,k,i->ijkh", g, p, pr) + np.einsum("jk,h,i->ijkh", g, p, pr))
-        - (0.5 * c / (t * t)) * np.einsum("i,j,h,k->ijkh", pr, p, p, p)
+        * (
+            np.einsum("...jh,...k,...i->...ijkh", g, p, pr)
+            + np.einsum("...jk,...h,...i->...ijkh", g, p, pr)
+        )
+        - (0.5 * c / (t * t)) * np.einsum("...i,...j,...h,...k->...ijkh", pr, p, p, p)
     )
 
     vhv = (
-        -(0.5 * A) * np.einsum("ij,hk->ikhj", eye, H)
+        -(0.5 * A) * np.einsum("ij,...hk->...ikhj", eye, H)
         - (0.25 / (t * t))
-        * (np.einsum("ih,k,j->ikhj", ginv, pr, p) + np.einsum("ik,h,j->ikhj", ginv, pr, p))
+        * (
+            np.einsum("...ih,...k,...j->...ikhj", ginv, pr, p)
+            + np.einsum("...ik,...h,...j->...ikhj", ginv, pr, p)
+        )
         - (0.25 * A * A / (t * bound))
-        * (np.einsum("hj,k,i->ikhj", eye, pr, pr) + np.einsum("kj,h,i->ikhj", eye, pr, pr))
-        + (0.5 * c / (t ** 3 * bound)) * np.einsum("i,h,k,j->ikhj", pr, pr, pr, p)
+        * (
+            np.einsum("hj,...k,...i->...ikhj", eye, pr, pr)
+            + np.einsum("kj,...h,...i->...ikhj", eye, pr, pr)
+        )
+        + (0.5 * c / (t ** 3 * bound)) * np.einsum("...i,...h,...k,...j->...ikhj", pr, pr, pr, p)
     )
     return CurvatureBlocks(hhh=hhh, vvh=vvh, vhh=vhh, vhv=vhv)
 
@@ -118,16 +151,16 @@ def curvature_blocks_closed_form(
 def assemble_adapted_curvature(blocks: CurvatureBlocks) -> np.ndarray:
     """Full adapted-frame tensor R[a, b, c, d]: output a of K(e_c, e_d) e_b."""
     n = blocks.n
-    R = np.zeros((2 * n,) * 4)
     hhh, vvh, vhh, vhv = blocks.hhh, blocks.vvh, blocks.vhh, blocks.vhv
-    R[:n, :n, :n, :n] = np.einsum("hijk->hkij", hhh)
-    R[n:, n:, :n, :n] = -np.einsum("kijh->hkij", hhh)
-    R[:n, :n, n:, n:] = np.einsum("ijhk->hkij", vvh)
-    R[n:, n:, n:, n:] = -np.einsum("ijkh->hkij", vvh)
-    R[n:, :n, n:, :n] = np.einsum("ijkh->hkij", vhh)
-    R[n:, :n, :n, n:] = -np.einsum("ijkh->hkji", vhh)
-    R[:n, n:, n:, :n] = np.einsum("ikhj->hkij", vhv)
-    R[:n, n:, :n, n:] = -np.einsum("ikhj->hkji", vhv)
+    R = np.zeros(hhh.shape[:-4] + (2 * n,) * 4)
+    R[..., :n, :n, :n, :n] = np.einsum("...hijk->...hkij", hhh)
+    R[..., n:, n:, :n, :n] = -np.einsum("...kijh->...hkij", hhh)
+    R[..., :n, :n, n:, n:] = np.einsum("...ijhk->...hkij", vvh)
+    R[..., n:, n:, n:, n:] = -np.einsum("...ijkh->...hkij", vvh)
+    R[..., n:, :n, n:, :n] = np.einsum("...ijkh->...hkij", vhh)
+    R[..., n:, :n, :n, n:] = -np.einsum("...ijkh->...hkji", vhh)
+    R[..., :n, n:, n:, :n] = np.einsum("...ikhj->...hkij", vhv)
+    R[..., :n, n:, :n, n:] = -np.einsum("...ikhj->...hkji", vhv)
     return R
 
 
@@ -138,12 +171,12 @@ def curvature_from_metric_field(
 
     The Christoffel field comes from the Koszul formula (one fd layer); its
     derivative is a second fd layer taken with a larger step so the noise
-    of the first layer stays below the central-difference signal.
+    of the first layer stays below the central-difference signal.  The
+    Christoffel field loops over the outer stencil, so each call of
+    ``metric_field_fn`` evaluates one Koszul stencil (fd's one-level rule).
     """
 
-    def christoffel_field(zz: np.ndarray) -> np.ndarray:
-        return koszul_oracle(metric_field_fn, zz)
-
+    christoffel_field = pointwise(lambda zz: koszul_oracle(metric_field_fn, zz))
     gamma = christoffel_field(np.asarray(z, dtype=float))
     dgamma = field_jacobian(christoffel_field, z, STACKED_FD).value
     return (
@@ -304,10 +337,7 @@ def covariant_derivative_residual(
     z = pt.z
     if route == "oracle":
         field = metric_field(params, profile)
-
-        def curv_field(zz: np.ndarray) -> np.ndarray:
-            return curvature_from_metric_field(field, zz)
-
+        curv_field = pointwise(lambda zz: curvature_from_metric_field(field, zz))
         K = curv_field(z)
         dK = field_jacobian(curv_field, z, TWICE_STACKED_FD).value
         chris = koszul_oracle(field, z)
@@ -320,7 +350,10 @@ def covariant_derivative_residual(
             ),
         )
         K = curv_field(z)
-        dK = field_jacobian(curv_field, z, DEFAULT_FD).value
+        # One axis per call: all axes at once hold 2n times as many (2n)^4
+        # tensors, which at n = 5 raised this layer's memory peak from 2.6
+        # to 10 MB without saving time.
+        dK = np.stack([partial_derivative(curv_field, z, k, DEFAULT_FD).value for k in range(z.size)])
         chris = coordinate_connection_closed_form(params, pt, profile)
     else:
         raise ValueError(f"unknown covariant-derivative route {route!r}")
@@ -393,11 +426,11 @@ def parallel_block_residuals(
 
     def stacked(g2: PointGeometry, d2: LiftedMetricData) -> np.ndarray:
         blocks = _blocks(params, g2, d2, profile)
-        return np.stack([getattr(blocks, name) for name in families])
+        return np.stack([getattr(blocks, name) for name in families], axis=-5)
 
     field = lifted_field(params, profile, stacked)
     T = field(z)
-    kinds = (("horizontal", geo.gamma, 0), ("vertical", coeffs.mixed, n))
+    kinds = (("horizontal", geo.base.gamma, 0), ("vertical", coeffs.mixed, n))
     out = {f"parallel_{name}_{kind}": 0.0 for name in families for kind, _, _ in kinds}
     for kind, C, offset in kinds:
         for l in range(n):

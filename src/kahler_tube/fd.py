@@ -7,6 +7,21 @@ and the exterior derivative of a 2-form coefficient field.  All routines
 return an error estimate next to the value so callers can flag unreliable
 steps instead of silently trusting them.
 
+Field contract: a field maps chart points ``(..., m)`` to values
+``(..., *S)``; a single point ``(m,)`` gives an ``S``-shaped value and a
+stack of points gives a stack of values.  Each primitive builds every
+stencil point it needs (both signs, every Richardson level and, for
+``field_jacobian``, every axis) and evaluates the field once on the
+``(N, m)`` stack.  ``lie_bracket`` evaluates each field twice: once at the
+base point, whose value is the other field's direction, and once on its
+stencil.
+
+One-level batching rule: a field that is itself an fd oracle (a Koszul
+Christoffel field, the oracle curvature field) maps a stack by looping over
+its points with ``pointwise``, so each inner call evaluates one inner
+stencil.  Batching the nested stencils too would multiply their memory
+without buying time.
+
 The routines here take an ``FdConfig``; the oracle layers built on them do
 not.  Each layer fixes its own step constant (``DEFAULT_FD``, ``KOSZUL_FD``,
 ``STACKED_FD`` or ``TWICE_STACKED_FD``) at its fd call, and differentiates
@@ -81,6 +96,48 @@ def _step(x: np.ndarray, direction: np.ndarray, cfg: FdConfig) -> float:
     return cfg.base_step * scale / dmax
 
 
+#: Step multipliers of the stencil, by Richardson level; the first is h.
+_LEVEL_STEPS = {0: (1.0, 2.0), 1: (1.0, 0.5), 2: (1.0, 0.5, 0.25)}
+
+
+def _derivatives(
+    field: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    directions: np.ndarray,
+    cfg: FdConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of ``field`` at ``x`` along each row of ``directions``.
+
+    Evaluates the field once, on the stack of every stencil point
+    ``x + s*d`` and ``x - s*d``.  Returns the values ``(K, *S)`` and the
+    error estimates ``(K,)``: the gap between the two highest Richardson
+    levels plus a round-off floor from the values of the first level.
+    """
+    k, m = directions.shape
+    h = np.array([_step(x, d, cfg) for d in directions])
+    steps = np.multiply.outer(h, _LEVEL_STEPS[cfg.richardson_levels])  # [K, L]
+    offsets = steps[:, :, None] * directions[:, None, :]
+    points = np.stack([x + offsets, x - offsets], axis=2)  # [K, L, sign, m]
+    values = np.asarray(field(points.reshape(-1, m)), dtype=float)
+    values = values.reshape(points.shape[:3] + values.shape[1:])
+    tail = (1,) * (values.ndim - 3)
+    central = (values[:, :, 0] - values[:, :, 1]) / (2.0 * steps).reshape(steps.shape + tail)
+
+    def worst(a: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(a).reshape(k, -1), axis=1, initial=0.0)
+
+    floor = 4.0 * _EPS * (1.0 + worst(values[:, 0])) / h
+    d0, d1 = central[:, 0], central[:, 1]
+    if cfg.richardson_levels == 0:
+        return d0, worst(d0 - d1) / 3.0 + floor
+    e1 = (4.0 * d1 - d0) / 3.0
+    if cfg.richardson_levels == 1:
+        return e1, worst(d1 - d0) / 3.0 + floor
+    e1b = (4.0 * central[:, 2] - d1) / 3.0
+    e2 = (16.0 * e1b - e1) / 15.0
+    return e2, worst(e1b - e1) + floor
+
+
 def directional_derivative(
     field: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -96,31 +153,8 @@ def directional_derivative(
 
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    h = _step(x, direction, cfg)
-    fmax = [0.0]
-
-    def central(step: float) -> np.ndarray:
-        fp = np.asarray(field(x + step * direction), dtype=float)
-        fm = np.asarray(field(x - step * direction), dtype=float)
-        fmax[0] = max(fmax[0], float(np.max(np.abs(fp), initial=0.0)), float(np.max(np.abs(fm), initial=0.0)))
-        return (fp - fm) / (2.0 * step)
-
-    d0 = central(h)
-    floor = 4.0 * _EPS * (1.0 + fmax[0]) / h
-    if cfg.richardson_levels == 0:
-        dbig = central(2.0 * h)
-        gap = float(np.max(np.abs(d0 - dbig), initial=0.0)) / 3.0
-        return Derivative(d0, gap + floor)
-    d1 = central(0.5 * h)
-    e1 = (4.0 * d1 - d0) / 3.0
-    if cfg.richardson_levels == 1:
-        gap = float(np.max(np.abs(d1 - d0), initial=0.0)) / 3.0
-        return Derivative(e1, gap + floor)
-    d2 = central(0.25 * h)
-    e1b = (4.0 * d2 - d1) / 3.0
-    e2 = (16.0 * e1b - e1) / 15.0
-    gap = float(np.max(np.abs(e1b - e1), initial=0.0))
-    return Derivative(e2, gap + floor)
+    value, error = _derivatives(field, x, direction[None, :], cfg)
+    return Derivative(value[0], float(error[0]))
 
 
 def partial_derivative(
@@ -144,13 +178,28 @@ def field_jacobian(
     """All partial derivatives, stacked with the derivative axis first.
 
     For a field with values of shape S the result has shape (m,) + S where
-    m = x.size and result[k] is the partial along coordinate k.
+    m = x.size and result[k] is the partial along coordinate k.  The stencils
+    of all m axes go to the field in one call; the error is the worst axis's.
     """
 
     x = np.asarray(x, dtype=float)
-    parts = [partial_derivative(field, x, k, cfg) for k in range(x.size)]
-    value = np.stack([p.value for p in parts])
-    return Derivative(value, max(p.error for p in parts))
+    value, error = _derivatives(field, x, np.eye(x.size), cfg)
+    return Derivative(value, float(np.max(error)))
+
+
+def pointwise(point_fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The field that maps a stack of points by looping ``point_fn`` over them.
+
+    For fields that run an fd oracle per point (the one-level batching rule
+    of the module docstring): ``point_fn`` takes one point ``(m,)``.
+    """
+
+    def field(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        out = np.stack([np.asarray(point_fn(zz), dtype=float) for zz in z.reshape(-1, z.shape[-1])])
+        return out.reshape(z.shape[:-1] + out.shape[1:])
+
+    return field
 
 
 def lie_bracket(

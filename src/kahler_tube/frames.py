@@ -8,6 +8,10 @@ coordinate derivatives, needed to transform connection coefficients), the
 energy density t = g^ik p_i p_k / 2, and finite-difference checks of the
 frame bracket relations.
 
+``geometry_at``, ``frame_transform`` and the fields built by
+``geometry_field`` accept a stack of chart points ``(..., 2n)`` as well as a
+single one; every array then carries the same leading batch axes.
+
 Ordering convention: adapted index a in [0, n) is the a-th horizontal
 vector, a in [n, 2n) the (a - n)-th vertical one.  Coordinates are ordered
 (q^1..q^n, p_1..p_n).
@@ -16,6 +20,7 @@ vector, a in [n, 2n) the (a - n)-th vertical one.  Coordinates are ordered
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -53,30 +58,43 @@ class BundlePoint:
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Change of basis between coordinate and adapted frames at one point.
+    """Change of basis between coordinate and adapted frames.
 
-    M[mu, a] holds the coordinate components of the a-th adapted vector;
-    Minv is its inverse, whose rows are the dual coframe; dM[mu, nu, b] is
-    the analytic partial of M[nu, b] along coordinate mu.
+    M[..., mu, a] holds the coordinate components of the a-th adapted
+    vector; Minv is its inverse, whose rows are the dual coframe; dM[mu, nu,
+    b] is the analytic partial of M[nu, b] along coordinate mu, computed on
+    first use from the momentum and the base data.
     """
 
     M: np.ndarray
     Minv: np.ndarray
-    dM: np.ndarray
+    p: np.ndarray
+    base: BaseMetricData
 
     @property
     def n(self) -> int:
-        return self.M.shape[0] // 2
+        return self.M.shape[-1] // 2
+
+    @cached_property
+    def dM(self) -> np.ndarray:
+        n = self.n
+        dM = np.zeros(self.M.shape[:-2] + (2 * n,) * 3)
+        # d/dq^l of gamma_p[i, h], arranged as dM[l, n + h, i]
+        dgp = np.einsum("...k,...kihl->...ihl", self.p, self.base.dgamma)
+        dM[..., :n, n:, :n] = np.einsum("...ihl->...lhi", dgp)
+        # d/dp_l of gamma_p[i, h] = gamma^l_ih, arranged as dM[n + l, n + h, i]
+        dM[..., n:, n:, :n] = np.einsum("...lih->...lhi", self.base.gamma)
+        return dM
 
     def dual_pairing_residual(self) -> float:
         """Max |coframe(frame) - identity|; zero up to round-off."""
-        eye = np.eye(self.M.shape[0])
+        eye = np.eye(self.M.shape[-1])
         return float(np.max(np.abs(self.Minv @ self.M - eye)))
 
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """Everything the lift needs at a single bundle point.
+    """Everything the lift needs at a bundle point (or a stack of them).
 
     Bundles the base metric data at the foot point with momentum-contracted
     quantities and the adapted frame, so the rest of the package can work
@@ -87,7 +105,7 @@ class PointGeometry:
     x: np.ndarray
     p: np.ndarray
     base: BaseMetricData
-    t: float                # energy density
+    t: np.ndarray           # energy density
     p_raised: np.ndarray    # g^ik p_k
     gamma_p: np.ndarray     # [i, h] = p_k gamma^k_ih
     frame: AdaptedFrame
@@ -97,55 +115,37 @@ class PointGeometry:
         return self.params.dim
 
     @property
-    def g(self) -> np.ndarray:
-        return self.base.g
-
-    @property
-    def g_inv(self) -> np.ndarray:
-        return self.base.g_inv
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.base.gamma
-
-    @property
-    def riem(self) -> np.ndarray:
-        return self.base.riem
-
-    @property
     def riem_p(self) -> np.ndarray:
         """Momentum-contracted curvature: [k, i, j] = p_h riem[h, k, i, j]."""
-        return np.einsum("h,hkij->kij", self.p, self.base.riem)
+        return np.einsum("...h,...hkij->...kij", self.p, self.base.riem)
 
     @property
     def z(self) -> np.ndarray:
-        return np.concatenate([self.x, self.p])
+        return np.concatenate([self.x, self.p], axis=-1)
 
 
 def geometry_at(params: ModelParams, x: np.ndarray, p: np.ndarray) -> PointGeometry:
-    """Build PointGeometry from raw arrays (no puncture validation, for field use)."""
+    """Build PointGeometry from raw arrays (no puncture validation, for field use).
+
+    ``x`` and ``p`` are one point ``(n,)`` each or stacks ``(..., n)``.
+    """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     n = params.dim
     base = metric_at(params, x)
-    t = 0.5 * float(p @ base.g_inv @ p)
-    p_raised = base.g_inv @ p
-    gamma_p = np.einsum("k,kih->ih", p, base.gamma)
+    p_raised = np.einsum("...ij,...j->...i", base.g_inv, p)
+    t = 0.5 * np.einsum("...i,...i->...", p, p_raised)
+    gamma_p = np.einsum("...k,...kih->...ih", p, base.gamma)
+    gamma_p_t = np.swapaxes(gamma_p, -1, -2)
 
-    M = np.eye(2 * n)
-    M[n:, :n] = gamma_p.T
-    Minv = np.eye(2 * n)
-    Minv[n:, :n] = -gamma_p.T
-    dM = np.zeros((2 * n, 2 * n, 2 * n))
-    # d/dq^l of gamma_p[i, h], arranged as dM[l, n + h, i]
-    dgp = np.einsum("k,kihl->ihl", p, base.dgamma)
-    dM[:n, n:, :n] = np.transpose(dgp, (2, 1, 0))
-    # d/dp_l of gamma_p[i, h] = gamma^l_ih, arranged as dM[n + l, n + h, i]
-    dM[n:, n:, :n] = np.transpose(base.gamma, (0, 2, 1))
+    M = np.broadcast_to(np.eye(2 * n), gamma_p.shape[:-2] + (2 * n, 2 * n)).copy()
+    Minv = M.copy()
+    M[..., n:, :n] = gamma_p_t
+    Minv[..., n:, :n] = -gamma_p_t
 
     return PointGeometry(
         params=params, x=x, p=p, base=base, t=t, p_raised=p_raised, gamma_p=gamma_p,
-        frame=AdaptedFrame(M=M, Minv=Minv, dM=dM),
+        frame=AdaptedFrame(M=M, Minv=Minv, p=p, base=base),
     )
 
 
@@ -160,7 +160,7 @@ def geometry_field(params: ModelParams, value: Callable[[PointGeometry], T]) -> 
     differentiated by an oracle is built here or on top of it.
     """
     n = params.dim
-    return lambda z: value(geometry_at(params, z[:n], z[n:]))
+    return lambda z: value(geometry_at(params, z[..., :n], z[..., n:]))
 
 
 def energy_density(params: ModelParams, pt: BundlePoint) -> float:
@@ -176,32 +176,36 @@ def frame_transform(values: np.ndarray, variance: str, frame: AdaptedFrame, to: 
 
     variance has one letter per index, "u" (contravariant) or "d"
     (covariant).  ``to`` selects the target frame, "coordinate" or
-    "adapted".
+    "adapted".  The tensor indices are the trailing axes of ``values``; any
+    leading axes are the batch axes of ``frame``.
     """
 
     T = np.asarray(values, dtype=float)
-    if len(variance) != T.ndim:
-        raise ValueError(f"variance {variance!r} does not match tensor rank {T.ndim}")
+    rank = T.ndim - (frame.M.ndim - 2)
+    if len(variance) != rank:
+        raise ValueError(f"variance {variance!r} does not match tensor rank {rank}")
     if any(ch not in "ud" for ch in variance):
         raise ValueError("variance letters must be 'u' or 'd'")
     if to not in ("coordinate", "adapted"):
         raise ValueError("target frame must be 'coordinate' or 'adapted'")
+    idx = "abcdefgh"[:rank]
     for axis, ch in enumerate(variance):
         if to == "coordinate":
             # upper: coord^mu = M[mu, a] T^a; lower: coord_nu = Minv[b, nu] T_b
-            mat, contract = (frame.M, 1) if ch == "u" else (frame.Minv, 0)
+            mat, new_first = (frame.M, True) if ch == "u" else (frame.Minv, False)
         else:
             # upper: ad^a = Minv[a, mu] T^mu; lower: ad_b = M[nu, b] T_nu
-            mat, contract = (frame.Minv, 1) if ch == "u" else (frame.M, 0)
-        T = np.moveaxis(np.tensordot(mat, T, axes=(contract, axis)), 0, axis)
+            mat, new_first = (frame.Minv, True) if ch == "u" else (frame.M, False)
+        old = idx[axis]
+        mat_idx = "z" + old if new_first else old + "z"
+        out = idx[:axis] + "z" + idx[axis + 1:]
+        T = np.einsum(f"...{mat_idx},...{idx}->...{out}", mat, T)
     return T
 
 
 def horizontal_field(params: ModelParams, i: int) -> Callable[[np.ndarray], np.ndarray]:
     """The i-th horizontal frame field as a coordinate vector field on R^2n."""
-    # A contiguous copy: matrix products with a strided column view round
-    # differently in the last bit, which changes the Nijenhuis fd residual.
-    return geometry_field(params, lambda geo: geo.frame.M[:, i].copy())
+    return geometry_field(params, lambda geo: geo.frame.M[..., :, i])
 
 
 def vertical_field(n: int, i: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -210,7 +214,7 @@ def vertical_field(n: int, i: int) -> Callable[[np.ndarray], np.ndarray]:
     e[n + i] = 1.0
 
     def field(z: np.ndarray) -> np.ndarray:
-        return e.copy()
+        return np.broadcast_to(e, np.shape(z))
 
     return field
 
@@ -251,7 +255,7 @@ def verify_brackets(params: ModelParams, pt: BundlePoint) -> BracketResiduals:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     res_vv = max((residual(vert[i], vert[j], np.zeros(n)) for i, j in pairs), default=0.0)
     res_mixed = max(
-        residual(vert[i], horiz[j], geo.gamma[i, j, :]) for i in range(n) for j in range(n)
+        residual(vert[i], horiz[j], geo.base.gamma[i, j, :]) for i in range(n) for j in range(n)
     )
     res_hh = max((residual(horiz[i], horiz[j], riem_p[:, i, j]) for i, j in pairs), default=0.0)
     return BracketResiduals(

@@ -7,6 +7,10 @@ G_ik H^kl = delta_i^l.  The integrable profile v(t) = (c - A^2 t)/(A t)
 yields the Kahler structure; it is positive-definite exactly on the tube
 0 < |p|_g^2 < 4c / A^2.  A custom profile can be substituted for negative
 tests; only A + 2v > 0 is then required.
+
+Every function taking a PointGeometry accepts a stacked one; the profile
+and the tube guard then act on the array of energy densities, and the guard
+raises if any point of the stack leaves the tube.
 """
 
 from __future__ import annotations
@@ -27,29 +31,30 @@ class LiftProfile:
     """Choice of the vertical scaling profile v(t).
 
     With custom_v None the integrable (Kahler) profile is used.  A custom
-    callable t -> v is only constrained by A + 2 v(t) > 0 at the points
-    where it is evaluated.
+    callable is called with an array of energy densities t and only
+    constrained by A + 2 v(t) > 0 at the points where it is evaluated.
     """
 
-    custom_v: Callable[[float], float] | None = None
+    custom_v: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def is_kahler(self) -> bool:
         return self.custom_v is None
 
-    def v(self, t: float, params: ModelParams) -> float:
-        if t <= 0.0:
+    def v(self, t: np.ndarray, params: ModelParams) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if (t <= 0.0).any():
             raise DomainError("outside punctured bundle: energy density must be positive")
         if self.custom_v is not None:
-            return float(self.custom_v(t))
+            return np.broadcast_to(np.asarray(self.custom_v(t), dtype=float), np.shape(t))
         c, A = params.curvature, params.lift_const
         return (c - A * A * t) / (A * t)
 
-    def w(self, t: float, params: ModelParams) -> float:
+    def w(self, t: np.ndarray, params: ModelParams) -> np.ndarray:
         v = self.v(t, params)
         A = params.lift_const
         denom = A + 2.0 * v
-        if denom <= 0.0:
+        if (denom <= 0.0).any():
             raise DomainError("A + 2v > 0 violated: lifted metric not positive definite")
         return -v / (A * t * t * denom)
 
@@ -61,7 +66,7 @@ def offset_profile(params: ModelParams, offset: float) -> LiftProfile:
     """Integrable profile shifted by a constant; breaks integrability when offset != 0."""
     base = KAHLER
 
-    def v(t: float) -> float:
+    def v(t: np.ndarray) -> np.ndarray:
         return base.v(t, params) + offset
 
     return LiftProfile(custom_v=v)
@@ -91,26 +96,29 @@ def tube_check(params: ModelParams, pt: BundlePoint) -> TubeCheck:
     return TubeCheck(reason is None, reason, norm_sq, bound)
 
 
-def _tube_test(params: ModelParams, t: float) -> tuple[str | None, float, float]:
-    """(violated inequality or None, |p|_g^2, 4c / A^2) at energy density t."""
+def _tube_test(params: ModelParams, t: np.ndarray) -> tuple[str | None, np.ndarray, float]:
+    """(violated inequality or None, |p|_g^2, 4c / A^2) at energy density t.
+
+    For an array of t the inequality is violated if any entry violates it.
+    """
     norm_sq = 2.0 * t
     bound = 4.0 * params.curvature / params.lift_const**2
-    if norm_sq <= 0.0:
+    if (norm_sq <= 0.0).any():
         return "outside punctured bundle: momentum must be nonzero", norm_sq, bound
-    if norm_sq >= bound:
+    if (norm_sq >= bound).any():
         return "momentum norm exceeds tube bound 4c / A^2", norm_sq, bound
     return None, norm_sq, bound
 
 
 @dataclass(frozen=True)
 class LiftedMetricData:
-    """Blocks of the lifted metric at one point, with the profile values used."""
+    """Blocks of the lifted metric, with the profile values used."""
 
-    G: np.ndarray  # [i, j], horizontal block (covariant)
-    H: np.ndarray  # [k, l], vertical block (contravariant base indices)
-    t: float
-    v: float
-    w: float
+    G: np.ndarray  # [..., i, j], horizontal block (covariant)
+    H: np.ndarray  # [..., k, l], vertical block (contravariant base indices)
+    t: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
 
 def _lift_guard(params: ModelParams, geo: PointGeometry, profile: LiftProfile) -> None:
@@ -122,7 +130,7 @@ def _lift_guard(params: ModelParams, geo: PointGeometry, profile: LiftProfile) -
     else:
         if params.lift_const <= 0.0:
             raise DomainError("lift constant must be positive")
-        if geo.t <= 0.0:
+        if (geo.t <= 0.0).any():
             raise DomainError("outside punctured bundle: energy density must be positive")
 
 
@@ -132,8 +140,10 @@ def components_from_geometry(params: ModelParams, geo: PointGeometry, profile: L
     A = params.lift_const
     v = profile.v(t, params)
     w = profile.w(t, params)
-    G = A * t * geo.g + v * np.outer(geo.p, geo.p)
-    H = geo.g_inv / (A * t) + w * np.outer(geo.p_raised, geo.p_raised)
+    p, pr = geo.p, geo.p_raised
+    s = (..., None, None)
+    G = (A * t)[s] * geo.base.g + v[s] * (p[..., :, None] * p[..., None, :])
+    H = geo.base.g_inv / (A * t)[s] + w[s] * (pr[..., :, None] * pr[..., None, :])
     return LiftedMetricData(G=G, H=H, t=t, v=v, w=w)
 
 
@@ -144,10 +154,10 @@ def metric_components(params: ModelParams, pt: BundlePoint, profile: LiftProfile
 
 def adapted_metric_matrix(data: LiftedMetricData) -> np.ndarray:
     """The lifted metric as a 2n x 2n matrix in the adapted frame (block diagonal)."""
-    n = data.G.shape[0]
-    S = np.zeros((2 * n, 2 * n))
-    S[:n, :n] = data.G
-    S[n:, n:] = data.H
+    n = data.G.shape[-1]
+    S = np.zeros(data.G.shape[:-2] + (2 * n, 2 * n))
+    S[..., :n, :n] = data.G
+    S[..., n:, n:] = data.H
     return S
 
 
