@@ -14,8 +14,13 @@ type of the two inputs).  Each is a contraction of a single core tensor
 
 which vanishes identically exactly when A t (v + A) equals the base
 curvature constant, i.e. for the integrable profile.  The finite-difference
-evaluator recomputes the tensor from brackets of J-transformed frame
-fields, providing an oracle that is independent of the closed forms.
+evaluator recomputes the tensor from the coordinate formula
+
+    N^k_ij = J^l_i d_l J^k_j - J^l_j d_l J^k_i - J^k_l (d_i J^l_j - d_j J^l_i)
+
+for N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] (no factor 2), with
+one fd Jacobian of the coordinate J field.  It reads only evaluations of
+that field, so it is an oracle independent of the closed forms.
 """
 
 from __future__ import annotations
@@ -25,15 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_geometry import ModelParams
-from .fd import DEFAULT_FD, exterior_derivative_two_form, lie_bracket
-from .frames import (
-    BundlePoint,
-    PointGeometry,
-    frame_transform,
-    horizontal_field,
-    point_geometry,
-    vertical_field,
-)
+from .fd import DEFAULT_FD, exterior_derivative_two_form, field_jacobian
+from .frames import BundlePoint, PointGeometry, frame_transform, point_geometry
 from .lifted_metric import (
     KAHLER,
     LiftProfile,
@@ -167,57 +165,29 @@ def _nijenhuis_core(params: ModelParams, geo: PointGeometry, data: LiftedMetricD
 def nijenhuis_fd_full(
     params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
 ) -> tuple[NijenhuisData, float]:
-    """Recompute the Nijenhuis families from bracket definitions by fd.
+    """Recompute the Nijenhuis families from one fd Jacobian of the J field.
 
-    N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] evaluated on frame
-    field pairs, then expressed in the adapted frame.  Antisymmetry fills
-    the redundant slots of the antisymmetric-input families.  Also returns
-    the largest component landing outside the expected output distribution
+    With N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] (no factor 2),
+    the coordinate components are
+
+        N^k_ij = J^l_i d_l J^k_j - J^l_j d_l J^k_i - J^k_l (d_i J^l_j - d_j J^l_i),
+
+    so the oracle needs only evaluations of the coordinate J field.  The
+    tensor is then expressed in the adapted frame.  Also returns the largest
+    component landing outside the expected output distribution
     (structurally zero in the closed forms).
     """
 
     geo = point_geometry(params, pt)
     n = geo.n
-    z = pt.z
     jf = lifted_field(
         params, profile,
         lambda g2, d2: frame_transform(adapted_j_matrix(d2), "ud", g2.frame, to="coordinate"),
     )
-    j0 = jf(z)
-    horiz = [horizontal_field(params, i) for i in range(n)]
-    vert = [vertical_field(n, i) for i in range(n)]
-
-    def j_of(field):
-        def jx(zz):
-            return np.einsum("...ij,...j->...i", jf(zz), field(zz))
-
-        return jx
-
-    def bracket(xf, yf) -> np.ndarray:
-        return lie_bracket(xf, yf, z, DEFAULT_FD).value
-
-    def tensor(xf, yf) -> np.ndarray:
-        b1 = bracket(j_of(xf), j_of(yf))
-        b2 = bracket(j_of(xf), yf)
-        b3 = bracket(xf, j_of(yf))
-        b4 = bracket(xf, yf)
-        return geo.frame.Minv @ (b1 - j0 @ b2 - j0 @ b3 - b4)
-
-    hh = np.zeros((2 * n, n, n))
-    hv = np.zeros((2 * n, n, n))
-    vv = np.zeros((2 * n, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = tensor(horiz[i], horiz[j])
-            hh[:, i, j], hh[:, j, i] = val, -val
-            val = tensor(vert[i], vert[j])
-            vv[:, i, j], vv[:, j, i] = val, -val
-        for j in range(n):
-            hv[:, i, j] = tensor(horiz[i], vert[j])
-
-    off = max(
-        float(np.max(np.abs(hh[:n]), initial=0.0)),
-        float(np.max(np.abs(hv[n:]), initial=0.0)),
-        float(np.max(np.abs(vv[:n]), initial=0.0)),
-    )
-    return NijenhuisData(horiz_horiz=hh[n:], horiz_vert=hv[:n], vert_vert=vv[n:]), off
+    J = jf(pt.z)
+    dJ = field_jacobian(jf, pt.z, DEFAULT_FD).value  # [l, k, j] = d_l J^k_j
+    a = np.einsum("li,lkj->kij", J, dJ) - np.einsum("kl,ilj->kij", J, dJ)
+    N = frame_transform(a - np.swapaxes(a, 1, 2), "udd", geo.frame, to="adapted")  # [k, i, j]
+    h, v = slice(None, n), slice(n, None)
+    off = float(max(np.max(np.abs(N[h, h, h])), np.max(np.abs(N[v, h, v])), np.max(np.abs(N[h, v, v]))))
+    return NijenhuisData(horiz_horiz=N[v, h, h], horiz_vert=N[h, h, v], vert_vert=N[v, v, v]), off

@@ -4,8 +4,8 @@ Every verification oracle in this package reduces to directional derivatives
 of closed-form fields, so this module is deliberately small: symmetric
 differences, an optional Richardson ladder, Lie brackets of vector fields,
 and the exterior derivative of a 2-form coefficient field.  All routines
-return an error estimate next to the value so callers can flag unreliable
-steps instead of silently trusting them.
+return an error estimate next to the value: the gap between Richardson
+levels plus a round-off floor.
 
 Field contract: a field maps chart points ``(..., m)`` to values
 ``(..., *S)``; a single point ``(m,)`` gives an ``S``-shaped value and a
@@ -53,15 +53,12 @@ class FdConfig:
 
     base_step: float = DEFAULT_STEP
     richardson_levels: int = 1
-    disagreement_factor: float = 10.0
 
     def __post_init__(self) -> None:
         if not 1e-8 < self.base_step < 1e-2:
             raise ValueError(f"base_step must lie in (1e-8, 1e-2), got {self.base_step}")
         if self.richardson_levels not in (0, 1, 2):
             raise ValueError("richardson_levels must be 0, 1 or 2")
-        if self.disagreement_factor <= 0:
-            raise ValueError("disagreement_factor must be positive")
 
 
 DEFAULT_FD = FdConfig()
@@ -238,8 +235,3 @@ def exterior_derivative_two_form(
     dw = jac.value  # [l, m, n]
     value = dw + np.transpose(dw, (1, 2, 0)) + np.transpose(dw, (2, 0, 1))
     return Derivative(value, 3.0 * jac.error)
-
-
-def unreliable(result: Derivative, tolerance: float, cfg: FdConfig = DEFAULT_FD) -> bool:
-    """True when the error estimate is too large for ``tolerance`` to be meaningful."""
-    return result.error > cfg.disagreement_factor * tolerance

@@ -226,7 +226,6 @@ class BracketResiduals:
     vert_vert: float
     mixed: float
     horiz_horiz: float
-    reliable: bool
 
 
 def verify_brackets(params: ModelParams, pt: BundlePoint) -> BracketResiduals:
@@ -243,12 +242,9 @@ def verify_brackets(params: ModelParams, pt: BundlePoint) -> BracketResiduals:
     horiz = [horizontal_field(params, i) for i in range(n)]
     vert = [vertical_field(n, i) for i in range(n)]
     riem_p = geo.riem_p
-    worst_err = 0.0
 
     def residual(X, Y, expected_vertical: np.ndarray) -> float:
-        nonlocal worst_err
         br = lie_bracket(X, Y, z, DEFAULT_FD)
-        worst_err = max(worst_err, br.error)
         expected = np.concatenate([np.zeros(n), expected_vertical])
         return float(np.max(np.abs(br.value - expected)))
 
@@ -258,10 +254,7 @@ def verify_brackets(params: ModelParams, pt: BundlePoint) -> BracketResiduals:
         residual(vert[i], horiz[j], geo.base.gamma[i, j, :]) for i in range(n) for j in range(n)
     )
     res_hh = max((residual(horiz[i], horiz[j], riem_p[:, i, j]) for i, j in pairs), default=0.0)
-    return BracketResiduals(
-        vert_vert=res_vv, mixed=res_mixed, horiz_horiz=res_hh,
-        reliable=worst_err <= DEFAULT_FD.disagreement_factor * 1e-6,
-    )
+    return BracketResiduals(vert_vert=res_vv, mixed=res_mixed, horiz_horiz=res_hh)
 
 
 def energy_frame_derivatives(params: ModelParams, pt: BundlePoint) -> tuple[float, float]:

@@ -50,14 +50,6 @@ class LiftProfile:
         c, A = params.curvature, params.lift_const
         return (c - A * A * t) / (A * t)
 
-    def w(self, t: np.ndarray, params: ModelParams) -> np.ndarray:
-        v = self.v(t, params)
-        A = params.lift_const
-        denom = A + 2.0 * v
-        if (denom <= 0.0).any():
-            raise DomainError("A + 2v > 0 violated: lifted metric not positive definite")
-        return -v / (A * t * t * denom)
-
 
 KAHLER = LiftProfile()
 
@@ -139,7 +131,10 @@ def components_from_geometry(params: ModelParams, geo: PointGeometry, profile: L
     t = geo.t
     A = params.lift_const
     v = profile.v(t, params)
-    w = profile.w(t, params)
+    denom = A + 2.0 * v
+    if (denom <= 0.0).any():
+        raise DomainError("A + 2v > 0 violated: lifted metric not positive definite")
+    w = -v / (A * t * t * denom)
     p, pr = geo.p, geo.p_raised
     s = (..., None, None)
     G = (A * t)[s] * geo.base.g + v[s] * (p[..., :, None] * p[..., None, :])

@@ -14,7 +14,6 @@ from kahler_tube.fd import (
     lie_bracket,
     partial_derivative,
     pointwise,
-    unreliable,
 )
 
 
@@ -25,8 +24,6 @@ def test_config_validation() -> None:
         FdConfig(base_step=1e-9)
     with pytest.raises(ValueError):
         FdConfig(richardson_levels=3)
-    with pytest.raises(ValueError):
-        FdConfig(disagreement_factor=0.0)
 
 
 def test_directional_derivative_exponential() -> None:
@@ -98,15 +95,6 @@ def test_exterior_derivative_of_closed_form_vanishes() -> None:
 
     res = exterior_derivative_two_form(omega, np.array([0.2, -0.7, 0.4]))
     assert np.max(np.abs(res.value)) < 1e-9
-
-
-def test_unreliable_flags_large_error() -> None:
-    bad = directional_derivative(
-        lambda z: np.abs(z[..., 0]), np.array([0.0]), np.array([1.0])
-    )
-    assert unreliable(bad, 1e-14)
-    good = directional_derivative(lambda z: z[..., 0] ** 2, np.array([1.0]), np.array([1.0]))
-    assert not unreliable(good, 1e-8)
 
 
 def test_zero_direction_rejected() -> None:

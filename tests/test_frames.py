@@ -50,7 +50,6 @@ def test_frame_duality_and_blocks() -> None:
 
 def test_bracket_table() -> None:
     res = verify_brackets(PARAMS, POINT)
-    assert res.reliable
     assert res.vert_vert < 1e-8
     assert res.mixed < 1e-8
     assert res.horiz_horiz < 1e-8

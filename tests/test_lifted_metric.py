@@ -126,7 +126,7 @@ def test_profile_guards() -> None:
         KAHLER.v(0.0, PARAMS)  # zero section excluded
     collapsing = LiftProfile(custom_v=lambda t: -1.0)  # A + 2v = -1 < 0
     with pytest.raises(DomainError):
-        collapsing.w(0.5, PARAMS)
+        metric_components(PARAMS, ANCHOR, collapsing)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,8 +1,9 @@
-"""Dead-import gate: every module-level import in the package is used.
+"""Dead-code gate: every module-level import and private definition is used.
 
 A name imported at module level must be referenced in the module or listed
-in its ``__all__`` (which is how ``__init__.py`` re-exports).  Pure ``ast``,
-so the gate needs no linter.
+in its ``__all__`` (which is how ``__init__.py`` re-exports).  A private
+module-level definition (a ``_name`` function, class or assignment) must be
+referenced in its own module.  Pure ``ast``, so the gate needs no linter.
 """
 
 import ast
@@ -47,10 +48,49 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
+def unused_private_definitions(source: str) -> list[str]:
+    tree = ast.parse(source)
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        defined[name.id] = node.lineno
+    return [
+        f"{name} (line {line})"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    ]
+
+
 def test_gate_flags_an_unused_import() -> None:
     source = "import numpy as np\nfrom typing import Callable, Any\n\nx: Any = np.pi\n"
     assert unused_imports(source) == ["Callable (line 2)"]
     assert unused_imports("from .fd import FdConfig\n__all__ = ['FdConfig']\n") == []
+
+
+def test_gate_flags_an_unused_private_definition() -> None:
+    source = (
+        "import numpy as np\n"
+        "_EPS = 1e-12\n"
+        "_ORPHAN: float = 2.0\n"
+        "__version__ = '1'\n"
+        "def _nijenhuis_core(x):\n    return x\n"
+        "class _Cache:\n    pass\n"
+        "def _used():\n    return _EPS\n"
+        "def public():\n    return _used()\n"
+    )
+    assert unused_private_definitions(source) == [
+        "_ORPHAN (line 3)", "_nijenhuis_core (line 5)", "_Cache (line 7)",
+    ]
 
 
 def test_package_has_modules() -> None:
@@ -60,3 +100,8 @@ def test_package_has_modules() -> None:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path: Path) -> None:
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_definitions(path: Path) -> None:
+    assert unused_private_definitions(path.read_text(encoding="utf-8")) == []
