@@ -9,6 +9,8 @@ appear in the verification oracles, never in the construction.
 
 Every function here accepts a stack of chart points ``(..., n)`` as well as
 a single point; the arrays below then carry the same leading batch axes.
+Points may be complex (for complex-step oracles): the closed forms are
+analytic and the chart guard compares the real part.
 
 Index conventions used throughout the package:
     gamma[k, i, j]      Christoffel symbol with upper index k,
@@ -132,7 +134,7 @@ class BaseMetricData:
 
 
 def _coords(params: ModelParams, x) -> np.ndarray:
-    x = x.x if isinstance(x, BasePoint) else np.asarray(x, dtype=float)
+    x = x.x if isinstance(x, BasePoint) else np.asarray(x)
     if x.shape[-1:] != (params.dim,):
         raise ValueError(f"expected points of dimension {params.dim}, got shape {x.shape}")
     return x
@@ -152,7 +154,7 @@ def conformal_factor(params: ModelParams, x) -> np.ndarray:
     """u(x) = 1 + c|x|^2/4; must stay positive for the chart to be valid."""
     x = _coords(params, x)
     u = 1.0 + 0.25 * params.curvature * np.einsum("...i,...i->...", x, x)
-    if (u <= 0.0).any():
+    if (u.real <= 0.0).any():
         raise DomainError("conformal factor 1 + c|x|^2/4 must be positive (chart domain)")
     return u
 

@@ -271,7 +271,7 @@ def evaluate_point(
     values["connection_torsion"] = comparison.torsion
     values["mtensor_parallel"] = max(connection.mtensor_parallel_residuals(params, pt, profile))
 
-    # Curvature: closed blocks against the stacked-fd oracle; identity
+    # Curvature: closed blocks against the curvature oracle; identity
     # battery on the oracle output so it stands on its own.
     blocks = curvature.curvature_blocks_closed_form(params, pt, profile)
     R_closed_ad = curvature.assemble_adapted_curvature(blocks)

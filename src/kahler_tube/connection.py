@@ -10,11 +10,11 @@ horizontal (first n) and vertical (last n) slots, the nonzero blocks are
     nabla_horiz_i horiz_j = gamma[h, i, j]     horiz_h + hh_vert[h, i, j] vert_h
 
 The independent oracle recomputes coordinate Christoffel symbols of the
-full 2n-dimensional metric from finite differences of the metric field
-(standard Koszul formula) and transforms them into the adapted frame using
-the analytic derivatives of the change-of-basis matrix.  Torsion of the
-closed form is checked against the frame structure functions, and metric
-compatibility via a finite-difference covariant derivative of the
+full 2n-dimensional metric from complex-step derivatives of the metric
+field (standard Koszul formula) and transforms them into the adapted frame
+using the analytic derivatives of the change-of-basis matrix.  Torsion of
+the closed form is checked against the frame structure functions, and
+metric compatibility via a complex-step covariant derivative of the
 coordinate metric.
 """
 
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .base_geometry import DomainError, ModelParams
-from .fd import DEFAULT_FD, KOSZUL_FD, directional_derivative, field_jacobian
+from .fd import DEFAULT_FD, complex_step, directional_derivative
 from .frames import BundlePoint, PointGeometry, point_geometry
 from .lifted_metric import (
     KAHLER,
@@ -112,21 +112,24 @@ def adapted_connection_matrix(coeffs: ConnectionCoefficients) -> np.ndarray:
 
 
 def koszul_oracle(metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
-    """Coordinate Christoffel symbols of an arbitrary metric field by fd.
+    """Coordinate Christoffel symbols of an arbitrary metric field.
 
-    Works in any dimension; the only inputs are point evaluations of the
-    metric, so this is independent of every closed form in the package.
-    Returns christoffel[l, m, n] with the upper index first.
+    Works in any dimension and on stacks: ``z`` is one point ``(m,)`` or
+    ``(..., m)``, and the result is christoffel[..., l, m, n] with the upper
+    index first.  The metric and its derivatives come from one complex-step
+    call of ``metric_field_fn`` (exact to round-off), so the only inputs are
+    point evaluations of the metric and the oracle is independent of every
+    closed form in the package.  Being batch-generic, it is itself a field
+    that a difference stencil evaluates in one call.
     """
 
-    z = np.asarray(z, dtype=float)
-    G = np.asarray(metric_field_fn(z), dtype=float)
+    G, jac = complex_step(metric_field_fn, z)
     Ginv = np.linalg.inv(G)
-    dG = field_jacobian(metric_field_fn, z, KOSZUL_FD).value  # [k, m, n]
+    dG = jac.value  # [..., k, m, n]
     return 0.5 * (
-        np.einsum("ls,msn->lmn", Ginv, dG)
-        + np.einsum("ls,nsm->lmn", Ginv, dG)
-        - np.einsum("ls,smn->lmn", Ginv, dG)
+        np.einsum("...ls,...msn->...lmn", Ginv, dG)
+        + np.einsum("...ls,...nsm->...lmn", Ginv, dG)
+        - np.einsum("...ls,...smn->...lmn", Ginv, dG)
     )
 
 
@@ -185,19 +188,16 @@ def metric_compatibility_residual(
 ) -> float:
     """Max |coordinate covariant derivative of the lifted metric|.
 
-    The metric derivative comes from finite differences of the analytic
-    metric field; the connection is the closed-form coordinate
+    The metric derivative comes from a complex step of the analytic metric
+    field; the connection is the closed-form coordinate
     Christoffels, so the residual certifies metric compatibility of the
     closed-form coefficients rather than an algebraic identity of the oracle.
     """
 
-    field = metric_field(params, profile)
-    z = pt.z
     christoffel = coordinate_connection_closed_form(params, pt, profile)
-    dG = field_jacobian(field, z, KOSZUL_FD).value
-    G = field(z)
+    G, jac = complex_step(metric_field(params, profile), pt.z)
     nabla = (
-        dG
+        jac.value
         - np.einsum("slm,sn->lmn", christoffel, G)
         - np.einsum("sln,ms->lmn", christoffel, G)
     )

@@ -13,9 +13,9 @@ argument), the six independent families are
     vhv[i, k, h, j]: horizontal part of K(vert_i, horiz_k) vert
 
 Every other sector vanishes identically.  The oracle recomputes the full
-2n-dimensional coordinate curvature from finite differences of the Koszul
-Christoffel field (itself finite differences of the metric), so nothing in
-the oracle path touches the closed forms.
+2n-dimensional coordinate curvature from central differences of the Koszul
+Christoffel field (itself a complex step of the metric), so nothing in the
+oracle path touches the closed forms.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .base_geometry import DomainError, ModelParams
 from .complex_structure import adapted_j_matrix
 from .connection import coefficients_closed_form, coordinate_connection_closed_form, koszul_oracle
 from .fd import (
+    CURVATURE_FD,
     DEFAULT_FD,
-    STACKED_FD,
     TWICE_STACKED_FD,
     directional_derivative,
     field_jacobian,
@@ -167,18 +167,21 @@ def assemble_adapted_curvature(blocks: CurvatureBlocks) -> np.ndarray:
 def curvature_from_metric_field(
     metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray
 ) -> np.ndarray:
-    """Coordinate curvature of an arbitrary metric field, twice-nested fd.
+    """Coordinate curvature of an arbitrary metric field.
 
-    The Christoffel field comes from the Koszul formula (one fd layer); its
-    derivative is a second fd layer taken with a larger step so the noise
-    of the first layer stays below the central-difference signal.  The
-    Christoffel field loops over the outer stencil, so each call of
-    ``metric_field_fn`` evaluates one Koszul stencil (fd's one-level rule).
+    ``koszul_oracle`` is the Christoffel field: complex-step derivatives of
+    the metric, exact to round-off and batch-generic.  Its derivative is one
+    central-difference Jacobian (``CURVATURE_FD``), whose whole stencil of
+    Koszul evaluations is one metric-field call, so the oracle makes two
+    calls of ``metric_field_fn``: ``m`` complex points at ``z`` and
+    ``m`` times the outer stencil.
     """
 
-    christoffel_field = pointwise(lambda zz: koszul_oracle(metric_field_fn, zz))
-    gamma = christoffel_field(np.asarray(z, dtype=float))
-    dgamma = field_jacobian(christoffel_field, z, STACKED_FD).value
+    def christoffel_field(zz: np.ndarray) -> np.ndarray:
+        return koszul_oracle(metric_field_fn, zz)
+
+    gamma = christoffel_field(z)
+    dgamma = field_jacobian(christoffel_field, z, CURVATURE_FD).value
     return (
         np.einsum("cadb->abcd", dgamma)
         - np.einsum("dacb->abcd", dgamma)
@@ -327,11 +330,11 @@ def covariant_derivative_residual(
     with the closed-form connection: near machine precision, and sound as
     a certificate because the differentiated field and the connection are
     themselves oracle-certified pointwise by the other checks.
-    ``route="oracle"`` stacks a third fd layer on the oracle curvature
-    field with Koszul-oracle Christoffels; its noise floor is the oracle's
-    pointwise error divided by the outermost step, so it only resolves the
-    identity away from the tube boundary and is provided for spot checks,
-    not for the battery.
+    ``route="oracle"`` differentiates the oracle curvature field once more
+    (point by point through ``fd.pointwise``) with Koszul-oracle
+    Christoffels; its noise floor is the oracle's pointwise error divided by
+    the outermost step, so it only resolves the identity away from the tube
+    boundary and is provided for spot checks, not for the battery.
     """
 
     z = pt.z

@@ -1,31 +1,38 @@
-"""Central-difference differentiation with Richardson extrapolation.
+"""Finite-difference and complex-step differentiation.
 
-Every verification oracle in this package reduces to directional derivatives
-of closed-form fields, so this module is deliberately small: symmetric
-differences, an optional Richardson ladder, Lie brackets of vector fields,
-and the exterior derivative of a 2-form coefficient field.  All routines
-return an error estimate next to the value: the gap between Richardson
-levels plus a round-off floor.
+Every verification oracle in this package reduces to derivatives of
+closed-form fields, so this module is deliberately small: symmetric
+differences with an optional Richardson ladder, Lie brackets of vector
+fields, the exterior derivative of a 2-form coefficient field, and one
+complex-step Jacobian.  All routines return an error estimate next to the
+value: for differences the gap between Richardson levels plus a round-off
+floor, for the complex step a round-off floor alone.
 
 Field contract: a field maps chart points ``(..., m)`` to values
 ``(..., *S)``; a single point ``(m,)`` gives an ``S``-shaped value and a
-stack of points gives a stack of values.  Each primitive builds every
-stencil point it needs (both signs, every Richardson level and, for
-``field_jacobian``, every axis) and evaluates the field once on the
-``(N, m)`` stack.  ``lie_bracket`` evaluates each field twice: once at the
-base point, whose value is the other field's direction, and once on its
-stencil.
+stack of points gives a stack of values.  Fields must also accept complex
+stacks and be complex-analytic in the coordinates, so that ``complex_step``
+can differentiate them: closed forms are written with arithmetic, ``...``
+einsums and ``np.linalg`` (never ``abs`` or conjugation), and domain guards
+compare ``.real``.  Each primitive builds every stencil point it needs (both
+signs, every Richardson level and, for ``field_jacobian`` and
+``complex_step``, every axis) and evaluates the field once on the stack.
+``lie_bracket`` evaluates each field twice: once at the base point, whose
+value is the other field's direction, and once on its stencil.
 
-One-level batching rule: a field that is itself an fd oracle (a Koszul
-Christoffel field, the oracle curvature field) maps a stack by looping over
-its points with ``pointwise``, so each inner call evaluates one inner
-stencil.  Batching the nested stencils too would multiply their memory
-without buying time.
+One-level batching rule: a complex-step oracle (the Koszul Christoffel
+field) is itself batch-generic, so a difference stencil around it is one
+field call.  A field that runs a difference oracle per point (the oracle
+curvature field, differentiated again only by the oracle-route ``nabla K``)
+maps a stack by looping over its points with ``pointwise``, so each inner
+call evaluates one inner stencil.  Batching those nested stencils too would
+multiply their memory without buying time.
 
 The routines here take an ``FdConfig``; the oracle layers built on them do
-not.  Each layer fixes its own step constant (``DEFAULT_FD``, ``KOSZUL_FD``,
-``STACKED_FD`` or ``TWICE_STACKED_FD``) at its fd call, and differentiates
-fields built by ``frames.geometry_field`` / ``lifted_metric.lifted_field``.
+not.  Each layer fixes its own step constant (``DEFAULT_FD``,
+``CURVATURE_FD`` or ``TWICE_STACKED_FD``) at its fd call, and
+differentiates fields built by ``frames.geometry_field`` /
+``lifted_metric.lifted_field``.
 """
 
 from __future__ import annotations
@@ -63,18 +70,14 @@ class FdConfig:
 
 DEFAULT_FD = FdConfig()
 
-#: Step for fd layers whose output is differentiated again.  Small enough
-#: that the truncation bias of this layer (which the next layer would
-#: differentiate) stays below the outer layer's own error budget.
-KOSZUL_FD = FdConfig(base_step=1e-4)
+#: Step for differentiating complex-step Christoffels into curvature.  The
+#: Christoffel field is exact to round-off, so the step can be small; the
+#: second Richardson level removes the truncation term, which dominates near
+#: the tube boundary where field derivatives blow up.
+CURVATURE_FD = FdConfig(base_step=1e-4, richardson_levels=2)
 
-#: Step for differentiating a field that is itself one fd layer deep.  The
-#: second Richardson level removes the outer truncation term, which
-#: dominates near the tube boundary where field derivatives blow up.
-STACKED_FD = FdConfig(base_step=1e-3, richardson_levels=2)
-
-#: Step for the outermost layer of a three-deep fd stack, where the field
-#: noise floor is the residual error of a stacked-fd curvature (~1e-7).
+#: Step for differentiating the oracle curvature field once more, where the
+#: field noise floor is the oracle curvature's own error.
 TWICE_STACKED_FD = FdConfig(base_step=6e-3)
 
 
@@ -182,6 +185,32 @@ def field_jacobian(
     x = np.asarray(x, dtype=float)
     value, error = _derivatives(field, x, np.eye(x.size), cfg)
     return Derivative(value, float(np.max(error)))
+
+
+#: Imaginary step of ``complex_step``.  No difference is taken, so nothing
+#: cancels and any step far below the field's scale is exact to round-off.
+COMPLEX_STEP = 1e-30
+
+
+def complex_step(
+    field: Callable[[np.ndarray], np.ndarray], x: np.ndarray
+) -> tuple[np.ndarray, Derivative]:
+    """Value and all partial derivatives of an analytic ``field`` at ``x``.
+
+    ``x`` is one point ``(m,)`` or a stack ``(..., m)``.  The field is called
+    once, on the ``(..., m, m)`` stack ``x + i h e_k``; the value is the real
+    part at the first of those points and the Jacobian ``Im f / h`` has shape
+    ``(..., m, *S)``, derivative axis first after the batch axes (Squire &
+    Trapp, SIAM Rev. 40(1), 1998).  Both are exact up to round-off, which is
+    the error estimate.
+    """
+
+    x = np.asarray(x, dtype=float)
+    m = x.shape[-1]
+    values = np.asarray(field(x[..., None, :] + (1j * COMPLEX_STEP) * np.eye(m)))
+    jac = values.imag / COMPLEX_STEP
+    error = _EPS * (1.0 + float(np.max(np.abs(jac), initial=0.0)))
+    return np.take(values, 0, axis=x.ndim - 1).real, Derivative(jac, error)
 
 
 def pointwise(point_fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:

@@ -10,7 +10,8 @@ frame bracket relations.
 
 ``geometry_at``, ``frame_transform`` and the fields built by
 ``geometry_field`` accept a stack of chart points ``(..., 2n)`` as well as a
-single one; every array then carries the same leading batch axes.
+single one, real or complex; every array then carries the same leading batch
+axes and the input's dtype.
 
 Ordering convention: adapted index a in [0, n) is the a-th horizontal
 vector, a in [n, 2n) the (a - n)-th vertical one.  Coordinates are ordered
@@ -97,8 +98,9 @@ class PointGeometry:
     """Everything the lift needs at a bundle point (or a stack of them).
 
     Bundles the base metric data at the foot point with momentum-contracted
-    quantities and the adapted frame, so the rest of the package can work
-    from one object instead of recomputing shared pieces.
+    quantities, so the rest of the package can work from one object instead
+    of recomputing shared pieces.  The adapted frame is built on first use:
+    fields that never transform between frames do not pay for it.
     """
 
     params: ModelParams
@@ -108,11 +110,21 @@ class PointGeometry:
     t: np.ndarray           # energy density
     p_raised: np.ndarray    # g^ik p_k
     gamma_p: np.ndarray     # [i, h] = p_k gamma^k_ih
-    frame: AdaptedFrame
 
     @property
     def n(self) -> int:
         return self.params.dim
+
+    @cached_property
+    def frame(self) -> AdaptedFrame:
+        n = self.n
+        gamma_p_t = np.swapaxes(self.gamma_p, -1, -2)
+        eye = np.eye(2 * n, dtype=gamma_p_t.dtype)
+        M = np.broadcast_to(eye, gamma_p_t.shape[:-2] + eye.shape).copy()
+        Minv = M.copy()
+        M[..., n:, :n] = gamma_p_t
+        Minv[..., n:, :n] = -gamma_p_t
+        return AdaptedFrame(M=M, Minv=Minv, p=self.p, base=self.base)
 
     @property
     def riem_p(self) -> np.ndarray:
@@ -127,25 +139,17 @@ class PointGeometry:
 def geometry_at(params: ModelParams, x: np.ndarray, p: np.ndarray) -> PointGeometry:
     """Build PointGeometry from raw arrays (no puncture validation, for field use).
 
-    ``x`` and ``p`` are one point ``(n,)`` each or stacks ``(..., n)``.
+    ``x`` and ``p`` are one point ``(n,)`` each or stacks ``(..., n)``, real
+    or complex.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = params.dim
+    x = np.asarray(x)
+    p = np.asarray(p)
     base = metric_at(params, x)
     p_raised = np.einsum("...ij,...j->...i", base.g_inv, p)
     t = 0.5 * np.einsum("...i,...i->...", p, p_raised)
     gamma_p = np.einsum("...k,...kih->...ih", p, base.gamma)
-    gamma_p_t = np.swapaxes(gamma_p, -1, -2)
-
-    M = np.broadcast_to(np.eye(2 * n), gamma_p.shape[:-2] + (2 * n, 2 * n)).copy()
-    Minv = M.copy()
-    M[..., n:, :n] = gamma_p_t
-    Minv[..., n:, :n] = -gamma_p_t
-
     return PointGeometry(
         params=params, x=x, p=p, base=base, t=t, p_raised=p_raised, gamma_p=gamma_p,
-        frame=AdaptedFrame(M=M, Minv=Minv, p=p, base=base),
     )
 
 
@@ -180,7 +184,7 @@ def frame_transform(values: np.ndarray, variance: str, frame: AdaptedFrame, to: 
     leading axes are the batch axes of ``frame``.
     """
 
-    T = np.asarray(values, dtype=float)
+    T = np.asarray(values)
     rank = T.ndim - (frame.M.ndim - 2)
     if len(variance) != rank:
         raise ValueError(f"variance {variance!r} does not match tensor rank {rank}")

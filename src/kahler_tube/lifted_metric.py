@@ -10,7 +10,9 @@ tests; only A + 2v > 0 is then required.
 
 Every function taking a PointGeometry accepts a stacked one; the profile
 and the tube guard then act on the array of energy densities, and the guard
-raises if any point of the stack leaves the tube.
+raises if any point of the stack leaves the tube.  Complex points (for the
+complex-step oracles) flow through unchanged: the profiles are analytic in
+t and every guard compares the real part.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .base_geometry import DomainError, ModelParams
-from .frames import BundlePoint, PointGeometry, frame_transform, geometry_field, point_geometry
+from .frames import BundlePoint, PointGeometry, geometry_field, point_geometry
 
 T = TypeVar("T")
 
@@ -31,8 +33,9 @@ class LiftProfile:
     """Choice of the vertical scaling profile v(t).
 
     With custom_v None the integrable (Kahler) profile is used.  A custom
-    callable is called with an array of energy densities t and only
-    constrained by A + 2 v(t) > 0 at the points where it is evaluated.
+    callable is called with an array of energy densities t, real or complex,
+    and only constrained by A + 2 v(t) > 0 at the points where it is
+    evaluated; it must be analytic in t for the complex-step oracles.
     """
 
     custom_v: Callable[[np.ndarray], np.ndarray] | None = None
@@ -42,11 +45,11 @@ class LiftProfile:
         return self.custom_v is None
 
     def v(self, t: np.ndarray, params: ModelParams) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if (t <= 0.0).any():
+        t = np.asarray(t)
+        if (t.real <= 0.0).any():
             raise DomainError("outside punctured bundle: energy density must be positive")
         if self.custom_v is not None:
-            return np.broadcast_to(np.asarray(self.custom_v(t), dtype=float), np.shape(t))
+            return np.broadcast_to(np.asarray(self.custom_v(t)), np.shape(t))
         c, A = params.curvature, params.lift_const
         return (c - A * A * t) / (A * t)
 
@@ -95,9 +98,9 @@ def _tube_test(params: ModelParams, t: np.ndarray) -> tuple[str | None, np.ndarr
     """
     norm_sq = 2.0 * t
     bound = 4.0 * params.curvature / params.lift_const**2
-    if (norm_sq <= 0.0).any():
+    if (norm_sq.real <= 0.0).any():
         return "outside punctured bundle: momentum must be nonzero", norm_sq, bound
-    if (norm_sq >= bound).any():
+    if (norm_sq.real >= bound).any():
         return "momentum norm exceeds tube bound 4c / A^2", norm_sq, bound
     return None, norm_sq, bound
 
@@ -119,11 +122,8 @@ def _lift_guard(params: ModelParams, geo: PointGeometry, profile: LiftProfile) -
         reason = _tube_test(params, geo.t)[0]
         if reason is not None:
             raise DomainError(reason)
-    else:
-        if params.lift_const <= 0.0:
-            raise DomainError("lift constant must be positive")
-        if (geo.t <= 0.0).any():
-            raise DomainError("outside punctured bundle: energy density must be positive")
+    elif params.lift_const <= 0.0:
+        raise DomainError("lift constant must be positive")
 
 
 def components_from_geometry(params: ModelParams, geo: PointGeometry, profile: LiftProfile = KAHLER) -> LiftedMetricData:
@@ -132,7 +132,7 @@ def components_from_geometry(params: ModelParams, geo: PointGeometry, profile: L
     A = params.lift_const
     v = profile.v(t, params)
     denom = A + 2.0 * v
-    if (denom <= 0.0).any():
+    if (denom.real <= 0.0).any():
         raise DomainError("A + 2v > 0 violated: lifted metric not positive definite")
     w = -v / (A * t * t * denom)
     p, pr = geo.p, geo.p_raised
@@ -150,8 +150,26 @@ def metric_components(params: ModelParams, pt: BundlePoint, profile: LiftProfile
 def adapted_metric_matrix(data: LiftedMetricData) -> np.ndarray:
     """The lifted metric as a 2n x 2n matrix in the adapted frame (block diagonal)."""
     n = data.G.shape[-1]
-    S = np.zeros(data.G.shape[:-2] + (2 * n, 2 * n))
+    S = np.zeros(data.G.shape[:-2] + (2 * n, 2 * n), dtype=data.G.dtype)
     S[..., :n, :n] = data.G
+    S[..., n:, n:] = data.H
+    return S
+
+
+def coordinate_metric(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
+    """Coordinate components of the lifted metric, one block formula.
+
+    The frame is block-unipotent, so the coordinate form of the adapted
+    block-diagonal metric is [[G + Gp H Gp^T, -Gp H], [-H Gp^T, H]] with
+    Gp = gamma_p; it equals ``frame_transform(adapted_metric_matrix(data),
+    "dd", geo.frame)`` without building the frame.
+    """
+    n = geo.n
+    gH = geo.gamma_p @ data.H
+    S = np.empty(gH.shape[:-2] + (2 * n, 2 * n), dtype=gH.dtype)
+    S[..., :n, :n] = data.G + gH @ np.swapaxes(geo.gamma_p, -1, -2)
+    S[..., :n, n:] = -gH
+    S[..., n:, :n] = -np.swapaxes(gH, -1, -2)
     S[..., n:, n:] = data.H
     return S
 
@@ -159,8 +177,7 @@ def adapted_metric_matrix(data: LiftedMetricData) -> np.ndarray:
 def assemble_full_metric(params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER) -> np.ndarray:
     """Coordinate components of the lifted metric on R^2n at ``pt``."""
     geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo, profile)
-    return frame_transform(adapted_metric_matrix(data), "dd", geo.frame, to="coordinate")
+    return coordinate_metric(geo, components_from_geometry(params, geo, profile))
 
 
 def lifted_field(
@@ -178,10 +195,7 @@ def lifted_field(
 
 def metric_field(params: ModelParams, profile: LiftProfile = KAHLER) -> Callable[[np.ndarray], np.ndarray]:
     """The full coordinate metric as a callable field for the oracles."""
-    return lifted_field(
-        params, profile,
-        lambda geo, data: frame_transform(adapted_metric_matrix(data), "dd", geo.frame, to="coordinate"),
-    )
+    return lifted_field(params, profile, coordinate_metric)
 
 
 def kahler_identity_residual(params: ModelParams, data: LiftedMetricData) -> float:

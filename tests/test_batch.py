@@ -1,8 +1,10 @@
-"""Batch-generic geometry: a stack of points gives the stack of per-point values.
+"""Batch- and dtype-generic geometry: a stack of points gives the stack of values.
 
 The fd primitives hand each field its whole stencil as one ``(k, 2n)``
 stack, so every closed form they differentiate must treat leading axes as a
-batch.  The memory guards keep the fd-of-fd fields batched one level deep.
+batch; ``fd.complex_step`` hands it complex points, so the closed forms must
+also be analytic with guards on the real part.  The memory guards keep the
+nested oracle fields within budget.
 """
 
 import tracemalloc
@@ -10,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kahler_tube import base_geometry
 from kahler_tube.base_geometry import DomainError, ModelParams, metric_at
 from kahler_tube.complex_structure import adapted_j_matrix
 from kahler_tube.curvature import (
@@ -17,10 +20,13 @@ from kahler_tube.curvature import (
     covariant_derivative_residual,
     curvature_oracle_coordinates,
 )
+from kahler_tube.fd import COMPLEX_STEP, DEFAULT_FD, complex_step, field_jacobian
 from kahler_tube.frames import BundlePoint, frame_transform, geometry_at
 from kahler_tube.lifted_metric import (
     KAHLER,
+    adapted_metric_matrix,
     components_from_geometry,
+    coordinate_metric,
     lifted_field,
     metric_field,
     offset_profile,
@@ -41,13 +47,13 @@ def _stack(params: ModelParams) -> np.ndarray:
     return np.stack([pt.z for pt in sample_points(params, 5, seed=11)])
 
 
-def _assert_stacked(batched, singles) -> None:
-    """``batched`` equals the stack of ``singles`` to 1e-14 of its largest entry."""
+def _assert_stacked(batched, singles, rel: float = 1e-14) -> None:
+    """``batched`` equals the stack of ``singles`` to ``rel`` of its largest entry."""
     expected = np.stack([np.asarray(s, dtype=float) for s in singles])
     batched = np.asarray(batched, dtype=float)
     assert batched.shape == expected.shape
     scale = max(float(np.max(np.abs(expected))), 1.0e-300)
-    assert float(np.max(np.abs(batched - expected))) <= 1e-14 * scale
+    assert float(np.max(np.abs(batched - expected))) <= rel * scale
 
 
 @pytest.mark.parametrize("params", CONFIGS, ids=["n3", "n4"])
@@ -123,6 +129,79 @@ def test_one_point_outside_the_tube_fails_the_whole_stack(params: ModelParams, o
         field(zs)
 
 
+def _complex_stack(zs: np.ndarray) -> np.ndarray:
+    """The complex-step stack ``(5, 2n, 2n)`` around each point of ``zs``."""
+    return zs[:, None, :] + (1j * COMPLEX_STEP) * np.eye(zs.shape[-1])
+
+
+@pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
+def test_complex_stack_real_part_equals_real_evaluation(params: ModelParams, offset) -> None:
+    n = params.dim
+    zs = _stack(params)
+    zc = _complex_stack(zs)
+    fields = [
+        (metric_field(params, _profile(params, offset)), zs, zc),
+        (base_geometry.metric_field(params), zs[:, :n], zc[..., :n]),
+    ]
+    for field, real, cplx in fields:
+        out = field(cplx)
+        assert np.iscomplexobj(out)
+        _assert_stacked(out.real, np.broadcast_to(field(real)[:, None], out.shape))
+
+
+@pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
+def test_complex_step_jacobian_agrees_with_central_differences(params: ModelParams, offset) -> None:
+    n = params.dim
+    zs = _stack(params)
+    fields = [
+        (metric_field(params, _profile(params, offset)), zs),
+        (base_geometry.metric_field(params), zs[:, :n]),
+    ]
+    for field, points in fields:
+        _, jac = complex_step(field, points)
+        central = [field_jacobian(field, z, DEFAULT_FD).value for z in points]
+        _assert_stacked(jac.value, central, 1e-7)
+
+
+@pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
+def test_block_coordinate_metric_equals_frame_transform(params: ModelParams, offset) -> None:
+    n = params.dim
+    zs = _stack(params)
+    geo = geometry_at(params, zs[:, :n], zs[:, n:])
+    data = components_from_geometry(params, geo, _profile(params, offset))
+    via_frame = frame_transform(adapted_metric_matrix(data), "dd", geo.frame, to="coordinate")
+    _assert_stacked(coordinate_metric(geo, data), via_frame)
+
+
+@pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
+def test_complex_point_whose_real_part_leaves_the_tube_raises(params: ModelParams, offset) -> None:
+    n = params.dim
+    zs = _stack(params)
+    field = metric_field(params, _profile(params, offset))
+    if offset is None:
+        zs[3, n:] *= 3.0  # past 4c/A^2 from any sampled t
+        with pytest.raises(DomainError, match="tube bound"):
+            field(_complex_stack(zs))
+    zs[3, n:] = 0.0  # real part on the zero section; the imaginary step stays
+    with pytest.raises(DomainError):
+        field(_complex_stack(zs))
+
+
+def test_guards_compare_the_real_part() -> None:
+    # numpy orders complex numbers lexicographically, so a guard on the
+    # complex value would pass a real part on the boundary whenever the
+    # imaginary step makes the value "larger" than the bound.
+    params = CONFIGS[0]
+    on_boundary = 1j * COMPLEX_STEP  # t = 0 + i h
+    for profile in (KAHLER, offset_profile(params, 0.1)):
+        with pytest.raises(DomainError, match="energy density"):
+            profile.v(np.array([on_boundary]), params)
+    # u = 1 - |x|^2 at c = -4 is 0 + 2 i h at x = (1 - i h, 0, 0).
+    x = np.array([1.0 - 1j * COMPLEX_STEP, 0.0, 0.0])
+    with pytest.raises(DomainError, match="conformal factor"):
+        base_geometry.conformal_factor(ModelParams(3, -4.0), x)
+
+
 PARAMS_5 = ModelParams(5)
 POINT_5 = BundlePoint(x=np.array([0.1, -0.2, 0.05, 0.3, 0.0]), p=np.array([0.3, 0.2, -0.1, 0.25, 0.1]))
 
@@ -138,9 +217,12 @@ def _peak_mb(fn) -> float:
 
 
 def test_curvature_oracle_memory_stays_one_level_deep() -> None:
-    # Measured at n = 5: about 0.5 MB evaluating point by point, about 1.1 MB
-    # with the Koszul stencils batched, about 15 MB with the outer stencil's
-    # Koszul stencils batched as well.
+    # Measured at n = 5 (tracemalloc peak): about 4.3 MB with complex-step
+    # Christoffels over the whole outer stencil in one metric-field call and
+    # the coordinate metric filled block by block, without building the
+    # adapted frame; about 7.4 MB when that metric goes through
+    # frame_transform.  Real-fd Koszul stencils took about 1.1 MB looped over
+    # the outer stencil point by point and about 15 MB nested in one batch.
     assert _peak_mb(lambda: curvature_oracle_coordinates(PARAMS_5, POINT_5)) < 5.0
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kahler_tube import frames
 from kahler_tube.base_geometry import ModelParams, first_bianchi_residual
 from kahler_tube.complex_structure import j_matrix
 from kahler_tube.curvature import (
@@ -67,6 +68,35 @@ def test_closed_form_coordinate_curvature_matches_oracle() -> None:
     assert np.max(np.abs(R_closed - R_oracle)) < 1e-5
 
 
+def test_curvature_oracle_takes_two_metric_field_calls(monkeypatch) -> None:
+    # Christoffels at the point, then every Koszul evaluation of the outer
+    # stencil in one call.
+    calls = []
+    inner = frames.geometry_at
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(frames, "geometry_at", counting)
+    curvature_oracle_coordinates(PARAMS, GENERIC)
+    assert 0 < len(calls) <= 2
+
+
+def test_curvature_oracle_pair_skew_near_the_tube_end() -> None:
+    # (3,2,0.5) at t/t_max = 0.95, where stacked real-fd Christoffels gave a
+    # pair skew of 1.4e-6, above the 1e-6 tolerance of curvature_pair_skew.
+    params = ModelParams(3, 2.0, 0.5)
+    x = np.linspace(0.1, 0.3, 3)
+    direction = np.linspace(0.5, -0.4, 3)
+    t_max = 2.0 * params.curvature / params.lift_const**2
+    t_dir = point_geometry(params, BundlePoint(x=x, p=direction)).t
+    pt = BundlePoint(x=x, p=direction * np.sqrt(0.95 * t_max / t_dir))
+    assert point_geometry(params, pt).t == pytest.approx(0.95 * t_max, rel=1e-12)
+    R = curvature_oracle_coordinates(params, pt)
+    assert pair_skew_residual(R, assemble_full_metric(params, pt)) <= 1e-6
+
+
 def test_structural_antisymmetry_exact() -> None:
     _, R_ad, _, _ = _adapted_setup(GENERIC)
     assert direction_antisymmetry_residual(R_ad) < 1e-14
@@ -113,7 +143,8 @@ def test_covariant_derivative_vanishes() -> None:
 
 
 def test_covariant_derivative_oracle_route_agrees() -> None:
-    # The fully oracle-based route carries three stacked fd layers; away
+    # The fully oracle-based route adds a central difference on top of the
+    # curvature oracle (complex step, then two difference layers); away
     # from the tube boundary it confirms the same vanishing at its own
     # (much coarser) noise floor.
     closed = covariant_derivative_residual(PARAMS, ANCHOR, route="closed_form")

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kahler_tube.base_geometry import DomainError
 from kahler_tube.fd import (
     DEFAULT_FD,
     FdConfig,
+    complex_step,
     directional_derivative,
     exterior_derivative_two_form,
     field_jacobian,
@@ -195,3 +197,67 @@ def test_pointwise_field_maps_stacks_point_by_point() -> None:
     assert np.array_equal(out[1, 2], np.outer(stack[1, 2], stack[1, 2]))
     assert field(stack[0, 0]).shape == (3, 3)
     assert set(seen) == {(3,)}
+
+
+def test_complex_step_exact_on_exponential() -> None:
+    a = np.array([0.7, -1.3, 2.1])
+    z = np.array([0.3, -0.4, 0.8])
+
+    def field(w: np.ndarray) -> np.ndarray:
+        e = np.exp(w @ a)
+        return np.stack([e, w[..., 0] * e], axis=-1)
+
+    value, jac = complex_step(field, z)
+    e = np.exp(z @ a)
+    expected = np.stack([a * e, a * z[0] * e + np.array([e, 0.0, 0.0])], axis=-1)  # [k, out]
+    assert jac.value.shape == (3, 2)
+    assert np.max(np.abs(value - np.array([e, z[0] * e]))) <= 1e-14 * e
+    assert np.max(np.abs(jac.value - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert 0.0 < jac.error <= 1e-14 * (1.0 + np.max(np.abs(expected)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+        min_size=5,
+        max_size=5,
+    ),
+    x0=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+)
+def test_complex_step_exact_on_quartics(coeffs: list, x0: float) -> None:
+    # No difference is taken, so the derivative is exact up to the round-off
+    # of evaluating the polynomial, relative to the size of its terms.
+    poly = np.polynomial.Polynomial(coeffs)
+    _, jac = complex_step(lambda z: poly(z[..., 0]), np.array([x0]))
+    scale = sum(abs(k * c * x0 ** (k - 1)) for k, c in enumerate(coeffs) if k)
+    assert abs(float(jac.value[0]) - poly.deriv()(x0)) <= 1e-14 * max(scale, 1.0)
+
+
+def test_complex_step_makes_one_call_of_m_complex_points_per_base_point() -> None:
+    field, calls = _counting(_smooth)
+    z = np.array([0.3, -0.4, 0.8])
+    complex_step(field, z)
+    complex_step(field, np.stack([z, 2.0 * z, -z, z + 1.0]).reshape(2, 2, 3))
+    assert calls == [(3, 3), (2, 2, 3, 3)]
+
+
+def test_complex_step_stack_equals_points_bitwise() -> None:
+    zs = np.array([[0.3, -0.4, 0.8], [1.1, 0.2, -0.5], [-0.7, 0.9, 0.05], [0.0, 0.6, 1.4]])
+    value, jac = complex_step(_smooth, zs)
+    assert value.shape == (4, 2) and jac.value.shape == (4, 3, 2)
+    for k, z in enumerate(zs):
+        v1, j1 = complex_step(_smooth, z)
+        assert np.array_equal(value[k], v1)
+        assert np.array_equal(jac.value[k], j1.value)
+
+
+def test_complex_step_propagates_domain_error() -> None:
+    def guarded(z: np.ndarray) -> np.ndarray:
+        if (z.real[..., 0] <= 0.0).any():
+            raise DomainError("first coordinate must be positive")
+        return np.log(z[..., 0])
+
+    assert complex_step(guarded, np.array([0.5, 0.0]))[1].value[0] == pytest.approx(2.0, rel=1e-15)
+    with pytest.raises(DomainError, match="first coordinate"):
+        complex_step(guarded, np.array([[0.5, 0.0], [-0.5, 0.0]]))
