@@ -13,14 +13,15 @@ type of the two inputs).  Each is a contraction of a single core tensor
     core[k, i, j] = A t (v + A) (p_i g_jk - p_j g_ik) - p_h riem[h, k, i, j]
 
 which vanishes identically exactly when A t (v + A) equals the base
-curvature constant, i.e. for the integrable profile.  The finite-difference
+curvature constant, i.e. for the integrable profile.  The complex-step
 evaluator recomputes the tensor from the coordinate formula
 
     N^k_ij = J^l_i d_l J^k_j - J^l_j d_l J^k_i - J^k_l (d_i J^l_j - d_j J^l_i)
 
 for N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] (no factor 2), with
-one fd Jacobian of the coordinate J field.  It reads only evaluations of
-that field, so it is an oracle independent of the closed forms.
+one complex-step Jacobian of the coordinate J field.  It reads only
+evaluations of that field, so it is an oracle independent of the closed
+forms.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_geometry import ModelParams
-from .fd import DEFAULT_FD, exterior_derivative_two_form, field_jacobian
+from .fd import complex_step
 from .frames import BundlePoint, PointGeometry, frame_transform, point_geometry
 from .lifted_metric import (
     KAHLER,
@@ -46,7 +47,7 @@ from .lifted_metric import (
 def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
     """The structure tensor as a 2n x 2n matrix in the adapted frame."""
     n = data.G.shape[-1]
-    J = np.zeros(data.G.shape[:-2] + (2 * n, 2 * n))
+    J = np.zeros(data.G.shape[:-2] + (2 * n, 2 * n), dtype=data.G.dtype)
     J[..., :n, n:] = -data.H
     J[..., n:, :n] = data.G
     return J
@@ -82,11 +83,12 @@ class FundamentalFormData:
 def fundamental_form(
     params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
 ) -> FundamentalFormData:
-    """phi(X, Y) = S(X, JY) with the closedness of phi checked by fd.
+    """phi(X, Y) = S(X, JY) with the closedness of phi checked by complex step.
 
     In adapted components phi pairs the two distributions with +-identity;
-    in coordinates it is the canonical form, so the fd exterior derivative
-    of the coordinate coefficient field must vanish.
+    in coordinates it is the canonical form, so the exterior derivative of
+    the coordinate coefficient field, the cyclic sum
+    d_l phi_mn + d_m phi_nl + d_n phi_lm of its Jacobian, must vanish.
     """
 
     geo = point_geometry(params, pt)
@@ -102,9 +104,10 @@ def fundamental_form(
             adapted_metric_matrix(d2) @ adapted_j_matrix(d2), "dd", g2.frame, to="coordinate"
         ),
     )
-    dphi = exterior_derivative_two_form(phi_field, pt.z, DEFAULT_FD)
+    dw = complex_step(phi_field, pt.z)[1].value  # [l, m, n] = d_l phi_mn
+    dphi = dw + np.transpose(dw, (1, 2, 0)) + np.transpose(dw, (2, 0, 1))
     return FundamentalFormData(
-        adapted=phi_ad, coordinate=phi_coord, dphi_residual=float(np.max(np.abs(dphi.value))),
+        adapted=phi_ad, coordinate=phi_coord, dphi_residual=float(np.max(np.abs(dphi))),
     )
 
 
@@ -165,7 +168,7 @@ def _nijenhuis_core(params: ModelParams, geo: PointGeometry, data: LiftedMetricD
 def nijenhuis_fd_full(
     params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
 ) -> tuple[NijenhuisData, float]:
-    """Recompute the Nijenhuis families from one fd Jacobian of the J field.
+    """Recompute the Nijenhuis families from one complex step of the J field.
 
     With N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] (no factor 2),
     the coordinate components are
@@ -184,8 +187,8 @@ def nijenhuis_fd_full(
         params, profile,
         lambda g2, d2: frame_transform(adapted_j_matrix(d2), "ud", g2.frame, to="coordinate"),
     )
-    J = jf(pt.z)
-    dJ = field_jacobian(jf, pt.z, DEFAULT_FD).value  # [l, k, j] = d_l J^k_j
+    J, jac = complex_step(jf, pt.z)
+    dJ = jac.value  # [l, k, j] = d_l J^k_j
     a = np.einsum("li,lkj->kij", J, dJ) - np.einsum("kl,ilj->kij", J, dJ)
     N = frame_transform(a - np.swapaxes(a, 1, 2), "udd", geo.frame, to="adapted")  # [k, i, j]
     h, v = slice(None, n), slice(n, None)

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .base_geometry import DomainError, ModelParams
-from .fd import DEFAULT_FD, complex_step, directional_derivative
+from .fd import complex_step
 from .frames import BundlePoint, PointGeometry, point_geometry
 from .lifted_metric import (
     KAHLER,
@@ -246,29 +246,18 @@ def mtensor_parallel_residuals(
 
     Checks that the frame derivative of G along horizontal directions is
     absorbed by base Christoffel contractions, and likewise for H with the
-    opposite sign pattern; both use fd for the directional derivative.
+    opposite sign pattern.  The frame derivatives contract one complex step
+    of the [G, H] field with the horizontal frame vectors.
     """
 
     geo = point_geometry(params, pt)
+    n = geo.n
     blocks = lifted_field(params, profile, lambda g2, d2: np.stack([d2.G, d2.H], axis=-3))
-    data = components_from_geometry(params, geo, profile)
+    (G, H), jac = complex_step(blocks, pt.z)
+    dG, dH = np.einsum("ki,kgjl->gijl", geo.frame.M[:, :n], jac.value)  # [i, j, l]
     gamma = geo.base.gamma
-    res_g = 0.0
-    res_h = 0.0
-    for i in range(geo.n):
-        dG, dH = directional_derivative(blocks, pt.z, geo.frame.M[:, i], DEFAULT_FD).value
-        # nabla_i G_jk = delta_i G_jk - gamma^l_ij G_lk - gamma^l_ik G_jl
-        covG = (
-            dG
-            - np.einsum("lj,lk->jk", gamma[:, i, :], data.G)
-            - np.einsum("lk,jl->jk", gamma[:, i, :], data.G)
-        )
-        res_g = max(res_g, float(np.max(np.abs(covG))))
-        # nabla_i H^jk = delta_i H^jk + gamma^j_il H^lk + gamma^k_il H^jl
-        covH = (
-            dH
-            + np.einsum("jl,lk->jk", gamma[:, i, :], data.H)
-            + np.einsum("kl,jl->jk", gamma[:, i, :], data.H)
-        )
-        res_h = max(res_h, float(np.max(np.abs(covH))))
-    return res_g, res_h
+    # nabla_i G_jk = delta_i G_jk - gamma^l_ij G_lk - gamma^l_ik G_jl
+    covG = dG - np.einsum("lij,lk->ijk", gamma, G) - np.einsum("lik,jl->ijk", gamma, G)
+    # nabla_i H^jk = delta_i H^jk + gamma^j_il H^lk + gamma^k_il H^jl
+    covH = dH + np.einsum("jil,lk->ijk", gamma, H) + np.einsum("kil,jl->ijk", gamma, H)
+    return float(np.max(np.abs(covG))), float(np.max(np.abs(covH)))

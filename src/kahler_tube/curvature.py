@@ -27,16 +27,8 @@ import numpy as np
 
 from .base_geometry import DomainError, ModelParams
 from .complex_structure import adapted_j_matrix
-from .connection import coefficients_closed_form, coordinate_connection_closed_form, koszul_oracle
-from .fd import (
-    CURVATURE_FD,
-    DEFAULT_FD,
-    TWICE_STACKED_FD,
-    directional_derivative,
-    field_jacobian,
-    partial_derivative,
-    pointwise,
-)
+from .connection import adapted_connection_matrix, coefficients_closed_form, koszul_oracle
+from .fd import CURVATURE_FD, TWICE_STACKED_FD, complex_step, field_jacobian, pointwise
 from .frames import BundlePoint, PointGeometry, frame_transform, point_geometry
 from .lifted_metric import (
     KAHLER,
@@ -152,7 +144,7 @@ def assemble_adapted_curvature(blocks: CurvatureBlocks) -> np.ndarray:
     """Full adapted-frame tensor R[a, b, c, d]: output a of K(e_c, e_d) e_b."""
     n = blocks.n
     hhh, vvh, vhh, vhv = blocks.hhh, blocks.vvh, blocks.vhh, blocks.vhv
-    R = np.zeros(hhh.shape[:-4] + (2 * n,) * 4)
+    R = np.zeros(hhh.shape[:-4] + (2 * n,) * 4, dtype=hhh.dtype)
     R[..., :n, :n, :n, :n] = np.einsum("...hijk->...hkij", hhh)
     R[..., n:, n:, :n, :n] = -np.einsum("...kijh->...hkij", hhh)
     R[..., :n, :n, n:, n:] = np.einsum("...ijhk->...hkij", vvh)
@@ -324,14 +316,16 @@ def covariant_derivative_residual(
     profile: LiftProfile = KAHLER,
     route: str = "closed_form",
 ) -> float:
-    """Max |nabla K| in coordinates: local symmetry of the curvature.
+    """Max |nabla K|: local symmetry of the curvature.
 
-    ``route="closed_form"`` differentiates the analytic curvature field
-    with the closed-form connection: near machine precision, and sound as
+    ``route="closed_form"`` takes one complex step of the analytic
+    adapted-frame curvature field, contracts it with the frame vectors and
+    adds the closed-form adapted connection W (``nabla_a e_b = W[c, a, b]
+    e_c``), all in the adapted frame: near machine precision, and sound as
     a certificate because the differentiated field and the connection are
     themselves oracle-certified pointwise by the other checks.
-    ``route="oracle"`` differentiates the oracle curvature field once more
-    (point by point through ``fd.pointwise``) with Koszul-oracle
+    ``route="oracle"`` differentiates the coordinate oracle curvature field
+    once more (point by point through ``fd.pointwise``) with Koszul-oracle
     Christoffels; its noise floor is the oracle's pointwise error divided by
     the outermost step, so it only resolves the identity away from the tube
     boundary and is provided for spot checks, not for the battery.
@@ -343,70 +337,63 @@ def covariant_derivative_residual(
         curv_field = pointwise(lambda zz: curvature_from_metric_field(field, zz))
         K = curv_field(z)
         dK = field_jacobian(curv_field, z, TWICE_STACKED_FD).value
-        chris = koszul_oracle(field, z)
+        conn = koszul_oracle(field, z)
     elif route == "closed_form":
+        geo = point_geometry(params, pt)
+        conn = adapted_connection_matrix(coefficients_closed_form(params, pt, profile))
         curv_field = lifted_field(
             params, profile,
-            lambda geo, data: frame_transform(
-                assemble_adapted_curvature(_blocks(params, geo, data, profile)),
-                "uddd", geo.frame, "coordinate",
-            ),
+            lambda g2, d2: assemble_adapted_curvature(_blocks(params, g2, d2, profile)),
         )
-        K = curv_field(z)
-        # One axis per call: all axes at once hold 2n times as many (2n)^4
-        # tensors, which at n = 5 raised this layer's memory peak from 2.6
-        # to 10 MB without saving time.
-        dK = np.stack([partial_derivative(curv_field, z, k, DEFAULT_FD).value for k in range(z.size)])
-        chris = coordinate_connection_closed_form(params, pt, profile)
+        K, jac = complex_step(curv_field, z)
+        dK = np.einsum("ka,kbcde->abcde", geo.frame.M, jac.value)  # along frame vector a
     else:
         raise ValueError(f"unknown covariant-derivative route {route!r}")
-    nabla = (
-        dK
-        + np.einsum("als,sbcd->labcd", chris, K)
-        - np.einsum("slb,ascd->labcd", chris, K)
-        - np.einsum("slc,absd->labcd", chris, K)
-        - np.einsum("sld,abcs->labcd", chris, K)
-    )
+    # conn[upper, direction, slot] in either frame
+    nabla = dK + np.einsum("als,sbcd->labcd", conn, K)
+    nabla -= np.einsum("slb,ascd->labcd", conn, K)
+    nabla -= np.einsum("slc,absd->labcd", conn, K)
+    nabla -= np.einsum("sld,abcs->labcd", conn, K)
     return float(np.max(np.abs(nabla)))
 
 
-def _parallel_rhs(name: str, T: np.ndarray, C: np.ndarray, l: int) -> np.ndarray:
-    """Connection contractions matching the frame derivative of family ``name``.
+def _parallel_rhs(name: str, T: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Connection contractions matching the frame derivatives of family ``name``.
 
     ``C[h, l, s]`` holds the coefficients for derivatives along direction
     ``l``: base Christoffels for horizontal directions, the mixed-slot
-    closed-form coefficients for vertical ones.  Signs follow the variance
-    of each block index.
+    closed-form coefficients for vertical ones.  The result carries the
+    direction axis ``l`` first.  Signs follow the variance of each block
+    index.
     """
 
-    Cl = C[:, l, :]
     if name == "hhh":  # upper h; lower i, j, k
         return (
-            -np.einsum("hs,sijk->hijk", Cl, T)
-            + np.einsum("si,hsjk->hijk", Cl, T)
-            + np.einsum("sj,hisk->hijk", Cl, T)
-            + np.einsum("sk,hijs->hijk", Cl, T)
+            -np.einsum("hls,sijk->lhijk", C, T)
+            + np.einsum("sli,hsjk->lhijk", C, T)
+            + np.einsum("slj,hisk->lhijk", C, T)
+            + np.einsum("slk,hijs->lhijk", C, T)
         )
     if name == "vvh":  # upper i, j, h; lower k
         return (
-            np.einsum("sk,ijhs->ijhk", Cl, T)
-            - np.einsum("is,sjhk->ijhk", Cl, T)
-            - np.einsum("js,ishk->ijhk", Cl, T)
-            - np.einsum("hs,ijsk->ijhk", Cl, T)
+            np.einsum("slk,ijhs->lijhk", C, T)
+            - np.einsum("ils,sjhk->lijhk", C, T)
+            - np.einsum("jls,ishk->lijhk", C, T)
+            - np.einsum("hls,ijsk->lijhk", C, T)
         )
     if name == "vhh":  # upper i; lower j, k, h
         return (
-            -np.einsum("is,sjkh->ijkh", Cl, T)
-            + np.einsum("sj,iskh->ijkh", Cl, T)
-            + np.einsum("sk,ijsh->ijkh", Cl, T)
-            + np.einsum("sh,ijks->ijkh", Cl, T)
+            -np.einsum("ils,sjkh->lijkh", C, T)
+            + np.einsum("slj,iskh->lijkh", C, T)
+            + np.einsum("slk,ijsh->lijkh", C, T)
+            + np.einsum("slh,ijks->lijkh", C, T)
         )
     if name == "vhv":  # upper i, k, h; lower j
         return (
-            np.einsum("sj,ikhs->ikhj", Cl, T)
-            - np.einsum("is,skhj->ikhj", Cl, T)
-            - np.einsum("ks,ishj->ikhj", Cl, T)
-            - np.einsum("hs,iksj->ikhj", Cl, T)
+            np.einsum("slj,ikhs->likhj", C, T)
+            - np.einsum("ils,skhj->likhj", C, T)
+            - np.einsum("kls,ishj->likhj", C, T)
+            - np.einsum("hls,iksj->likhj", C, T)
         )
     raise ValueError(f"unknown curvature family {name!r}")
 
@@ -416,32 +403,29 @@ def parallel_block_residuals(
 ) -> dict[str, float]:
     """Frame-derivative parallelism of each curvature family.
 
-    Returns keys like ``parallel_hhh_horizontal``: the fd derivative of the
+    Returns keys like ``parallel_hhh_horizontal``: the derivative of the
     block along every frame direction of the stated type must match the
-    connection contractions of the block itself.
+    connection contractions of the block itself.  The frame derivatives
+    contract one complex step of the stacked-blocks field with the frame
+    vectors.
     """
 
     geo = point_geometry(params, pt)
     coeffs = coefficients_closed_form(params, pt, profile)
     n = geo.n
-    z = pt.z
     families = ("hhh", "vvh", "vhh", "vhv")
 
     def stacked(g2: PointGeometry, d2: LiftedMetricData) -> np.ndarray:
         blocks = _blocks(params, g2, d2, profile)
         return np.stack([getattr(blocks, name) for name in families], axis=-5)
 
-    field = lifted_field(params, profile, stacked)
-    T = field(z)
-    kinds = (("horizontal", geo.base.gamma, 0), ("vertical", coeffs.mixed, n))
-    out = {f"parallel_{name}_{kind}": 0.0 for name in families for kind, _, _ in kinds}
-    for kind, C, offset in kinds:
-        for l in range(n):
-            lhs = directional_derivative(field, z, geo.frame.M[:, offset + l], DEFAULT_FD).value
-            for k, name in enumerate(families):
-                key = f"parallel_{name}_{kind}"
-                rhs = _parallel_rhs(name, T[k], C, l)
-                out[key] = max(out[key], float(np.max(np.abs(lhs[k] - rhs))))
+    T, jac = complex_step(lifted_field(params, profile, stacked), pt.z)
+    lhs = np.einsum("ka,k...->a...", geo.frame.M, jac.value)  # [direction, family, ...]
+    out = {}
+    for kind, C, dirs in (("horizontal", geo.base.gamma, lhs[:n]), ("vertical", coeffs.mixed, lhs[n:])):
+        for k, name in enumerate(families):
+            rhs = _parallel_rhs(name, T[k], C)
+            out[f"parallel_{name}_{kind}"] = float(np.max(np.abs(dirs[:, k] - rhs)))
     return out
 
 

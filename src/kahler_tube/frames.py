@@ -5,8 +5,8 @@ are d/dq^i + gamma_p[i, h] d/dp_h with gamma_p[i, h] = p_k gamma^k_ih, the
 vertical ones are d/dp_i.  This module builds the change-of-basis matrix
 between the coordinate frame and the adapted frame (with its analytic
 coordinate derivatives, needed to transform connection coefficients), the
-energy density t = g^ik p_i p_k / 2, and finite-difference checks of the
-frame bracket relations.
+energy density t = g^ik p_i p_k / 2, and complex-step checks of the frame
+bracket relations.
 
 ``geometry_at``, ``frame_transform`` and the fields built by
 ``geometry_field`` accept a stack of chart points ``(..., 2n)`` as well as a
@@ -27,7 +27,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .base_geometry import BaseMetricData, DomainError, ModelParams, metric_at
-from .fd import DEFAULT_FD, directional_derivative, lie_bracket
+from .fd import complex_step
 
 T = TypeVar("T")
 
@@ -79,7 +79,7 @@ class AdaptedFrame:
     @cached_property
     def dM(self) -> np.ndarray:
         n = self.n
-        dM = np.zeros(self.M.shape[:-2] + (2 * n,) * 3)
+        dM = np.zeros(self.M.shape[:-2] + (2 * n,) * 3, dtype=self.M.dtype)
         # d/dq^l of gamma_p[i, h], arranged as dM[l, n + h, i]
         dgp = np.einsum("...k,...kihl->...ihl", self.p, self.base.dgamma)
         dM[..., :n, n:, :n] = np.einsum("...ihl->...lhi", dgp)
@@ -207,25 +207,9 @@ def frame_transform(values: np.ndarray, variance: str, frame: AdaptedFrame, to: 
     return T
 
 
-def horizontal_field(params: ModelParams, i: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The i-th horizontal frame field as a coordinate vector field on R^2n."""
-    return geometry_field(params, lambda geo: geo.frame.M[..., :, i])
-
-
-def vertical_field(n: int, i: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The i-th vertical frame field (constant in bundle coordinates)."""
-    e = np.zeros(2 * n)
-    e[n + i] = 1.0
-
-    def field(z: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(e, np.shape(z))
-
-    return field
-
-
 @dataclass(frozen=True)
 class BracketResiduals:
-    """Max deviations of finite-difference frame brackets from closed forms."""
+    """Max deviations of complex-step frame brackets from closed forms."""
 
     vert_vert: float
     mixed: float
@@ -238,27 +222,26 @@ def verify_brackets(params: ModelParams, pt: BundlePoint) -> BracketResiduals:
     [d/dp_i, d/dp_j] = 0,
     [d/dp_i, delta/deltaq^j] = gamma^i_jk d/dp_k,
     [delta/deltaq^i, delta/deltaq^j] = p_h riem[h, k, i, j] d/dp_k.
+
+    One complex step of the frame field M gives every bracket at once:
+    [e_a, e_b] = M[k, a] d_k M[:, b] - M[k, b] d_k M[:, a].
     """
 
     geo = point_geometry(params, pt)
     n = geo.n
-    z = pt.z
-    horiz = [horizontal_field(params, i) for i in range(n)]
-    vert = [vertical_field(n, i) for i in range(n)]
-    riem_p = geo.riem_p
-
-    def residual(X, Y, expected_vertical: np.ndarray) -> float:
-        br = lie_bracket(X, Y, z, DEFAULT_FD)
-        expected = np.concatenate([np.zeros(n), expected_vertical])
-        return float(np.max(np.abs(br.value - expected)))
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    res_vv = max((residual(vert[i], vert[j], np.zeros(n)) for i, j in pairs), default=0.0)
-    res_mixed = max(
-        residual(vert[i], horiz[j], geo.base.gamma[i, j, :]) for i in range(n) for j in range(n)
+    M, dM = complex_step(geometry_field(params, lambda g: g.frame.M), pt.z)
+    DbM = np.einsum("ka,kmb->mab", M, dM.value)  # [mu, a, b]: derivative of e_b along e_a
+    h, v = slice(None, n), slice(n, None)
+    expected = np.zeros_like(DbM)
+    expected[v, v, h] = np.einsum("ijh->hij", geo.base.gamma)
+    expected[v, h, h] = geo.riem_p
+    dev = np.abs(DbM - np.swapaxes(DbM, 1, 2) - expected)
+    i, j = np.triu_indices(n, 1)
+    return BracketResiduals(
+        vert_vert=float(np.max(dev[:, v, v][:, i, j])),
+        mixed=float(np.max(dev[:, v, h])),
+        horiz_horiz=float(np.max(dev[:, h, h][:, i, j])),
     )
-    res_hh = max((residual(horiz[i], horiz[j], riem_p[:, i, j]) for i, j in pairs), default=0.0)
-    return BracketResiduals(vert_vert=res_vv, mixed=res_mixed, horiz_horiz=res_hh)
 
 
 def energy_frame_derivatives(params: ModelParams, pt: BundlePoint) -> tuple[float, float]:
@@ -270,11 +253,6 @@ def energy_frame_derivatives(params: ModelParams, pt: BundlePoint) -> tuple[floa
 
     geo = point_geometry(params, pt)
     n = geo.n
-    t_field = geometry_field(params, lambda g: g.t)
-    dt = [
-        float(directional_derivative(t_field, pt.z, geo.frame.M[:, a], DEFAULT_FD).value)
-        for a in range(2 * n)
-    ]
-    res_h = max(abs(d) for d in dt[:n])
-    res_v = max(abs(d - pr) for d, pr in zip(dt[n:], geo.p_raised))
-    return res_h, res_v
+    _, dt = complex_step(geometry_field(params, lambda g: g.t), pt.z)
+    dt_frame = geo.frame.M.T @ dt.value
+    return float(np.max(np.abs(dt_frame[:n]))), float(np.max(np.abs(dt_frame[n:] - geo.p_raised)))

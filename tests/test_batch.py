@@ -4,7 +4,8 @@ The fd primitives hand each field its whole stencil as one ``(k, 2n)``
 stack, so every closed form they differentiate must treat leading axes as a
 batch; ``fd.complex_step`` hands it complex points, so the closed forms must
 also be analytic with guards on the real part.  The memory guards keep the
-nested oracle fields within budget.
+nested oracle fields within budget, and every layer that differentiates a
+closed-form field does so in one complex field call.
 """
 
 import tracemalloc
@@ -12,16 +13,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kahler_tube import base_geometry
 from kahler_tube.base_geometry import DomainError, ModelParams, metric_at
-from kahler_tube.complex_structure import adapted_j_matrix
+from kahler_tube import base_geometry, frames
+from kahler_tube.complex_structure import adapted_j_matrix, fundamental_form, nijenhuis_fd_full
+from kahler_tube.connection import mtensor_parallel_residuals
 from kahler_tube.curvature import (
     _blocks,
+    assemble_adapted_curvature,
     covariant_derivative_residual,
     curvature_oracle_coordinates,
+    parallel_block_residuals,
 )
 from kahler_tube.fd import COMPLEX_STEP, DEFAULT_FD, complex_step, field_jacobian
-from kahler_tube.frames import BundlePoint, frame_transform, geometry_at
+from kahler_tube.frames import (
+    BundlePoint,
+    energy_frame_derivatives,
+    frame_transform,
+    geometry_at,
+    geometry_field,
+    verify_brackets,
+)
 from kahler_tube.lifted_metric import (
     KAHLER,
     adapted_metric_matrix,
@@ -153,10 +164,22 @@ def test_complex_stack_real_part_equals_real_evaluation(params: ModelParams, off
 def test_complex_step_jacobian_agrees_with_central_differences(params: ModelParams, offset) -> None:
     n = params.dim
     zs = _stack(params)
+    profile = _profile(params, offset)
     fields = [
-        (metric_field(params, _profile(params, offset)), zs),
+        (metric_field(params, profile), zs),
         (base_geometry.metric_field(params), zs[:, :n]),
+        # Fields that allocate their output must take the input's dtype.
+        (lifted_field(params, profile, lambda geo, data: adapted_j_matrix(data)), zs),
+        (geometry_field(params, lambda geo: geo.frame.dM), zs),
     ]
+    if offset is None:
+        fields.append((
+            lifted_field(
+                params, profile,
+                lambda geo, data: assemble_adapted_curvature(_blocks(params, geo, data, profile)),
+            ),
+            zs,
+        ))
     for field, points in fields:
         _, jac = complex_step(field, points)
         central = [field_jacobian(field, z, DEFAULT_FD).value for z in points]
@@ -226,7 +249,42 @@ def test_curvature_oracle_memory_stays_one_level_deep() -> None:
     assert _peak_mb(lambda: curvature_oracle_coordinates(PARAMS_5, POINT_5)) < 5.0
 
 
-def test_local_symmetry_memory_one_axis_per_call() -> None:
-    # Measured at n = 5: about 2.6 MB one axis per fd call, about 10 MB with
-    # every axis's (2n)^4 curvature tensors in one call.
+def test_local_symmetry_memory_adapted_frame_complex_step() -> None:
+    # Measured at n = 5 (tracemalloc peak): about 3.5 MB for the layer, whose
+    # complex step of the adapted-frame curvature field peaks at about 3.2 MB.
+    # A complex step of the coordinate-frame field peaks at about 5.1 MB,
+    # because frame_transform then works on a complex (10, 10^4) stack.
     assert _peak_mb(lambda: covariant_derivative_residual(PARAMS_5, POINT_5)) < 5.0
+
+
+#: Every layer that differentiates a closed-form field.
+DERIVATIVE_LAYERS = [
+    verify_brackets,
+    energy_frame_derivatives,
+    fundamental_form,
+    nijenhuis_fd_full,
+    mtensor_parallel_residuals,
+    parallel_block_residuals,
+    covariant_derivative_residual,
+]
+
+
+@pytest.mark.parametrize("layer", DERIVATIVE_LAYERS, ids=lambda layer: layer.__name__)
+def test_each_derivative_layer_makes_one_complex_field_call(layer, monkeypatch) -> None:
+    # One complex step of 2n points, plus the layer's own real geometry at
+    # the base point (at most twice, through the closed-form connection).
+    params = CONFIGS[0]
+    n = params.dim
+    pt = sample_points(params, 1, seed=11)[0]
+    calls = []
+    inner = frames.geometry_at
+
+    def counting(params, x, p):
+        calls.append((np.shape(x), np.iscomplexobj(x)))
+        return inner(params, x, p)
+
+    monkeypatch.setattr(frames, "geometry_at", counting)
+    layer(params, pt)
+    assert [call for call in calls if call[1]] == [((2 * n, n), True)]
+    base = [call for call in calls if not call[1]]
+    assert 0 < len(base) <= 2 and set(base) == {((n,), False)}
