@@ -11,7 +11,7 @@ Entry points: :func:`run_verify` / :func:`run_sweep` (library),
 ``kahler-tube`` (console script).
 """
 
-from .base_geometry import BasePoint, DomainError, ModelParams, metric_at
+from .base_geometry import DomainError, ModelParams, metric_at
 from .checks import (
     DEFAULT_TOLERANCES,
     ConfigError,
@@ -19,7 +19,6 @@ from .checks import (
     run_sweep,
     run_verify,
 )
-from .fd import FdConfig
 from .frames import BundlePoint, frame_transform, geometry_at, point_geometry
 from .lifted_metric import (
     KAHLER,
@@ -33,12 +32,10 @@ from .lifted_metric import (
 from .report import SweepResult, VerifyReport
 
 __all__ = [
-    "BasePoint",
     "BundlePoint",
     "ConfigError",
     "DEFAULT_TOLERANCES",
     "DomainError",
-    "FdConfig",
     "KAHLER",
     "LiftProfile",
     "ModelParams",

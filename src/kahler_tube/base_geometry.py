@@ -82,21 +82,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class BasePoint:
-    """A point in the chart domain."""
-
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("chart coordinates must form a 1-d array")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("chart coordinates must be finite")
-        object.__setattr__(self, "x", x)
-
-
-@dataclass(frozen=True)
 class BaseMetricData:
     """Closed-form metric data of the base manifold at one chart point or a stack.
 
@@ -134,7 +119,7 @@ class BaseMetricData:
 
 
 def _coords(params: ModelParams, x) -> np.ndarray:
-    x = x.x if isinstance(x, BasePoint) else np.asarray(x)
+    x = np.asarray(x)
     if x.shape[-1:] != (params.dim,):
         raise ValueError(f"expected points of dimension {params.dim}, got shape {x.shape}")
     return x

@@ -65,12 +65,13 @@ def coefficients_closed_form(
     """Closed-form connection coefficients; requires the integrable profile."""
     geo = point_geometry(params, pt)
     data = components_from_geometry(params, geo, profile)
-    return _coefficients(params, geo, data, profile)
+    return coefficients_from_geometry(params, geo, data, profile)
 
 
-def _coefficients(
+def coefficients_from_geometry(
     params: ModelParams, geo: PointGeometry, data: LiftedMetricData, profile: LiftProfile
 ) -> ConnectionCoefficients:
+    """Closed-form coefficients from an already-built point geometry."""
     if not profile.is_kahler:
         raise DomainError("closed-form connection coefficients require the integrable profile")
     n = geo.n
@@ -161,7 +162,7 @@ def coordinate_connection_closed_form(
     """Closed-form coordinate Christoffels of the lifted metric at ``pt``."""
     geo = point_geometry(params, pt)
     data = components_from_geometry(params, geo, profile)
-    W = adapted_connection_matrix(_coefficients(params, geo, data, profile))
+    W = adapted_connection_matrix(coefficients_from_geometry(params, geo, data, profile))
     return connection_to_coordinates(W, geo)
 
 
@@ -220,7 +221,7 @@ def verify_connection(
     """Compare closed-form coefficients against the Koszul oracle at ``pt``."""
     geo = point_geometry(params, pt)
     data = components_from_geometry(params, geo, profile)
-    W_closed = adapted_connection_matrix(_coefficients(params, geo, data, profile))
+    W_closed = adapted_connection_matrix(coefficients_from_geometry(params, geo, data, profile))
     christoffel = koszul_oracle(metric_field(params, profile), pt.z)
     W_oracle = connection_to_adapted(christoffel, geo)
     diff = np.abs(W_closed - W_oracle)

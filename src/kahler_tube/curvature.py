@@ -27,8 +27,8 @@ import numpy as np
 
 from .base_geometry import DomainError, ModelParams
 from .complex_structure import adapted_j_matrix
-from .connection import adapted_connection_matrix, coefficients_closed_form, koszul_oracle
-from .fd import CURVATURE_FD, TWICE_STACKED_FD, complex_step, field_jacobian, pointwise
+from .connection import adapted_connection_matrix, coefficients_from_geometry, koszul_oracle
+from .fd import complex_step, field_jacobian
 from .frames import BundlePoint, PointGeometry, frame_transform, point_geometry
 from .lifted_metric import (
     KAHLER,
@@ -163,7 +163,7 @@ def curvature_from_metric_field(
 
     ``koszul_oracle`` is the Christoffel field: complex-step derivatives of
     the metric, exact to round-off and batch-generic.  Its derivative is one
-    central-difference Jacobian (``CURVATURE_FD``), whose whole stencil of
+    central-difference Jacobian (``fd.field_jacobian``), whose whole stencil of
     Koszul evaluations is one metric-field call, so the oracle makes two
     calls of ``metric_field_fn``: ``m`` complex points at ``z`` and
     ``m`` times the outer stencil.
@@ -173,7 +173,7 @@ def curvature_from_metric_field(
         return koszul_oracle(metric_field_fn, zz)
 
     gamma = christoffel_field(z)
-    dgamma = field_jacobian(christoffel_field, z, CURVATURE_FD).value
+    dgamma = field_jacobian(christoffel_field, z).value
     return (
         np.einsum("cadb->abcd", dgamma)
         - np.einsum("dacb->abcd", dgamma)
@@ -310,51 +310,45 @@ def coordinate_curvature_closed_form(
     return frame_transform(R_ad, "uddd", geo.frame, "coordinate")
 
 
-def covariant_derivative_residual(
-    params: ModelParams,
-    pt: BundlePoint,
-    profile: LiftProfile = KAHLER,
-    route: str = "closed_form",
-) -> float:
-    """Max |nabla K|: local symmetry of the curvature.
+def covariant_derivative(conn: np.ndarray, K: np.ndarray, dK: np.ndarray) -> np.ndarray:
+    """nabla K[l, a, b, c, d] from the curvature and its frame derivatives.
 
-    ``route="closed_form"`` takes one complex step of the analytic
-    adapted-frame curvature field, contracts it with the frame vectors and
-    adds the closed-form adapted connection W (``nabla_a e_b = W[c, a, b]
-    e_c``), all in the adapted frame: near machine precision, and sound as
-    a certificate because the differentiated field and the connection are
-    themselves oracle-certified pointwise by the other checks.
-    ``route="oracle"`` differentiates the coordinate oracle curvature field
-    once more (point by point through ``fd.pointwise``) with Koszul-oracle
-    Christoffels; its noise floor is the oracle's pointwise error divided by
-    the outermost step, so it only resolves the identity away from the tube
-    boundary and is provided for spot checks, not for the battery.
+    ``conn[upper, direction, slot]`` and ``dK[direction, ...]`` (the
+    derivative of ``K[a, b, c, d]`` along each basis vector) must be given in
+    one frame, coordinate or adapted; ``K`` has one upper and three lower
+    indices.
     """
 
-    z = pt.z
-    if route == "oracle":
-        field = metric_field(params, profile)
-        curv_field = pointwise(lambda zz: curvature_from_metric_field(field, zz))
-        K = curv_field(z)
-        dK = field_jacobian(curv_field, z, TWICE_STACKED_FD).value
-        conn = koszul_oracle(field, z)
-    elif route == "closed_form":
-        geo = point_geometry(params, pt)
-        conn = adapted_connection_matrix(coefficients_closed_form(params, pt, profile))
-        curv_field = lifted_field(
-            params, profile,
-            lambda g2, d2: assemble_adapted_curvature(_blocks(params, g2, d2, profile)),
-        )
-        K, jac = complex_step(curv_field, z)
-        dK = np.einsum("ka,kbcde->abcde", geo.frame.M, jac.value)  # along frame vector a
-    else:
-        raise ValueError(f"unknown covariant-derivative route {route!r}")
-    # conn[upper, direction, slot] in either frame
     nabla = dK + np.einsum("als,sbcd->labcd", conn, K)
     nabla -= np.einsum("slb,ascd->labcd", conn, K)
     nabla -= np.einsum("slc,absd->labcd", conn, K)
     nabla -= np.einsum("sld,abcs->labcd", conn, K)
-    return float(np.max(np.abs(nabla)))
+    return nabla
+
+
+def covariant_derivative_residual(
+    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
+) -> float:
+    """Max |nabla K|: local symmetry of the curvature.
+
+    Takes one complex step of the analytic adapted-frame curvature field,
+    contracts it with the frame vectors and adds the closed-form adapted
+    connection W (``nabla_a e_b = W[c, a, b] e_c``), all in the adapted
+    frame: near machine precision, and sound as a certificate because the
+    differentiated field and the connection are themselves oracle-certified
+    pointwise by the other checks.
+    """
+
+    geo = point_geometry(params, pt)
+    data = components_from_geometry(params, geo, profile)
+    conn = adapted_connection_matrix(coefficients_from_geometry(params, geo, data, profile))
+    curv_field = lifted_field(
+        params, profile,
+        lambda g2, d2: assemble_adapted_curvature(_blocks(params, g2, d2, profile)),
+    )
+    K, jac = complex_step(curv_field, pt.z)
+    dK = np.einsum("ka,kbcde->abcde", geo.frame.M, jac.value)  # along frame vector a
+    return float(np.max(np.abs(covariant_derivative(conn, K, dK))))
 
 
 def _parallel_rhs(name: str, T: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -411,7 +405,8 @@ def parallel_block_residuals(
     """
 
     geo = point_geometry(params, pt)
-    coeffs = coefficients_closed_form(params, pt, profile)
+    data = components_from_geometry(params, geo, profile)
+    coeffs = coefficients_from_geometry(params, geo, data, profile)
     n = geo.n
     families = ("hhh", "vvh", "vhh", "vhv")
 

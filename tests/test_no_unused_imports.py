@@ -3,7 +3,9 @@
 A name imported at module level must be referenced in the module or listed
 in its ``__all__`` (which is how ``__init__.py`` re-exports).  A private
 module-level definition (a ``_name`` function, class or assignment) must be
-referenced in its own module.  Pure ``ast``, so the gate needs no linter.
+referenced in its own module, and no module imports a private name from
+another package module: what two modules share is public.  Pure ``ast``, so
+the gate needs no linter.
 """
 
 import ast
@@ -71,10 +73,22 @@ def unused_private_definitions(source: str) -> list[str]:
     ]
 
 
+def private_package_imports(source: str) -> list[str]:
+    """Private names imported from another package module, at any depth."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == PACKAGE.name)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
 def test_gate_flags_an_unused_import() -> None:
     source = "import numpy as np\nfrom typing import Callable, Any\n\nx: Any = np.pi\n"
     assert unused_imports(source) == ["Callable (line 2)"]
-    assert unused_imports("from .fd import FdConfig\n__all__ = ['FdConfig']\n") == []
+    assert unused_imports("from .fd import Derivative\n__all__ = ['Derivative']\n") == []
 
 
 def test_gate_flags_an_unused_private_definition() -> None:
@@ -93,6 +107,20 @@ def test_gate_flags_an_unused_private_definition() -> None:
     ]
 
 
+def test_gate_flags_a_private_package_import() -> None:
+    source = (
+        "from __future__ import annotations\n"
+        "from numpy import _NoValue\n"
+        "from .fd import _EPS, complex_step\n"
+        "from kahler_tube.connection import coefficients_from_geometry\n"
+        "def public():\n"
+        "    from kahler_tube.curvature import _blocks\n"
+        "    from .frames import __doc__\n"
+        "    return _EPS, _blocks\n"
+    )
+    assert private_package_imports(source) == ["_EPS (line 3)", "_blocks (line 6)"]
+
+
 def test_package_has_modules() -> None:
     assert len(MODULES) >= 10
 
@@ -105,3 +133,8 @@ def test_no_unused_module_imports(path: Path) -> None:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_definitions(path: Path) -> None:
     assert unused_private_definitions(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_package_imports(path: Path) -> None:
+    assert private_package_imports(path.read_text(encoding="utf-8")) == []
