@@ -365,10 +365,9 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     directions = sample_directions(params, cfg.num_directions, cfg.seed)
     rows: list[SweepRow] = []
     for idx, pt in enumerate(points):
-        geo = point_geometry(params, pt)
         sample = curvature.holomorphic_sample(params, pt, directions, KAHLER)
         rows.extend(
-            SweepRow(point_id=idx, t=geo.t, direction_id=j, value=float(v))
-            for j, v in enumerate(sample.values)
+            SweepRow(point_id=idx, t=sample.t, direction_id=j, value=v)
+            for j, v in enumerate(sample.values.tolist())
         )
     return SweepResult(rows=rows)

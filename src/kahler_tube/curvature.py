@@ -426,23 +426,40 @@ def parallel_block_residuals(
 
 def holomorphic_sectional_curvature(
     R_ad: np.ndarray, metric_ad: np.ndarray, J_ad: np.ndarray, X_ad: np.ndarray
-) -> float:
-    """<K(X, JX) JX, X> / <X, X>^2 for one adapted-frame direction."""
-    jx = J_ad @ X_ad
-    kv = np.einsum("abcd,b,c,d->a", R_ad, jx, X_ad, jx)
-    num = float(kv @ metric_ad @ X_ad)
-    norm_sq = float(X_ad @ metric_ad @ X_ad)
-    if norm_sq <= 0.0:
+) -> np.ndarray:
+    """<K(X, JX) JX, X> / <X, X>^2 for adapted-frame directions ``X_ad`` (..., m).
+
+    Returns shape (...): one value for a single direction (m,).  With
+    (S R)[e, b, c, d] = S[e, a] R[a, b, c, d], the numerator
+    X_e X_c (JX)_b (JX)_d (S R)_ebcd is the quadratic form (X⊗X)ᵀ Q (X⊗X)
+    of one m² × m² matrix Q[(e, c), (g, f)] = (S R)_ebcd J_bf J_dg, so a
+    batch of directions costs one matmul.  Q is not symmetrised: X⊗X is
+    symmetric, so the order of (g, f) does not change the form.
+    """
+    X = np.asarray(X_ad)
+    m = X.shape[-1]
+    norm_sq = np.einsum("...a,ab,...b->...", X, metric_ad, X)
+    if np.any(norm_sq <= 0.0):
         raise DomainError("holomorphic sectional curvature needs a nonzero direction")
+    SRJ = (metric_ad @ R_ad.reshape(m, m**3)).reshape(m**3, m) @ J_ad  # [(e, b, c), g]
+    Q = SRJ.reshape(m, m, m, m).transpose(0, 2, 3, 1).reshape(m**3, m) @ J_ad  # [(e, c, g), f]
+    Q = Q.reshape(m * m, m * m)
+    XX = (X[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (m * m,))
+    num = np.einsum("...i,...i->...", XX @ Q, XX)
     return num / (norm_sq * norm_sq)
 
 
 @dataclass(frozen=True)
 class HolomorphicSample:
-    """Holomorphic sectional curvatures of many directions at one point."""
+    """Holomorphic sectional curvatures of many directions at one point.
+
+    ``t`` is the energy density of the point, so a caller that tabulates the
+    values needs no second geometry evaluation.
+    """
 
     values: np.ndarray
     scale_invariance: float
+    t: float
 
     @property
     def spread(self) -> float:
@@ -458,7 +475,8 @@ def holomorphic_sample(
     """Evaluate the sectional function on a batch of adapted directions.
 
     ``scale_invariance`` reports the worst |H(X) - H(2X)| over the batch,
-    which must vanish because the defining ratio is degree zero in X.
+    which must vanish because the defining ratio is degree zero in X.  The
+    directions and their doubles are evaluated as one batch.
     """
 
     geo = point_geometry(params, pt)
@@ -466,10 +484,8 @@ def holomorphic_sample(
     R_ad = assemble_adapted_curvature(_blocks(params, geo, data, profile))
     S_ad = adapted_metric_matrix(data)
     J_ad = adapted_j_matrix(data)
-    vals = np.empty(len(directions))
-    worst_scale = 0.0
-    for k, X in enumerate(np.asarray(directions, dtype=float)):
-        vals[k] = holomorphic_sectional_curvature(R_ad, S_ad, J_ad, X)
-        doubled = holomorphic_sectional_curvature(R_ad, S_ad, J_ad, 2.0 * X)
-        worst_scale = max(worst_scale, abs(vals[k] - doubled))
-    return HolomorphicSample(values=vals, scale_invariance=worst_scale)
+    X = np.asarray(directions, dtype=float)
+    both = holomorphic_sectional_curvature(R_ad, S_ad, J_ad, np.concatenate([X, 2.0 * X]))
+    vals, doubled = both[: len(X)], both[len(X):]
+    worst_scale = float(np.max(np.abs(vals - doubled), initial=0.0))
+    return HolomorphicSample(values=vals, scale_invariance=worst_scale, t=float(geo.t))

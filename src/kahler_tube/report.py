@@ -145,12 +145,16 @@ class SweepResult:
 
     def to_csv(self) -> str:
         lines = ["point_id,t,direction_id,hol_sect_curv"]
-        lines.extend(
-            f"{r.point_id},{format_float(r.t)},{r.direction_id},{format_float(r.value)}"
-            for r in self.rows
-        )
+        # Rows of one point share their t object, so it is formatted once.
+        last_t, t_text = None, ""
+        for r in self.rows:
+            if r.t is not last_t:
+                last_t, t_text = r.t, format_float(r.t)
+            lines.append(f"{r.point_id},{t_text},{r.direction_id},{format_float(r.value)}")
+        values = [r.value for r in self.rows]
+        lo, hi = min(values), max(values)
         lines.append(
-            f"#summary,{format_float(self.minimum)},{format_float(self.maximum)},"
-            f"{format_float(self.relative_spread)}"
+            f"#summary,{format_float(lo)},{format_float(hi)},"
+            f"{format_float(relative_spread(lo, hi))}"
         )
         return "\n".join(lines) + "\n"

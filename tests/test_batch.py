@@ -15,6 +15,7 @@ import pytest
 
 from kahler_tube.base_geometry import DomainError, ModelParams, metric_at
 from kahler_tube import base_geometry, frames
+from kahler_tube.checks import RunConfig, run_sweep
 from kahler_tube.complex_structure import adapted_j_matrix, fundamental_form, nijenhuis_fd_full
 from kahler_tube.connection import mtensor_parallel_residuals
 from kahler_tube.curvature import (
@@ -255,6 +256,29 @@ def test_local_symmetry_memory_adapted_frame_complex_step() -> None:
     # A complex step of the coordinate-frame field peaks at about 5.1 MB,
     # because frame_transform then works on a complex (10, 10^4) stack.
     assert _peak_mb(lambda: covariant_derivative_residual(PARAMS_5, POINT_5)) < 5.0
+
+
+def test_sweep_memory_stays_one_point_deep() -> None:
+    # Measured at (3,1,1), 100 points x 100 directions (tracemalloc peak):
+    # about 1.6 MB with one batch of directions per point, most of it the
+    # 10,000 result rows (1.5 MB with one direction at a time).  Stacking
+    # the points as well would hold (points, 2 x directions, m^2) products:
+    # 5.8 MB of float64 for one such array at this size.
+    cfg = RunConfig(ModelParams(3, 1.0, 1.0), num_points=100, num_directions=100, seed=7)
+    assert _peak_mb(lambda: run_sweep(cfg)) < 3.0
+
+
+def test_sweep_builds_each_point_geometry_once(monkeypatch) -> None:
+    calls = []
+    inner = frames.geometry_at
+
+    def counting(params, x, p):
+        calls.append(np.shape(x))
+        return inner(params, x, p)
+
+    monkeypatch.setattr(frames, "geometry_at", counting)
+    run_sweep(RunConfig(ModelParams(3), num_points=4, num_directions=5, seed=7))
+    assert calls == [(3,)] * 4
 
 
 #: Every layer that differentiates a closed-form field.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kahler_tube import frames
-from kahler_tube.base_geometry import ModelParams, first_bianchi_residual
+from kahler_tube.base_geometry import DomainError, ModelParams, first_bianchi_residual
 from kahler_tube.complex_structure import j_matrix
 from kahler_tube.connection import koszul_oracle
 from kahler_tube.curvature import (
@@ -34,6 +34,7 @@ from kahler_tube.lifted_metric import (
     components_from_geometry,
     metric_field,
 )
+from kahler_tube.sampling import sample_points
 
 PARAMS = ModelParams(3)
 # Flat-origin anchor: x = 0, p = (1,0,0), t = 1/2, v = 1, w = -4/3.
@@ -41,12 +42,12 @@ ANCHOR = BundlePoint(x=np.zeros(3), p=np.array([1.0, 0.0, 0.0]))
 GENERIC = BundlePoint(x=np.array([0.25, -0.15, 0.3]), p=np.array([0.5, 0.4, -0.2]))
 
 
-def _adapted_setup(pt):
-    geo = point_geometry(PARAMS, pt)
-    data = components_from_geometry(PARAMS, geo)
-    R_ad = assemble_adapted_curvature(curvature_blocks_closed_form(PARAMS, pt))
+def _adapted_setup(pt, params=PARAMS):
+    geo = point_geometry(params, pt)
+    data = components_from_geometry(params, geo)
+    R_ad = assemble_adapted_curvature(curvature_blocks_closed_form(params, pt))
     S_ad = adapted_metric_matrix(data)
-    J_ad = j_matrix(PARAMS, pt)
+    J_ad = j_matrix(params, pt)
     return geo, R_ad, S_ad, J_ad
 
 
@@ -210,5 +211,43 @@ def test_holomorphic_sample_spread_and_scaling() -> None:
 
 def test_zero_direction_rejected() -> None:
     _, R_ad, S_ad, J_ad = _adapted_setup(ANCHOR)
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError):
         holomorphic_sectional_curvature(R_ad, S_ad, J_ad, np.zeros(6))
+
+
+def test_zero_direction_in_a_batch_rejected() -> None:
+    _, R_ad, S_ad, J_ad = _adapted_setup(ANCHOR)
+    directions = np.random.default_rng(2).standard_normal((8, 6))
+    directions[5] = 0.0
+    with pytest.raises(DomainError, match="nonzero direction"):
+        holomorphic_sectional_curvature(R_ad, S_ad, J_ad, directions)
+    with pytest.raises(DomainError, match="nonzero direction"):
+        holomorphic_sample(PARAMS, ANCHOR, directions)
+
+
+def _scalar_holomorphic_curvature(R_ad, S_ad, J_ad, X):
+    """<K(X, JX) JX, X> / <X, X>^2 for one direction, written out directly."""
+    JX = J_ad @ X
+    return np.einsum("abcd,b,c,d->a", R_ad, JX, X, JX) @ S_ad @ X / (X @ S_ad @ X) ** 2
+
+
+HOLOMORPHIC_CASES = [(PARAMS, ANCHOR)] + [
+    (params, pt)
+    for params in (ModelParams(3, 1.0, 1.0), ModelParams(5, 1.0, 1.0))
+    for pt in sample_points(params, 2, seed=7)
+]
+
+
+@pytest.mark.parametrize(
+    "params, pt", HOLOMORPHIC_CASES, ids=["anchor", "n3-0", "n3-1", "n5-0", "n5-1"]
+)
+def test_batched_holomorphic_curvature_matches_scalar_reference(params, pt) -> None:
+    _, R_ad, S_ad, J_ad = _adapted_setup(pt, params)
+    m = 2 * params.dim
+    directions = np.random.default_rng(3).standard_normal((40, m))
+    expected = np.array([_scalar_holomorphic_curvature(R_ad, S_ad, J_ad, X) for X in directions])
+    batched = holomorphic_sectional_curvature(R_ad, S_ad, J_ad, directions)
+    assert batched.shape == (40,)
+    assert np.max(np.abs(batched - expected) / np.abs(expected)) <= 1e-13
+    stacked = holomorphic_sectional_curvature(R_ad, S_ad, J_ad, directions.reshape(4, 10, m))
+    np.testing.assert_allclose(stacked, batched.reshape(4, 10), rtol=1e-14)

@@ -87,3 +87,14 @@ def test_sweep_csv_layout() -> None:
     assert result.maximum == 0.82
     assert math.isclose(result.relative_spread, (0.82 - 0.5) / 0.82)
     assert len(lines) == 1 + 3 + 1
+
+
+def test_sweep_csv_rejects_a_non_finite_entry_in_any_row() -> None:
+    t = 0.5
+    for bad in (
+        SweepRow(point_id=0, t=t, direction_id=2, value=math.nan),
+        SweepRow(point_id=1, t=math.inf, direction_id=0, value=0.5),
+    ):
+        rows = [SweepRow(point_id=0, t=t, direction_id=k, value=0.5) for k in range(2)]
+        with pytest.raises(ValueError, match="finite"):
+            SweepResult(rows=rows + [bad]).to_csv()
