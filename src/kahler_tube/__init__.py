@@ -5,7 +5,9 @@ conformal chart, the lifted metric/complex-structure pair on a tube in the
 punctured cotangent bundle, and checks every structural identity (metric
 compatibility, integrability, connection and curvature closed forms, the
 Einstein equation, parallel curvature, non-constant holomorphic sectional
-curvature) against independent finite-difference oracles.
+curvature) against independent oracles: complex-step derivatives of the
+analytic fields, plus one central-difference Jacobian per curvature oracle,
+of the complex-step Christoffel field.
 
 Entry points: :func:`run_verify` / :func:`run_sweep` (library),
 ``kahler-tube`` (console script).

@@ -188,13 +188,17 @@ def evaluate_point(
 ) -> tuple[dict[str, Value], np.ndarray | None]:
     """Every per-point check value at ``pt``, keyed by check name.
 
-    The integrable-only layers run only for the Kähler profile.  The second
+    The point geometry, the lifted blocks and, for the Kähler profile, the
+    closed connection and closed adapted curvature are built once here and
+    handed to every layer.  The integrable-only layers run only for the
+    Kähler profile.  The second
     item holds the holomorphic sectional curvatures over ``directions``
     (None for any other profile), for the cross-point nonconstancy check.
     """
     n = params.dim
     geo = point_geometry(params, pt)
     base = geo.base
+    data = lifted_metric.components_from_geometry(params, geo, profile)
     values: dict[str, Value] = {}
 
     # Base chart: closed forms against their own fd recomputation.
@@ -211,15 +215,14 @@ def evaluate_point(
     values["base_positive_definite"] = _positive_definite_residual(base.g)
 
     # Adapted frame: bracket table, duality, energy derivatives.
-    brackets = verify_brackets(params, pt)
+    brackets = verify_brackets(geo)
     values["bracket_vert_vert"] = brackets.vert_vert
     values["bracket_mixed"] = brackets.mixed
     values["bracket_horiz_horiz"] = brackets.horiz_horiz
     values["frame_dual_pairing"] = geo.frame.dual_pairing_residual()
-    values["energy_frame_derivative"] = max(energy_frame_derivatives(params, pt))
+    values["energy_frame_derivative"] = max(energy_frame_derivatives(geo))
 
     # Lifted metric blocks (defined for every profile).
-    data = lifted_metric.components_from_geometry(params, geo, profile)
     S_ad = lifted_metric.adapted_metric_matrix(data)
     S_coord = frame_transform(S_ad, "dd", geo.frame, to="coordinate")
     roundtrip = frame_transform(S_coord, "dd", geo.frame, to="adapted")
@@ -237,20 +240,20 @@ def evaluate_point(
     )
 
     # Almost complex structure and fundamental form, in coordinates.
-    J_ad = complex_structure.j_matrix(params, pt, profile)
+    J_ad = complex_structure.adapted_j_matrix(data)
     J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
     values["j_squared"] = _max_abs(J_coord @ J_coord + np.eye(2 * n))
     values["hermitian"] = _max_abs(J_coord.T @ S_coord @ J_coord - S_coord)
-    form = complex_structure.fundamental_form(params, pt, profile)
+    form = complex_structure.fundamental_form(geo, data, profile)
     values["fundamental_form_blocks"] = complex_structure.fundamental_form_block_residual(
         form.adapted
     )
     values["fundamental_form_closed"] = form.dphi_residual
 
     # Integrability dichotomy.
-    closed_n = complex_structure.nijenhuis_closed_form(params, pt, profile)
+    closed_n = complex_structure.nijenhuis_closed_form(geo, data)
     values["nijenhuis_closed_form"] = closed_n.max_abs()
-    fd_n, off_distribution = complex_structure.nijenhuis_fd_full(params, pt, profile)
+    fd_n, off_distribution = complex_structure.nijenhuis_fd_full(geo, profile)
     values["nijenhuis_fd_match"] = max(
         _max_abs(closed_n.horiz_horiz - fd_n.horiz_horiz),
         _max_abs(closed_n.horiz_vert - fd_n.horiz_vert),
@@ -265,17 +268,19 @@ def evaluate_point(
     values["lifted_w_consistency"] = lifted_metric.w_consistency_residual(params, data)
 
     # Levi-Civita connection: closed forms against the Koszul oracle.
-    comparison = connection.verify_connection(params, pt, profile)
+    coeffs = connection.coefficients_from_geometry(geo, data, profile)
+    W = connection.adapted_connection_matrix(coeffs)
+    comparison = connection.verify_connection(geo, W, profile)
     values["connection_match"] = (comparison.closed_vs_oracle, comparison.worst_label)
     values["connection_nabla_g"] = comparison.nabla_g
     values["connection_torsion"] = comparison.torsion
-    values["mtensor_parallel"] = max(connection.mtensor_parallel_residuals(params, pt, profile))
+    values["mtensor_parallel"] = max(connection.mtensor_parallel_residuals(geo, profile))
 
     # Curvature: closed blocks against the curvature oracle; identity
     # battery on the oracle output so it stands on its own.
-    blocks = curvature.curvature_blocks_closed_form(params, pt, profile)
+    blocks = curvature.curvature_blocks(geo, data, profile)
     R_closed_ad = curvature.assemble_adapted_curvature(blocks)
-    R_oracle_coord = curvature.curvature_oracle_coordinates(params, pt, profile)
+    R_oracle_coord = curvature.curvature_oracle_coordinates(geo, profile)
     R_oracle_ad = frame_transform(R_oracle_coord, "uddd", geo.frame, to="adapted")
     sectors = curvature.sector_residuals(R_closed_ad, R_oracle_ad, n)
     values["curvature_match"] = (
@@ -286,13 +291,13 @@ def evaluate_point(
     values["curvature_bianchi"] = base_geometry.first_bianchi_residual(R_oracle_coord)
     values["curvature_pair_skew"] = curvature.pair_skew_residual(R_oracle_coord, S_coord)
     values["curvature_j_invariance"] = curvature.j_invariance_residual(R_oracle_ad, S_ad, J_ad)
-    einstein = curvature.einstein_residuals(params, pt, profile, R_coord=R_oracle_coord)
+    einstein = curvature.einstein_residuals(geo, data, R_oracle_coord)
     values["einstein_identity"] = einstein.identity
     values["ricci_mixed_zero"] = einstein.mixed_block
-    values["local_symmetry"] = curvature.covariant_derivative_residual(params, pt, profile)
-    values.update(curvature.parallel_block_residuals(params, pt, profile))
+    values["local_symmetry"] = curvature.covariant_derivative_residual(geo, W, profile)
+    values.update(curvature.parallel_block_residuals(geo, coeffs, profile))
 
-    sample = curvature.holomorphic_sample(params, pt, directions, profile)
+    sample = curvature.holomorphic_sample(R_closed_ad, S_ad, J_ad, directions)
     values["hol_sect_scale_invariance"] = sample.scale_invariance
     return values, sample.values
 
@@ -365,9 +370,15 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     directions = sample_directions(params, cfg.num_directions, cfg.seed)
     rows: list[SweepRow] = []
     for idx, pt in enumerate(points):
-        sample = curvature.holomorphic_sample(params, pt, directions, KAHLER)
+        geo = point_geometry(params, pt)
+        data = lifted_metric.components_from_geometry(params, geo, KAHLER)
+        R_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data, KAHLER))
+        S_ad = lifted_metric.adapted_metric_matrix(data)
+        J_ad = complex_structure.adapted_j_matrix(data)
+        sample = curvature.holomorphic_sample(R_ad, S_ad, J_ad, directions)
+        t = float(geo.t)
         rows.extend(
-            SweepRow(point_id=idx, t=sample.t, direction_id=j, value=v)
+            SweepRow(point_id=idx, t=t, direction_id=j, value=v)
             for j, v in enumerate(sample.values.tolist())
         )
     return SweepResult(rows=rows)

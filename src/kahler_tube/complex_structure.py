@@ -30,18 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_geometry import ModelParams
 from .fd import complex_step
-from .frames import BundlePoint, PointGeometry, frame_transform, point_geometry
-from .lifted_metric import (
-    KAHLER,
-    LiftProfile,
-    LiftedMetricData,
-    adapted_metric_matrix,
-    components_from_geometry,
-    lifted_field,
-    metric_components,
-)
+from .frames import PointGeometry, frame_transform
+from .lifted_metric import LiftProfile, LiftedMetricData, adapted_metric_matrix, lifted_field
 
 
 def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
@@ -51,24 +42,6 @@ def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
     J[..., :n, n:] = -data.H
     J[..., n:, :n] = data.G
     return J
-
-
-def j_matrix(params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER) -> np.ndarray:
-    """Almost complex structure at ``pt`` as a 2n x 2n adapted-frame matrix."""
-    return adapted_j_matrix(metric_components(params, pt, profile))
-
-
-def hermitian_residual(data: LiftedMetricData) -> float:
-    """Max |S(J., J.) - S| over adapted basis pairs."""
-    S = adapted_metric_matrix(data)
-    J = adapted_j_matrix(data)
-    return float(np.max(np.abs(J.T @ S @ J - S)))
-
-
-def j_squared_residual(data: LiftedMetricData) -> float:
-    J = adapted_j_matrix(data)
-    eye = np.eye(J.shape[0])
-    return float(np.max(np.abs(J @ J + eye)))
 
 
 @dataclass(frozen=True)
@@ -81,7 +54,7 @@ class FundamentalFormData:
 
 
 def fundamental_form(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
+    geo: PointGeometry, data: LiftedMetricData, profile: LiftProfile
 ) -> FundamentalFormData:
     """phi(X, Y) = S(X, JY) with the closedness of phi checked by complex step.
 
@@ -91,20 +64,16 @@ def fundamental_form(
     d_l phi_mn + d_m phi_nl + d_n phi_lm of its Jacobian, must vanish.
     """
 
-    geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo, profile)
-    S = adapted_metric_matrix(data)
-    J = adapted_j_matrix(data)
-    phi_ad = S @ J
+    phi_ad = adapted_metric_matrix(data) @ adapted_j_matrix(data)
     phi_coord = frame_transform(phi_ad, "dd", geo.frame, to="coordinate")
 
     phi_field = lifted_field(
-        params, profile,
+        geo.params, profile,
         lambda g2, d2: frame_transform(
             adapted_metric_matrix(d2) @ adapted_j_matrix(d2), "dd", g2.frame, to="coordinate"
         ),
     )
-    dw = complex_step(phi_field, pt.z)[1].value  # [l, m, n] = d_l phi_mn
+    dw = complex_step(phi_field, geo.z)[1].value  # [l, m, n] = d_l phi_mn
     dphi = dw + np.transpose(dw, (1, 2, 0)) + np.transpose(dw, (2, 0, 1))
     return FundamentalFormData(
         adapted=phi_ad, coordinate=phi_coord, dphi_residual=float(np.max(np.abs(dphi))),
@@ -143,11 +112,9 @@ class NijenhuisData:
         )
 
 
-def nijenhuis_closed_form(params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER) -> NijenhuisData:
+def nijenhuis_closed_form(geo: PointGeometry, data: LiftedMetricData) -> NijenhuisData:
     """The three component families from the core-tensor contraction."""
-    geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo, profile)
-    core = _nijenhuis_core(params, geo, data)
+    core = _nijenhuis_core(geo, data)
     H = data.H
     return NijenhuisData(
         horiz_horiz=core,
@@ -156,8 +123,8 @@ def nijenhuis_closed_form(params: ModelParams, pt: BundlePoint, profile: LiftPro
     )
 
 
-def _nijenhuis_core(params: ModelParams, geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
-    A = params.lift_const
+def _nijenhuis_core(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
+    A = geo.params.lift_const
     scale = A * data.t * (data.v + A)
     g, p = geo.base.g, geo.p
     return scale * (
@@ -165,9 +132,7 @@ def _nijenhuis_core(params: ModelParams, geo: PointGeometry, data: LiftedMetricD
     ) - geo.riem_p
 
 
-def nijenhuis_fd_full(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
-) -> tuple[NijenhuisData, float]:
+def nijenhuis_fd_full(geo: PointGeometry, profile: LiftProfile) -> tuple[NijenhuisData, float]:
     """Recompute the Nijenhuis families from one complex step of the J field.
 
     With N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] (no factor 2),
@@ -181,13 +146,12 @@ def nijenhuis_fd_full(
     (structurally zero in the closed forms).
     """
 
-    geo = point_geometry(params, pt)
     n = geo.n
     jf = lifted_field(
-        params, profile,
+        geo.params, profile,
         lambda g2, d2: frame_transform(adapted_j_matrix(d2), "ud", g2.frame, to="coordinate"),
     )
-    J, jac = complex_step(jf, pt.z)
+    J, jac = complex_step(jf, geo.z)
     dJ = jac.value  # [l, k, j] = d_l J^k_j
     a = np.einsum("li,lkj->kij", J, dJ) - np.einsum("kl,ilj->kij", J, dJ)
     N = frame_transform(a - np.swapaxes(a, 1, 2), "udd", geo.frame, to="adapted")  # [k, i, j]

@@ -25,17 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .base_geometry import DomainError, ModelParams
+from .base_geometry import DomainError
 from .fd import complex_step
-from .frames import BundlePoint, PointGeometry, point_geometry
-from .lifted_metric import (
-    KAHLER,
-    LiftProfile,
-    LiftedMetricData,
-    components_from_geometry,
-    lifted_field,
-    metric_field,
-)
+from .frames import PointGeometry
+from .lifted_metric import LiftProfile, LiftedMetricData, lifted_field, metric_field
 
 
 @dataclass(frozen=True)
@@ -59,23 +52,14 @@ class ConnectionCoefficients:
     gamma: np.ndarray  # base Christoffels, repeated here for convenience
 
 
-def coefficients_closed_form(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
-) -> ConnectionCoefficients:
-    """Closed-form connection coefficients; requires the integrable profile."""
-    geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo, profile)
-    return coefficients_from_geometry(params, geo, data, profile)
-
-
 def coefficients_from_geometry(
-    params: ModelParams, geo: PointGeometry, data: LiftedMetricData, profile: LiftProfile
+    geo: PointGeometry, data: LiftedMetricData, profile: LiftProfile
 ) -> ConnectionCoefficients:
-    """Closed-form coefficients from an already-built point geometry."""
+    """Closed-form coefficients at the point of ``geo``; requires the integrable profile."""
     if not profile.is_kahler:
         raise DomainError("closed-form connection coefficients require the integrable profile")
     n = geo.n
-    c, A, t = params.curvature, params.lift_const, data.t
+    c, A, t = geo.params.curvature, geo.params.lift_const, data.t
     g, ginv, p, pr = geo.base.g, geo.base.g_inv, geo.p, geo.p_raised
     eye = np.eye(n)
     bound = 2.0 * c - A * A * t
@@ -156,16 +140,6 @@ def connection_to_coordinates(W: np.ndarray, geo: PointGeometry) -> np.ndarray:
     return hom - inhom
 
 
-def coordinate_connection_closed_form(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
-) -> np.ndarray:
-    """Closed-form coordinate Christoffels of the lifted metric at ``pt``."""
-    geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo, profile)
-    W = adapted_connection_matrix(coefficients_from_geometry(params, geo, data, profile))
-    return connection_to_coordinates(W, geo)
-
-
 def frame_structure_functions(geo: PointGeometry) -> np.ndarray:
     """gamma^c_ab with [e_a, e_b] = gamma^c_ab e_c for the adapted frame."""
     n = geo.n
@@ -184,19 +158,17 @@ def torsion_residual(W: np.ndarray, geo: PointGeometry) -> float:
     return float(np.max(np.abs(tors)))
 
 
-def metric_compatibility_residual(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
-) -> float:
+def metric_compatibility_residual(geo: PointGeometry, W: np.ndarray, profile: LiftProfile) -> float:
     """Max |coordinate covariant derivative of the lifted metric|.
 
     The metric derivative comes from a complex step of the analytic metric
-    field; the connection is the closed-form coordinate
-    Christoffels, so the residual certifies metric compatibility of the
+    field; the connection is the closed-form adapted connection ``W`` in
+    coordinates, so the residual certifies metric compatibility of the
     closed-form coefficients rather than an algebraic identity of the oracle.
     """
 
-    christoffel = coordinate_connection_closed_form(params, pt, profile)
-    G, jac = complex_step(metric_field(params, profile), pt.z)
+    christoffel = connection_to_coordinates(W, geo)
+    G, jac = complex_step(metric_field(geo.params, profile), geo.z)
     nabla = (
         jac.value
         - np.einsum("slm,sn->lmn", christoffel, G)
@@ -216,13 +188,10 @@ class ConnectionComparison:
 
 
 def verify_connection(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
+    geo: PointGeometry, W_closed: np.ndarray, profile: LiftProfile
 ) -> ConnectionComparison:
-    """Compare closed-form coefficients against the Koszul oracle at ``pt``."""
-    geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo, profile)
-    W_closed = adapted_connection_matrix(coefficients_from_geometry(params, geo, data, profile))
-    christoffel = koszul_oracle(metric_field(params, profile), pt.z)
+    """Compare the closed-form adapted connection against the Koszul oracle at ``geo``."""
+    christoffel = koszul_oracle(metric_field(geo.params, profile), geo.z)
     W_oracle = connection_to_adapted(christoffel, geo)
     diff = np.abs(W_closed - W_oracle)
     worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
@@ -230,7 +199,7 @@ def verify_connection(
         f"coefficient [{worst[0]},{worst[1]},{worst[2]}]: "
         f"closed-form {W_closed[worst]:.17g} vs oracle {W_oracle[worst]:.17g}"
     )
-    nabla_g = metric_compatibility_residual(params, pt, profile)
+    nabla_g = metric_compatibility_residual(geo, W_closed, profile)
     torsion = torsion_residual(W_closed, geo)
     return ConnectionComparison(
         closed_vs_oracle=float(diff[worst]),
@@ -240,9 +209,7 @@ def verify_connection(
     )
 
 
-def mtensor_parallel_residuals(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
-) -> tuple[float, float]:
+def mtensor_parallel_residuals(geo: PointGeometry, profile: LiftProfile) -> tuple[float, float]:
     """Horizontal covariant constancy of the metric blocks.
 
     Checks that the frame derivative of G along horizontal directions is
@@ -251,10 +218,9 @@ def mtensor_parallel_residuals(
     of the [G, H] field with the horizontal frame vectors.
     """
 
-    geo = point_geometry(params, pt)
     n = geo.n
-    blocks = lifted_field(params, profile, lambda g2, d2: np.stack([d2.G, d2.H], axis=-3))
-    (G, H), jac = complex_step(blocks, pt.z)
+    blocks = lifted_field(geo.params, profile, lambda g2, d2: np.stack([d2.G, d2.H], axis=-3))
+    (G, H), jac = complex_step(blocks, geo.z)
     dG, dH = np.einsum("ki,kgjl->gijl", geo.frame.M[:, :n], jac.value)  # [i, j, l]
     gamma = geo.base.gamma
     # nabla_i G_jk = delta_i G_jk - gamma^l_ij G_lk - gamma^l_ik G_jl

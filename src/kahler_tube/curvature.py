@@ -25,18 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .base_geometry import DomainError, ModelParams
-from .complex_structure import adapted_j_matrix
-from .connection import adapted_connection_matrix, coefficients_from_geometry, koszul_oracle
+from .base_geometry import DomainError
+from .connection import ConnectionCoefficients, koszul_oracle
 from .fd import complex_step, field_jacobian
-from .frames import BundlePoint, PointGeometry, frame_transform, point_geometry
+from .frames import PointGeometry, frame_transform
 from .lifted_metric import (
-    KAHLER,
     LiftProfile,
     LiftedMetricData,
-    adapted_metric_matrix,
-    assemble_full_metric,
-    components_from_geometry,
+    coordinate_metric,
     lifted_field,
     metric_field,
 )
@@ -57,13 +53,14 @@ class CurvatureBlocks:
         return self.hhh.shape[-1]
 
 
-def _blocks(
-    params: ModelParams, geo: PointGeometry, data: LiftedMetricData, profile: LiftProfile
+def curvature_blocks(
+    geo: PointGeometry, data: LiftedMetricData, profile: LiftProfile
 ) -> CurvatureBlocks:
+    """Closed-form curvature families at the point(s) of ``geo`` (integrable profile only)."""
     if not profile.is_kahler:
         raise DomainError("closed-form curvature blocks require the integrable profile")
     n = geo.n
-    c, A = params.curvature, params.lift_const
+    c, A = geo.params.curvature, geo.params.lift_const
     t = data.t[..., None, None, None, None]
     g, ginv, p, pr = geo.base.g, geo.base.g_inv, geo.p, geo.p_raised
     G, H = data.G, data.H
@@ -132,14 +129,6 @@ def _blocks(
     return CurvatureBlocks(hhh=hhh, vvh=vvh, vhh=vhh, vhv=vhv)
 
 
-def curvature_blocks_closed_form(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
-) -> CurvatureBlocks:
-    geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo, profile)
-    return _blocks(params, geo, data, profile)
-
-
 def assemble_adapted_curvature(blocks: CurvatureBlocks) -> np.ndarray:
     """Full adapted-frame tensor R[a, b, c, d]: output a of K(e_c, e_d) e_b."""
     n = blocks.n
@@ -182,18 +171,9 @@ def curvature_from_metric_field(
     )
 
 
-def curvature_oracle_coordinates(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
-) -> np.ndarray:
-    return curvature_from_metric_field(metric_field(params, profile), pt.z)
-
-
-def curvature_oracle_adapted(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
-) -> np.ndarray:
-    R = curvature_oracle_coordinates(params, pt, profile)
-    geo = point_geometry(params, pt)
-    return frame_transform(R, "uddd", geo.frame, "adapted")
+def curvature_oracle_coordinates(geo: PointGeometry, profile: LiftProfile) -> np.ndarray:
+    """The oracle's coordinate curvature of the lifted metric at the point of ``geo``."""
+    return curvature_from_metric_field(metric_field(geo.params, profile), geo.z)
 
 
 _ZERO_SECTORS = (
@@ -274,24 +254,17 @@ class EinsteinResiduals:
 
 
 def einstein_residuals(
-    params: ModelParams,
-    pt: BundlePoint,
-    profile: LiftProfile = KAHLER,
-    R_coord: np.ndarray | None = None,
+    geo: PointGeometry, data: LiftedMetricData, R_coord: np.ndarray
 ) -> EinsteinResiduals:
-    """Ricci of the oracle curvature against (A n / 2) times the metric.
+    """Ricci of the oracle curvature ``R_coord`` against (A n / 2) times the metric.
 
     The curvature is produced entirely by finite differences, so a pass
     certifies the Einstein property independently of every closed form.
-    Pass ``R_coord`` to reuse an already-computed oracle tensor.
     """
 
-    geo = point_geometry(params, pt)
-    if R_coord is None:
-        R_coord = curvature_oracle_coordinates(params, pt, profile)
     ric = ricci_tensor(R_coord)
-    S_coord = assemble_full_metric(params, pt, profile)
-    factor = 0.5 * params.lift_const * params.dim
+    S_coord = coordinate_metric(geo, data)
+    factor = 0.5 * geo.params.lift_const * geo.n
     identity = float(np.max(np.abs(ric - factor * S_coord)))
     ric_ad = frame_transform(ric, "dd", geo.frame, "adapted")
     n = geo.n
@@ -299,15 +272,6 @@ def einstein_residuals(
         float(np.max(np.abs(ric_ad[:n, n:]))), float(np.max(np.abs(ric_ad[n:, :n])))
     )
     return EinsteinResiduals(identity=identity, mixed_block=mixed)
-
-
-def coordinate_curvature_closed_form(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
-) -> np.ndarray:
-    geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo, profile)
-    R_ad = assemble_adapted_curvature(_blocks(params, geo, data, profile))
-    return frame_transform(R_ad, "uddd", geo.frame, "coordinate")
 
 
 def covariant_derivative(conn: np.ndarray, K: np.ndarray, dK: np.ndarray) -> np.ndarray:
@@ -326,9 +290,7 @@ def covariant_derivative(conn: np.ndarray, K: np.ndarray, dK: np.ndarray) -> np.
     return nabla
 
 
-def covariant_derivative_residual(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
-) -> float:
+def covariant_derivative_residual(geo: PointGeometry, W: np.ndarray, profile: LiftProfile) -> float:
     """Max |nabla K|: local symmetry of the curvature.
 
     Takes one complex step of the analytic adapted-frame curvature field,
@@ -339,16 +301,13 @@ def covariant_derivative_residual(
     pointwise by the other checks.
     """
 
-    geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo, profile)
-    conn = adapted_connection_matrix(coefficients_from_geometry(params, geo, data, profile))
     curv_field = lifted_field(
-        params, profile,
-        lambda g2, d2: assemble_adapted_curvature(_blocks(params, g2, d2, profile)),
+        geo.params, profile,
+        lambda g2, d2: assemble_adapted_curvature(curvature_blocks(g2, d2, profile)),
     )
-    K, jac = complex_step(curv_field, pt.z)
+    K, jac = complex_step(curv_field, geo.z)
     dK = np.einsum("ka,kbcde->abcde", geo.frame.M, jac.value)  # along frame vector a
-    return float(np.max(np.abs(covariant_derivative(conn, K, dK))))
+    return float(np.max(np.abs(covariant_derivative(W, K, dK))))
 
 
 def _parallel_rhs(name: str, T: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -393,7 +352,7 @@ def _parallel_rhs(name: str, T: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def parallel_block_residuals(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER
+    geo: PointGeometry, coeffs: ConnectionCoefficients, profile: LiftProfile
 ) -> dict[str, float]:
     """Frame-derivative parallelism of each curvature family.
 
@@ -404,17 +363,14 @@ def parallel_block_residuals(
     vectors.
     """
 
-    geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo, profile)
-    coeffs = coefficients_from_geometry(params, geo, data, profile)
     n = geo.n
     families = ("hhh", "vvh", "vhh", "vhv")
 
     def stacked(g2: PointGeometry, d2: LiftedMetricData) -> np.ndarray:
-        blocks = _blocks(params, g2, d2, profile)
+        blocks = curvature_blocks(g2, d2, profile)
         return np.stack([getattr(blocks, name) for name in families], axis=-5)
 
-    T, jac = complex_step(lifted_field(params, profile, stacked), pt.z)
+    T, jac = complex_step(lifted_field(geo.params, profile, stacked), geo.z)
     lhs = np.einsum("ka,k...->a...", geo.frame.M, jac.value)  # [direction, family, ...]
     out = {}
     for kind, C, dirs in (("horizontal", geo.base.gamma, lhs[:n]), ("vertical", coeffs.mixed, lhs[n:])):
@@ -451,15 +407,10 @@ def holomorphic_sectional_curvature(
 
 @dataclass(frozen=True)
 class HolomorphicSample:
-    """Holomorphic sectional curvatures of many directions at one point.
-
-    ``t`` is the energy density of the point, so a caller that tabulates the
-    values needs no second geometry evaluation.
-    """
+    """Holomorphic sectional curvatures of many directions at one point."""
 
     values: np.ndarray
     scale_invariance: float
-    t: float
 
     @property
     def spread(self) -> float:
@@ -467,25 +418,19 @@ class HolomorphicSample:
 
 
 def holomorphic_sample(
-    params: ModelParams,
-    pt: BundlePoint,
-    directions: np.ndarray,
-    profile: LiftProfile = KAHLER,
+    R_ad: np.ndarray, S_ad: np.ndarray, J_ad: np.ndarray, directions: np.ndarray
 ) -> HolomorphicSample:
     """Evaluate the sectional function on a batch of adapted directions.
 
-    ``scale_invariance`` reports the worst |H(X) - H(2X)| over the batch,
-    which must vanish because the defining ratio is degree zero in X.  The
-    directions and their doubles are evaluated as one batch.
+    ``R_ad``, ``S_ad`` and ``J_ad`` are the closed-form curvature, metric and
+    structure at one point, all in the adapted frame.  ``scale_invariance``
+    reports the worst |H(X) - H(2X)| over the batch, which must vanish because
+    the defining ratio is degree zero in X.  The directions and their doubles
+    are evaluated as one batch.
     """
 
-    geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo, profile)
-    R_ad = assemble_adapted_curvature(_blocks(params, geo, data, profile))
-    S_ad = adapted_metric_matrix(data)
-    J_ad = adapted_j_matrix(data)
     X = np.asarray(directions, dtype=float)
     both = holomorphic_sectional_curvature(R_ad, S_ad, J_ad, np.concatenate([X, 2.0 * X]))
     vals, doubled = both[: len(X)], both[len(X):]
     worst_scale = float(np.max(np.abs(vals - doubled), initial=0.0))
-    return HolomorphicSample(values=vals, scale_invariance=worst_scale, t=float(geo.t))
+    return HolomorphicSample(values=vals, scale_invariance=worst_scale)

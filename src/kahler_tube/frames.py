@@ -167,14 +167,6 @@ def geometry_field(params: ModelParams, value: Callable[[PointGeometry], T]) -> 
     return lambda z: value(geometry_at(params, z[..., :n], z[..., n:]))
 
 
-def energy_density(params: ModelParams, pt: BundlePoint) -> float:
-    """t = g^ik p_i p_k / 2 at the bundle point; positive off the zero section."""
-    geo = point_geometry(params, pt)
-    if geo.t <= 0.0:
-        raise DomainError("outside punctured bundle: energy density must be positive")
-    return geo.t
-
-
 def frame_transform(values: np.ndarray, variance: str, frame: AdaptedFrame, to: str = "coordinate") -> np.ndarray:
     """Transform full 2n-dimensional tensor components between frames.
 
@@ -216,7 +208,7 @@ class BracketResiduals:
     horiz_horiz: float
 
 
-def verify_brackets(params: ModelParams, pt: BundlePoint) -> BracketResiduals:
+def verify_brackets(geo: PointGeometry) -> BracketResiduals:
     """Check the three bracket relations of the adapted frame numerically.
 
     [d/dp_i, d/dp_j] = 0,
@@ -227,9 +219,8 @@ def verify_brackets(params: ModelParams, pt: BundlePoint) -> BracketResiduals:
     [e_a, e_b] = M[k, a] d_k M[:, b] - M[k, b] d_k M[:, a].
     """
 
-    geo = point_geometry(params, pt)
     n = geo.n
-    M, dM = complex_step(geometry_field(params, lambda g: g.frame.M), pt.z)
+    M, dM = complex_step(geometry_field(geo.params, lambda g: g.frame.M), geo.z)
     DbM = np.einsum("ka,kmb->mab", M, dM.value)  # [mu, a, b]: derivative of e_b along e_a
     h, v = slice(None, n), slice(n, None)
     expected = np.zeros_like(DbM)
@@ -244,15 +235,14 @@ def verify_brackets(params: ModelParams, pt: BundlePoint) -> BracketResiduals:
     )
 
 
-def energy_frame_derivatives(params: ModelParams, pt: BundlePoint) -> tuple[float, float]:
+def energy_frame_derivatives(geo: PointGeometry) -> tuple[float, float]:
     """Residuals of the frame derivatives of t.
 
     Horizontally t is constant; vertically d t / dp_k equals the raised
     momentum.  Returns (max horizontal residual, max vertical residual).
     """
 
-    geo = point_geometry(params, pt)
     n = geo.n
-    _, dt = complex_step(geometry_field(params, lambda g: g.t), pt.z)
+    _, dt = complex_step(geometry_field(geo.params, lambda g: g.t), geo.z)
     dt_frame = geo.frame.M.T @ dt.value
     return float(np.max(np.abs(dt_frame[:n]))), float(np.max(np.abs(dt_frame[n:] - geo.p_raised)))

@@ -17,17 +17,21 @@ from kahler_tube.base_geometry import ModelParams
 from kahler_tube.checks import RunConfig, run_sweep
 from kahler_tube.cli import main as cli_main
 from kahler_tube.complex_structure import (
+    adapted_j_matrix,
     fundamental_form,
     fundamental_form_block_residual,
-    j_matrix,
     nijenhuis_closed_form,
     nijenhuis_fd_full,
 )
-from kahler_tube.connection import verify_connection
+from kahler_tube.connection import (
+    adapted_connection_matrix,
+    coefficients_from_geometry,
+    verify_connection,
+)
 from kahler_tube.curvature import (
     assemble_adapted_curvature,
     covariant_derivative_residual,
-    curvature_blocks_closed_form,
+    curvature_blocks,
     curvature_oracle_coordinates,
     direction_antisymmetry_residual,
     einstein_residuals,
@@ -37,6 +41,7 @@ from kahler_tube.curvature import (
 )
 from kahler_tube.frames import BundlePoint, frame_transform, point_geometry
 from kahler_tube.lifted_metric import (
+    KAHLER,
     adapted_metric_matrix,
     components_from_geometry,
     offset_profile,
@@ -52,6 +57,12 @@ CONFIGS = [
     ModelParams(4, curvature=1.0, lift_const=1.0),
 ]
 PRIMARY = CONFIGS[0]
+
+
+def _built(params: ModelParams, pt: BundlePoint, profile=KAHLER):
+    """The point geometry and lifted blocks that the layers take."""
+    geo = point_geometry(params, pt)
+    return geo, components_from_geometry(params, geo, profile)
 
 
 def _line(num: int, ok: bool, text: str) -> None:
@@ -85,18 +96,20 @@ def matrix_results() -> MatrixResults:
         par: dict[str, float] = {}
         antisym = einstein = mixed = nabla = 0.0
         for pt in sample_points(params, NUM_POINTS, SEED):
-            geo = point_geometry(params, pt)
-            R_closed = assemble_adapted_curvature(curvature_blocks_closed_form(params, pt))
-            R_coord = curvature_oracle_coordinates(params, pt)
+            geo, data = _built(params, pt)
+            coeffs = coefficients_from_geometry(geo, data, KAHLER)
+            R_closed = assemble_adapted_curvature(curvature_blocks(geo, data, KAHLER))
+            R_coord = curvature_oracle_coordinates(geo, KAHLER)
             R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
             for family, res in sector_residuals(R_closed, R_oracle, geo.n).items():
                 fam[family] = max(fam.get(family, 0.0), res)
             antisym = max(antisym, direction_antisymmetry_residual(R_closed))
-            e = einstein_residuals(params, pt, R_coord=R_coord)
+            e = einstein_residuals(geo, data, R_coord)
             einstein = max(einstein, e.identity)
             mixed = max(mixed, e.mixed_block)
-            nabla = max(nabla, covariant_derivative_residual(params, pt))
-            for name, res in parallel_block_residuals(params, pt).items():
+            W = adapted_connection_matrix(coeffs)
+            nabla = max(nabla, covariant_derivative_residual(geo, W, KAHLER))
+            for name, res in parallel_block_residuals(geo, coeffs, KAHLER).items():
                 par[name] = max(par.get(name, 0.0), res)
         out.family_worst[key] = fam
         out.antisymmetry[key] = antisym
@@ -111,18 +124,17 @@ def test_criterion_1_almost_kahler(primary_points) -> None:
     t0 = time.perf_counter()
     algebraic = fd_residual = 0.0
     for pt in primary_points:
-        geo = point_geometry(PRIMARY, pt)
-        data = components_from_geometry(PRIMARY, geo)
+        geo, data = _built(PRIMARY, pt)
         S_ad = adapted_metric_matrix(data)
         S_coord = frame_transform(S_ad, "dd", geo.frame, to="coordinate")
-        J_ad = j_matrix(PRIMARY, pt)
+        J_ad = adapted_j_matrix(data)
         J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
         algebraic = max(
             algebraic,
             float(np.max(np.abs(J_coord @ J_coord + np.eye(2 * geo.n)))),
             float(np.max(np.abs(J_coord.T @ S_coord @ J_coord - S_coord))),
         )
-        form = fundamental_form(PRIMARY, pt)
+        form = fundamental_form(geo, data, KAHLER)
         algebraic = max(algebraic, fundamental_form_block_residual(form.adapted))
         fd_residual = max(fd_residual, form.dphi_residual)
     elapsed = time.perf_counter() - t0
@@ -141,13 +153,14 @@ def test_criterion_2_integrability_dichotomy(primary_points) -> None:
     offset_best = 0.0
     shifted = offset_profile(PRIMARY, 0.1)
     for pt in primary_points:
-        closed_worst = max(closed_worst, nijenhuis_closed_form(PRIMARY, pt).max_abs())
-        fd_n, off_axis = nijenhuis_fd_full(PRIMARY, pt)
+        geo, data = _built(PRIMARY, pt)
+        closed_worst = max(closed_worst, nijenhuis_closed_form(geo, data).max_abs())
+        fd_n, off_axis = nijenhuis_fd_full(geo, KAHLER)
         fd_worst = max(fd_worst, fd_n.max_abs(), off_axis)
-        off_n, _ = nijenhuis_fd_full(PRIMARY, pt, shifted)
+        off_n, _ = nijenhuis_fd_full(geo, shifted)
         offset_best = max(
             offset_best,
-            nijenhuis_closed_form(PRIMARY, pt, shifted).max_abs(),
+            nijenhuis_closed_form(*_built(PRIMARY, pt, shifted)).max_abs(),
             off_n.max_abs(),
         )
     ok = closed_worst <= 1e-12 and fd_worst <= 1e-5 and offset_best > 1e-3
@@ -162,7 +175,9 @@ def test_criterion_2_integrability_dichotomy(primary_points) -> None:
 def test_criterion_3_connection_certification(primary_points) -> None:
     match = nabla_g = torsion = 0.0
     for pt in primary_points:
-        cmp = verify_connection(PRIMARY, pt)
+        geo, data = _built(PRIMARY, pt)
+        W = adapted_connection_matrix(coefficients_from_geometry(geo, data, KAHLER))
+        cmp = verify_connection(geo, W, KAHLER)
         match = max(match, cmp.closed_vs_oracle)
         nabla_g = max(nabla_g, cmp.nabla_g)
         torsion = max(torsion, cmp.torsion)
@@ -243,7 +258,10 @@ def test_criterion_7_nonconstant_holomorphic_curvature(primary_points) -> None:
     values = []
     scale_worst = 0.0
     for pt in primary_points:
-        sample = holomorphic_sample(PRIMARY, pt, directions)
+        geo, data = _built(PRIMARY, pt)
+        R_ad = assemble_adapted_curvature(curvature_blocks(geo, data, KAHLER))
+        S_ad, J_ad = adapted_metric_matrix(data), adapted_j_matrix(data)
+        sample = holomorphic_sample(R_ad, S_ad, J_ad, directions)
         values.append(sample.values)
         scale_worst = max(scale_worst, sample.scale_invariance)
     stacked = np.stack(values)

@@ -8,20 +8,25 @@ nested oracle fields within budget, and every layer that differentiates a
 closed-form field does so in one complex field call.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from kahler_tube.base_geometry import DomainError, ModelParams, metric_at
-from kahler_tube import base_geometry, frames
-from kahler_tube.checks import RunConfig, run_sweep
+from kahler_tube import base_geometry, connection, curvature, frames, lifted_metric
+from kahler_tube.checks import RunConfig, run_sweep, run_verify
 from kahler_tube.complex_structure import adapted_j_matrix, fundamental_form, nijenhuis_fd_full
-from kahler_tube.connection import mtensor_parallel_residuals
+from kahler_tube.connection import (
+    adapted_connection_matrix,
+    coefficients_from_geometry,
+    mtensor_parallel_residuals,
+)
 from kahler_tube.curvature import (
-    _blocks,
     assemble_adapted_curvature,
     covariant_derivative_residual,
+    curvature_blocks,
     curvature_oracle_coordinates,
     parallel_block_residuals,
 )
@@ -32,6 +37,7 @@ from kahler_tube.frames import (
     frame_transform,
     geometry_at,
     geometry_field,
+    point_geometry,
     verify_brackets,
 )
 from kahler_tube.lifted_metric import (
@@ -109,7 +115,7 @@ def _j_field(params, profile):
 
 def _stacked_blocks_field(params, profile):
     def stacked(geo, data):
-        blocks = _blocks(params, geo, data, profile)
+        blocks = curvature_blocks(geo, data, profile)
         return np.stack([blocks.hhh, blocks.vvh, blocks.vhh, blocks.vhv], axis=-5)
 
     return lifted_field(params, profile, stacked)
@@ -177,7 +183,7 @@ def test_complex_step_jacobian_agrees_with_central_differences(params: ModelPara
         fields.append((
             lifted_field(
                 params, profile,
-                lambda geo, data: assemble_adapted_curvature(_blocks(params, geo, data, profile)),
+                lambda geo, data: assemble_adapted_curvature(curvature_blocks(geo, data, profile)),
             ),
             zs,
         ))
@@ -228,6 +234,7 @@ def test_guards_compare_the_real_part() -> None:
 
 PARAMS_5 = ModelParams(5)
 POINT_5 = BundlePoint(x=np.array([0.1, -0.2, 0.05, 0.3, 0.0]), p=np.array([0.3, 0.2, -0.1, 0.25, 0.1]))
+GEO_5 = point_geometry(PARAMS_5, POINT_5)
 
 
 def _peak_mb(fn) -> float:
@@ -247,7 +254,7 @@ def test_curvature_oracle_memory_stays_one_level_deep() -> None:
     # adapted frame; about 7.4 MB when that metric goes through
     # frame_transform.  Real-fd Koszul stencils took about 1.1 MB looped over
     # the outer stencil point by point and about 15 MB nested in one batch.
-    assert _peak_mb(lambda: curvature_oracle_coordinates(PARAMS_5, POINT_5)) < 5.0
+    assert _peak_mb(lambda: curvature_oracle_coordinates(GEO_5, KAHLER)) < 5.0
 
 
 def test_local_symmetry_memory_adapted_frame_complex_step() -> None:
@@ -255,7 +262,9 @@ def test_local_symmetry_memory_adapted_frame_complex_step() -> None:
     # complex step of the adapted-frame curvature field peaks at about 3.2 MB.
     # A complex step of the coordinate-frame field peaks at about 5.1 MB,
     # because frame_transform then works on a complex (10, 10^4) stack.
-    assert _peak_mb(lambda: covariant_derivative_residual(PARAMS_5, POINT_5)) < 5.0
+    data = components_from_geometry(PARAMS_5, GEO_5, KAHLER)
+    W = adapted_connection_matrix(coefficients_from_geometry(GEO_5, data, KAHLER))
+    assert _peak_mb(lambda: covariant_derivative_residual(GEO_5, W, KAHLER)) < 5.0
 
 
 def test_sweep_memory_stays_one_point_deep() -> None:
@@ -281,25 +290,71 @@ def test_sweep_builds_each_point_geometry_once(monkeypatch) -> None:
     assert calls == [(3,)] * 4
 
 
-#: Every layer that differentiates a closed-form field.
+@pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
+def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
+    # evaluate_point builds the real geometry, the lifted blocks, the
+    # closed connection and the closed curvature once per point and hands
+    # them to every layer; the layers' complex field calls are not counted.
+    calls: dict[str, list] = {}
+
+    def count(module, name, real_shape):
+        inner = getattr(module, name)
+
+        def counting(*args):
+            shape = real_shape(args)
+            if shape is not None:
+                calls.setdefault(name, []).append(shape)
+            return inner(*args)
+
+        for bound in [m for key, m in sys.modules.items() if key.startswith("kahler_tube")]:
+            if getattr(bound, name, None) is inner:
+                monkeypatch.setattr(bound, name, counting)
+
+    def real_geometry(geo):
+        return None if np.iscomplexobj(geo.t) else np.shape(geo.t)
+
+    count(frames, "geometry_at", lambda args: None if np.iscomplexobj(args[1]) else args[1].shape)
+    count(lifted_metric, "components_from_geometry", lambda args: real_geometry(args[1]))
+    count(connection, "coefficients_from_geometry", lambda args: real_geometry(args[0]))
+    count(curvature, "curvature_blocks", lambda args: real_geometry(args[0]))
+    cfg = RunConfig(ModelParams(3), num_points=2, num_directions=5, seed=7, custom_v_offset=offset)
+    run_verify(cfg)
+    assert calls["geometry_at"] == [(3,)] * 2
+    assert calls["components_from_geometry"] == [()] * 2
+    if offset is None:
+        assert calls["coefficients_from_geometry"] == [()] * 2
+        assert calls["curvature_blocks"] == [()] * 2
+    else:
+        assert "coefficients_from_geometry" not in calls and "curvature_blocks" not in calls
+
+
+def _closed_connection(geo, data):
+    return adapted_connection_matrix(coefficients_from_geometry(geo, data, KAHLER))
+
+
+#: Every layer that differentiates a closed-form field, with the arguments
+#: after ``geo`` that its caller builds from the geometry and lifted blocks.
 DERIVATIVE_LAYERS = [
-    verify_brackets,
-    energy_frame_derivatives,
-    fundamental_form,
-    nijenhuis_fd_full,
-    mtensor_parallel_residuals,
-    parallel_block_residuals,
-    covariant_derivative_residual,
+    (verify_brackets, lambda geo, data: ()),
+    (energy_frame_derivatives, lambda geo, data: ()),
+    (fundamental_form, lambda geo, data: (data, KAHLER)),
+    (nijenhuis_fd_full, lambda geo, data: (KAHLER,)),
+    (mtensor_parallel_residuals, lambda geo, data: (KAHLER,)),
+    (parallel_block_residuals, lambda geo, data: (coefficients_from_geometry(geo, data, KAHLER), KAHLER)),
+    (covariant_derivative_residual, lambda geo, data: (_closed_connection(geo, data), KAHLER)),
 ]
 
 
-@pytest.mark.parametrize("layer", DERIVATIVE_LAYERS, ids=lambda layer: layer.__name__)
-def test_each_derivative_layer_makes_one_complex_field_call(layer, monkeypatch) -> None:
-    # One complex step of 2n points, plus the layer's own real geometry at
-    # the base point, built once.
+@pytest.mark.parametrize(
+    ("layer", "arguments"), DERIVATIVE_LAYERS, ids=[layer.__name__ for layer, _ in DERIVATIVE_LAYERS]
+)
+def test_each_derivative_layer_makes_one_complex_field_call(layer, arguments, monkeypatch) -> None:
+    # The layer takes the caller's geometry: one complex step of 2n points
+    # and no real geometry of its own.
     params = CONFIGS[0]
     n = params.dim
-    pt = sample_points(params, 1, seed=11)[0]
+    geo = point_geometry(params, sample_points(params, 1, seed=11)[0])
+    args = arguments(geo, components_from_geometry(params, geo, KAHLER))
     calls = []
     inner = frames.geometry_at
 
@@ -308,6 +363,6 @@ def test_each_derivative_layer_makes_one_complex_field_call(layer, monkeypatch) 
         return inner(params, x, p)
 
     monkeypatch.setattr(frames, "geometry_at", counting)
-    layer(params, pt)
+    layer(geo, *args)
     assert [call for call in calls if call[1]] == [((2 * n, n), True)]
-    assert [call for call in calls if not call[1]] == [((n,), False)]
+    assert [call for call in calls if not call[1]] == []

@@ -6,37 +6,50 @@ import pytest
 from kahler_tube import frames
 from kahler_tube.base_geometry import ModelParams
 from kahler_tube.complex_structure import (
+    adapted_j_matrix,
     fundamental_form,
     fundamental_form_block_residual,
-    hermitian_residual,
-    j_matrix,
-    j_squared_residual,
     nijenhuis_closed_form,
     nijenhuis_fd_full,
 )
 from kahler_tube.frames import BundlePoint, frame_transform, point_geometry
-from kahler_tube.lifted_metric import metric_components, offset_profile
+from kahler_tube.lifted_metric import (
+    KAHLER,
+    LiftProfile,
+    adapted_metric_matrix,
+    components_from_geometry,
+    offset_profile,
+)
 
 PARAMS = ModelParams(3)
 POINT = BundlePoint(x=np.array([0.2, -0.3, 0.4]), p=np.array([0.6, 0.2, -0.5]))
 
 
+def _built(params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER):
+    """The point geometry and lifted blocks that the layers take."""
+    geo = point_geometry(params, pt)
+    return geo, components_from_geometry(params, geo, profile)
+
+
 def test_j_squared_is_minus_identity() -> None:
-    assert j_squared_residual(metric_components(PARAMS, POINT)) < 1e-13
+    geo, data = _built(PARAMS, POINT)
+    J_ad = adapted_j_matrix(data)
+    assert np.max(np.abs(J_ad @ J_ad + np.eye(6))) < 1e-13
     # and in coordinates, after the frame transform
-    geo = point_geometry(PARAMS, POINT)
-    J_coord = frame_transform(j_matrix(PARAMS, POINT), "ud", geo.frame, to="coordinate")
+    J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
     assert np.max(np.abs(J_coord @ J_coord + np.eye(6))) < 1e-13
 
 
 def test_hermitian_compatibility() -> None:
-    assert hermitian_residual(metric_components(PARAMS, POINT)) < 1e-13
+    _, data = _built(PARAMS, POINT)
+    S, J = adapted_metric_matrix(data), adapted_j_matrix(data)
+    assert np.max(np.abs(J.T @ S @ J - S)) < 1e-13
 
 
 def test_j_block_structure() -> None:
-    data = metric_components(PARAMS, POINT)
+    _, data = _built(PARAMS, POINT)
     n = PARAMS.dim
-    J = j_matrix(PARAMS, POINT)
+    J = adapted_j_matrix(data)
     assert np.max(np.abs(J[:n, :n])) == 0.0
     assert np.max(np.abs(J[n:, n:])) == 0.0
     assert np.max(np.abs(J[n:, :n] - data.G)) < 1e-14
@@ -44,7 +57,7 @@ def test_j_block_structure() -> None:
 
 
 def test_fundamental_form_is_canonical_block_matrix() -> None:
-    form = fundamental_form(PARAMS, POINT)
+    form = fundamental_form(*_built(PARAMS, POINT), KAHLER)
     assert fundamental_form_block_residual(form.adapted) < 1e-13
     n = PARAMS.dim
     expected = np.block(
@@ -54,7 +67,7 @@ def test_fundamental_form_is_canonical_block_matrix() -> None:
 
 
 def test_fundamental_form_closed() -> None:
-    form = fundamental_form(PARAMS, POINT)
+    form = fundamental_form(*_built(PARAMS, POINT), KAHLER)
     assert form.dphi_residual < 1e-9
 
 
@@ -75,9 +88,10 @@ def _nijenhuis_case(dim: int, curvature: float, lift_const: float) -> tuple[Mode
 @nijenhuis_cases
 def test_nijenhuis_vanishes_on_integrable_profile(dim: int, curvature: float, lift_const: float) -> None:
     params, point = _nijenhuis_case(dim, curvature, lift_const)
-    closed = nijenhuis_closed_form(params, point)
+    geo, data = _built(params, point)
+    closed = nijenhuis_closed_form(geo, data)
     assert closed.max_abs() < 1e-13
-    fd, off_distribution = nijenhuis_fd_full(params, point)
+    fd, off_distribution = nijenhuis_fd_full(geo, KAHLER)
     assert fd.max_abs() < 1e-6
     assert off_distribution < 1e-6
 
@@ -86,9 +100,10 @@ def test_nijenhuis_vanishes_on_integrable_profile(dim: int, curvature: float, li
 def test_nijenhuis_nonzero_off_profile(dim: int, curvature: float, lift_const: float) -> None:
     params, point = _nijenhuis_case(dim, curvature, lift_const)
     profile = offset_profile(params, 0.1)
-    closed = nijenhuis_closed_form(params, point, profile)
+    geo, data = _built(params, point, profile)
+    closed = nijenhuis_closed_form(geo, data)
     assert closed.max_abs() > 1e-3
-    fd, off_distribution = nijenhuis_fd_full(params, point, profile)
+    fd, off_distribution = nijenhuis_fd_full(geo, profile)
     # The closed form tracks the fd tensor even off the integrable profile.
     assert np.max(np.abs(closed.horiz_horiz - fd.horiz_horiz)) < 1e-6
     assert np.max(np.abs(closed.horiz_vert - fd.horiz_vert)) < 1e-6
@@ -97,7 +112,8 @@ def test_nijenhuis_nonzero_off_profile(dim: int, curvature: float, lift_const: f
 
 
 def test_nijenhuis_fd_evaluation_budget(monkeypatch) -> None:
-    # One Jacobian of the J field: the base point, the J value, one stencil.
+    # One Jacobian of the J field: the J value and one stencil, in one call.
+    geo = point_geometry(PARAMS, POINT)
     calls = []
     inner = frames.geometry_at
 
@@ -106,7 +122,7 @@ def test_nijenhuis_fd_evaluation_budget(monkeypatch) -> None:
         return inner(*args)
 
     monkeypatch.setattr(frames, "geometry_at", counting)
-    nijenhuis_fd_full(PARAMS, POINT)
+    nijenhuis_fd_full(geo, KAHLER)
     assert 0 < len(calls) <= 3
 
 
@@ -114,4 +130,4 @@ def test_dichotomy_threshold_scaling() -> None:
     # The Nijenhuis obstruction grows with the offset and vanishes with it.
     for offset, floor in ((0.05, 5e-4), (0.2, 2e-3)):
         profile = offset_profile(PARAMS, offset)
-        assert nijenhuis_closed_form(PARAMS, POINT, profile).max_abs() > floor
+        assert nijenhuis_closed_form(*_built(PARAMS, POINT, profile)).max_abs() > floor

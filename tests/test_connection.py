@@ -6,9 +6,9 @@ import pytest
 from kahler_tube.base_geometry import DomainError, ModelParams
 from kahler_tube.connection import (
     adapted_connection_matrix,
-    coefficients_closed_form,
+    coefficients_from_geometry,
+    connection_to_adapted,
     connection_to_coordinates,
-    coordinate_connection_closed_form,
     koszul_oracle,
     metric_compatibility_residual,
     mtensor_parallel_residuals,
@@ -16,7 +16,7 @@ from kahler_tube.connection import (
     verify_connection,
 )
 from kahler_tube.frames import BundlePoint, point_geometry
-from kahler_tube.lifted_metric import metric_field, offset_profile
+from kahler_tube.lifted_metric import KAHLER, components_from_geometry, metric_field, offset_profile
 
 PARAMS = ModelParams(3)
 # Flat-origin anchor: x = 0, p = (1,0,0), t = 1/2, v = 1.
@@ -24,8 +24,16 @@ ANCHOR = BundlePoint(x=np.zeros(3), p=np.array([1.0, 0.0, 0.0]))
 GENERIC = BundlePoint(x=np.array([0.3, -0.1, 0.2]), p=np.array([0.4, 0.5, -0.3]))
 
 
+def _closed(pt: BundlePoint):
+    """The point geometry at ``pt`` and its closed-form adapted connection W."""
+    geo = point_geometry(PARAMS, pt)
+    coeffs = coefficients_from_geometry(geo, components_from_geometry(PARAMS, geo, KAHLER), KAHLER)
+    return geo, adapted_connection_matrix(coeffs)
+
+
 def test_anchor_coefficient_values() -> None:
-    coeffs = coefficients_closed_form(PARAMS, ANCHOR)
+    geo = point_geometry(PARAMS, ANCHOR)
+    coeffs = coefficients_from_geometry(geo, components_from_geometry(PARAMS, geo, KAHLER), KAHLER)
     # vertical-vertical coefficient (pure momentum derivatives)
     assert coeffs.vv_vert[0, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
     # mixed coefficient is its negative transpose in the first index pair
@@ -36,7 +44,7 @@ def test_anchor_coefficient_values() -> None:
 
 
 def test_closed_form_matches_koszul_oracle() -> None:
-    comparison = verify_connection(PARAMS, GENERIC)
+    comparison = verify_connection(*_closed(GENERIC), KAHLER)
     assert comparison.closed_vs_oracle < 1e-7
     assert comparison.nabla_g < 1e-7
     assert comparison.torsion < 1e-13
@@ -45,43 +53,42 @@ def test_closed_form_matches_koszul_oracle() -> None:
 def test_metric_compatibility_of_closed_form_coefficients() -> None:
     # The closed-form coordinate Christoffels must annihilate the covariant
     # derivative of the analytic lifted metric field.
-    assert metric_compatibility_residual(PARAMS, GENERIC) < 1e-7
+    assert metric_compatibility_residual(*_closed(GENERIC), KAHLER) < 1e-7
 
 
 def test_koszul_oracle_matches_closed_form_in_coordinates() -> None:
     W_oracle = koszul_oracle(metric_field(PARAMS), ANCHOR.z)
-    direct = coordinate_connection_closed_form(PARAMS, ANCHOR)
+    geo, W = _closed(ANCHOR)
+    direct = connection_to_coordinates(W, geo)
     assert np.max(np.abs(W_oracle - direct)) < 1e-8
 
 
 def test_coordinate_transport_roundtrip() -> None:
-    geo = point_geometry(PARAMS, GENERIC)
-    coeffs = coefficients_closed_form(PARAMS, GENERIC)
-    W_ad = adapted_connection_matrix(coeffs)
+    geo, W_ad = _closed(GENERIC)
     W_coord = connection_to_coordinates(W_ad, geo)
-    direct = coordinate_connection_closed_form(PARAMS, GENERIC)
-    assert np.max(np.abs(W_coord - direct)) < 1e-11
+    assert np.max(np.abs(connection_to_adapted(W_coord, geo) - W_ad)) < 1e-11
 
 
 def test_torsion_free() -> None:
-    geo = point_geometry(PARAMS, GENERIC)
-    coeffs = coefficients_closed_form(PARAMS, GENERIC)
-    assert torsion_residual(adapted_connection_matrix(coeffs), geo) < 1e-12
+    geo, W = _closed(GENERIC)
+    assert torsion_residual(W, geo) < 1e-12
 
 
 def test_mtensor_parallel() -> None:
-    res_g, res_h = mtensor_parallel_residuals(PARAMS, GENERIC)
+    res_g, res_h = mtensor_parallel_residuals(point_geometry(PARAMS, GENERIC), KAHLER)
     assert res_g < 1e-8
     assert res_h < 1e-8
 
 
 def test_closed_form_requires_integrable_profile() -> None:
+    profile = offset_profile(PARAMS, 0.1)
+    geo = point_geometry(PARAMS, GENERIC)
     with pytest.raises(DomainError):
-        coefficients_closed_form(PARAMS, GENERIC, offset_profile(PARAMS, 0.1))
+        coefficients_from_geometry(geo, components_from_geometry(PARAMS, geo, profile), profile)
 
 
 def test_worst_label_mentions_block_and_values() -> None:
-    comparison = verify_connection(PARAMS, GENERIC)
+    comparison = verify_connection(*_closed(GENERIC), KAHLER)
     assert "coefficient [" in comparison.worst_label
     assert "closed-form" in comparison.worst_label
     assert "oracle" in comparison.worst_label

@@ -5,16 +5,14 @@ import pytest
 
 from kahler_tube import frames
 from kahler_tube.base_geometry import DomainError, ModelParams, first_bianchi_residual
-from kahler_tube.complex_structure import j_matrix
-from kahler_tube.connection import koszul_oracle
+from kahler_tube.complex_structure import adapted_j_matrix
+from kahler_tube.connection import adapted_connection_matrix, coefficients_from_geometry, koszul_oracle
 from kahler_tube.curvature import (
     assemble_adapted_curvature,
-    coordinate_curvature_closed_form,
     covariant_derivative,
     covariant_derivative_residual,
-    curvature_blocks_closed_form,
+    curvature_blocks,
     curvature_from_metric_field,
-    curvature_oracle_adapted,
     curvature_oracle_coordinates,
     direction_antisymmetry_residual,
     einstein_residuals,
@@ -29,6 +27,7 @@ from kahler_tube.curvature import (
 from kahler_tube.fd import field_jacobian
 from kahler_tube.frames import BundlePoint, frame_transform, point_geometry
 from kahler_tube.lifted_metric import (
+    KAHLER,
     adapted_metric_matrix,
     assemble_full_metric,
     components_from_geometry,
@@ -42,19 +41,30 @@ ANCHOR = BundlePoint(x=np.zeros(3), p=np.array([1.0, 0.0, 0.0]))
 GENERIC = BundlePoint(x=np.array([0.25, -0.15, 0.3]), p=np.array([0.5, 0.4, -0.2]))
 
 
-def _adapted_setup(pt, params=PARAMS):
+def _built(pt, params=PARAMS):
+    """The point geometry and lifted blocks that the layers take."""
     geo = point_geometry(params, pt)
-    data = components_from_geometry(params, geo)
-    R_ad = assemble_adapted_curvature(curvature_blocks_closed_form(params, pt))
+    return geo, components_from_geometry(params, geo, KAHLER)
+
+
+def _adapted_setup(pt, params=PARAMS):
+    geo, data = _built(pt, params)
+    R_ad = assemble_adapted_curvature(curvature_blocks(geo, data, KAHLER))
     S_ad = adapted_metric_matrix(data)
-    J_ad = j_matrix(params, pt)
+    J_ad = adapted_j_matrix(data)
     return geo, R_ad, S_ad, J_ad
 
 
+def _coefficients(pt, params=PARAMS):
+    """The point geometry and its closed-form connection coefficients."""
+    geo, data = _built(pt, params)
+    return geo, coefficients_from_geometry(geo, data, KAHLER)
+
+
 def test_blocks_match_oracle_per_family() -> None:
-    geo = point_geometry(PARAMS, GENERIC)
-    R_closed = assemble_adapted_curvature(curvature_blocks_closed_form(PARAMS, GENERIC))
-    R_oracle = curvature_oracle_adapted(PARAMS, GENERIC)
+    geo, R_closed, _, _ = _adapted_setup(GENERIC)
+    R_coord = curvature_oracle_coordinates(geo, KAHLER)
+    R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
     res = sector_residuals(R_closed, R_oracle, geo.n)
     assert set(res) == {"hhh", "hhv", "vvh", "vvv", "vhh", "vhv", "structural_zero"}
     for family, value in res.items():
@@ -63,20 +73,22 @@ def test_blocks_match_oracle_per_family() -> None:
 
 def test_oracle_transforms_consistently() -> None:
     geo = point_geometry(PARAMS, GENERIC)
-    R_coord = curvature_oracle_coordinates(PARAMS, GENERIC)
+    R_coord = curvature_oracle_coordinates(geo, KAHLER)
     R_ad = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
-    assert np.max(np.abs(R_ad - curvature_oracle_adapted(PARAMS, GENERIC))) < 1e-9
+    assert np.max(np.abs(frame_transform(R_ad, "uddd", geo.frame, to="coordinate") - R_coord)) < 1e-9
 
 
 def test_closed_form_coordinate_curvature_matches_oracle() -> None:
-    R_closed = coordinate_curvature_closed_form(PARAMS, GENERIC)
-    R_oracle = curvature_oracle_coordinates(PARAMS, GENERIC)
+    geo, R_ad, _, _ = _adapted_setup(GENERIC)
+    R_closed = frame_transform(R_ad, "uddd", geo.frame, to="coordinate")
+    R_oracle = curvature_oracle_coordinates(geo, KAHLER)
     assert np.max(np.abs(R_closed - R_oracle)) < 1e-5
 
 
 def test_curvature_oracle_takes_two_metric_field_calls(monkeypatch) -> None:
     # Christoffels at the point, then every Koszul evaluation of the outer
     # stencil in one call.
+    geo = point_geometry(PARAMS, GENERIC)
     calls = []
     inner = frames.geometry_at
 
@@ -85,7 +97,7 @@ def test_curvature_oracle_takes_two_metric_field_calls(monkeypatch) -> None:
         return inner(*args)
 
     monkeypatch.setattr(frames, "geometry_at", counting)
-    curvature_oracle_coordinates(PARAMS, GENERIC)
+    curvature_oracle_coordinates(geo, KAHLER)
     assert 0 < len(calls) <= 2
 
 
@@ -99,7 +111,7 @@ def test_curvature_oracle_pair_skew_near_the_tube_end() -> None:
     t_dir = point_geometry(params, BundlePoint(x=x, p=direction)).t
     pt = BundlePoint(x=x, p=direction * np.sqrt(0.95 * t_max / t_dir))
     assert point_geometry(params, pt).t == pytest.approx(0.95 * t_max, rel=1e-12)
-    R = curvature_oracle_coordinates(params, pt)
+    R = curvature_oracle_coordinates(point_geometry(params, pt), KAHLER)
     assert pair_skew_residual(R, assemble_full_metric(params, pt)) <= 1e-6
 
 
@@ -109,7 +121,7 @@ def test_structural_antisymmetry_exact() -> None:
 
 
 def test_oracle_identities() -> None:
-    R_coord = curvature_oracle_coordinates(PARAMS, GENERIC)
+    R_coord = curvature_oracle_coordinates(point_geometry(PARAMS, GENERIC), KAHLER)
     S_coord = assemble_full_metric(PARAMS, GENERIC)
     assert first_bianchi_residual(R_coord) < 1e-7
     assert pair_skew_residual(R_coord, S_coord) < 1e-7
@@ -139,13 +151,15 @@ def test_einstein_identity_closed_form() -> None:
 
 
 def test_einstein_identity_oracle() -> None:
-    res = einstein_residuals(PARAMS, GENERIC)
+    geo, data = _built(GENERIC)
+    res = einstein_residuals(geo, data, curvature_oracle_coordinates(geo, KAHLER))
     assert res.identity < 1e-5
     assert res.mixed_block < 1e-5
 
 
 def test_covariant_derivative_vanishes() -> None:
-    assert covariant_derivative_residual(PARAMS, GENERIC) < 1e-7
+    geo, coeffs = _coefficients(GENERIC)
+    assert covariant_derivative_residual(geo, adapted_connection_matrix(coeffs), KAHLER) < 1e-7
 
 
 def _stacked_oracle_curvature(field):
@@ -168,12 +182,13 @@ def test_covariant_derivative_oracle_route_agrees() -> None:
         K = curvature_from_metric_field(field, pt.z)
         dK = field_jacobian(_stacked_oracle_curvature(field), pt.z).value
         oracle = covariant_derivative(koszul_oracle(field, pt.z), K, dK)
-        assert covariant_derivative_residual(PARAMS, pt) < 1e-7
+        geo, coeffs = _coefficients(pt)
+        assert covariant_derivative_residual(geo, adapted_connection_matrix(coeffs), KAHLER) < 1e-7
         assert float(np.max(np.abs(oracle))) < 1e-2
 
 
 def test_parallel_block_identities() -> None:
-    res = parallel_block_residuals(PARAMS, GENERIC)
+    res = parallel_block_residuals(*_coefficients(GENERIC), KAHLER)
     expected_keys = {
         f"parallel_{family}_{direction}"
         for family in ("hhh", "vvh", "vhh", "vhv")
@@ -203,7 +218,8 @@ def test_holomorphic_anchor_values() -> None:
 def test_holomorphic_sample_spread_and_scaling() -> None:
     rng = np.random.default_rng(5)
     directions = rng.standard_normal((64, 6))
-    sample = holomorphic_sample(PARAMS, ANCHOR, directions)
+    _, R_ad, S_ad, J_ad = _adapted_setup(ANCHOR)
+    sample = holomorphic_sample(R_ad, S_ad, J_ad, directions)
     assert sample.values.shape == (64,)
     assert sample.scale_invariance < 1e-12
     assert sample.spread > 1e-3
@@ -222,7 +238,7 @@ def test_zero_direction_in_a_batch_rejected() -> None:
     with pytest.raises(DomainError, match="nonzero direction"):
         holomorphic_sectional_curvature(R_ad, S_ad, J_ad, directions)
     with pytest.raises(DomainError, match="nonzero direction"):
-        holomorphic_sample(PARAMS, ANCHOR, directions)
+        holomorphic_sample(R_ad, S_ad, J_ad, directions)
 
 
 def _scalar_holomorphic_curvature(R_ad, S_ad, J_ad, X):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kahler_tube.base_geometry import ModelParams
 from kahler_tube.frames import (
     BundlePoint,
-    energy_density,
     energy_frame_derivatives,
     frame_transform,
     geometry_at,
@@ -34,7 +33,7 @@ def test_bundle_point_validation() -> None:
 def test_energy_density_anchor() -> None:
     # Flat-origin metric: t = |p|^2 / 2 = (9 + 16) / 2.
     pt = BundlePoint(x=np.zeros(3), p=np.array([3.0, 4.0, 0.0]))
-    assert energy_density(PARAMS, pt) == pytest.approx(12.5, abs=1e-15)
+    assert point_geometry(PARAMS, pt).t == pytest.approx(12.5, abs=1e-15)
 
 
 def test_frame_duality_and_blocks() -> None:
@@ -49,14 +48,14 @@ def test_frame_duality_and_blocks() -> None:
 
 
 def test_bracket_table() -> None:
-    res = verify_brackets(PARAMS, POINT)
+    res = verify_brackets(point_geometry(PARAMS, POINT))
     assert res.vert_vert < 1e-8
     assert res.mixed < 1e-8
     assert res.horiz_horiz < 1e-8
 
 
 def test_energy_frame_derivatives() -> None:
-    horiz, vert = energy_frame_derivatives(PARAMS, POINT)
+    horiz, vert = energy_frame_derivatives(point_geometry(PARAMS, POINT))
     assert horiz < 1e-9
     assert vert < 1e-9
 

@@ -1,11 +1,13 @@
-"""Dead-code gate: every module-level import and private definition is used.
+"""Dead-code gate: every module-level import and definition is used.
 
 A name imported at module level must be referenced in the module or listed
 in its ``__all__`` (which is how ``__init__.py`` re-exports).  A private
 module-level definition (a ``_name`` function, class or assignment) must be
 referenced in its own module, and no module imports a private name from
-another package module: what two modules share is public.  Pure ``ast``, so
-the gate needs no linter.
+another package module: what two modules share is public.  A public
+module-level function or class must be referenced by some package module,
+by name or as an attribute, or be listed in the package ``__all__``.  Pure
+``ast``, so the gate needs no linter.
 """
 
 import ast
@@ -73,6 +75,31 @@ def unused_private_definitions(source: str) -> list[str]:
     ]
 
 
+def unreferenced_public_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Public module-level functions and classes that no module references.
+
+    ``sources`` maps module names to their text.  A definition counts as
+    referenced when any of the modules loads its name or an attribute of
+    that name; ``exported`` names the public API kept for library users.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [
+        f"{module}.{node.name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in referenced | exported
+    ]
+
+
 def private_package_imports(source: str) -> list[str]:
     """Private names imported from another package module, at any depth."""
     return [
@@ -121,6 +148,23 @@ def test_gate_flags_a_private_package_import() -> None:
     assert private_package_imports(source) == ["_EPS (line 3)", "_blocks (line 6)"]
 
 
+def test_gate_flags_an_unreferenced_public_definition() -> None:
+    sources = {
+        "geometry": (
+            "def evaluate():\n    return helper()\n"
+            "def helper():\n    return 1\n"
+            "def dead():\n    return 2\n"
+            "class Report:\n    pass\n"
+            "class Orphan:\n    pass\n"
+            "def _private():\n    pass\n"
+        ),
+        "checks": "from . import geometry\nVALUE = geometry.evaluate()\ndead = 3\n",
+    }
+    assert unreferenced_public_definitions(sources, {"Report"}) == [
+        "geometry.dead (line 5)", "geometry.Orphan (line 9)",
+    ]
+
+
 def test_package_has_modules() -> None:
     assert len(MODULES) >= 10
 
@@ -138,3 +182,9 @@ def test_no_unused_private_definitions(path: Path) -> None:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_package_imports(path: Path) -> None:
     assert private_package_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_unreferenced_public_definitions() -> None:
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    exported = _exported(ast.parse(sources["__init__"]))
+    assert unreferenced_public_definitions(sources, exported) == []
