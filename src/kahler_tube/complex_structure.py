@@ -46,10 +46,9 @@ def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FundamentalFormData:
-    """Fundamental 2-form in both frames plus a closedness residual."""
+    """Adapted-frame fundamental 2-form plus a closedness residual."""
 
     adapted: np.ndarray
-    coordinate: np.ndarray
     dphi_residual: float
 
 
@@ -65,8 +64,6 @@ def fundamental_form(
     """
 
     phi_ad = adapted_metric_matrix(data) @ adapted_j_matrix(data)
-    phi_coord = frame_transform(phi_ad, "dd", geo.frame, to="coordinate")
-
     phi_field = lifted_field(
         geo.params, profile,
         lambda g2, d2: frame_transform(
@@ -75,9 +72,7 @@ def fundamental_form(
     )
     dw = complex_step(phi_field, geo.z)[1].value  # [l, m, n] = d_l phi_mn
     dphi = dw + np.transpose(dw, (1, 2, 0)) + np.transpose(dw, (2, 0, 1))
-    return FundamentalFormData(
-        adapted=phi_ad, coordinate=phi_coord, dphi_residual=float(np.max(np.abs(dphi))),
-    )
+    return FundamentalFormData(adapted=phi_ad, dphi_residual=float(np.max(np.abs(dphi))))
 
 
 def fundamental_form_block_residual(phi_adapted: np.ndarray) -> float:
@@ -116,10 +111,11 @@ def nijenhuis_closed_form(geo: PointGeometry, data: LiftedMetricData) -> Nijenhu
     """The three component families from the core-tensor contraction."""
     core = _nijenhuis_core(geo, data)
     H = data.H
+    CH = core @ H.T  # [k, l, i] = core[k, l, r] H[i, r]
     return NijenhuisData(
         horiz_horiz=core,
-        horiz_vert=np.einsum("kl,jr,lir->kij", H, H, core),
-        vert_vert=np.einsum("ir,jl,klr->kij", H, H, core),
+        horiz_vert=np.tensordot(H, CH, axes=1),
+        vert_vert=np.swapaxes(H @ CH, 1, 2),
     )
 
 

@@ -123,21 +123,19 @@ def connection_to_adapted(christoffel: np.ndarray, geo: PointGeometry) -> np.nda
 
     Uses the non-tensorial rule with the analytic frame derivative dM:
     W[c, a, b] = Minv[c, nu] (M[mu, a] dM[mu, nu, b] + M[mu, a] M[lam, b]
-    christoffel[nu, mu, lam]).
+    christoffel[nu, mu, lam]), contracted one index at a time.
     """
 
     fr = geo.frame
-    inhom = np.einsum("cv,ma,mvb->cab", fr.Minv, fr.M, fr.dM)
-    hom = np.einsum("cv,ma,lb,vml->cab", fr.Minv, fr.M, fr.M, christoffel)
-    return inhom + hom
+    Z = fr.dM + np.swapaxes(christoffel @ fr.M, 0, 1)  # [mu, nu, b]
+    return np.tensordot(fr.Minv, np.tensordot(fr.M, Z, axes=([0], [0])), axes=([1], [1]))
 
 
 def connection_to_coordinates(W: np.ndarray, geo: PointGeometry) -> np.ndarray:
     """Inverse of connection_to_adapted: coordinate Christoffels from W."""
     fr = geo.frame
-    hom = np.einsum("vc,cab,am,bl->vml", fr.M, W, fr.Minv, fr.Minv)
-    inhom = np.einsum("mvb,bl->vml", fr.dM, fr.Minv)
-    return hom - inhom
+    U = np.tensordot(fr.M, np.tensordot(W, fr.Minv, axes=([1], [0])), axes=([1], [0]))  # [nu, b, mu]
+    return (np.swapaxes(U, 1, 2) - np.swapaxes(fr.dM, 0, 1)) @ fr.Minv
 
 
 def frame_structure_functions(geo: PointGeometry) -> np.ndarray:

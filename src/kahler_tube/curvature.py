@@ -236,8 +236,10 @@ def pair_skew_residual(R: np.ndarray, metric: np.ndarray) -> float:
 
 def j_invariance_residual(R: np.ndarray, metric: np.ndarray, J: np.ndarray) -> float:
     """Residual of <K(X,Y) J Z, J W> = <K(X,Y) Z, W> (any single frame)."""
-    lhs = np.einsum("abcd,bz,ae,ew->wzcd", R, J, metric, J)
-    rhs = np.einsum("azcd,aw->wzcd", R, metric)
+    m = R.shape[0]
+    SJ_R = (metric @ J).T @ R.reshape(m, m**3)  # [w, (b, c, d)]
+    lhs = np.moveaxis(np.tensordot(SJ_R.reshape(R.shape), J, axes=([1], [0])), 3, 1)
+    rhs = (metric.T @ R.reshape(m, m**3)).reshape(R.shape)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -283,10 +285,11 @@ def covariant_derivative(conn: np.ndarray, K: np.ndarray, dK: np.ndarray) -> np.
     indices.
     """
 
-    nabla = dK + np.einsum("als,sbcd->labcd", conn, K)
-    nabla -= np.einsum("slb,ascd->labcd", conn, K)
-    nabla -= np.einsum("slc,absd->labcd", conn, K)
-    nabla -= np.einsum("sld,abcs->labcd", conn, K)
+    m = conn.shape[0]
+    C = conn.transpose(1, 0, 2)  # [direction, upper, slot]
+    nabla = dK + (C.reshape(m * m, m) @ K.reshape(m, m**3)).reshape((m,) * 5)
+    for slot in (1, 2, 3):
+        nabla -= np.moveaxis(np.tensordot(C, K, axes=([1], [slot])), 1, slot + 1)
     return nabla
 
 
@@ -394,7 +397,7 @@ def holomorphic_sectional_curvature(
     """
     X = np.asarray(X_ad)
     m = X.shape[-1]
-    norm_sq = np.einsum("...a,ab,...b->...", X, metric_ad, X)
+    norm_sq = np.einsum("...a,...a->...", X @ metric_ad, X)
     if np.any(norm_sq <= 0.0):
         raise DomainError("holomorphic sectional curvature needs a nonzero direction")
     SRJ = (metric_ad @ R_ad.reshape(m, m**3)).reshape(m**3, m) @ J_ad  # [(e, b, c), g]
