@@ -26,8 +26,6 @@ from .lifted_metric import (
     KAHLER,
     LiftProfile,
     TubeCheck,
-    assemble_full_metric,
-    metric_components,
     offset_profile,
     tube_check,
 )
@@ -45,11 +43,9 @@ __all__ = [
     "SweepResult",
     "TubeCheck",
     "VerifyReport",
-    "assemble_full_metric",
     "frame_transform",
     "geometry_at",
     "metric_at",
-    "metric_components",
     "offset_profile",
     "point_geometry",
     "run_sweep",

@@ -165,31 +165,14 @@ def metric_field(params: ModelParams):
     return field
 
 
-def christoffel_field(params: ModelParams):
-    """Closed-form Christoffel symbols as a callable field on the chart."""
+def verify_constant_curvature(base: BaseMetricData, riem: np.ndarray) -> float:
+    """Max deviation of ``riem`` from c (delta^h_i g_jk - delta^h_j g_ik) at ``base``.
 
-    def field(x: np.ndarray) -> np.ndarray:
-        return metric_at(params, x).gamma
-
-    return field
-
-
-def verify_constant_curvature(params: ModelParams, x, riem: np.ndarray | None = None) -> float:
-    """Max deviation of the curvature tensor from c (delta^h_i g_jk - delta^h_j g_ik).
-
-    With the closed-form tensor this is zero by construction, so callers
-    normally pass a recomputed ``riem`` (for example from the finite
-    difference oracle) to obtain a meaningful residual.
+    ``base.riem`` is that closed form, so ``riem`` must be recomputed
+    independently (the finite-difference oracle's tensor) for the residual
+    to certify constant curvature.
     """
-
-    data = metric_at(params, x)
-    if riem is None:
-        riem = data.riem
-    eye = np.eye(params.dim)
-    expected = params.curvature * (
-        np.einsum("hi,jk->hkij", eye, data.g) - np.einsum("hj,ik->hkij", eye, data.g)
-    )
-    return float(np.max(np.abs(riem - expected)))
+    return float(np.max(np.abs(riem - base.riem)))
 
 
 def first_bianchi_residual(riem: np.ndarray) -> float:

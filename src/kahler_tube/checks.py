@@ -208,9 +208,7 @@ def evaluate_point(
     values["base_christoffel_fd"] = _max_abs(base.gamma - gamma_fd)
     riem_fd = curvature.curvature_from_metric_field(base_field, pt.x)
     values["base_riemann_fd"] = _max_abs(base.riem - riem_fd)
-    values["base_constant_curvature"] = base_geometry.verify_constant_curvature(
-        params, pt.x, base.riem
-    )
+    values["base_constant_curvature"] = base_geometry.verify_constant_curvature(base, riem_fd)
     values["base_bianchi"] = base_geometry.first_bianchi_residual(base.riem)
     values["base_positive_definite"] = _positive_definite_residual(base.g)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .base_geometry import DomainError
 from .fd import complex_step
-from .frames import PointGeometry
+from .frames import PointGeometry, frame_derivative, frame_structure_functions
 from .lifted_metric import LiftProfile, LiftedMetricData, lifted_field, metric_field
 
 
@@ -138,15 +138,26 @@ def connection_to_coordinates(W: np.ndarray, geo: PointGeometry) -> np.ndarray:
     return (np.swapaxes(U, 1, 2) - np.swapaxes(fr.dM, 0, 1)) @ fr.Minv
 
 
-def frame_structure_functions(geo: PointGeometry) -> np.ndarray:
-    """gamma^c_ab with [e_a, e_b] = gamma^c_ab e_c for the adapted frame."""
-    n = geo.n
-    out = np.zeros((2 * n, 2 * n, 2 * n))
-    riem_p = geo.riem_p
-    out[n:, :n, :n] = riem_p  # [k, i, j]
-    out[n:, n:, :n] = np.einsum("ijk->kij", geo.base.gamma)
-    out[n:, :n, n:] = -np.einsum("jik->kij", geo.base.gamma)
-    return out
+def covariant_derivative(conn: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> np.ndarray:
+    """nabla T[l, ...] from a tensor, its derivatives and a connection.
+
+    ``conn[upper, direction, slot]`` and ``dT[direction, ...]`` (the
+    derivative of ``T`` along each basis vector) are given in one frame,
+    coordinate or adapted.  ``variance`` has one letter per index of ``T``:
+    each upper slot ("u") adds sum_s conn[u, l, s] T[..s..] and each lower
+    slot ("d") subtracts sum_s conn[s, l, i] T[..s..].
+    """
+
+    if len(variance) != T.ndim or not set(variance) <= {"u", "d"}:
+        raise ValueError(f"variance {variance!r} does not describe a rank-{T.ndim} tensor")
+    C = conn.transpose(1, 0, 2)  # [direction, upper, slot]
+    nabla = np.array(dT, dtype=np.result_type(dT, C, T))
+    for slot, kind in enumerate(variance):
+        if kind == "u":
+            nabla += np.moveaxis(np.tensordot(C, T, axes=([2], [slot])), 1, slot + 1)
+        else:
+            nabla -= np.moveaxis(np.tensordot(C, T, axes=([1], [slot])), 1, slot + 1)
+    return nabla
 
 
 def torsion_residual(W: np.ndarray, geo: PointGeometry) -> float:
@@ -167,12 +178,7 @@ def metric_compatibility_residual(geo: PointGeometry, W: np.ndarray, profile: Li
 
     christoffel = connection_to_coordinates(W, geo)
     G, jac = complex_step(metric_field(geo.params, profile), geo.z)
-    nabla = (
-        jac.value
-        - np.einsum("slm,sn->lmn", christoffel, G)
-        - np.einsum("sln,ms->lmn", christoffel, G)
-    )
-    return float(np.max(np.abs(nabla)))
+    return float(np.max(np.abs(covariant_derivative(christoffel, G, jac.value, "dd"))))
 
 
 @dataclass(frozen=True)
@@ -212,17 +218,14 @@ def mtensor_parallel_residuals(geo: PointGeometry, profile: LiftProfile) -> tupl
 
     Checks that the frame derivative of G along horizontal directions is
     absorbed by base Christoffel contractions, and likewise for H with the
-    opposite sign pattern.  The frame derivatives contract one complex step
-    of the [G, H] field with the horizontal frame vectors.
+    opposite sign pattern.  The derivatives are one ``frame_derivative`` of
+    the [G, H] field, read along the horizontal frame vectors.
     """
 
     n = geo.n
     blocks = lifted_field(geo.params, profile, lambda g2, d2: np.stack([d2.G, d2.H], axis=-3))
-    (G, H), jac = complex_step(blocks, geo.z)
-    dG, dH = np.einsum("ki,kgjl->gijl", geo.frame.M[:, :n], jac.value)  # [i, j, l]
-    gamma = geo.base.gamma
-    # nabla_i G_jk = delta_i G_jk - gamma^l_ij G_lk - gamma^l_ik G_jl
-    covG = dG - np.einsum("lij,lk->ijk", gamma, G) - np.einsum("lik,jl->ijk", gamma, G)
-    # nabla_i H^jk = delta_i H^jk + gamma^j_il H^lk + gamma^k_il H^jl
-    covH = dH + np.einsum("jil,lk->ijk", gamma, H) + np.einsum("kil,jl->ijk", gamma, H)
+    (G, H), dGH = frame_derivative(geo, blocks)
+    gamma = geo.base.gamma  # the connection along the n horizontal frame vectors
+    covG = covariant_derivative(gamma, G, dGH[:n, 0], "dd")
+    covH = covariant_derivative(gamma, H, dGH[:n, 1], "uu")
     return float(np.max(np.abs(covG))), float(np.max(np.abs(covH)))

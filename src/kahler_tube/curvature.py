@@ -21,14 +21,15 @@ oracle path touches the closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .base_geometry import DomainError
-from .connection import ConnectionCoefficients, koszul_oracle
-from .fd import complex_step, field_jacobian
-from .frames import PointGeometry, frame_transform
+from .connection import ConnectionCoefficients, covariant_derivative, koszul_oracle
+from .fd import field_jacobian
+from .frames import PointGeometry, frame_derivative, frame_transform
 from .lifted_metric import (
     LiftProfile,
     LiftedMetricData,
@@ -158,9 +159,7 @@ def curvature_from_metric_field(
     ``m`` times the outer stencil.
     """
 
-    def christoffel_field(zz: np.ndarray) -> np.ndarray:
-        return koszul_oracle(metric_field_fn, zz)
-
+    christoffel_field = partial(koszul_oracle, metric_field_fn)
     gamma = christoffel_field(z)
     dgamma = field_jacobian(christoffel_field, z).value
     return (
@@ -276,82 +275,27 @@ def einstein_residuals(
     return EinsteinResiduals(identity=identity, mixed_block=mixed)
 
 
-def covariant_derivative(conn: np.ndarray, K: np.ndarray, dK: np.ndarray) -> np.ndarray:
-    """nabla K[l, a, b, c, d] from the curvature and its frame derivatives.
-
-    ``conn[upper, direction, slot]`` and ``dK[direction, ...]`` (the
-    derivative of ``K[a, b, c, d]`` along each basis vector) must be given in
-    one frame, coordinate or adapted; ``K`` has one upper and three lower
-    indices.
-    """
-
-    m = conn.shape[0]
-    C = conn.transpose(1, 0, 2)  # [direction, upper, slot]
-    nabla = dK + (C.reshape(m * m, m) @ K.reshape(m, m**3)).reshape((m,) * 5)
-    for slot in (1, 2, 3):
-        nabla -= np.moveaxis(np.tensordot(C, K, axes=([1], [slot])), 1, slot + 1)
-    return nabla
-
-
 def covariant_derivative_residual(geo: PointGeometry, W: np.ndarray, profile: LiftProfile) -> float:
     """Max |nabla K|: local symmetry of the curvature.
 
-    Takes one complex step of the analytic adapted-frame curvature field,
-    contracts it with the frame vectors and adds the closed-form adapted
-    connection W (``nabla_a e_b = W[c, a, b] e_c``), all in the adapted
-    frame: near machine precision, and sound as a certificate because the
-    differentiated field and the connection are themselves oracle-certified
-    pointwise by the other checks.
+    Takes one ``frame_derivative`` of the analytic adapted-frame curvature
+    field (a complex step read along the frame vectors) and adds the
+    closed-form adapted connection W (``nabla_a e_b = W[c, a, b] e_c``), all
+    in the adapted frame: near machine precision, and sound as a certificate
+    because the differentiated field and the connection are themselves
+    oracle-certified pointwise by the other checks.
     """
 
     curv_field = lifted_field(
         geo.params, profile,
         lambda g2, d2: assemble_adapted_curvature(curvature_blocks(g2, d2, profile)),
     )
-    K, jac = complex_step(curv_field, geo.z)
-    dK = np.einsum("ka,kbcde->abcde", geo.frame.M, jac.value)  # along frame vector a
-    return float(np.max(np.abs(covariant_derivative(W, K, dK))))
+    K, dK = frame_derivative(geo, curv_field)
+    return float(np.max(np.abs(covariant_derivative(W, K, dK, "uddd"))))
 
 
-def _parallel_rhs(name: str, T: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Connection contractions matching the frame derivatives of family ``name``.
-
-    ``C[h, l, s]`` holds the coefficients for derivatives along direction
-    ``l``: base Christoffels for horizontal directions, the mixed-slot
-    closed-form coefficients for vertical ones.  The result carries the
-    direction axis ``l`` first.  Signs follow the variance of each block
-    index.
-    """
-
-    if name == "hhh":  # upper h; lower i, j, k
-        return (
-            -np.einsum("hls,sijk->lhijk", C, T)
-            + np.einsum("sli,hsjk->lhijk", C, T)
-            + np.einsum("slj,hisk->lhijk", C, T)
-            + np.einsum("slk,hijs->lhijk", C, T)
-        )
-    if name == "vvh":  # upper i, j, h; lower k
-        return (
-            np.einsum("slk,ijhs->lijhk", C, T)
-            - np.einsum("ils,sjhk->lijhk", C, T)
-            - np.einsum("jls,ishk->lijhk", C, T)
-            - np.einsum("hls,ijsk->lijhk", C, T)
-        )
-    if name == "vhh":  # upper i; lower j, k, h
-        return (
-            -np.einsum("ils,sjkh->lijkh", C, T)
-            + np.einsum("slj,iskh->lijkh", C, T)
-            + np.einsum("slk,ijsh->lijkh", C, T)
-            + np.einsum("slh,ijks->lijkh", C, T)
-        )
-    if name == "vhv":  # upper i, k, h; lower j
-        return (
-            np.einsum("slj,ikhs->likhj", C, T)
-            - np.einsum("ils,skhj->likhj", C, T)
-            - np.einsum("kls,ishj->likhj", C, T)
-            - np.einsum("hls,iksj->likhj", C, T)
-        )
-    raise ValueError(f"unknown curvature family {name!r}")
+#: Index variance of each curvature family (layouts in the module docstring).
+_FAMILY_VARIANCE = {"hhh": "uddd", "vvh": "uuud", "vhh": "uddd", "vhv": "uuud"}
 
 
 def parallel_block_residuals(
@@ -359,27 +303,25 @@ def parallel_block_residuals(
 ) -> dict[str, float]:
     """Frame-derivative parallelism of each curvature family.
 
-    Returns keys like ``parallel_hhh_horizontal``: the derivative of the
-    block along every frame direction of the stated type must match the
-    connection contractions of the block itself.  The frame derivatives
-    contract one complex step of the stacked-blocks field with the frame
-    vectors.
+    Returns keys like ``parallel_hhh_horizontal``: the covariant derivative
+    of the block along every frame direction of the stated type must vanish.
+    The connection along horizontal directions is the base Christoffels, along
+    vertical ones the mixed-slot closed-form coefficients; the derivatives are
+    one ``frame_derivative`` of the stacked-blocks field.
     """
 
     n = geo.n
-    families = ("hhh", "vvh", "vhh", "vhv")
 
     def stacked(g2: PointGeometry, d2: LiftedMetricData) -> np.ndarray:
         blocks = curvature_blocks(g2, d2, profile)
-        return np.stack([getattr(blocks, name) for name in families], axis=-5)
+        return np.stack([getattr(blocks, name) for name in _FAMILY_VARIANCE], axis=-5)
 
-    T, jac = complex_step(lifted_field(geo.params, profile, stacked), geo.z)
-    lhs = np.einsum("ka,k...->a...", geo.frame.M, jac.value)  # [direction, family, ...]
+    T, dT = frame_derivative(geo, lifted_field(geo.params, profile, stacked))  # dT[direction, family]
     out = {}
-    for kind, C, dirs in (("horizontal", geo.base.gamma, lhs[:n]), ("vertical", coeffs.mixed, lhs[n:])):
-        for k, name in enumerate(families):
-            rhs = _parallel_rhs(name, T[k], C)
-            out[f"parallel_{name}_{kind}"] = float(np.max(np.abs(dirs[:, k] - rhs)))
+    for kind, C, dirs in (("horizontal", geo.base.gamma, dT[:n]), ("vertical", coeffs.mixed, dT[n:])):
+        for k, (name, variance) in enumerate(_FAMILY_VARIANCE.items()):
+            nabla = covariant_derivative(C, T[k], dirs[:, k], variance)
+            out[f"parallel_{name}_{kind}"] = float(np.max(np.abs(nabla)))
     return out
 
 

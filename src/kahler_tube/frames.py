@@ -199,6 +199,31 @@ def frame_transform(values: np.ndarray, variance: str, frame: AdaptedFrame, to: 
     return T
 
 
+def frame_derivative(
+    geo: PointGeometry, field: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value of ``field`` at the point of ``geo`` and its adapted-frame derivatives.
+
+    One complex step at ``geo.z`` gives the coordinate Jacobian jac[k, ...];
+    the derivative along frame vector a is sum_k M[k, a] jac[k, ...], one
+    matmul.  The result dT[a, ...] carries the frame direction first.
+    """
+    value, jac = complex_step(field, geo.z)
+    M = geo.frame.M
+    dT = M.T @ jac.value.reshape(M.shape[0], -1)
+    return value, dT.reshape(jac.value.shape)
+
+
+def frame_structure_functions(geo: PointGeometry) -> np.ndarray:
+    """gamma^c_ab with [e_a, e_b] = gamma^c_ab e_c for the adapted frame."""
+    n = geo.n
+    out = np.zeros((2 * n, 2 * n, 2 * n))
+    out[n:, :n, :n] = geo.riem_p  # [k, i, j]
+    out[n:, n:, :n] = np.einsum("ijk->kij", geo.base.gamma)
+    out[n:, :n, n:] = -np.einsum("jik->kij", geo.base.gamma)
+    return out
+
+
 @dataclass(frozen=True)
 class BracketResiduals:
     """Max deviations of complex-step frame brackets from closed forms."""
@@ -215,18 +240,16 @@ def verify_brackets(geo: PointGeometry) -> BracketResiduals:
     [d/dp_i, delta/deltaq^j] = gamma^i_jk d/dp_k,
     [delta/deltaq^i, delta/deltaq^j] = p_h riem[h, k, i, j] d/dp_k.
 
-    One complex step of the frame field M gives every bracket at once:
-    [e_a, e_b] = M[k, a] d_k M[:, b] - M[k, b] d_k M[:, a].
+    One ``frame_derivative`` of the frame field M gives every bracket at
+    once: [e_a, e_b] = D_a e_b - D_b e_a with D_a e_b = M[k, a] d_k M[:, b],
+    compared with ``frame_structure_functions`` on the blocks above.
     """
 
     n = geo.n
-    M, dM = complex_step(geometry_field(geo.params, lambda g: g.frame.M), geo.z)
-    DbM = np.einsum("ka,kmb->mab", M, dM.value)  # [mu, a, b]: derivative of e_b along e_a
+    _, DM = frame_derivative(geo, geometry_field(geo.params, lambda g: g.frame.M))
+    DbM = np.swapaxes(DM, 0, 1)  # [mu, a, b]: derivative of e_b along e_a
     h, v = slice(None, n), slice(n, None)
-    expected = np.zeros_like(DbM)
-    expected[v, v, h] = np.einsum("ijh->hij", geo.base.gamma)
-    expected[v, h, h] = geo.riem_p
-    dev = np.abs(DbM - np.swapaxes(DbM, 1, 2) - expected)
+    dev = np.abs(DbM - np.swapaxes(DbM, 1, 2) - frame_structure_functions(geo))
     i, j = np.triu_indices(n, 1)
     return BracketResiduals(
         vert_vert=float(np.max(dev[:, v, v][:, i, j])),
@@ -243,6 +266,5 @@ def energy_frame_derivatives(geo: PointGeometry) -> tuple[float, float]:
     """
 
     n = geo.n
-    _, dt = complex_step(geometry_field(geo.params, lambda g: g.t), geo.z)
-    dt_frame = geo.frame.M.T @ dt.value
+    _, dt_frame = frame_derivative(geo, geometry_field(geo.params, lambda g: g.t))
     return float(np.max(np.abs(dt_frame[:n]))), float(np.max(np.abs(dt_frame[n:] - geo.p_raised)))

@@ -142,11 +142,6 @@ def components_from_geometry(params: ModelParams, geo: PointGeometry, profile: L
     return LiftedMetricData(G=G, H=H, t=t, v=v, w=w)
 
 
-def metric_components(params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER) -> LiftedMetricData:
-    """Horizontal and vertical blocks of the lifted metric at ``pt``."""
-    return components_from_geometry(params, point_geometry(params, pt), profile)
-
-
 def adapted_metric_matrix(data: LiftedMetricData) -> np.ndarray:
     """The lifted metric as a 2n x 2n matrix in the adapted frame (block diagonal)."""
     n = data.G.shape[-1]
@@ -174,12 +169,6 @@ def coordinate_metric(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
     return S
 
 
-def assemble_full_metric(params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER) -> np.ndarray:
-    """Coordinate components of the lifted metric on R^2n at ``pt``."""
-    geo = point_geometry(params, pt)
-    return coordinate_metric(geo, components_from_geometry(params, geo, profile))
-
-
 def lifted_field(
     params: ModelParams,
     profile: LiftProfile,
@@ -187,8 +176,8 @@ def lifted_field(
 ) -> Callable[[np.ndarray], T]:
     """The field z -> value(geometry, lifted blocks) on R^2n, for the fd oracles.
 
-    Built on frames.geometry_field; the blocks go through the same tube
-    guard as metric_components, so a stencil point outside the tube raises.
+    Built on frames.geometry_field; the blocks go through the tube guard of
+    components_from_geometry, so a stencil point outside the tube raises.
     """
     return geometry_field(params, lambda geo: value(geo, components_from_geometry(params, geo, profile)))
 

@@ -9,7 +9,6 @@ from kahler_tube import connection, curvature
 from kahler_tube.base_geometry import (
     DomainError,
     ModelParams,
-    christoffel_field,
     first_bianchi_residual,
     metric_at,
     metric_field,
@@ -66,7 +65,7 @@ def test_christoffel_derivative_against_fd() -> None:
     params = ModelParams(3, curvature=0.7)
     x = np.array([-0.3, 0.5, 0.2])
     data = metric_at(params, x)
-    jac = field_jacobian(christoffel_field(params), x)
+    jac = field_jacobian(lambda xx: metric_at(params, xx).gamma, x)
     # closed-form dgamma stores the derivative axis last; the jacobian
     # stacks it first.
     assert np.max(np.abs(data.dgamma - np.moveaxis(jac.value, 0, -1))) < 1e-8
@@ -76,10 +75,10 @@ def test_curvature_closed_form_and_convention() -> None:
     params = ModelParams(3, curvature=2.0)
     x = np.array([0.2, 0.1, -0.4])
     data = metric_at(params, x)
-    assert verify_constant_curvature(params, x, data.riem) < 1e-13
     assert first_bianchi_residual(data.riem) < 1e-13
     oracle = curvature.curvature_from_metric_field(metric_field(params), x)
     assert np.max(np.abs(data.riem - oracle)) < 1e-6
+    assert verify_constant_curvature(data, oracle) < 1e-10
 
 
 def test_flat_limit_small_curvature() -> None:
@@ -99,6 +98,8 @@ def test_flat_limit_small_curvature() -> None:
     c=st.floats(min_value=0.1, max_value=4.0, allow_nan=False),
 )
 def test_metric_positive_definite_on_chart(x: list, c: float) -> None:
-    data = metric_at(ModelParams(3, curvature=c), np.array(x))
+    params = ModelParams(3, curvature=c)
+    data = metric_at(params, np.array(x))
     assert np.min(np.linalg.eigvalsh(data.g)) > 0.0
-    assert verify_constant_curvature(ModelParams(3, curvature=c), np.array(x)) < 1e-10
+    oracle = curvature.curvature_from_metric_field(metric_field(params), np.array(x))
+    assert verify_constant_curvature(data, oracle) < 1e-10

@@ -292,9 +292,10 @@ def test_sweep_builds_each_point_geometry_once(monkeypatch) -> None:
 
 @pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
 def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
-    # evaluate_point builds the real geometry, the lifted blocks, the
-    # closed connection and the closed curvature once per point and hands
-    # them to every layer; the layers' complex field calls are not counted.
+    # evaluate_point builds the real geometry (and so the real base metric),
+    # the lifted blocks, the closed connection and the closed curvature once
+    # per point and hands them to every layer; the layers' complex field
+    # calls are not counted.
     calls: dict[str, list] = {}
 
     def count(module, name, real_shape):
@@ -313,12 +314,14 @@ def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
     def real_geometry(geo):
         return None if np.iscomplexobj(geo.t) else np.shape(geo.t)
 
+    count(base_geometry, "metric_at", lambda args: None if np.iscomplexobj(args[1]) else np.shape(args[1]))
     count(frames, "geometry_at", lambda args: None if np.iscomplexobj(args[1]) else args[1].shape)
     count(lifted_metric, "components_from_geometry", lambda args: real_geometry(args[1]))
     count(connection, "coefficients_from_geometry", lambda args: real_geometry(args[0]))
     count(curvature, "curvature_blocks", lambda args: real_geometry(args[0]))
     cfg = RunConfig(ModelParams(3), num_points=2, num_directions=5, seed=7, custom_v_offset=offset)
     run_verify(cfg)
+    assert calls["metric_at"] == [(3,)] * 4  # one per sampled point, one per point geometry
     assert calls["geometry_at"] == [(3,)] * 2
     assert calls["components_from_geometry"] == [()] * 2
     if offset is None:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kahler_tube import checks
+from kahler_tube import checks, curvature
 from kahler_tube.base_geometry import ModelParams
 from kahler_tube.checks import (
     CHECKS,
@@ -150,6 +150,23 @@ def test_evaluator_keys_match_running_registry_rows(offset) -> None:
     running = {c.name for c in CHECKS if profile.is_kahler or not c.integrable_only}
     assert set(values) == running - {"hol_sect_nonconstancy"}
     assert (hol is not None) == profile.is_kahler
+
+
+def test_planted_base_curvature_error_shows_in_constant_curvature_row(monkeypatch) -> None:
+    # base_constant_curvature must read the recomputed base tensor, not the
+    # closed form it is compared with: a 1e-8 error planted on every entry
+    # of the base oracle's Riemann tensor fails the 1e-10 row.
+    inner = curvature.curvature_from_metric_field
+
+    def planted(metric_field_fn, z):
+        riem = inner(metric_field_fn, z)
+        return riem + 1e-8 if np.shape(z) == (3,) else riem
+
+    monkeypatch.setattr(curvature, "curvature_from_metric_field", planted)
+    cfg = RunConfig(ModelParams(3), num_points=1, num_directions=4, seed=7, custom_v_offset=0.1)
+    row = next(r for r in run_verify(cfg).checks if r.name == "base_constant_curvature")
+    assert 0.99e-8 <= row.max_residual <= 1.01e-8
+    assert not row.passed
 
 
 def test_missing_check_value_raises_instead_of_skipping(monkeypatch) -> None:

@@ -1,10 +1,12 @@
-"""Pairwise contractions agree with the multi-operand einsums they replace.
+"""Pairwise contractions agree with the einsums they replace.
 
 Each function below contracts its operands one index at a time.  The
 einsum string it replaced is kept here as the reference, evaluated on
 random tensors at m = 6 and m = 10, real and complex (complex-step fields
 pass complex stacks through the same code), and the two must agree to
 1e-12 relative to the reference's largest entry with the input's dtype.
+The same holds for the hand-written covariant derivatives and frame
+contractions that ``covariant_derivative`` and ``frame_derivative`` replaced.
 """
 
 from types import SimpleNamespace
@@ -13,12 +15,17 @@ import numpy as np
 import pytest
 
 from kahler_tube import complex_structure
-from kahler_tube.connection import connection_to_adapted, connection_to_coordinates
-from kahler_tube.curvature import (
+from kahler_tube.connection import (
+    connection_to_adapted,
+    connection_to_coordinates,
     covariant_derivative,
+)
+from kahler_tube.curvature import (
     holomorphic_sectional_curvature,
     j_invariance_residual,
 )
+from kahler_tube.fd import complex_step
+from kahler_tube.frames import frame_derivative
 
 CASES = [(m, dtype) for m in (6, 10) for dtype in (float, complex)]
 IDS = [f"m{m}-{dtype.__name__}" for m, dtype in CASES]
@@ -105,7 +112,7 @@ def test_covariant_derivative_matches_einsum(m: int, dtype: type) -> None:
         - np.einsum("slc,absd->labcd", conn, K)
         - np.einsum("sld,abcs->labcd", conn, K)
     )
-    _assert_agrees(covariant_derivative(conn, K, dK), reference)
+    _assert_agrees(covariant_derivative(conn, K, dK, "uddd"), reference)
 
 
 @pytest.mark.parametrize("m", (6, 10))
@@ -122,3 +129,69 @@ def test_holomorphic_sectional_curvature_matches_einsum(m: int) -> None:
     reference = num / np.einsum("...a,ab,...b->...", X, metric, X) ** 2
     _assert_agrees(holomorphic_sectional_curvature(R, metric, J, X), reference)
     _assert_agrees(holomorphic_sectional_curvature(R, metric, J, X[7]), reference[7])
+
+
+#: The covariant derivatives the battery wrote out by hand before
+#: ``covariant_derivative``: the variance of the tensor and the connection
+#: terms added to its derivative, as (sign, einsum) pairs.  The first
+#: index of each output is the direction.
+HAND_WRITTEN = {
+    # curvature.parallel_block_residuals, one family each (dT minus the
+    # deleted _parallel_rhs)
+    "parallel_hhh": ("uddd", [
+        (+1, "hls,sijk->lhijk"), (-1, "sli,hsjk->lhijk"),
+        (-1, "slj,hisk->lhijk"), (-1, "slk,hijs->lhijk"),
+    ]),
+    "parallel_vvh": ("uuud", [
+        (-1, "slk,ijhs->lijhk"), (+1, "ils,sjhk->lijhk"),
+        (+1, "jls,ishk->lijhk"), (+1, "hls,ijsk->lijhk"),
+    ]),
+    "parallel_vhh": ("uddd", [
+        (+1, "ils,sjkh->lijkh"), (-1, "slj,iskh->lijkh"),
+        (-1, "slk,ijsh->lijkh"), (-1, "slh,ijks->lijkh"),
+    ]),
+    "parallel_vhv": ("uuud", [
+        (-1, "slj,ikhs->likhj"), (+1, "ils,skhj->likhj"),
+        (+1, "kls,ishj->likhj"), (+1, "hls,iksj->likhj"),
+    ]),
+    # connection.mtensor_parallel_residuals: nabla G and nabla H
+    "mtensor_G": ("dd", [(-1, "lij,lk->ijk"), (-1, "lik,jl->ijk")]),
+    "mtensor_H": ("uu", [(+1, "jil,lk->ijk"), (+1, "kil,jl->ijk")]),
+    # connection.metric_compatibility_residual: nabla g
+    "nabla_g": ("dd", [(-1, "slm,sn->lmn"), (-1, "sln,ms->lmn")]),
+}
+
+
+@pytest.mark.parametrize("name", HAND_WRITTEN)
+@pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)
+def test_covariant_derivative_matches_hand_written_contractions(name: str, m: int, dtype: type) -> None:
+    variance, terms = HAND_WRITTEN[name]
+    rng = np.random.default_rng(m + 6)
+    conn = _random(rng, dtype, m, m, m)
+    T = _random(rng, dtype, *(m,) * len(variance))
+    dT = _random(rng, dtype, *(m,) * (len(variance) + 1))
+    reference = dT + sum(sign * np.einsum(subscripts, conn, T) for sign, subscripts in terms)
+    _assert_agrees(covariant_derivative(conn, T, dT, variance), reference)
+
+
+@pytest.mark.parametrize("variance", ["udd", "uddx", ""])
+def test_covariant_derivative_rejects_a_wrong_variance(variance: str) -> None:
+    with pytest.raises(ValueError, match="variance"):
+        covariant_derivative(np.zeros((3, 3, 3)), np.zeros((3,) * 4), np.zeros((3,) * 5), variance)
+
+
+@pytest.mark.parametrize("m", (6, 10))
+def test_frame_derivative_matches_einsum(m: int) -> None:
+    # The Jacobian of an analytic field is real, as is the frame.
+    rng = np.random.default_rng(m + 7)
+    A = rng.standard_normal((m, m, m, m)) / m
+    M = np.eye(m) + 0.3 * rng.standard_normal((m, m))
+    geo = SimpleNamespace(z=rng.standard_normal(m), frame=SimpleNamespace(M=M))
+
+    def field(z: np.ndarray) -> np.ndarray:
+        return np.sin(np.tensordot(z, A, axes=1))
+
+    value, dT = frame_derivative(geo, field)
+    expected_value, jac = complex_step(field, geo.z)
+    assert np.array_equal(value, expected_value)
+    _assert_agrees(dT, np.einsum("ka,k...->a...", M, jac.value))

@@ -6,10 +6,14 @@ import pytest
 from kahler_tube import frames
 from kahler_tube.base_geometry import DomainError, ModelParams, first_bianchi_residual
 from kahler_tube.complex_structure import adapted_j_matrix
-from kahler_tube.connection import adapted_connection_matrix, coefficients_from_geometry, koszul_oracle
+from kahler_tube.connection import (
+    adapted_connection_matrix,
+    coefficients_from_geometry,
+    covariant_derivative,
+    koszul_oracle,
+)
 from kahler_tube.curvature import (
     assemble_adapted_curvature,
-    covariant_derivative,
     covariant_derivative_residual,
     curvature_blocks,
     curvature_from_metric_field,
@@ -29,8 +33,8 @@ from kahler_tube.frames import BundlePoint, frame_transform, point_geometry
 from kahler_tube.lifted_metric import (
     KAHLER,
     adapted_metric_matrix,
-    assemble_full_metric,
     components_from_geometry,
+    coordinate_metric,
     metric_field,
 )
 from kahler_tube.sampling import sample_points
@@ -111,8 +115,9 @@ def test_curvature_oracle_pair_skew_near_the_tube_end() -> None:
     t_dir = point_geometry(params, BundlePoint(x=x, p=direction)).t
     pt = BundlePoint(x=x, p=direction * np.sqrt(0.95 * t_max / t_dir))
     assert point_geometry(params, pt).t == pytest.approx(0.95 * t_max, rel=1e-12)
-    R = curvature_oracle_coordinates(point_geometry(params, pt), KAHLER)
-    assert pair_skew_residual(R, assemble_full_metric(params, pt)) <= 1e-6
+    geo, data = _built(pt, params)
+    R = curvature_oracle_coordinates(geo, KAHLER)
+    assert pair_skew_residual(R, coordinate_metric(geo, data)) <= 1e-6
 
 
 def test_structural_antisymmetry_exact() -> None:
@@ -121,8 +126,9 @@ def test_structural_antisymmetry_exact() -> None:
 
 
 def test_oracle_identities() -> None:
-    R_coord = curvature_oracle_coordinates(point_geometry(PARAMS, GENERIC), KAHLER)
-    S_coord = assemble_full_metric(PARAMS, GENERIC)
+    geo, data = _built(GENERIC)
+    R_coord = curvature_oracle_coordinates(geo, KAHLER)
+    S_coord = coordinate_metric(geo, data)
     assert first_bianchi_residual(R_coord) < 1e-7
     assert pair_skew_residual(R_coord, S_coord) < 1e-7
 
@@ -181,7 +187,7 @@ def test_covariant_derivative_oracle_route_agrees() -> None:
     for pt in (ANCHOR, GENERIC):
         K = curvature_from_metric_field(field, pt.z)
         dK = field_jacobian(_stacked_oracle_curvature(field), pt.z).value
-        oracle = covariant_derivative(koszul_oracle(field, pt.z), K, dK)
+        oracle = covariant_derivative(koszul_oracle(field, pt.z), K, dK, "uddd")
         geo, coeffs = _coefficients(pt)
         assert covariant_derivative_residual(geo, adapted_connection_matrix(coeffs), KAHLER) < 1e-7
         assert float(np.max(np.abs(oracle))) < 1e-2

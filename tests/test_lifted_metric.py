@@ -11,11 +11,10 @@ from kahler_tube.lifted_metric import (
     KAHLER,
     LiftProfile,
     adapted_metric_matrix,
-    assemble_full_metric,
     components_from_geometry,
+    coordinate_metric,
     kahler_identity_residual,
     lifted_field,
-    metric_components,
     metric_field,
     offset_profile,
     tube_check,
@@ -28,7 +27,7 @@ ANCHOR = BundlePoint(x=np.zeros(3), p=np.array([1.0, 0.0, 0.0]))
 
 
 def test_anchor_components() -> None:
-    data = metric_components(PARAMS, ANCHOR)
+    data = components_from_geometry(PARAMS, point_geometry(PARAMS, ANCHOR))
     assert data.t == pytest.approx(0.5, abs=1e-15)
     assert data.v == pytest.approx(1.0, abs=1e-14)
     assert data.w == pytest.approx(-4.0 / 3.0, abs=1e-14)
@@ -38,14 +37,14 @@ def test_anchor_components() -> None:
 
 def test_inverse_pair_and_positivity() -> None:
     pt = BundlePoint(x=np.array([0.2, -0.4, 0.1]), p=np.array([0.5, 0.3, -0.2]))
-    data = metric_components(PARAMS, pt)
+    data = components_from_geometry(PARAMS, point_geometry(PARAMS, pt))
     assert np.max(np.abs(data.G @ data.H - np.eye(3))) < 1e-13
     assert np.min(np.linalg.eigvalsh(data.G)) > 0.0
 
 
 def test_kahler_identities() -> None:
     pt = BundlePoint(x=np.array([-0.3, 0.1, 0.6]), p=np.array([0.2, -0.7, 0.4]))
-    data = metric_components(PARAMS, pt)
+    data = components_from_geometry(PARAMS, point_geometry(PARAMS, pt))
     assert kahler_identity_residual(PARAMS, data) < 1e-14
     assert w_consistency_residual(PARAMS, data) < 1e-13
 
@@ -53,7 +52,7 @@ def test_kahler_identities() -> None:
 def test_full_metric_blocks() -> None:
     geo = point_geometry(PARAMS, ANCHOR)
     data = components_from_geometry(PARAMS, geo, KAHLER)
-    S_coord = assemble_full_metric(PARAMS, ANCHOR)
+    S_coord = coordinate_metric(geo, data)
     blocks = frame_transform(S_coord, "dd", geo.frame, to="adapted")
     expected = adapted_metric_matrix(data)
     assert np.max(np.abs(blocks - expected)) < 1e-13
@@ -84,8 +83,9 @@ def test_tube_check_reports_inadmissible_params() -> None:
 
 
 def test_metric_components_outside_tube_raise() -> None:
+    outside = BundlePoint(x=np.zeros(3), p=np.array([2.5, 0.0, 0.0]))
     with pytest.raises(DomainError):
-        metric_components(PARAMS, BundlePoint(x=np.zeros(3), p=np.array([2.5, 0.0, 0.0])))
+        components_from_geometry(PARAMS, point_geometry(PARAMS, outside))
 
 
 GENERIC = BundlePoint(x=np.array([0.25, -0.15, 0.3]), p=np.array([0.5, 0.4, -0.2]))
@@ -95,12 +95,15 @@ GENERIC = BundlePoint(x=np.array([0.25, -0.15, 0.3]), p=np.array([0.5, 0.4, -0.2
 def test_metric_field_equals_pointwise_metric(offset) -> None:
     profile = KAHLER if offset is None else offset_profile(PARAMS, offset)
     field_value = metric_field(PARAMS, profile)(GENERIC.z)
-    assert np.array_equal(field_value, assemble_full_metric(PARAMS, GENERIC, profile))
+    geo = point_geometry(PARAMS, GENERIC)
+    pointwise = coordinate_metric(geo, components_from_geometry(PARAMS, geo, profile))
+    assert np.array_equal(field_value, pointwise)
 
 
 def test_lifted_field_equals_pointwise_components() -> None:
     field = lifted_field(PARAMS, KAHLER, lambda geo, data: data.H)
-    assert np.array_equal(field(GENERIC.z), metric_components(PARAMS, GENERIC).H)
+    pointwise = components_from_geometry(PARAMS, point_geometry(PARAMS, GENERIC))
+    assert np.array_equal(field(GENERIC.z), pointwise.H)
 
 
 def test_lifted_field_outside_tube_raises() -> None:
@@ -112,8 +115,9 @@ def test_lifted_field_outside_tube_raises() -> None:
 def test_offset_profile_changes_v_only() -> None:
     prof = offset_profile(PARAMS, 0.1)
     assert not prof.is_kahler
-    data = metric_components(PARAMS, ANCHOR, prof)
-    base = metric_components(PARAMS, ANCHOR)
+    geo = point_geometry(PARAMS, ANCHOR)
+    data = components_from_geometry(PARAMS, geo, prof)
+    base = components_from_geometry(PARAMS, geo)
     assert data.v == pytest.approx(base.v + 0.1, abs=1e-14)
     # G changes only through the p (x) p term; H remains its exact inverse.
     assert np.max(np.abs(data.G @ data.H - np.eye(3))) < 1e-13
@@ -126,7 +130,7 @@ def test_profile_guards() -> None:
         KAHLER.v(0.0, PARAMS)  # zero section excluded
     collapsing = LiftProfile(custom_v=lambda t: -1.0)  # A + 2v = -1 < 0
     with pytest.raises(DomainError):
-        metric_components(PARAMS, ANCHOR, collapsing)
+        components_from_geometry(PARAMS, point_geometry(PARAMS, ANCHOR), collapsing)
 
 
 @settings(max_examples=25, deadline=None)
@@ -141,6 +145,6 @@ def test_tube_interior_always_positive_definite(frac: float, c: float, A: float)
     p = np.array([np.sqrt(frac * cap), 0.0, 0.0])
     pt = BundlePoint(x=np.zeros(3), p=p)
     assert tube_check(params, pt).admissible
-    data = metric_components(params, pt)
+    data = components_from_geometry(params, point_geometry(params, pt))
     assert np.min(np.linalg.eigvalsh(data.G)) > 0.0
     assert np.min(np.linalg.eigvalsh(data.H)) > 0.0
