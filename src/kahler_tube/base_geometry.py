@@ -40,7 +40,7 @@ class ModelParams:
 
     Any finite curvature and lift constant are representable so that the
     negative branches can be exercised in tests, but the lifted structure
-    only exists when both are positive; see ``admissible``.
+    only exists when both are positive; see ``admissibility_violation``.
     """
 
     dim: int
@@ -56,16 +56,6 @@ class ModelParams:
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-
-    @property
-    def low_dim_warning(self) -> bool:
-        # dim == 2 is accepted for experiments but the constant-curvature
-        # rigidity argument behind the construction needs dim >= 3.
-        return self.dim == 2
-
-    @property
-    def admissible(self) -> bool:
-        return self.curvature > 0.0 and self.lift_const > 0.0
 
     def admissibility_violation(self) -> str | None:
         """Violated inequality as text, or None when admissible."""

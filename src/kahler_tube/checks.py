@@ -204,9 +204,8 @@ def evaluate_point(
     # Base chart: closed forms against their own fd recomputation.
     base_field = base_geometry.metric_field(params)
     values["base_metric_inverse"] = _max_abs(base.g @ base.g_inv - np.eye(n))
-    gamma_fd = connection.koszul_oracle(base_field, pt.x)
+    gamma_fd, riem_fd = curvature.curvature_from_metric_field(base_field, pt.x)
     values["base_christoffel_fd"] = _max_abs(base.gamma - gamma_fd)
-    riem_fd = curvature.curvature_from_metric_field(base_field, pt.x)
     values["base_riemann_fd"] = _max_abs(base.riem - riem_fd)
     values["base_constant_curvature"] = base_geometry.verify_constant_curvature(base, riem_fd)
     values["base_bianchi"] = base_geometry.first_bianchi_residual(base.riem)
@@ -266,9 +265,10 @@ def evaluate_point(
     values["lifted_w_consistency"] = lifted_metric.w_consistency_residual(params, data)
 
     # Levi-Civita connection: closed forms against the Koszul oracle.
+    christoffel_oracle, R_oracle_coord = curvature.curvature_oracle_coordinates(geo, profile)
     coeffs = connection.coefficients_from_geometry(geo, data, profile)
     W = connection.adapted_connection_matrix(coeffs)
-    comparison = connection.verify_connection(geo, W, profile)
+    comparison = connection.verify_connection(geo, W, christoffel_oracle, profile)
     values["connection_match"] = (comparison.closed_vs_oracle, comparison.worst_label)
     values["connection_nabla_g"] = comparison.nabla_g
     values["connection_torsion"] = comparison.torsion
@@ -278,7 +278,6 @@ def evaluate_point(
     # battery on the oracle output so it stands on its own.
     blocks = curvature.curvature_blocks(geo, data, profile)
     R_closed_ad = curvature.assemble_adapted_curvature(blocks)
-    R_oracle_coord = curvature.curvature_oracle_coordinates(geo, profile)
     R_oracle_ad = frame_transform(R_oracle_coord, "uddd", geo.frame, to="adapted")
     sectors = curvature.sector_residuals(R_closed_ad, R_oracle_ad, n)
     values["curvature_match"] = (
@@ -292,8 +291,7 @@ def evaluate_point(
     einstein = curvature.einstein_residuals(geo, data, R_oracle_coord)
     values["einstein_identity"] = einstein.identity
     values["ricci_mixed_zero"] = einstein.mixed_block
-    values["local_symmetry"] = curvature.covariant_derivative_residual(geo, W, profile)
-    values.update(curvature.parallel_block_residuals(geo, coeffs, profile))
+    values.update(curvature.parallel_block_residuals(geo, coeffs, W, profile))
 
     sample = curvature.holomorphic_sample(R_closed_ad, S_ad, J_ad, directions)
     values["hol_sect_scale_invariance"] = sample.scale_invariance

@@ -37,7 +37,6 @@ from .lifted_metric import (
     lifted_field,
     metric_field,
 )
-from .report import relative_spread
 
 
 @dataclass(frozen=True)
@@ -148,21 +147,21 @@ def assemble_adapted_curvature(blocks: CurvatureBlocks) -> np.ndarray:
 
 def curvature_from_metric_field(
     metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray
-) -> np.ndarray:
-    """Coordinate curvature of an arbitrary metric field.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate Christoffels and curvature of an arbitrary metric field.
 
     ``koszul_oracle`` is the Christoffel field: complex-step derivatives of
     the metric, exact to round-off and batch-generic.  Its derivative is one
     central-difference Jacobian (``fd.field_jacobian``), whose whole stencil of
     Koszul evaluations is one metric-field call, so the oracle makes two
     calls of ``metric_field_fn``: ``m`` complex points at ``z`` and
-    ``m`` times the outer stencil.
+    ``m`` times the outer stencil.  The Christoffels at ``z`` come back too.
     """
 
     christoffel_field = partial(koszul_oracle, metric_field_fn)
     gamma = christoffel_field(z)
     dgamma = field_jacobian(christoffel_field, z).value
-    return (
+    return gamma, (
         np.einsum("cadb->abcd", dgamma)
         - np.einsum("dacb->abcd", dgamma)
         + np.einsum("acs,sdb->abcd", gamma, gamma)
@@ -170,8 +169,8 @@ def curvature_from_metric_field(
     )
 
 
-def curvature_oracle_coordinates(geo: PointGeometry, profile: LiftProfile) -> np.ndarray:
-    """The oracle's coordinate curvature of the lifted metric at the point of ``geo``."""
+def curvature_oracle_coordinates(geo: PointGeometry, profile: LiftProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's coordinate Christoffels and curvature of the lifted metric at ``geo``."""
     return curvature_from_metric_field(metric_field(geo.params, profile), geo.z)
 
 
@@ -275,22 +274,19 @@ def einstein_residuals(
     return EinsteinResiduals(identity=identity, mixed_block=mixed)
 
 
-def covariant_derivative_residual(geo: PointGeometry, W: np.ndarray, profile: LiftProfile) -> float:
+def covariant_derivative_residual(W: np.ndarray, T: np.ndarray, dT: np.ndarray) -> float:
     """Max |nabla K|: local symmetry of the curvature.
 
-    Takes one ``frame_derivative`` of the analytic adapted-frame curvature
-    field (a complex step read along the frame vectors) and adds the
+    Assembles K and its frame derivatives from the stacked families ``T``
+    and their frame derivatives ``dT`` (assembly is linear) and adds the
     closed-form adapted connection W (``nabla_a e_b = W[c, a, b] e_c``), all
     in the adapted frame: near machine precision, and sound as a certificate
     because the differentiated field and the connection are themselves
     oracle-certified pointwise by the other checks.
     """
 
-    curv_field = lifted_field(
-        geo.params, profile,
-        lambda g2, d2: assemble_adapted_curvature(curvature_blocks(g2, d2, profile)),
-    )
-    K, dK = frame_derivative(geo, curv_field)
+    K = assemble_adapted_curvature(CurvatureBlocks(*T))
+    dK = assemble_adapted_curvature(CurvatureBlocks(*np.swapaxes(dT, 0, 1)))
     return float(np.max(np.abs(covariant_derivative(W, K, dK, "uddd"))))
 
 
@@ -299,15 +295,15 @@ _FAMILY_VARIANCE = {"hhh": "uddd", "vvh": "uuud", "vhh": "uddd", "vhv": "uuud"}
 
 
 def parallel_block_residuals(
-    geo: PointGeometry, coeffs: ConnectionCoefficients, profile: LiftProfile
+    geo: PointGeometry, coeffs: ConnectionCoefficients, W: np.ndarray, profile: LiftProfile
 ) -> dict[str, float]:
-    """Frame-derivative parallelism of each curvature family.
+    """Frame-derivative parallelism of each curvature family and of K.
 
     Returns keys like ``parallel_hhh_horizontal``: the covariant derivative
     of the block along every frame direction of the stated type must vanish.
     The connection along horizontal directions is the base Christoffels, along
-    vertical ones the mixed-slot closed-form coefficients; the derivatives are
-    one ``frame_derivative`` of the stacked-blocks field.
+    vertical ones the mixed-slot closed-form coefficients; ``local_symmetry``
+    reads ``W``.  All nine read one ``frame_derivative`` of the stacked blocks.
     """
 
     n = geo.n
@@ -322,6 +318,7 @@ def parallel_block_residuals(
         for k, (name, variance) in enumerate(_FAMILY_VARIANCE.items()):
             nabla = covariant_derivative(C, T[k], dirs[:, k], variance)
             out[f"parallel_{name}_{kind}"] = float(np.max(np.abs(nabla)))
+    out["local_symmetry"] = covariant_derivative_residual(W, T, dT)
     return out
 
 
@@ -356,10 +353,6 @@ class HolomorphicSample:
 
     values: np.ndarray
     scale_invariance: float
-
-    @property
-    def spread(self) -> float:
-        return relative_spread(float(np.min(self.values)), float(np.max(self.values)))
 
 
 def holomorphic_sample(

@@ -26,11 +26,11 @@ from kahler_tube.complex_structure import (
 from kahler_tube.connection import (
     adapted_connection_matrix,
     coefficients_from_geometry,
+    koszul_oracle,
     verify_connection,
 )
 from kahler_tube.curvature import (
     assemble_adapted_curvature,
-    covariant_derivative_residual,
     curvature_blocks,
     curvature_oracle_coordinates,
     direction_antisymmetry_residual,
@@ -44,6 +44,7 @@ from kahler_tube.lifted_metric import (
     KAHLER,
     adapted_metric_matrix,
     components_from_geometry,
+    metric_field,
     offset_profile,
     tube_check,
 )
@@ -99,7 +100,7 @@ def matrix_results() -> MatrixResults:
             geo, data = _built(params, pt)
             coeffs = coefficients_from_geometry(geo, data, KAHLER)
             R_closed = assemble_adapted_curvature(curvature_blocks(geo, data, KAHLER))
-            R_coord = curvature_oracle_coordinates(geo, KAHLER)
+            _, R_coord = curvature_oracle_coordinates(geo, KAHLER)
             R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
             for family, res in sector_residuals(R_closed, R_oracle, geo.n).items():
                 fam[family] = max(fam.get(family, 0.0), res)
@@ -108,8 +109,9 @@ def matrix_results() -> MatrixResults:
             einstein = max(einstein, e.identity)
             mixed = max(mixed, e.mixed_block)
             W = adapted_connection_matrix(coeffs)
-            nabla = max(nabla, covariant_derivative_residual(geo, W, KAHLER))
-            for name, res in parallel_block_residuals(geo, coeffs, KAHLER).items():
+            parallel = parallel_block_residuals(geo, coeffs, W, KAHLER)
+            nabla = max(nabla, parallel.pop("local_symmetry"))
+            for name, res in parallel.items():
                 par[name] = max(par.get(name, 0.0), res)
         out.family_worst[key] = fam
         out.antisymmetry[key] = antisym
@@ -177,7 +179,7 @@ def test_criterion_3_connection_certification(primary_points) -> None:
     for pt in primary_points:
         geo, data = _built(PRIMARY, pt)
         W = adapted_connection_matrix(coefficients_from_geometry(geo, data, KAHLER))
-        cmp = verify_connection(geo, W, KAHLER)
+        cmp = verify_connection(geo, W, koszul_oracle(metric_field(PRIMARY), geo.z), KAHLER)
         match = max(match, cmp.closed_vs_oracle)
         nabla_g = max(nabla_g, cmp.nabla_g)
         torsion = max(torsion, cmp.torsion)

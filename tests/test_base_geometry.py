@@ -19,8 +19,6 @@ from kahler_tube.base_geometry import (
 def test_params_validation() -> None:
     with pytest.raises(ValueError):
         ModelParams(1)
-    assert ModelParams(2).low_dim_warning
-    assert not ModelParams(3).low_dim_warning
     assert ModelParams(3, curvature=-1.0).admissibility_violation() == (
         "2c - A^2 t > 0 unsatisfiable for t > 0"
     )
@@ -76,7 +74,7 @@ def test_curvature_closed_form_and_convention() -> None:
     x = np.array([0.2, 0.1, -0.4])
     data = metric_at(params, x)
     assert first_bianchi_residual(data.riem) < 1e-13
-    oracle = curvature.curvature_from_metric_field(metric_field(params), x)
+    _, oracle = curvature.curvature_from_metric_field(metric_field(params), x)
     assert np.max(np.abs(data.riem - oracle)) < 1e-6
     assert verify_constant_curvature(data, oracle) < 1e-10
 
@@ -101,5 +99,5 @@ def test_metric_positive_definite_on_chart(x: list, c: float) -> None:
     params = ModelParams(3, curvature=c)
     data = metric_at(params, np.array(x))
     assert np.min(np.linalg.eigvalsh(data.g)) > 0.0
-    oracle = curvature.curvature_from_metric_field(metric_field(params), np.array(x))
+    _, oracle = curvature.curvature_from_metric_field(metric_field(params), np.array(x))
     assert verify_constant_curvature(data, oracle) < 1e-10

@@ -8,6 +8,7 @@ nested oracle fields within budget, and every layer that differentiates a
 closed-form field does so in one complex field call.
 """
 
+import functools
 import sys
 import tracemalloc
 
@@ -25,7 +26,6 @@ from kahler_tube.connection import (
 )
 from kahler_tube.curvature import (
     assemble_adapted_curvature,
-    covariant_derivative_residual,
     curvature_blocks,
     curvature_oracle_coordinates,
     parallel_block_residuals,
@@ -257,14 +257,17 @@ def test_curvature_oracle_memory_stays_one_level_deep() -> None:
     assert _peak_mb(lambda: curvature_oracle_coordinates(GEO_5, KAHLER)) < 5.0
 
 
-def test_local_symmetry_memory_adapted_frame_complex_step() -> None:
-    # Measured at n = 5 (tracemalloc peak): about 3.5 MB for the layer, whose
-    # complex step of the adapted-frame curvature field peaks at about 3.2 MB.
-    # A complex step of the coordinate-frame field peaks at about 5.1 MB,
+def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
+    # Measured at n = 5 (tracemalloc peak): about 2.8 MB for the layer, which
+    # differentiates the stacked closed-form families once and assembles K
+    # and its frame derivatives for local_symmetry from them.  A second
+    # complex step of the assembled adapted-frame curvature alone peaked at
+    # about 3.2 MB; one of the coordinate-frame curvature at about 5.1 MB,
     # because frame_transform then works on a complex (10, 10^4) stack.
     data = components_from_geometry(PARAMS_5, GEO_5, KAHLER)
-    W = adapted_connection_matrix(coefficients_from_geometry(GEO_5, data, KAHLER))
-    assert _peak_mb(lambda: covariant_derivative_residual(GEO_5, W, KAHLER)) < 5.0
+    coeffs = coefficients_from_geometry(GEO_5, data, KAHLER)
+    W = adapted_connection_matrix(coeffs)
+    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, coeffs, W, KAHLER)) < 5.0
 
 
 def test_sweep_memory_stays_one_point_deep() -> None:
@@ -290,6 +293,28 @@ def test_sweep_builds_each_point_geometry_once(monkeypatch) -> None:
     assert calls == [(3,)] * 4
 
 
+def _count(monkeypatch, calls: dict[str, list], module, name, shape) -> None:
+    """Record ``shape(args)`` of each call of ``module.name`` under every binding.
+
+    Calls for which ``shape`` returns None are not recorded.
+    """
+    inner = getattr(module, name)
+
+    def counting(*args):
+        recorded = shape(args)
+        if recorded is not None:
+            calls.setdefault(name, []).append(recorded)
+        return inner(*args)
+
+    for bound in [m for key, m in sys.modules.items() if key.startswith("kahler_tube")]:
+        if getattr(bound, name, None) is inner:
+            monkeypatch.setattr(bound, name, counting)
+
+
+def _run_two_points(offset) -> None:
+    run_verify(RunConfig(ModelParams(3), num_points=2, num_directions=5, seed=7, custom_v_offset=offset))
+
+
 @pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
 def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
     # evaluate_point builds the real geometry (and so the real base metric),
@@ -298,29 +323,16 @@ def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
     # calls are not counted.
     calls: dict[str, list] = {}
 
-    def count(module, name, real_shape):
-        inner = getattr(module, name)
-
-        def counting(*args):
-            shape = real_shape(args)
-            if shape is not None:
-                calls.setdefault(name, []).append(shape)
-            return inner(*args)
-
-        for bound in [m for key, m in sys.modules.items() if key.startswith("kahler_tube")]:
-            if getattr(bound, name, None) is inner:
-                monkeypatch.setattr(bound, name, counting)
-
     def real_geometry(geo):
         return None if np.iscomplexobj(geo.t) else np.shape(geo.t)
 
+    count = functools.partial(_count, monkeypatch, calls)
     count(base_geometry, "metric_at", lambda args: None if np.iscomplexobj(args[1]) else np.shape(args[1]))
     count(frames, "geometry_at", lambda args: None if np.iscomplexobj(args[1]) else args[1].shape)
     count(lifted_metric, "components_from_geometry", lambda args: real_geometry(args[1]))
     count(connection, "coefficients_from_geometry", lambda args: real_geometry(args[0]))
     count(curvature, "curvature_blocks", lambda args: real_geometry(args[0]))
-    cfg = RunConfig(ModelParams(3), num_points=2, num_directions=5, seed=7, custom_v_offset=offset)
-    run_verify(cfg)
+    _run_two_points(offset)
     assert calls["metric_at"] == [(3,)] * 4  # one per sampled point, one per point geometry
     assert calls["geometry_at"] == [(3,)] * 2
     assert calls["components_from_geometry"] == [()] * 2
@@ -331,8 +343,31 @@ def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
         assert "coefficients_from_geometry" not in calls and "curvature_blocks" not in calls
 
 
+@pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
+def test_verify_runs_each_oracle_once_per_point(offset, monkeypatch) -> None:
+    # The curvature oracles hand their Christoffels at the point to the
+    # connection and base checks: one single-point Koszul call per metric
+    # (base chart, then lifted metric; the batched outer stencils are not
+    # counted).  local_symmetry and the eight parallel rows share one
+    # complex step of the closed curvature blocks, 2n complex points.
+    calls: dict[str, list] = {}
+    _count(monkeypatch, calls, connection, "koszul_oracle",
+           lambda args: np.shape(args[1]) if np.ndim(args[1]) == 1 else None)
+    _count(monkeypatch, calls, curvature, "curvature_blocks",
+           lambda args: np.shape(args[0].t) if np.iscomplexobj(args[0].t) else None)
+    _run_two_points(offset)
+    if offset is None:
+        assert calls["koszul_oracle"] == [(3,), (6,)] * 2
+        assert calls["curvature_blocks"] == [(6,)] * 2
+    else:
+        assert calls["koszul_oracle"] == [(3,)] * 2
+        assert "curvature_blocks" not in calls
+
+
 def _closed_connection(geo, data):
-    return adapted_connection_matrix(coefficients_from_geometry(geo, data, KAHLER))
+    """The closed connection coefficients and their adapted matrix W."""
+    coeffs = coefficients_from_geometry(geo, data, KAHLER)
+    return coeffs, adapted_connection_matrix(coeffs)
 
 
 #: Every layer that differentiates a closed-form field, with the arguments
@@ -343,8 +378,7 @@ DERIVATIVE_LAYERS = [
     (fundamental_form, lambda geo, data: (data, KAHLER)),
     (nijenhuis_fd_full, lambda geo, data: (KAHLER,)),
     (mtensor_parallel_residuals, lambda geo, data: (KAHLER,)),
-    (parallel_block_residuals, lambda geo, data: (coefficients_from_geometry(geo, data, KAHLER), KAHLER)),
-    (covariant_derivative_residual, lambda geo, data: (_closed_connection(geo, data), KAHLER)),
+    (parallel_block_residuals, lambda geo, data: _closed_connection(geo, data) + (KAHLER,)),
 ]
 
 

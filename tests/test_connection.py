@@ -31,6 +31,12 @@ def _closed(pt: BundlePoint):
     return geo, adapted_connection_matrix(coeffs)
 
 
+def _compared(pt: BundlePoint):
+    """verify_connection at ``pt`` with the Koszul oracle's Christoffels."""
+    geo, W = _closed(pt)
+    return verify_connection(geo, W, koszul_oracle(metric_field(PARAMS), geo.z), KAHLER)
+
+
 def test_anchor_coefficient_values() -> None:
     geo = point_geometry(PARAMS, ANCHOR)
     coeffs = coefficients_from_geometry(geo, components_from_geometry(PARAMS, geo, KAHLER), KAHLER)
@@ -44,7 +50,7 @@ def test_anchor_coefficient_values() -> None:
 
 
 def test_closed_form_matches_koszul_oracle() -> None:
-    comparison = verify_connection(*_closed(GENERIC), KAHLER)
+    comparison = _compared(GENERIC)
     assert comparison.closed_vs_oracle < 1e-7
     assert comparison.nabla_g < 1e-7
     assert comparison.torsion < 1e-13
@@ -88,7 +94,7 @@ def test_closed_form_requires_integrable_profile() -> None:
 
 
 def test_worst_label_mentions_block_and_values() -> None:
-    comparison = verify_connection(*_closed(GENERIC), KAHLER)
+    comparison = _compared(GENERIC)
     assert "coefficient [" in comparison.worst_label
     assert "closed-form" in comparison.worst_label
     assert "oracle" in comparison.worst_label

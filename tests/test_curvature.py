@@ -14,7 +14,6 @@ from kahler_tube.connection import (
 )
 from kahler_tube.curvature import (
     assemble_adapted_curvature,
-    covariant_derivative_residual,
     curvature_blocks,
     curvature_from_metric_field,
     curvature_oracle_coordinates,
@@ -37,6 +36,7 @@ from kahler_tube.lifted_metric import (
     coordinate_metric,
     metric_field,
 )
+from kahler_tube.report import relative_spread
 from kahler_tube.sampling import sample_points
 
 PARAMS = ModelParams(3)
@@ -60,14 +60,15 @@ def _adapted_setup(pt, params=PARAMS):
 
 
 def _coefficients(pt, params=PARAMS):
-    """The point geometry and its closed-form connection coefficients."""
+    """The point geometry, its closed-form connection coefficients and their matrix W."""
     geo, data = _built(pt, params)
-    return geo, coefficients_from_geometry(geo, data, KAHLER)
+    coeffs = coefficients_from_geometry(geo, data, KAHLER)
+    return geo, coeffs, adapted_connection_matrix(coeffs)
 
 
 def test_blocks_match_oracle_per_family() -> None:
     geo, R_closed, _, _ = _adapted_setup(GENERIC)
-    R_coord = curvature_oracle_coordinates(geo, KAHLER)
+    _, R_coord = curvature_oracle_coordinates(geo, KAHLER)
     R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
     res = sector_residuals(R_closed, R_oracle, geo.n)
     assert set(res) == {"hhh", "hhv", "vvh", "vvv", "vhh", "vhv", "structural_zero"}
@@ -77,7 +78,7 @@ def test_blocks_match_oracle_per_family() -> None:
 
 def test_oracle_transforms_consistently() -> None:
     geo = point_geometry(PARAMS, GENERIC)
-    R_coord = curvature_oracle_coordinates(geo, KAHLER)
+    _, R_coord = curvature_oracle_coordinates(geo, KAHLER)
     R_ad = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
     assert np.max(np.abs(frame_transform(R_ad, "uddd", geo.frame, to="coordinate") - R_coord)) < 1e-9
 
@@ -85,7 +86,7 @@ def test_oracle_transforms_consistently() -> None:
 def test_closed_form_coordinate_curvature_matches_oracle() -> None:
     geo, R_ad, _, _ = _adapted_setup(GENERIC)
     R_closed = frame_transform(R_ad, "uddd", geo.frame, to="coordinate")
-    R_oracle = curvature_oracle_coordinates(geo, KAHLER)
+    _, R_oracle = curvature_oracle_coordinates(geo, KAHLER)
     assert np.max(np.abs(R_closed - R_oracle)) < 1e-5
 
 
@@ -116,7 +117,7 @@ def test_curvature_oracle_pair_skew_near_the_tube_end() -> None:
     pt = BundlePoint(x=x, p=direction * np.sqrt(0.95 * t_max / t_dir))
     assert point_geometry(params, pt).t == pytest.approx(0.95 * t_max, rel=1e-12)
     geo, data = _built(pt, params)
-    R = curvature_oracle_coordinates(geo, KAHLER)
+    _, R = curvature_oracle_coordinates(geo, KAHLER)
     assert pair_skew_residual(R, coordinate_metric(geo, data)) <= 1e-6
 
 
@@ -127,7 +128,7 @@ def test_structural_antisymmetry_exact() -> None:
 
 def test_oracle_identities() -> None:
     geo, data = _built(GENERIC)
-    R_coord = curvature_oracle_coordinates(geo, KAHLER)
+    _, R_coord = curvature_oracle_coordinates(geo, KAHLER)
     S_coord = coordinate_metric(geo, data)
     assert first_bianchi_residual(R_coord) < 1e-7
     assert pair_skew_residual(R_coord, S_coord) < 1e-7
@@ -158,21 +159,20 @@ def test_einstein_identity_closed_form() -> None:
 
 def test_einstein_identity_oracle() -> None:
     geo, data = _built(GENERIC)
-    res = einstein_residuals(geo, data, curvature_oracle_coordinates(geo, KAHLER))
+    res = einstein_residuals(geo, data, curvature_oracle_coordinates(geo, KAHLER)[1])
     assert res.identity < 1e-5
     assert res.mixed_block < 1e-5
 
 
 def test_covariant_derivative_vanishes() -> None:
-    geo, coeffs = _coefficients(GENERIC)
-    assert covariant_derivative_residual(geo, adapted_connection_matrix(coeffs), KAHLER) < 1e-7
+    assert parallel_block_residuals(*_coefficients(GENERIC), KAHLER)["local_symmetry"] < 1e-7
 
 
 def _stacked_oracle_curvature(field):
     """The oracle curvature as a field: each point of a stack in turn."""
 
     def curv_field(z: np.ndarray) -> np.ndarray:
-        return np.stack([curvature_from_metric_field(field, zz) for zz in z])
+        return np.stack([curvature_from_metric_field(field, zz)[1] for zz in z])
 
     return curv_field
 
@@ -185,11 +185,10 @@ def test_covariant_derivative_oracle_route_agrees() -> None:
     # floor.
     field = metric_field(PARAMS)
     for pt in (ANCHOR, GENERIC):
-        K = curvature_from_metric_field(field, pt.z)
+        _, K = curvature_from_metric_field(field, pt.z)
         dK = field_jacobian(_stacked_oracle_curvature(field), pt.z).value
         oracle = covariant_derivative(koszul_oracle(field, pt.z), K, dK, "uddd")
-        geo, coeffs = _coefficients(pt)
-        assert covariant_derivative_residual(geo, adapted_connection_matrix(coeffs), KAHLER) < 1e-7
+        assert parallel_block_residuals(*_coefficients(pt), KAHLER)["local_symmetry"] < 1e-7
         assert float(np.max(np.abs(oracle))) < 1e-2
 
 
@@ -199,7 +198,7 @@ def test_parallel_block_identities() -> None:
         f"parallel_{family}_{direction}"
         for family in ("hhh", "vvh", "vhh", "vhv")
         for direction in ("horizontal", "vertical")
-    }
+    } | {"local_symmetry"}
     assert set(res) == expected_keys
     for name, value in res.items():
         assert value < 1e-7, name
@@ -228,7 +227,7 @@ def test_holomorphic_sample_spread_and_scaling() -> None:
     sample = holomorphic_sample(R_ad, S_ad, J_ad, directions)
     assert sample.values.shape == (64,)
     assert sample.scale_invariance < 1e-12
-    assert sample.spread > 1e-3
+    assert relative_spread(float(np.min(sample.values)), float(np.max(sample.values))) > 1e-3
 
 
 def test_zero_direction_rejected() -> None:

@@ -6,8 +6,10 @@ module-level definition (a ``_name`` function, class or assignment) must be
 referenced in its own module, and no module imports a private name from
 another package module: what two modules share is public.  A public
 module-level function or class must be referenced by some package module,
-by name or as an attribute, or be listed in the package ``__all__``.  Pure
-``ast``, so the gate needs no linter.
+by name or as an attribute, or be listed in the package ``__all__``.  A
+public method or property of a package class must be read as an attribute
+somewhere in the package or in ``perfbench``.  Pure ``ast``, so the gate
+needs no linter.
 """
 
 import ast
@@ -17,6 +19,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kahler_tube"
 MODULES = sorted(PACKAGE.glob("*.py"))
+PERFBENCH = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -100,6 +103,30 @@ def unreferenced_public_definitions(sources: dict[str, str], exported: set[str])
     ]
 
 
+def unread_public_members(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Public methods and properties of ``sources``' classes that no reader reads.
+
+    ``sources`` maps module names to their text; ``readers`` are the texts
+    searched for an attribute load of each member's name.
+    """
+    read = {
+        node.attr
+        for reader in readers
+        for node in ast.walk(ast.parse(reader))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}.{cls.name}.{member.name} (line {member.lineno})"
+        for module, source in sources.items()
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+        and member.name not in read
+    ]
+
+
 def private_package_imports(source: str) -> list[str]:
     """Private names imported from another package module, at any depth."""
     return [
@@ -165,6 +192,29 @@ def test_gate_flags_an_unreferenced_public_definition() -> None:
     ]
 
 
+def test_gate_flags_an_unread_public_member() -> None:
+    sources = {
+        "params": (
+            "class Params:\n"
+            "    dim: int = 3\n"
+            "    def __post_init__(self):\n        pass\n"
+            "    @property\n    def admissible(self):\n        return True\n"
+            "    def violation(self):\n        return None\n"
+            "    def _helper(self):\n        return 1\n"
+            "    def spread(self):\n        return 0.0\n"
+            "def spread():\n    return 1.0\n"
+        ),
+    }
+    readers = [
+        sources["params"],
+        "from .params import Params, spread\nP = Params()\nP.violation()\nspread()\n",
+        "def run(p):\n    p.admissible = False\n",
+    ]
+    assert unread_public_members(sources, readers) == [
+        "params.Params.admissible (line 6)", "params.Params.spread (line 12)",
+    ]
+
+
 def test_package_has_modules() -> None:
     assert len(MODULES) >= 10
 
@@ -188,3 +238,9 @@ def test_no_unreferenced_public_definitions() -> None:
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     exported = _exported(ast.parse(sources["__init__"]))
     assert unreferenced_public_definitions(sources, exported) == []
+
+
+def test_every_public_member_is_read() -> None:
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    readers = list(sources.values()) + [path.read_text(encoding="utf-8") for path in PERFBENCH]
+    assert unread_public_members(sources, readers) == []
