@@ -4,8 +4,8 @@ The chart metric g_ij(x) = delta_ij / (1 + c|x|^2/4)^2 has sectional
 curvature c everywhere: on all of R^n for c >= 0 and on the ball
 |x|^2 < -4/c for c < 0.  Everything downstream needs g, its inverse, the
 Christoffel symbols, the curvature tensor, and first coordinate derivatives
-of g and Gamma; all of these are closed-form here.  Finite differences only
-appear in the verification oracles, never in the construction.
+of g and Gamma; all are closed-form here, and all but g and its inverse are
+computed on first use.  Finite differences appear only in the oracles.
 
 Every function here accepts a stack of chart points ``(..., n)`` as well as
 a single point; the arrays below then carry the same leading batch axes.
@@ -75,8 +75,8 @@ class ModelParams:
 class BaseMetricData:
     """Closed-form metric data of the base manifold at one chart point or a stack.
 
-    ``dgamma`` and ``riem`` are computed on first use: only single-point
-    callers read them, so fd stencils never pay for them.
+    ``gamma``, ``dgamma`` and ``riem`` are computed on first use: only
+    single-point callers read them, so fd stencils never pay for them.
     """
 
     x: np.ndarray        # [..., i]
@@ -84,7 +84,11 @@ class BaseMetricData:
     u: np.ndarray        # [...], conformal factor
     g: np.ndarray        # [..., i, j]
     g_inv: np.ndarray    # [..., i, j]
-    gamma: np.ndarray    # [..., k, i, j]
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """[..., k, i, j] = gamma^k_ij of the conformal metric exp(2 phi) delta, phi = -log u."""
+        return -(0.5 * self.curvature / self.u)[..., None, None, None] * _core(self.x)
 
     @cached_property
     def dgamma(self) -> np.ndarray:
@@ -125,6 +129,13 @@ def _core(x: np.ndarray) -> np.ndarray:
     )
 
 
+def momentum_gamma(base: BaseMetricData, p: np.ndarray) -> np.ndarray:
+    """[..., i, h] = p_k gamma^k_ih = -(c/2u) (p_i x_h + p_h x_i - (p.x) delta_ih): p into ``_core``, O(n^2)."""
+    px = p[..., :, None] * base.x[..., None, :]
+    trace = np.einsum("...i,...i->...", p, base.x)[..., None, None] * np.eye(p.shape[-1])
+    return -(0.5 * base.curvature / base.u)[..., None, None] * (px + np.swapaxes(px, -1, -2) - trace)
+
+
 def conformal_factor(params: ModelParams, x) -> np.ndarray:
     """u(x) = 1 + c|x|^2/4; must stay positive for the chart to be valid."""
     x = _coords(params, x)
@@ -135,15 +146,12 @@ def conformal_factor(params: ModelParams, x) -> np.ndarray:
 
 
 def metric_at(params: ModelParams, x) -> BaseMetricData:
-    """Metric, inverse and Christoffels at ``x`` (one point or a stack)."""
+    """Metric and inverse at ``x`` (one point or a stack); the Christoffels on first use."""
     x = _coords(params, x)
-    c = params.curvature
     u = conformal_factor(params, x)
     eye = np.eye(params.dim)
     uu = (u * u)[..., None, None]
-    # gamma^k_ij for a conformal metric exp(2 phi) delta with phi = -log u.
-    gamma = -(0.5 * c / u)[..., None, None, None] * _core(x)
-    return BaseMetricData(x=x, curvature=c, u=u, g=eye / uu, g_inv=eye * uu, gamma=gamma)
+    return BaseMetricData(x=x, curvature=params.curvature, u=u, g=eye / uu, g_inv=eye * uu)
 
 
 def metric_field(params: ModelParams):

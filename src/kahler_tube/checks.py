@@ -204,8 +204,8 @@ def evaluate_point(
     # Base chart: closed forms against their own fd recomputation.
     base_field = base_geometry.metric_field(params)
     values["base_metric_inverse"] = _max_abs(base.g @ base.g_inv - np.eye(n))
-    gamma_fd, riem_fd = curvature.curvature_from_metric_field(base_field, pt.x)
-    values["base_christoffel_fd"] = _max_abs(base.gamma - gamma_fd)
+    base_jet, riem_fd = curvature.curvature_from_metric_field(base_field, pt.x)
+    values["base_christoffel_fd"] = _max_abs(base.gamma - base_jet.christoffel)
     values["base_riemann_fd"] = _max_abs(base.riem - riem_fd)
     values["base_constant_curvature"] = base_geometry.verify_constant_curvature(base, riem_fd)
     values["base_bianchi"] = base_geometry.first_bianchi_residual(base.riem)
@@ -265,10 +265,10 @@ def evaluate_point(
     values["lifted_w_consistency"] = lifted_metric.w_consistency_residual(params, data)
 
     # Levi-Civita connection: closed forms against the Koszul oracle.
-    christoffel_oracle, R_oracle_coord = curvature.curvature_oracle_coordinates(geo, profile)
+    jet, R_oracle_coord = curvature.curvature_oracle_coordinates(geo, profile)
     coeffs = connection.coefficients_from_geometry(geo, data, profile)
     W = connection.adapted_connection_matrix(coeffs)
-    comparison = connection.verify_connection(geo, W, christoffel_oracle, profile)
+    comparison = connection.verify_connection(geo, W, jet)
     values["connection_match"] = (comparison.closed_vs_oracle, comparison.worst_label)
     values["connection_nabla_g"] = comparison.nabla_g
     values["connection_torsion"] = comparison.torsion

@@ -21,14 +21,14 @@ coordinate metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .base_geometry import DomainError
 from .fd import complex_step
 from .frames import PointGeometry, frame_derivative, frame_structure_functions
-from .lifted_metric import LiftProfile, LiftedMetricData, lifted_field, metric_field
+from .lifted_metric import LiftProfile, LiftedMetricData, lifted_field
 
 
 @dataclass(frozen=True)
@@ -96,26 +96,31 @@ def adapted_connection_matrix(coeffs: ConnectionCoefficients) -> np.ndarray:
     return W
 
 
-def koszul_oracle(metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
-    """Coordinate Christoffel symbols of an arbitrary metric field.
+#: The Koszul oracle at a point or a stack: metric, partials dG[..., k, m, n], Christoffels [..., l, m, n].
+KoszulJet = NamedTuple("KoszulJet", [("G", np.ndarray), ("dG", np.ndarray), ("christoffel", np.ndarray)])
 
-    Works in any dimension and on stacks: ``z`` is one point ``(m,)`` or
-    ``(..., m)``, and the result is christoffel[..., l, m, n] with the upper
-    index first.  The metric and its derivatives come from one complex-step
-    call of ``metric_field_fn`` (exact to round-off), so the only inputs are
-    point evaluations of the metric and the oracle is independent of every
-    closed form in the package.  Being batch-generic, it is itself a field
-    that a difference stencil evaluates in one call.
+
+def koszul_jet(metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> KoszulJet:
+    """Koszul jet of an arbitrary metric field at one point ``(m,)`` or a stack ``(..., m)``.
+
+    One complex-step call of ``metric_field_fn`` gives the metric and its
+    partials exact to round-off, so the oracle is independent of every
+    closed form in the package.
     """
-
     G, jac = complex_step(metric_field_fn, z)
-    Ginv = np.linalg.inv(G)
-    dG = jac.value  # [..., k, m, n]
-    return 0.5 * (
-        np.einsum("...ls,...msn->...lmn", Ginv, dG)
-        + np.einsum("...ls,...nsm->...lmn", Ginv, dG)
-        - np.einsum("...ls,...smn->...lmn", Ginv, dG)
-    )
+    return KoszulJet(G, jac.value, koszul_christoffel(G, jac.value))
+
+
+def koszul_christoffel(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    """Christoffels [..., l, m, n] from G and dG[..., k, m, n]: first-kind symbols raised by one matmul."""
+    m = G.shape[-1]
+    first = np.swapaxes(dG, -3, -2) + np.moveaxis(dG, -3, -1) - dG  # d_m G_sn + d_n G_sm - d_s G_mn
+    return 0.5 * (np.linalg.inv(G) @ first.reshape(first.shape[:-2] + (m * m,))).reshape(dG.shape)
+
+
+def koszul_oracle(metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
+    """The Christoffel field of ``koszul_jet``, batch-generic, so a stencil evaluates it in one call."""
+    return koszul_jet(metric_field_fn, z).christoffel
 
 
 def connection_to_adapted(christoffel: np.ndarray, geo: PointGeometry) -> np.ndarray:
@@ -167,18 +172,18 @@ def torsion_residual(W: np.ndarray, geo: PointGeometry) -> float:
     return float(np.max(np.abs(tors)))
 
 
-def metric_compatibility_residual(geo: PointGeometry, W: np.ndarray, profile: LiftProfile) -> float:
+def metric_compatibility_residual(geo: PointGeometry, W: np.ndarray, jet: KoszulJet) -> float:
     """Max |coordinate covariant derivative of the lifted metric|.
 
-    The metric derivative comes from a complex step of the analytic metric
-    field; the connection is the closed-form adapted connection ``W`` in
-    coordinates, so the residual certifies metric compatibility of the
-    closed-form coefficients rather than an algebraic identity of the oracle.
+    The metric and its derivative are the oracle's complex step ``jet`` of
+    the analytic metric field; the connection is the closed-form adapted
+    connection ``W`` in coordinates, so the residual certifies metric
+    compatibility of the closed-form coefficients rather than an algebraic
+    identity of the oracle.
     """
 
     christoffel = connection_to_coordinates(W, geo)
-    G, jac = complex_step(metric_field(geo.params, profile), geo.z)
-    return float(np.max(np.abs(covariant_derivative(christoffel, G, jac.value, "dd"))))
+    return float(np.max(np.abs(covariant_derivative(christoffel, jet.G, jet.dG, "dd"))))
 
 
 @dataclass(frozen=True)
@@ -191,18 +196,16 @@ class ConnectionComparison:
     worst_label: str
 
 
-def verify_connection(
-    geo: PointGeometry, W_closed: np.ndarray, christoffel: np.ndarray, profile: LiftProfile
-) -> ConnectionComparison:
-    """Compare the closed-form adapted connection against the Koszul oracle's ``christoffel``."""
-    W_oracle = connection_to_adapted(christoffel, geo)
+def verify_connection(geo: PointGeometry, W_closed: np.ndarray, jet: KoszulJet) -> ConnectionComparison:
+    """Compare the closed-form adapted connection against the Koszul oracle's ``jet`` at ``geo``."""
+    W_oracle = connection_to_adapted(jet.christoffel, geo)
     diff = np.abs(W_closed - W_oracle)
     worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
     label = (
         f"coefficient [{worst[0]},{worst[1]},{worst[2]}]: "
         f"closed-form {W_closed[worst]:.17g} vs oracle {W_oracle[worst]:.17g}"
     )
-    nabla_g = metric_compatibility_residual(geo, W_closed, profile)
+    nabla_g = metric_compatibility_residual(geo, W_closed, jet)
     torsion = torsion_residual(W_closed, geo)
     return ConnectionComparison(
         closed_vs_oracle=float(diff[worst]),

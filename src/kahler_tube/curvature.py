@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .base_geometry import DomainError
-from .connection import ConnectionCoefficients, covariant_derivative, koszul_oracle
+from .connection import ConnectionCoefficients, KoszulJet, covariant_derivative, koszul_jet, koszul_oracle
 from .fd import field_jacobian
 from .frames import PointGeometry, frame_derivative, frame_transform
 from .lifted_metric import (
@@ -147,21 +147,20 @@ def assemble_adapted_curvature(blocks: CurvatureBlocks) -> np.ndarray:
 
 def curvature_from_metric_field(
     metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate Christoffels and curvature of an arbitrary metric field.
+) -> tuple[KoszulJet, np.ndarray]:
+    """Koszul jet and coordinate curvature of an arbitrary metric field.
 
     ``koszul_oracle`` is the Christoffel field: complex-step derivatives of
     the metric, exact to round-off and batch-generic.  Its derivative is one
     central-difference Jacobian (``fd.field_jacobian``), whose whole stencil of
     Koszul evaluations is one metric-field call, so the oracle makes two
     calls of ``metric_field_fn``: ``m`` complex points at ``z`` and
-    ``m`` times the outer stencil.  The Christoffels at ``z`` come back too.
+    ``m`` times the outer stencil.  The Koszul jet at ``z`` comes back too.
     """
 
-    christoffel_field = partial(koszul_oracle, metric_field_fn)
-    gamma = christoffel_field(z)
-    dgamma = field_jacobian(christoffel_field, z).value
-    return gamma, (
+    jet = koszul_jet(metric_field_fn, z)
+    gamma, dgamma = jet.christoffel, field_jacobian(partial(koszul_oracle, metric_field_fn), z).value
+    return jet, (
         np.einsum("cadb->abcd", dgamma)
         - np.einsum("dacb->abcd", dgamma)
         + np.einsum("acs,sdb->abcd", gamma, gamma)
@@ -169,8 +168,8 @@ def curvature_from_metric_field(
     )
 
 
-def curvature_oracle_coordinates(geo: PointGeometry, profile: LiftProfile) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's coordinate Christoffels and curvature of the lifted metric at ``geo``."""
+def curvature_oracle_coordinates(geo: PointGeometry, profile: LiftProfile) -> tuple[KoszulJet, np.ndarray]:
+    """The oracle's Koszul jet and coordinate curvature of the lifted metric at ``geo``."""
     return curvature_from_metric_field(metric_field(geo.params, profile), geo.z)
 
 

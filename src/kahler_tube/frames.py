@@ -1,12 +1,12 @@
 """Adapted frames on the punctured cotangent bundle.
 
 A chart point of the bundle is (q, p) in R^2n.  The horizontal frame fields
-are d/dq^i + gamma_p[i, h] d/dp_h with gamma_p[i, h] = p_k gamma^k_ih, the
+are d/dq^i + gamma_p[i, h] d/dp_h with gamma_p[i, h] = p_k gamma^k_ih
+= -(c/2u) (p_i x_h + p_h x_i - (p.x) delta_ih), u = 1 + c|x|^2/4; the
 vertical ones are d/dp_i.  This module builds the change-of-basis matrix
-between the coordinate frame and the adapted frame (with its analytic
-coordinate derivatives, needed to transform connection coefficients), the
-energy density t = g^ik p_i p_k / 2, and complex-step checks of the frame
-bracket relations.
+between the frames (with its analytic coordinate derivatives, needed to
+transform connection coefficients), the energy density t = g^ik p_i p_k / 2,
+and complex-step checks of the frame bracket relations.
 
 ``geometry_at``, ``frame_transform`` and the fields built by
 ``geometry_field`` accept a stack of chart points ``(..., 2n)`` as well as a
@@ -26,7 +26,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .base_geometry import BaseMetricData, DomainError, ModelParams, metric_at
+from .base_geometry import BaseMetricData, DomainError, ModelParams, metric_at, momentum_gamma
 from .fd import complex_step
 
 T = TypeVar("T")
@@ -147,7 +147,7 @@ def geometry_at(params: ModelParams, x: np.ndarray, p: np.ndarray) -> PointGeome
     base = metric_at(params, x)
     p_raised = np.einsum("...ij,...j->...i", base.g_inv, p)
     t = 0.5 * np.einsum("...i,...i->...", p, p_raised)
-    gamma_p = np.einsum("...k,...kih->...ih", p, base.gamma)
+    gamma_p = momentum_gamma(base, p)
     return PointGeometry(
         params=params, x=x, p=p, base=base, t=t, p_raised=p_raised, gamma_p=gamma_p,
     )

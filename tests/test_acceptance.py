@@ -26,7 +26,7 @@ from kahler_tube.complex_structure import (
 from kahler_tube.connection import (
     adapted_connection_matrix,
     coefficients_from_geometry,
-    koszul_oracle,
+    koszul_jet,
     verify_connection,
 )
 from kahler_tube.curvature import (
@@ -179,7 +179,7 @@ def test_criterion_3_connection_certification(primary_points) -> None:
     for pt in primary_points:
         geo, data = _built(PRIMARY, pt)
         W = adapted_connection_matrix(coefficients_from_geometry(geo, data, KAHLER))
-        cmp = verify_connection(geo, W, koszul_oracle(metric_field(PRIMARY), geo.z), KAHLER)
+        cmp = verify_connection(geo, W, koszul_jet(metric_field(PRIMARY), geo.z))
         match = max(match, cmp.closed_vs_oracle)
         nabla_g = max(nabla_g, cmp.nabla_g)
         torsion = max(torsion, cmp.torsion)

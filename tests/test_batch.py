@@ -248,13 +248,15 @@ def _peak_mb(fn) -> float:
 
 
 def test_curvature_oracle_memory_stays_one_level_deep() -> None:
-    # Measured at n = 5 (tracemalloc peak): about 4.3 MB with complex-step
-    # Christoffels over the whole outer stencil in one metric-field call and
-    # the coordinate metric filled block by block, without building the
-    # adapted frame; about 7.4 MB when that metric goes through
-    # frame_transform.  Real-fd Koszul stencils took about 1.1 MB looped over
-    # the outer stencil point by point and about 15 MB nested in one batch.
-    assert _peak_mb(lambda: curvature_oracle_coordinates(GEO_5, KAHLER)) < 5.0
+    # Measured at n = 5 (tracemalloc peak): about 3.09 MB with complex-step
+    # Christoffels over the whole outer stencil in one metric-field call, the
+    # coordinate metric filled block by block from the closed-form gamma_p
+    # and the Koszul symbols raised by one matmul; 4.28 MB when every stacked
+    # geometry also built the (600, 5, 5, 5) Christoffel stack for gamma_p;
+    # about 7.4 MB when the metric went through frame_transform.  Real-fd
+    # Koszul stencils took about 1.1 MB looped over the outer stencil point
+    # by point and about 15 MB nested in one batch.
+    assert _peak_mb(lambda: curvature_oracle_coordinates(GEO_5, KAHLER)) < 3.6
 
 
 def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
@@ -345,23 +347,29 @@ def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
 
 @pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
 def test_verify_runs_each_oracle_once_per_point(offset, monkeypatch) -> None:
-    # The curvature oracles hand their Christoffels at the point to the
-    # connection and base checks: one single-point Koszul call per metric
-    # (base chart, then lifted metric; the batched outer stencils are not
-    # counted).  local_symmetry and the eight parallel rows share one
-    # complex step of the closed curvature blocks, 2n complex points.
+    # The curvature oracles hand their Koszul jet at the point (metric,
+    # partials, Christoffels) to the connection and base checks: one
+    # single-point Koszul call per metric (base chart, then lifted metric;
+    # the batched outer stencils are not counted), and its complex step is
+    # the only single-point complex call of the lifted metric field, which
+    # metric compatibility reads too.  local_symmetry and the eight parallel
+    # rows share one complex step of the closed curvature blocks, 2n complex
+    # points.
     calls: dict[str, list] = {}
-    _count(monkeypatch, calls, connection, "koszul_oracle",
+    _count(monkeypatch, calls, connection, "koszul_jet",
            lambda args: np.shape(args[1]) if np.ndim(args[1]) == 1 else None)
+    _count(monkeypatch, calls, lifted_metric, "coordinate_metric",
+           lambda args: np.shape(args[0].t) if np.iscomplexobj(args[0].t) and np.ndim(args[0].t) == 1 else None)
     _count(monkeypatch, calls, curvature, "curvature_blocks",
            lambda args: np.shape(args[0].t) if np.iscomplexobj(args[0].t) else None)
     _run_two_points(offset)
     if offset is None:
-        assert calls["koszul_oracle"] == [(3,), (6,)] * 2
+        assert calls["koszul_jet"] == [(3,), (6,)] * 2
+        assert calls["coordinate_metric"] == [(6,)] * 2
         assert calls["curvature_blocks"] == [(6,)] * 2
     else:
-        assert calls["koszul_oracle"] == [(3,)] * 2
-        assert "curvature_blocks" not in calls
+        assert calls["koszul_jet"] == [(3,)] * 2
+        assert "coordinate_metric" not in calls and "curvature_blocks" not in calls
 
 
 def _closed_connection(geo, data):
@@ -403,3 +411,42 @@ def test_each_derivative_layer_makes_one_complex_field_call(layer, arguments, mo
     layer(geo, *args)
     assert [call for call in calls if call[1]] == [((2 * n, n), True)]
     assert [call for call in calls if not call[1]] == []
+
+
+def _stacked_core_calls(monkeypatch, run) -> list:
+    """Shapes of the stacked ``base_geometry._core`` calls that ``run()`` makes."""
+    calls: dict[str, list] = {}
+    _count(monkeypatch, calls, base_geometry, "_core",
+           lambda args: np.shape(args[0]) if np.ndim(args[0]) > 1 else None)
+    run()
+    return calls.get("_core", [])
+
+
+def test_curvature_oracle_builds_no_christoffel_stack(monkeypatch) -> None:
+    # The stencil's metric fields read only gamma_p, whose closed form needs
+    # no (..., n, n, n) Christoffel stack; reading gamma on a stack builds one.
+    assert _stacked_core_calls(monkeypatch, lambda: curvature_oracle_coordinates(GEO_5, KAHLER)) == []
+    assert _stacked_core_calls(monkeypatch, lambda: metric_at(PARAMS_5, np.zeros((2, 5))).gamma) == [(2, 5)]
+
+
+@pytest.mark.parametrize(
+    ("layer", "arguments"), DERIVATIVE_LAYERS, ids=[layer.__name__ for layer, _ in DERIVATIVE_LAYERS]
+)
+def test_derivative_layers_build_no_christoffel_stack(layer, arguments, monkeypatch) -> None:
+    params = CONFIGS[0]
+    geo = point_geometry(params, sample_points(params, 1, seed=11)[0])
+    args = arguments(geo, components_from_geometry(params, geo, KAHLER))
+    assert _stacked_core_calls(monkeypatch, lambda: layer(geo, *args)) == []
+
+
+@pytest.mark.parametrize("imag", [0.0, 0.05], ids=["real", "complex"])
+@pytest.mark.parametrize("params", CONFIGS, ids=["n3", "n4"])
+def test_gamma_p_closed_form_equals_contracted_christoffels(params: ModelParams, imag: float) -> None:
+    n = params.dim
+    zs = _stack(params)
+    if imag:
+        zs = zs + imag * 1j * np.random.default_rng(n).standard_normal(zs.shape)
+    geo = geometry_at(params, zs[:, :n], zs[:, n:])
+    expected = np.einsum("...k,...kih->...ih", geo.p, geo.base.gamma)
+    assert geo.gamma_p.dtype == expected.dtype
+    assert np.max(np.abs(geo.gamma_p - expected)) <= 1e-14 * np.max(np.abs(expected))

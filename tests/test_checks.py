@@ -159,8 +159,8 @@ def test_planted_base_curvature_error_shows_in_constant_curvature_row(monkeypatc
     inner = curvature.curvature_from_metric_field
 
     def planted(metric_field_fn, z):
-        gamma, riem = inner(metric_field_fn, z)
-        return gamma, (riem + 1e-8 if np.shape(z) == (3,) else riem)
+        jet, riem = inner(metric_field_fn, z)
+        return jet, (riem + 1e-8 if np.shape(z) == (3,) else riem)
 
     monkeypatch.setattr(curvature, "curvature_from_metric_field", planted)
     cfg = RunConfig(ModelParams(3), num_points=1, num_directions=4, seed=7, custom_v_offset=0.1)

@@ -9,6 +9,7 @@ from kahler_tube.connection import (
     coefficients_from_geometry,
     connection_to_adapted,
     connection_to_coordinates,
+    koszul_jet,
     koszul_oracle,
     metric_compatibility_residual,
     mtensor_parallel_residuals,
@@ -32,9 +33,9 @@ def _closed(pt: BundlePoint):
 
 
 def _compared(pt: BundlePoint):
-    """verify_connection at ``pt`` with the Koszul oracle's Christoffels."""
+    """verify_connection at ``pt`` with the Koszul oracle's jet."""
     geo, W = _closed(pt)
-    return verify_connection(geo, W, koszul_oracle(metric_field(PARAMS), geo.z), KAHLER)
+    return verify_connection(geo, W, koszul_jet(metric_field(PARAMS), geo.z))
 
 
 def test_anchor_coefficient_values() -> None:
@@ -59,7 +60,8 @@ def test_closed_form_matches_koszul_oracle() -> None:
 def test_metric_compatibility_of_closed_form_coefficients() -> None:
     # The closed-form coordinate Christoffels must annihilate the covariant
     # derivative of the analytic lifted metric field.
-    assert metric_compatibility_residual(*_closed(GENERIC), KAHLER) < 1e-7
+    geo, W = _closed(GENERIC)
+    assert metric_compatibility_residual(geo, W, koszul_jet(metric_field(PARAMS), geo.z)) < 1e-7
 
 
 def test_koszul_oracle_matches_closed_form_in_coordinates() -> None:

@@ -6,7 +6,9 @@ random tensors at m = 6 and m = 10, real and complex (complex-step fields
 pass complex stacks through the same code), and the two must agree to
 1e-12 relative to the reference's largest entry with the input's dtype.
 The same holds for the hand-written covariant derivatives and frame
-contractions that ``covariant_derivative`` and ``frame_derivative`` replaced.
+contractions that ``covariant_derivative`` and ``frame_derivative`` replaced,
+and for the three Koszul einsums that ``koszul_christoffel``'s one matmul
+replaced.
 """
 
 from types import SimpleNamespace
@@ -19,6 +21,7 @@ from kahler_tube.connection import (
     connection_to_adapted,
     connection_to_coordinates,
     covariant_derivative,
+    koszul_christoffel,
 )
 from kahler_tube.curvature import (
     holomorphic_sectional_curvature,
@@ -70,6 +73,21 @@ def test_connection_to_coordinates_matches_einsum(m: int, dtype: type) -> None:
         "mvb,bl->vml", fr.dM, fr.Minv
     )
     _assert_agrees(connection_to_coordinates(W, geo), reference)
+
+
+@pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)
+def test_koszul_christoffel_matches_einsum(m: int, dtype: type) -> None:
+    # A stack of three metrics, as the curvature oracle's stencil passes.
+    rng = np.random.default_rng(m + 8)
+    G = m * np.eye(m) + _random(rng, dtype, 3, m, m)
+    dG = _random(rng, dtype, 3, m, m, m)
+    Ginv = np.linalg.inv(G)
+    reference = 0.5 * (
+        np.einsum("...ls,...msn->...lmn", Ginv, dG)
+        + np.einsum("...ls,...nsm->...lmn", Ginv, dG)
+        - np.einsum("...ls,...smn->...lmn", Ginv, dG)
+    )
+    _assert_agrees(koszul_christoffel(G, dG), reference)
 
 
 @pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)
