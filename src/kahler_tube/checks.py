@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -29,6 +30,7 @@ from .frames import (
     BundlePoint,
     energy_frame_derivatives,
     frame_transform,
+    geometry_at,
     point_geometry,
     verify_brackets,
 )
@@ -356,25 +358,41 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     return report
 
 
+def _sweep_values(
+    params: ModelParams, points: list[BundlePoint], directions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energy densities ``(points,)`` and curvatures ``(points, directions)``."""
+    geo = geometry_at(params, np.stack([pt.x for pt in points]), np.stack([pt.p for pt in points]))
+    data = lifted_metric.components_from_geometry(params, geo, KAHLER)
+    R_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data, KAHLER))
+    S_ad = lifted_metric.adapted_metric_matrix(data)
+    J_ad = complex_structure.adapted_j_matrix(data)
+    values = np.empty((len(points), len(directions)))
+    for idx in range(len(points)):
+        values[idx] = curvature.holomorphic_sectional_curvature(R_ad[idx], S_ad[idx], J_ad[idx], directions)
+    return geo.t, values
+
+
 def run_sweep(cfg: RunConfig) -> SweepResult:
-    """Holomorphic sectional curvature over the sampled (point, direction) grid."""
+    """Holomorphic sectional curvature over the sampled (point, direction) grid.
+
+    Every closed form is evaluated once, on the stack of all sampled points:
+    one ``geometry_at`` on the ``(points, n)`` arrays, then the lifted
+    blocks, the curvature blocks and the adapted curvature, metric and
+    structure.  Only the quadratic form runs point by point
+    (``holomorphic_sectional_curvature`` over the whole batch of
+    directions), so no ``(points, directions, m²)`` product is ever held.
+    The rows are built after the stacked curvature is released.
+    """
     cfg.require_admissible()
     if cfg.custom_v_offset is not None:
         raise ConfigError("sweep requires the integrable lift profile")
     params = cfg.params
     points = sample_points(params, cfg.num_points, cfg.seed)
     directions = sample_directions(params, cfg.num_directions, cfg.seed)
+    t, values = _sweep_values(params, points, directions)
+    direction_ids = range(cfg.num_directions)
     rows: list[SweepRow] = []
-    for idx, pt in enumerate(points):
-        geo = point_geometry(params, pt)
-        data = lifted_metric.components_from_geometry(params, geo, KAHLER)
-        R_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data, KAHLER))
-        S_ad = lifted_metric.adapted_metric_matrix(data)
-        J_ad = complex_structure.adapted_j_matrix(data)
-        sample = curvature.holomorphic_sample(R_ad, S_ad, J_ad, directions)
-        t = float(geo.t)
-        rows.extend(
-            SweepRow(point_id=idx, t=t, direction_id=j, value=v)
-            for j, v in enumerate(sample.values.tolist())
-        )
+    for idx, (t_point, row_values) in enumerate(zip(t.tolist(), values.tolist())):
+        rows.extend(map(SweepRow, repeat(idx), repeat(t_point), direction_ids, row_values))
     return SweepResult(rows=rows)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 
 def format_float(x: float) -> str:
@@ -117,12 +117,17 @@ class VerifyReport:
         return to_json(self.as_dict())
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One sweep table row: the value at one (point, direction) pair."""
+
     point_id: int
     t: float
     direction_id: int
     value: float
+
+
+#: One CSV line per row, t already formatted; ``%.17g`` is ``format_float``'s form.
+_CSV_ROW = "%d,%s,%d,%.17g"
 
 
 @dataclass
@@ -144,14 +149,17 @@ class SweepResult:
         return relative_spread(self.minimum, self.maximum)
 
     def to_csv(self) -> str:
-        lines = ["point_id,t,direction_id,hol_sect_curv"]
-        # Rows of one point share their t object, so it is formatted once.
-        last_t, t_text = None, ""
-        for r in self.rows:
-            if r.t is not last_t:
-                last_t, t_text = r.t, format_float(r.t)
-            lines.append(f"{r.point_id},{t_text},{r.direction_id},{format_float(r.value)}")
         values = [r.value for r in self.rows]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("reports must contain finite numbers only")
+        lines = ["point_id,t,direction_id,hol_sect_curv"]
+        # Rows of one point share their t object, so it is formatted (and
+        # checked for finiteness by format_float) once.
+        last_t, t_text = None, ""
+        for point_id, t, direction_id, value in self.rows:
+            if t is not last_t:
+                last_t, t_text = t, format_float(t)
+            lines.append(_CSV_ROW % (point_id, t_text, direction_id, value))
         lo, hi = min(values), max(values)
         lines.append(
             f"#summary,{format_float(lo)},{format_float(hi)},"

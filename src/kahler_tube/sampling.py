@@ -42,7 +42,9 @@ def sample_points(params: ModelParams, count: int, seed: int) -> list[BundlePoin
 
     The energy density t is drawn uniformly from the middle of the tube
     range (``ENERGY_WINDOW`` times 2c/A²) and the momentum direction
-    uniformly on the inverse-metric sphere, then scaled to realize t.
+    uniformly on the inverse-metric sphere, then scaled to realize t.  The
+    inverse metrics come from one stacked ``metric_at``; the momentum draws
+    stay point by point, so the stream order does not depend on ``count``.
     """
 
     xs = sample_base_coordinates(params, count, seed)
@@ -50,8 +52,7 @@ def sample_points(params: ModelParams, count: int, seed: int) -> list[BundlePoin
     lo, hi = ENERGY_WINDOW
     t_max = 2.0 * params.curvature / params.lift_const**2
     points = []
-    for x in xs:
-        g_inv = metric_at(params, x).g_inv
+    for x, g_inv in zip(xs, metric_at(params, xs).g_inv):
         t_target = rng.uniform(lo, hi) * t_max
         xi = rng.normal(size=params.dim)
         p = xi * np.sqrt(2.0 * t_target / float(xi @ g_inv @ xi))

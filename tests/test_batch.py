@@ -49,7 +49,7 @@ from kahler_tube.lifted_metric import (
     metric_field,
     offset_profile,
 )
-from kahler_tube.sampling import sample_points
+from kahler_tube.sampling import sample_directions, sample_points
 
 CONFIGS = [ModelParams(3, 1.0, 1.0), ModelParams(4, 1.0, 1.0)]
 CASES = [(params, offset) for params in CONFIGS for offset in (None, 0.1)]
@@ -274,25 +274,68 @@ def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
 
 def test_sweep_memory_stays_one_point_deep() -> None:
     # Measured at (3,1,1), 100 points x 100 directions (tracemalloc peak):
-    # about 1.6 MB with one batch of directions per point, most of it the
-    # 10,000 result rows (1.5 MB with one direction at a time).  Stacking
-    # the points as well would hold (points, 2 x directions, m^2) products:
-    # 5.8 MB of float64 for one such array at this size.
+    # about 1.45 MB with the closed forms stacked over the points, the
+    # quadratic form over one batch of directions per point and the rows
+    # built after the stacked (100, 6, 6, 6, 6) curvature (1.0 MB) is
+    # released; the 10,000 result rows hold 1.1 MB.  Building the rows while
+    # that curvature is held peaked at 2.4 MB; the point-by-point loop with
+    # doubled direction batches at 1.6 MB.  Stacking the points into the
+    # quadratic form as well would hold (points, directions, m^2) products:
+    # 2.9 MB of float64 for one such array at this size.
     cfg = RunConfig(ModelParams(3, 1.0, 1.0), num_points=100, num_directions=100, seed=7)
     assert _peak_mb(lambda: run_sweep(cfg)) < 3.0
 
 
 def test_sweep_builds_each_point_geometry_once(monkeypatch) -> None:
-    calls = []
-    inner = frames.geometry_at
-
-    def counting(params, x, p):
-        calls.append(np.shape(x))
-        return inner(params, x, p)
-
-    monkeypatch.setattr(frames, "geometry_at", counting)
+    # run_sweep evaluates every closed form on the stack of all sampled
+    # points: one geometry_at call of shape (points, n) builds each point's
+    # geometry once.
+    calls: dict[str, list] = {}
+    _count(monkeypatch, calls, frames, "geometry_at", lambda args: np.shape(args[1]))
     run_sweep(RunConfig(ModelParams(3), num_points=4, num_directions=5, seed=7))
-    assert calls == [(3,)] * 4
+    assert calls == {"geometry_at": [(4, 3)]}
+
+
+def _sweep_reference(cfg: RunConfig) -> list[tuple[int, float, int, float]]:
+    """Sweep rows built point by point from the single-point closed forms."""
+    params = cfg.params
+    directions = sample_directions(params, cfg.num_directions, cfg.seed)
+    rows = []
+    for idx, pt in enumerate(sample_points(params, cfg.num_points, cfg.seed)):
+        geo = point_geometry(params, pt)
+        data = components_from_geometry(params, geo, KAHLER)
+        R_ad = assemble_adapted_curvature(curvature_blocks(geo, data, KAHLER))
+        values = curvature.holomorphic_sectional_curvature(
+            R_ad, adapted_metric_matrix(data), adapted_j_matrix(data), directions
+        )
+        rows.extend((idx, float(geo.t), j, float(v)) for j, v in enumerate(values))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "params, rel",
+    [
+        (ModelParams(3, 1.0, 1.0), 0.0),
+        (ModelParams(3, 2.0, 0.5), 0.0),
+        (ModelParams(4, 1.0, 1.0), 0.0),
+        # Bitwise too where measured; the bound leaves room for reductions
+        # whose summation order may follow the stack size at n = 5.
+        (ModelParams(5, 1.0, 1.0), 1e-15),
+    ],
+    ids=["n3", "n3-c2-a0.5", "n4", "n5"],
+)
+def test_stacked_sweep_equals_point_by_point_reference(params: ModelParams, rel: float) -> None:
+    cfg = RunConfig(params, num_points=20, num_directions=30, seed=7)
+    rows = run_sweep(cfg).rows
+    expected = _sweep_reference(cfg)
+    assert [(row[0], row[2]) for row in rows] == [(row[0], row[2]) for row in expected]
+    for column in (1, 3):  # t and value
+        got = np.array([row[column] for row in rows])
+        want = np.array([row[column] for row in expected])
+        if rel == 0.0:
+            assert np.array_equal(got, want)
+        else:
+            assert float(np.max(np.abs(got - want) / np.abs(want))) <= rel
 
 
 def _count(monkeypatch, calls: dict[str, list], module, name, shape) -> None:
@@ -335,7 +378,8 @@ def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
     count(connection, "coefficients_from_geometry", lambda args: real_geometry(args[0]))
     count(curvature, "curvature_blocks", lambda args: real_geometry(args[0]))
     _run_two_points(offset)
-    assert calls["metric_at"] == [(3,)] * 4  # one per sampled point, one per point geometry
+    # one stacked call for the sampled points, then one per point geometry
+    assert calls["metric_at"] == [(2, 3), (3,), (3,)]
     assert calls["geometry_at"] == [(3,)] * 2
     assert calls["components_from_geometry"] == [()] * 2
     if offset is None:

@@ -2,10 +2,12 @@
 
 import numpy as np
 
-from kahler_tube.base_geometry import ModelParams
+from kahler_tube.base_geometry import ModelParams, metric_at
 from kahler_tube.lifted_metric import tube_check
 from kahler_tube.sampling import (
+    _MOMENTUM_STREAM,
     ENERGY_WINDOW,
+    _generator,
     sample_base_coordinates,
     sample_directions,
     sample_points,
@@ -65,3 +67,21 @@ def test_direction_shape() -> None:
     assert dirs.shape == (12, 6)
     assert np.all(np.isfinite(dirs))
     assert np.all(np.any(dirs, axis=1))
+
+
+def test_stacked_inverse_metrics_give_the_point_by_point_samples() -> None:
+    # sample_points takes the inverse base metrics from one stacked
+    # metric_at; the per-point construction below must give the same bits.
+    for params in (PARAMS, ModelParams(3), ModelParams(4), ModelParams(5)):
+        points = sample_points(params, 20, seed=7)
+        xs = sample_base_coordinates(params, 20, seed=7)
+        rng = _generator(7, _MOMENTUM_STREAM)
+        lo, hi = ENERGY_WINDOW
+        t_max = 2.0 * params.curvature / params.lift_const**2
+        for x, pt in zip(xs, points):
+            g_inv = metric_at(params, x).g_inv
+            t_target = rng.uniform(lo, hi) * t_max
+            xi = rng.normal(size=params.dim)
+            p = xi * np.sqrt(2.0 * t_target / float(xi @ g_inv @ xi))
+            assert np.array_equal(pt.x, x)
+            assert np.array_equal(pt.p, p)
