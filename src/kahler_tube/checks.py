@@ -6,9 +6,10 @@ and whether it passes by exceeding its tolerance instead of staying below.
 
 ``run_verify`` works in three steps.  ``evaluate_point`` computes every
 per-point check value at one sampled point (the integrable-only layers only
-for the Kähler profile).  ``_worst_over_points`` keeps, for each check, the
-largest value and the first point that reached it; the one cross-point
-value, ``hol_sect_nonconstancy``, is added after it.  A final loop over
+for the Kähler profile); each layer returns a float or a tuple of floats,
+unpacked straight into check names.  ``_worst_over_points`` keeps, for each
+check, the largest value and the first point that reached it; the one
+cross-point value, ``hol_sect_nonconstancy``, is added after it.  A final loop over
 ``CHECKS`` builds one report row per check.  Checks are independent: a
 failing identity never aborts the others.  In offset (non-integrable) mode
 the integrable-only rows are skipped with a reason, and the Nijenhuis
@@ -190,11 +191,11 @@ def evaluate_point(
 ) -> tuple[dict[str, Value], np.ndarray | None]:
     """Every per-point check value at ``pt``, keyed by check name.
 
-    The point geometry, the lifted blocks and, for the Kähler profile, the
-    closed connection and closed adapted curvature are built once here and
-    handed to every layer.  The integrable-only layers run only for the
-    Kähler profile.  The second
-    item holds the holomorphic sectional curvatures over ``directions``
+    The point geometry, the lifted blocks, the adapted metric and structure
+    and, for the Kähler profile, the closed connection ``W`` and the closed
+    adapted curvature are built once here and handed to every layer.  The
+    integrable-only layers run only for the Kähler profile.  The second item
+    holds the holomorphic sectional curvatures over ``directions``
     (None for any other profile), for the cross-point nonconstancy check.
     """
     n = params.dim
@@ -214,10 +215,7 @@ def evaluate_point(
     values["base_positive_definite"] = _positive_definite_residual(base.g)
 
     # Adapted frame: bracket table, duality, energy derivatives.
-    brackets = verify_brackets(geo)
-    values["bracket_vert_vert"] = brackets.vert_vert
-    values["bracket_mixed"] = brackets.mixed
-    values["bracket_horiz_horiz"] = brackets.horiz_horiz
+    values["bracket_vert_vert"], values["bracket_mixed"], values["bracket_horiz_horiz"] = verify_brackets(geo)
     values["frame_dual_pairing"] = geo.frame.dual_pairing_residual()
     values["energy_frame_derivative"] = max(energy_frame_derivatives(geo))
 
@@ -243,11 +241,8 @@ def evaluate_point(
     J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
     values["j_squared"] = _max_abs(J_coord @ J_coord + np.eye(2 * n))
     values["hermitian"] = _max_abs(J_coord.T @ S_coord @ J_coord - S_coord)
-    form = complex_structure.fundamental_form(geo, data, profile)
-    values["fundamental_form_blocks"] = complex_structure.fundamental_form_block_residual(
-        form.adapted
-    )
-    values["fundamental_form_closed"] = form.dphi_residual
+    values["fundamental_form_blocks"] = complex_structure.fundamental_form_block_residual(S_ad @ J_ad)
+    values["fundamental_form_closed"] = complex_structure.fundamental_form(geo, profile)
 
     # Integrability dichotomy.
     closed_n = complex_structure.nijenhuis_closed_form(geo, data)
@@ -268,18 +263,15 @@ def evaluate_point(
 
     # Levi-Civita connection: closed forms against the Koszul oracle.
     jet, R_oracle_coord = curvature.curvature_oracle_coordinates(geo, profile)
-    coeffs = connection.coefficients_from_geometry(geo, data, profile)
-    W = connection.adapted_connection_matrix(coeffs)
-    comparison = connection.verify_connection(geo, W, jet)
-    values["connection_match"] = (comparison.closed_vs_oracle, comparison.worst_label)
-    values["connection_nabla_g"] = comparison.nabla_g
-    values["connection_torsion"] = comparison.torsion
+    W = connection.coefficients_from_geometry(geo, data, profile)
+    values["connection_match"], values["connection_nabla_g"], values["connection_torsion"] = (
+        connection.verify_connection(geo, W, jet)
+    )
     values["mtensor_parallel"] = max(connection.mtensor_parallel_residuals(geo, profile))
 
     # Curvature: closed blocks against the curvature oracle; identity
     # battery on the oracle output so it stands on its own.
-    blocks = curvature.curvature_blocks(geo, data, profile)
-    R_closed_ad = curvature.assemble_adapted_curvature(blocks)
+    R_closed_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data, profile))
     R_oracle_ad = frame_transform(R_oracle_coord, "uddd", geo.frame, to="adapted")
     sectors = curvature.sector_residuals(R_closed_ad, R_oracle_ad, n)
     values["curvature_match"] = (
@@ -290,14 +282,15 @@ def evaluate_point(
     values["curvature_bianchi"] = base_geometry.first_bianchi_residual(R_oracle_coord)
     values["curvature_pair_skew"] = curvature.pair_skew_residual(R_oracle_coord, S_coord)
     values["curvature_j_invariance"] = curvature.j_invariance_residual(R_oracle_ad, S_ad, J_ad)
-    einstein = curvature.einstein_residuals(geo, data, R_oracle_coord)
-    values["einstein_identity"] = einstein.identity
-    values["ricci_mixed_zero"] = einstein.mixed_block
-    values.update(curvature.parallel_block_residuals(geo, coeffs, W, profile))
+    values["einstein_identity"], values["ricci_mixed_zero"] = curvature.einstein_residuals(
+        geo, data, R_oracle_coord
+    )
+    values.update(curvature.parallel_block_residuals(geo, W, profile))
 
-    sample = curvature.holomorphic_sample(R_closed_ad, S_ad, J_ad, directions)
-    values["hol_sect_scale_invariance"] = sample.scale_invariance
-    return values, sample.values
+    hol, values["hol_sect_scale_invariance"] = curvature.holomorphic_sample(
+        R_closed_ad, S_ad, J_ad, directions
+    )
+    return values, hol
 
 
 def _worst_over_points(

@@ -44,26 +44,16 @@ def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
     return J
 
 
-@dataclass(frozen=True)
-class FundamentalFormData:
-    """Adapted-frame fundamental 2-form plus a closedness residual."""
+def fundamental_form(geo: PointGeometry, profile: LiftProfile) -> float:
+    """Closedness residual of phi(X, Y) = S(X, JY), by complex step.
 
-    adapted: np.ndarray
-    dphi_residual: float
-
-
-def fundamental_form(
-    geo: PointGeometry, data: LiftedMetricData, profile: LiftProfile
-) -> FundamentalFormData:
-    """phi(X, Y) = S(X, JY) with the closedness of phi checked by complex step.
-
-    In adapted components phi pairs the two distributions with +-identity;
-    in coordinates it is the canonical form, so the exterior derivative of
-    the coordinate coefficient field, the cyclic sum
+    In adapted components phi is ``S_ad @ J_ad``, which pairs the two
+    distributions with +-identity (``fundamental_form_block_residual``); in
+    coordinates it is the canonical form, so the exterior derivative of the
+    coordinate coefficient field, the cyclic sum
     d_l phi_mn + d_m phi_nl + d_n phi_lm of its Jacobian, must vanish.
     """
 
-    phi_ad = adapted_metric_matrix(data) @ adapted_j_matrix(data)
     phi_field = lifted_field(
         geo.params, profile,
         lambda g2, d2: frame_transform(
@@ -72,7 +62,7 @@ def fundamental_form(
     )
     dw = complex_step(phi_field, geo.z)[1].value  # [l, m, n] = d_l phi_mn
     dphi = dw + np.transpose(dw, (1, 2, 0)) + np.transpose(dw, (2, 0, 1))
-    return FundamentalFormData(adapted=phi_ad, dphi_residual=float(np.max(np.abs(dphi))))
+    return float(np.max(np.abs(dphi)))
 
 
 def fundamental_form_block_residual(phi_adapted: np.ndarray) -> float:

@@ -1,13 +1,22 @@
 """Levi-Civita connection of the lifted metric: closed forms and oracle.
 
-The closed-form coefficients live in the adapted frame.  Writing nabla_a
-for the derivative along the a-th frame vector and splitting indices into
-horizontal (first n) and vertical (last n) slots, the nonzero blocks are
+The closed form is one array W[c, a, b] in the adapted frame, with
+nabla_{e_a} e_b = W[c, a, b] e_c.  Splitting each index into horizontal
+(first n) and vertical (last n) slots and reading [c, a, b] as [h, i, j],
+the blocks are
 
-    nabla_vert_i  vert_j  = vv_vert[i, j, h]   vert_h
-    nabla_horiz_i vert_j  = -gamma[j, i, h]    vert_h  + mixed[h, j, i] horiz_h
-    nabla_vert_i  horiz_j = mixed[h, i, j]     horiz_h
-    nabla_horiz_i horiz_j = gamma[h, i, j]     horiz_h + hh_vert[h, i, j] vert_h
+    W[:n, :n, :n] = gamma[h, i, j]      nabla_horiz_i horiz_j, horizontal part
+    W[n:, :n, :n] = hh_vert[h, i, j]    nabla_horiz_i horiz_j, vertical part
+    W[n:, :n, n:] = -gamma[j, i, h]     nabla_horiz_i vert_j, vertical part
+    W[:n, :n, n:] = mixed[h, j, i]      nabla_horiz_i vert_j, horizontal part
+    W[:n, n:, :n] = mixed[h, i, j]      nabla_vert_i horiz_j
+    W[n:, n:, n:] = vv_vert[i, j, h]    nabla_vert_i vert_j
+
+and W[:n, n:, n:] = 0.  Here gamma holds the base Christoffel symbols,
+vv_vert is symmetric in (i, j) and mixed[h, i, j] = -vv_vert[i, h, j].
+hh_vert is not symmetric in (i, j): its antisymmetric part reproduces the
+momentum-contracted base curvature, which is what torsion-freeness demands
+given the horizontal frame brackets.
 
 The independent oracle recomputes coordinate Christoffel symbols of the
 full 2n-dimensional metric from complex-step derivatives of the metric
@@ -20,7 +29,6 @@ coordinate metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,31 +39,10 @@ from .frames import PointGeometry, frame_derivative, frame_structure_functions
 from .lifted_metric import LiftProfile, LiftedMetricData, lifted_field
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Closed-form adapted-frame coefficients at one point.
-
-    vv_vert[i, j, h]: vertical output h of the derivative of vertical j
-    along vertical i (symmetric in i, j).
-    mixed[h, i, j]: horizontal output h with one vertical index i and one
-    horizontal index j; it equals -vv_vert[i, h, j] and appears in both
-    mixed slots.
-    hh_vert[h, i, j]: vertical output h of the derivative of horizontal j
-    along horizontal i.  It is not symmetric in (i, j): its antisymmetric
-    part reproduces the momentum-contracted base curvature, which is what
-    torsion-freeness demands given the horizontal frame brackets.
-    """
-
-    vv_vert: np.ndarray
-    mixed: np.ndarray
-    hh_vert: np.ndarray
-    gamma: np.ndarray  # base Christoffels, repeated here for convenience
-
-
 def coefficients_from_geometry(
     geo: PointGeometry, data: LiftedMetricData, profile: LiftProfile
-) -> ConnectionCoefficients:
-    """Closed-form coefficients at the point of ``geo``; requires the integrable profile."""
+) -> np.ndarray:
+    """Closed-form W[c, a, b] (blocks above) at the point of ``geo``; integrable profile only."""
     if not profile.is_kahler:
         raise DomainError("closed-form connection coefficients require the integrable profile")
     n = geo.n
@@ -71,28 +58,20 @@ def coefficients_from_geometry(
         - np.einsum("jh,i->ijh", eye, pr)
     )
     mixed = -np.einsum("ihj->hij", vv_vert)
+    gamma = geo.base.gamma
 
-    hh_vert = (
+    W = np.zeros((2 * n, 2 * n, 2 * n))
+    W[:n, :n, :n] = gamma
+    W[n:, :n, :n] = (
         (0.5 * (A * A * t - 2.0 * c))
         * (np.einsum("ij,h->hij", g, p) + np.einsum("ih,j->hij", g, p))
         + (0.5 * A * A * t) * np.einsum("hj,i->hij", g, p)
         + (0.5 * (3.0 * c - 2.0 * A * A * t) / t) * np.einsum("h,i,j->hij", p, p, p)
     )
-    return ConnectionCoefficients(
-        vv_vert=vv_vert, mixed=mixed, hh_vert=hh_vert, gamma=geo.base.gamma
-    )
-
-
-def adapted_connection_matrix(coeffs: ConnectionCoefficients) -> np.ndarray:
-    """Assemble coefficients into W[c, a, b]: nabla_a e_b = W[c, a, b] e_c."""
-    n = coeffs.gamma.shape[0]
-    W = np.zeros((2 * n, 2 * n, 2 * n))
-    W[:n, :n, :n] = coeffs.gamma
-    W[n:, :n, :n] = coeffs.hh_vert
-    W[n:, :n, n:] = -np.einsum("jih->hij", coeffs.gamma)
-    W[:n, :n, n:] = np.einsum("hji->hij", coeffs.mixed)
-    W[:n, n:, :n] = coeffs.mixed
-    W[n:, n:, n:] = np.einsum("ijh->hij", coeffs.vv_vert)
+    W[n:, :n, n:] = -np.einsum("jih->hij", gamma)
+    W[:n, :n, n:] = np.einsum("hji->hij", mixed)
+    W[:n, n:, :n] = mixed
+    W[n:, n:, n:] = np.einsum("ijh->hij", vv_vert)
     return W
 
 
@@ -186,18 +165,15 @@ def metric_compatibility_residual(geo: PointGeometry, W: np.ndarray, jet: Koszul
     return float(np.max(np.abs(covariant_derivative(christoffel, jet.G, jet.dG, "dd"))))
 
 
-@dataclass(frozen=True)
-class ConnectionComparison:
-    """verify_connection outcome: residuals plus adjudication details."""
+def verify_connection(
+    geo: PointGeometry, W_closed: np.ndarray, jet: KoszulJet
+) -> tuple[tuple[float, str], float, float]:
+    """Compare the closed-form adapted connection against the Koszul oracle's ``jet`` at ``geo``.
 
-    closed_vs_oracle: float
-    nabla_g: float
-    torsion: float
-    worst_label: str
-
-
-def verify_connection(geo: PointGeometry, W_closed: np.ndarray, jet: KoszulJet) -> ConnectionComparison:
-    """Compare the closed-form adapted connection against the Koszul oracle's ``jet`` at ``geo``."""
+    Returns ``((closed_vs_oracle, worst_label), nabla_g, torsion)``: the
+    largest coefficient deviation with a label naming it, the metric
+    compatibility residual and the torsion residual.
+    """
     W_oracle = connection_to_adapted(jet.christoffel, geo)
     diff = np.abs(W_closed - W_oracle)
     worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
@@ -205,13 +181,10 @@ def verify_connection(geo: PointGeometry, W_closed: np.ndarray, jet: KoszulJet) 
         f"coefficient [{worst[0]},{worst[1]},{worst[2]}]: "
         f"closed-form {W_closed[worst]:.17g} vs oracle {W_oracle[worst]:.17g}"
     )
-    nabla_g = metric_compatibility_residual(geo, W_closed, jet)
-    torsion = torsion_residual(W_closed, geo)
-    return ConnectionComparison(
-        closed_vs_oracle=float(diff[worst]),
-        nabla_g=nabla_g,
-        torsion=torsion,
-        worst_label=label,
+    return (
+        (float(diff[worst]), label),
+        metric_compatibility_residual(geo, W_closed, jet),
+        torsion_residual(W_closed, geo),
     )
 
 

@@ -20,14 +20,14 @@ oracle path touches the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from .base_geometry import DomainError
-from .connection import ConnectionCoefficients, KoszulJet, covariant_derivative, koszul_jet, koszul_oracle
+from .connection import KoszulJet, covariant_derivative, koszul_jet, koszul_oracle
 from .fd import field_jacobian
 from .frames import PointGeometry, frame_derivative, frame_transform
 from .lifted_metric import (
@@ -39,24 +39,18 @@ from .lifted_metric import (
 )
 
 
-@dataclass(frozen=True)
-class CurvatureBlocks:
-    """Closed-form curvature families at one point (index layouts above)."""
-
-    hhh: np.ndarray
-    vvh: np.ndarray
-    vhh: np.ndarray
-    vhv: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.hhh.shape[-1]
+#: Index variance of each curvature family (layouts in the module docstring), in stacking order.
+_FAMILY_VARIANCE = {"hhh": "uddd", "vvh": "uuud", "vhh": "uddd", "vhv": "uuud"}
 
 
 def curvature_blocks(
     geo: PointGeometry, data: LiftedMetricData, profile: LiftProfile
-) -> CurvatureBlocks:
-    """Closed-form curvature families at the point(s) of ``geo`` (integrable profile only)."""
+) -> np.ndarray:
+    """Closed-form curvature families at the point(s) of ``geo`` (integrable profile only).
+
+    Returns ``T[..., family, i, j, k, l]``, the families stacked in
+    ``_FAMILY_VARIANCE`` order (hhh, vvh, vhh, vhv).
+    """
     if not profile.is_kahler:
         raise DomainError("closed-form curvature blocks require the integrable profile")
     n = geo.n
@@ -126,13 +120,17 @@ def curvature_blocks(
         )
         + (0.5 * c / (t ** 3 * bound)) * np.einsum("...i,...h,...k,...j->...ikhj", pr, pr, pr, p)
     )
-    return CurvatureBlocks(hhh=hhh, vvh=vvh, vhh=vhh, vhv=vhv)
+    return np.stack([hhh, vvh, vhh, vhv], axis=-5)
 
 
-def assemble_adapted_curvature(blocks: CurvatureBlocks) -> np.ndarray:
-    """Full adapted-frame tensor R[a, b, c, d]: output a of K(e_c, e_d) e_b."""
-    n = blocks.n
-    hhh, vvh, vhh, vhv = blocks.hhh, blocks.vvh, blocks.vhh, blocks.vhv
+def assemble_adapted_curvature(T: np.ndarray) -> np.ndarray:
+    """Full adapted-frame tensor R[..., a, b, c, d]: output a of K(e_c, e_d) e_b.
+
+    ``T[..., family, i, j, k, l]`` is the stack of ``curvature_blocks``; any
+    leading axes, such as a frame direction of its derivative, carry through.
+    """
+    n = T.shape[-1]
+    hhh, vvh, vhh, vhv = np.moveaxis(T, -5, 0)
     R = np.zeros(hhh.shape[:-4] + (2 * n,) * 4, dtype=hhh.dtype)
     R[..., :n, :n, :n, :n] = np.einsum("...hijk->...hkij", hhh)
     R[..., n:, n:, :n, :n] = -np.einsum("...kijh->...hkij", hhh)
@@ -173,19 +171,6 @@ def curvature_oracle_coordinates(geo: PointGeometry, profile: LiftProfile) -> tu
     return curvature_from_metric_field(metric_field(geo.params, profile), geo.z)
 
 
-_ZERO_SECTORS = (
-    # (output, argument, dir1, dir2) with h = horizontal slice, v = vertical
-    ("h", "h", "v", "h"),
-    ("h", "h", "h", "v"),
-    ("v", "v", "v", "h"),
-    ("v", "v", "h", "v"),
-    ("h", "v", "h", "h"),
-    ("v", "h", "h", "h"),
-    ("h", "v", "v", "v"),
-    ("v", "h", "v", "v"),
-)
-
-
 def _sector(R: np.ndarray, pattern: tuple[str, str, str, str], n: int) -> np.ndarray:
     sl = {"h": slice(0, n), "v": slice(n, 2 * n)}
     return R[sl[pattern[0]], sl[pattern[1]], sl[pattern[2]], sl[pattern[3]]]
@@ -201,6 +186,7 @@ def sector_residuals(
     sectors the closed form leaves empty.
     """
 
+    # (output, argument, dir1, dir2) with h = horizontal slice, v = vertical
     sectors = {
         "hhh": [("h", "h", "h", "h")],
         "hhv": [("v", "v", "h", "h")],
@@ -209,6 +195,8 @@ def sector_residuals(
         "vhh": [("v", "h", "v", "h"), ("v", "h", "h", "v")],
         "vhv": [("h", "v", "v", "h"), ("h", "v", "h", "v")],
     }
+    family_sectors = {pat for pats in sectors.values() for pat in pats}
+    zero_sectors = [pat for pat in product("hv", repeat=4) if pat not in family_sectors]
     out: dict[str, float] = {}
     for name, pats in sectors.items():
         out[name] = max(
@@ -216,7 +204,7 @@ def sector_residuals(
             for pat in pats
         )
     out["structural_zero"] = max(
-        float(np.max(np.abs(_sector(R_oracle, pat, n)))) for pat in _ZERO_SECTORS
+        float(np.max(np.abs(_sector(R_oracle, pat, n)))) for pat in zero_sectors
     )
     return out
 
@@ -244,19 +232,13 @@ def ricci_tensor(R: np.ndarray) -> np.ndarray:
     return np.einsum("abad->db", R)
 
 
-@dataclass(frozen=True)
-class EinsteinResiduals:
-    """Oracle-route Einstein certificate at one point."""
-
-    identity: float
-    mixed_block: float
-
-
 def einstein_residuals(
     geo: PointGeometry, data: LiftedMetricData, R_coord: np.ndarray
-) -> EinsteinResiduals:
+) -> tuple[float, float]:
     """Ricci of the oracle curvature ``R_coord`` against (A n / 2) times the metric.
 
+    Returns ``(identity, mixed_block)``: max |Ric - (A n / 2) S| in
+    coordinates and the largest horizontal-vertical entry of adapted Ric.
     The curvature is produced entirely by finite differences, so a pass
     certifies the Einstein property independently of every closed form.
     """
@@ -267,10 +249,7 @@ def einstein_residuals(
     identity = float(np.max(np.abs(ric - factor * S_coord)))
     ric_ad = frame_transform(ric, "dd", geo.frame, "adapted")
     n = geo.n
-    mixed = max(
-        float(np.max(np.abs(ric_ad[:n, n:]))), float(np.max(np.abs(ric_ad[n:, :n])))
-    )
-    return EinsteinResiduals(identity=identity, mixed_block=mixed)
+    return identity, max(float(np.max(np.abs(ric_ad[:n, n:]))), float(np.max(np.abs(ric_ad[n:, :n]))))
 
 
 def covariant_derivative_residual(W: np.ndarray, T: np.ndarray, dT: np.ndarray) -> float:
@@ -284,36 +263,27 @@ def covariant_derivative_residual(W: np.ndarray, T: np.ndarray, dT: np.ndarray) 
     oracle-certified pointwise by the other checks.
     """
 
-    K = assemble_adapted_curvature(CurvatureBlocks(*T))
-    dK = assemble_adapted_curvature(CurvatureBlocks(*np.swapaxes(dT, 0, 1)))
+    K = assemble_adapted_curvature(T)
+    dK = assemble_adapted_curvature(dT)  # [direction, a, b, c, d]
     return float(np.max(np.abs(covariant_derivative(W, K, dK, "uddd"))))
 
 
-#: Index variance of each curvature family (layouts in the module docstring).
-_FAMILY_VARIANCE = {"hhh": "uddd", "vvh": "uuud", "vhh": "uddd", "vhv": "uuud"}
-
-
-def parallel_block_residuals(
-    geo: PointGeometry, coeffs: ConnectionCoefficients, W: np.ndarray, profile: LiftProfile
-) -> dict[str, float]:
+def parallel_block_residuals(geo: PointGeometry, W: np.ndarray, profile: LiftProfile) -> dict[str, float]:
     """Frame-derivative parallelism of each curvature family and of K.
 
     Returns keys like ``parallel_hhh_horizontal``: the covariant derivative
     of the block along every frame direction of the stated type must vanish.
     The connection along horizontal directions is the base Christoffels, along
-    vertical ones the mixed-slot closed-form coefficients; ``local_symmetry``
-    reads ``W``.  All nine read one ``frame_derivative`` of the stacked blocks.
+    vertical ones the mixed-slot closed-form coefficients ``W[:n, n:, :n]``;
+    ``local_symmetry`` reads all of ``W``.  All nine read one
+    ``frame_derivative`` of the stacked blocks.
     """
 
     n = geo.n
-
-    def stacked(g2: PointGeometry, d2: LiftedMetricData) -> np.ndarray:
-        blocks = curvature_blocks(g2, d2, profile)
-        return np.stack([getattr(blocks, name) for name in _FAMILY_VARIANCE], axis=-5)
-
-    T, dT = frame_derivative(geo, lifted_field(geo.params, profile, stacked))  # dT[direction, family]
+    blocks = lifted_field(geo.params, profile, lambda g2, d2: curvature_blocks(g2, d2, profile))
+    T, dT = frame_derivative(geo, blocks)  # dT[direction, family]
     out = {}
-    for kind, C, dirs in (("horizontal", geo.base.gamma, dT[:n]), ("vertical", coeffs.mixed, dT[n:])):
+    for kind, C, dirs in (("horizontal", geo.base.gamma, dT[:n]), ("vertical", W[:n, n:, :n], dT[n:])):
         for k, (name, variance) in enumerate(_FAMILY_VARIANCE.items()):
             nabla = covariant_derivative(C, T[k], dirs[:, k], variance)
             out[f"parallel_{name}_{kind}"] = float(np.max(np.abs(nabla)))
@@ -346,22 +316,14 @@ def holomorphic_sectional_curvature(
     return num / (norm_sq * norm_sq)
 
 
-@dataclass(frozen=True)
-class HolomorphicSample:
-    """Holomorphic sectional curvatures of many directions at one point."""
-
-    values: np.ndarray
-    scale_invariance: float
-
-
 def holomorphic_sample(
     R_ad: np.ndarray, S_ad: np.ndarray, J_ad: np.ndarray, directions: np.ndarray
-) -> HolomorphicSample:
+) -> tuple[np.ndarray, float]:
     """Evaluate the sectional function on a batch of adapted directions.
 
     ``R_ad``, ``S_ad`` and ``J_ad`` are the closed-form curvature, metric and
-    structure at one point, all in the adapted frame.  ``scale_invariance``
-    reports the worst |H(X) - H(2X)| over the batch, which must vanish because
+    structure at one point, all in the adapted frame.  Returns
+    ``(values, scale_invariance)``: one curvature per direction, and the worst |H(X) - H(2X)| over the batch, which must vanish because
     the defining ratio is degree zero in X.  The directions and their doubles
     are evaluated as one batch.
     """
@@ -370,4 +332,4 @@ def holomorphic_sample(
     both = holomorphic_sectional_curvature(R_ad, S_ad, J_ad, np.concatenate([X, 2.0 * X]))
     vals, doubled = both[: len(X)], both[len(X):]
     worst_scale = float(np.max(np.abs(vals - doubled), initial=0.0))
-    return HolomorphicSample(values=vals, scale_invariance=worst_scale)
+    return vals, worst_scale

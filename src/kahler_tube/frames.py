@@ -224,16 +224,7 @@ def frame_structure_functions(geo: PointGeometry) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BracketResiduals:
-    """Max deviations of complex-step frame brackets from closed forms."""
-
-    vert_vert: float
-    mixed: float
-    horiz_horiz: float
-
-
-def verify_brackets(geo: PointGeometry) -> BracketResiduals:
+def verify_brackets(geo: PointGeometry) -> tuple[float, float, float]:
     """Check the three bracket relations of the adapted frame numerically.
 
     [d/dp_i, d/dp_j] = 0,
@@ -243,6 +234,7 @@ def verify_brackets(geo: PointGeometry) -> BracketResiduals:
     One ``frame_derivative`` of the frame field M gives every bracket at
     once: [e_a, e_b] = D_a e_b - D_b e_a with D_a e_b = M[k, a] d_k M[:, b],
     compared with ``frame_structure_functions`` on the blocks above.
+    Returns the largest deviations ``(vert_vert, mixed, horiz_horiz)``.
     """
 
     n = geo.n
@@ -251,10 +243,10 @@ def verify_brackets(geo: PointGeometry) -> BracketResiduals:
     h, v = slice(None, n), slice(n, None)
     dev = np.abs(DbM - np.swapaxes(DbM, 1, 2) - frame_structure_functions(geo))
     i, j = np.triu_indices(n, 1)
-    return BracketResiduals(
-        vert_vert=float(np.max(dev[:, v, v][:, i, j])),
-        mixed=float(np.max(dev[:, v, h])),
-        horiz_horiz=float(np.max(dev[:, h, h][:, i, j])),
+    return (
+        float(np.max(dev[:, v, v][:, i, j])),
+        float(np.max(dev[:, v, h])),
+        float(np.max(dev[:, h, h][:, i, j])),
     )
 
 

@@ -24,7 +24,6 @@ from kahler_tube.complex_structure import (
     nijenhuis_fd_full,
 )
 from kahler_tube.connection import (
-    adapted_connection_matrix,
     coefficients_from_geometry,
     koszul_jet,
     verify_connection,
@@ -98,18 +97,17 @@ def matrix_results() -> MatrixResults:
         antisym = einstein = mixed = nabla = 0.0
         for pt in sample_points(params, NUM_POINTS, SEED):
             geo, data = _built(params, pt)
-            coeffs = coefficients_from_geometry(geo, data, KAHLER)
             R_closed = assemble_adapted_curvature(curvature_blocks(geo, data, KAHLER))
             _, R_coord = curvature_oracle_coordinates(geo, KAHLER)
             R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
             for family, res in sector_residuals(R_closed, R_oracle, geo.n).items():
                 fam[family] = max(fam.get(family, 0.0), res)
             antisym = max(antisym, direction_antisymmetry_residual(R_closed))
-            e = einstein_residuals(geo, data, R_coord)
-            einstein = max(einstein, e.identity)
-            mixed = max(mixed, e.mixed_block)
-            W = adapted_connection_matrix(coeffs)
-            parallel = parallel_block_residuals(geo, coeffs, W, KAHLER)
+            identity, mixed_block = einstein_residuals(geo, data, R_coord)
+            einstein = max(einstein, identity)
+            mixed = max(mixed, mixed_block)
+            W = coefficients_from_geometry(geo, data, KAHLER)
+            parallel = parallel_block_residuals(geo, W, KAHLER)
             nabla = max(nabla, parallel.pop("local_symmetry"))
             for name, res in parallel.items():
                 par[name] = max(par.get(name, 0.0), res)
@@ -136,9 +134,8 @@ def test_criterion_1_almost_kahler(primary_points) -> None:
             float(np.max(np.abs(J_coord @ J_coord + np.eye(2 * geo.n)))),
             float(np.max(np.abs(J_coord.T @ S_coord @ J_coord - S_coord))),
         )
-        form = fundamental_form(geo, data, KAHLER)
-        algebraic = max(algebraic, fundamental_form_block_residual(form.adapted))
-        fd_residual = max(fd_residual, form.dphi_residual)
+        algebraic = max(algebraic, fundamental_form_block_residual(S_ad @ J_ad))
+        fd_residual = max(fd_residual, fundamental_form(geo, KAHLER))
     elapsed = time.perf_counter() - t0
     ok = algebraic <= 1e-12 and fd_residual <= 1e-8 and elapsed < 5.0
     _line(
@@ -178,11 +175,13 @@ def test_criterion_3_connection_certification(primary_points) -> None:
     match = nabla_g = torsion = 0.0
     for pt in primary_points:
         geo, data = _built(PRIMARY, pt)
-        W = adapted_connection_matrix(coefficients_from_geometry(geo, data, KAHLER))
-        cmp = verify_connection(geo, W, koszul_jet(metric_field(PRIMARY), geo.z))
-        match = max(match, cmp.closed_vs_oracle)
-        nabla_g = max(nabla_g, cmp.nabla_g)
-        torsion = max(torsion, cmp.torsion)
+        W = coefficients_from_geometry(geo, data, KAHLER)
+        (closed_vs_oracle, _), point_nabla_g, point_torsion = verify_connection(
+            geo, W, koszul_jet(metric_field(PRIMARY), geo.z)
+        )
+        match = max(match, closed_vs_oracle)
+        nabla_g = max(nabla_g, point_nabla_g)
+        torsion = max(torsion, point_torsion)
     ok = match <= 1e-5 and nabla_g <= 1e-5 and torsion <= 1e-12
     _line(
         3,
@@ -263,9 +262,9 @@ def test_criterion_7_nonconstant_holomorphic_curvature(primary_points) -> None:
         geo, data = _built(PRIMARY, pt)
         R_ad = assemble_adapted_curvature(curvature_blocks(geo, data, KAHLER))
         S_ad, J_ad = adapted_metric_matrix(data), adapted_j_matrix(data)
-        sample = holomorphic_sample(R_ad, S_ad, J_ad, directions)
-        values.append(sample.values)
-        scale_worst = max(scale_worst, sample.scale_invariance)
+        point_values, scale_invariance = holomorphic_sample(R_ad, S_ad, J_ad, directions)
+        values.append(point_values)
+        scale_worst = max(scale_worst, scale_invariance)
     stacked = np.stack(values)
     lo, hi = float(np.min(stacked)), float(np.max(stacked))
     spread = (hi - lo) / max(abs(lo), abs(hi))

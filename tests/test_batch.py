@@ -20,7 +20,6 @@ from kahler_tube import base_geometry, connection, curvature, frames, lifted_met
 from kahler_tube.checks import RunConfig, run_sweep, run_verify
 from kahler_tube.complex_structure import adapted_j_matrix, fundamental_form, nijenhuis_fd_full
 from kahler_tube.connection import (
-    adapted_connection_matrix,
     coefficients_from_geometry,
     mtensor_parallel_residuals,
 )
@@ -114,11 +113,7 @@ def _j_field(params, profile):
 
 
 def _stacked_blocks_field(params, profile):
-    def stacked(geo, data):
-        blocks = curvature_blocks(geo, data, profile)
-        return np.stack([blocks.hhh, blocks.vvh, blocks.vhh, blocks.vhv], axis=-5)
-
-    return lifted_field(params, profile, stacked)
+    return lifted_field(params, profile, lambda geo, data: curvature_blocks(geo, data, profile))
 
 
 @pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
@@ -267,14 +262,14 @@ def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
     # about 3.2 MB; one of the coordinate-frame curvature at about 5.1 MB,
     # because frame_transform then works on a complex (10, 10^4) stack.
     data = components_from_geometry(PARAMS_5, GEO_5, KAHLER)
-    coeffs = coefficients_from_geometry(GEO_5, data, KAHLER)
-    W = adapted_connection_matrix(coeffs)
-    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, coeffs, W, KAHLER)) < 5.0
+    W = coefficients_from_geometry(GEO_5, data, KAHLER)
+    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, KAHLER)) < 5.0
 
 
 def test_sweep_memory_stays_one_point_deep() -> None:
     # Measured at (3,1,1), 100 points x 100 directions (tracemalloc peak):
-    # about 1.45 MB with the closed forms stacked over the points, the
+    # about 1.5 MB with the closed forms stacked over the points (the four
+    # curvature families as one (100, 4, 3, 3, 3, 3) array), the
     # quadratic form over one batch of directions per point and the rows
     # built after the stacked (100, 6, 6, 6, 6) curvature (1.0 MB) is
     # released; the 10,000 result rows hold 1.1 MB.  Building the rows while
@@ -416,21 +411,15 @@ def test_verify_runs_each_oracle_once_per_point(offset, monkeypatch) -> None:
         assert "coordinate_metric" not in calls and "curvature_blocks" not in calls
 
 
-def _closed_connection(geo, data):
-    """The closed connection coefficients and their adapted matrix W."""
-    coeffs = coefficients_from_geometry(geo, data, KAHLER)
-    return coeffs, adapted_connection_matrix(coeffs)
-
-
 #: Every layer that differentiates a closed-form field, with the arguments
 #: after ``geo`` that its caller builds from the geometry and lifted blocks.
 DERIVATIVE_LAYERS = [
     (verify_brackets, lambda geo, data: ()),
     (energy_frame_derivatives, lambda geo, data: ()),
-    (fundamental_form, lambda geo, data: (data, KAHLER)),
+    (fundamental_form, lambda geo, data: (KAHLER,)),
     (nijenhuis_fd_full, lambda geo, data: (KAHLER,)),
     (mtensor_parallel_residuals, lambda geo, data: (KAHLER,)),
-    (parallel_block_residuals, lambda geo, data: _closed_connection(geo, data) + (KAHLER,)),
+    (parallel_block_residuals, lambda geo, data: (coefficients_from_geometry(geo, data, KAHLER), KAHLER)),
 ]
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from kahler_tube.base_geometry import DomainError, ModelParams
 from kahler_tube.connection import (
-    adapted_connection_matrix,
     coefficients_from_geometry,
     connection_to_adapted,
     connection_to_coordinates,
@@ -18,6 +17,7 @@ from kahler_tube.connection import (
 )
 from kahler_tube.frames import BundlePoint, point_geometry
 from kahler_tube.lifted_metric import KAHLER, components_from_geometry, metric_field, offset_profile
+from kahler_tube.sampling import sample_points
 
 PARAMS = ModelParams(3)
 # Flat-origin anchor: x = 0, p = (1,0,0), t = 1/2, v = 1.
@@ -28,8 +28,7 @@ GENERIC = BundlePoint(x=np.array([0.3, -0.1, 0.2]), p=np.array([0.4, 0.5, -0.3])
 def _closed(pt: BundlePoint):
     """The point geometry at ``pt`` and its closed-form adapted connection W."""
     geo = point_geometry(PARAMS, pt)
-    coeffs = coefficients_from_geometry(geo, components_from_geometry(PARAMS, geo, KAHLER), KAHLER)
-    return geo, adapted_connection_matrix(coeffs)
+    return geo, coefficients_from_geometry(geo, components_from_geometry(PARAMS, geo, KAHLER), KAHLER)
 
 
 def _compared(pt: BundlePoint):
@@ -39,22 +38,40 @@ def _compared(pt: BundlePoint):
 
 
 def test_anchor_coefficient_values() -> None:
-    geo = point_geometry(PARAMS, ANCHOR)
-    coeffs = coefficients_from_geometry(geo, components_from_geometry(PARAMS, geo, KAHLER), KAHLER)
-    # vertical-vertical coefficient (pure momentum derivatives)
-    assert coeffs.vv_vert[0, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
-    # mixed coefficient is its negative transpose in the first index pair
-    assert coeffs.mixed[0, 0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-13)
-    # horizontal-horizontal vertical part
-    assert coeffs.hh_vert[1, 0, 1] == pytest.approx(0.25, abs=1e-13)
-    assert coeffs.hh_vert[1, 1, 0] == pytest.approx(-0.75, abs=1e-13)
+    _, W = _closed(ANCHOR)
+    n = PARAMS.dim
+    # vertical-vertical coefficient (pure momentum derivatives): vv_vert[0, 0, 0]
+    assert W[n + 0, n + 0, n + 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
+    # mixed coefficient is its negative transpose in the first index pair: mixed[0, 0, 0]
+    assert W[0, n + 0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-13)
+    # horizontal-horizontal vertical part: hh_vert[1, 0, 1] and hh_vert[1, 1, 0]
+    assert W[n + 1, 0, 1] == pytest.approx(0.25, abs=1e-13)
+    assert W[n + 1, 1, 0] == pytest.approx(-0.75, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "pt", [ANCHOR, GENERIC, *sample_points(PARAMS, 2, seed=7)], ids=["anchor", "generic", "s0", "s1"]
+)
+def test_connection_block_layout(pt) -> None:
+    # The identities between the blocks of W stated in the module docstring.
+    geo, W = _closed(pt)
+    n = PARAMS.dim
+    vv_vert = np.einsum("hij->ijh", W[n:, n:, n:])
+    mixed = W[:n, n:, :n]
+    gamma = geo.base.gamma
+    np.testing.assert_array_equal(vv_vert, np.swapaxes(vv_vert, 0, 1))
+    np.testing.assert_array_equal(mixed, -np.einsum("ihj->hij", vv_vert))
+    np.testing.assert_array_equal(W[:n, :n, n:], np.einsum("hji->hij", mixed))
+    np.testing.assert_array_equal(W[n:, :n, n:], -np.einsum("jih->hij", gamma))
+    np.testing.assert_array_equal(W[:n, :n, :n], gamma)
+    assert not np.any(W[:n, n:, n:])
 
 
 def test_closed_form_matches_koszul_oracle() -> None:
-    comparison = _compared(GENERIC)
-    assert comparison.closed_vs_oracle < 1e-7
-    assert comparison.nabla_g < 1e-7
-    assert comparison.torsion < 1e-13
+    (closed_vs_oracle, _), nabla_g, torsion = _compared(GENERIC)
+    assert closed_vs_oracle < 1e-7
+    assert nabla_g < 1e-7
+    assert torsion < 1e-13
 
 
 def test_metric_compatibility_of_closed_form_coefficients() -> None:
@@ -96,7 +113,7 @@ def test_closed_form_requires_integrable_profile() -> None:
 
 
 def test_worst_label_mentions_block_and_values() -> None:
-    comparison = _compared(GENERIC)
-    assert "coefficient [" in comparison.worst_label
-    assert "closed-form" in comparison.worst_label
-    assert "oracle" in comparison.worst_label
+    (_, worst_label), _, _ = _compared(GENERIC)
+    assert "coefficient [" in worst_label
+    assert "closed-form" in worst_label
+    assert "oracle" in worst_label

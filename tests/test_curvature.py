@@ -7,7 +7,6 @@ from kahler_tube import frames
 from kahler_tube.base_geometry import DomainError, ModelParams, first_bianchi_residual
 from kahler_tube.complex_structure import adapted_j_matrix
 from kahler_tube.connection import (
-    adapted_connection_matrix,
     coefficients_from_geometry,
     covariant_derivative,
     koszul_oracle,
@@ -60,10 +59,9 @@ def _adapted_setup(pt, params=PARAMS):
 
 
 def _coefficients(pt, params=PARAMS):
-    """The point geometry, its closed-form connection coefficients and their matrix W."""
+    """The point geometry and its closed-form adapted connection W."""
     geo, data = _built(pt, params)
-    coeffs = coefficients_from_geometry(geo, data, KAHLER)
-    return geo, coeffs, adapted_connection_matrix(coeffs)
+    return geo, coefficients_from_geometry(geo, data, KAHLER)
 
 
 def test_blocks_match_oracle_per_family() -> None:
@@ -121,6 +119,19 @@ def test_curvature_oracle_pair_skew_near_the_tube_end() -> None:
     assert pair_skew_residual(R, coordinate_metric(geo, data)) <= 1e-6
 
 
+def test_assembly_of_a_stack_equals_assembly_per_item() -> None:
+    # covariant_derivative_residual assembles the frame derivatives of the
+    # families, a (directions, 4, n, n, n, n) stack, in one call.
+    geo, data = _built(GENERIC)
+    T = curvature_blocks(geo, data, KAHLER)
+    stack = np.stack([T, 2.0 * T, np.random.default_rng(4).standard_normal(T.shape)])
+    assert stack.shape == (3, 4, 3, 3, 3, 3)
+    assembled = assemble_adapted_curvature(stack)
+    assert assembled.shape == (3, 6, 6, 6, 6)
+    for k in range(len(stack)):
+        np.testing.assert_array_equal(assembled[k], assemble_adapted_curvature(stack[k]))
+
+
 def test_structural_antisymmetry_exact() -> None:
     _, R_ad, _, _ = _adapted_setup(GENERIC)
     assert direction_antisymmetry_residual(R_ad) < 1e-14
@@ -159,9 +170,9 @@ def test_einstein_identity_closed_form() -> None:
 
 def test_einstein_identity_oracle() -> None:
     geo, data = _built(GENERIC)
-    res = einstein_residuals(geo, data, curvature_oracle_coordinates(geo, KAHLER)[1])
-    assert res.identity < 1e-5
-    assert res.mixed_block < 1e-5
+    identity, mixed_block = einstein_residuals(geo, data, curvature_oracle_coordinates(geo, KAHLER)[1])
+    assert identity < 1e-5
+    assert mixed_block < 1e-5
 
 
 def test_covariant_derivative_vanishes() -> None:
@@ -224,10 +235,10 @@ def test_holomorphic_sample_spread_and_scaling() -> None:
     rng = np.random.default_rng(5)
     directions = rng.standard_normal((64, 6))
     _, R_ad, S_ad, J_ad = _adapted_setup(ANCHOR)
-    sample = holomorphic_sample(R_ad, S_ad, J_ad, directions)
-    assert sample.values.shape == (64,)
-    assert sample.scale_invariance < 1e-12
-    assert relative_spread(float(np.min(sample.values)), float(np.max(sample.values))) > 1e-3
+    values, scale_invariance = holomorphic_sample(R_ad, S_ad, J_ad, directions)
+    assert values.shape == (64,)
+    assert scale_invariance < 1e-12
+    assert relative_spread(float(np.min(values)), float(np.max(values))) > 1e-3
 
 
 def test_zero_direction_rejected() -> None:

@@ -48,10 +48,10 @@ def test_frame_duality_and_blocks() -> None:
 
 
 def test_bracket_table() -> None:
-    res = verify_brackets(point_geometry(PARAMS, POINT))
-    assert res.vert_vert < 1e-8
-    assert res.mixed < 1e-8
-    assert res.horiz_horiz < 1e-8
+    vert_vert, mixed, horiz_horiz = verify_brackets(point_geometry(PARAMS, POINT))
+    assert vert_vert < 1e-8
+    assert mixed < 1e-8
+    assert horiz_horiz < 1e-8
 
 
 def test_energy_frame_derivatives() -> None:

@@ -8,8 +8,10 @@ another package module: what two modules share is public.  A public
 module-level function or class must be referenced by some package module,
 by name or as an attribute, or be listed in the package ``__all__``.  A
 public method or property of a package class must be read as an attribute
-somewhere in the package or in ``perfbench``.  Pure ``ast``, so the gate
-needs no linter.
+somewhere in the package or in ``perfbench``.  No public ``verify_*``,
+``*_residual`` or ``*_residuals`` function is annotated to return a
+package-defined class: the layers hand the battery plain floats, arrays and
+tuples of them.  Pure ``ast``, so the gate needs no linter.
 """
 
 import ast
@@ -139,6 +141,28 @@ def private_package_imports(source: str) -> list[str]:
     ]
 
 
+def record_returning_residuals(sources: dict[str, str]) -> list[str]:
+    """Public verify/residual functions whose return annotation names a package class.
+
+    ``sources`` maps module names to their text; a package class is a
+    module-level class definition in any of them.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    classes = {
+        node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    return [
+        f"{module}.{node.name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and (node.name.startswith("verify_") or node.name.endswith(("_residual", "_residuals")))
+        and node.returns is not None
+        and any(isinstance(name, ast.Name) and name.id in classes for name in ast.walk(node.returns))
+    ]
+
+
 def test_gate_flags_an_unused_import() -> None:
     source = "import numpy as np\nfrom typing import Callable, Any\n\nx: Any = np.pi\n"
     assert unused_imports(source) == ["Callable (line 2)"]
@@ -215,6 +239,28 @@ def test_gate_flags_an_unread_public_member() -> None:
     ]
 
 
+def test_gate_flags_a_residual_returning_a_record() -> None:
+    sources = {
+        "records": "class Comparison:\n    pass\n",
+        "layers": (
+            "from .records import Comparison\n"
+            "def verify_pair(x) -> Comparison:\n    return Comparison()\n"
+            "def torsion_residual(x) -> float:\n    return 0.0\n"
+            "def block_residuals(x) -> tuple[Comparison, float]:\n    return Comparison(), 0.0\n"
+            "def _worst_residual(x) -> Comparison:\n    return Comparison()\n"
+            "def compare(x) -> Comparison:\n    return Comparison()\n"
+            "def verify_flat(x) -> tuple[tuple[float, str], float]:\n    return (0.0, ''), 0.0\n"
+            "class Frame:\n"
+            "    def pairing_residual(self) -> Frame:\n        return self\n"
+        ),
+    }
+    assert record_returning_residuals(sources) == [
+        "layers.verify_pair (line 2)",
+        "layers.block_residuals (line 6)",
+        "layers.pairing_residual (line 15)",
+    ]
+
+
 def test_package_has_modules() -> None:
     assert len(MODULES) >= 10
 
@@ -244,3 +290,8 @@ def test_every_public_member_is_read() -> None:
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     readers = list(sources.values()) + [path.read_text(encoding="utf-8") for path in PERFBENCH]
     assert unread_public_members(sources, readers) == []
+
+
+def test_residual_functions_return_no_record() -> None:
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert record_returning_residuals(sources) == []
