@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -36,8 +35,8 @@ from .frames import (
     verify_brackets,
 )
 from .lifted_metric import KAHLER, LiftProfile, offset_profile
-from .report import CheckResult, SweepResult, SweepRow, VerifyReport, relative_spread
-from .sampling import sample_directions, sample_points
+from .report import CheckResult, SweepResult, VerifyReport, relative_spread
+from .sampling import sample_chart_points, sample_directions, sample_points
 
 
 class ConfigError(ValueError):
@@ -352,16 +351,16 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
 
 
 def _sweep_values(
-    params: ModelParams, points: list[BundlePoint], directions: np.ndarray
+    params: ModelParams, xs: np.ndarray, ps: np.ndarray, directions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energy densities ``(points,)`` and curvatures ``(points, directions)``."""
-    geo = geometry_at(params, np.stack([pt.x for pt in points]), np.stack([pt.p for pt in points]))
+    geo = geometry_at(params, xs, ps)
     data = lifted_metric.components_from_geometry(params, geo, KAHLER)
     R_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data, KAHLER))
     S_ad = lifted_metric.adapted_metric_matrix(data)
     J_ad = complex_structure.adapted_j_matrix(data)
-    values = np.empty((len(points), len(directions)))
-    for idx in range(len(points)):
+    values = np.empty((len(xs), len(directions)))
+    for idx in range(len(xs)):
         values[idx] = curvature.holomorphic_sectional_curvature(R_ad[idx], S_ad[idx], J_ad[idx], directions)
     return geo.t, values
 
@@ -370,22 +369,21 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     """Holomorphic sectional curvature over the sampled (point, direction) grid.
 
     Every closed form is evaluated once, on the stack of all sampled points:
-    one ``geometry_at`` on the ``(points, n)`` arrays, then the lifted
-    blocks, the curvature blocks and the adapted curvature, metric and
-    structure.  Only the quadratic form runs point by point
-    (``holomorphic_sectional_curvature`` over the whole batch of
-    directions), so no ``(points, directions, m²)`` product is ever held.
-    The rows are built after the stacked curvature is released.
+    one ``geometry_at`` on the ``(points, n)`` arrays of
+    ``sample_chart_points``, then the lifted blocks, the curvature blocks
+    and the adapted curvature, metric and structure.  Only the quadratic
+    form runs point by point (``holomorphic_sectional_curvature`` over the
+    whole batch of directions), so no ``(points, directions, m²)`` product
+    is ever held.  The result keeps the two arrays as they are: no
+    ``BundlePoint`` and no row object is built.  A sampled point outside the
+    tube is caught by the tube guard of ``components_from_geometry``, and a
+    non-finite value by ``SweepResult.to_csv``.
     """
     cfg.require_admissible()
     if cfg.custom_v_offset is not None:
         raise ConfigError("sweep requires the integrable lift profile")
     params = cfg.params
-    points = sample_points(params, cfg.num_points, cfg.seed)
+    xs, ps = sample_chart_points(params, cfg.num_points, cfg.seed)
     directions = sample_directions(params, cfg.num_directions, cfg.seed)
-    t, values = _sweep_values(params, points, directions)
-    direction_ids = range(cfg.num_directions)
-    rows: list[SweepRow] = []
-    for idx, (t_point, row_values) in enumerate(zip(t.tolist(), values.tolist())):
-        rows.extend(map(SweepRow, repeat(idx), repeat(t_point), direction_ids, row_values))
-    return SweepResult(rows=rows)
+    t, values = _sweep_values(params, xs, ps, directions)
+    return SweepResult(t=t, values=values)

@@ -128,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             note = f"verdict {report.verdict}"
         else:
             result = run_sweep(cfg)
-            text, path, code, note = result.to_csv(), args.out, 0, f"{len(result.rows)} rows"
+            text, path, code, note = result.to_csv(), args.out, 0, f"{result.values.size} rows"
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,12 @@ The JSON emitter is hand-rolled for one reason: the report contract pins
 floating-point fields to 17 significant digits, while ``json.dumps`` uses
 shortest-roundtrip repr.  Everything else (key order, spacing) is fixed by
 construction so reruns with the same config produce identical bytes.
+
+The sweep result is held by column: a ``(points,)`` array of energy
+densities and a ``(points, directions)`` array of curvatures.  ``to_csv``
+writes each point's lines through one per-point template, so no per-row
+object stands between the curvature array and the text; ``SweepResult.rows``
+builds the row tuples only when read.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
+
+import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -126,41 +134,48 @@ class SweepRow(NamedTuple):
     value: float
 
 
-#: One CSV line per row, t already formatted; ``%.17g`` is ``format_float``'s form.
-_CSV_ROW = "%d,%s,%d,%.17g"
-
-
 @dataclass
 class SweepResult:
-    """Holomorphic-sectional-curvature sweep: one row per (point, direction)."""
+    """Holomorphic-sectional-curvature sweep, held by column.
 
-    rows: list[SweepRow]
+    ``t[i]`` is the energy density of point ``i`` (shape ``(points,)``) and
+    ``values[i, j]`` the curvature at point ``i`` in direction ``j`` (shape
+    ``(points, directions)``).
+    """
+
+    t: np.ndarray
+    values: np.ndarray
+
+    @property
+    def rows(self) -> list[SweepRow]:
+        """One row per (point, direction), point-major; built when read."""
+        return [
+            SweepRow(point_id, t, direction_id, value)
+            for point_id, (t, row) in enumerate(zip(self.t.tolist(), self.values.tolist()))
+            for direction_id, value in enumerate(row)
+        ]
 
     @property
     def minimum(self) -> float:
-        return min(r.value for r in self.rows)
+        return float(np.min(self.values))
 
     @property
     def maximum(self) -> float:
-        return max(r.value for r in self.rows)
+        return float(np.max(self.values))
 
     @property
     def relative_spread(self) -> float:
         return relative_spread(self.minimum, self.maximum)
 
     def to_csv(self) -> str:
-        values = [r.value for r in self.rows]
-        if not all(map(math.isfinite, values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("reports must contain finite numbers only")
         lines = ["point_id,t,direction_id,hol_sect_curv"]
-        # Rows of one point share their t object, so it is formatted (and
-        # checked for finiteness by format_float) once.
-        last_t, t_text = None, ""
-        for point_id, t, direction_id, value in self.rows:
-            if t is not last_t:
-                last_t, t_text = t, format_float(t)
-            lines.append(_CSV_ROW % (point_id, t_text, direction_id, value))
-        lo, hi = min(values), max(values)
+        for point_id, (t, row) in enumerate(zip(self.t.tolist(), self.values.tolist())):
+            # t is formatted (and checked for finiteness) once per point;
+            # ``%.17g`` is ``format_float``'s form.
+            lines.extend(map(f"{point_id},{format_float(t)},%d,%.17g".__mod__, enumerate(row)))
+        lo, hi = self.minimum, self.maximum
         lines.append(
             f"#summary,{format_float(lo)},{format_float(hi)},"
             f"{format_float(relative_spread(lo, hi))}"

@@ -3,6 +3,11 @@
 Each concern draws from its own child of the master seed (a distinct
 ``spawn_key``), so extending one stream — say, asking for more directions —
 never perturbs the points other checks see.
+
+``sample_chart_points`` returns the tube points as two stacked ``(count, n)``
+arrays, which the sweep passes straight to the stacked geometry;
+``sample_points`` wraps the same arrays as validated ``BundlePoint``s for
+the per-point battery.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ def sample_base_coordinates(params: ModelParams, count: int, seed: int) -> np.nd
     return out
 
 
-def sample_points(params: ModelParams, count: int, seed: int) -> list[BundlePoint]:
-    """Tube points: chart position plus momentum on the admissible annulus.
+def sample_chart_points(params: ModelParams, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tube points as stacked chart arrays ``(xs, ps)``, each ``(count, n)``.
 
     The energy density t is drawn uniformly from the middle of the tube
     range (``ENERGY_WINDOW`` times 2c/A²) and the momentum direction
@@ -51,13 +56,17 @@ def sample_points(params: ModelParams, count: int, seed: int) -> list[BundlePoin
     rng = _generator(seed, _MOMENTUM_STREAM)
     lo, hi = ENERGY_WINDOW
     t_max = 2.0 * params.curvature / params.lift_const**2
-    points = []
-    for x, g_inv in zip(xs, metric_at(params, xs).g_inv):
+    ps = np.empty_like(xs)
+    for k, g_inv in enumerate(metric_at(params, xs).g_inv):
         t_target = rng.uniform(lo, hi) * t_max
         xi = rng.normal(size=params.dim)
-        p = xi * np.sqrt(2.0 * t_target / float(xi @ g_inv @ xi))
-        points.append(BundlePoint(x, p))
-    return points
+        ps[k] = xi * np.sqrt(2.0 * t_target / float(xi @ g_inv @ xi))
+    return xs, ps
+
+
+def sample_points(params: ModelParams, count: int, seed: int) -> list[BundlePoint]:
+    """The points of ``sample_chart_points``, each validated as a ``BundlePoint``."""
+    return [BundlePoint(x, p) for x, p in zip(*sample_chart_points(params, count, seed))]
 
 
 def sample_directions(params: ModelParams, count: int, seed: int) -> np.ndarray:

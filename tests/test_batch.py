@@ -270,15 +270,42 @@ def test_sweep_memory_stays_one_point_deep() -> None:
     # Measured at (3,1,1), 100 points x 100 directions (tracemalloc peak):
     # about 1.5 MB with the closed forms stacked over the points (the four
     # curvature families as one (100, 4, 3, 3, 3, 3) array), the
-    # quadratic form over one batch of directions per point and the rows
-    # built after the stacked (100, 6, 6, 6, 6) curvature (1.0 MB) is
-    # released; the 10,000 result rows hold 1.1 MB.  Building the rows while
-    # that curvature is held peaked at 2.4 MB; the point-by-point loop with
-    # doubled direction batches at 1.6 MB.  Stacking the points into the
-    # quadratic form as well would hold (points, directions, m^2) products:
-    # 2.9 MB of float64 for one such array at this size.
+    # quadratic form over one batch of directions per point and the
+    # stacked (100, 6, 6, 6, 6) curvature (1.0 MB) the largest array held;
+    # the columnar result holds 0.08 MB.  Row objects (10,000 rows, 1.1 MB)
+    # built while that curvature was held peaked at 2.4 MB; the
+    # point-by-point loop with doubled direction batches at 1.6 MB.
+    # Stacking the points into the quadratic form as well would hold
+    # (points, directions, m^2) products: 2.9 MB of float64 for one such
+    # array at this size.
     cfg = RunConfig(ModelParams(3, 1.0, 1.0), num_points=100, num_directions=100, seed=7)
     assert _peak_mb(lambda: run_sweep(cfg)) < 3.0
+
+
+def test_sweep_result_is_columnar(monkeypatch) -> None:
+    # run_sweep hands the sampled chart arrays straight to the stacked
+    # geometry and keeps the curvatures as one (points, directions) array:
+    # no BundlePoint is built, and at (3,1,1), 100 x 100 the result retains
+    # about 0.08 MB (tracemalloc), where 10,000 row tuples held 1.1 MB.
+    built: list[BundlePoint] = []
+    post_init = BundlePoint.__post_init__
+
+    def recording(self) -> None:
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BundlePoint, "__post_init__", recording)
+    cfg = RunConfig(ModelParams(3, 1.0, 1.0), num_points=100, num_directions=100, seed=7)
+    run_sweep(cfg)  # warm caches outside the measurement
+    assert built == []
+    tracemalloc.start()
+    try:
+        result = run_sweep(cfg)
+        retained_mb = tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert result.values.shape == (100, 100)
+    assert retained_mb < 0.25
 
 
 def test_sweep_builds_each_point_geometry_once(monkeypatch) -> None:

@@ -103,6 +103,13 @@ def test_sweep_stdout_layout(capsys) -> None:
     assert float(summary[3]) > 1e-3
 
 
+def test_sweep_out_note_counts_rows(tmp_path, capsys) -> None:
+    target = tmp_path / "sweep.csv"
+    assert main(["sweep", "--dim", "3", *FAST, "--out", str(target)]) == 0
+    assert capsys.readouterr().err == f"wrote {target} (10 rows)\n"
+    assert len(target.read_text().splitlines()) == 1 + 10 + 1
+
+
 def test_sweep_rejects_offset_profile(capsys) -> None:
     code = main(["sweep", "--dim", "3", *FAST, "--custom-v-offset", "0.1"])
     assert code == 2

@@ -3,8 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from kahler_tube.base_geometry import ModelParams
+from kahler_tube.checks import RunConfig, run_sweep
 from kahler_tube.report import (
     CheckResult,
     SweepResult,
@@ -72,29 +75,59 @@ def test_report_json_shape() -> None:
 
 
 def test_sweep_csv_layout() -> None:
-    rows = [
-        SweepRow(point_id=0, t=0.5, direction_id=0, value=0.5),
-        SweepRow(point_id=0, t=0.5, direction_id=1, value=0.82),
-        SweepRow(point_id=1, t=1.25, direction_id=0, value=0.75),
-    ]
-    result = SweepResult(rows=rows)
+    result = SweepResult(t=np.array([0.5, 1.25]), values=np.array([[0.5, 0.82], [0.75, 0.6]]))
     text = result.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "point_id,t,direction_id,hol_sect_curv"
     assert lines[1] == "0,0.5,0,0.5"
+    assert lines[2:5] == [
+        "0,0.5,1,0.81999999999999995", "1,1.25,0,0.75", "1,1.25,1,0.59999999999999998",
+    ]
     assert lines[-1].startswith("#summary,0.5,")
     assert result.minimum == 0.5
     assert result.maximum == 0.82
     assert math.isclose(result.relative_spread, (0.82 - 0.5) / 0.82)
-    assert len(lines) == 1 + 3 + 1
+    assert len(lines) == 1 + 4 + 1
+    # rows are built when read, point-major, one per (point, direction)
+    assert result.rows == [
+        SweepRow(0, 0.5, 0, 0.5), SweepRow(0, 0.5, 1, 0.82),
+        SweepRow(1, 1.25, 0, 0.75), SweepRow(1, 1.25, 1, 0.6),
+    ]
 
 
 def test_sweep_csv_rejects_a_non_finite_entry_in_any_row() -> None:
-    t = 0.5
-    for bad in (
-        SweepRow(point_id=0, t=t, direction_id=2, value=math.nan),
-        SweepRow(point_id=1, t=math.inf, direction_id=0, value=0.5),
+    # a NaN value in a later row, and an infinite t of a later point
+    for t, values in (
+        ([0.5], [[0.5, 0.5, math.nan]]),
+        ([0.5, math.inf], [[0.5, 0.5], [0.5, 0.5]]),
     ):
-        rows = [SweepRow(point_id=0, t=t, direction_id=k, value=0.5) for k in range(2)]
         with pytest.raises(ValueError, match="finite"):
-            SweepResult(rows=rows + [bad]).to_csv()
+            SweepResult(t=np.array(t), values=np.array(values)).to_csv()
+
+
+def _csv_row_by_row(result: SweepResult) -> str:
+    """The sweep CSV formatted row by row with ``format_float``."""
+    rows = result.rows
+    lines = ["point_id,t,direction_id,hol_sect_curv"]
+    for row in rows:
+        lines.append(f"{row.point_id},{format_float(row.t)},{row.direction_id},{format_float(row.value)}")
+    lo = min(row.value for row in rows)
+    hi = max(row.value for row in rows)
+    spread = (hi - lo) / max(abs(lo), abs(hi))
+    lines.append(f"#summary,{format_float(lo)},{format_float(hi)},{format_float(spread)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(3, 1.0, 1.0), ModelParams(3, 2.0, 0.5),
+        ModelParams(4, 1.0, 1.0), ModelParams(5, 1.0, 1.0),
+    ],
+    ids=["n3", "n3-c2-a0.5", "n4", "n5"],
+)
+def test_sweep_csv_equals_a_row_by_row_formatter(params: ModelParams) -> None:
+    result = run_sweep(RunConfig(params, num_points=20, num_directions=30, seed=7))
+    assert result.t.shape == (20,)
+    assert result.values.shape == (20, 30)
+    assert result.to_csv() == _csv_row_by_row(result)

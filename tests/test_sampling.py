@@ -9,6 +9,7 @@ from kahler_tube.sampling import (
     ENERGY_WINDOW,
     _generator,
     sample_base_coordinates,
+    sample_chart_points,
     sample_directions,
     sample_points,
 )
@@ -70,10 +71,16 @@ def test_direction_shape() -> None:
 
 
 def test_stacked_inverse_metrics_give_the_point_by_point_samples() -> None:
-    # sample_points takes the inverse base metrics from one stacked
-    # metric_at; the per-point construction below must give the same bits.
+    # sample_points wraps the stacked arrays of sample_chart_points, which
+    # takes the inverse base metrics from one stacked metric_at; the
+    # per-point construction below must give the same bits.
     for params in (PARAMS, ModelParams(3), ModelParams(4), ModelParams(5)):
         points = sample_points(params, 20, seed=7)
+        chart_xs, chart_ps = sample_chart_points(params, 20, seed=7)
+        assert all(
+            pt.x.tobytes() == x.tobytes() and pt.p.tobytes() == p.tobytes()
+            for pt, x, p in zip(points, chart_xs, chart_ps, strict=True)
+        )
         xs = sample_base_coordinates(params, 20, seed=7)
         rng = _generator(7, _MOMENTUM_STREAM)
         lo, hi = ENERGY_WINDOW
