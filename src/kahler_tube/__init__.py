@@ -26,7 +26,6 @@ from .lifted_metric import (
     KAHLER,
     LiftProfile,
     TubeCheck,
-    offset_profile,
     tube_check,
 )
 from .report import SweepResult, VerifyReport
@@ -46,7 +45,6 @@ __all__ = [
     "frame_transform",
     "geometry_at",
     "metric_at",
-    "offset_profile",
     "point_geometry",
     "run_sweep",
     "run_verify",

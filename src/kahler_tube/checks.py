@@ -34,7 +34,7 @@ from .frames import (
     point_geometry,
     verify_brackets,
 )
-from .lifted_metric import KAHLER, LiftProfile, offset_profile
+from .lifted_metric import LiftProfile
 from .report import CheckResult, SweepResult, VerifyReport, relative_spread
 from .sampling import sample_chart_points, sample_directions, sample_points
 
@@ -154,9 +154,7 @@ class RunConfig:
         return self.tolerance_overrides.get(name, DEFAULT_TOLERANCES[name])
 
     def profile(self) -> LiftProfile:
-        if self.custom_v_offset is None:
-            return KAHLER
-        return offset_profile(self.params, self.custom_v_offset)
+        return LiftProfile(self.custom_v_offset)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -190,8 +188,8 @@ def evaluate_point(
 ) -> tuple[dict[str, Value], np.ndarray | None]:
     """Every per-point check value at ``pt``, keyed by check name.
 
-    The point geometry, the lifted blocks, the adapted metric and structure
-    and, for the Kähler profile, the closed connection ``W`` and the closed
+    The point geometry, the lifted blocks, the adapted and coordinate metric,
+    the adapted structure and, for the Kähler profile, the closed connection ``W`` and the closed
     adapted curvature are built once here and handed to every layer.  The
     integrable-only layers run only for the Kähler profile.  The second item
     holds the holomorphic sectional curvatures over ``directions``
@@ -200,7 +198,7 @@ def evaluate_point(
     n = params.dim
     geo = point_geometry(params, pt)
     base = geo.base
-    data = lifted_metric.components_from_geometry(params, geo, profile)
+    data = lifted_metric.components_from_geometry(geo, profile)
     values: dict[str, Value] = {}
 
     # Base chart: closed forms against their own fd recomputation.
@@ -218,21 +216,20 @@ def evaluate_point(
     values["frame_dual_pairing"] = geo.frame.dual_pairing_residual()
     values["energy_frame_derivative"] = max(energy_frame_derivatives(geo))
 
-    # Lifted metric blocks (defined for every profile).
+    # Lifted metric blocks (defined for every profile).  The coordinate
+    # metric is the block formula; reading it back through the generic
+    # frame transform cross-checks the two.
     S_ad = lifted_metric.adapted_metric_matrix(data)
-    S_coord = frame_transform(S_ad, "dd", geo.frame, to="coordinate")
-    roundtrip = frame_transform(S_coord, "dd", geo.frame, to="adapted")
-    values["frame_roundtrip"] = _max_abs(roundtrip - S_ad)
+    S_coord = lifted_metric.coordinate_metric(geo, data)
+    back = frame_transform(S_coord, "dd", geo.frame, to="adapted")
+    values["frame_roundtrip"] = _max_abs(back - S_ad)
     values["lifted_inverse_pair"] = _max_abs(data.G @ data.H - np.eye(n))
     values["lifted_positive_definite"] = max(
         _positive_definite_residual(data.G), _positive_definite_residual(data.H)
     )
-    blocks_back = geo.frame.M.T @ S_coord @ geo.frame.M
-    values["lifted_orthogonality"] = max(
-        _max_abs(blocks_back[:n, n:]), _max_abs(blocks_back[n:, :n])
-    )
+    values["lifted_orthogonality"] = max(_max_abs(back[:n, n:]), _max_abs(back[n:, :n]))
     values["full_metric_blocks"] = max(
-        _max_abs(blocks_back[:n, :n] - data.G), _max_abs(blocks_back[n:, n:] - data.H)
+        _max_abs(back[:n, :n] - data.G), _max_abs(back[n:, n:] - data.H)
     )
 
     # Almost complex structure and fundamental form, in coordinates.
@@ -245,14 +242,9 @@ def evaluate_point(
 
     # Integrability dichotomy.
     closed_n = complex_structure.nijenhuis_closed_form(geo, data)
-    values["nijenhuis_closed_form"] = closed_n.max_abs()
+    values["nijenhuis_closed_form"] = _max_abs(closed_n)
     fd_n, off_distribution = complex_structure.nijenhuis_fd_full(geo, profile)
-    values["nijenhuis_fd_match"] = max(
-        _max_abs(closed_n.horiz_horiz - fd_n.horiz_horiz),
-        _max_abs(closed_n.horiz_vert - fd_n.horiz_vert),
-        _max_abs(closed_n.vert_vert - fd_n.vert_vert),
-        off_distribution,
-    )
+    values["nijenhuis_fd_match"] = max(_max_abs(closed_n - fd_n), off_distribution)
 
     if not profile.is_kahler:
         return values, None
@@ -261,16 +253,16 @@ def evaluate_point(
     values["lifted_w_consistency"] = lifted_metric.w_consistency_residual(params, data)
 
     # Levi-Civita connection: closed forms against the Koszul oracle.
-    jet, R_oracle_coord = curvature.curvature_oracle_coordinates(geo, profile)
-    W = connection.coefficients_from_geometry(geo, data, profile)
+    jet, R_oracle_coord = curvature.curvature_oracle_coordinates(geo)
+    W = connection.coefficients_from_geometry(geo, data)
     values["connection_match"], values["connection_nabla_g"], values["connection_torsion"] = (
         connection.verify_connection(geo, W, jet)
     )
-    values["mtensor_parallel"] = max(connection.mtensor_parallel_residuals(geo, profile))
+    values["mtensor_parallel"] = max(connection.mtensor_parallel_residuals(geo))
 
     # Curvature: closed blocks against the curvature oracle; identity
     # battery on the oracle output so it stands on its own.
-    R_closed_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data, profile))
+    R_closed_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data))
     R_oracle_ad = frame_transform(R_oracle_coord, "uddd", geo.frame, to="adapted")
     sectors = curvature.sector_residuals(R_closed_ad, R_oracle_ad, n)
     values["curvature_match"] = (
@@ -282,9 +274,9 @@ def evaluate_point(
     values["curvature_pair_skew"] = curvature.pair_skew_residual(R_oracle_coord, S_coord)
     values["curvature_j_invariance"] = curvature.j_invariance_residual(R_oracle_ad, S_ad, J_ad)
     values["einstein_identity"], values["ricci_mixed_zero"] = curvature.einstein_residuals(
-        geo, data, R_oracle_coord
+        geo, S_coord, R_oracle_coord
     )
-    values.update(curvature.parallel_block_residuals(geo, W, profile))
+    values.update(curvature.parallel_block_residuals(geo, W))
 
     hol, values["hol_sect_scale_invariance"] = curvature.holomorphic_sample(
         R_closed_ad, S_ad, J_ad, directions
@@ -355,8 +347,8 @@ def _sweep_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energy densities ``(points,)`` and curvatures ``(points, directions)``."""
     geo = geometry_at(params, xs, ps)
-    data = lifted_metric.components_from_geometry(params, geo, KAHLER)
-    R_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data, KAHLER))
+    data = lifted_metric.components_from_geometry(geo)
+    R_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data))
     S_ad = lifted_metric.adapted_metric_matrix(data)
     J_ad = complex_structure.adapted_j_matrix(data)
     values = np.empty((len(xs), len(directions)))

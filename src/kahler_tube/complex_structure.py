@@ -26,8 +26,6 @@ forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fd import complex_step
@@ -74,39 +72,18 @@ def fundamental_form_block_residual(phi_adapted: np.ndarray) -> float:
     return float(np.max(np.abs(phi_adapted - expected)))
 
 
-@dataclass(frozen=True)
-class NijenhuisData:
-    """Component families of the Nijenhuis tensor in the adapted frame.
+def nijenhuis_closed_form(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
+    """The three component families ``N[family, k, i, j]`` from the core-tensor contraction.
 
-    Layout is [k, i, j]: component k of N(e_i, e_j).  The output
-    distribution differs per family: horiz_horiz and vert_vert produce
-    vertical vectors, horiz_vert produces horizontal ones.
+    Component k of N(e_i, e_j), the families stacked as (horiz_horiz,
+    horiz_vert, vert_vert).  The output distribution differs per family:
+    horiz_horiz and vert_vert produce vertical vectors, horiz_vert
+    horizontal ones.
     """
-
-    horiz_horiz: np.ndarray
-    horiz_vert: np.ndarray
-    vert_vert: np.ndarray
-
-    def max_abs(self) -> float:
-        return float(
-            max(
-                np.max(np.abs(self.horiz_horiz), initial=0.0),
-                np.max(np.abs(self.horiz_vert), initial=0.0),
-                np.max(np.abs(self.vert_vert), initial=0.0),
-            )
-        )
-
-
-def nijenhuis_closed_form(geo: PointGeometry, data: LiftedMetricData) -> NijenhuisData:
-    """The three component families from the core-tensor contraction."""
     core = _nijenhuis_core(geo, data)
     H = data.H
     CH = core @ H.T  # [k, l, i] = core[k, l, r] H[i, r]
-    return NijenhuisData(
-        horiz_horiz=core,
-        horiz_vert=np.tensordot(H, CH, axes=1),
-        vert_vert=np.swapaxes(H @ CH, 1, 2),
-    )
+    return np.stack([core, np.tensordot(H, CH, axes=1), np.swapaxes(H @ CH, 1, 2)])
 
 
 def _nijenhuis_core(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
@@ -118,7 +95,7 @@ def _nijenhuis_core(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
     ) - geo.riem_p
 
 
-def nijenhuis_fd_full(geo: PointGeometry, profile: LiftProfile) -> tuple[NijenhuisData, float]:
+def nijenhuis_fd_full(geo: PointGeometry, profile: LiftProfile) -> tuple[np.ndarray, float]:
     """Recompute the Nijenhuis families from one complex step of the J field.
 
     With N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] (no factor 2),
@@ -127,8 +104,9 @@ def nijenhuis_fd_full(geo: PointGeometry, profile: LiftProfile) -> tuple[Nijenhu
         N^k_ij = J^l_i d_l J^k_j - J^l_j d_l J^k_i - J^k_l (d_i J^l_j - d_j J^l_i),
 
     so the oracle needs only evaluations of the coordinate J field.  The
-    tensor is then expressed in the adapted frame.  Also returns the largest
-    component landing outside the expected output distribution
+    tensor is then expressed in the adapted frame and returned as the
+    families ``N[family, k, i, j]`` of ``nijenhuis_closed_form``, with the
+    largest component landing outside the expected output distribution
     (structurally zero in the closed forms).
     """
 
@@ -143,4 +121,4 @@ def nijenhuis_fd_full(geo: PointGeometry, profile: LiftProfile) -> tuple[Nijenhu
     N = frame_transform(a - np.swapaxes(a, 1, 2), "udd", geo.frame, to="adapted")  # [k, i, j]
     h, v = slice(None, n), slice(n, None)
     off = float(max(np.max(np.abs(N[h, h, h])), np.max(np.abs(N[v, h, v])), np.max(np.abs(N[h, v, v]))))
-    return NijenhuisData(horiz_horiz=N[v, h, h], horiz_vert=N[h, h, v], vert_vert=N[v, v, v]), off
+    return np.stack([N[v, h, h], N[h, h, v], N[v, v, v]]), off

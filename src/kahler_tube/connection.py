@@ -33,18 +33,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .base_geometry import DomainError
 from .fd import complex_step
 from .frames import PointGeometry, frame_derivative, frame_structure_functions
-from .lifted_metric import LiftProfile, LiftedMetricData, lifted_field
+from .lifted_metric import KAHLER, LiftedMetricData, lifted_field
 
 
-def coefficients_from_geometry(
-    geo: PointGeometry, data: LiftedMetricData, profile: LiftProfile
-) -> np.ndarray:
-    """Closed-form W[c, a, b] (blocks above) at the point of ``geo``; integrable profile only."""
-    if not profile.is_kahler:
-        raise DomainError("closed-form connection coefficients require the integrable profile")
+def coefficients_from_geometry(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
+    """Closed-form W[c, a, b] (blocks above) of the integrable lift at the point of ``geo``."""
     n = geo.n
     c, A, t = geo.params.curvature, geo.params.lift_const, data.t
     g, ginv, p, pr = geo.base.g, geo.base.g_inv, geo.p, geo.p_raised
@@ -188,8 +183,8 @@ def verify_connection(
     )
 
 
-def mtensor_parallel_residuals(geo: PointGeometry, profile: LiftProfile) -> tuple[float, float]:
-    """Horizontal covariant constancy of the metric blocks.
+def mtensor_parallel_residuals(geo: PointGeometry) -> tuple[float, float]:
+    """Horizontal covariant constancy of the integrable lift's metric blocks.
 
     Checks that the frame derivative of G along horizontal directions is
     absorbed by base Christoffel contractions, and likewise for H with the
@@ -198,7 +193,7 @@ def mtensor_parallel_residuals(geo: PointGeometry, profile: LiftProfile) -> tupl
     """
 
     n = geo.n
-    blocks = lifted_field(geo.params, profile, lambda g2, d2: np.stack([d2.G, d2.H], axis=-3))
+    blocks = lifted_field(geo.params, KAHLER, lambda g2, d2: np.stack([d2.G, d2.H], axis=-3))
     (G, H), dGH = frame_derivative(geo, blocks)
     gamma = geo.base.gamma  # the connection along the n horizontal frame vectors
     covG = covariant_derivative(gamma, G, dGH[:n, 0], "dd")

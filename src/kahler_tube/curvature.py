@@ -30,29 +30,19 @@ from .base_geometry import DomainError
 from .connection import KoszulJet, covariant_derivative, koszul_jet, koszul_oracle
 from .fd import field_jacobian
 from .frames import PointGeometry, frame_derivative, frame_transform
-from .lifted_metric import (
-    LiftProfile,
-    LiftedMetricData,
-    coordinate_metric,
-    lifted_field,
-    metric_field,
-)
+from .lifted_metric import KAHLER, LiftedMetricData, lifted_field, metric_field
 
 
 #: Index variance of each curvature family (layouts in the module docstring), in stacking order.
 _FAMILY_VARIANCE = {"hhh": "uddd", "vvh": "uuud", "vhh": "uddd", "vhv": "uuud"}
 
 
-def curvature_blocks(
-    geo: PointGeometry, data: LiftedMetricData, profile: LiftProfile
-) -> np.ndarray:
-    """Closed-form curvature families at the point(s) of ``geo`` (integrable profile only).
+def curvature_blocks(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
+    """Closed-form curvature families of the integrable lift at the point(s) of ``geo``.
 
     Returns ``T[..., family, i, j, k, l]``, the families stacked in
     ``_FAMILY_VARIANCE`` order (hhh, vvh, vhh, vhv).
     """
-    if not profile.is_kahler:
-        raise DomainError("closed-form curvature blocks require the integrable profile")
     n = geo.n
     c, A = geo.params.curvature, geo.params.lift_const
     t = data.t[..., None, None, None, None]
@@ -166,9 +156,9 @@ def curvature_from_metric_field(
     )
 
 
-def curvature_oracle_coordinates(geo: PointGeometry, profile: LiftProfile) -> tuple[KoszulJet, np.ndarray]:
-    """The oracle's Koszul jet and coordinate curvature of the lifted metric at ``geo``."""
-    return curvature_from_metric_field(metric_field(geo.params, profile), geo.z)
+def curvature_oracle_coordinates(geo: PointGeometry) -> tuple[KoszulJet, np.ndarray]:
+    """The oracle's Koszul jet and coordinate curvature of the integrable lift at ``geo``."""
+    return curvature_from_metric_field(metric_field(geo.params), geo.z)
 
 
 def _sector(R: np.ndarray, pattern: tuple[str, str, str, str], n: int) -> np.ndarray:
@@ -233,9 +223,9 @@ def ricci_tensor(R: np.ndarray) -> np.ndarray:
 
 
 def einstein_residuals(
-    geo: PointGeometry, data: LiftedMetricData, R_coord: np.ndarray
+    geo: PointGeometry, S_coord: np.ndarray, R_coord: np.ndarray
 ) -> tuple[float, float]:
-    """Ricci of the oracle curvature ``R_coord`` against (A n / 2) times the metric.
+    """Ricci of the oracle curvature ``R_coord`` against (A n / 2) times the metric ``S_coord``.
 
     Returns ``(identity, mixed_block)``: max |Ric - (A n / 2) S| in
     coordinates and the largest horizontal-vertical entry of adapted Ric.
@@ -244,7 +234,6 @@ def einstein_residuals(
     """
 
     ric = ricci_tensor(R_coord)
-    S_coord = coordinate_metric(geo, data)
     factor = 0.5 * geo.params.lift_const * geo.n
     identity = float(np.max(np.abs(ric - factor * S_coord)))
     ric_ad = frame_transform(ric, "dd", geo.frame, "adapted")
@@ -268,7 +257,7 @@ def covariant_derivative_residual(W: np.ndarray, T: np.ndarray, dT: np.ndarray) 
     return float(np.max(np.abs(covariant_derivative(W, K, dK, "uddd"))))
 
 
-def parallel_block_residuals(geo: PointGeometry, W: np.ndarray, profile: LiftProfile) -> dict[str, float]:
+def parallel_block_residuals(geo: PointGeometry, W: np.ndarray) -> dict[str, float]:
     """Frame-derivative parallelism of each curvature family and of K.
 
     Returns keys like ``parallel_hhh_horizontal``: the covariant derivative
@@ -280,7 +269,7 @@ def parallel_block_residuals(geo: PointGeometry, W: np.ndarray, profile: LiftPro
     """
 
     n = geo.n
-    blocks = lifted_field(geo.params, profile, lambda g2, d2: curvature_blocks(g2, d2, profile))
+    blocks = lifted_field(geo.params, KAHLER, curvature_blocks)
     T, dT = frame_derivative(geo, blocks)  # dT[direction, family]
     out = {}
     for kind, C, dirs in (("horizontal", geo.base.gamma, dT[:n]), ("vertical", W[:n, n:, :n], dT[n:])):

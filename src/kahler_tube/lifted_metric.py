@@ -5,8 +5,8 @@ vertical block    H^kl  = g^kl / (A t) + w(t) pr^k pr^l,   pr = g^-1 p,
 with w = -v / (A t^2 (A + 2v)) so that H is the inverse of G in the sense
 G_ik H^kl = delta_i^l.  The integrable profile v(t) = (c - A^2 t)/(A t)
 yields the Kahler structure; it is positive-definite exactly on the tube
-0 < |p|_g^2 < 4c / A^2.  A custom profile can be substituted for negative
-tests; only A + 2v > 0 is then required.
+0 < |p|_g^2 < 4c / A^2.  For negative tests the profile can be shifted by a
+constant offset; only A + 2v > 0 is then required.
 
 Every function taking a PointGeometry accepts a stacked one; the profile
 and the tube guard then act on the array of energy densities, and the guard
@@ -32,39 +32,27 @@ T = TypeVar("T")
 class LiftProfile:
     """Choice of the vertical scaling profile v(t).
 
-    With custom_v None the integrable (Kahler) profile is used.  A custom
-    callable is called with an array of energy densities t, real or complex,
-    and only constrained by A + 2 v(t) > 0 at the points where it is
-    evaluated; it must be analytic in t for the complex-step oracles.
+    With offset None the integrable (Kahler) profile is used; an offset
+    shifts it by that constant, which breaks integrability when nonzero and
+    leaves only A + 2 v(t) > 0 to hold at the points where it is evaluated.
     """
 
-    custom_v: Callable[[np.ndarray], np.ndarray] | None = None
+    offset: float | None = None
 
     @property
     def is_kahler(self) -> bool:
-        return self.custom_v is None
+        return self.offset is None
 
     def v(self, t: np.ndarray, params: ModelParams) -> np.ndarray:
         t = np.asarray(t)
         if (t.real <= 0.0).any():
             raise DomainError("outside punctured bundle: energy density must be positive")
-        if self.custom_v is not None:
-            return np.broadcast_to(np.asarray(self.custom_v(t)), np.shape(t))
         c, A = params.curvature, params.lift_const
-        return (c - A * A * t) / (A * t)
+        v = (c - A * A * t) / (A * t)
+        return v if self.offset is None else v + self.offset
 
 
 KAHLER = LiftProfile()
-
-
-def offset_profile(params: ModelParams, offset: float) -> LiftProfile:
-    """Integrable profile shifted by a constant; breaks integrability when offset != 0."""
-    base = KAHLER
-
-    def v(t: np.ndarray) -> np.ndarray:
-        return base.v(t, params) + offset
-
-    return LiftProfile(custom_v=v)
 
 
 @dataclass(frozen=True)
@@ -116,7 +104,8 @@ class LiftedMetricData:
     w: np.ndarray
 
 
-def _lift_guard(params: ModelParams, geo: PointGeometry, profile: LiftProfile) -> None:
+def _lift_guard(geo: PointGeometry, profile: LiftProfile) -> None:
+    params = geo.params
     if profile.is_kahler:
         params.require_admissible()
         reason = _tube_test(params, geo.t)[0]
@@ -126,11 +115,11 @@ def _lift_guard(params: ModelParams, geo: PointGeometry, profile: LiftProfile) -
         raise DomainError("lift constant must be positive")
 
 
-def components_from_geometry(params: ModelParams, geo: PointGeometry, profile: LiftProfile = KAHLER) -> LiftedMetricData:
-    _lift_guard(params, geo, profile)
+def components_from_geometry(geo: PointGeometry, profile: LiftProfile = KAHLER) -> LiftedMetricData:
+    _lift_guard(geo, profile)
     t = geo.t
-    A = params.lift_const
-    v = profile.v(t, params)
+    A = geo.params.lift_const
+    v = profile.v(t, geo.params)
     denom = A + 2.0 * v
     if (denom.real <= 0.0).any():
         raise DomainError("A + 2v > 0 violated: lifted metric not positive definite")
@@ -179,7 +168,7 @@ def lifted_field(
     Built on frames.geometry_field; the blocks go through the tube guard of
     components_from_geometry, so a stencil point outside the tube raises.
     """
-    return geometry_field(params, lambda geo: value(geo, components_from_geometry(params, geo, profile)))
+    return geometry_field(params, lambda geo: value(geo, components_from_geometry(geo, profile)))
 
 
 def metric_field(params: ModelParams, profile: LiftProfile = KAHLER) -> Callable[[np.ndarray], np.ndarray]:

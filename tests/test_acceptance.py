@@ -41,10 +41,11 @@ from kahler_tube.curvature import (
 from kahler_tube.frames import BundlePoint, frame_transform, point_geometry
 from kahler_tube.lifted_metric import (
     KAHLER,
+    LiftProfile,
     adapted_metric_matrix,
     components_from_geometry,
+    coordinate_metric,
     metric_field,
-    offset_profile,
     tube_check,
 )
 from kahler_tube.sampling import sample_directions, sample_points
@@ -62,7 +63,11 @@ PRIMARY = CONFIGS[0]
 def _built(params: ModelParams, pt: BundlePoint, profile=KAHLER):
     """The point geometry and lifted blocks that the layers take."""
     geo = point_geometry(params, pt)
-    return geo, components_from_geometry(params, geo, profile)
+    return geo, components_from_geometry(geo, profile)
+
+
+def _max_abs(array: np.ndarray) -> float:
+    return float(np.max(np.abs(array)))
 
 
 def _line(num: int, ok: bool, text: str) -> None:
@@ -97,17 +102,17 @@ def matrix_results() -> MatrixResults:
         antisym = einstein = mixed = nabla = 0.0
         for pt in sample_points(params, NUM_POINTS, SEED):
             geo, data = _built(params, pt)
-            R_closed = assemble_adapted_curvature(curvature_blocks(geo, data, KAHLER))
-            _, R_coord = curvature_oracle_coordinates(geo, KAHLER)
+            R_closed = assemble_adapted_curvature(curvature_blocks(geo, data))
+            _, R_coord = curvature_oracle_coordinates(geo)
             R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
             for family, res in sector_residuals(R_closed, R_oracle, geo.n).items():
                 fam[family] = max(fam.get(family, 0.0), res)
             antisym = max(antisym, direction_antisymmetry_residual(R_closed))
-            identity, mixed_block = einstein_residuals(geo, data, R_coord)
+            identity, mixed_block = einstein_residuals(geo, coordinate_metric(geo, data), R_coord)
             einstein = max(einstein, identity)
             mixed = max(mixed, mixed_block)
-            W = coefficients_from_geometry(geo, data, KAHLER)
-            parallel = parallel_block_residuals(geo, W, KAHLER)
+            W = coefficients_from_geometry(geo, data)
+            parallel = parallel_block_residuals(geo, W)
             nabla = max(nabla, parallel.pop("local_symmetry"))
             for name, res in parallel.items():
                 par[name] = max(par.get(name, 0.0), res)
@@ -150,17 +155,17 @@ def test_criterion_1_almost_kahler(primary_points) -> None:
 def test_criterion_2_integrability_dichotomy(primary_points) -> None:
     closed_worst = fd_worst = 0.0
     offset_best = 0.0
-    shifted = offset_profile(PRIMARY, 0.1)
+    shifted = LiftProfile(offset=0.1)
     for pt in primary_points:
         geo, data = _built(PRIMARY, pt)
-        closed_worst = max(closed_worst, nijenhuis_closed_form(geo, data).max_abs())
+        closed_worst = max(closed_worst, _max_abs(nijenhuis_closed_form(geo, data)))
         fd_n, off_axis = nijenhuis_fd_full(geo, KAHLER)
-        fd_worst = max(fd_worst, fd_n.max_abs(), off_axis)
+        fd_worst = max(fd_worst, _max_abs(fd_n), off_axis)
         off_n, _ = nijenhuis_fd_full(geo, shifted)
         offset_best = max(
             offset_best,
-            nijenhuis_closed_form(*_built(PRIMARY, pt, shifted)).max_abs(),
-            off_n.max_abs(),
+            _max_abs(nijenhuis_closed_form(*_built(PRIMARY, pt, shifted))),
+            _max_abs(off_n),
         )
     ok = closed_worst <= 1e-12 and fd_worst <= 1e-5 and offset_best > 1e-3
     _line(
@@ -175,7 +180,7 @@ def test_criterion_3_connection_certification(primary_points) -> None:
     match = nabla_g = torsion = 0.0
     for pt in primary_points:
         geo, data = _built(PRIMARY, pt)
-        W = coefficients_from_geometry(geo, data, KAHLER)
+        W = coefficients_from_geometry(geo, data)
         (closed_vs_oracle, _), point_nabla_g, point_torsion = verify_connection(
             geo, W, koszul_jet(metric_field(PRIMARY), geo.z)
         )
@@ -260,7 +265,7 @@ def test_criterion_7_nonconstant_holomorphic_curvature(primary_points) -> None:
     scale_worst = 0.0
     for pt in primary_points:
         geo, data = _built(PRIMARY, pt)
-        R_ad = assemble_adapted_curvature(curvature_blocks(geo, data, KAHLER))
+        R_ad = assemble_adapted_curvature(curvature_blocks(geo, data))
         S_ad, J_ad = adapted_metric_matrix(data), adapted_j_matrix(data)
         point_values, scale_invariance = holomorphic_sample(R_ad, S_ad, J_ad, directions)
         values.append(point_values)

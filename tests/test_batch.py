@@ -41,12 +41,12 @@ from kahler_tube.frames import (
 )
 from kahler_tube.lifted_metric import (
     KAHLER,
+    LiftProfile,
     adapted_metric_matrix,
     components_from_geometry,
     coordinate_metric,
     lifted_field,
     metric_field,
-    offset_profile,
 )
 from kahler_tube.sampling import sample_directions, sample_points
 
@@ -54,9 +54,6 @@ CONFIGS = [ModelParams(3, 1.0, 1.0), ModelParams(4, 1.0, 1.0)]
 CASES = [(params, offset) for params in CONFIGS for offset in (None, 0.1)]
 CASE_IDS = [f"n{params.dim}-{'kahler' if offset is None else 'offset'}" for params, offset in CASES]
 
-
-def _profile(params: ModelParams, offset):
-    return KAHLER if offset is None else offset_profile(params, offset)
 
 
 def _stack(params: ModelParams) -> np.ndarray:
@@ -97,10 +94,10 @@ def test_geometry_at_batch_equals_points(params: ModelParams) -> None:
 @pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
 def test_lifted_blocks_batch_equal_points(params: ModelParams, offset) -> None:
     n = params.dim
-    profile = _profile(params, offset)
+    profile = LiftProfile(offset)
     zs = _stack(params)
-    batch = components_from_geometry(params, geometry_at(params, zs[:, :n], zs[:, n:]), profile)
-    singles = [components_from_geometry(params, geometry_at(params, z[:n], z[n:]), profile) for z in zs]
+    batch = components_from_geometry(geometry_at(params, zs[:, :n], zs[:, n:]), profile)
+    singles = [components_from_geometry(geometry_at(params, z[:n], z[n:]), profile) for z in zs]
     for name in ("G", "H", "t", "v", "w"):
         _assert_stacked(getattr(batch, name), [getattr(s, name) for s in singles])
 
@@ -113,12 +110,12 @@ def _j_field(params, profile):
 
 
 def _stacked_blocks_field(params, profile):
-    return lifted_field(params, profile, lambda geo, data: curvature_blocks(geo, data, profile))
+    return lifted_field(params, profile, curvature_blocks)
 
 
 @pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
 def test_fields_map_a_stack_to_the_stack_of_values(params: ModelParams, offset) -> None:
-    profile = _profile(params, offset)
+    profile = LiftProfile(offset)
     zs = _stack(params)
     builders = [metric_field, _j_field] + ([_stacked_blocks_field] if offset is None else [])
     for build in builders:
@@ -133,7 +130,7 @@ def test_one_point_outside_the_tube_fails_the_whole_stack(params: ModelParams, o
     zs = _stack(params)
     n = params.dim
     zs[3, n:] *= 3.0  # |p|^2 grows ninefold: past 4c/A^2 from any sampled t
-    field = metric_field(params, _profile(params, offset))
+    field = metric_field(params, LiftProfile(offset))
     if offset is None:
         with pytest.raises(DomainError, match="tube bound"):
             field(zs)
@@ -153,7 +150,7 @@ def test_complex_stack_real_part_equals_real_evaluation(params: ModelParams, off
     zs = _stack(params)
     zc = _complex_stack(zs)
     fields = [
-        (metric_field(params, _profile(params, offset)), zs, zc),
+        (metric_field(params, LiftProfile(offset)), zs, zc),
         (base_geometry.metric_field(params), zs[:, :n], zc[..., :n]),
     ]
     for field, real, cplx in fields:
@@ -166,7 +163,7 @@ def test_complex_stack_real_part_equals_real_evaluation(params: ModelParams, off
 def test_complex_step_jacobian_agrees_with_central_differences(params: ModelParams, offset) -> None:
     n = params.dim
     zs = _stack(params)
-    profile = _profile(params, offset)
+    profile = LiftProfile(offset)
     fields = [
         (metric_field(params, profile), zs),
         (base_geometry.metric_field(params), zs[:, :n]),
@@ -178,7 +175,7 @@ def test_complex_step_jacobian_agrees_with_central_differences(params: ModelPara
         fields.append((
             lifted_field(
                 params, profile,
-                lambda geo, data: assemble_adapted_curvature(curvature_blocks(geo, data, profile)),
+                lambda geo, data: assemble_adapted_curvature(curvature_blocks(geo, data)),
             ),
             zs,
         ))
@@ -193,7 +190,7 @@ def test_block_coordinate_metric_equals_frame_transform(params: ModelParams, off
     n = params.dim
     zs = _stack(params)
     geo = geometry_at(params, zs[:, :n], zs[:, n:])
-    data = components_from_geometry(params, geo, _profile(params, offset))
+    data = components_from_geometry(geo, LiftProfile(offset))
     via_frame = frame_transform(adapted_metric_matrix(data), "dd", geo.frame, to="coordinate")
     _assert_stacked(coordinate_metric(geo, data), via_frame)
 
@@ -202,7 +199,7 @@ def test_block_coordinate_metric_equals_frame_transform(params: ModelParams, off
 def test_complex_point_whose_real_part_leaves_the_tube_raises(params: ModelParams, offset) -> None:
     n = params.dim
     zs = _stack(params)
-    field = metric_field(params, _profile(params, offset))
+    field = metric_field(params, LiftProfile(offset))
     if offset is None:
         zs[3, n:] *= 3.0  # past 4c/A^2 from any sampled t
         with pytest.raises(DomainError, match="tube bound"):
@@ -218,7 +215,7 @@ def test_guards_compare_the_real_part() -> None:
     # imaginary step makes the value "larger" than the bound.
     params = CONFIGS[0]
     on_boundary = 1j * COMPLEX_STEP  # t = 0 + i h
-    for profile in (KAHLER, offset_profile(params, 0.1)):
+    for profile in (KAHLER, LiftProfile(offset=0.1)):
         with pytest.raises(DomainError, match="energy density"):
             profile.v(np.array([on_boundary]), params)
     # u = 1 - |x|^2 at c = -4 is 0 + 2 i h at x = (1 - i h, 0, 0).
@@ -251,7 +248,7 @@ def test_curvature_oracle_memory_stays_one_level_deep() -> None:
     # about 7.4 MB when the metric went through frame_transform.  Real-fd
     # Koszul stencils took about 1.1 MB looped over the outer stencil point
     # by point and about 15 MB nested in one batch.
-    assert _peak_mb(lambda: curvature_oracle_coordinates(GEO_5, KAHLER)) < 3.6
+    assert _peak_mb(lambda: curvature_oracle_coordinates(GEO_5)) < 3.6
 
 
 def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
@@ -261,9 +258,8 @@ def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
     # complex step of the assembled adapted-frame curvature alone peaked at
     # about 3.2 MB; one of the coordinate-frame curvature at about 5.1 MB,
     # because frame_transform then works on a complex (10, 10^4) stack.
-    data = components_from_geometry(PARAMS_5, GEO_5, KAHLER)
-    W = coefficients_from_geometry(GEO_5, data, KAHLER)
-    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, KAHLER)) < 5.0
+    W = coefficients_from_geometry(GEO_5, components_from_geometry(GEO_5))
+    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W)) < 5.0
 
 
 def test_sweep_memory_stays_one_point_deep() -> None:
@@ -325,8 +321,8 @@ def _sweep_reference(cfg: RunConfig) -> list[tuple[int, float, int, float]]:
     rows = []
     for idx, pt in enumerate(sample_points(params, cfg.num_points, cfg.seed)):
         geo = point_geometry(params, pt)
-        data = components_from_geometry(params, geo, KAHLER)
-        R_ad = assemble_adapted_curvature(curvature_blocks(geo, data, KAHLER))
+        data = components_from_geometry(geo)
+        R_ad = assemble_adapted_curvature(curvature_blocks(geo, data))
         values = curvature.holomorphic_sectional_curvature(
             R_ad, adapted_metric_matrix(data), adapted_j_matrix(data), directions
         )
@@ -396,7 +392,7 @@ def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
     count = functools.partial(_count, monkeypatch, calls)
     count(base_geometry, "metric_at", lambda args: None if np.iscomplexobj(args[1]) else np.shape(args[1]))
     count(frames, "geometry_at", lambda args: None if np.iscomplexobj(args[1]) else args[1].shape)
-    count(lifted_metric, "components_from_geometry", lambda args: real_geometry(args[1]))
+    count(lifted_metric, "components_from_geometry", lambda args: real_geometry(args[0]))
     count(connection, "coefficients_from_geometry", lambda args: real_geometry(args[0]))
     count(curvature, "curvature_blocks", lambda args: real_geometry(args[0]))
     _run_two_points(offset)
@@ -445,8 +441,8 @@ DERIVATIVE_LAYERS = [
     (energy_frame_derivatives, lambda geo, data: ()),
     (fundamental_form, lambda geo, data: (KAHLER,)),
     (nijenhuis_fd_full, lambda geo, data: (KAHLER,)),
-    (mtensor_parallel_residuals, lambda geo, data: (KAHLER,)),
-    (parallel_block_residuals, lambda geo, data: (coefficients_from_geometry(geo, data, KAHLER), KAHLER)),
+    (mtensor_parallel_residuals, lambda geo, data: ()),
+    (parallel_block_residuals, lambda geo, data: (coefficients_from_geometry(geo, data),)),
 ]
 
 
@@ -459,7 +455,7 @@ def test_each_derivative_layer_makes_one_complex_field_call(layer, arguments, mo
     params = CONFIGS[0]
     n = params.dim
     geo = point_geometry(params, sample_points(params, 1, seed=11)[0])
-    args = arguments(geo, components_from_geometry(params, geo, KAHLER))
+    args = arguments(geo, components_from_geometry(geo))
     calls = []
     inner = frames.geometry_at
 
@@ -485,7 +481,7 @@ def _stacked_core_calls(monkeypatch, run) -> list:
 def test_curvature_oracle_builds_no_christoffel_stack(monkeypatch) -> None:
     # The stencil's metric fields read only gamma_p, whose closed form needs
     # no (..., n, n, n) Christoffel stack; reading gamma on a stack builds one.
-    assert _stacked_core_calls(monkeypatch, lambda: curvature_oracle_coordinates(GEO_5, KAHLER)) == []
+    assert _stacked_core_calls(monkeypatch, lambda: curvature_oracle_coordinates(GEO_5)) == []
     assert _stacked_core_calls(monkeypatch, lambda: metric_at(PARAMS_5, np.zeros((2, 5))).gamma) == [(2, 5)]
 
 
@@ -495,7 +491,7 @@ def test_curvature_oracle_builds_no_christoffel_stack(monkeypatch) -> None:
 def test_derivative_layers_build_no_christoffel_stack(layer, arguments, monkeypatch) -> None:
     params = CONFIGS[0]
     geo = point_geometry(params, sample_points(params, 1, seed=11)[0])
-    args = arguments(geo, components_from_geometry(params, geo, KAHLER))
+    args = arguments(geo, components_from_geometry(geo))
     assert _stacked_core_calls(monkeypatch, lambda: layer(geo, *args)) == []
 
 

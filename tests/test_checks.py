@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kahler_tube import checks, curvature
+from kahler_tube import checks, curvature, lifted_metric
 from kahler_tube.base_geometry import ModelParams
 from kahler_tube.checks import (
     CHECKS,
@@ -14,7 +14,7 @@ from kahler_tube.checks import (
     run_sweep,
     run_verify,
 )
-from kahler_tube.lifted_metric import KAHLER, offset_profile
+from kahler_tube.lifted_metric import LiftProfile
 from kahler_tube.sampling import sample_directions, sample_points
 
 SMALL = RunConfig(ModelParams(3), num_points=2, num_directions=8, seed=7)
@@ -144,12 +144,35 @@ def test_registry_internal_consistency() -> None:
 @pytest.mark.parametrize("offset", [None, 0.1])
 def test_evaluator_keys_match_running_registry_rows(offset) -> None:
     params = ModelParams(3)
-    profile = KAHLER if offset is None else offset_profile(params, offset)
+    profile = LiftProfile(offset)
     (pt,) = sample_points(params, 1, 7)
     values, hol = evaluate_point(params, pt, profile, sample_directions(params, 4, 7))
     running = {c.name for c in CHECKS if profile.is_kahler or not c.integrable_only}
     assert set(values) == running - {"hol_sect_nonconstancy"}
     assert (hol is not None) == profile.is_kahler
+
+
+def test_planted_coordinate_metric_error_shows_in_frame_rows(monkeypatch) -> None:
+    # frame_roundtrip and lifted_orthogonality read the block-formula
+    # coordinate metric back through the generic frame transform, so a 1e-9
+    # error planted on one off-diagonal entry of the single-point metric
+    # fails both 1e-12 rows.  The stacked complex metric fields of the
+    # oracles are left alone.
+    inner = lifted_metric.coordinate_metric
+
+    def planted(geo, data):
+        S = inner(geo, data)
+        if S.ndim == 2 and np.isrealobj(S):
+            S = S.copy()
+            S[0, geo.n] += 1e-9
+        return S
+
+    monkeypatch.setattr(lifted_metric, "coordinate_metric", planted)
+    cfg = RunConfig(ModelParams(3), num_points=1, num_directions=4, seed=7)
+    rows = {r.name: r for r in run_verify(cfg).checks}
+    for name in ("frame_roundtrip", "lifted_orthogonality"):
+        assert rows[name].max_residual >= 0.99e-9, name
+        assert not rows[name].passed, name
 
 
 def test_planted_base_curvature_error_shows_in_constant_curvature_row(monkeypatch) -> None:

@@ -50,6 +50,16 @@ def test_verify_offset_profile_fails_nijenhuis(capsys) -> None:
     assert skipped and all(c["reason"] for c in skipped)
 
 
+def test_collapsing_offset_exit_two(capsys) -> None:
+    # v + offset drives A + 2v below zero at every sampled point, so the
+    # lifted metric is not positive definite: a configuration error.
+    code = main(["verify", "--dim", "3", *FAST, "--custom-v-offset", "-10"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "A + 2v > 0" in captured.err
+
+
 def test_nonpositive_curvature_exit_two(capsys) -> None:
     code = main(["verify", "--dim", "3", "--curvature", "-1", *FAST])
     assert code == 2

@@ -16,7 +16,7 @@ from kahler_tube.connection import (
     verify_connection,
 )
 from kahler_tube.frames import BundlePoint, point_geometry
-from kahler_tube.lifted_metric import KAHLER, components_from_geometry, metric_field, offset_profile
+from kahler_tube.lifted_metric import components_from_geometry, metric_field
 from kahler_tube.sampling import sample_points
 
 PARAMS = ModelParams(3)
@@ -28,7 +28,7 @@ GENERIC = BundlePoint(x=np.array([0.3, -0.1, 0.2]), p=np.array([0.4, 0.5, -0.3])
 def _closed(pt: BundlePoint):
     """The point geometry at ``pt`` and its closed-form adapted connection W."""
     geo = point_geometry(PARAMS, pt)
-    return geo, coefficients_from_geometry(geo, components_from_geometry(PARAMS, geo, KAHLER), KAHLER)
+    return geo, coefficients_from_geometry(geo, components_from_geometry(geo))
 
 
 def _compared(pt: BundlePoint):
@@ -100,16 +100,9 @@ def test_torsion_free() -> None:
 
 
 def test_mtensor_parallel() -> None:
-    res_g, res_h = mtensor_parallel_residuals(point_geometry(PARAMS, GENERIC), KAHLER)
+    res_g, res_h = mtensor_parallel_residuals(point_geometry(PARAMS, GENERIC))
     assert res_g < 1e-8
     assert res_h < 1e-8
-
-
-def test_closed_form_requires_integrable_profile() -> None:
-    profile = offset_profile(PARAMS, 0.1)
-    geo = point_geometry(PARAMS, GENERIC)
-    with pytest.raises(DomainError):
-        coefficients_from_geometry(geo, components_from_geometry(PARAMS, geo, profile), profile)
 
 
 def test_worst_label_mentions_block_and_values() -> None:

@@ -29,7 +29,6 @@ from kahler_tube.curvature import (
 from kahler_tube.fd import field_jacobian
 from kahler_tube.frames import BundlePoint, frame_transform, point_geometry
 from kahler_tube.lifted_metric import (
-    KAHLER,
     adapted_metric_matrix,
     components_from_geometry,
     coordinate_metric,
@@ -47,12 +46,12 @@ GENERIC = BundlePoint(x=np.array([0.25, -0.15, 0.3]), p=np.array([0.5, 0.4, -0.2
 def _built(pt, params=PARAMS):
     """The point geometry and lifted blocks that the layers take."""
     geo = point_geometry(params, pt)
-    return geo, components_from_geometry(params, geo, KAHLER)
+    return geo, components_from_geometry(geo)
 
 
 def _adapted_setup(pt, params=PARAMS):
     geo, data = _built(pt, params)
-    R_ad = assemble_adapted_curvature(curvature_blocks(geo, data, KAHLER))
+    R_ad = assemble_adapted_curvature(curvature_blocks(geo, data))
     S_ad = adapted_metric_matrix(data)
     J_ad = adapted_j_matrix(data)
     return geo, R_ad, S_ad, J_ad
@@ -61,12 +60,12 @@ def _adapted_setup(pt, params=PARAMS):
 def _coefficients(pt, params=PARAMS):
     """The point geometry and its closed-form adapted connection W."""
     geo, data = _built(pt, params)
-    return geo, coefficients_from_geometry(geo, data, KAHLER)
+    return geo, coefficients_from_geometry(geo, data)
 
 
 def test_blocks_match_oracle_per_family() -> None:
     geo, R_closed, _, _ = _adapted_setup(GENERIC)
-    _, R_coord = curvature_oracle_coordinates(geo, KAHLER)
+    _, R_coord = curvature_oracle_coordinates(geo)
     R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
     res = sector_residuals(R_closed, R_oracle, geo.n)
     assert set(res) == {"hhh", "hhv", "vvh", "vvv", "vhh", "vhv", "structural_zero"}
@@ -76,7 +75,7 @@ def test_blocks_match_oracle_per_family() -> None:
 
 def test_oracle_transforms_consistently() -> None:
     geo = point_geometry(PARAMS, GENERIC)
-    _, R_coord = curvature_oracle_coordinates(geo, KAHLER)
+    _, R_coord = curvature_oracle_coordinates(geo)
     R_ad = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
     assert np.max(np.abs(frame_transform(R_ad, "uddd", geo.frame, to="coordinate") - R_coord)) < 1e-9
 
@@ -84,7 +83,7 @@ def test_oracle_transforms_consistently() -> None:
 def test_closed_form_coordinate_curvature_matches_oracle() -> None:
     geo, R_ad, _, _ = _adapted_setup(GENERIC)
     R_closed = frame_transform(R_ad, "uddd", geo.frame, to="coordinate")
-    _, R_oracle = curvature_oracle_coordinates(geo, KAHLER)
+    _, R_oracle = curvature_oracle_coordinates(geo)
     assert np.max(np.abs(R_closed - R_oracle)) < 1e-5
 
 
@@ -100,7 +99,7 @@ def test_curvature_oracle_takes_two_metric_field_calls(monkeypatch) -> None:
         return inner(*args)
 
     monkeypatch.setattr(frames, "geometry_at", counting)
-    curvature_oracle_coordinates(geo, KAHLER)
+    curvature_oracle_coordinates(geo)
     assert 0 < len(calls) <= 2
 
 
@@ -115,7 +114,7 @@ def test_curvature_oracle_pair_skew_near_the_tube_end() -> None:
     pt = BundlePoint(x=x, p=direction * np.sqrt(0.95 * t_max / t_dir))
     assert point_geometry(params, pt).t == pytest.approx(0.95 * t_max, rel=1e-12)
     geo, data = _built(pt, params)
-    _, R = curvature_oracle_coordinates(geo, KAHLER)
+    _, R = curvature_oracle_coordinates(geo)
     assert pair_skew_residual(R, coordinate_metric(geo, data)) <= 1e-6
 
 
@@ -123,7 +122,7 @@ def test_assembly_of_a_stack_equals_assembly_per_item() -> None:
     # covariant_derivative_residual assembles the frame derivatives of the
     # families, a (directions, 4, n, n, n, n) stack, in one call.
     geo, data = _built(GENERIC)
-    T = curvature_blocks(geo, data, KAHLER)
+    T = curvature_blocks(geo, data)
     stack = np.stack([T, 2.0 * T, np.random.default_rng(4).standard_normal(T.shape)])
     assert stack.shape == (3, 4, 3, 3, 3, 3)
     assembled = assemble_adapted_curvature(stack)
@@ -139,7 +138,7 @@ def test_structural_antisymmetry_exact() -> None:
 
 def test_oracle_identities() -> None:
     geo, data = _built(GENERIC)
-    _, R_coord = curvature_oracle_coordinates(geo, KAHLER)
+    _, R_coord = curvature_oracle_coordinates(geo)
     S_coord = coordinate_metric(geo, data)
     assert first_bianchi_residual(R_coord) < 1e-7
     assert pair_skew_residual(R_coord, S_coord) < 1e-7
@@ -170,13 +169,15 @@ def test_einstein_identity_closed_form() -> None:
 
 def test_einstein_identity_oracle() -> None:
     geo, data = _built(GENERIC)
-    identity, mixed_block = einstein_residuals(geo, data, curvature_oracle_coordinates(geo, KAHLER)[1])
+    identity, mixed_block = einstein_residuals(
+        geo, coordinate_metric(geo, data), curvature_oracle_coordinates(geo)[1]
+    )
     assert identity < 1e-5
     assert mixed_block < 1e-5
 
 
 def test_covariant_derivative_vanishes() -> None:
-    assert parallel_block_residuals(*_coefficients(GENERIC), KAHLER)["local_symmetry"] < 1e-7
+    assert parallel_block_residuals(*_coefficients(GENERIC))["local_symmetry"] < 1e-7
 
 
 def _stacked_oracle_curvature(field):
@@ -199,12 +200,12 @@ def test_covariant_derivative_oracle_route_agrees() -> None:
         _, K = curvature_from_metric_field(field, pt.z)
         dK = field_jacobian(_stacked_oracle_curvature(field), pt.z).value
         oracle = covariant_derivative(koszul_oracle(field, pt.z), K, dK, "uddd")
-        assert parallel_block_residuals(*_coefficients(pt), KAHLER)["local_symmetry"] < 1e-7
+        assert parallel_block_residuals(*_coefficients(pt))["local_symmetry"] < 1e-7
         assert float(np.max(np.abs(oracle))) < 1e-2
 
 
 def test_parallel_block_identities() -> None:
-    res = parallel_block_residuals(*_coefficients(GENERIC), KAHLER)
+    res = parallel_block_residuals(*_coefficients(GENERIC))
     expected_keys = {
         f"parallel_{family}_{direction}"
         for family in ("hhh", "vvh", "vhh", "vhv")

@@ -142,7 +142,7 @@ def private_package_imports(source: str) -> list[str]:
 
 
 def record_returning_residuals(sources: dict[str, str]) -> list[str]:
-    """Public verify/residual functions whose return annotation names a package class.
+    """Public verify/residual/Nijenhuis functions whose return annotation names a package class.
 
     ``sources`` maps module names to their text; a package class is a
     module-level class definition in any of them.
@@ -157,7 +157,7 @@ def record_returning_residuals(sources: dict[str, str]) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not node.name.startswith("_")
-        and (node.name.startswith("verify_") or node.name.endswith(("_residual", "_residuals")))
+        and (node.name.startswith(("verify_", "nijenhuis_")) or node.name.endswith(("_residual", "_residuals")))
         and node.returns is not None
         and any(isinstance(name, ast.Name) and name.id in classes for name in ast.walk(node.returns))
     ]
@@ -241,9 +241,9 @@ def test_gate_flags_an_unread_public_member() -> None:
 
 def test_gate_flags_a_residual_returning_a_record() -> None:
     sources = {
-        "records": "class Comparison:\n    pass\n",
+        "records": "class Comparison:\n    pass\nclass NijenhuisData:\n    pass\n",
         "layers": (
-            "from .records import Comparison\n"
+            "from .records import Comparison, NijenhuisData\n"
             "def verify_pair(x) -> Comparison:\n    return Comparison()\n"
             "def torsion_residual(x) -> float:\n    return 0.0\n"
             "def block_residuals(x) -> tuple[Comparison, float]:\n    return Comparison(), 0.0\n"
@@ -252,11 +252,14 @@ def test_gate_flags_a_residual_returning_a_record() -> None:
             "def verify_flat(x) -> tuple[tuple[float, str], float]:\n    return (0.0, ''), 0.0\n"
             "class Frame:\n"
             "    def pairing_residual(self) -> Frame:\n        return self\n"
+            "def nijenhuis_closed_form(geo, data) -> NijenhuisData:\n    return NijenhuisData()\n"
+            "def nijenhuis_fd_full(geo, profile) -> tuple[np.ndarray, float]:\n    return np.zeros(1), 0.0\n"
         ),
     }
     assert record_returning_residuals(sources) == [
         "layers.verify_pair (line 2)",
         "layers.block_residuals (line 6)",
+        "layers.nijenhuis_closed_form (line 17)",
         "layers.pairing_residual (line 15)",
     ]
 
