@@ -345,15 +345,26 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
 def _sweep_values(
     params: ModelParams, xs: np.ndarray, ps: np.ndarray, directions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Energy densities ``(points,)`` and curvatures ``(points, directions)``."""
+    """Energy densities ``(points,)`` and curvatures ``(points, directions)``.
+
+    The steps of ``curvature.holomorphic_sectional_curvature``, with the
+    direction work hoisted: the pair products once, the norms ``<X, X>``
+    once for all points, and per point only the folded form and its
+    ``(directions, s) @ (s, s)`` product.
+    """
     geo = geometry_at(params, xs, ps)
     data = lifted_metric.components_from_geometry(geo)
-    R_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data))
     S_ad = lifted_metric.adapted_metric_matrix(data)
     J_ad = complex_structure.adapted_j_matrix(data)
+    P = curvature.pair_products(directions)
+    # (points, directions); its (points, directions, m) temporary is freed
+    # before the stacked curvature is built.
+    norm_sq = curvature.direction_norm_sq(S_ad, directions)
+    R_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data))
     values = np.empty((len(xs), len(directions)))
     for idx in range(len(xs)):
-        values[idx] = curvature.holomorphic_sectional_curvature(R_ad[idx], S_ad[idx], J_ad[idx], directions)
+        Q_pairs = curvature.folded_quadratic_form(R_ad[idx], S_ad[idx], J_ad[idx])
+        values[idx] = curvature.holomorphic_quotient(Q_pairs, P, norm_sq[idx])
     return geo.t, values
 
 
@@ -363,11 +374,11 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     Every closed form is evaluated once, on the stack of all sampled points:
     one ``geometry_at`` on the ``(points, n)`` arrays of
     ``sample_chart_points``, then the lifted blocks, the curvature blocks
-    and the adapted curvature, metric and structure.  Only the quadratic
-    form runs point by point (``holomorphic_sectional_curvature`` over the
-    whole batch of directions), so no ``(points, directions, m²)`` product
-    is ever held.  The result keeps the two arrays as they are: no
-    ``BundlePoint`` and no row object is built.  A sampled point outside the
+    and the adapted curvature, metric and structure, and the directions'
+    pair products and norms.  Only the folded quadratic form runs point by
+    point, over the whole batch of directions, so no
+    ``(points, directions, s)`` product is ever held.  The result keeps the
+    two arrays as they are: no ``BundlePoint`` and no row object is built.  A sampled point outside the
     tube is caught by the tube guard of ``components_from_geometry``, and a
     non-finite value by ``SweepResult.to_csv``.
     """

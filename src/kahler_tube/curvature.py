@@ -20,7 +20,7 @@ oracle path touches the closed forms.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Callable
 
@@ -280,29 +280,74 @@ def parallel_block_residuals(geo: PointGeometry, W: np.ndarray) -> dict[str, flo
     return out
 
 
+@cache
+def index_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, F)`` for the s = m(m+1)/2 pairs ``i <= j`` of ``np.triu_indices(m)``; cached, read-only.
+
+    F is the ``(m², s)`` 0/1 fold: column k holds a 1 in rows ``(i_k, j_k)``
+    and ``(j_k, i_k)``, so every row holds one 1, and for symmetric ``X⊗X``
+    ``(X⊗X)ᵀ Q (X⊗X) = Pᵀ (Fᵀ Q F) P`` with ``P = pair_products(X)``.
+    """
+    i, j = np.triu_indices(m)
+    k = np.arange(len(i))
+    F = np.zeros((m * m, len(i)))
+    F[i * m + j, k] = 1.0
+    F[j * m + i, k] = 1.0
+    for array in (i, j, F):
+        array.flags.writeable = False
+    return i, j, F
+
+
+def pair_products(X: np.ndarray) -> np.ndarray:
+    """``X_i X_j`` over the ``index_pairs`` ``i <= j``: shape (..., m(m+1)/2)."""
+    i, j, _ = index_pairs(X.shape[-1])
+    return X[..., i] * X[..., j]
+
+
+def direction_norm_sq(metric_ad: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``<X, X>`` for directions ``X`` (..., m); raises unless every one is positive."""
+    norm_sq = np.einsum("...a,...a->...", X @ metric_ad, X)
+    if np.any(norm_sq <= 0.0):
+        raise DomainError("holomorphic sectional curvature needs a nonzero direction")
+    return norm_sq
+
+
+def folded_quadratic_form(R_ad: np.ndarray, metric_ad: np.ndarray, J_ad: np.ndarray) -> np.ndarray:
+    """The numerator of the holomorphic sectional curvature as a form on pair products.
+
+    With (S R)[e, b, c, d] = S[e, a] R[a, b, c, d], the numerator
+    X_e X_c (JX)_b (JX)_d (S R)_ebcd is the quadratic form (X⊗X)ᵀ Q (X⊗X)
+    of one m² × m² matrix Q[(e, c), (g, f)] = (S R)_ebcd J_bf J_dg.  X⊗X is
+    symmetric, so Q folds onto the s = m(m+1)/2 unordered pairs:
+    ``Fᵀ Q F`` with F from ``index_pairs(m)``, an ``(s, s)`` matrix.
+    """
+    m = R_ad.shape[-1]
+    SRJ = (metric_ad @ R_ad.reshape(m, m**3)).reshape(m**3, m) @ J_ad  # [(e, b, c), g]
+    Q = SRJ.reshape(m, m, m, m).transpose(0, 2, 3, 1).reshape(m**3, m) @ J_ad  # [(e, c, g), f]
+    F = index_pairs(m)[2]
+    return F.T @ (Q.reshape(m * m, m * m) @ F)
+
+
+def holomorphic_quotient(Q_pairs: np.ndarray, P: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
+    """``Pᵀ Q_pairs P / <X, X>²`` per direction, from ``folded_quadratic_form``,
+    ``pair_products`` and ``direction_norm_sq``."""
+    return np.einsum("...k,...k->...", P @ Q_pairs, P) / (norm_sq * norm_sq)
+
+
 def holomorphic_sectional_curvature(
     R_ad: np.ndarray, metric_ad: np.ndarray, J_ad: np.ndarray, X_ad: np.ndarray
 ) -> np.ndarray:
     """<K(X, JX) JX, X> / <X, X>^2 for adapted-frame directions ``X_ad`` (..., m).
 
-    Returns shape (...): one value for a single direction (m,).  With
-    (S R)[e, b, c, d] = S[e, a] R[a, b, c, d], the numerator
-    X_e X_c (JX)_b (JX)_d (S R)_ebcd is the quadratic form (X⊗X)ᵀ Q (X⊗X)
-    of one m² × m² matrix Q[(e, c), (g, f)] = (S R)_ebcd J_bf J_dg, so a
-    batch of directions costs one matmul.  Q is not symmetrised: X⊗X is
-    symmetric, so the order of (g, f) does not change the form.
+    Returns shape (...): one value for a single direction (m,).  The
+    numerator is the quadratic form ``folded_quadratic_form`` on the pair
+    products of X, so a batch of directions costs one ``(D, s) @ (s, s)``
+    matmul.  A stack of points calls the same three steps, with the pair
+    products and norms taken once for all points (``checks.run_sweep``).
     """
     X = np.asarray(X_ad)
-    m = X.shape[-1]
-    norm_sq = np.einsum("...a,...a->...", X @ metric_ad, X)
-    if np.any(norm_sq <= 0.0):
-        raise DomainError("holomorphic sectional curvature needs a nonzero direction")
-    SRJ = (metric_ad @ R_ad.reshape(m, m**3)).reshape(m**3, m) @ J_ad  # [(e, b, c), g]
-    Q = SRJ.reshape(m, m, m, m).transpose(0, 2, 3, 1).reshape(m**3, m) @ J_ad  # [(e, c, g), f]
-    Q = Q.reshape(m * m, m * m)
-    XX = (X[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (m * m,))
-    num = np.einsum("...i,...i->...", XX @ Q, XX)
-    return num / (norm_sq * norm_sq)
+    norm_sq = direction_norm_sq(metric_ad, X)
+    return holomorphic_quotient(folded_quadratic_form(R_ad, metric_ad, J_ad), pair_products(X), norm_sq)
 
 
 def holomorphic_sample(

@@ -171,9 +171,9 @@ def lifted_field(
     return geometry_field(params, lambda geo: value(geo, components_from_geometry(geo, profile)))
 
 
-def metric_field(params: ModelParams, profile: LiftProfile = KAHLER) -> Callable[[np.ndarray], np.ndarray]:
-    """The full coordinate metric as a callable field for the oracles."""
-    return lifted_field(params, profile, coordinate_metric)
+def metric_field(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
+    """The full coordinate metric of the integrable lift as a callable field for the oracles."""
+    return lifted_field(params, KAHLER, coordinate_metric)
 
 
 def kahler_identity_residual(params: ModelParams, data: LiftedMetricData) -> float:

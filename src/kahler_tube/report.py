@@ -7,9 +7,9 @@ construction so reruns with the same config produce identical bytes.
 
 The sweep result is held by column: a ``(points,)`` array of energy
 densities and a ``(points, directions)`` array of curvatures.  ``to_csv``
-writes each point's lines through one per-point template, so no per-row
-object stands between the curvature array and the text; ``SweepResult.rows``
-builds the row tuples only when read.
+writes each point's lines with one ``%`` on one template shared by every
+point, so no per-row object stands between the curvature array and the
+text; ``SweepResult.rows`` builds the row tuples only when read.
 """
 
 from __future__ import annotations
@@ -171,10 +171,12 @@ class SweepResult:
         if not np.isfinite(self.values).all():
             raise ValueError("reports must contain finite numbers only")
         lines = ["point_id,t,direction_id,hol_sect_curv"]
+        # One template holds a point's lines; "@" marks each line's
+        # "point_id,t," prefix and ``%.17g`` is ``format_float``'s form.
+        template = "\n".join(f"@{j},%.17g" for j in range(self.values.shape[1]))
         for point_id, (t, row) in enumerate(zip(self.t.tolist(), self.values.tolist())):
-            # t is formatted (and checked for finiteness) once per point;
-            # ``%.17g`` is ``format_float``'s form.
-            lines.extend(map(f"{point_id},{format_float(t)},%d,%.17g".__mod__, enumerate(row)))
+            # t is formatted (and checked for finiteness) once per point.
+            lines.append(template.replace("@", f"{point_id},{format_float(t)},") % tuple(row))
         lo, hi = self.minimum, self.maximum
         lines.append(
             f"#summary,{format_float(lo)},{format_float(hi)},"

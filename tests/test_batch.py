@@ -46,7 +46,6 @@ from kahler_tube.lifted_metric import (
     components_from_geometry,
     coordinate_metric,
     lifted_field,
-    metric_field,
 )
 from kahler_tube.sampling import sample_directions, sample_points
 
@@ -109,6 +108,10 @@ def _j_field(params, profile):
     )
 
 
+def _metric_field(params, profile):
+    return lifted_field(params, profile, coordinate_metric)
+
+
 def _stacked_blocks_field(params, profile):
     return lifted_field(params, profile, curvature_blocks)
 
@@ -117,7 +120,7 @@ def _stacked_blocks_field(params, profile):
 def test_fields_map_a_stack_to_the_stack_of_values(params: ModelParams, offset) -> None:
     profile = LiftProfile(offset)
     zs = _stack(params)
-    builders = [metric_field, _j_field] + ([_stacked_blocks_field] if offset is None else [])
+    builders = [_metric_field, _j_field] + ([_stacked_blocks_field] if offset is None else [])
     for build in builders:
         field = build(params, profile)
         _assert_stacked(field(zs), [field(z) for z in zs])
@@ -130,7 +133,7 @@ def test_one_point_outside_the_tube_fails_the_whole_stack(params: ModelParams, o
     zs = _stack(params)
     n = params.dim
     zs[3, n:] *= 3.0  # |p|^2 grows ninefold: past 4c/A^2 from any sampled t
-    field = metric_field(params, LiftProfile(offset))
+    field = lifted_field(params, LiftProfile(offset), coordinate_metric)
     if offset is None:
         with pytest.raises(DomainError, match="tube bound"):
             field(zs)
@@ -150,7 +153,7 @@ def test_complex_stack_real_part_equals_real_evaluation(params: ModelParams, off
     zs = _stack(params)
     zc = _complex_stack(zs)
     fields = [
-        (metric_field(params, LiftProfile(offset)), zs, zc),
+        (lifted_field(params, LiftProfile(offset), coordinate_metric), zs, zc),
         (base_geometry.metric_field(params), zs[:, :n], zc[..., :n]),
     ]
     for field, real, cplx in fields:
@@ -165,7 +168,7 @@ def test_complex_step_jacobian_agrees_with_central_differences(params: ModelPara
     zs = _stack(params)
     profile = LiftProfile(offset)
     fields = [
-        (metric_field(params, profile), zs),
+        (lifted_field(params, profile, coordinate_metric), zs),
         (base_geometry.metric_field(params), zs[:, :n]),
         # Fields that allocate their output must take the input's dtype.
         (lifted_field(params, profile, lambda geo, data: adapted_j_matrix(data)), zs),
@@ -199,7 +202,7 @@ def test_block_coordinate_metric_equals_frame_transform(params: ModelParams, off
 def test_complex_point_whose_real_part_leaves_the_tube_raises(params: ModelParams, offset) -> None:
     n = params.dim
     zs = _stack(params)
-    field = metric_field(params, LiftProfile(offset))
+    field = lifted_field(params, LiftProfile(offset), coordinate_metric)
     if offset is None:
         zs[3, n:] *= 3.0  # past 4c/A^2 from any sampled t
         with pytest.raises(DomainError, match="tube bound"):
@@ -264,16 +267,17 @@ def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
 
 def test_sweep_memory_stays_one_point_deep() -> None:
     # Measured at (3,1,1), 100 points x 100 directions (tracemalloc peak):
-    # about 1.5 MB with the closed forms stacked over the points (the four
-    # curvature families as one (100, 4, 3, 3, 3, 3) array), the
-    # quadratic form over one batch of directions per point and the
-    # stacked (100, 6, 6, 6, 6) curvature (1.0 MB) the largest array held;
-    # the columnar result holds 0.08 MB.  Row objects (10,000 rows, 1.1 MB)
-    # built while that curvature was held peaked at 2.4 MB; the
-    # point-by-point loop with doubled direction batches at 1.6 MB.
-    # Stacking the points into the quadratic form as well would hold
-    # (points, directions, m^2) products: 2.9 MB of float64 for one such
-    # array at this size.
+    # about 1.64 MB with the closed forms stacked over the points (the four
+    # curvature families as one (100, 4, 3, 3, 3, 3) array), the direction
+    # pair products (100, 21) and norms (100, 100) taken once, the folded
+    # quadratic form over one batch of directions per point and the stacked
+    # (100, 6, 6, 6, 6) curvature (1.0 MB) the largest array held; the
+    # columnar result holds 0.08 MB.  Before the hoisted norms it was about
+    # 1.48 MB.  Row objects (10,000 rows, 1.1 MB) built while that
+    # curvature was held peaked at 2.4 MB; the point-by-point loop with
+    # doubled direction batches at 1.6 MB.  Folding the form for all points
+    # at once peaked at about 5.4 MB (its (points, m^3, m) contractions and
+    # (points, directions, s) product) and was no faster.
     cfg = RunConfig(ModelParams(3, 1.0, 1.0), num_points=100, num_directions=100, seed=7)
     assert _peak_mb(lambda: run_sweep(cfg)) < 3.0
 

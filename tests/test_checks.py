@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kahler_tube import checks, curvature, lifted_metric
-from kahler_tube.base_geometry import ModelParams
+from kahler_tube.base_geometry import DomainError, ModelParams
 from kahler_tube.checks import (
     CHECKS,
     DEFAULT_TOLERANCES,
@@ -216,6 +216,20 @@ def test_sweep_rows_and_summary() -> None:
         assert result.rows[k].direction_id == k
         assert result.rows[5 + k].direction_id == k
     assert result.rows[0].t == pytest.approx(result.rows[4].t)
+
+
+def test_sweep_rejects_a_zero_direction_in_the_batch(monkeypatch) -> None:
+    # run_sweep takes the direction norms once for all points, outside the
+    # single-point kernel; a zero row must still raise, not divide by zero.
+    def with_zero_row(params, count, seed):
+        directions = sample_directions(params, count, seed)
+        directions[3] = 0.0
+        return directions
+
+    monkeypatch.setattr(checks, "sample_directions", with_zero_row)
+    cfg = RunConfig(ModelParams(3), num_points=4, num_directions=6, seed=7)
+    with pytest.raises(DomainError, match="nonzero direction"):
+        run_sweep(cfg)
 
 
 def test_sweep_rejects_offset_profile() -> None:

@@ -7,8 +7,9 @@ pass complex stacks through the same code), and the two must agree to
 1e-12 relative to the reference's largest entry with the input's dtype.
 The same holds for the hand-written covariant derivatives and frame
 contractions that ``covariant_derivative`` and ``frame_derivative`` replaced,
-and for the three Koszul einsums that ``koszul_christoffel``'s one matmul
-replaced.
+for the three Koszul einsums that ``koszul_christoffel``'s one matmul
+replaced, and for the ``m² × m²`` quadratic form that the holomorphic
+sectional curvature folds onto the ``m(m+1)/2`` unordered index pairs.
 """
 
 from types import SimpleNamespace
@@ -24,8 +25,12 @@ from kahler_tube.connection import (
     koszul_christoffel,
 )
 from kahler_tube.curvature import (
+    folded_quadratic_form,
+    holomorphic_quotient,
     holomorphic_sectional_curvature,
+    index_pairs,
     j_invariance_residual,
+    pair_products,
 )
 from kahler_tube.fd import complex_step
 from kahler_tube.frames import frame_derivative
@@ -147,6 +152,35 @@ def test_holomorphic_sectional_curvature_matches_einsum(m: int) -> None:
     reference = num / np.einsum("...a,ab,...b->...", X, metric, X) ** 2
     _assert_agrees(holomorphic_sectional_curvature(R, metric, J, X), reference)
     _assert_agrees(holomorphic_sectional_curvature(R, metric, J, X[7]), reference[7])
+
+
+@pytest.mark.parametrize("m", (3, 6, 10))
+def test_index_pairs_fold_each_ordered_pair_onto_its_unordered_pair(m: int) -> None:
+    i, j, F = index_pairs(m)
+    assert F.shape == (m * m, m * (m + 1) // 2)
+    assert set(np.unique(F)) == {0.0, 1.0}
+    assert np.array_equal(F.sum(axis=1), np.ones(m * m))
+    assert np.array_equal(F.sum(axis=0), np.where(i == j, 1.0, 2.0))
+    assert all(np.array_equal(a, b) for a, b in zip((i, j), np.triu_indices(m)))
+    assert index_pairs(m)[2] is F and not F.flags.writeable
+
+
+@pytest.mark.parametrize("m", (6, 10))
+def test_folded_form_equals_the_unfolded_quadratic_form(m: int) -> None:
+    """The numerator on pair products equals (X⊗X)ᵀ Q (X⊗X), for any R, S, J."""
+    rng = np.random.default_rng(m + 11)
+    R = rng.standard_normal((m, m, m, m))
+    metric, J = rng.standard_normal((m, m)), rng.standard_normal((m, m))
+    X = rng.standard_normal((200, m))
+    SR = np.einsum("ea,abcd->ebcd", metric, R)
+    Q = np.einsum("ebcd,bf,dg->ecgf", SR, J, J, optimize=True).reshape(m * m, m * m)
+    XX = (X[:, :, None] * X[:, None, :]).reshape(len(X), m * m)
+    reference = np.einsum("zi,ij,zj->z", XX, Q, XX, optimize=True)
+    Q_pairs = folded_quadratic_form(R, metric, J)
+    F = index_pairs(m)[2]
+    _assert_agrees(Q_pairs, F.T @ Q @ F)
+    folded = holomorphic_quotient(Q_pairs, pair_products(X), np.ones(len(X)))
+    assert np.max(np.abs(folded - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 #: The covariant derivatives the battery wrote out by hand before

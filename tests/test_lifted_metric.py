@@ -93,10 +93,12 @@ GENERIC = BundlePoint(x=np.array([0.25, -0.15, 0.3]), p=np.array([0.5, 0.4, -0.2
 @pytest.mark.parametrize("offset", [None, 0.1])
 def test_metric_field_equals_pointwise_metric(offset) -> None:
     profile = LiftProfile(offset)
-    field_value = metric_field(PARAMS, profile)(GENERIC.z)
+    field_value = lifted_field(PARAMS, profile, coordinate_metric)(GENERIC.z)
     geo = point_geometry(PARAMS, GENERIC)
     pointwise = coordinate_metric(geo, components_from_geometry(geo, profile))
     assert np.array_equal(field_value, pointwise)
+    if offset is None:
+        assert np.array_equal(metric_field(PARAMS)(GENERIC.z), pointwise)
 
 
 def test_lifted_field_equals_pointwise_components() -> None:

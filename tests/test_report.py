@@ -96,10 +96,13 @@ def test_sweep_csv_layout() -> None:
 
 
 def test_sweep_csv_rejects_a_non_finite_entry_in_any_row() -> None:
-    # a NaN value in a later row, and an infinite t of a later point
+    # a NaN value in a later row, and a non-finite t of the first, a
+    # middle and the last point
     for t, values in (
         ([0.5], [[0.5, 0.5, math.nan]]),
         ([0.5, math.inf], [[0.5, 0.5], [0.5, 0.5]]),
+        ([math.nan, 0.5], [[0.5, 0.5], [0.5, 0.5]]),
+        ([0.5, -math.inf, 0.5], [[0.5], [0.5], [0.5]]),
     ):
         with pytest.raises(ValueError, match="finite"):
             SweepResult(t=np.array(t), values=np.array(values)).to_csv()
@@ -116,6 +119,25 @@ def _csv_row_by_row(result: SweepResult) -> str:
     spread = (hi - lo) / max(abs(lo), abs(hi))
     lines.append(f"#summary,{format_float(lo)},{format_float(hi)},{format_float(spread)}")
     return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e22, 1e-7]
+
+
+@pytest.mark.parametrize(
+    "t, values",
+    [
+        (EDGE_VALUES, [np.roll(EDGE_VALUES, k) for k in range(4)]),
+        ([1e-7], [[5e-324]]),
+        ([-0.0], [EDGE_VALUES + [-1e22, 0.1]]),
+    ],
+    ids=["edges", "1x1", "1xD"],
+)
+def test_sweep_csv_edge_values_equal_a_row_by_row_formatter(t, values) -> None:
+    # signed zero, the smallest subnormal, an exponent form and a value
+    # below 1e-4, in t and in the curvatures, through the shared template
+    result = SweepResult(t=np.array(t, dtype=float), values=np.array(values, dtype=float))
+    assert result.to_csv() == _csv_row_by_row(result)
 
 
 @pytest.mark.parametrize(
