@@ -132,15 +132,15 @@ def _core(x: np.ndarray) -> np.ndarray:
 def momentum_gamma(base: BaseMetricData, p: np.ndarray) -> np.ndarray:
     """[..., i, h] = p_k gamma^k_ih = -(c/2u) (p_i x_h + p_h x_i - (p.x) delta_ih): p into ``_core``, O(n^2)."""
     px = p[..., :, None] * base.x[..., None, :]
-    trace = np.einsum("...i,...i->...", p, base.x)[..., None, None] * np.eye(p.shape[-1])
+    trace = np.asarray(np.einsum("...i,...i->...", p, base.x))[..., None, None] * np.eye(p.shape[-1])
     return -(0.5 * base.curvature / base.u)[..., None, None] * (px + np.swapaxes(px, -1, -2) - trace)
 
 
 def conformal_factor(params: ModelParams, x) -> np.ndarray:
     """u(x) = 1 + c|x|^2/4; must stay positive for the chart to be valid."""
     x = _coords(params, x)
-    u = 1.0 + 0.25 * params.curvature * np.einsum("...i,...i->...", x, x)
-    if (u.real <= 0.0).any():
+    u = np.asarray(1.0 + 0.25 * params.curvature * np.einsum("...i,...i->...", x, x))
+    if np.any(u.real <= 0.0):
         raise DomainError("conformal factor 1 + c|x|^2/4 must be positive (chart domain)")
     return u
 

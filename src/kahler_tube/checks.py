@@ -32,6 +32,7 @@ from .frames import (
     frame_transform,
     geometry_at,
     point_geometry,
+    step_geometry,
     verify_brackets,
 )
 from .lifted_metric import LiftProfile
@@ -190,8 +191,10 @@ def evaluate_point(
 
     The point geometry, the lifted blocks, the adapted and coordinate metric,
     the adapted structure and, for the Kähler profile, the closed connection ``W`` and the closed
-    adapted curvature are built once here and handed to every layer.  The
-    integrable-only layers run only for the Kähler profile.  The second item
+    adapted curvature are built once here and handed to every layer.  So
+    are the step geometry at the 2n complex-step points (``step_geometry``)
+    and its lifted blocks, from which every complex-step layer reads its
+    derivative.  The integrable-only layers run only for the Kähler profile.  The second item
     holds the holomorphic sectional curvatures over ``directions``
     (None for any other profile), for the cross-point nonconstancy check.
     """
@@ -199,6 +202,8 @@ def evaluate_point(
     geo = point_geometry(params, pt)
     base = geo.base
     data = lifted_metric.components_from_geometry(geo, profile)
+    step_geo = step_geometry(geo)
+    step_data = lifted_metric.components_from_geometry(step_geo, profile)
     values: dict[str, Value] = {}
 
     # Base chart: closed forms against their own fd recomputation.
@@ -212,9 +217,11 @@ def evaluate_point(
     values["base_positive_definite"] = _positive_definite_residual(base.g)
 
     # Adapted frame: bracket table, duality, energy derivatives.
-    values["bracket_vert_vert"], values["bracket_mixed"], values["bracket_horiz_horiz"] = verify_brackets(geo)
+    values["bracket_vert_vert"], values["bracket_mixed"], values["bracket_horiz_horiz"] = verify_brackets(
+        geo, step_geo
+    )
     values["frame_dual_pairing"] = geo.frame.dual_pairing_residual()
-    values["energy_frame_derivative"] = max(energy_frame_derivatives(geo))
+    values["energy_frame_derivative"] = max(energy_frame_derivatives(geo, step_geo))
 
     # Lifted metric blocks (defined for every profile).  The coordinate
     # metric is the block formula; reading it back through the generic
@@ -238,12 +245,12 @@ def evaluate_point(
     values["j_squared"] = _max_abs(J_coord @ J_coord + np.eye(2 * n))
     values["hermitian"] = _max_abs(J_coord.T @ S_coord @ J_coord - S_coord)
     values["fundamental_form_blocks"] = complex_structure.fundamental_form_block_residual(S_ad @ J_ad)
-    values["fundamental_form_closed"] = complex_structure.fundamental_form(geo, profile)
+    values["fundamental_form_closed"] = complex_structure.fundamental_form(step_geo, step_data)
 
     # Integrability dichotomy.
     closed_n = complex_structure.nijenhuis_closed_form(geo, data)
     values["nijenhuis_closed_form"] = _max_abs(closed_n)
-    fd_n, off_distribution = complex_structure.nijenhuis_fd_full(geo, profile)
+    fd_n, off_distribution = complex_structure.nijenhuis_fd_full(geo, step_geo, step_data)
     values["nijenhuis_fd_match"] = max(_max_abs(closed_n - fd_n), off_distribution)
 
     if not profile.is_kahler:
@@ -253,12 +260,12 @@ def evaluate_point(
     values["lifted_w_consistency"] = lifted_metric.w_consistency_residual(params, data)
 
     # Levi-Civita connection: closed forms against the Koszul oracle.
-    jet, R_oracle_coord = curvature.curvature_oracle_coordinates(geo)
+    jet, R_oracle_coord = curvature.curvature_oracle_coordinates(geo, step_geo, step_data)
     W = connection.coefficients_from_geometry(geo, data)
     values["connection_match"], values["connection_nabla_g"], values["connection_torsion"] = (
         connection.verify_connection(geo, W, jet)
     )
-    values["mtensor_parallel"] = max(connection.mtensor_parallel_residuals(geo))
+    values["mtensor_parallel"] = max(connection.mtensor_parallel_residuals(geo, step_data))
 
     # Curvature: closed blocks against the curvature oracle; identity
     # battery on the oracle output so it stands on its own.
@@ -276,7 +283,7 @@ def evaluate_point(
     values["einstein_identity"], values["ricci_mixed_zero"] = curvature.einstein_residuals(
         geo, S_coord, R_oracle_coord
     )
-    values.update(curvature.parallel_block_residuals(geo, W))
+    values.update(curvature.parallel_block_residuals(geo, W, step_geo, step_data))
 
     hol, values["hol_sect_scale_invariance"] = curvature.holomorphic_sample(
         R_closed_ad, S_ad, J_ad, directions

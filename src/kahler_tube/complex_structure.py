@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fd import complex_step
+from .fd import complex_jacobian
 from .frames import PointGeometry, frame_transform
-from .lifted_metric import LiftProfile, LiftedMetricData, adapted_metric_matrix, lifted_field
+from .lifted_metric import LiftedMetricData, adapted_metric_matrix
 
 
 def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
@@ -42,23 +42,21 @@ def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
     return J
 
 
-def fundamental_form(geo: PointGeometry, profile: LiftProfile) -> float:
+def fundamental_form(step_geo: PointGeometry, step_data: LiftedMetricData) -> float:
     """Closedness residual of phi(X, Y) = S(X, JY), by complex step.
 
     In adapted components phi is ``S_ad @ J_ad``, which pairs the two
     distributions with +-identity (``fundamental_form_block_residual``); in
     coordinates it is the canonical form, so the exterior derivative of the
     coordinate coefficient field, the cyclic sum
-    d_l phi_mn + d_m phi_nl + d_n phi_lm of its Jacobian, must vanish.
+    d_l phi_mn + d_m phi_nl + d_n phi_lm of its Jacobian, must vanish.  The
+    coefficients are evaluated on the point's step geometry
+    (``frames.step_geometry``) and its lifted blocks ``step_data``.
     """
 
-    phi_field = lifted_field(
-        geo.params, profile,
-        lambda g2, d2: frame_transform(
-            adapted_metric_matrix(d2) @ adapted_j_matrix(d2), "dd", g2.frame, to="coordinate"
-        ),
-    )
-    dw = complex_step(phi_field, geo.z)[1].value  # [l, m, n] = d_l phi_mn
+    phi_adapted = adapted_metric_matrix(step_data) @ adapted_j_matrix(step_data)
+    phi = frame_transform(phi_adapted, "dd", step_geo.frame, to="coordinate")
+    dw = complex_jacobian(phi)[1].value  # [l, m, n] = d_l phi_mn
     dphi = dw + np.transpose(dw, (1, 2, 0)) + np.transpose(dw, (2, 0, 1))
     return float(np.max(np.abs(dphi)))
 
@@ -95,7 +93,9 @@ def _nijenhuis_core(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
     ) - geo.riem_p
 
 
-def nijenhuis_fd_full(geo: PointGeometry, profile: LiftProfile) -> tuple[np.ndarray, float]:
+def nijenhuis_fd_full(
+    geo: PointGeometry, step_geo: PointGeometry, step_data: LiftedMetricData
+) -> tuple[np.ndarray, float]:
     """Recompute the Nijenhuis families from one complex step of the J field.
 
     With N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] (no factor 2),
@@ -103,19 +103,17 @@ def nijenhuis_fd_full(geo: PointGeometry, profile: LiftProfile) -> tuple[np.ndar
 
         N^k_ij = J^l_i d_l J^k_j - J^l_j d_l J^k_i - J^k_l (d_i J^l_j - d_j J^l_i),
 
-    so the oracle needs only evaluations of the coordinate J field.  The
-    tensor is then expressed in the adapted frame and returned as the
-    families ``N[family, k, i, j]`` of ``nijenhuis_closed_form``, with the
-    largest component landing outside the expected output distribution
-    (structurally zero in the closed forms).
+    so the oracle needs only the coordinate J field, evaluated on the step
+    geometry of ``geo`` (``frames.step_geometry``) with its lifted blocks
+    ``step_data``.  The tensor is then expressed in the adapted frame and
+    returned as the families ``N[family, k, i, j]`` of
+    ``nijenhuis_closed_form``, with the largest component landing outside
+    the expected output distribution (structurally zero in the closed forms).
     """
 
     n = geo.n
-    jf = lifted_field(
-        geo.params, profile,
-        lambda g2, d2: frame_transform(adapted_j_matrix(d2), "ud", g2.frame, to="coordinate"),
-    )
-    J, jac = complex_step(jf, geo.z)
+    J_coord = frame_transform(adapted_j_matrix(step_data), "ud", step_geo.frame, to="coordinate")
+    J, jac = complex_jacobian(J_coord)
     dJ = jac.value  # [l, k, j] = d_l J^k_j
     a = np.einsum("li,lkj->kij", J, dJ) - np.einsum("kl,ilj->kij", J, dJ)
     N = frame_transform(a - np.swapaxes(a, 1, 2), "udd", geo.frame, to="adapted")  # [k, i, j]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .fd import complex_step
 from .frames import PointGeometry, frame_derivative, frame_structure_functions
-from .lifted_metric import KAHLER, LiftedMetricData, lifted_field
+from .lifted_metric import LiftedMetricData
 
 
 def coefficients_from_geometry(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
@@ -61,7 +61,7 @@ def coefficients_from_geometry(geo: PointGeometry, data: LiftedMetricData) -> np
         (0.5 * (A * A * t - 2.0 * c))
         * (np.einsum("ij,h->hij", g, p) + np.einsum("ih,j->hij", g, p))
         + (0.5 * A * A * t) * np.einsum("hj,i->hij", g, p)
-        + (0.5 * (3.0 * c - 2.0 * A * A * t) / t) * np.einsum("h,i,j->hij", p, p, p)
+        + (0.5 * (3.0 * c - 2.0 * A * A * t) / t) * (np.outer(p, p)[:, :, None] * p)
     )
     W[n:, :n, n:] = -np.einsum("jih->hij", gamma)
     W[:n, :n, n:] = np.einsum("hji->hij", mixed)
@@ -118,24 +118,39 @@ def connection_to_coordinates(W: np.ndarray, geo: PointGeometry) -> np.ndarray:
 
 
 def covariant_derivative(conn: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> np.ndarray:
-    """nabla T[l, ...] from a tensor, its derivatives and a connection.
+    """nabla T[..., l, ...] from a tensor, its derivatives and a connection.
 
-    ``conn[upper, direction, slot]`` and ``dT[direction, ...]`` (the
-    derivative of ``T`` along each basis vector) are given in one frame,
-    coordinate or adapted.  ``variance`` has one letter per index of ``T``:
-    each upper slot ("u") adds sum_s conn[u, l, s] T[..s..] and each lower
-    slot ("d") subtracts sum_s conn[s, l, i] T[..s..].
+    ``conn[..., upper, direction, slot]`` and ``dT[..., direction, ...]``
+    (the derivative of ``T`` along each basis vector) are given in one
+    frame, coordinate or adapted.  ``variance`` has one letter per index of
+    ``T``: each upper slot ("u") adds sum_s conn[u, l, s] T[..s..] and each
+    lower slot ("d") subtracts sum_s conn[s, l, i] T[..s..].  ``conn``,
+    ``T`` and ``dT`` carry the same number of leading batch axes, which
+    broadcast; each slot is one batched matmul over them.
     """
 
-    if len(variance) != T.ndim or not set(variance) <= {"u", "d"}:
-        raise ValueError(f"variance {variance!r} does not describe a rank-{T.ndim} tensor")
-    C = conn.transpose(1, 0, 2)  # [direction, upper, slot]
-    nabla = np.array(dT, dtype=np.result_type(dT, C, T))
+    batch = conn.ndim - 3
+    rank = T.ndim - batch
+    if len(variance) != rank or not set(variance) <= {"u", "d"}:
+        raise ValueError(f"variance {variance!r} does not describe a rank-{rank} tensor")
+    m = conn.shape[-1]
+    # [..., (l, new), s]: conn[new, l, s] for an upper slot, conn[s, l, new] for a lower one
+    lower = np.swapaxes(np.swapaxes(conn, -3, -1), -3, -2)
+    mats = {
+        kind: mat.reshape(conn.shape[:-3] + (m * m, m))
+        for kind, mat in (("u", np.swapaxes(conn, -3, -2)), ("d", lower)) if kind in variance
+    }
+    nabla = np.array(dT, dtype=np.result_type(dT, conn, T))
     for slot, kind in enumerate(variance):
+        # swapping the slot with the first tensor axis and back again keeps every other axis in place
+        moved = np.swapaxes(T, batch, batch + slot)
+        term = mats[kind] @ moved.reshape(moved.shape[:batch] + (m, -1))  # [..., (l, new), rest]
+        term = np.swapaxes(term.reshape(term.shape[:-2] + (m,) + moved.shape[batch:]), -rank, slot - rank)
         if kind == "u":
-            nabla += np.moveaxis(np.tensordot(C, T, axes=([2], [slot])), 1, slot + 1)
+            nabla += term
         else:
-            nabla -= np.moveaxis(np.tensordot(C, T, axes=([1], [slot])), 1, slot + 1)
+            nabla -= term
+        del term  # before the next slot's product is allocated: one product alive at a time
     return nabla
 
 
@@ -183,18 +198,18 @@ def verify_connection(
     )
 
 
-def mtensor_parallel_residuals(geo: PointGeometry) -> tuple[float, float]:
+def mtensor_parallel_residuals(geo: PointGeometry, step_data: LiftedMetricData) -> tuple[float, float]:
     """Horizontal covariant constancy of the integrable lift's metric blocks.
 
     Checks that the frame derivative of G along horizontal directions is
     absorbed by base Christoffel contractions, and likewise for H with the
     opposite sign pattern.  The derivatives are one ``frame_derivative`` of
-    the [G, H] field, read along the horizontal frame vectors.
+    the stacked [G, H] blocks ``step_data`` on the step geometry of ``geo``
+    (``frames.step_geometry``), read along the horizontal frame vectors.
     """
 
     n = geo.n
-    blocks = lifted_field(geo.params, KAHLER, lambda g2, d2: np.stack([d2.G, d2.H], axis=-3))
-    (G, H), dGH = frame_derivative(geo, blocks)
+    (G, H), dGH = frame_derivative(geo, np.stack([step_data.G, step_data.H], axis=-3))
     gamma = geo.base.gamma  # the connection along the n horizontal frame vectors
     covG = covariant_derivative(gamma, G, dGH[:n, 0], "dd")
     covH = covariant_derivative(gamma, H, dGH[:n, 1], "uu")

@@ -27,90 +27,73 @@ from typing import Callable
 import numpy as np
 
 from .base_geometry import DomainError
-from .connection import KoszulJet, covariant_derivative, koszul_jet, koszul_oracle
-from .fd import field_jacobian
+from .connection import KoszulJet, covariant_derivative, koszul_christoffel, koszul_jet, koszul_oracle
+from .fd import complex_jacobian, field_jacobian
 from .frames import PointGeometry, frame_derivative, frame_transform
-from .lifted_metric import KAHLER, LiftedMetricData, lifted_field, metric_field
+from .lifted_metric import LiftedMetricData, coordinate_metric, metric_field
 
 
 #: Index variance of each curvature family (layouts in the module docstring), in stacking order.
 _FAMILY_VARIANCE = {"hhh": "uddd", "vvh": "uuud", "vhh": "uddd", "vhv": "uuud"}
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[..., i, j, k, l] = a[..., i, j] b[..., k, l]`` by broadcasting."""
+    return a[..., :, :, None, None] * b[..., None, None, :, :]
+
+
+def _outer_sum(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """``_outer(a1, b1) + _outer(a2, b2)``, the second added in place: one temporary."""
+    X = _outer(a1, b1)
+    X += _outer(a2, b2)
+    return X
+
+
 def curvature_blocks(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
     """Closed-form curvature families of the integrable lift at the point(s) of ``geo``.
 
     Returns ``T[..., family, i, j, k, l]``, the families stacked in
-    ``_FAMILY_VARIANCE`` order (hhh, vvh, vhh, vhv).
+    ``_FAMILY_VARIANCE`` order (hhh, vvh, vhh, vhv).  Every term is an outer
+    product of two ``(..., n, n)`` factors, so each family is a few
+    broadcast products of the shared outer products ``p p``, ``pr p`` and
+    ``pr pr`` (``pr = g^-1 p``) with the metric blocks, then its
+    antisymmetrised (hhh, vvh) or symmetrised (vhh, vhv) index pair.
     """
     n = geo.n
     c, A = geo.params.curvature, geo.params.lift_const
-    t = data.t[..., None, None, None, None]
+    t = data.t[..., None, None]
     g, ginv, p, pr = geo.base.g, geo.base.g_inv, geo.p, geo.p_raised
-    G, H = data.G, data.H
     eye = np.eye(n)
     bound = 2.0 * c - A * A * t
+    pp = p[..., :, None] * p[..., None, :]
+    rp = pr[..., :, None] * p[..., None, :]  # [i, k] = pr_i p_k
+    rr = pr[..., :, None] * pr[..., None, :]
+    T = np.empty(rr.shape[:-2] + (4,) + (n,) * 4, dtype=np.result_type(rr, g, data.G, t))
+    hhh, vvh, vhh, vhv = (T[..., k, :, :, :, :] for k in range(4))
 
-    hhh = (
-        (0.5 * A * A * t)
-        * (np.einsum("hi,...jk->...hijk", eye, g) - np.einsum("hj,...ik->...hijk", eye, g))
-        + (0.25 * A * A)
-        * (
-            np.einsum("...ik,...j,...h->...hijk", g, p, pr)
-            - np.einsum("...jk,...i,...h->...hijk", g, p, pr)
-        )
-        - (0.25 * A * A)
-        * (
-            np.einsum("hi,...j,...k->...hijk", eye, p, p)
-            - np.einsum("hj,...i,...k->...hijk", eye, p, p)
-        )
-    )
+    # hhh[h, i, j, k] = X - (X with i, j swapped), X = d_hi B_jk - (A^2/4) pr_h p_i g_jk
+    X = _outer_sum(eye, (0.5 * A * A) * t * g - (0.25 * A * A) * pp, (-0.25 * A * A) * rp, g)
+    np.subtract(X, np.swapaxes(X, -3, -2), out=hhh)
 
-    vvh = (
-        -(0.5 / t)
-        * (np.einsum("ik,...jh->...ijhk", eye, ginv) - np.einsum("jk,...ih->...ijhk", eye, ginv))
-        - (0.25 / (t * t))
-        * (
-            np.einsum("...ih,...j,...k->...ijhk", ginv, pr, p)
-            - np.einsum("...jh,...i,...k->...ijhk", ginv, pr, p)
-        )
-        + (0.25 / (t * t))
-        * (
-            np.einsum("ik,...j,...h->...ijhk", eye, pr, pr)
-            - np.einsum("jk,...i,...h->...ijhk", eye, pr, pr)
-        )
-    )
+    # vvh[i, j, h, k] = X - (X with i, j swapped), X[i, k, j, h] = d_ik C_jh + pr_i p_k ginv_jh / 4t^2
+    C = (-0.5 / t) * ginv + (0.25 / (t * t)) * rr
+    X = np.moveaxis(_outer_sum(eye, C, rp, (0.25 / (t * t)) * ginv), -3, -1)
+    np.subtract(X, np.swapaxes(X, -4, -3), out=vvh)
 
-    vhh = (
-        (0.5 * A) * np.einsum("ij,...hk->...ijkh", eye, G)
-        + (bound / (4.0 * t))
-        * (
-            np.einsum("ik,...h,...j->...ijkh", eye, p, p)
-            + np.einsum("ih,...k,...j->...ijkh", eye, p, p)
-        )
-        + (0.25 * A * A)
-        * (
-            np.einsum("...jh,...k,...i->...ijkh", g, p, pr)
-            + np.einsum("...jk,...h,...i->...ijkh", g, p, pr)
-        )
-        - (0.5 * c / (t * t)) * np.einsum("...i,...j,...h,...k->...ijkh", pr, p, p, p)
-    )
+    # vhh[i, j, k, h] = (A/2) d_ij G_hk + Y + (Y with k, h swapped),
+    # Y[i, k, j, h] = d_ik F_jh + pr_i p_k E_jh
+    Y = _outer_sum(eye, (0.25 / t) * bound * pp, rp, (0.25 * A * A) * g - (0.25 * c / (t * t)) * pp)
+    Y = np.swapaxes(Y, -3, -2)
+    np.add(Y, np.swapaxes(Y, -2, -1), out=vhh)
+    vhh += _outer(eye, (0.5 * A) * data.G)
 
-    vhv = (
-        -(0.5 * A) * np.einsum("ij,...hk->...ikhj", eye, H)
-        - (0.25 / (t * t))
-        * (
-            np.einsum("...ih,...k,...j->...ikhj", ginv, pr, p)
-            + np.einsum("...ik,...h,...j->...ikhj", ginv, pr, p)
-        )
-        - (0.25 * A * A / (t * bound))
-        * (
-            np.einsum("hj,...k,...i->...ikhj", eye, pr, pr)
-            + np.einsum("kj,...h,...i->...ikhj", eye, pr, pr)
-        )
-        + (0.5 * c / (t ** 3 * bound)) * np.einsum("...i,...h,...k,...j->...ikhj", pr, pr, pr, p)
-    )
-    return np.stack([hhh, vvh, vhh, vhv], axis=-5)
+    # vhv[i, k, h, j] = -(A/2) d_ij H_hk + Y + (Y with k, h swapped),
+    # Y[i, h, k, j] = P_ih pr_k p_j + pr_i pr_h Q_kj
+    P = (-0.25 / (t * t)) * ginv + (0.25 * c / (t ** 3 * bound)) * rr
+    Y = _outer_sum(P, rp, rr, (-0.25 * A * A / (t * bound)) * eye)
+    np.add(Y, np.swapaxes(Y, -3, -2), out=vhv)
+    vhv -= (0.5 * A) * eye[:, None, None, :] * data.H[..., None, :, :, None]
+    return T
 
 
 def assemble_adapted_curvature(T: np.ndarray) -> np.ndarray:
@@ -145,8 +128,13 @@ def curvature_from_metric_field(
     calls of ``metric_field_fn``: ``m`` complex points at ``z`` and
     ``m`` times the outer stencil.  The Koszul jet at ``z`` comes back too.
     """
+    return _koszul_curvature(koszul_jet(metric_field_fn, z), metric_field_fn, z)
 
-    jet = koszul_jet(metric_field_fn, z)
+
+def _koszul_curvature(
+    jet: KoszulJet, metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray
+) -> tuple[KoszulJet, np.ndarray]:
+    """``jet`` and the coordinate curvature from its Christoffels and their stencil derivative."""
     gamma, dgamma = jet.christoffel, field_jacobian(partial(koszul_oracle, metric_field_fn), z).value
     return jet, (
         np.einsum("cadb->abcd", dgamma)
@@ -156,9 +144,20 @@ def curvature_from_metric_field(
     )
 
 
-def curvature_oracle_coordinates(geo: PointGeometry) -> tuple[KoszulJet, np.ndarray]:
-    """The oracle's Koszul jet and coordinate curvature of the integrable lift at ``geo``."""
-    return curvature_from_metric_field(metric_field(geo.params), geo.z)
+def curvature_oracle_coordinates(
+    geo: PointGeometry, step_geo: PointGeometry, step_data: LiftedMetricData
+) -> tuple[KoszulJet, np.ndarray]:
+    """The oracle's Koszul jet and coordinate curvature of the integrable lift at ``geo``.
+
+    The jet at the point is the complex step of the coordinate metric on the
+    point's step geometry (``frames.step_geometry``) and its Kähler blocks
+    ``step_data``, the same values ``koszul_jet(metric_field(geo.params),
+    geo.z)`` evaluates; the Christoffels' stencil derivative evaluates
+    ``metric_field`` on the outer stencil.
+    """
+    G, dG = complex_jacobian(coordinate_metric(step_geo, step_data))
+    jet = KoszulJet(G, dG.value, koszul_christoffel(G, dG.value))
+    return _koszul_curvature(jet, metric_field(geo.params), geo.z)
 
 
 def _sector(R: np.ndarray, pattern: tuple[str, str, str, str], n: int) -> np.ndarray:
@@ -257,7 +256,9 @@ def covariant_derivative_residual(W: np.ndarray, T: np.ndarray, dT: np.ndarray) 
     return float(np.max(np.abs(covariant_derivative(W, K, dK, "uddd"))))
 
 
-def parallel_block_residuals(geo: PointGeometry, W: np.ndarray) -> dict[str, float]:
+def parallel_block_residuals(
+    geo: PointGeometry, W: np.ndarray, step_geo: PointGeometry, step_data: LiftedMetricData
+) -> dict[str, float]:
     """Frame-derivative parallelism of each curvature family and of K.
 
     Returns keys like ``parallel_hhh_horizontal``: the covariant derivative
@@ -265,18 +266,25 @@ def parallel_block_residuals(geo: PointGeometry, W: np.ndarray) -> dict[str, flo
     The connection along horizontal directions is the base Christoffels, along
     vertical ones the mixed-slot closed-form coefficients ``W[:n, n:, :n]``;
     ``local_symmetry`` reads all of ``W``.  All nine read one
-    ``frame_derivative`` of the stacked blocks.
+    ``frame_derivative`` of the stacked blocks on the step geometry of
+    ``geo`` (``frames.step_geometry``) with its Kähler blocks ``step_data``.
+    The eight block rows are two batched ``covariant_derivative`` calls, one
+    per variance (``uddd``: hhh and vhh; ``uuud``: vvh and vhv), with the
+    horizontal and vertical connections on one batch axis.
     """
 
     n = geo.n
-    blocks = lifted_field(geo.params, KAHLER, curvature_blocks)
-    T, dT = frame_derivative(geo, blocks)  # dT[direction, family]
-    out = {}
-    for kind, C, dirs in (("horizontal", geo.base.gamma, dT[:n]), ("vertical", W[:n, n:, :n], dT[n:])):
-        for k, (name, variance) in enumerate(_FAMILY_VARIANCE.items()):
-            nabla = covariant_derivative(C, T[k], dirs[:, k], variance)
-            out[f"parallel_{name}_{kind}"] = float(np.max(np.abs(nabla)))
-    out["local_symmetry"] = covariant_derivative_residual(W, T, dT)
+    T, dT = frame_derivative(geo, curvature_blocks(step_geo, step_data))  # dT[direction, family]
+    conn = np.stack([geo.base.gamma, W[:n, n:, :n]])[:, None]  # [kind, 1, upper, direction, slot]
+    dT_kind = np.swapaxes(dT.reshape((2, n) + dT.shape[1:]), 1, 2)  # [kind, family, direction, ...]
+    names = list(_FAMILY_VARIANCE)  # hhh, vvh, vhh, vhv: the variances alternate
+    out = {"local_symmetry": covariant_derivative_residual(W, T, dT)}  # the (2n)^5 peak, before the rows
+    for first in (0, 1):
+        variance = _FAMILY_VARIANCE[names[first]]
+        nabla = covariant_derivative(conn, T[None, first::2], dT_kind[:, first::2], variance)
+        worst = np.max(np.abs(nabla).reshape(4, -1), axis=1)  # [(kind, family)]
+        for (kind, name), value in zip(product(("horizontal", "vertical"), names[first::2]), worst):
+            out[f"parallel_{name}_{kind}"] = float(value)
     return out
 
 

@@ -2,8 +2,14 @@
 
 Every verification oracle in this package reduces to derivatives of
 closed-form fields, so this module has two derivatives.  ``complex_step``
-differentiates an analytic field exactly, in one call; it is the derivative
-of every closed-form field.  ``field_jacobian`` takes symmetric differences
+differentiates an analytic field exactly, in one call, on the stack
+``complex_points(x)`` of ``x + i h e_k``; ``complex_jacobian`` reads the
+value and the Jacobian off the field's values there.  ``complex_step`` is
+the derivative of chart fields: the oracle stencils and the base chart.
+The verify battery instead builds the geometry at a point's complex points
+once (``frames.step_geometry``), evaluates each closed form it
+differentiates on that one stack, and reads each Jacobian with
+``complex_jacobian``.  ``field_jacobian`` takes symmetric differences
 on one fixed stencil (relative step 1e-4, steps h, h/2 and h/4, two
 Richardson levels), only where a real difference must wrap a complex step:
 the curvature oracle differentiates the complex-step Koszul Christoffels.
@@ -90,22 +96,36 @@ def field_jacobian(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> 
 COMPLEX_STEP = 1e-30
 
 
+def complex_points(x: np.ndarray) -> np.ndarray:
+    """The ``(..., m, m)`` stack ``x + i h e_k`` on which ``complex_step`` evaluates a field."""
+    x = np.asarray(x, dtype=float)
+    return x[..., None, :] + (1j * COMPLEX_STEP) * np.eye(x.shape[-1])
+
+
+def complex_jacobian(values: np.ndarray, batch_ndim: int = 0) -> tuple[np.ndarray, Derivative]:
+    """Value and Jacobian from a field's values on ``complex_points(x)``.
+
+    ``batch_ndim`` is the number of leading batch axes of ``x``; the step
+    axis follows them.  The value is the real part at the first step point
+    and the Jacobian ``Im f / h`` keeps the step axis as the derivative axis.
+    """
+    values = np.asarray(values)
+    jac = values.imag / COMPLEX_STEP
+    error = _EPS * (1.0 + float(np.max(np.abs(jac), initial=0.0)))
+    return np.take(values, 0, axis=batch_ndim).real, Derivative(jac, error)
+
+
 def complex_step(
     field: Callable[[np.ndarray], np.ndarray], x: np.ndarray
 ) -> tuple[np.ndarray, Derivative]:
     """Value and all partial derivatives of an analytic ``field`` at ``x``.
 
     ``x`` is one point ``(m,)`` or a stack ``(..., m)``.  The field is called
-    once, on the ``(..., m, m)`` stack ``x + i h e_k``; the value is the real
-    part at the first of those points and the Jacobian ``Im f / h`` has shape
-    ``(..., m, *S)``, derivative axis first after the batch axes (Squire &
-    Trapp, SIAM Rev. 40(1), 1998).  Both are exact up to round-off, which is
-    the error estimate.
+    once, on ``complex_points(x)``; ``complex_jacobian`` reads off the value
+    and the Jacobian of shape ``(..., m, *S)``, derivative axis first after
+    the batch axes (Squire & Trapp, SIAM Rev. 40(1), 1998).  Both are exact
+    up to round-off, which is the error estimate.
     """
 
     x = np.asarray(x, dtype=float)
-    m = x.shape[-1]
-    values = np.asarray(field(x[..., None, :] + (1j * COMPLEX_STEP) * np.eye(m)))
-    jac = values.imag / COMPLEX_STEP
-    error = _EPS * (1.0 + float(np.max(np.abs(jac), initial=0.0)))
-    return np.take(values, 0, axis=x.ndim - 1).real, Derivative(jac, error)
+    return complex_jacobian(field(complex_points(x)), x.ndim - 1)

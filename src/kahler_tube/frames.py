@@ -8,6 +8,11 @@ between the frames (with its analytic coordinate derivatives, needed to
 transform connection coefficients), the energy density t = g^ik p_i p_k / 2,
 and complex-step checks of the frame bracket relations.
 
+``step_geometry`` builds the geometry at the 2n complex-step points
+z + i h e_k of one chart point, once per verified point; every layer that
+reads a derivative evaluates its closed form on that one stack, and
+``frame_derivative`` turns the values into adapted-frame derivatives.
+
 ``geometry_at``, ``frame_transform`` and the fields built by
 ``geometry_field`` accept a stack of chart points ``(..., 2n)`` as well as a
 single one, real or complex; every array then carries the same leading batch
@@ -27,7 +32,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .base_geometry import BaseMetricData, DomainError, ModelParams, metric_at, momentum_gamma
-from .fd import complex_step
+from .fd import complex_jacobian, complex_points
 
 T = TypeVar("T")
 
@@ -146,7 +151,7 @@ def geometry_at(params: ModelParams, x: np.ndarray, p: np.ndarray) -> PointGeome
     p = np.asarray(p)
     base = metric_at(params, x)
     p_raised = np.einsum("...ij,...j->...i", base.g_inv, p)
-    t = 0.5 * np.einsum("...i,...i->...", p, p_raised)
+    t = np.asarray(0.5 * np.einsum("...i,...i->...", p, p_raised))
     gamma_p = momentum_gamma(base, p)
     return PointGeometry(
         params=params, x=x, p=p, base=base, t=t, p_raised=p_raised, gamma_p=gamma_p,
@@ -199,16 +204,26 @@ def frame_transform(values: np.ndarray, variance: str, frame: AdaptedFrame, to: 
     return T
 
 
-def frame_derivative(
-    geo: PointGeometry, field: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Value of ``field`` at the point of ``geo`` and its adapted-frame derivatives.
+def step_geometry(geo: PointGeometry) -> PointGeometry:
+    """The geometry at the 2n complex-step points ``geo.z + i h e_k`` (``fd.complex_points``).
 
-    One complex step at ``geo.z`` gives the coordinate Jacobian jac[k, ...];
-    the derivative along frame vector a is sum_k M[k, a] jac[k, ...], one
+    Built once per point and shared: every closed form whose derivative a
+    check reads is evaluated on it, and ``frame_derivative`` or
+    ``fd.complex_jacobian`` reads the derivative off those values.
+    """
+    z = complex_points(geo.z)
+    return geometry_at(geo.params, z[:, :geo.n], z[:, geo.n:])
+
+
+def frame_derivative(geo: PointGeometry, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value at the point of ``geo`` and adapted-frame derivatives of a closed form.
+
+    ``values`` is the closed form evaluated on ``step_geometry(geo)``; its
+    complex step gives the coordinate Jacobian jac[k, ...], and the
+    derivative along frame vector a is sum_k M[k, a] jac[k, ...], one
     matmul.  The result dT[a, ...] carries the frame direction first.
     """
-    value, jac = complex_step(field, geo.z)
+    value, jac = complex_jacobian(values)
     M = geo.frame.M
     dT = M.T @ jac.value.reshape(M.shape[0], -1)
     return value, dT.reshape(jac.value.shape)
@@ -224,21 +239,22 @@ def frame_structure_functions(geo: PointGeometry) -> np.ndarray:
     return out
 
 
-def verify_brackets(geo: PointGeometry) -> tuple[float, float, float]:
+def verify_brackets(geo: PointGeometry, step_geo: PointGeometry) -> tuple[float, float, float]:
     """Check the three bracket relations of the adapted frame numerically.
 
     [d/dp_i, d/dp_j] = 0,
     [d/dp_i, delta/deltaq^j] = gamma^i_jk d/dp_k,
     [delta/deltaq^i, delta/deltaq^j] = p_h riem[h, k, i, j] d/dp_k.
 
-    One ``frame_derivative`` of the frame field M gives every bracket at
-    once: [e_a, e_b] = D_a e_b - D_b e_a with D_a e_b = M[k, a] d_k M[:, b],
+    One ``frame_derivative`` of the frame matrix M, read on the step
+    geometry ``step_geo = step_geometry(geo)``, gives every bracket at once:
+    [e_a, e_b] = D_a e_b - D_b e_a with D_a e_b = M[k, a] d_k M[:, b],
     compared with ``frame_structure_functions`` on the blocks above.
     Returns the largest deviations ``(vert_vert, mixed, horiz_horiz)``.
     """
 
     n = geo.n
-    _, DM = frame_derivative(geo, geometry_field(geo.params, lambda g: g.frame.M))
+    _, DM = frame_derivative(geo, step_geo.frame.M)
     DbM = np.swapaxes(DM, 0, 1)  # [mu, a, b]: derivative of e_b along e_a
     h, v = slice(None, n), slice(n, None)
     dev = np.abs(DbM - np.swapaxes(DbM, 1, 2) - frame_structure_functions(geo))
@@ -250,13 +266,13 @@ def verify_brackets(geo: PointGeometry) -> tuple[float, float, float]:
     )
 
 
-def energy_frame_derivatives(geo: PointGeometry) -> tuple[float, float]:
-    """Residuals of the frame derivatives of t.
+def energy_frame_derivatives(geo: PointGeometry, step_geo: PointGeometry) -> tuple[float, float]:
+    """Residuals of the frame derivatives of t, read on ``step_geo = step_geometry(geo)``.
 
     Horizontally t is constant; vertically d t / dp_k equals the raised
     momentum.  Returns (max horizontal residual, max vertical residual).
     """
 
     n = geo.n
-    _, dt_frame = frame_derivative(geo, geometry_field(geo.params, lambda g: g.t))
+    _, dt_frame = frame_derivative(geo, step_geo.t)
     return float(np.max(np.abs(dt_frame[:n]))), float(np.max(np.abs(dt_frame[n:] - geo.p_raised)))

@@ -45,7 +45,7 @@ class LiftProfile:
 
     def v(self, t: np.ndarray, params: ModelParams) -> np.ndarray:
         t = np.asarray(t)
-        if (t.real <= 0.0).any():
+        if np.any(t.real <= 0.0):
             raise DomainError("outside punctured bundle: energy density must be positive")
         c, A = params.curvature, params.lift_const
         v = (c - A * A * t) / (A * t)
@@ -86,9 +86,9 @@ def _tube_test(params: ModelParams, t: np.ndarray) -> tuple[str | None, np.ndarr
     """
     norm_sq = 2.0 * t
     bound = 4.0 * params.curvature / params.lift_const**2
-    if (norm_sq.real <= 0.0).any():
+    if np.any(norm_sq.real <= 0.0):
         return "outside punctured bundle: momentum must be nonzero", norm_sq, bound
-    if (norm_sq.real >= bound).any():
+    if np.any(norm_sq.real >= bound):
         return "momentum norm exceeds tube bound 4c / A^2", norm_sq, bound
     return None, norm_sq, bound
 
@@ -121,7 +121,7 @@ def components_from_geometry(geo: PointGeometry, profile: LiftProfile = KAHLER) 
     A = geo.params.lift_const
     v = profile.v(t, geo.params)
     denom = A + 2.0 * v
-    if (denom.real <= 0.0).any():
+    if np.any(denom.real <= 0.0):
         raise DomainError("A + 2v > 0 violated: lifted metric not positive definite")
     w = -v / (A * t * t * denom)
     p, pr = geo.p, geo.p_raised

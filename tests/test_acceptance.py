@@ -38,7 +38,7 @@ from kahler_tube.curvature import (
     parallel_block_residuals,
     sector_residuals,
 )
-from kahler_tube.frames import BundlePoint, frame_transform, point_geometry
+from kahler_tube.frames import BundlePoint, frame_transform, point_geometry, step_geometry
 from kahler_tube.lifted_metric import (
     KAHLER,
     LiftProfile,
@@ -64,6 +64,12 @@ def _built(params: ModelParams, pt: BundlePoint, profile=KAHLER):
     """The point geometry and lifted blocks that the layers take."""
     geo = point_geometry(params, pt)
     return geo, components_from_geometry(geo, profile)
+
+
+def _step(geo, profile=KAHLER):
+    """The step geometry and its lifted blocks that the complex-step layers take."""
+    step_geo = step_geometry(geo)
+    return step_geo, components_from_geometry(step_geo, profile)
 
 
 def _max_abs(array: np.ndarray) -> float:
@@ -102,8 +108,9 @@ def matrix_results() -> MatrixResults:
         antisym = einstein = mixed = nabla = 0.0
         for pt in sample_points(params, NUM_POINTS, SEED):
             geo, data = _built(params, pt)
+            step = _step(geo)
             R_closed = assemble_adapted_curvature(curvature_blocks(geo, data))
-            _, R_coord = curvature_oracle_coordinates(geo)
+            _, R_coord = curvature_oracle_coordinates(geo, *step)
             R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
             for family, res in sector_residuals(R_closed, R_oracle, geo.n).items():
                 fam[family] = max(fam.get(family, 0.0), res)
@@ -112,7 +119,7 @@ def matrix_results() -> MatrixResults:
             einstein = max(einstein, identity)
             mixed = max(mixed, mixed_block)
             W = coefficients_from_geometry(geo, data)
-            parallel = parallel_block_residuals(geo, W)
+            parallel = parallel_block_residuals(geo, W, *step)
             nabla = max(nabla, parallel.pop("local_symmetry"))
             for name, res in parallel.items():
                 par[name] = max(par.get(name, 0.0), res)
@@ -140,7 +147,7 @@ def test_criterion_1_almost_kahler(primary_points) -> None:
             float(np.max(np.abs(J_coord.T @ S_coord @ J_coord - S_coord))),
         )
         algebraic = max(algebraic, fundamental_form_block_residual(S_ad @ J_ad))
-        fd_residual = max(fd_residual, fundamental_form(geo, KAHLER))
+        fd_residual = max(fd_residual, fundamental_form(*_step(geo)))
     elapsed = time.perf_counter() - t0
     ok = algebraic <= 1e-12 and fd_residual <= 1e-8 and elapsed < 5.0
     _line(
@@ -159,9 +166,9 @@ def test_criterion_2_integrability_dichotomy(primary_points) -> None:
     for pt in primary_points:
         geo, data = _built(PRIMARY, pt)
         closed_worst = max(closed_worst, _max_abs(nijenhuis_closed_form(geo, data)))
-        fd_n, off_axis = nijenhuis_fd_full(geo, KAHLER)
+        fd_n, off_axis = nijenhuis_fd_full(geo, *_step(geo))
         fd_worst = max(fd_worst, _max_abs(fd_n), off_axis)
-        off_n, _ = nijenhuis_fd_full(geo, shifted)
+        off_n, _ = nijenhuis_fd_full(geo, *_step(geo, shifted))
         offset_best = max(
             offset_best,
             _max_abs(nijenhuis_closed_form(*_built(PRIMARY, pt, shifted))),

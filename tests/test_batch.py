@@ -4,8 +4,9 @@ The fd primitives hand each field its whole stencil as one ``(k, 2n)``
 stack, so every closed form they differentiate must treat leading axes as a
 batch; ``fd.complex_step`` hands it complex points, so the closed forms must
 also be analytic with guards on the real part.  The memory guards keep the
-nested oracle fields within budget, and every layer that differentiates a
-closed-form field does so in one complex field call.
+nested oracle fields within budget.  A verify point builds one complex
+geometry of 2n points, the step geometry, and every layer that
+differentiates a closed form reads it instead of building its own.
 """
 
 import functools
@@ -37,6 +38,7 @@ from kahler_tube.frames import (
     geometry_at,
     geometry_field,
     point_geometry,
+    step_geometry,
     verify_brackets,
 )
 from kahler_tube.lifted_metric import (
@@ -250,8 +252,9 @@ def test_curvature_oracle_memory_stays_one_level_deep() -> None:
     # geometry also built the (600, 5, 5, 5) Christoffel stack for gamma_p;
     # about 7.4 MB when the metric went through frame_transform.  Real-fd
     # Koszul stencils took about 1.1 MB looped over the outer stencil point
-    # by point and about 15 MB nested in one batch.
-    assert _peak_mb(lambda: curvature_oracle_coordinates(GEO_5)) < 3.6
+    # by point and about 15 MB nested in one batch.  The step geometry the
+    # jet reads is built in the measured run (3.12 MB with it).
+    assert _peak_mb(lambda: curvature_oracle_coordinates(GEO_5, *_step(GEO_5))) < 3.6
 
 
 def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
@@ -260,9 +263,10 @@ def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
     # and its frame derivatives for local_symmetry from them.  A second
     # complex step of the assembled adapted-frame curvature alone peaked at
     # about 3.2 MB; one of the coordinate-frame curvature at about 5.1 MB,
-    # because frame_transform then works on a complex (10, 10^4) stack.
+    # because frame_transform then works on a complex (10, 10^4) stack.  With
+    # the step geometry built in the measured run: about 2.94 MB.
     W = coefficients_from_geometry(GEO_5, components_from_geometry(GEO_5))
-    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W)) < 5.0
+    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, *_step(GEO_5))) < 5.0
 
 
 def test_sweep_memory_stays_one_point_deep() -> None:
@@ -413,40 +417,54 @@ def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
 
 @pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
 def test_verify_runs_each_oracle_once_per_point(offset, monkeypatch) -> None:
-    # The curvature oracles hand their Koszul jet at the point (metric,
-    # partials, Christoffels) to the connection and base checks: one
-    # single-point Koszul call per metric (base chart, then lifted metric;
-    # the batched outer stencils are not counted), and its complex step is
-    # the only single-point complex call of the lifted metric field, which
-    # metric compatibility reads too.  local_symmetry and the eight parallel
-    # rows share one complex step of the closed curvature blocks, 2n complex
-    # points.
+    # Each verify point builds one complex geometry of 2n points, the step
+    # geometry, and its lifted blocks for the run's profile; every
+    # complex-step layer reads its derivative from them.  The Koszul jet of
+    # the lifted metric is the complex step of the coordinate metric on that
+    # stack, so koszul_jet runs at a single point only for the base chart
+    # (the batched outer stencils are not counted), and local_symmetry and
+    # the eight parallel rows share the closed curvature blocks on it.
     calls: dict[str, list] = {}
+
+    def step_stack(t):
+        return np.shape(t) if np.iscomplexobj(t) and np.ndim(t) == 1 else None
+
+    _count(monkeypatch, calls, frames, "geometry_at",
+           lambda args: np.shape(args[1]) if np.iscomplexobj(args[1]) and np.ndim(args[1]) == 2 else None)
+    _count(monkeypatch, calls, lifted_metric, "components_from_geometry", lambda args: step_stack(args[0].t))
     _count(monkeypatch, calls, connection, "koszul_jet",
            lambda args: np.shape(args[1]) if np.ndim(args[1]) == 1 else None)
-    _count(monkeypatch, calls, lifted_metric, "coordinate_metric",
-           lambda args: np.shape(args[0].t) if np.iscomplexobj(args[0].t) and np.ndim(args[0].t) == 1 else None)
-    _count(monkeypatch, calls, curvature, "curvature_blocks",
-           lambda args: np.shape(args[0].t) if np.iscomplexobj(args[0].t) else None)
+    _count(monkeypatch, calls, lifted_metric, "coordinate_metric", lambda args: step_stack(args[0].t))
+    _count(monkeypatch, calls, curvature, "curvature_blocks", lambda args: step_stack(args[0].t))
     _run_two_points(offset)
+    assert calls["geometry_at"] == [(6, 3)] * 2
+    assert calls["components_from_geometry"] == [(6,)] * 2
+    assert calls["koszul_jet"] == [(3,)] * 2
     if offset is None:
-        assert calls["koszul_jet"] == [(3,), (6,)] * 2
         assert calls["coordinate_metric"] == [(6,)] * 2
         assert calls["curvature_blocks"] == [(6,)] * 2
     else:
-        assert calls["koszul_jet"] == [(3,)] * 2
         assert "coordinate_metric" not in calls and "curvature_blocks" not in calls
 
 
-#: Every layer that differentiates a closed-form field, with the arguments
-#: after ``geo`` that its caller builds from the geometry and lifted blocks.
+def _step(geo):
+    """The step geometry of ``geo`` and its Kähler blocks."""
+    step_geo = step_geometry(geo)
+    return step_geo, components_from_geometry(step_geo)
+
+
+#: Every layer that reads a complex step, with its arguments, built from the
+#: geometry, the lifted blocks and the step geometry with its blocks.
 DERIVATIVE_LAYERS = [
-    (verify_brackets, lambda geo, data: ()),
-    (energy_frame_derivatives, lambda geo, data: ()),
-    (fundamental_form, lambda geo, data: (KAHLER,)),
-    (nijenhuis_fd_full, lambda geo, data: (KAHLER,)),
-    (mtensor_parallel_residuals, lambda geo, data: ()),
-    (parallel_block_residuals, lambda geo, data: (coefficients_from_geometry(geo, data),)),
+    (verify_brackets, lambda geo, data, step_geo, step_data: (geo, step_geo)),
+    (energy_frame_derivatives, lambda geo, data, step_geo, step_data: (geo, step_geo)),
+    (fundamental_form, lambda geo, data, step_geo, step_data: (step_geo, step_data)),
+    (nijenhuis_fd_full, lambda geo, data, step_geo, step_data: (geo, step_geo, step_data)),
+    (mtensor_parallel_residuals, lambda geo, data, step_geo, step_data: (geo, step_data)),
+    (
+        parallel_block_residuals,
+        lambda geo, data, step_geo, step_data: (geo, coefficients_from_geometry(geo, data), step_geo, step_data),
+    ),
 ]
 
 
@@ -454,12 +472,12 @@ DERIVATIVE_LAYERS = [
     ("layer", "arguments"), DERIVATIVE_LAYERS, ids=[layer.__name__ for layer, _ in DERIVATIVE_LAYERS]
 )
 def test_each_derivative_layer_makes_one_complex_field_call(layer, arguments, monkeypatch) -> None:
-    # The layer takes the caller's geometry: one complex step of 2n points
-    # and no real geometry of its own.
+    # The layer takes the caller's geometry and step geometry: the step's 2n
+    # complex points are the only geometry built, and the layer builds none.
     params = CONFIGS[0]
     n = params.dim
     geo = point_geometry(params, sample_points(params, 1, seed=11)[0])
-    args = arguments(geo, components_from_geometry(geo))
+    data = components_from_geometry(geo)
     calls = []
     inner = frames.geometry_at
 
@@ -468,9 +486,8 @@ def test_each_derivative_layer_makes_one_complex_field_call(layer, arguments, mo
         return inner(params, x, p)
 
     monkeypatch.setattr(frames, "geometry_at", counting)
-    layer(geo, *args)
-    assert [call for call in calls if call[1]] == [((2 * n, n), True)]
-    assert [call for call in calls if not call[1]] == []
+    layer(*arguments(geo, data, *_step(geo)))
+    assert calls == [((2 * n, n), True)]
 
 
 def _stacked_core_calls(monkeypatch, run) -> list:
@@ -485,7 +502,7 @@ def _stacked_core_calls(monkeypatch, run) -> list:
 def test_curvature_oracle_builds_no_christoffel_stack(monkeypatch) -> None:
     # The stencil's metric fields read only gamma_p, whose closed form needs
     # no (..., n, n, n) Christoffel stack; reading gamma on a stack builds one.
-    assert _stacked_core_calls(monkeypatch, lambda: curvature_oracle_coordinates(GEO_5)) == []
+    assert _stacked_core_calls(monkeypatch, lambda: curvature_oracle_coordinates(GEO_5, *_step(GEO_5))) == []
     assert _stacked_core_calls(monkeypatch, lambda: metric_at(PARAMS_5, np.zeros((2, 5))).gamma) == [(2, 5)]
 
 
@@ -493,10 +510,11 @@ def test_curvature_oracle_builds_no_christoffel_stack(monkeypatch) -> None:
     ("layer", "arguments"), DERIVATIVE_LAYERS, ids=[layer.__name__ for layer, _ in DERIVATIVE_LAYERS]
 )
 def test_derivative_layers_build_no_christoffel_stack(layer, arguments, monkeypatch) -> None:
+    # The step geometry is a stack of 2n points, so it is built in the run.
     params = CONFIGS[0]
     geo = point_geometry(params, sample_points(params, 1, seed=11)[0])
-    args = arguments(geo, components_from_geometry(geo))
-    assert _stacked_core_calls(monkeypatch, lambda: layer(geo, *args)) == []
+    data = components_from_geometry(geo)
+    assert _stacked_core_calls(monkeypatch, lambda: layer(*arguments(geo, data, *_step(geo)))) == []
 
 
 @pytest.mark.parametrize("imag", [0.0, 0.05], ids=["real", "complex"])

@@ -12,7 +12,7 @@ from kahler_tube.complex_structure import (
     nijenhuis_closed_form,
     nijenhuis_fd_full,
 )
-from kahler_tube.frames import BundlePoint, frame_transform, point_geometry
+from kahler_tube.frames import BundlePoint, frame_transform, point_geometry, step_geometry
 from kahler_tube.lifted_metric import (
     KAHLER,
     LiftProfile,
@@ -28,6 +28,12 @@ def _built(params: ModelParams, pt: BundlePoint, profile: LiftProfile = KAHLER):
     """The point geometry and lifted blocks that the layers take."""
     geo = point_geometry(params, pt)
     return geo, components_from_geometry(geo, profile)
+
+
+def _step(geo, profile: LiftProfile = KAHLER):
+    """The step geometry and its lifted blocks that the complex-step layers take."""
+    step_geo = step_geometry(geo)
+    return step_geo, components_from_geometry(step_geo, profile)
 
 
 def test_j_squared_is_minus_identity() -> None:
@@ -67,7 +73,7 @@ def test_fundamental_form_is_canonical_block_matrix() -> None:
 
 
 def test_fundamental_form_closed() -> None:
-    assert fundamental_form(point_geometry(PARAMS, POINT), KAHLER) < 1e-9
+    assert fundamental_form(*_step(point_geometry(PARAMS, POINT))) < 1e-9
 
 
 #: The Nijenhuis cases over (dim, curvature, lift_const); n=3 uses POINT.
@@ -90,7 +96,7 @@ def test_nijenhuis_vanishes_on_integrable_profile(dim: int, curvature: float, li
     geo, data = _built(params, point)
     closed = nijenhuis_closed_form(geo, data)
     assert np.max(np.abs(closed)) < 1e-13
-    fd, off_distribution = nijenhuis_fd_full(geo, KAHLER)
+    fd, off_distribution = nijenhuis_fd_full(geo, *_step(geo))
     assert closed.shape == fd.shape == (3, dim, dim, dim)  # N[family, k, i, j]
     assert np.max(np.abs(fd)) < 1e-6
     assert off_distribution < 1e-6
@@ -103,7 +109,7 @@ def test_nijenhuis_nonzero_off_profile(dim: int, curvature: float, lift_const: f
     geo, data = _built(params, point, profile)
     closed = nijenhuis_closed_form(geo, data)
     assert np.max(np.abs(closed)) > 1e-3
-    fd, off_distribution = nijenhuis_fd_full(geo, profile)
+    fd, off_distribution = nijenhuis_fd_full(geo, *_step(geo, profile))
     # The closed form tracks the fd tensor in every family even off the
     # integrable profile.
     assert np.max(np.abs(closed - fd)) < 1e-6
@@ -111,7 +117,8 @@ def test_nijenhuis_nonzero_off_profile(dim: int, curvature: float, lift_const: f
 
 
 def test_nijenhuis_fd_evaluation_budget(monkeypatch) -> None:
-    # One Jacobian of the J field: the J value and one stencil, in one call.
+    # One Jacobian of the J field, read on the step geometry: the 2n complex
+    # points are the only geometry built, and the oracle builds none itself.
     geo = point_geometry(PARAMS, POINT)
     calls = []
     inner = frames.geometry_at
@@ -121,8 +128,8 @@ def test_nijenhuis_fd_evaluation_budget(monkeypatch) -> None:
         return inner(*args)
 
     monkeypatch.setattr(frames, "geometry_at", counting)
-    nijenhuis_fd_full(geo, KAHLER)
-    assert 0 < len(calls) <= 3
+    nijenhuis_fd_full(geo, *_step(geo))
+    assert [np.shape(args[1]) for args in calls] == [(2 * PARAMS.dim, PARAMS.dim)]
 
 
 def test_dichotomy_threshold_scaling() -> None:

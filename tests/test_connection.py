@@ -15,7 +15,7 @@ from kahler_tube.connection import (
     torsion_residual,
     verify_connection,
 )
-from kahler_tube.frames import BundlePoint, point_geometry
+from kahler_tube.frames import BundlePoint, point_geometry, step_geometry
 from kahler_tube.lifted_metric import components_from_geometry, metric_field
 from kahler_tube.sampling import sample_points
 
@@ -100,7 +100,8 @@ def test_torsion_free() -> None:
 
 
 def test_mtensor_parallel() -> None:
-    res_g, res_h = mtensor_parallel_residuals(point_geometry(PARAMS, GENERIC))
+    geo = point_geometry(PARAMS, GENERIC)
+    res_g, res_h = mtensor_parallel_residuals(geo, components_from_geometry(step_geometry(geo)))
     assert res_g < 1e-8
     assert res_h < 1e-8
 

@@ -10,6 +10,10 @@ contractions that ``covariant_derivative`` and ``frame_derivative`` replaced,
 for the three Koszul einsums that ``koszul_christoffel``'s one matmul
 replaced, and for the ``m² × m²`` quadratic form that the holomorphic
 sectional curvature folds onto the ``m(m+1)/2`` unordered index pairs.
+``covariant_derivative`` on leading batch axes equals its unbatched call
+on each item.  The einsum form of ``curvature_blocks``, which the broadcast
+outer products replaced, is kept as its reference on real stacks of points
+and on the complex step stack, at n = 2 to 5.
 """
 
 from types import SimpleNamespace
@@ -17,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kahler_tube import complex_structure
+from kahler_tube import ModelParams, complex_structure
 from kahler_tube.connection import (
     connection_to_adapted,
     connection_to_coordinates,
@@ -25,6 +29,7 @@ from kahler_tube.connection import (
     koszul_christoffel,
 )
 from kahler_tube.curvature import (
+    curvature_blocks,
     folded_quadratic_form,
     holomorphic_quotient,
     holomorphic_sectional_curvature,
@@ -32,8 +37,10 @@ from kahler_tube.curvature import (
     j_invariance_residual,
     pair_products,
 )
-from kahler_tube.fd import complex_step
-from kahler_tube.frames import frame_derivative
+from kahler_tube.fd import COMPLEX_STEP, complex_points, complex_step
+from kahler_tube.frames import frame_derivative, geometry_at, point_geometry, step_geometry
+from kahler_tube.lifted_metric import components_from_geometry
+from kahler_tube.sampling import sample_points
 
 CASES = [(m, dtype) for m in (6, 10) for dtype in (float, complex)]
 IDS = [f"m{m}-{dtype.__name__}" for m, dtype in CASES]
@@ -243,7 +250,116 @@ def test_frame_derivative_matches_einsum(m: int) -> None:
     def field(z: np.ndarray) -> np.ndarray:
         return np.sin(np.tensordot(z, A, axes=1))
 
-    value, dT = frame_derivative(geo, field)
+    value, dT = frame_derivative(geo, field(complex_points(geo.z)))
     expected_value, jac = complex_step(field, geo.z)
     assert np.array_equal(value, expected_value)
     _assert_agrees(dT, np.einsum("ka,k...->a...", M, jac.value))
+
+
+@pytest.mark.parametrize("variance", ["uddd", "uuud", "dd", "uu"])
+@pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)
+def test_batched_covariant_derivative_equals_each_item(variance: str, m: int, dtype: type) -> None:
+    # The layout of the parallel_* rows: connections on a kind axis, tensors
+    # on a family axis, derivatives on both.
+    rng = np.random.default_rng(m + 9)
+    rank = len(variance)
+    conn = _random(rng, dtype, 2, m, m, m)
+    T = _random(rng, dtype, 3, *(m,) * rank)
+    dT = _random(rng, dtype, 2, 3, *(m,) * (rank + 1))
+    batched = covariant_derivative(conn[:, None], T[None], dT, variance)
+    assert batched.shape == dT.shape
+    for k in range(2):
+        for f in range(3):
+            np.testing.assert_array_equal(batched[k, f], covariant_derivative(conn[k], T[f], dT[k, f], variance))
+
+
+def _curvature_blocks_einsum(geo, data) -> np.ndarray:
+    """``curvature_blocks`` as it was written with einsum, term by term."""
+    n = geo.n
+    c, A = geo.params.curvature, geo.params.lift_const
+    t = data.t[..., None, None, None, None]
+    g, ginv, p, pr = geo.base.g, geo.base.g_inv, geo.p, geo.p_raised
+    G, H = data.G, data.H
+    eye = np.eye(n)
+    bound = 2.0 * c - A * A * t
+    hhh = (
+        (0.5 * A * A * t)
+        * (np.einsum("hi,...jk->...hijk", eye, g) - np.einsum("hj,...ik->...hijk", eye, g))
+        + (0.25 * A * A)
+        * (
+            np.einsum("...ik,...j,...h->...hijk", g, p, pr)
+            - np.einsum("...jk,...i,...h->...hijk", g, p, pr)
+        )
+        - (0.25 * A * A)
+        * (
+            np.einsum("hi,...j,...k->...hijk", eye, p, p)
+            - np.einsum("hj,...i,...k->...hijk", eye, p, p)
+        )
+    )
+    vvh = (
+        -(0.5 / t)
+        * (np.einsum("ik,...jh->...ijhk", eye, ginv) - np.einsum("jk,...ih->...ijhk", eye, ginv))
+        - (0.25 / (t * t))
+        * (
+            np.einsum("...ih,...j,...k->...ijhk", ginv, pr, p)
+            - np.einsum("...jh,...i,...k->...ijhk", ginv, pr, p)
+        )
+        + (0.25 / (t * t))
+        * (
+            np.einsum("ik,...j,...h->...ijhk", eye, pr, pr)
+            - np.einsum("jk,...i,...h->...ijhk", eye, pr, pr)
+        )
+    )
+    vhh = (
+        (0.5 * A) * np.einsum("ij,...hk->...ijkh", eye, G)
+        + (bound / (4.0 * t))
+        * (
+            np.einsum("ik,...h,...j->...ijkh", eye, p, p)
+            + np.einsum("ih,...k,...j->...ijkh", eye, p, p)
+        )
+        + (0.25 * A * A)
+        * (
+            np.einsum("...jh,...k,...i->...ijkh", g, p, pr)
+            + np.einsum("...jk,...h,...i->...ijkh", g, p, pr)
+        )
+        - (0.5 * c / (t * t)) * np.einsum("...i,...j,...h,...k->...ijkh", pr, p, p, p)
+    )
+    vhv = (
+        -(0.5 * A) * np.einsum("ij,...hk->...ikhj", eye, H)
+        - (0.25 / (t * t))
+        * (
+            np.einsum("...ih,...k,...j->...ikhj", ginv, pr, p)
+            + np.einsum("...ik,...h,...j->...ikhj", ginv, pr, p)
+        )
+        - (0.25 * A * A / (t * bound))
+        * (
+            np.einsum("hj,...k,...i->...ikhj", eye, pr, pr)
+            + np.einsum("kj,...h,...i->...ikhj", eye, pr, pr)
+        )
+        + (0.5 * c / (t ** 3 * bound)) * np.einsum("...i,...h,...k,...j->...ikhj", pr, pr, pr, p)
+    )
+    return np.stack([hhh, vvh, vhh, vhv], axis=-5)
+
+
+def _agrees_relative(actual: np.ndarray, reference: np.ndarray, rel: float) -> None:
+    assert actual.shape == reference.shape
+    assert np.max(np.abs(actual - reference)) <= rel * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("params", [ModelParams(n, c, a) for n in (2, 3, 4, 5) for c, a in ((1.0, 1.0), (2.0, 0.5))],
+                         ids=lambda p: f"n{p.dim}-c{p.curvature:g}-a{p.lift_const:g}")
+def test_curvature_blocks_match_their_einsum_form(params: ModelParams) -> None:
+    n = params.dim
+    points = sample_points(params, 5, seed=13)
+    zs = np.stack([pt.z for pt in points])
+    stack = geometry_at(params, zs[:, :n], zs[:, n:])
+    blocks = curvature_blocks(stack, components_from_geometry(stack))
+    assert blocks.shape == (5, 4) + (n,) * 4
+    _agrees_relative(blocks, _curvature_blocks_einsum(stack, components_from_geometry(stack)), 1e-14)
+    # The complex step stack: the values and the derivatives Im / h.
+    step = step_geometry(point_geometry(params, points[0]))
+    blocks = curvature_blocks(step, components_from_geometry(step))
+    reference = _curvature_blocks_einsum(step, components_from_geometry(step))
+    assert blocks.dtype == reference.dtype == complex
+    _agrees_relative(blocks.real, reference.real, 1e-14)
+    _agrees_relative(blocks.imag / COMPLEX_STEP, reference.imag / COMPLEX_STEP, 1e-14)

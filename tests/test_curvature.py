@@ -9,6 +9,7 @@ from kahler_tube.complex_structure import adapted_j_matrix
 from kahler_tube.connection import (
     coefficients_from_geometry,
     covariant_derivative,
+    koszul_jet,
     koszul_oracle,
 )
 from kahler_tube.curvature import (
@@ -27,7 +28,7 @@ from kahler_tube.curvature import (
     sector_residuals,
 )
 from kahler_tube.fd import field_jacobian
-from kahler_tube.frames import BundlePoint, frame_transform, point_geometry
+from kahler_tube.frames import BundlePoint, frame_derivative, frame_transform, point_geometry, step_geometry
 from kahler_tube.lifted_metric import (
     adapted_metric_matrix,
     components_from_geometry,
@@ -49,6 +50,23 @@ def _built(pt, params=PARAMS):
     return geo, components_from_geometry(geo)
 
 
+def _step(geo):
+    """The step geometry and its Kähler blocks that the complex-step layers take."""
+    step_geo = step_geometry(geo)
+    return step_geo, components_from_geometry(step_geo)
+
+
+def _oracle(geo):
+    """The curvature oracle's Koszul jet and coordinate curvature at ``geo``."""
+    return curvature_oracle_coordinates(geo, *_step(geo))
+
+
+def _parallel(pt, params=PARAMS):
+    """``parallel_block_residuals`` at ``pt``."""
+    geo, W = _coefficients(pt, params)
+    return parallel_block_residuals(geo, W, *_step(geo))
+
+
 def _adapted_setup(pt, params=PARAMS):
     geo, data = _built(pt, params)
     R_ad = assemble_adapted_curvature(curvature_blocks(geo, data))
@@ -65,7 +83,7 @@ def _coefficients(pt, params=PARAMS):
 
 def test_blocks_match_oracle_per_family() -> None:
     geo, R_closed, _, _ = _adapted_setup(GENERIC)
-    _, R_coord = curvature_oracle_coordinates(geo)
+    _, R_coord = _oracle(geo)
     R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
     res = sector_residuals(R_closed, R_oracle, geo.n)
     assert set(res) == {"hhh", "hhv", "vvh", "vvv", "vhh", "vhv", "structural_zero"}
@@ -75,7 +93,7 @@ def test_blocks_match_oracle_per_family() -> None:
 
 def test_oracle_transforms_consistently() -> None:
     geo = point_geometry(PARAMS, GENERIC)
-    _, R_coord = curvature_oracle_coordinates(geo)
+    _, R_coord = _oracle(geo)
     R_ad = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
     assert np.max(np.abs(frame_transform(R_ad, "uddd", geo.frame, to="coordinate") - R_coord)) < 1e-9
 
@@ -83,13 +101,14 @@ def test_oracle_transforms_consistently() -> None:
 def test_closed_form_coordinate_curvature_matches_oracle() -> None:
     geo, R_ad, _, _ = _adapted_setup(GENERIC)
     R_closed = frame_transform(R_ad, "uddd", geo.frame, to="coordinate")
-    _, R_oracle = curvature_oracle_coordinates(geo)
+    _, R_oracle = _oracle(geo)
     assert np.max(np.abs(R_closed - R_oracle)) < 1e-5
 
 
 def test_curvature_oracle_takes_two_metric_field_calls(monkeypatch) -> None:
-    # Christoffels at the point, then every Koszul evaluation of the outer
-    # stencil in one call.
+    # The Christoffels at the point come from the step geometry, the one
+    # geometry of 2n complex points; every Koszul evaluation of the outer
+    # stencil is one more call.
     geo = point_geometry(PARAMS, GENERIC)
     calls = []
     inner = frames.geometry_at
@@ -99,8 +118,16 @@ def test_curvature_oracle_takes_two_metric_field_calls(monkeypatch) -> None:
         return inner(*args)
 
     monkeypatch.setattr(frames, "geometry_at", counting)
-    curvature_oracle_coordinates(geo)
-    assert 0 < len(calls) <= 2
+    _oracle(geo)
+    n = PARAMS.dim
+    assert [np.shape(args[1]) for args in calls] == [(2 * n, n), (2 * n * 3 * 2, 2 * n, n)]
+
+
+def test_oracle_jet_from_the_step_geometry_equals_the_koszul_jet() -> None:
+    geo = point_geometry(PARAMS, GENERIC)
+    jet, _ = _oracle(geo)
+    for got, want in zip(jet, koszul_jet(metric_field(PARAMS), geo.z)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_curvature_oracle_pair_skew_near_the_tube_end() -> None:
@@ -114,7 +141,7 @@ def test_curvature_oracle_pair_skew_near_the_tube_end() -> None:
     pt = BundlePoint(x=x, p=direction * np.sqrt(0.95 * t_max / t_dir))
     assert point_geometry(params, pt).t == pytest.approx(0.95 * t_max, rel=1e-12)
     geo, data = _built(pt, params)
-    _, R = curvature_oracle_coordinates(geo)
+    _, R = _oracle(geo)
     assert pair_skew_residual(R, coordinate_metric(geo, data)) <= 1e-6
 
 
@@ -138,7 +165,7 @@ def test_structural_antisymmetry_exact() -> None:
 
 def test_oracle_identities() -> None:
     geo, data = _built(GENERIC)
-    _, R_coord = curvature_oracle_coordinates(geo)
+    _, R_coord = _oracle(geo)
     S_coord = coordinate_metric(geo, data)
     assert first_bianchi_residual(R_coord) < 1e-7
     assert pair_skew_residual(R_coord, S_coord) < 1e-7
@@ -170,14 +197,14 @@ def test_einstein_identity_closed_form() -> None:
 def test_einstein_identity_oracle() -> None:
     geo, data = _built(GENERIC)
     identity, mixed_block = einstein_residuals(
-        geo, coordinate_metric(geo, data), curvature_oracle_coordinates(geo)[1]
+        geo, coordinate_metric(geo, data), _oracle(geo)[1]
     )
     assert identity < 1e-5
     assert mixed_block < 1e-5
 
 
 def test_covariant_derivative_vanishes() -> None:
-    assert parallel_block_residuals(*_coefficients(GENERIC))["local_symmetry"] < 1e-7
+    assert _parallel(GENERIC)["local_symmetry"] < 1e-7
 
 
 def _stacked_oracle_curvature(field):
@@ -200,12 +227,12 @@ def test_covariant_derivative_oracle_route_agrees() -> None:
         _, K = curvature_from_metric_field(field, pt.z)
         dK = field_jacobian(_stacked_oracle_curvature(field), pt.z).value
         oracle = covariant_derivative(koszul_oracle(field, pt.z), K, dK, "uddd")
-        assert parallel_block_residuals(*_coefficients(pt))["local_symmetry"] < 1e-7
+        assert _parallel(pt)["local_symmetry"] < 1e-7
         assert float(np.max(np.abs(oracle))) < 1e-2
 
 
 def test_parallel_block_identities() -> None:
-    res = parallel_block_residuals(*_coefficients(GENERIC))
+    res = _parallel(GENERIC)
     expected_keys = {
         f"parallel_{family}_{direction}"
         for family in ("hhh", "vvh", "vhh", "vhv")
@@ -214,6 +241,21 @@ def test_parallel_block_identities() -> None:
     assert set(res) == expected_keys
     for name, value in res.items():
         assert value < 1e-7, name
+
+
+def test_batched_parallel_rows_equal_per_family_calls() -> None:
+    # The eight rows are two batched covariant derivatives; each equals the
+    # maximum of its own per-family call, as the rows were computed before.
+    geo, W = _coefficients(GENERIC)
+    n = geo.n
+    step_geo, step_data = _step(geo)
+    T, dT = frame_derivative(geo, curvature_blocks(step_geo, step_data))
+    rows = parallel_block_residuals(geo, W, step_geo, step_data)
+    families = {"hhh": "uddd", "vvh": "uuud", "vhh": "uddd", "vhv": "uuud"}
+    for kind, conn, dirs in (("horizontal", geo.base.gamma, dT[:n]), ("vertical", W[:n, n:, :n], dT[n:])):
+        for k, (name, variance) in enumerate(families.items()):
+            nabla = covariant_derivative(conn, T[k], dirs[:, k], variance)
+            assert rows[f"parallel_{name}_{kind}"] == float(np.max(np.abs(nabla))), (name, kind)
 
 
 def test_holomorphic_anchor_values() -> None:

@@ -12,6 +12,7 @@ from kahler_tube.frames import (
     frame_transform,
     geometry_at,
     point_geometry,
+    step_geometry,
     verify_brackets,
 )
 
@@ -48,14 +49,16 @@ def test_frame_duality_and_blocks() -> None:
 
 
 def test_bracket_table() -> None:
-    vert_vert, mixed, horiz_horiz = verify_brackets(point_geometry(PARAMS, POINT))
+    geo = point_geometry(PARAMS, POINT)
+    vert_vert, mixed, horiz_horiz = verify_brackets(geo, step_geometry(geo))
     assert vert_vert < 1e-8
     assert mixed < 1e-8
     assert horiz_horiz < 1e-8
 
 
 def test_energy_frame_derivatives() -> None:
-    horiz, vert = energy_frame_derivatives(point_geometry(PARAMS, POINT))
+    geo = point_geometry(PARAMS, POINT)
+    horiz, vert = energy_frame_derivatives(geo, step_geometry(geo))
     assert horiz < 1e-9
     assert vert < 1e-9
 

@@ -1,12 +1,14 @@
 """Lifted metric on the tube: components, inverse, tube domain, profiles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahler_tube.base_geometry import DomainError, ModelParams
-from kahler_tube.frames import BundlePoint, frame_transform, point_geometry
+from kahler_tube.base_geometry import DomainError, ModelParams, metric_at
+from kahler_tube.frames import BundlePoint, frame_transform, geometry_at, point_geometry
 from kahler_tube.lifted_metric import (
     KAHLER,
     LiftProfile,
@@ -149,3 +151,26 @@ def test_tube_interior_always_positive_definite(frac: float, c: float, A: float)
     data = components_from_geometry(point_geometry(params, pt))
     assert np.min(np.linalg.eigvalsh(data.G)) > 0.0
     assert np.min(np.linalg.eigvalsh(data.H)) > 0.0
+
+
+@pytest.mark.parametrize("profile", [KAHLER, LiftProfile(offset=0.1)], ids=["kahler", "offset"])
+def test_a_single_exact_point_goes_through_the_closed_forms(profile) -> None:
+    # An unbatched (n,) object array of Fractions: the guards reduce with
+    # np.any and the 0-d sums stay arrays, so nothing calls .any() on a bool
+    # or indexes a Python scalar.  The dyadic entries make the float path the
+    # same numbers.
+    x = np.array([Fraction(1, 2), Fraction(1, 4), Fraction(-1, 8)], dtype=object)
+    p = np.array([Fraction(3, 4), Fraction(-1, 2), Fraction(3, 8)], dtype=object)
+    exact_base = metric_at(PARAMS, x)
+    float_base = metric_at(PARAMS, x.astype(float))
+    np.testing.assert_allclose(exact_base.g.astype(float), float_base.g, rtol=1e-15)
+    exact_geo = geometry_at(PARAMS, x, p)
+    float_geo = geometry_at(PARAMS, x.astype(float), p.astype(float))
+    np.testing.assert_allclose(float(exact_geo.t), float(float_geo.t), rtol=1e-15)
+    np.testing.assert_allclose(exact_geo.gamma_p.astype(float), float_geo.gamma_p, rtol=1e-15)
+    exact = components_from_geometry(exact_geo, profile)
+    expected = components_from_geometry(float_geo, profile)
+    for name in ("G", "H", "v", "w"):
+        np.testing.assert_allclose(
+            np.asarray(getattr(exact, name), dtype=float), getattr(expected, name), rtol=1e-14, err_msg=name
+        )
