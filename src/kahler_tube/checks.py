@@ -8,12 +8,15 @@ and whether it passes by exceeding its tolerance instead of staying below.
 per-point check value at one sampled point (the integrable-only layers only
 for the Kähler profile); each layer returns a float or a tuple of floats,
 unpacked straight into check names.  ``_worst_over_points`` keeps, for each
-check, the largest value and the first point that reached it; the one
-cross-point value, ``hol_sect_nonconstancy``, is added after it.  A final loop over
-``CHECKS`` builds one report row per check.  Checks are independent: a
-failing identity never aborts the others.  In offset (non-integrable) mode
-the integrable-only rows are skipped with a reason, and the Nijenhuis
-vanishing check is expected to fail — that failure is the negative test.
+check, the largest value and the first point that reached it.  The two
+holomorphic rows are added after it, from one ``holomorphic_sample`` over
+the curvature families of all points, stacked as ``run_sweep`` stacks them:
+``hol_sect_scale_invariance`` by the same rule and the cross-point
+``hol_sect_nonconstancy``.  A final loop over ``CHECKS`` builds one report
+row per check.  Checks are independent: a failing identity never aborts the
+others.  In offset (non-integrable) mode the integrable-only rows are
+skipped with a reason, and the Nijenhuis vanishing check is expected to
+fail — that failure is the negative test.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .base_geometry import ModelParams
 from .frames import (
     BundlePoint,
     energy_frame_derivatives,
+    frame_derivative,
     frame_transform,
     geometry_at,
     point_geometry,
@@ -115,6 +119,9 @@ _SKIP_REASON = "requires the integrable lift profile"
 #: A per-point check value, or a (value, detail) pair for rows with a detail.
 Value = float | tuple[float, str]
 
+#: The closed curvature families ``T`` and metric blocks ``G``, ``H`` at a point.
+Families = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -185,18 +192,22 @@ def _positive_definite_residual(matrix: np.ndarray) -> float:
 
 
 def evaluate_point(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile, directions: np.ndarray
-) -> tuple[dict[str, Value], np.ndarray | None]:
+    params: ModelParams, pt: BundlePoint, profile: LiftProfile
+) -> tuple[dict[str, Value], Families | None]:
     """Every per-point check value at ``pt``, keyed by check name.
 
     The point geometry, the lifted blocks, the adapted and coordinate metric,
-    the adapted structure and, for the Kähler profile, the closed connection ``W`` and the closed
-    adapted curvature are built once here and handed to every layer.  So
-    are the step geometry at the 2n complex-step points (``step_geometry``)
-    and its lifted blocks, from which every complex-step layer reads its
-    derivative.  The integrable-only layers run only for the Kähler profile.  The second item
-    holds the holomorphic sectional curvatures over ``directions``
-    (None for any other profile), for the cross-point nonconstancy check.
+    the adapted structure and, for the Kähler profile, the closed connection
+    ``W`` are built once here and handed to every layer.  So are the step
+    geometry at the 2n complex-step points (``step_geometry``) and its
+    lifted blocks, from which every complex-step layer reads its derivative.
+    The closed curvature families ``T`` at the point and their frame
+    derivatives ``dT`` are one ``frame_derivative`` of ``curvature_blocks``
+    on the step, and their assembly is the closed adapted curvature: the
+    curvature rows, ``local_symmetry`` and the parallel rows read these.
+    The integrable-only layers run only for the Kähler profile.  The second
+    item holds ``T`` and the metric blocks ``G``, ``H`` (None for any other
+    profile), from which ``run_verify`` takes the holomorphic rows.
     """
     n = params.dim
     geo = point_geometry(params, pt)
@@ -269,7 +280,8 @@ def evaluate_point(
 
     # Curvature: closed blocks against the curvature oracle; identity
     # battery on the oracle output so it stands on its own.
-    R_closed_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data))
+    T, dT = frame_derivative(geo, curvature.curvature_blocks(step_geo, step_data))  # dT[direction, family]
+    R_closed_ad = curvature.assemble_adapted_curvature(T)
     R_oracle_ad = frame_transform(R_oracle_coord, "uddd", geo.frame, to="adapted")
     sectors = curvature.sector_residuals(R_closed_ad, R_oracle_ad, n)
     values["curvature_match"] = (
@@ -283,12 +295,8 @@ def evaluate_point(
     values["einstein_identity"], values["ricci_mixed_zero"] = curvature.einstein_residuals(
         geo, S_coord, R_oracle_coord
     )
-    values.update(curvature.parallel_block_residuals(geo, W, step_geo, step_data))
-
-    hol, values["hol_sect_scale_invariance"] = curvature.holomorphic_sample(
-        R_closed_ad, S_ad, J_ad, directions
-    )
-    return values, hol
+    values.update(curvature.parallel_block_residuals(geo, W, T, dT, R_closed_ad))
+    return values, (T, data.G, data.H)
 
 
 def _worst_over_points(
@@ -315,12 +323,14 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     points = sample_points(params, cfg.num_points, cfg.seed)
     directions = sample_directions(params, cfg.num_directions, cfg.seed)
 
-    evaluated = [evaluate_point(params, pt, profile, directions) for pt in points]
+    evaluated = [evaluate_point(params, pt, profile) for pt in points]
     worst = _worst_over_points([values for values, _ in evaluated])
     if profile.is_kahler:
-        stacked = np.stack([hol for _, hol in evaluated])
-        lo, hi = float(np.min(stacked)), float(np.max(stacked))
-        peak_point = int(np.unravel_index(int(np.argmax(stacked)), stacked.shape)[0])
+        T, G, H = (np.stack(parts) for parts in zip(*(families for _, families in evaluated)))
+        hol, scale = curvature.holomorphic_sample(T, G, H, directions)  # (points, directions), (points,)
+        worst["hol_sect_scale_invariance"] = (float(np.max(scale)), int(np.argmax(scale)), None)
+        lo, hi = float(np.min(hol)), float(np.max(hol))
+        peak_point = int(np.unravel_index(int(np.argmax(hol)), hol.shape)[0])
         worst["hol_sect_nonconstancy"] = (
             relative_spread(lo, hi), peak_point, f"min={lo:.6g}, max={hi:.6g}"
         )
@@ -352,27 +362,11 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
 def _sweep_values(
     params: ModelParams, xs: np.ndarray, ps: np.ndarray, directions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Energy densities ``(points,)`` and curvatures ``(points, directions)``.
-
-    The steps of ``curvature.holomorphic_sectional_curvature``, with the
-    direction work hoisted: the pair products once, the norms ``<X, X>``
-    once for all points, and per point only the folded form and its
-    ``(directions, s) @ (s, s)`` product.
-    """
+    """Energy densities ``(points,)`` and curvatures ``(points, directions)``."""
     geo = geometry_at(params, xs, ps)
     data = lifted_metric.components_from_geometry(geo)
-    S_ad = lifted_metric.adapted_metric_matrix(data)
-    J_ad = complex_structure.adapted_j_matrix(data)
-    P = curvature.pair_products(directions)
-    # (points, directions); its (points, directions, m) temporary is freed
-    # before the stacked curvature is built.
-    norm_sq = curvature.direction_norm_sq(S_ad, directions)
-    R_ad = curvature.assemble_adapted_curvature(curvature.curvature_blocks(geo, data))
-    values = np.empty((len(xs), len(directions)))
-    for idx in range(len(xs)):
-        Q_pairs = curvature.folded_quadratic_form(R_ad[idx], S_ad[idx], J_ad[idx])
-        values[idx] = curvature.holomorphic_quotient(Q_pairs, P, norm_sq[idx])
-    return geo.t, values
+    T = curvature.curvature_blocks(geo, data)
+    return geo.t, curvature.holomorphic_sectional_curvature(T, data.G, data.H, directions)
 
 
 def run_sweep(cfg: RunConfig) -> SweepResult:
@@ -380,14 +374,16 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 
     Every closed form is evaluated once, on the stack of all sampled points:
     one ``geometry_at`` on the ``(points, n)`` arrays of
-    ``sample_chart_points``, then the lifted blocks, the curvature blocks
-    and the adapted curvature, metric and structure, and the directions'
-    pair products and norms.  Only the folded quadratic form runs point by
-    point, over the whole batch of directions, so no
-    ``(points, directions, s)`` product is ever held.  The result keeps the
-    two arrays as they are: no ``BundlePoint`` and no row object is built.  A sampled point outside the
-    tube is caught by the tube guard of ``components_from_geometry``, and a
-    non-finite value by ``SweepResult.to_csv``.
+    ``sample_chart_points``, then the lifted blocks and the curvature
+    families.  ``curvature.holomorphic_sectional_curvature`` builds the
+    holomorphic form of every point straight from the families and the
+    metric blocks, with no assembled ``(2n)⁴`` tensor and no loop over the
+    points, and takes all curvatures in one product with the directions'
+    monomials.  The result keeps the two arrays as they are: no
+    ``BundlePoint`` and no row object is built.  A sampled point outside the
+    tube is caught by the tube guard of ``components_from_geometry``, a zero
+    direction by ``holomorphic_sectional_curvature`` and a non-finite value
+    by ``SweepResult.to_csv``.
     """
     cfg.require_admissible()
     if cfg.custom_v_offset is not None:

@@ -16,6 +16,17 @@ Every other sector vanishes identically.  The oracle recomputes the full
 2n-dimensional coordinate curvature from central differences of the Koszul
 Christoffel field (itself a complex step of the metric), so nothing in the
 oracle path touches the closed forms.
+
+The holomorphic sectional curvature reads the families directly, with no
+assembled (2n)^4 tensor.  For an adapted direction X = (u, w) with
+a = G u and b = H w (S = diag(G, H), J X = (-b, a)), the numerator is
+
+    <K(X, JX) JX, X> = 2 hhh(a,u,b,b) - 2 vvh(w,a,a,b) + vhh(w,b,b,b)
+                       + vhh(a,u,b,b) - vhv(w,a,a,b) - vhv(a,a,a,u),
+
+each family taking its arguments in its stored index order above.  Every
+term is even in u and in w, so the numerator is a quadratic form on the
+n(n+1) pair products u_i u_j and w_i w_j (``holomorphic_form``).
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import numpy as np
 from .base_geometry import DomainError
 from .connection import KoszulJet, covariant_derivative, koszul_christoffel, koszul_jet, koszul_oracle
 from .fd import complex_jacobian, field_jacobian
-from .frames import PointGeometry, frame_derivative, frame_transform
+from .frames import PointGeometry, frame_transform
 from .lifted_metric import LiftedMetricData, coordinate_metric, metric_field
 
 
@@ -240,24 +251,23 @@ def einstein_residuals(
     return identity, max(float(np.max(np.abs(ric_ad[:n, n:]))), float(np.max(np.abs(ric_ad[n:, :n]))))
 
 
-def covariant_derivative_residual(W: np.ndarray, T: np.ndarray, dT: np.ndarray) -> float:
+def covariant_derivative_residual(W: np.ndarray, K: np.ndarray, dT: np.ndarray) -> float:
     """Max |nabla K|: local symmetry of the curvature.
 
-    Assembles K and its frame derivatives from the stacked families ``T``
-    and their frame derivatives ``dT`` (assembly is linear) and adds the
-    closed-form adapted connection W (``nabla_a e_b = W[c, a, b] e_c``), all
-    in the adapted frame: near machine precision, and sound as a certificate
+    ``K`` is assembled from the stacked families and ``dT`` holds their
+    frame derivatives (assembly is linear); the closed-form adapted
+    connection W (``nabla_a e_b = W[c, a, b] e_c``) adds the rest, all in
+    the adapted frame: near machine precision, and sound as a certificate
     because the differentiated field and the connection are themselves
     oracle-certified pointwise by the other checks.
     """
 
-    K = assemble_adapted_curvature(T)
     dK = assemble_adapted_curvature(dT)  # [direction, a, b, c, d]
     return float(np.max(np.abs(covariant_derivative(W, K, dK, "uddd"))))
 
 
 def parallel_block_residuals(
-    geo: PointGeometry, W: np.ndarray, step_geo: PointGeometry, step_data: LiftedMetricData
+    geo: PointGeometry, W: np.ndarray, T: np.ndarray, dT: np.ndarray, K: np.ndarray
 ) -> dict[str, float]:
     """Frame-derivative parallelism of each curvature family and of K.
 
@@ -265,20 +275,19 @@ def parallel_block_residuals(
     of the block along every frame direction of the stated type must vanish.
     The connection along horizontal directions is the base Christoffels, along
     vertical ones the mixed-slot closed-form coefficients ``W[:n, n:, :n]``;
-    ``local_symmetry`` reads all of ``W``.  All nine read one
-    ``frame_derivative`` of the stacked blocks on the step geometry of
-    ``geo`` (``frames.step_geometry``) with its Kähler blocks ``step_data``.
-    The eight block rows are two batched ``covariant_derivative`` calls, one
-    per variance (``uddd``: hhh and vhh; ``uuud``: vvh and vhv), with the
-    horizontal and vertical connections on one batch axis.
+    ``local_symmetry`` reads all of ``W`` and ``K``, the assembly of ``T``.
+    ``T`` and ``dT`` are the ``frame_derivative`` of ``curvature_blocks`` on
+    the point's step geometry.  The eight block rows are two batched
+    ``covariant_derivative`` calls, one per variance (``uddd``: hhh and vhh;
+    ``uuud``: vvh and vhv), with the horizontal and vertical connections on
+    one batch axis.
     """
 
     n = geo.n
-    T, dT = frame_derivative(geo, curvature_blocks(step_geo, step_data))  # dT[direction, family]
     conn = np.stack([geo.base.gamma, W[:n, n:, :n]])[:, None]  # [kind, 1, upper, direction, slot]
     dT_kind = np.swapaxes(dT.reshape((2, n) + dT.shape[1:]), 1, 2)  # [kind, family, direction, ...]
     names = list(_FAMILY_VARIANCE)  # hhh, vvh, vhh, vhv: the variances alternate
-    out = {"local_symmetry": covariant_derivative_residual(W, T, dT)}  # the (2n)^5 peak, before the rows
+    out = {"local_symmetry": covariant_derivative_residual(W, K, dT)}  # the (2n)^5 peak, before the rows
     for first in (0, 1):
         variance = _FAMILY_VARIANCE[names[first]]
         nabla = covariant_derivative(conn, T[None, first::2], dT_kind[:, first::2], variance)
@@ -312,66 +321,115 @@ def pair_products(X: np.ndarray) -> np.ndarray:
     return X[..., i] * X[..., j]
 
 
-def direction_norm_sq(metric_ad: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``<X, X>`` for directions ``X`` (..., m); raises unless every one is positive."""
-    norm_sq = np.einsum("...a,...a->...", X @ metric_ad, X)
-    if np.any(norm_sq <= 0.0):
-        raise DomainError("holomorphic sectional curvature needs a nonzero direction")
-    return norm_sq
+def direction_monomials(X: np.ndarray) -> np.ndarray:
+    """``q ⊗ q`` as a (K², D) array, for directions ``X = (u, w)`` as rows (D, 2n).
 
-
-def folded_quadratic_form(R_ad: np.ndarray, metric_ad: np.ndarray, J_ad: np.ndarray) -> np.ndarray:
-    """The numerator of the holomorphic sectional curvature as a form on pair products.
-
-    With (S R)[e, b, c, d] = S[e, a] R[a, b, c, d], the numerator
-    X_e X_c (JX)_b (JX)_d (S R)_ebcd is the quadratic form (X⊗X)ᵀ Q (X⊗X)
-    of one m² × m² matrix Q[(e, c), (g, f)] = (S R)_ebcd J_bf J_dg.  X⊗X is
-    symmetric, so Q folds onto the s = m(m+1)/2 unordered pairs:
-    ``Fᵀ Q F`` with F from ``index_pairs(m)``, an ``(s, s)`` matrix.
+    ``q = (u_i u_j, w_i w_j)``, i <= j, holds the K = n(n+1) pair products
+    of each half.
     """
-    m = R_ad.shape[-1]
-    SRJ = (metric_ad @ R_ad.reshape(m, m**3)).reshape(m**3, m) @ J_ad  # [(e, b, c), g]
-    Q = SRJ.reshape(m, m, m, m).transpose(0, 2, 3, 1).reshape(m**3, m) @ J_ad  # [(e, c, g), f]
-    F = index_pairs(m)[2]
-    return F.T @ (Q.reshape(m * m, m * m) @ F)
+    n = X.shape[-1] // 2
+    q = np.concatenate([pair_products(X[:, :n]), pair_products(X[:, n:])], axis=-1).T  # (K, D)
+    return (q[:, None, :] * q[None, :, :]).reshape(-1, len(X))
 
 
-def holomorphic_quotient(Q_pairs: np.ndarray, P: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
-    """``Pᵀ Q_pairs P / <X, X>²`` per direction, from ``folded_quadratic_form``,
-    ``pair_products`` and ``direction_norm_sq``."""
-    return np.einsum("...k,...k->...", P @ Q_pairs, P) / (norm_sq * norm_sq)
+#: Per slot (rows) and numerator term (columns), the matrix contracted into
+#: it: G, H, I, -H or -I (0 to 4); the minus signs are those of the terms.
+_SLOT_MATRICES = np.array([[0, 0, 2, 0], [2, 0, 1, 0], [1, 2, 1, 0], [1, 3, 1, 4]])
+
+
+def _contracted_terms(T: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The numerator's four terms, contracted: [..., term, right pair, left pair].
+
+    The module docstring's six terms are four families with their slots in
+    (left pair | right pair) order: 2 hhh + vhh as (a, u | b, b),
+    2 vvh + vhv as (a, a | w, b), vhh as (w, b | b, b) and vhv as
+    (a, a | a, u).  ``blocks`` stacks G, H, I, -H, -I on axis -3.  The
+    slot matrices are symmetric: slot 3 is contracted from the right, slot
+    0 from the left, then the pairs swap and slots 1 and 2 follow, in two
+    buffers the size of ``T``.
+    """
+    n = T.shape[-1]
+    lead = T.shape[:-5]
+    hhh, vvh, vhh, vhv = (T[..., k, :, :, :, :] for k in range(4))
+    terms = np.empty_like(T)
+    np.multiply(hhh, 2.0, out=terms[..., 0, :, :, :, :])
+    terms[..., 0, :, :, :, :] += vhh
+    wab = terms[..., 1, :, :, :, :].swapaxes(-2, -3).swapaxes(-3, -4)  # the (a, a | w, b) term as [i, j, h, k]
+    np.multiply(vvh, 2.0, out=wab)
+    wab += vhv
+    terms[..., 2:, :, :, :, :] = T[..., 2:, :, :, :, :]
+    slot = blocks[..., _SLOT_MATRICES, :, :]  # [..., slot, term, n, n]
+    rows, cols, square = lead + (4, n**3, n), lead + (4, n, n**3), lead + (4, n * n, n * n)
+    Y = terms.reshape(rows) @ slot[..., 3, :, :, :]
+    np.matmul(slot[..., 0, :, :, :], Y.reshape(cols), out=terms.reshape(cols))
+    np.copyto(Y.reshape(square), terms.reshape(square).swapaxes(-1, -2))
+    np.matmul(Y.reshape(rows), slot[..., 1, :, :, :], out=terms.reshape(rows))
+    np.matmul(slot[..., 2, :, :, :], terms.reshape(cols), out=Y.reshape(cols))
+    return Y.reshape(square)
+
+
+def holomorphic_form(T: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Numerator and squared norm of the holomorphic sectional curvature, on ``direction_monomials``.
+
+    ``T``, ``G`` and ``H`` are the families and metric blocks at one point
+    or a stack.  Returns (..., 2, K²): the K × K matrices Q with
+    <K(X, JX) JX, X> = qᵀ Q q and <X, X>² = (u G u + w H w)² = qᵀ Q q,
+    flattened.  The fold F of ``index_pairs(n)`` puts each contracted term
+    on the unordered index pairs: one block of Q.
+    """
+    n = G.shape[-1]
+    lead = G.shape[:-2]
+    blocks = np.empty(lead + (5, n, n), dtype=np.result_type(G, H))  # G, H, I, -H, -I
+    blocks[..., 0, :, :] = G
+    blocks[..., 1, :, :] = H
+    blocks[..., 2, :, :] = np.eye(n)
+    np.negative(blocks[..., 1:3, :, :], out=blocks[..., 3:, :, :])
+    F = index_pairs(n)[2]
+    s = F.shape[1]
+    Y = (_contracted_terms(T, blocks).reshape(-1, n * n) @ F).reshape(lead + (4, n * n, s))
+    folded = (Y.swapaxes(-1, -2).reshape(-1, n * n) @ F).reshape(lead + (4, s, s))  # [term, left, right]
+    forms = np.zeros(lead + (2, 2 * s, 2 * s), dtype=folded.dtype)
+    forms[..., 0, :s, :s] = folded[..., 3, :, :]
+    np.add(folded[..., 0, :, :], folded[..., 1, :, :], out=forms[..., 0, :s, s:])
+    forms[..., 0, s:, s:] = folded[..., 2, :, :]
+    norm = (blocks[..., :2, :, :].reshape(-1, n * n) @ F).reshape(lead + (2 * s,))  # <X, X> on q
+    np.multiply(norm[..., :, None], norm[..., None, :], out=forms[..., 1, :, :])
+    return forms.reshape(lead + (2, 4 * s * s))
+
+
+def _quotient(form: np.ndarray, monomials: np.ndarray) -> np.ndarray:
+    """Numerator over squared norm: (..., D).
+
+    Each point's ``(2, K²) @ (K², D)`` product is its own matmul item, so a
+    point's values do not depend on the stack it sits in.
+    """
+    both = form @ monomials  # (..., 2, D)
+    num, norm_sq_sq = both[..., 0, :], both[..., 1, :]
+    if np.any(norm_sq_sq <= 0.0):
+        raise DomainError("holomorphic sectional curvature needs a nonzero direction")
+    return num / norm_sq_sq
 
 
 def holomorphic_sectional_curvature(
-    R_ad: np.ndarray, metric_ad: np.ndarray, J_ad: np.ndarray, X_ad: np.ndarray
+    T: np.ndarray, G: np.ndarray, H: np.ndarray, directions: np.ndarray
 ) -> np.ndarray:
-    """<K(X, JX) JX, X> / <X, X>^2 for adapted-frame directions ``X_ad`` (..., m).
+    """<K(X, JX) JX, X> / <X, X>² for adapted-frame directions (rows of ``directions``).
 
-    Returns shape (...): one value for a single direction (m,).  The
-    numerator is the quadratic form ``folded_quadratic_form`` on the pair
-    products of X, so a batch of directions costs one ``(D, s) @ (s, s)``
-    matmul.  A stack of points calls the same three steps, with the pair
-    products and norms taken once for all points (``checks.run_sweep``).
+    ``T``, ``G`` and ``H`` are the curvature families and metric blocks at
+    one point or a stack of points; the result is (..., D).
     """
-    X = np.asarray(X_ad)
-    norm_sq = direction_norm_sq(metric_ad, X)
-    return holomorphic_quotient(folded_quadratic_form(R_ad, metric_ad, J_ad), pair_products(X), norm_sq)
+    return _quotient(holomorphic_form(T, G, H), direction_monomials(np.asarray(directions, dtype=float)))
 
 
 def holomorphic_sample(
-    R_ad: np.ndarray, S_ad: np.ndarray, J_ad: np.ndarray, directions: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Evaluate the sectional function on a batch of adapted directions.
+    T: np.ndarray, G: np.ndarray, H: np.ndarray, directions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The curvatures (..., D) and, per point, the worst |H(X) - H(2X)|.
 
-    ``R_ad``, ``S_ad`` and ``J_ad`` are the closed-form curvature, metric and
-    structure at one point, all in the adapted frame.  Returns
-    ``(values, scale_invariance)``: one curvature per direction, and the worst |H(X) - H(2X)| over the batch, which must vanish because
-    the defining ratio is degree zero in X.  The directions and their doubles
-    are evaluated as one batch.
+    The scale invariance must vanish because the ratio is degree zero in
+    X.  The form is built once; X and 2X are two products of one shape.
     """
-
     X = np.asarray(directions, dtype=float)
-    both = holomorphic_sectional_curvature(R_ad, S_ad, J_ad, np.concatenate([X, 2.0 * X]))
-    vals, doubled = both[: len(X)], both[len(X):]
-    worst_scale = float(np.max(np.abs(vals - doubled), initial=0.0))
-    return vals, worst_scale
+    form = holomorphic_form(T, G, H)
+    vals, doubled = (_quotient(form, direction_monomials(Y)) for Y in (X, 2.0 * X))
+    return vals, np.max(np.abs(vals - doubled), axis=-1, initial=0.0)

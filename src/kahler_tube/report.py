@@ -3,7 +3,9 @@
 The JSON emitter is hand-rolled for one reason: the report contract pins
 floating-point fields to 17 significant digits, while ``json.dumps`` uses
 shortest-roundtrip repr.  Everything else (key order, spacing) is fixed by
-construction so reruns with the same config produce identical bytes.
+construction so reruns with the same config produce identical bytes.  The
+config goes through the generic ``_emit``; every check row has the same
+keys, so ``VerifyReport.to_json`` writes each from one template.
 
 The sweep result is held by column: a ``(points,)`` array of energy
 densities and a ``(points, directions)`` array of curvatures.  ``to_csv``
@@ -35,6 +37,11 @@ def relative_spread(lo: float, hi: float) -> float:
     return (hi - lo) / scale if scale > 0.0 else 0.0
 
 
+def _quoted(value: str) -> str:
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
 def _emit(value: Any, indent: int) -> str:
     pad = "  " * indent
     if value is None:
@@ -46,10 +53,7 @@ def _emit(value: Any, indent: int) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
-        escaped = (
-            value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        return f'"{escaped}"'
+        return _quoted(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -65,8 +69,39 @@ def _emit(value: Any, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def to_json(value: Any) -> str:
-    return _emit(value, 0) + "\n"
+#: ``_emit`` of a check row's scalar types, by exact type; others use ``_emit``.
+_SCALARS = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    float: format_float,
+    str: _quoted,
+}
+
+#: One check row of the report, at its indentation in the document.
+_ROW = (
+    '    {{\n      "name": {},\n      "max_residual": {},\n      "tolerance": {},\n'
+    '      "pass": {},\n      "worst_point_id": {},\n      "status": {}{}\n    }}'
+)
+
+
+def _row_value(value: Any) -> str:
+    """``_emit`` of a row's field value (row fields sit at indent 3)."""
+    emit = _SCALARS.get(type(value))
+    return emit(value) if emit is not None else _emit(value, 3)
+
+
+def _row_json(check: CheckResult) -> str:
+    """``_emit(check.as_dict(), 2)``, from ``_ROW``."""
+    optional = ""
+    if check.reason is not None:
+        optional += ',\n      "reason": ' + _row_value(check.reason)
+    if check.detail is not None:
+        optional += ',\n      "detail": ' + _row_value(check.detail)
+    return _ROW.format(
+        _row_value(check.name), _row_value(check.max_residual), _row_value(check.tolerance),
+        _row_value(check.passed), _row_value(check.worst_point_id), _row_value(check.status), optional,
+    )
 
 
 @dataclass
@@ -122,7 +157,10 @@ class VerifyReport:
         }
 
     def to_json(self) -> str:
-        return to_json(self.as_dict())
+        """``as_dict`` as JSON with two-space indents; no row dict is built."""
+        rows = ",\n".join(map(_row_json, self.checks))
+        checks = f"[\n{rows}\n  ]" if self.checks else "[]"
+        return f'{{\n  "config": {_emit(self.config, 1)},\n  "checks": {checks},\n  "verdict": {_emit(self.verdict, 1)}\n}}\n'
 
 
 class SweepRow(NamedTuple):

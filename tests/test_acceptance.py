@@ -38,7 +38,7 @@ from kahler_tube.curvature import (
     parallel_block_residuals,
     sector_residuals,
 )
-from kahler_tube.frames import BundlePoint, frame_transform, point_geometry, step_geometry
+from kahler_tube.frames import BundlePoint, frame_derivative, frame_transform, point_geometry, step_geometry
 from kahler_tube.lifted_metric import (
     KAHLER,
     LiftProfile,
@@ -109,7 +109,8 @@ def matrix_results() -> MatrixResults:
         for pt in sample_points(params, NUM_POINTS, SEED):
             geo, data = _built(params, pt)
             step = _step(geo)
-            R_closed = assemble_adapted_curvature(curvature_blocks(geo, data))
+            T, dT = frame_derivative(geo, curvature_blocks(*step))
+            R_closed = assemble_adapted_curvature(T)
             _, R_coord = curvature_oracle_coordinates(geo, *step)
             R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
             for family, res in sector_residuals(R_closed, R_oracle, geo.n).items():
@@ -119,7 +120,7 @@ def matrix_results() -> MatrixResults:
             einstein = max(einstein, identity)
             mixed = max(mixed, mixed_block)
             W = coefficients_from_geometry(geo, data)
-            parallel = parallel_block_residuals(geo, W, *step)
+            parallel = parallel_block_residuals(geo, W, T, dT, R_closed)
             nabla = max(nabla, parallel.pop("local_symmetry"))
             for name, res in parallel.items():
                 par[name] = max(par.get(name, 0.0), res)
@@ -272,11 +273,9 @@ def test_criterion_7_nonconstant_holomorphic_curvature(primary_points) -> None:
     scale_worst = 0.0
     for pt in primary_points:
         geo, data = _built(PRIMARY, pt)
-        R_ad = assemble_adapted_curvature(curvature_blocks(geo, data))
-        S_ad, J_ad = adapted_metric_matrix(data), adapted_j_matrix(data)
-        point_values, scale_invariance = holomorphic_sample(R_ad, S_ad, J_ad, directions)
+        point_values, scale_invariance = holomorphic_sample(curvature_blocks(geo, data), data.G, data.H, directions)
         values.append(point_values)
-        scale_worst = max(scale_worst, scale_invariance)
+        scale_worst = max(scale_worst, float(scale_invariance))
     stacked = np.stack(values)
     lo, hi = float(np.min(stacked)), float(np.max(stacked))
     spread = (hi - lo) / max(abs(lo), abs(hi))

@@ -34,6 +34,7 @@ from kahler_tube.fd import COMPLEX_STEP, complex_step, field_jacobian
 from kahler_tube.frames import (
     BundlePoint,
     energy_frame_derivatives,
+    frame_derivative,
     frame_transform,
     geometry_at,
     geometry_field,
@@ -264,26 +265,55 @@ def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
     # complex step of the assembled adapted-frame curvature alone peaked at
     # about 3.2 MB; one of the coordinate-frame curvature at about 5.1 MB,
     # because frame_transform then works on a complex (10, 10^4) stack.  With
-    # the step geometry built in the measured run: about 2.94 MB.
+    # the step geometry built in the measured run: about 2.94 MB.  The step,
+    # its frame derivative and K are built in the measured run, as
+    # evaluate_point builds them once for the curvature rows.
     W = coefficients_from_geometry(GEO_5, components_from_geometry(GEO_5))
-    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, *_step(GEO_5))) < 5.0
+    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, *_parallel_inputs(GEO_5, *_step(GEO_5)))) < 5.0
 
 
 def test_sweep_memory_stays_one_point_deep() -> None:
     # Measured at (3,1,1), 100 points x 100 directions (tracemalloc peak):
-    # about 1.64 MB with the closed forms stacked over the points (the four
-    # curvature families as one (100, 4, 3, 3, 3, 3) array), the direction
-    # pair products (100, 21) and norms (100, 100) taken once, the folded
-    # quadratic form over one batch of directions per point and the stacked
-    # (100, 6, 6, 6, 6) curvature (1.0 MB) the largest array held; the
-    # columnar result holds 0.08 MB.  Before the hoisted norms it was about
-    # 1.48 MB.  Row objects (10,000 rows, 1.1 MB) built while that
-    # curvature was held peaked at 2.4 MB; the point-by-point loop with
-    # doubled direction batches at 1.6 MB.  Folding the form for all points
-    # at once peaked at about 5.4 MB (its (points, m^3, m) contractions and
-    # (points, directions, s) product) and was no faster.
+    # about 1.07 MB (2.8 MB at (4,1,1)) with the holomorphic form built
+    # straight from the stacked curvature families, one (100, 4, 3, 3, 3, 3)
+    # array of 0.26 MB: its four terms are contracted between two buffers of
+    # that size, the form is (100, 2, 144) and the curvatures come from one
+    # (100, 2, 144) @ (144, 100) product; the columnar result holds 0.08 MB.
+    # The route it replaced folded the assembled (100, 6, 6, 6, 6) curvature
+    # (1.0 MB) point by point and peaked at about 1.64 MB (4.67 MB at
+    # (4,1,1)); with the same two buffers left alive to the end of the form
+    # the family route peaked at 1.44 MB.  Folding the assembled form for
+    # all points at once peaked at about 5.4 MB.
     cfg = RunConfig(ModelParams(3, 1.0, 1.0), num_points=100, num_directions=100, seed=7)
-    assert _peak_mb(lambda: run_sweep(cfg)) < 3.0
+    assert _peak_mb(lambda: run_sweep(cfg)) < 1.5
+
+
+def test_sweep_never_assembles_the_adapted_curvature(monkeypatch) -> None:
+    # The sweep reads the four families and the metric blocks only: no
+    # (points, 2n, 2n, 2n, 2n) tensor is built.
+    calls: dict[str, list] = {}
+    _count(monkeypatch, calls, curvature, "assemble_adapted_curvature", lambda args: np.shape(args[0]))
+    run_sweep(RunConfig(ModelParams(3), num_points=4, num_directions=5, seed=7))
+    assert calls == {}
+
+
+@pytest.mark.parametrize("family", range(4), ids=["hhh", "vvh", "vhh", "vhv"])
+def test_planted_family_error_moves_the_sweep(family: int, monkeypatch) -> None:
+    # A 1e-6 relative error planted in any one of the four families must
+    # show in the sweep values, far above round-off: every family enters the
+    # holomorphic form.
+    cfg = RunConfig(ModelParams(3), num_points=20, num_directions=30, seed=7)
+    clean = run_sweep(cfg).values
+    inner = curvature.curvature_blocks
+
+    def planted(geo, data):
+        T = inner(geo, data)
+        T[..., family, :, :, :, :] *= 1.0 + 1e-6
+        return T
+
+    monkeypatch.setattr(curvature, "curvature_blocks", planted)
+    moved = float(np.max(np.abs(run_sweep(cfg).values - clean))) / float(np.max(np.abs(clean)))
+    assert 1e-9 < moved < 1e-5
 
 
 def test_sweep_result_is_columnar(monkeypatch) -> None:
@@ -323,17 +353,19 @@ def test_sweep_builds_each_point_geometry_once(monkeypatch) -> None:
 
 
 def _sweep_reference(cfg: RunConfig) -> list[tuple[int, float, int, float]]:
-    """Sweep rows built point by point from the single-point closed forms."""
+    """Sweep rows built point by point from the single-point closed forms.
+
+    Each point calls the family route of the sweep on its own families; the
+    route's agreement with the assembled-tensor fold is a separate
+    round-off test (tests/test_contractions.py, tests/test_curvature.py).
+    """
     params = cfg.params
     directions = sample_directions(params, cfg.num_directions, cfg.seed)
     rows = []
     for idx, pt in enumerate(sample_points(params, cfg.num_points, cfg.seed)):
         geo = point_geometry(params, pt)
         data = components_from_geometry(geo)
-        R_ad = assemble_adapted_curvature(curvature_blocks(geo, data))
-        values = curvature.holomorphic_sectional_curvature(
-            R_ad, adapted_metric_matrix(data), adapted_j_matrix(data), directions
-        )
+        values = curvature.holomorphic_sectional_curvature(curvature_blocks(geo, data), data.G, data.H, directions)
         rows.extend((idx, float(geo.t), j, float(v)) for j, v in enumerate(values))
     return rows
 
@@ -389,9 +421,10 @@ def _run_two_points(offset) -> None:
 @pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
 def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
     # evaluate_point builds the real geometry (and so the real base metric),
-    # the lifted blocks, the closed connection and the closed curvature once
-    # per point and hands them to every layer; the layers' complex field
-    # calls are not counted.
+    # the lifted blocks and the closed connection once per point and hands
+    # them to every layer; the layers' complex field calls are not counted.
+    # The closed curvature is read off the step geometry (the next test), so
+    # curvature_blocks never runs on the real geometry.
     calls: dict[str, list] = {}
 
     def real_geometry(geo):
@@ -410,9 +443,9 @@ def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
     assert calls["components_from_geometry"] == [()] * 2
     if offset is None:
         assert calls["coefficients_from_geometry"] == [()] * 2
-        assert calls["curvature_blocks"] == [()] * 2
     else:
-        assert "coefficients_from_geometry" not in calls and "curvature_blocks" not in calls
+        assert "coefficients_from_geometry" not in calls
+    assert "curvature_blocks" not in calls
 
 
 @pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
@@ -422,8 +455,10 @@ def test_verify_runs_each_oracle_once_per_point(offset, monkeypatch) -> None:
     # complex-step layer reads its derivative from them.  The Koszul jet of
     # the lifted metric is the complex step of the coordinate metric on that
     # stack, so koszul_jet runs at a single point only for the base chart
-    # (the batched outer stencils are not counted), and local_symmetry and
-    # the eight parallel rows share the closed curvature blocks on it.
+    # (the batched outer stencils are not counted).  curvature_blocks runs
+    # on that stack only: its frame derivative gives the families at the
+    # point, which the curvature rows, local_symmetry, the eight parallel
+    # rows and the holomorphic rows share; every call is counted.
     calls: dict[str, list] = {}
 
     def step_stack(t):
@@ -435,7 +470,7 @@ def test_verify_runs_each_oracle_once_per_point(offset, monkeypatch) -> None:
     _count(monkeypatch, calls, connection, "koszul_jet",
            lambda args: np.shape(args[1]) if np.ndim(args[1]) == 1 else None)
     _count(monkeypatch, calls, lifted_metric, "coordinate_metric", lambda args: step_stack(args[0].t))
-    _count(monkeypatch, calls, curvature, "curvature_blocks", lambda args: step_stack(args[0].t))
+    _count(monkeypatch, calls, curvature, "curvature_blocks", lambda args: np.shape(args[0].t))
     _run_two_points(offset)
     assert calls["geometry_at"] == [(6, 3)] * 2
     assert calls["components_from_geometry"] == [(6,)] * 2
@@ -453,8 +488,16 @@ def _step(geo):
     return step_geo, components_from_geometry(step_geo)
 
 
+def _parallel_inputs(geo, step_geo, step_data):
+    """What evaluate_point hands parallel_block_residuals: T, dT and K, from the step geometry."""
+    T, dT = frame_derivative(geo, curvature_blocks(step_geo, step_data))
+    return T, dT, assemble_adapted_curvature(T)
+
+
 #: Every layer that reads a complex step, with its arguments, built from the
 #: geometry, the lifted blocks and the step geometry with its blocks.
+#: parallel_block_residuals reads it through the frame derivative of the
+#: curvature families on the step, built as evaluate_point builds it.
 DERIVATIVE_LAYERS = [
     (verify_brackets, lambda geo, data, step_geo, step_data: (geo, step_geo)),
     (energy_frame_derivatives, lambda geo, data, step_geo, step_data: (geo, step_geo)),
@@ -463,7 +506,9 @@ DERIVATIVE_LAYERS = [
     (mtensor_parallel_residuals, lambda geo, data, step_geo, step_data: (geo, step_data)),
     (
         parallel_block_residuals,
-        lambda geo, data, step_geo, step_data: (geo, coefficients_from_geometry(geo, data), step_geo, step_data),
+        lambda geo, data, step_geo, step_data: (
+            geo, coefficients_from_geometry(geo, data), *_parallel_inputs(geo, step_geo, step_data)
+        ),
     ),
 ]
 

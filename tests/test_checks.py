@@ -146,10 +146,11 @@ def test_evaluator_keys_match_running_registry_rows(offset) -> None:
     params = ModelParams(3)
     profile = LiftProfile(offset)
     (pt,) = sample_points(params, 1, 7)
-    values, hol = evaluate_point(params, pt, profile, sample_directions(params, 4, 7))
+    values, families = evaluate_point(params, pt, profile)
     running = {c.name for c in CHECKS if profile.is_kahler or not c.integrable_only}
-    assert set(values) == running - {"hol_sect_nonconstancy"}
-    assert (hol is not None) == profile.is_kahler
+    # run_verify takes the two holomorphic rows from the families of all points
+    assert set(values) == running - {"hol_sect_scale_invariance", "hol_sect_nonconstancy"}
+    assert (families is not None) == profile.is_kahler
 
 
 def test_planted_coordinate_metric_error_shows_in_frame_rows(monkeypatch) -> None:
@@ -194,9 +195,9 @@ def test_planted_base_curvature_error_shows_in_constant_curvature_row(monkeypatc
 
 def test_missing_check_value_raises_instead_of_skipping(monkeypatch) -> None:
     def drop_einstein(*args):
-        values, hol = evaluate_point(*args)
+        values, families = evaluate_point(*args)
         del values["einstein_identity"]
-        return values, hol
+        return values, families
 
     monkeypatch.setattr(checks, "evaluate_point", drop_einstein)
     cfg = RunConfig(ModelParams(3), num_points=1, num_directions=4, seed=7)

@@ -9,7 +9,11 @@ The same holds for the hand-written covariant derivatives and frame
 contractions that ``covariant_derivative`` and ``frame_derivative`` replaced,
 for the three Koszul einsums that ``koszul_christoffel``'s one matmul
 replaced, and for the ``m² × m²`` quadratic form that the holomorphic
-sectional curvature folds onto the ``m(m+1)/2`` unordered index pairs.
+sectional curvature folds onto the ``m(m+1)/2`` unordered index pairs; both
+hold for the assembled-tensor route kept test-side in
+``holomorphic_reference``, and the family route of
+``curvature.holomorphic_sectional_curvature`` equals that route on random
+families and metric blocks at n = 2 to 5, at one point and on stacks.
 ``covariant_derivative`` on leading batch axes equals its unbatched call
 on each item.  The einsum form of ``curvature_blocks``, which the broadcast
 outer products replaced, is kept as its reference on real stacks of points
@@ -29,9 +33,8 @@ from kahler_tube.connection import (
     koszul_christoffel,
 )
 from kahler_tube.curvature import (
+    assemble_adapted_curvature,
     curvature_blocks,
-    folded_quadratic_form,
-    holomorphic_quotient,
     holomorphic_sectional_curvature,
     index_pairs,
     j_invariance_residual,
@@ -39,8 +42,10 @@ from kahler_tube.curvature import (
 )
 from kahler_tube.fd import COMPLEX_STEP, complex_points, complex_step
 from kahler_tube.frames import frame_derivative, geometry_at, point_geometry, step_geometry
-from kahler_tube.lifted_metric import components_from_geometry
+from kahler_tube.lifted_metric import adapted_metric_matrix, components_from_geometry
 from kahler_tube.sampling import sample_points
+
+import holomorphic_reference as reference_route
 
 CASES = [(m, dtype) for m in (6, 10) for dtype in (float, complex)]
 IDS = [f"m{m}-{dtype.__name__}" for m, dtype in CASES]
@@ -157,8 +162,8 @@ def test_holomorphic_sectional_curvature_matches_einsum(m: int) -> None:
     SR = np.einsum("ea,abcd->ebcd", metric, R)
     num = np.einsum("ze,zb,zc,zd,ebcd->z", X, JX, X, JX, SR)
     reference = num / np.einsum("...a,ab,...b->...", X, metric, X) ** 2
-    _assert_agrees(holomorphic_sectional_curvature(R, metric, J, X), reference)
-    _assert_agrees(holomorphic_sectional_curvature(R, metric, J, X[7]), reference[7])
+    _assert_agrees(reference_route.holomorphic_sectional_curvature(R, metric, J, X), reference)
+    _assert_agrees(reference_route.holomorphic_sectional_curvature(R, metric, J, X[7]), reference[7])
 
 
 @pytest.mark.parametrize("m", (3, 6, 10))
@@ -183,11 +188,38 @@ def test_folded_form_equals_the_unfolded_quadratic_form(m: int) -> None:
     Q = np.einsum("ebcd,bf,dg->ecgf", SR, J, J, optimize=True).reshape(m * m, m * m)
     XX = (X[:, :, None] * X[:, None, :]).reshape(len(X), m * m)
     reference = np.einsum("zi,ij,zj->z", XX, Q, XX, optimize=True)
-    Q_pairs = folded_quadratic_form(R, metric, J)
+    Q_pairs = reference_route.folded_quadratic_form(R, metric, J)
     F = index_pairs(m)[2]
     _assert_agrees(Q_pairs, F.T @ Q @ F)
-    folded = holomorphic_quotient(Q_pairs, pair_products(X), np.ones(len(X)))
+    folded = reference_route.holomorphic_quotient(Q_pairs, pair_products(X), np.ones(len(X)))
     assert np.max(np.abs(folded - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def _random_metric_blocks(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Random symmetric positive definite (*shape) blocks."""
+    A = rng.standard_normal(shape)
+    return A @ np.swapaxes(A, -1, -2) + shape[-1] * np.eye(shape[-1])
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_family_form_equals_the_assembled_tensor_fold(n: int) -> None:
+    """Any families and any symmetric G, H (not only G H = 1), at one point and on a stack."""
+    rng = np.random.default_rng(n + 20)
+    T = rng.standard_normal((3, 4) + (n,) * 4)
+    G, H = _random_metric_blocks(rng, 3, n, n), _random_metric_blocks(rng, 3, n, n)
+    X = rng.standard_normal((50, 2 * n))
+    blocks = SimpleNamespace(G=G, H=H)
+    S, J = adapted_metric_matrix(blocks), complex_structure.adapted_j_matrix(blocks)
+    R = assemble_adapted_curvature(T)
+    reference = np.stack(
+        [reference_route.holomorphic_sectional_curvature(R[k], S[k], J[k], X) for k in range(3)]
+    )
+    # Random families give values near zero too: relative to the largest value.
+    stacked = holomorphic_sectional_curvature(T, G, H, X)
+    assert stacked.shape == (3, 50)
+    _agrees_relative(stacked, reference, 1e-13)
+    for k in range(3):
+        _agrees_relative(holomorphic_sectional_curvature(T[k], G[k], H[k], X), reference[k], 1e-13)
 
 
 #: The covariant derivatives the battery wrote out by hand before

@@ -36,7 +36,9 @@ from kahler_tube.lifted_metric import (
     metric_field,
 )
 from kahler_tube.report import relative_spread
-from kahler_tube.sampling import sample_points
+from kahler_tube.sampling import sample_directions, sample_points
+
+import holomorphic_reference as reference_route
 
 PARAMS = ModelParams(3)
 # Flat-origin anchor: x = 0, p = (1,0,0), t = 1/2, v = 1, w = -4/3.
@@ -61,10 +63,22 @@ def _oracle(geo):
     return curvature_oracle_coordinates(geo, *_step(geo))
 
 
+def _families(geo):
+    """The closed families at ``geo`` and their frame derivatives, from its step geometry."""
+    return frame_derivative(geo, curvature_blocks(*_step(geo)))
+
+
 def _parallel(pt, params=PARAMS):
-    """``parallel_block_residuals`` at ``pt``."""
+    """``parallel_block_residuals`` at ``pt``, with the inputs ``evaluate_point`` hands it."""
     geo, W = _coefficients(pt, params)
-    return parallel_block_residuals(geo, W, *_step(geo))
+    T, dT = _families(geo)
+    return parallel_block_residuals(geo, W, T, dT, assemble_adapted_curvature(T))
+
+
+def _holomorphic_setup(pt, params=PARAMS):
+    """The closed families and the metric blocks that the holomorphic route takes."""
+    geo, data = _built(pt, params)
+    return curvature_blocks(geo, data), data.G, data.H
 
 
 def _adapted_setup(pt, params=PARAMS):
@@ -248,9 +262,8 @@ def test_batched_parallel_rows_equal_per_family_calls() -> None:
     # maximum of its own per-family call, as the rows were computed before.
     geo, W = _coefficients(GENERIC)
     n = geo.n
-    step_geo, step_data = _step(geo)
-    T, dT = frame_derivative(geo, curvature_blocks(step_geo, step_data))
-    rows = parallel_block_residuals(geo, W, step_geo, step_data)
+    T, dT = _families(geo)
+    rows = parallel_block_residuals(geo, W, T, dT, assemble_adapted_curvature(T))
     families = {"hhh": "uddd", "vvh": "uuud", "vhh": "uddd", "vhv": "uuud"}
     for kind, conn, dirs in (("horizontal", geo.base.gamma, dT[:n]), ("vertical", W[:n, n:, :n], dT[n:])):
         for k, (name, variance) in enumerate(families.items()):
@@ -261,10 +274,10 @@ def test_batched_parallel_rows_equal_per_family_calls() -> None:
 def test_holomorphic_anchor_values() -> None:
     # Frozen values at the anchor: coordinate-aligned directions give 1/2;
     # the mixed direction e1 + e5 gives 0.82.
-    _, R_ad, S_ad, J_ad = _adapted_setup(ANCHOR)
+    families = _holomorphic_setup(ANCHOR)
 
     def H(vec):
-        return holomorphic_sectional_curvature(R_ad, S_ad, J_ad, np.asarray(vec, float))
+        return holomorphic_sectional_curvature(*families, np.asarray([vec], float))[0]
 
     e = np.eye(6)
     assert H(e[0]) == pytest.approx(0.5, abs=1e-13)
@@ -277,27 +290,25 @@ def test_holomorphic_anchor_values() -> None:
 def test_holomorphic_sample_spread_and_scaling() -> None:
     rng = np.random.default_rng(5)
     directions = rng.standard_normal((64, 6))
-    _, R_ad, S_ad, J_ad = _adapted_setup(ANCHOR)
-    values, scale_invariance = holomorphic_sample(R_ad, S_ad, J_ad, directions)
+    values, scale_invariance = holomorphic_sample(*_holomorphic_setup(ANCHOR), directions)
     assert values.shape == (64,)
     assert scale_invariance < 1e-12
     assert relative_spread(float(np.min(values)), float(np.max(values))) > 1e-3
 
 
 def test_zero_direction_rejected() -> None:
-    _, R_ad, S_ad, J_ad = _adapted_setup(ANCHOR)
     with pytest.raises(DomainError):
-        holomorphic_sectional_curvature(R_ad, S_ad, J_ad, np.zeros(6))
+        holomorphic_sectional_curvature(*_holomorphic_setup(ANCHOR), np.zeros((1, 6)))
 
 
 def test_zero_direction_in_a_batch_rejected() -> None:
-    _, R_ad, S_ad, J_ad = _adapted_setup(ANCHOR)
+    families = _holomorphic_setup(ANCHOR)
     directions = np.random.default_rng(2).standard_normal((8, 6))
     directions[5] = 0.0
     with pytest.raises(DomainError, match="nonzero direction"):
-        holomorphic_sectional_curvature(R_ad, S_ad, J_ad, directions)
+        holomorphic_sectional_curvature(*families, directions)
     with pytest.raises(DomainError, match="nonzero direction"):
-        holomorphic_sample(R_ad, S_ad, J_ad, directions)
+        holomorphic_sample(*families, directions)
 
 
 def _scalar_holomorphic_curvature(R_ad, S_ad, J_ad, X):
@@ -318,11 +329,24 @@ HOLOMORPHIC_CASES = [(PARAMS, ANCHOR)] + [
 )
 def test_batched_holomorphic_curvature_matches_scalar_reference(params, pt) -> None:
     _, R_ad, S_ad, J_ad = _adapted_setup(pt, params)
+    families = _holomorphic_setup(pt, params)
     m = 2 * params.dim
     directions = np.random.default_rng(3).standard_normal((40, m))
     expected = np.array([_scalar_holomorphic_curvature(R_ad, S_ad, J_ad, X) for X in directions])
-    batched = holomorphic_sectional_curvature(R_ad, S_ad, J_ad, directions)
+    batched = holomorphic_sectional_curvature(*families, directions)
     assert batched.shape == (40,)
     assert np.max(np.abs(batched - expected) / np.abs(expected)) <= 1e-13
-    stacked = holomorphic_sectional_curvature(R_ad, S_ad, J_ad, directions.reshape(4, 10, m))
-    np.testing.assert_allclose(stacked, batched.reshape(4, 10), rtol=1e-14)
+    single = holomorphic_sectional_curvature(*families, directions[7:8])
+    np.testing.assert_allclose(single, batched[7:8], rtol=1e-14)
+
+
+@pytest.mark.parametrize("params", [ModelParams(n) for n in (3, 4, 5)], ids=["n3", "n4", "n5"])
+def test_family_route_matches_the_assembled_fold_on_the_closed_form(params) -> None:
+    # The closed curvature at sampled points: the family route against the
+    # fold of the assembled (2n)^4 tensor it replaced.
+    directions = sample_directions(params, 100, seed=7)
+    for pt in sample_points(params, 10, seed=7):
+        _, R_ad, S_ad, J_ad = _adapted_setup(pt, params)
+        expected = reference_route.holomorphic_sectional_curvature(R_ad, S_ad, J_ad, directions)
+        got = holomorphic_sectional_curvature(*_holomorphic_setup(pt, params), directions)
+        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-14

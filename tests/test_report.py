@@ -7,15 +7,45 @@ import numpy as np
 import pytest
 
 from kahler_tube.base_geometry import ModelParams
-from kahler_tube.checks import RunConfig, run_sweep
+from kahler_tube.checks import RunConfig, run_sweep, run_verify
 from kahler_tube.report import (
     CheckResult,
     SweepResult,
     SweepRow,
     VerifyReport,
     format_float,
-    to_json,
 )
+
+
+def _reference_emit(value, indent: int) -> str:
+    """The generic emitter ``VerifyReport.to_json`` replaced, kept as its reference."""
+    pad = "  " * indent
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        return f'"{escaped}"'
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = ",\n".join(f'{pad}  "{k}": {_reference_emit(v, indent + 1)}' for k, v in value.items())
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = ",\n".join(f"{pad}  {_reference_emit(v, indent + 1)}" for v in value)
+        return "[\n" + inner + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _reference_json(report: VerifyReport) -> str:
+    return _reference_emit(report.as_dict(), 0) + "\n"
 
 
 def test_format_float_17_digits_roundtrip() -> None:
@@ -30,12 +60,57 @@ def test_format_float_17_digits_roundtrip() -> None:
 
 def test_json_emission_is_valid_and_ordered() -> None:
     doc = {"b": 1.5, "a": [True, None, "x"], "c": {"k": 2}}
-    text = to_json(doc)
+    text = VerifyReport(config=doc).to_json()
     assert text.endswith("\n")
-    parsed = json.loads(text)
+    parsed = json.loads(text)["config"]
     assert parsed == {"b": 1.5, "a": [True, None, "x"], "c": {"k": 2}}
     # insertion order is preserved, not sorted
     assert list(parsed) == ["b", "a", "c"]
+
+
+#: Reports of the five verify configurations: Kähler at (3,1,1),
+#: (3,2,0.5), (4,1,1) and (5,1,1), and the offset run with its skipped rows.
+GOLDEN_CONFIGS = [
+    RunConfig(ModelParams(3, 1.0, 1.0), num_points=2, num_directions=5, seed=7),
+    RunConfig(
+        ModelParams(3, 2.0, 0.5), num_points=2, num_directions=5, seed=7,
+        tolerance_overrides={"base_bianchi": 1e-9, "j_squared": 1, "local_symmetry": 0.0},
+    ),
+    RunConfig(ModelParams(4, 1.0, 1.0), num_points=2, num_directions=5, seed=7),
+    RunConfig(ModelParams(5, 1.0, 1.0), num_points=1, num_directions=5, seed=7),
+    RunConfig(
+        ModelParams(3, 1.0, 1.0), num_points=2, num_directions=5, seed=7, custom_v_offset=0.1,
+        tolerance_overrides={"nijenhuis_closed_form": 2.5},
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg", GOLDEN_CONFIGS, ids=["n3", "n3-c2-a0.5-tol", "n4", "n5", "offset-tol"])
+def test_report_json_bytes_equal_the_generic_emitter(cfg: RunConfig) -> None:
+    report = run_verify(cfg)
+    assert report.to_json() == _reference_json(report)
+
+
+def test_report_json_escapes_and_odd_values_equal_the_generic_emitter() -> None:
+    # Details and reasons that need escapes, an int tolerance, a float
+    # subclass, an empty config and an empty report.
+    tricky = 'a "quoted" \\ path\nsecond line'
+    report = VerifyReport(
+        config={"nested": {"empty": {}, "list": [1, 2.5, None, "q\"\n"]}, "empty_list": []},
+        checks=[
+            CheckResult(name="alpha", tolerance=1, max_residual=np.float64(0.1), passed=True,
+                        worst_point_id=0, detail=tricky),
+            CheckResult(name='be"ta', tolerance=1e-6, status="skipped", reason=tricky),
+            CheckResult(name="gamma", tolerance=0.0, max_residual=-0.0, passed=False,
+                        worst_point_id=12, reason="r", detail="d"),
+        ],
+    )
+    assert report.to_json() == _reference_json(report)
+    assert json.loads(report.to_json())["checks"][0]["detail"] == tricky
+    for empty in (VerifyReport(config={}), VerifyReport(config={}, checks=[])):
+        assert empty.to_json() == _reference_json(empty)
+    with pytest.raises(TypeError):
+        VerifyReport(config={}, checks=[CheckResult(name="x", tolerance=np.int64(1))]).to_json()
 
 
 def test_check_result_key_order_and_optional_fields() -> None:
