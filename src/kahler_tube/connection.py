@@ -122,22 +122,25 @@ def covariant_derivative(conn: np.ndarray, T: np.ndarray, dT: np.ndarray, varian
 
     ``conn[..., upper, direction, slot]`` and ``dT[..., direction, ...]``
     (the derivative of ``T`` along each basis vector) are given in one
-    frame, coordinate or adapted.  ``variance`` has one letter per index of
-    ``T``: each upper slot ("u") adds sum_s conn[u, l, s] T[..s..] and each
-    lower slot ("d") subtracts sum_s conn[s, l, i] T[..s..].  ``conn``,
-    ``T`` and ``dT`` carry the same number of leading batch axes, which
-    broadcast; each slot is one batched matmul over them.
+    frame, coordinate or adapted.  The directions may be any subset of the
+    basis, such as ``conn[:, tile]`` with ``dT[tile]``: the result holds
+    those directions, each equal to its row of the call on all of them.
+    ``variance`` has one letter per index of ``T``: each upper slot ("u")
+    adds sum_s conn[u, l, s] T[..s..] and each lower slot ("d") subtracts
+    sum_s conn[s, l, i] T[..s..].  ``conn``, ``T`` and ``dT`` carry the
+    same number of leading batch axes, which broadcast; each slot is one
+    batched matmul over them.
     """
 
     batch = conn.ndim - 3
     rank = T.ndim - batch
     if len(variance) != rank or not set(variance) <= {"u", "d"}:
         raise ValueError(f"variance {variance!r} does not describe a rank-{rank} tensor")
-    m = conn.shape[-1]
+    directions, m = conn.shape[-2:]
     # [..., (l, new), s]: conn[new, l, s] for an upper slot, conn[s, l, new] for a lower one
     lower = np.swapaxes(np.swapaxes(conn, -3, -1), -3, -2)
     mats = {
-        kind: mat.reshape(conn.shape[:-3] + (m * m, m))
+        kind: mat.reshape(conn.shape[:-3] + (directions * m, m))
         for kind, mat in (("u", np.swapaxes(conn, -3, -2)), ("d", lower)) if kind in variance
     }
     nabla = np.array(dT, dtype=np.result_type(dT, conn, T))
@@ -145,7 +148,8 @@ def covariant_derivative(conn: np.ndarray, T: np.ndarray, dT: np.ndarray, varian
         # swapping the slot with the first tensor axis and back again keeps every other axis in place
         moved = np.swapaxes(T, batch, batch + slot)
         term = mats[kind] @ moved.reshape(moved.shape[:batch] + (m, -1))  # [..., (l, new), rest]
-        term = np.swapaxes(term.reshape(term.shape[:-2] + (m,) + moved.shape[batch:]), -rank, slot - rank)
+        term = term.reshape(term.shape[:-2] + (directions,) + moved.shape[batch:])
+        term = np.swapaxes(term, -rank, slot - rank)
         if kind == "u":
             nabla += term
         else:

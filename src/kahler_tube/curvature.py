@@ -39,7 +39,7 @@ import numpy as np
 
 from .base_geometry import DomainError
 from .connection import KoszulJet, covariant_derivative, koszul_christoffel, koszul_jet, koszul_oracle
-from .fd import complex_jacobian, field_jacobian
+from .fd import complex_jacobian, field_jacobian, tiles
 from .frames import PointGeometry, frame_transform
 from .lifted_metric import LiftedMetricData, coordinate_metric, metric_field
 
@@ -134,10 +134,13 @@ def curvature_from_metric_field(
 
     ``koszul_oracle`` is the Christoffel field: complex-step derivatives of
     the metric, exact to round-off and batch-generic.  Its derivative is one
-    central-difference Jacobian (``fd.field_jacobian``), whose whole stencil of
-    Koszul evaluations is one metric-field call, so the oracle makes two
-    calls of ``metric_field_fn``: ``m`` complex points at ``z`` and
-    ``m`` times the outer stencil.  The Koszul jet at ``z`` comes back too.
+    central-difference Jacobian (``fd.field_jacobian``) whose stencil of
+    Koszul evaluations is one metric-field call per ``fd.tiles`` tile of
+    whole axes: a single call while the stack fits ``fd.WORKING_SET`` (the
+    lifted metric at n = 3), more from the lifted n = 4 on.  So the oracle
+    calls ``metric_field_fn`` on ``m`` complex points at ``z`` and then on
+    ``m`` complex points per outer stencil point.  The Koszul jet at ``z``
+    comes back too.
     """
     return _koszul_curvature(koszul_jet(metric_field_fn, z), metric_field_fn, z)
 
@@ -145,8 +148,15 @@ def curvature_from_metric_field(
 def _koszul_curvature(
     jet: KoszulJet, metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray
 ) -> tuple[KoszulJet, np.ndarray]:
-    """``jet`` and the coordinate curvature from its Christoffels and their stencil derivative."""
-    gamma, dgamma = jet.christoffel, field_jacobian(partial(koszul_oracle, metric_field_fn), z).value
+    """``jet`` and the coordinate curvature from its Christoffels and their stencil derivative.
+
+    Each stencil point's Koszul evaluation holds up to four float (m, m, m)
+    arrays at once (``dG``, the first-kind symbols, their raised product and
+    its half): its ``point_bytes``.
+    """
+    m = np.size(z)
+    field = partial(koszul_oracle, metric_field_fn)
+    gamma, dgamma = jet.christoffel, field_jacobian(field, z, point_bytes=4 * 8 * m**3).value
     return jet, (
         np.einsum("cadb->abcd", dgamma)
         - np.einsum("dacb->abcd", dgamma)
@@ -259,11 +269,17 @@ def covariant_derivative_residual(W: np.ndarray, K: np.ndarray, dT: np.ndarray) 
     connection W (``nabla_a e_b = W[c, a, b] e_c``) adds the rest, all in
     the adapted frame: near machine precision, and sound as a certificate
     because the differentiated field and the connection are themselves
-    oracle-certified pointwise by the other checks.
+    oracle-certified pointwise by the other checks.  The (2n)^5 ``nabla K``
+    is taken over ``fd.tiles`` of frame directions, each direction's
+    ``dK`` and ``nabla K`` rows (and the product of one slot) held at a time.
     """
 
-    dK = assemble_adapted_curvature(dT)  # [direction, a, b, c, d]
-    return float(np.max(np.abs(covariant_derivative(W, K, dK, "uddd"))))
+    m = K.shape[-1]
+    worst = [
+        np.max(np.abs(covariant_derivative(W[:, tile], K, assemble_adapted_curvature(dT[tile]), "uddd")))
+        for tile in tiles(m, 3 * K.itemsize * m**4)
+    ]
+    return float(np.max(worst))  # a NaN in any tile reaches the report, as from one call
 
 
 def parallel_block_residuals(

@@ -25,8 +25,11 @@ can differentiate them: closed forms are written with arithmetic, ``...``
 einsums and ``np.linalg`` (never ``abs`` or conjugation), arrays are
 allocated with the input's dtype, and domain guards compare ``.real``.
 Each derivative builds every point it needs (every axis and, for
-``field_jacobian``, both signs and every step) and evaluates the field once
-on the stack.  The fields differentiated are built by
+``field_jacobian``, both signs and every step).  ``complex_step`` evaluates
+the field once on that stack; ``field_jacobian`` evaluates it once per tile
+of whole axes (``tiles``), a single tile unless the caller states that the
+field's evaluation holds enough memory per point for the stack to leave
+``WORKING_SET``.  The fields differentiated are built by
 ``frames.geometry_field`` / ``lifted_metric.lifted_field``.
 """
 
@@ -56,16 +59,43 @@ _STEP = 1e-4
 _STEPS = np.array([1.0, 0.5, 0.25])
 
 
-def field_jacobian(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> Derivative:
+#: Bytes a tiled stack is kept within (``tiles``).  Large blocks that numpy
+#: frees go back to the kernel (unmapped, or trimmed off the heap top), and
+#: the next call that allocates them faults every page in again.  With this
+#: budget a warm verify point at n = 4 or 5 takes no minor page fault (1,544
+#: at n = 5 with the curvature oracle's stencil and nabla K untiled).
+WORKING_SET = 512 * 1024
+
+
+def tiles(count: int, item_bytes: int) -> list[slice]:
+    """Contiguous near-equal tiles of ``range(count)``, each within ``WORKING_SET``.
+
+    The tile rule of the package: as many items per tile as fit the working
+    set at ``item_bytes`` each, but at least one, so there are never more
+    tiles than items and a stack that fits is a single tile.
+    """
+    per_tile = max(1, WORKING_SET // item_bytes if item_bytes else count)
+    k = -(-count // per_tile)
+    bounds = [count * j // k for j in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def field_jacobian(
+    field: Callable[[np.ndarray], np.ndarray], x: np.ndarray, point_bytes: int = 0
+) -> Derivative:
     """All partial derivatives by central differences, derivative axis first.
 
     For a field with values of shape S the result has shape (m,) + S where
-    m = x.size and result[k] is the partial along coordinate k.  The field is
-    evaluated once, on the stack of every stencil point ``x + s*e_k`` and
-    ``x - s*e_k`` for the steps h, h/2 and h/4; two Richardson levels cancel
-    the h^2 and h^4 truncation terms.  The error estimate is the worst axis's
-    gap between the two Richardson levels plus a round-off floor from the
-    values at step h, so it stays meaningful when the step leaves the
+    m = x.size and result[k] is the partial along coordinate k.  The stencil
+    is every point ``x + s*e_k`` and ``x - s*e_k`` for the steps h, h/2 and
+    h/4; two Richardson levels cancel the h^2 and h^4 truncation terms.  The
+    field is evaluated on it in ``tiles`` of whole axes, each axis's six
+    points together, where ``point_bytes`` is what one evaluation holds per
+    stencil point: one call when the stack fits ``WORKING_SET`` (always for
+    the default 0).  Each axis's derivative and error read only its own
+    points, so tiling changes no float.  The error estimate is the worst
+    axis's gap between the two Richardson levels plus a round-off floor from
+    the values at step h, so it stays meaningful when the step leaves the
     asymptotic regime.
     """
 
@@ -73,22 +103,35 @@ def field_jacobian(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> 
     m = x.size
     h = _STEP * (1.0 + float(np.max(np.abs(x), initial=0.0)))
     steps = h * _STEPS  # [L]
-    offsets = steps[None, :, None] * np.eye(m)[:, None, :]
-    points = np.stack([x + offsets, x - offsets], axis=2)  # [m, L, sign, m]
-    values = np.asarray(field(points.reshape(-1, m)), dtype=float)
-    values = values.reshape(points.shape[:3] + values.shape[1:])
+    eye = np.eye(m)
+    value = None
+    errors = []
+    for tile in tiles(m, 2 * len(steps) * point_bytes):
+        offsets = steps[None, :, None] * eye[tile, None, :]
+        points = np.stack([x + offsets, x - offsets], axis=2)  # [axis, L, sign, m]
+        values = np.asarray(field(points.reshape(-1, m)), dtype=float)
+        values = values.reshape(points.shape[:3] + values.shape[1:])
+        if value is None:
+            value = np.empty((m,) + values.shape[3:])
+        value[tile], error = _richardson(values, steps, h)
+        errors.append(error)
+    return Derivative(value, float(np.max(np.concatenate(errors))))
+
+
+def _richardson(values: np.ndarray, steps: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives and each axis's error estimate from ``values[axis, L, sign, *S]``."""
+    k = values.shape[0]
     tail = (1,) * (values.ndim - 3)
     central = (values[:, :, 0] - values[:, :, 1]) / (2.0 * steps).reshape((1, -1) + tail)
 
     def worst(a: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(a).reshape(m, -1), axis=1, initial=0.0)
+        return np.max(np.abs(a).reshape(k, -1), axis=1, initial=0.0)
 
     floor = 4.0 * _EPS * (1.0 + worst(values[:, 0])) / h
     d0, d1, d2 = central[:, 0], central[:, 1], central[:, 2]
     e1 = (4.0 * d1 - d0) / 3.0
     e1b = (4.0 * d2 - d1) / 3.0
-    error = worst(e1b - e1) + floor
-    return Derivative((16.0 * e1b - e1) / 15.0, float(np.max(error)))
+    return (16.0 * e1b - e1) / 15.0, worst(e1b - e1) + floor
 
 
 #: Imaginary step of ``complex_step``.  No difference is taken, so nothing

@@ -1,8 +1,8 @@
 """Batch- and dtype-generic geometry: a stack of points gives the stack of values.
 
-The fd primitives hand each field its whole stencil as one ``(k, 2n)``
-stack, so every closed form they differentiate must treat leading axes as a
-batch; ``fd.complex_step`` hands it complex points, so the closed forms must
+The fd primitives hand each field its stencil as ``(k, 2n)`` stacks (the
+whole stencil, or ``field_jacobian``'s tiles of whole axes), so every closed
+form they differentiate must treat leading axes as a batch; ``fd.complex_step`` hands it complex points, so the closed forms must
 also be analytic with guards on the real part.  The memory guards keep the
 nested oracle fields within budget.  A verify point builds one complex
 geometry of 2n points, the step geometry, and every layer that
@@ -246,30 +246,31 @@ def _peak_mb(fn) -> float:
 
 
 def test_curvature_oracle_memory_stays_one_level_deep() -> None:
-    # Measured at n = 5 (tracemalloc peak): about 3.09 MB with complex-step
-    # Christoffels over the whole outer stencil in one metric-field call, the
-    # coordinate metric filled block by block from the closed-form gamma_p
-    # and the Koszul symbols raised by one matmul; 4.28 MB when every stacked
-    # geometry also built the (600, 5, 5, 5) Christoffel stack for gamma_p;
-    # about 7.4 MB when the metric went through frame_transform.  Real-fd
-    # Koszul stencils took about 1.1 MB looped over the outer stencil point
-    # by point and about 15 MB nested in one batch.  The step geometry the
-    # jet reads is built in the measured run (3.12 MB with it).
-    assert _peak_mb(lambda: curvature_oracle_coordinates(GEO_5, *_step(GEO_5))) < 3.6
+    # Measured at n = 5 (tracemalloc peak, step geometry built in the
+    # measured run): about 0.86 MB with the outer stencil's complex-step
+    # Christoffels evaluated in five tiles of two axes (fd.tiles); 3.12 MB
+    # with the whole 60-point stencil in one metric-field call; 4.28 MB when
+    # every stacked geometry also built the (600, 5, 5, 5) Christoffel stack
+    # for gamma_p; about 7.4 MB when the metric went through frame_transform.
+    # Real-fd Koszul stencils took about 1.1 MB looped over the outer stencil
+    # point by point and about 15 MB nested in one batch.  The bound leaves
+    # 0.24 MB (about a quarter) above the measured peak.
+    assert _peak_mb(lambda: curvature_oracle_coordinates(GEO_5, *_step(GEO_5))) < 1.1
 
 
 def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
-    # Measured at n = 5 (tracemalloc peak): about 2.8 MB for the layer, which
-    # differentiates the stacked closed-form families once and assembles K
-    # and its frame derivatives for local_symmetry from them.  A second
-    # complex step of the assembled adapted-frame curvature alone peaked at
-    # about 3.2 MB; one of the coordinate-frame curvature at about 5.1 MB,
-    # because frame_transform then works on a complex (10, 10^4) stack.  With
-    # the step geometry built in the measured run: about 2.94 MB.  The step,
-    # its frame derivative and K are built in the measured run, as
-    # evaluate_point builds them once for the curvature rows.
+    # Measured at n = 5 (tracemalloc peak): about 1.05 MB for the layer, with
+    # the step geometry, the frame derivative of the stacked closed-form
+    # families and K built in the measured run, as evaluate_point builds
+    # them once for the curvature rows; local_symmetry assembles dK and
+    # takes nabla K two frame directions at a time (fd.tiles).  With the
+    # whole (2n)^5 dK and nabla K at once: 2.81 MB.  A second complex step
+    # of the assembled adapted-frame curvature alone peaked at about
+    # 3.2 MB; one of the coordinate-frame curvature at about 5.1 MB, because
+    # frame_transform then works on a complex (10, 10^4) stack.  The bound
+    # leaves 0.25 MB (about a quarter) above the measured peak.
     W = coefficients_from_geometry(GEO_5, components_from_geometry(GEO_5))
-    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, *_parallel_inputs(GEO_5, *_step(GEO_5)))) < 5.0
+    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, *_parallel_inputs(GEO_5, *_step(GEO_5)))) < 1.3
 
 
 def test_sweep_memory_stays_one_point_deep() -> None:

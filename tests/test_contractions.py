@@ -305,6 +305,21 @@ def test_batched_covariant_derivative_equals_each_item(variance: str, m: int, dt
             np.testing.assert_array_equal(batched[k, f], covariant_derivative(conn[k], T[f], dT[k, f], variance))
 
 
+@pytest.mark.parametrize("variance", ["uddd", "uuud", "dd", "uu"])
+@pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)
+def test_covariant_derivative_on_a_subset_of_directions_is_its_slice(variance: str, m: int, dtype: type) -> None:
+    # local_symmetry takes nabla K over tiles of frame directions:
+    # conn[:, tile] with dT[tile], against the rows of the call on all of them.
+    rng = np.random.default_rng(m + 10)
+    rank = len(variance)
+    conn = _random(rng, dtype, m, m, m)
+    T = _random(rng, dtype, *(m,) * rank)
+    dT = _random(rng, dtype, *(m,) * (rank + 1))
+    whole = covariant_derivative(conn, T, dT, variance)
+    for tile in (slice(0, 1), slice(1, m // 2), slice(m // 2, m), [0, m - 1]):
+        np.testing.assert_array_equal(covariant_derivative(conn[:, tile], T, dT[tile], variance), whole[tile])
+
+
 def _curvature_blocks_einsum(geo, data) -> np.ndarray:
     """``curvature_blocks`` as it was written with einsum, term by term."""
     n = geo.n

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kahler_tube import frames
+from kahler_tube import curvature, frames
 from kahler_tube.base_geometry import DomainError, ModelParams, first_bianchi_residual
 from kahler_tube.complex_structure import adapted_j_matrix
 from kahler_tube.connection import (
@@ -14,6 +14,7 @@ from kahler_tube.connection import (
 )
 from kahler_tube.curvature import (
     assemble_adapted_curvature,
+    covariant_derivative_residual,
     curvature_blocks,
     curvature_from_metric_field,
     curvature_oracle_coordinates,
@@ -135,6 +136,83 @@ def test_curvature_oracle_takes_two_metric_field_calls(monkeypatch) -> None:
     _oracle(geo)
     n = PARAMS.dim
     assert [np.shape(args[1]) for args in calls] == [(2 * n, n), (2 * n * 3 * 2, 2 * n, n)]
+
+
+def _sampled_geometry(dim: int):
+    params = ModelParams(dim)
+    return point_geometry(params, sample_points(params, 1, seed=11)[0])
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_curvature_oracle_tiles_its_stencil_by_working_set(dim: int, monkeypatch) -> None:
+    # The outer stencil's Koszul evaluations are one metric-field call at
+    # n = 3 and tiles of whole axes (six points each) from n = 4 on.
+    geo = _sampled_geometry(dim)
+    calls = []
+    inner = frames.geometry_at
+
+    def counting(*args):
+        calls.append(np.shape(args[1]))
+        return inner(*args)
+
+    monkeypatch.setattr(frames, "geometry_at", counting)
+    _oracle(geo)
+    m = 2 * dim
+    assert calls[0] == (m, dim)  # the step geometry
+    stencil = calls[1:]
+    assert all(shape[0] % 6 == 0 and shape[1:] == (m, dim) for shape in stencil)
+    assert sum(shape[0] for shape in stencil) == 6 * m
+    if dim == 3:
+        assert stencil == [(6 * m, m, dim)]
+    else:
+        assert 1 < len(stencil) <= m
+
+
+def _oracle_stencil(geo, monkeypatch):
+    """The field, point and ``point_bytes`` of the curvature oracle's ``field_jacobian`` call."""
+    seen = []
+    inner = curvature.field_jacobian
+
+    def recording(field, x, point_bytes=0):
+        seen.append((field, x, point_bytes))
+        return inner(field, x, point_bytes)
+
+    monkeypatch.setattr(curvature, "field_jacobian", recording)
+    _oracle(geo)
+    (call,) = seen
+    return call
+
+
+@pytest.mark.parametrize("dim", [5, 8])
+def test_tiled_koszul_stencil_equals_one_call_bitwise(dim: int, monkeypatch) -> None:
+    # Each axis's derivative and error read only its own six points, so the
+    # tiles change no float; at n = 8 every axis is a tile of its own.
+    field, z, point_bytes = _oracle_stencil(_sampled_geometry(dim), monkeypatch)
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return field(points)
+
+    whole = field_jacobian(counted, z)
+    tiled = field_jacobian(counted, z, point_bytes)
+    m = 2 * dim
+    assert calls[0] == 6 * m and 1 < len(calls[1:]) <= m
+    if dim == 8:
+        assert calls[1:] == [6] * m
+    np.testing.assert_array_equal(tiled.value, whole.value)
+    assert tiled.error == whole.error
+
+
+def test_local_symmetry_over_direction_tiles_equals_one_call() -> None:
+    geo = _sampled_geometry(5)
+    W = coefficients_from_geometry(geo, components_from_geometry(geo))
+    T, dT = _families(geo)
+    K = assemble_adapted_curvature(T)
+    whole = float(np.max(np.abs(covariant_derivative(W, K, assemble_adapted_curvature(dT), "uddd"))))
+    assert covariant_derivative_residual(W, K, dT) == whole
+    W[:, -1] = np.nan  # the last direction's tile
+    assert np.isnan(covariant_derivative_residual(W, K, dT))
 
 
 def test_oracle_jet_from_the_step_geometry_equals_the_koszul_jet() -> None:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahler_tube.base_geometry import DomainError
-from kahler_tube.fd import complex_step, field_jacobian
+from kahler_tube.fd import WORKING_SET, complex_step, field_jacobian, tiles
 
 
 def test_directional_derivative_exponential() -> None:
@@ -84,6 +84,50 @@ def test_each_primitive_evaluates_its_stencil_in_one_call(rank: int, m: int) -> 
     assert calls == [(6 * m, m), (m, m)]
     assert fd.value.shape == cs.value.shape == (m,) + (m,) * rank
     assert np.allclose(fd.value, cs.value, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    ("count", "item_bytes", "expected"),
+    [
+        (6, 0, 1),  # no stated size: one tile
+        (6, WORKING_SET // 6, 1),  # the stack fits exactly
+        (10, WORKING_SET // 3, 4),  # three items a tile
+        (7, WORKING_SET // 2 + 1, 7),  # one item a tile
+        (16, 10 * WORKING_SET, 16),  # items past the budget: never more tiles than items
+    ],
+)
+def test_tiles_cover_the_items_within_the_working_set(count: int, item_bytes: int, expected: int) -> None:
+    parts = tiles(count, item_bytes)
+    assert len(parts) == expected
+    assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]] and parts[-1].stop == count
+    sizes = [p.stop - p.start for p in parts]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert all(size == 1 or size * item_bytes <= WORKING_SET for size in sizes)
+
+
+def test_tiled_stencil_equals_one_call_bitwise() -> None:
+    # point_bytes only splits the stencil into tiles of whole axes: the same
+    # points, the same Richardson combination, the same worst-axis error.
+    z = np.linspace(-0.4, 0.8, 6)
+    field, calls = _counting(lambda p: _of_rank(p, 2))
+    whole = field_jacobian(field, z)
+    tiled = field_jacobian(field, z, point_bytes=WORKING_SET // 12)  # two axes a tile
+    assert calls == [(36, 6), (12, 6), (12, 6), (12, 6)]
+    np.testing.assert_array_equal(tiled.value, whole.value)
+    assert tiled.error == whole.error
+
+
+def test_tiled_stencil_keeps_a_nan_error() -> None:
+    # Only the last axis's minus side leaves the field's domain: its tile's
+    # NaN error must reach the result, as it does from one call.
+    z = np.linspace(-0.4, 0.8, 6)
+
+    def field(p: np.ndarray) -> np.ndarray:
+        return np.sqrt(p[..., 5] - 0.8)
+
+    with np.errstate(invalid="ignore"):
+        for point_bytes in (0, WORKING_SET // 12):
+            assert np.isnan(field_jacobian(field, z, point_bytes).error)
 
 
 def test_complex_step_exact_on_exponential() -> None:
