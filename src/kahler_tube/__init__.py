@@ -29,6 +29,7 @@ from .lifted_metric import (
     tube_check,
 )
 from .report import SweepResult, VerifyReport
+from .sampling import sample_points
 
 __all__ = [
     "BundlePoint",
@@ -48,6 +49,7 @@ __all__ = [
     "point_geometry",
     "run_sweep",
     "run_verify",
+    "sample_points",
     "tube_check",
 ]
 

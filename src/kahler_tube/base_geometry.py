@@ -8,7 +8,10 @@ of g and Gamma; all are closed-form here, and all but g and its inverse are
 computed on first use.  Finite differences appear only in the oracles.
 
 Every function here accepts a stack of chart points ``(..., n)`` as well as
-a single point; the arrays below then carry the same leading batch axes.
+a single point; the arrays below then carry the same leading batch axes,
+and a residual check returns one value per point (``fd.max_abs``).
+``PointStack`` gives every record built at a stack its points,
+``record[k]``.
 Points may be complex (for complex-step oracles): the closed forms are
 analytic and the chart guard compares the real part.
 
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .fd import max_abs
 
 
 class DomainError(ValueError):
@@ -71,8 +76,28 @@ class ModelParams:
             raise DomainError(reason)
 
 
+class PointStack:
+    """A record built at a stack of points; ``record[k]`` is the record at point ``k``.
+
+    Every array the record holds, fields and values cached on first use
+    alike, carries the stack's batch axes first, so the record at point
+    ``k`` is the same arrays indexed at ``k``, nested records too: nothing
+    is evaluated again.
+    """
+
+    def __getitem__(self, k):
+        out = object.__new__(type(self))
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                value = value[k, ...]
+            elif isinstance(value, PointStack):
+                value = value[k]
+            out.__dict__[name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class BaseMetricData:
+class BaseMetricData(PointStack):
     """Closed-form metric data of the base manifold at one chart point or a stack.
 
     ``gamma``, ``dgamma`` and ``riem`` are computed on first use: only
@@ -163,17 +188,17 @@ def metric_field(params: ModelParams):
     return field
 
 
-def verify_constant_curvature(base: BaseMetricData, riem: np.ndarray) -> float:
-    """Max deviation of ``riem`` from c (delta^h_i g_jk - delta^h_j g_ik) at ``base``.
+def verify_constant_curvature(base: BaseMetricData, riem: np.ndarray) -> float | np.ndarray:
+    """Max deviation of ``riem`` from c (delta^h_i g_jk - delta^h_j g_ik) at ``base``, per point.
 
     ``base.riem`` is that closed form, so ``riem`` must be recomputed
     independently (the finite-difference oracle's tensor) for the residual
     to certify constant curvature.
     """
-    return float(np.max(np.abs(riem - base.riem)))
+    return max_abs(riem - base.riem, base.u.ndim)
 
 
-def first_bianchi_residual(riem: np.ndarray) -> float:
-    """Max |cyclic sum of riem over its three lower slots|."""
-    cyc = riem + np.einsum("hkij->hijk", riem) + np.einsum("hkij->hjki", riem)
-    return float(np.max(np.abs(cyc)))
+def first_bianchi_residual(riem: np.ndarray) -> float | np.ndarray:
+    """Max |cyclic sum of riem over its three lower slots|, per point of a stack ``(..., m, m, m, m)``."""
+    cyc = riem + np.einsum("...hkij->...hijk", riem) + np.einsum("...hkij->...hjki", riem)
+    return max_abs(cyc, riem.ndim - 4)

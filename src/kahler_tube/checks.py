@@ -4,33 +4,43 @@
 name, default tolerance, whether it needs the integrable (Kähler) profile,
 and whether it passes by exceeding its tolerance instead of staying below.
 
-``run_verify`` works in three steps.  ``evaluate_point`` computes every
-per-point check value at one sampled point (the integrable-only layers only
-for the Kähler profile); each layer returns a float or a tuple of floats,
-unpacked straight into check names.  ``_worst_over_points`` keeps, for each
-check, the largest value and the first point that reached it.  The two
-holomorphic rows are added after it, from one ``holomorphic_sample`` over
-the curvature families of all points, stacked as ``run_sweep`` stacks them:
-``hol_sect_scale_invariance`` by the same rule and the cross-point
-``hol_sect_nonconstancy``.  A final loop over ``CHECKS`` builds one report
-row per check.  Checks are independent: a failing identity never aborts the
-others.  In offset (non-integrable) mode the integrable-only rows are
-skipped with a reason, and the Nijenhuis vanishing check is expected to
-fail — that failure is the negative test.
+``run_verify`` works in three steps.  It validates the sampled points as
+one stacked ``BundlePoint`` and splits them into ``fd.tiles`` by the
+battery's bytes per point (``tile_point_bytes``: a small n = 3 or 4 run is
+one tile, an n = 5 point a tile of its own).  ``evaluate_points`` computes
+every per-point check value over one tile, one column per check: the
+layers that run under every profile once per tile, on stacks, each
+returning one value per point (the largest over that point's own
+components, so a point's value does not depend on its tile), and the
+integrable-only layers, for the Kähler profile only, point by point on the
+points of those stacks.  Each layer returns a float, an array of one float
+per point or a tuple of them, unpacked straight into check names.
+``_worst_over_points`` keeps, for each check, the worst value and the
+first point that reached it: the first non-finite value if any, else the
+largest.  The two holomorphic rows are added after it, from one
+``holomorphic_sample`` over the curvature families of all points, stacked
+as ``run_sweep`` stacks them: ``hol_sect_scale_invariance`` by the largest
+value and the cross-point ``hol_sect_nonconstancy``.  A final loop over
+``CHECKS`` builds one report row per check.  Checks are independent: a
+failing identity never aborts the others.  In offset (non-integrable) mode
+the integrable-only rows are skipped with a reason, and the Nijenhuis
+vanishing check is expected to fail — that failure is the negative test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from . import base_geometry, complex_structure, connection, curvature, lifted_metric
 from .base_geometry import ModelParams
+from .fd import max_abs, tiles
 from .frames import (
     BundlePoint,
+    PointGeometry,
     energy_frame_derivatives,
     frame_derivative,
     frame_transform,
@@ -39,9 +49,9 @@ from .frames import (
     step_geometry,
     verify_brackets,
 )
-from .lifted_metric import LiftProfile
+from .lifted_metric import LiftedMetricData, LiftProfile
 from .report import CheckResult, SweepResult, VerifyReport, relative_spread
-from .sampling import sample_chart_points, sample_directions, sample_points
+from .sampling import sample_chart_points, sample_directions
 
 
 class ConfigError(ValueError):
@@ -181,46 +191,71 @@ class RunConfig:
         }
 
 
-def _max_abs(array: np.ndarray) -> float:
-    return float(np.max(np.abs(array)))
+def _max_abs(array: np.ndarray) -> np.ndarray:
+    """Largest |component| of each point of a stack: one value per point."""
+    return max_abs(array, 1)
 
 
-def _positive_definite_residual(matrix: np.ndarray) -> float:
-    """0.0 when strictly positive definite, else the worst eigenvalue defect."""
-    smallest = float(np.min(np.linalg.eigvalsh(matrix)))
-    return 0.0 if smallest > 0.0 else abs(smallest) + np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
-def evaluate_point(
-    params: ModelParams, pt: BundlePoint, profile: LiftProfile
-) -> tuple[dict[str, Value], Families | None]:
-    """Every per-point check value at ``pt``, keyed by check name.
+def _positive_definite_residual(matrix: np.ndarray) -> np.ndarray:
+    """Per point of a stack: 0.0 when strictly positive definite, else the worst eigenvalue defect."""
+    smallest = np.linalg.eigvalsh(matrix).min(axis=-1)
+    return np.where(smallest > 0.0, 0.0, np.abs(smallest) + _TINY)
 
-    The point geometry, the lifted blocks, the adapted and coordinate metric,
-    the adapted structure and, for the Kähler profile, the closed connection
-    ``W`` are built once here and handed to every layer.  So are the step
-    geometry at the 2n complex-step points (``step_geometry``) and its
-    lifted blocks, from which every complex-step layer reads its derivative.
-    The closed curvature families ``T`` at the point and their frame
-    derivatives ``dT`` are one ``frame_derivative`` of ``curvature_blocks``
-    on the step, and their assembly is the closed adapted curvature: the
-    curvature rows, ``local_symmetry`` and the parallel rows read these.
-    The integrable-only layers run only for the Kähler profile.  The second
-    item holds ``T`` and the metric blocks ``G``, ``H`` (None for any other
+
+def tile_point_bytes(n: int) -> int:
+    """Bytes the battery holds per point of a verify tile: twenty complex (2n)^3 arrays.
+
+    That bounds the tracemalloc peak per point of ``evaluate_points`` under
+    the offset profile, where only the stacked layers run: 44–61 KB at
+    n = 3, 108–136 KB at n = 4, 150–294 KB at n = 5 and 570–930 KB at n = 8
+    over tiles of 1 to 8 points, the most for a tile of one.  So seven
+    points at n = 3 make a tile, three at n = 4 and one from n = 5 on.
+    """
+    return 20 * 16 * (2 * n) ** 3
+
+
+def evaluate_points(
+    params: ModelParams, pts: BundlePoint, profile: LiftProfile
+) -> tuple[dict[str, Sequence[Value]], Families | None]:
+    """Every per-point check value at the stack of points ``pts``, one column per check name.
+
+    Entry k of a column is the value at point k.  The geometry, the lifted
+    blocks, the adapted and coordinate metric and the adapted structure
+    are built once here, as stacks, and handed to every layer.  So are the
+    step geometry at the 2n complex-step points of each point
+    (``step_geometry``) and its lifted blocks, from which every
+    complex-step layer reads its derivative.  Every layer that runs under
+    every profile is called once, on the stacks, and returns one value per
+    point, the maximum over that point's own components; so entry k equals
+    the value of a stack of point k alone, bit for bit, and a non-finite
+    value stays at its point.
+
+    The integrable-only layers run only for the Kähler profile, point by
+    point, on the points of the stacks (``geo[k]``, which indexes the
+    arrays already built): the closed connection ``W``, the curvature
+    oracle and the connection rows, and the closed curvature families
+    ``T`` at the point with their frame derivatives ``dT``, one
+    ``frame_derivative`` of ``curvature_blocks`` on the step, whose
+    assembly is the closed adapted curvature that the curvature rows,
+    ``local_symmetry`` and the parallel rows read.  The second item holds
+    the stacked ``T`` and the metric blocks ``G``, ``H`` (None for any other
     profile), from which ``run_verify`` takes the holomorphic rows.
     """
     n = params.dim
-    geo = point_geometry(params, pt)
+    geo = point_geometry(params, pts)
     base = geo.base
     data = lifted_metric.components_from_geometry(geo, profile)
     step_geo = step_geometry(geo)
     step_data = lifted_metric.components_from_geometry(step_geo, profile)
-    values: dict[str, Value] = {}
+    values: dict[str, Sequence[Value]] = {}
 
     # Base chart: closed forms against their own fd recomputation.
     base_field = base_geometry.metric_field(params)
     values["base_metric_inverse"] = _max_abs(base.g @ base.g_inv - np.eye(n))
-    base_jet, riem_fd = curvature.curvature_from_metric_field(base_field, pt.x)
+    base_jet, riem_fd = curvature.curvature_from_metric_field(base_field, pts.x)
     values["base_christoffel_fd"] = _max_abs(base.gamma - base_jet.christoffel)
     values["base_riemann_fd"] = _max_abs(base.riem - riem_fd)
     values["base_constant_curvature"] = base_geometry.verify_constant_curvature(base, riem_fd)
@@ -232,7 +267,7 @@ def evaluate_point(
         geo, step_geo
     )
     values["frame_dual_pairing"] = geo.frame.dual_pairing_residual()
-    values["energy_frame_derivative"] = max(energy_frame_derivatives(geo, step_geo))
+    values["energy_frame_derivative"] = np.maximum(*energy_frame_derivatives(geo, step_geo))
 
     # Lifted metric blocks (defined for every profile).  The coordinate
     # metric is the block formula; reading it back through the generic
@@ -242,19 +277,19 @@ def evaluate_point(
     back = frame_transform(S_coord, "dd", geo.frame, to="adapted")
     values["frame_roundtrip"] = _max_abs(back - S_ad)
     values["lifted_inverse_pair"] = _max_abs(data.G @ data.H - np.eye(n))
-    values["lifted_positive_definite"] = max(
+    values["lifted_positive_definite"] = np.maximum(
         _positive_definite_residual(data.G), _positive_definite_residual(data.H)
     )
-    values["lifted_orthogonality"] = max(_max_abs(back[:n, n:]), _max_abs(back[n:, :n]))
-    values["full_metric_blocks"] = max(
-        _max_abs(back[:n, :n] - data.G), _max_abs(back[n:, n:] - data.H)
+    values["lifted_orthogonality"] = np.maximum(_max_abs(back[:, :n, n:]), _max_abs(back[:, n:, :n]))
+    values["full_metric_blocks"] = np.maximum(
+        _max_abs(back[:, :n, :n] - data.G), _max_abs(back[:, n:, n:] - data.H)
     )
 
     # Almost complex structure and fundamental form, in coordinates.
     J_ad = complex_structure.adapted_j_matrix(data)
     J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
     values["j_squared"] = _max_abs(J_coord @ J_coord + np.eye(2 * n))
-    values["hermitian"] = _max_abs(J_coord.T @ S_coord @ J_coord - S_coord)
+    values["hermitian"] = _max_abs(np.swapaxes(J_coord, -1, -2) @ S_coord @ J_coord - S_coord)
     values["fundamental_form_blocks"] = complex_structure.fundamental_form_block_residual(S_ad @ J_ad)
     values["fundamental_form_closed"] = complex_structure.fundamental_form(step_geo, step_data)
 
@@ -262,13 +297,34 @@ def evaluate_point(
     closed_n = complex_structure.nijenhuis_closed_form(geo, data)
     values["nijenhuis_closed_form"] = _max_abs(closed_n)
     fd_n, off_distribution = complex_structure.nijenhuis_fd_full(geo, step_geo, step_data)
-    values["nijenhuis_fd_match"] = max(_max_abs(closed_n - fd_n), off_distribution)
+    values["nijenhuis_fd_match"] = np.maximum(_max_abs(closed_n - fd_n), off_distribution)
 
     if not profile.is_kahler:
         return values, None
 
     values["lifted_kahler_identity"] = lifted_metric.kahler_identity_residual(params, data)
     values["lifted_w_consistency"] = lifted_metric.w_consistency_residual(params, data)
+    points = [
+        _integrable_values(geo[k], data[k], step_geo[k], step_data[k], S_ad[k], S_coord[k], J_ad[k])
+        for k in range(len(data.t))
+    ]
+    for name in points[0][0]:
+        values[name] = [point_values[name] for point_values, _ in points]
+    return values, (np.stack([T for _, T in points]), data.G, data.H)
+
+
+def _integrable_values(
+    geo: PointGeometry,
+    data: LiftedMetricData,
+    step_geo: PointGeometry,
+    step_data: LiftedMetricData,
+    S_ad: np.ndarray,
+    S_coord: np.ndarray,
+    J_ad: np.ndarray,
+) -> tuple[dict[str, Value], np.ndarray]:
+    """The integrable-only values at one point, with its closed curvature families ``T``."""
+    n = geo.n
+    values: dict[str, Value] = {}
 
     # Levi-Civita connection: closed forms against the Koszul oracle.
     jet, R_oracle_coord = curvature.curvature_oracle_coordinates(geo, step_geo, step_data)
@@ -296,37 +352,56 @@ def evaluate_point(
         geo, S_coord, R_oracle_coord
     )
     values.update(curvature.parallel_block_residuals(geo, W, T, dT, R_closed_ad))
-    return values, (T, data.G, data.H)
+    return values, T
 
 
 def _worst_over_points(
-    per_point: list[dict[str, Value]],
+    columns: dict[str, Sequence[Value]],
 ) -> dict[str, tuple[float, int, str | None]]:
-    """Per check: the largest value over the points, its point, its detail.
+    """Per check: the worst value over the points, its point, its detail.
 
-    Ties keep the first point that reached the value.
+    ``columns`` holds each check's values, entry k at point k.  The worst
+    value is the first non-finite one if any point has one, so that no
+    point's NaN is outvoted by the others, and otherwise the largest; ties
+    keep the first point that reached it.
     """
     worst: dict[str, tuple[float, int, str | None]] = {}
-    for idx, values in enumerate(per_point):
-        for name, entry in values.items():
+    for name, column in columns.items():
+        for idx, entry in enumerate(column):
             value, detail = entry if isinstance(entry, tuple) else (entry, None)
             value = float(value)
-            if name not in worst or value > worst[name][0]:
+            if not math.isfinite(value):
+                worst[name] = (value, idx, detail)
+                break
+            if idx == 0 or value > worst[name][0]:
                 worst[name] = (value, idx, detail)
     return worst
 
 
 def run_verify(cfg: RunConfig) -> VerifyReport:
+    """The certification report over the run's sampled points.
+
+    The points are validated as one stacked ``BundlePoint`` and split into
+    ``fd.tiles`` of ``fd.WORKING_SET`` at the battery's bytes per point
+    (``tile_point_bytes``), and ``evaluate_points`` evaluates each tile.
+    Tile sizes follow from n and the point count alone.
+    """
     cfg.require_admissible()
     params = cfg.params
     profile = cfg.profile()
-    points = sample_points(params, cfg.num_points, cfg.seed)
+    points = BundlePoint(*sample_chart_points(params, cfg.num_points, cfg.seed))
     directions = sample_directions(params, cfg.num_directions, cfg.seed)
 
-    evaluated = [evaluate_point(params, pt, profile) for pt in points]
-    worst = _worst_over_points([values for values, _ in evaluated])
+    columns: dict[str, list[Value]] = {}
+    families = []
+    for tile in tiles(cfg.num_points, tile_point_bytes(params.dim)):
+        values, tile_families = evaluate_points(params, points[tile], profile)
+        for name, column in values.items():
+            columns.setdefault(name, []).extend(column)
+        families.append(tile_families)
+    worst = _worst_over_points(columns)
     if profile.is_kahler:
-        T, G, H = (np.stack(parts) for parts in zip(*(families for _, families in evaluated)))
+        T, G, H = (np.concatenate(parts) for parts in zip(*families))
         hol, scale = curvature.holomorphic_sample(T, G, H, directions)  # (points, directions), (points,)
         worst["hol_sect_scale_invariance"] = (float(np.max(scale)), int(np.argmax(scale)), None)
         lo, hi = float(np.min(hol)), float(np.max(hol))

@@ -8,7 +8,8 @@ Two subcommands:
   and directions as CSV (stdout, or ``--out PATH``).
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-configuration or an unwritable output path.
+configuration, a non-finite value in the output, or an unwritable output
+path.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 from .base_geometry import DomainError, ModelParams
 from .checks import ConfigError, RunConfig, run_sweep, run_verify
+from .report import NonFiniteError
 
 
 def _parse_tolerance(text: str) -> tuple[str, float]:
@@ -129,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             result = run_sweep(cfg)
             text, path, code, note = result.to_csv(), args.out, 0, f"{result.values.size} rows"
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if path is None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fd import complex_jacobian
+from .fd import complex_jacobian, max_abs
 from .frames import PointGeometry, frame_transform
 from .lifted_metric import LiftedMetricData, adapted_metric_matrix
 
@@ -42,7 +42,7 @@ def adapted_j_matrix(data: LiftedMetricData) -> np.ndarray:
     return J
 
 
-def fundamental_form(step_geo: PointGeometry, step_data: LiftedMetricData) -> float:
+def fundamental_form(step_geo: PointGeometry, step_data: LiftedMetricData) -> float | np.ndarray:
     """Closedness residual of phi(X, Y) = S(X, JY), by complex step.
 
     In adapted components phi is ``S_ad @ J_ad``, which pairs the two
@@ -51,23 +51,25 @@ def fundamental_form(step_geo: PointGeometry, step_data: LiftedMetricData) -> fl
     coordinate coefficient field, the cyclic sum
     d_l phi_mn + d_m phi_nl + d_n phi_lm of its Jacobian, must vanish.  The
     coefficients are evaluated on the point's step geometry
-    (``frames.step_geometry``) and its lifted blocks ``step_data``.
+    (``frames.step_geometry``) and its lifted blocks ``step_data``, of one
+    point or a stack; the residual is one per point.
     """
 
+    batch = step_data.t.ndim - 1
     phi_adapted = adapted_metric_matrix(step_data) @ adapted_j_matrix(step_data)
     phi = frame_transform(phi_adapted, "dd", step_geo.frame, to="coordinate")
-    dw = complex_jacobian(phi)[1].value  # [l, m, n] = d_l phi_mn
-    dphi = dw + np.transpose(dw, (1, 2, 0)) + np.transpose(dw, (2, 0, 1))
-    return float(np.max(np.abs(dphi)))
+    dw = complex_jacobian(phi, batch)[1].value  # [l, m, n] = d_l phi_mn
+    dphi = dw + np.moveaxis(dw, -3, -1) + np.moveaxis(dw, -1, -3)
+    return max_abs(dphi, batch)
 
 
-def fundamental_form_block_residual(phi_adapted: np.ndarray) -> float:
-    """Deviation of the adapted-frame form from the canonical block pattern."""
-    n = phi_adapted.shape[0] // 2
-    expected = np.zeros_like(phi_adapted)
+def fundamental_form_block_residual(phi_adapted: np.ndarray) -> float | np.ndarray:
+    """Deviation of the adapted-frame form from the canonical block pattern, per point."""
+    n = phi_adapted.shape[-1] // 2
+    expected = np.zeros(phi_adapted.shape[-2:])
     expected[:n, n:] = -np.eye(n)
     expected[n:, :n] = np.eye(n)
-    return float(np.max(np.abs(phi_adapted - expected)))
+    return max_abs(phi_adapted - expected, phi_adapted.ndim - 2)
 
 
 def nijenhuis_closed_form(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
@@ -76,26 +78,29 @@ def nijenhuis_closed_form(geo: PointGeometry, data: LiftedMetricData) -> np.ndar
     Component k of N(e_i, e_j), the families stacked as (horiz_horiz,
     horiz_vert, vert_vert).  The output distribution differs per family:
     horiz_horiz and vert_vert produce vertical vectors, horiz_vert
-    horizontal ones.
+    horizontal ones.  At a stack of points the families follow the batch
+    axes: ``N[..., family, k, i, j]``.
     """
     core = _nijenhuis_core(geo, data)
     H = data.H
-    CH = core @ H.T  # [k, l, i] = core[k, l, r] H[i, r]
-    return np.stack([core, np.tensordot(H, CH, axes=1), np.swapaxes(H @ CH, 1, 2)])
+    n = H.shape[-1]
+    CH = core @ np.swapaxes(H, -1, -2)[..., None, :, :]  # [k, l, i] = core[k, l, r] H[i, r]
+    HCH = (H @ CH.reshape(CH.shape[:-3] + (n, n * n))).reshape(CH.shape)  # [i, l, i'] = H[i, k] CH[k, l, i']
+    return np.stack([core, HCH, np.swapaxes(H[..., None, :, :] @ CH, -1, -2)], axis=-4)
 
 
 def _nijenhuis_core(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
     A = geo.params.lift_const
-    scale = A * data.t * (data.v + A)
+    scale = (A * data.t * (data.v + A))[..., None, None, None]
     g, p = geo.base.g, geo.p
     return scale * (
-        np.einsum("i,jk->kij", p, g) - np.einsum("j,ik->kij", p, g)
+        np.einsum("...i,...jk->...kij", p, g) - np.einsum("...j,...ik->...kij", p, g)
     ) - geo.riem_p
 
 
 def nijenhuis_fd_full(
     geo: PointGeometry, step_geo: PointGeometry, step_data: LiftedMetricData
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Recompute the Nijenhuis families from one complex step of the J field.
 
     With N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] (no factor 2),
@@ -109,14 +114,16 @@ def nijenhuis_fd_full(
     returned as the families ``N[family, k, i, j]`` of
     ``nijenhuis_closed_form``, with the largest component landing outside
     the expected output distribution (structurally zero in the closed forms).
+    At a stack of points both follow the batch axes, one largest component
+    per point.
     """
 
-    n = geo.n
+    n, batch = geo.n, geo.t.ndim
     J_coord = frame_transform(adapted_j_matrix(step_data), "ud", step_geo.frame, to="coordinate")
-    J, jac = complex_jacobian(J_coord)
+    J, jac = complex_jacobian(J_coord, batch)
     dJ = jac.value  # [l, k, j] = d_l J^k_j
-    a = np.einsum("li,lkj->kij", J, dJ) - np.einsum("kl,ilj->kij", J, dJ)
-    N = frame_transform(a - np.swapaxes(a, 1, 2), "udd", geo.frame, to="adapted")  # [k, i, j]
+    a = np.einsum("...li,...lkj->...kij", J, dJ) - np.einsum("...kl,...ilj->...kij", J, dJ)
+    N = frame_transform(a - np.swapaxes(a, -2, -1), "udd", geo.frame, to="adapted")  # [k, i, j]
     h, v = slice(None, n), slice(n, None)
-    off = float(max(np.max(np.abs(N[h, h, h])), np.max(np.abs(N[v, h, v])), np.max(np.abs(N[h, v, v]))))
-    return np.stack([N[v, h, h], N[h, h, v], N[v, v, v]]), off
+    off = max_abs(np.stack([N[..., h, h, h], N[..., v, h, v], N[..., h, v, v]], axis=-4), batch)
+    return np.stack([N[..., v, h, h], N[..., h, h, v], N[..., v, v, v]], axis=-4), off

@@ -132,15 +132,19 @@ def curvature_from_metric_field(
 ) -> tuple[KoszulJet, np.ndarray]:
     """Koszul jet and coordinate curvature of an arbitrary metric field.
 
-    ``koszul_oracle`` is the Christoffel field: complex-step derivatives of
-    the metric, exact to round-off and batch-generic.  Its derivative is one
-    central-difference Jacobian (``fd.field_jacobian``) whose stencil of
-    Koszul evaluations is one metric-field call per ``fd.tiles`` tile of
-    whole axes: a single call while the stack fits ``fd.WORKING_SET`` (the
-    lifted metric at n = 3), more from the lifted n = 4 on.  So the oracle
-    calls ``metric_field_fn`` on ``m`` complex points at ``z`` and then on
-    ``m`` complex points per outer stencil point.  The Koszul jet at ``z``
-    comes back too.
+    ``z`` is one point ``(m,)`` or a stack ``(..., m)``; the jet and the
+    curvature ``(..., m, m, m, m)`` follow its batch axes, each point's
+    values equal to the one-point call's.  ``koszul_oracle`` is the
+    Christoffel field: complex-step derivatives of the metric, exact to
+    round-off and batch-generic.  Its derivative is one central-difference
+    Jacobian (``fd.field_jacobian``) whose stencil of Koszul evaluations,
+    over every point of the stack, is one metric-field call per
+    ``fd.tiles`` tile of whole (point, axis) items: a single call while the
+    stack fits ``fd.WORKING_SET`` (the base chart of a verify tile, the
+    lifted metric at one n = 3 point), more from the lifted n = 4 on.  So
+    the oracle calls ``metric_field_fn`` on ``m`` complex points per point
+    of ``z`` and then on ``m`` complex points per outer stencil point.  The
+    Koszul jet at ``z`` comes back too.
     """
     return _koszul_curvature(koszul_jet(metric_field_fn, z), metric_field_fn, z)
 
@@ -154,14 +158,14 @@ def _koszul_curvature(
     arrays at once (``dG``, the first-kind symbols, their raised product and
     its half): its ``point_bytes``.
     """
-    m = np.size(z)
+    m = np.shape(z)[-1]
     field = partial(koszul_oracle, metric_field_fn)
     gamma, dgamma = jet.christoffel, field_jacobian(field, z, point_bytes=4 * 8 * m**3).value
     return jet, (
-        np.einsum("cadb->abcd", dgamma)
-        - np.einsum("dacb->abcd", dgamma)
-        + np.einsum("acs,sdb->abcd", gamma, gamma)
-        - np.einsum("ads,scb->abcd", gamma, gamma)
+        np.einsum("...cadb->...abcd", dgamma)
+        - np.einsum("...dacb->...abcd", dgamma)
+        + np.einsum("...acs,...sdb->...abcd", gamma, gamma)
+        - np.einsum("...ads,...scb->...abcd", gamma, gamma)
     )
 
 

@@ -13,9 +13,11 @@ differentiates on that one stack, and reads each Jacobian with
 on one fixed stencil (relative step 1e-4, steps h, h/2 and h/4, two
 Richardson levels), only where a real difference must wrap a complex step:
 the curvature oracle differentiates the complex-step Koszul Christoffels.
-Both return an error estimate next to the value: for differences the gap
-between the Richardson levels plus a round-off floor, for the complex step
-a round-off floor alone.
+Both take one point ``(m,)`` or a stack ``(..., m)`` and return an error
+estimate next to the value, one per point: for differences the gap between
+the Richardson levels plus a round-off floor, for the complex step a
+round-off floor alone.  ``max_abs`` is the per-point reduction of every
+residual: the largest component of each point of a stack.
 
 Field contract: a field maps chart points ``(..., m)`` to values
 ``(..., *S)``; a single point ``(m,)`` gives an ``S``-shaped value and a
@@ -27,9 +29,9 @@ allocated with the input's dtype, and domain guards compare ``.real``.
 Each derivative builds every point it needs (every axis and, for
 ``field_jacobian``, both signs and every step).  ``complex_step`` evaluates
 the field once on that stack; ``field_jacobian`` evaluates it once per tile
-of whole axes (``tiles``), a single tile unless the caller states that the
-field's evaluation holds enough memory per point for the stack to leave
-``WORKING_SET``.  The fields differentiated are built by
+of whole (point, axis) items (``tiles``), a single tile unless the caller
+states that the field's evaluation holds enough memory per point for the
+stack to leave ``WORKING_SET``.  The fields differentiated are built by
 ``frames.geometry_field`` / ``lifted_metric.lifted_field``.
 """
 
@@ -43,10 +45,26 @@ _EPS = float(np.finfo(float).eps)
 
 
 class Derivative(NamedTuple):
-    """A derivative estimate together with a worst-component error estimate."""
+    """A derivative estimate together with a worst-component error estimate.
+
+    The error is one per point: a float for one point, an array of the batch
+    shape for a stack.
+    """
 
     value: np.ndarray
-    error: float
+    error: float | np.ndarray
+
+
+def max_abs(values: np.ndarray, batch_ndim: int = 0) -> float | np.ndarray:
+    """Largest |component| of each point: the maximum over the axes after the first ``batch_ndim``.
+
+    The reduction every residual of the battery ends in.  A float for one
+    point (``batch_ndim`` 0), an array of the batch shape for a stack; each
+    point's value reads only its own components, and a NaN among them
+    reaches its value.
+    """
+    magnitude = np.abs(values)
+    return np.maximum.reduce(magnitude.reshape(magnitude.shape[:batch_ndim] + (-1,)), axis=-1)
 
 
 #: Relative step of ``field_jacobian``.  The Christoffel field it
@@ -83,46 +101,56 @@ def tiles(count: int, item_bytes: int) -> list[slice]:
 def field_jacobian(
     field: Callable[[np.ndarray], np.ndarray], x: np.ndarray, point_bytes: int = 0
 ) -> Derivative:
-    """All partial derivatives by central differences, derivative axis first.
+    """All partial derivatives by central differences, derivative axis first after the batch axes.
 
-    For a field with values of shape S the result has shape (m,) + S where
-    m = x.size and result[k] is the partial along coordinate k.  The stencil
-    is every point ``x + s*e_k`` and ``x - s*e_k`` for the steps h, h/2 and
+    ``x`` is one point ``(m,)`` or a stack ``(..., m)``.  For a field with
+    values of shape S the result has shape ``(..., m) + S`` and
+    ``result[..., k, :]`` is the partial along coordinate k.  Each point has
+    its own step h, relative to its largest coordinate, and its stencil is
+    every point ``x + s*e_k`` and ``x - s*e_k`` for the steps h, h/2 and
     h/4; two Richardson levels cancel the h^2 and h^4 truncation terms.  The
-    field is evaluated on it in ``tiles`` of whole axes, each axis's six
-    points together, where ``point_bytes`` is what one evaluation holds per
-    stencil point: one call when the stack fits ``WORKING_SET`` (always for
-    the default 0).  Each axis's derivative and error read only its own
-    points, so tiling changes no float.  The error estimate is the worst
-    axis's gap between the two Richardson levels plus a round-off floor from
-    the values at step h, so it stays meaningful when the step leaves the
-    asymptotic regime.
+    items are the (point, axis) pairs, each with its six stencil points; the
+    field is evaluated on them in ``tiles`` of whole items, where
+    ``point_bytes`` is what one evaluation holds per stencil point: one call
+    when the stack fits ``WORKING_SET`` (always for the default 0).  Each
+    item's derivative and error read only its own points, so neither tiling
+    nor the stack a point sits in changes a float, and a NaN reaches only
+    its own point.  The error estimate, one per point (a scalar for one
+    point), is the worst axis's gap between the two Richardson levels plus a
+    round-off floor from the values at step h, so it stays meaningful when
+    the step leaves the asymptotic regime.
     """
 
     x = np.asarray(x, dtype=float)
-    m = x.size
-    h = _STEP * (1.0 + float(np.max(np.abs(x), initial=0.0)))
-    steps = h * _STEPS  # [L]
-    eye = np.eye(m)
+    m = x.shape[-1]
+    xs = x.reshape(-1, m)  # [point, m]
+    count = xs.size  # the (point, axis) items
+    h = np.repeat(_STEP * (1.0 + np.max(np.abs(xs), axis=-1, initial=0.0)), m)  # [item]
+    steps = h[:, None] * _STEPS  # [item, L]
+    offsets = (steps.reshape(len(xs), m, -1, 1) * np.eye(m)[:, None, :]).reshape(count, len(_STEPS), m)
+    base = np.repeat(xs, m, axis=0)[:, None, :]
+    points = np.empty((count, len(_STEPS), 2, m))  # [item, L, sign, m]
+    np.add(base, offsets, out=points[:, :, 0])
+    np.subtract(base, offsets, out=points[:, :, 1])
     value = None
-    errors = []
-    for tile in tiles(m, 2 * len(steps) * point_bytes):
-        offsets = steps[None, :, None] * eye[tile, None, :]
-        points = np.stack([x + offsets, x - offsets], axis=2)  # [axis, L, sign, m]
-        values = np.asarray(field(points.reshape(-1, m)), dtype=float)
-        values = values.reshape(points.shape[:3] + values.shape[1:])
+    errors = np.empty(count)
+    for tile in tiles(count, 2 * len(_STEPS) * point_bytes):
+        values = np.asarray(field(points[tile].reshape(-1, m)), dtype=float)
+        values = values.reshape((tile.stop - tile.start, len(_STEPS), 2) + values.shape[1:])
         if value is None:
-            value = np.empty((m,) + values.shape[3:])
-        value[tile], error = _richardson(values, steps, h)
-        errors.append(error)
-    return Derivative(value, float(np.max(np.concatenate(errors))))
+            value = np.empty((count,) + values.shape[3:])
+        value[tile], errors[tile] = _richardson(values, steps[tile], h[tile])
+    return Derivative(value.reshape(x.shape + value.shape[1:]), errors.reshape(x.shape).max(axis=-1))
 
 
-def _richardson(values: np.ndarray, steps: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives and each axis's error estimate from ``values[axis, L, sign, *S]``."""
+def _richardson(values: np.ndarray, steps: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives and each item's error estimate from ``values[item, L, sign, *S]``.
+
+    ``steps[item, L]`` and ``h[item]`` are the steps of each item's point.
+    """
     k = values.shape[0]
     tail = (1,) * (values.ndim - 3)
-    central = (values[:, :, 0] - values[:, :, 1]) / (2.0 * steps).reshape((1, -1) + tail)
+    central = (values[:, :, 0] - values[:, :, 1]) / (2.0 * steps).reshape(steps.shape + tail)
 
     def worst(a: np.ndarray) -> np.ndarray:
         return np.max(np.abs(a).reshape(k, -1), axis=1, initial=0.0)
@@ -150,11 +178,12 @@ def complex_jacobian(values: np.ndarray, batch_ndim: int = 0) -> tuple[np.ndarra
 
     ``batch_ndim`` is the number of leading batch axes of ``x``; the step
     axis follows them.  The value is the real part at the first step point
-    and the Jacobian ``Im f / h`` keeps the step axis as the derivative axis.
+    and the Jacobian ``Im f / h`` keeps the step axis as the derivative axis;
+    the error estimate is one per point of ``x``.
     """
     values = np.asarray(values)
     jac = values.imag / COMPLEX_STEP
-    error = _EPS * (1.0 + float(np.max(np.abs(jac), initial=0.0)))
+    error = _EPS * (1.0 + max_abs(jac, batch_ndim))
     return np.take(values, 0, axis=batch_ndim).real, Derivative(jac, error)
 
 

@@ -9,14 +9,20 @@ transform connection coefficients), the energy density t = g^ik p_i p_k / 2,
 and complex-step checks of the frame bracket relations.
 
 ``step_geometry`` builds the geometry at the 2n complex-step points
-z + i h e_k of one chart point, once per verified point; every layer that
+z + i h e_k of each chart point, once per verified point; every layer that
 reads a derivative evaluates its closed form on that one stack, and
 ``frame_derivative`` turns the values into adapted-frame derivatives.
 
-``geometry_at``, ``frame_transform`` and the fields built by
-``geometry_field`` accept a stack of chart points ``(..., 2n)`` as well as a
-single one, real or complex; every array then carries the same leading batch
-axes and the input's dtype.
+Everything here takes a stack of points as well as a single one:
+``BundlePoint``, ``geometry_at``, ``step_geometry``, ``frame_derivative``,
+``frame_transform``, the fields built by ``geometry_field`` and the checks
+``verify_brackets``, ``energy_frame_derivatives`` and
+``AdaptedFrame.dual_pairing_residual``, real or complex; every array then
+carries the same leading batch axes and the input's dtype, and a check
+returns one value per point (a float for one point), the largest over that
+point's own components, so a point's value does not depend on the stack it
+sits in.  ``geo[k]`` is point k of a stacked geometry, read off its arrays
+(``base_geometry.PointStack``).
 
 Ordering convention: adapted index a in [0, n) is the a-th horizontal
 vector, a in [n, 2n) the (a - n)-th vertical one.  Coordinates are ordered
@@ -31,15 +37,19 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .base_geometry import BaseMetricData, DomainError, ModelParams, metric_at, momentum_gamma
-from .fd import complex_jacobian, complex_points
+from .base_geometry import BaseMetricData, DomainError, ModelParams, PointStack, metric_at, momentum_gamma
+from .fd import complex_jacobian, complex_points, max_abs
 
 T = TypeVar("T")
 
 
 @dataclass(frozen=True)
-class BundlePoint:
-    """A point of the punctured cotangent bundle: base coordinates and momentum."""
+class BundlePoint(PointStack):
+    """A point of the punctured cotangent bundle, or a stack: base coordinates and momentum.
+
+    ``x`` and ``p`` are one point ``(n,)`` each or stacks ``(..., n)``;
+    every point must be finite with a nonzero momentum.
+    """
 
     x: np.ndarray
     p: np.ndarray
@@ -47,11 +57,11 @@ class BundlePoint:
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
         p = np.asarray(self.p, dtype=float)
-        if x.ndim != 1 or p.shape != x.shape:
-            raise ValueError("x and p must be 1-d arrays of equal length")
+        if x.ndim < 1 or p.shape != x.shape:
+            raise ValueError("x and p must be arrays of equal shape, (n,) or (..., n)")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
             raise ValueError("bundle coordinates must be finite")
-        if not np.any(p):
+        if not np.all(np.any(p, axis=-1)):
             raise DomainError("outside punctured bundle: momentum must be nonzero")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
@@ -59,11 +69,11 @@ class BundlePoint:
     @property
     def z(self) -> np.ndarray:
         """Concatenated chart coordinates (q, p) on R^2n."""
-        return np.concatenate([self.x, self.p])
+        return np.concatenate([self.x, self.p], axis=-1)
 
 
 @dataclass(frozen=True)
-class AdaptedFrame:
+class AdaptedFrame(PointStack):
     """Change of basis between coordinate and adapted frames.
 
     M[..., mu, a] holds the coordinate components of the a-th adapted
@@ -92,14 +102,14 @@ class AdaptedFrame:
         dM[..., n:, n:, :n] = np.einsum("...lih->...lhi", self.base.gamma)
         return dM
 
-    def dual_pairing_residual(self) -> float:
-        """Max |coframe(frame) - identity|; zero up to round-off."""
+    def dual_pairing_residual(self) -> float | np.ndarray:
+        """Max |coframe(frame) - identity| per point; zero up to round-off."""
         eye = np.eye(self.M.shape[-1])
-        return float(np.max(np.abs(self.Minv @ self.M - eye)))
+        return max_abs(self.Minv @ self.M - eye, self.M.ndim - 2)
 
 
 @dataclass(frozen=True)
-class PointGeometry:
+class PointGeometry(PointStack):
     """Everything the lift needs at a bundle point (or a stack of them).
 
     Bundles the base metric data at the foot point with momentum-contracted
@@ -209,10 +219,11 @@ def step_geometry(geo: PointGeometry) -> PointGeometry:
 
     Built once per point and shared: every closed form whose derivative a
     check reads is evaluated on it, and ``frame_derivative`` or
-    ``fd.complex_jacobian`` reads the derivative off those values.
+    ``fd.complex_jacobian`` reads the derivative off those values.  For a
+    stack ``(...)`` of points it is the ``(..., 2n)`` stack of their steps.
     """
     z = complex_points(geo.z)
-    return geometry_at(geo.params, z[:, :geo.n], z[:, geo.n:])
+    return geometry_at(geo.params, z[..., :geo.n], z[..., geo.n:])
 
 
 def frame_derivative(geo: PointGeometry, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,25 +232,28 @@ def frame_derivative(geo: PointGeometry, values: np.ndarray) -> tuple[np.ndarray
     ``values`` is the closed form evaluated on ``step_geometry(geo)``; its
     complex step gives the coordinate Jacobian jac[k, ...], and the
     derivative along frame vector a is sum_k M[k, a] jac[k, ...], one
-    matmul.  The result dT[a, ...] carries the frame direction first.
+    matmul (one per point of a stack).  The result dT[a, ...] carries the
+    frame direction first, after the batch axes of ``geo``.
     """
-    value, jac = complex_jacobian(values)
     M = geo.frame.M
-    dT = M.T @ jac.value.reshape(M.shape[0], -1)
+    value, jac = complex_jacobian(values, M.ndim - 2)
+    dT = np.swapaxes(M, -1, -2) @ jac.value.reshape(M.shape[:-1] + (-1,))
     return value, dT.reshape(jac.value.shape)
 
 
 def frame_structure_functions(geo: PointGeometry) -> np.ndarray:
-    """gamma^c_ab with [e_a, e_b] = gamma^c_ab e_c for the adapted frame."""
+    """gamma^c_ab with [e_a, e_b] = gamma^c_ab e_c for the adapted frame, after the batch axes of ``geo``."""
     n = geo.n
-    out = np.zeros((2 * n, 2 * n, 2 * n))
-    out[n:, :n, :n] = geo.riem_p  # [k, i, j]
-    out[n:, n:, :n] = np.einsum("ijk->kij", geo.base.gamma)
-    out[n:, :n, n:] = -np.einsum("jik->kij", geo.base.gamma)
+    out = np.zeros(geo.t.shape + (2 * n,) * 3)
+    out[..., n:, :n, :n] = geo.riem_p  # [k, i, j]
+    out[..., n:, n:, :n] = np.einsum("...ijk->...kij", geo.base.gamma)
+    out[..., n:, :n, n:] = -np.einsum("...jik->...kij", geo.base.gamma)
     return out
 
 
-def verify_brackets(geo: PointGeometry, step_geo: PointGeometry) -> tuple[float, float, float]:
+def verify_brackets(
+    geo: PointGeometry, step_geo: PointGeometry
+) -> tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Check the three bracket relations of the adapted frame numerically.
 
     [d/dp_i, d/dp_j] = 0,
@@ -250,29 +264,33 @@ def verify_brackets(geo: PointGeometry, step_geo: PointGeometry) -> tuple[float,
     geometry ``step_geo = step_geometry(geo)``, gives every bracket at once:
     [e_a, e_b] = D_a e_b - D_b e_a with D_a e_b = M[k, a] d_k M[:, b],
     compared with ``frame_structure_functions`` on the blocks above.
-    Returns the largest deviations ``(vert_vert, mixed, horiz_horiz)``.
+    Returns the largest deviations ``(vert_vert, mixed, horiz_horiz)``,
+    each one per point of ``geo``.
     """
 
-    n = geo.n
+    n, batch = geo.n, geo.t.ndim
     _, DM = frame_derivative(geo, step_geo.frame.M)
-    DbM = np.swapaxes(DM, 0, 1)  # [mu, a, b]: derivative of e_b along e_a
+    DbM = np.swapaxes(DM, -3, -2)  # [mu, a, b]: derivative of e_b along e_a
     h, v = slice(None, n), slice(n, None)
-    dev = np.abs(DbM - np.swapaxes(DbM, 1, 2) - frame_structure_functions(geo))
+    dev = DbM - np.swapaxes(DbM, -2, -1) - frame_structure_functions(geo)
     i, j = np.triu_indices(n, 1)
     return (
-        float(np.max(dev[:, v, v][:, i, j])),
-        float(np.max(dev[:, v, h])),
-        float(np.max(dev[:, h, h][:, i, j])),
+        max_abs(dev[..., v, v][..., i, j], batch),
+        max_abs(dev[..., v, h], batch),
+        max_abs(dev[..., h, h][..., i, j], batch),
     )
 
 
-def energy_frame_derivatives(geo: PointGeometry, step_geo: PointGeometry) -> tuple[float, float]:
+def energy_frame_derivatives(
+    geo: PointGeometry, step_geo: PointGeometry
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Residuals of the frame derivatives of t, read on ``step_geo = step_geometry(geo)``.
 
     Horizontally t is constant; vertically d t / dp_k equals the raised
-    momentum.  Returns (max horizontal residual, max vertical residual).
+    momentum.  Returns (max horizontal residual, max vertical residual),
+    each one per point of ``geo``.
     """
 
-    n = geo.n
+    n, batch = geo.n, geo.t.ndim
     _, dt_frame = frame_derivative(geo, step_geo.t)
-    return float(np.max(np.abs(dt_frame[:n]))), float(np.max(np.abs(dt_frame[n:] - geo.p_raised)))
+    return max_abs(dt_frame[..., :n], batch), max_abs(dt_frame[..., n:] - geo.p_raised, batch)

@@ -22,7 +22,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .base_geometry import DomainError, ModelParams
+from .base_geometry import DomainError, ModelParams, PointStack
 from .frames import BundlePoint, PointGeometry, geometry_field, point_geometry
 
 T = TypeVar("T")
@@ -57,17 +57,19 @@ KAHLER = LiftProfile()
 
 @dataclass(frozen=True)
 class TubeCheck:
-    """Outcome of the tube admissibility test for one point."""
+    """Outcome of the tube admissibility test for one point or a stack."""
 
     admissible: bool
     reason: str | None
-    momentum_norm_sq: float
+    momentum_norm_sq: float | np.ndarray  # one per point
     bound: float
 
 
 def tube_check(params: ModelParams, pt: BundlePoint) -> TubeCheck:
     """Classify a bundle point against 0 < |p|_g^2 < 4c / A^2.
 
+    For a stacked ``pt`` the stack is admissible when every point is, and
+    the reason names the first inequality that some point violates.
     Parameter-level violations (c <= 0 or A <= 0) are reported through the
     reason field as well, with the bound set to nan.
     """
@@ -94,7 +96,7 @@ def _tube_test(params: ModelParams, t: np.ndarray) -> tuple[str | None, np.ndarr
 
 
 @dataclass(frozen=True)
-class LiftedMetricData:
+class LiftedMetricData(PointStack):
     """Blocks of the lifted metric, with the profile values used."""
 
     G: np.ndarray  # [..., i, j], horizontal block (covariant)

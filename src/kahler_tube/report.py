@@ -23,11 +23,15 @@ from typing import Any, NamedTuple
 import numpy as np
 
 
+class NonFiniteError(ValueError):
+    """A report or sweep table would hold a NaN or an infinity (CLI exit code 2)."""
+
+
 def format_float(x: float) -> str:
     """17-significant-digit decimal form, round-trip exact for doubles."""
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError("reports must contain finite numbers only")
+        raise NonFiniteError("reports must contain finite numbers only")
     return format(x, ".17g")
 
 
@@ -207,7 +211,7 @@ class SweepResult:
 
     def to_csv(self) -> str:
         if not np.isfinite(self.values).all():
-            raise ValueError("reports must contain finite numbers only")
+            raise NonFiniteError("reports must contain finite numbers only")
         lines = ["point_id,t,direction_id,hol_sect_curv"]
         # One template holds a point's lines; "@" marks each line's
         # "point_id,t," prefix and ``%.17g`` is ``format_float``'s form.

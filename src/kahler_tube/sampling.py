@@ -5,9 +5,10 @@ Each concern draws from its own child of the master seed (a distinct
 never perturbs the points other checks see.
 
 ``sample_chart_points`` returns the tube points as two stacked ``(count, n)``
-arrays, which the sweep passes straight to the stacked geometry;
-``sample_points`` wraps the same arrays as validated ``BundlePoint``s for
-the per-point battery.
+arrays, which the sweep passes straight to the stacked geometry and the
+verify battery validates as one stacked ``BundlePoint``;
+``sample_points`` wraps the same arrays as one validated ``BundlePoint``
+per point.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import pytest
 
 from kahler_tube.base_geometry import DomainError, ModelParams, metric_at
 from kahler_tube import base_geometry, connection, curvature, frames, lifted_metric
-from kahler_tube.checks import RunConfig, run_sweep, run_verify
+from kahler_tube.checks import RunConfig, evaluate_points, run_sweep, run_verify, tile_point_bytes
 from kahler_tube.complex_structure import adapted_j_matrix, fundamental_form, nijenhuis_fd_full
 from kahler_tube.connection import (
     coefficients_from_geometry,
@@ -30,7 +30,7 @@ from kahler_tube.curvature import (
     curvature_oracle_coordinates,
     parallel_block_residuals,
 )
-from kahler_tube.fd import COMPLEX_STEP, complex_step, field_jacobian
+from kahler_tube.fd import COMPLEX_STEP, complex_step, field_jacobian, tiles
 from kahler_tube.frames import (
     BundlePoint,
     energy_frame_derivatives,
@@ -50,7 +50,7 @@ from kahler_tube.lifted_metric import (
     coordinate_metric,
     lifted_field,
 )
-from kahler_tube.sampling import sample_directions, sample_points
+from kahler_tube.sampling import sample_chart_points, sample_directions, sample_points
 
 CONFIGS = [ModelParams(3, 1.0, 1.0), ModelParams(4, 1.0, 1.0)]
 CASES = [(params, offset) for params in CONFIGS for offset in (None, 0.1)]
@@ -273,6 +273,25 @@ def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
     assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, *_parallel_inputs(GEO_5, *_step(GEO_5)))) < 1.3
 
 
+@pytest.mark.parametrize(("dim", "count"), [(3, 12), (5, 1)], ids=["n3x12", "n5"])
+def test_one_stacked_tile_stays_within_its_stated_bytes(dim: int, count: int) -> None:
+    # run_verify tiles its points by checks.tile_point_bytes: 12 points at
+    # n = 3 make two tiles of six, an n = 5 point is a tile of its own.
+    # Under the offset profile only the stacked layers run, so the tile's
+    # tracemalloc peak must stay within its points times the stated bytes
+    # (measured: about 0.27 of 0.41 MB at n = 3, 0.29 of 0.32 MB at n = 5).
+    # The Kähler profile adds the per-point layers of one point at a time,
+    # each under its own bound above (1.1 and 1.3 MB at n = 5): measured
+    # about 0.6 MB at n = 3 and 1.25 MB at n = 5.
+    params = ModelParams(dim)
+    tile = tiles(count, tile_point_bytes(dim))[0]
+    assert tile.stop == {3: 6, 5: 1}[dim]
+    pts = BundlePoint(*sample_chart_points(params, count, 7))[tile]
+    stated_mb = tile.stop * tile_point_bytes(dim) / 1e6
+    assert _peak_mb(lambda: evaluate_points(params, pts, LiftProfile(0.1))) <= stated_mb
+    assert _peak_mb(lambda: evaluate_points(params, pts, KAHLER)) <= stated_mb + 1.3
+
+
 def test_sweep_memory_stays_one_point_deep() -> None:
     # Measured at (3,1,1), 100 points x 100 directions (tracemalloc peak):
     # about 1.07 MB (2.8 MB at (4,1,1)) with the holomorphic form built
@@ -421,11 +440,13 @@ def _run_two_points(offset) -> None:
 
 @pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
 def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
-    # evaluate_point builds the real geometry (and so the real base metric),
-    # the lifted blocks and the closed connection once per point and hands
-    # them to every layer; the layers' complex field calls are not counted.
-    # The closed curvature is read off the step geometry (the next test), so
-    # curvature_blocks never runs on the real geometry.
+    # evaluate_points builds the real geometry (and so the real base metric)
+    # and the lifted blocks once, on the stack of the tile's points, and
+    # hands them to every layer; the integrable-only layers read each point
+    # off those stacks and build the closed connection once per point.  The
+    # layers' complex field calls are not counted.  The closed curvature is
+    # read off the step geometry (the next test), so curvature_blocks never
+    # runs on the real geometry.
     calls: dict[str, list] = {}
 
     def real_geometry(geo):
@@ -438,10 +459,10 @@ def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
     count(connection, "coefficients_from_geometry", lambda args: real_geometry(args[0]))
     count(curvature, "curvature_blocks", lambda args: real_geometry(args[0]))
     _run_two_points(offset)
-    # one stacked call for the sampled points, then one per point geometry
-    assert calls["metric_at"] == [(2, 3), (3,), (3,)]
-    assert calls["geometry_at"] == [(3,)] * 2
-    assert calls["components_from_geometry"] == [()] * 2
+    # the sampler's stacked call, then the tile's geometry
+    assert calls["metric_at"] == [(2, 3), (2, 3)]
+    assert calls["geometry_at"] == [(2, 3)]
+    assert calls["components_from_geometry"] == [(2,)]
     if offset is None:
         assert calls["coefficients_from_geometry"] == [()] * 2
     else:
@@ -451,31 +472,36 @@ def test_verify_builds_each_point_geometry_once(offset, monkeypatch) -> None:
 
 @pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
 def test_verify_runs_each_oracle_once_per_point(offset, monkeypatch) -> None:
-    # Each verify point builds one complex geometry of 2n points, the step
-    # geometry, and its lifted blocks for the run's profile; every
-    # complex-step layer reads its derivative from them.  The Koszul jet of
-    # the lifted metric is the complex step of the coordinate metric on that
-    # stack, so koszul_jet runs at a single point only for the base chart
-    # (the batched outer stencils are not counted).  curvature_blocks runs
-    # on that stack only: its frame derivative gives the families at the
-    # point, which the curvature rows, local_symmetry, the eight parallel
-    # rows and the holomorphic rows share; every call is counted.
+    # A verify tile builds one complex geometry of 2n points per point, the
+    # step geometry, as one (points, 2n) stack with its lifted blocks for
+    # the run's profile; every complex-step layer reads its derivative from
+    # them, the integrable-only ones point by point from the point's slice.
+    # The Koszul jet of the lifted metric is the complex step of the
+    # coordinate metric on that slice, so koszul_jet runs on the tile's
+    # points only for the base chart (the batched outer stencils, which lead
+    # with their stencil points, are not counted).  curvature_blocks runs on
+    # each point's step slice only: its frame derivative gives the families
+    # at the point, which the curvature rows, local_symmetry, the eight
+    # parallel rows and the holomorphic rows share; every call is counted.
     calls: dict[str, list] = {}
 
-    def step_stack(t):
+    def leading(value, size):
+        return np.shape(value) if np.shape(value)[:1] == (size,) else None
+
+    def step_slice(t):
         return np.shape(t) if np.iscomplexobj(t) and np.ndim(t) == 1 else None
 
     _count(monkeypatch, calls, frames, "geometry_at",
-           lambda args: np.shape(args[1]) if np.iscomplexobj(args[1]) and np.ndim(args[1]) == 2 else None)
-    _count(monkeypatch, calls, lifted_metric, "components_from_geometry", lambda args: step_stack(args[0].t))
-    _count(monkeypatch, calls, connection, "koszul_jet",
-           lambda args: np.shape(args[1]) if np.ndim(args[1]) == 1 else None)
-    _count(monkeypatch, calls, lifted_metric, "coordinate_metric", lambda args: step_stack(args[0].t))
+           lambda args: leading(args[1], 2) if np.iscomplexobj(args[1]) else None)
+    _count(monkeypatch, calls, lifted_metric, "components_from_geometry",
+           lambda args: leading(args[0].t, 2) if np.iscomplexobj(args[0].t) else None)
+    _count(monkeypatch, calls, connection, "koszul_jet", lambda args: leading(args[1], 2))
+    _count(monkeypatch, calls, lifted_metric, "coordinate_metric", lambda args: step_slice(args[0].t))
     _count(monkeypatch, calls, curvature, "curvature_blocks", lambda args: np.shape(args[0].t))
     _run_two_points(offset)
-    assert calls["geometry_at"] == [(6, 3)] * 2
-    assert calls["components_from_geometry"] == [(6,)] * 2
-    assert calls["koszul_jet"] == [(3,)] * 2
+    assert calls["geometry_at"] == [(2, 6, 3)]
+    assert calls["components_from_geometry"] == [(2, 6)]
+    assert calls["koszul_jet"] == [(2, 3)]
     if offset is None:
         assert calls["coordinate_metric"] == [(6,)] * 2
         assert calls["curvature_blocks"] == [(6,)] * 2

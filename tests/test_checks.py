@@ -10,12 +10,13 @@ from kahler_tube.checks import (
     DEFAULT_TOLERANCES,
     ConfigError,
     RunConfig,
-    evaluate_point,
+    evaluate_points,
     run_sweep,
     run_verify,
 )
+from kahler_tube.frames import BundlePoint
 from kahler_tube.lifted_metric import LiftProfile
-from kahler_tube.sampling import sample_directions, sample_points
+from kahler_tube.sampling import sample_chart_points, sample_directions
 
 SMALL = RunConfig(ModelParams(3), num_points=2, num_directions=8, seed=7)
 
@@ -145,27 +146,28 @@ def test_registry_internal_consistency() -> None:
 def test_evaluator_keys_match_running_registry_rows(offset) -> None:
     params = ModelParams(3)
     profile = LiftProfile(offset)
-    (pt,) = sample_points(params, 1, 7)
-    values, families = evaluate_point(params, pt, profile)
+    pts = BundlePoint(*sample_chart_points(params, 2, 7))
+    values, families = evaluate_points(params, pts, profile)
     running = {c.name for c in CHECKS if profile.is_kahler or not c.integrable_only}
     # run_verify takes the two holomorphic rows from the families of all points
     assert set(values) == running - {"hol_sect_scale_invariance", "hol_sect_nonconstancy"}
+    assert all(len(column) == 2 for column in values.values())
     assert (families is not None) == profile.is_kahler
 
 
 def test_planted_coordinate_metric_error_shows_in_frame_rows(monkeypatch) -> None:
     # frame_roundtrip and lifted_orthogonality read the block-formula
     # coordinate metric back through the generic frame transform, so a 1e-9
-    # error planted on one off-diagonal entry of the single-point metric
-    # fails both 1e-12 rows.  The stacked complex metric fields of the
+    # error planted on one off-diagonal entry of the real metric at the
+    # tile's points fails both 1e-12 rows.  The complex metric fields of the
     # oracles are left alone.
     inner = lifted_metric.coordinate_metric
 
     def planted(geo, data):
         S = inner(geo, data)
-        if S.ndim == 2 and np.isrealobj(S):
+        if np.isrealobj(S):
             S = S.copy()
-            S[0, geo.n] += 1e-9
+            S[..., 0, geo.n] += 1e-9
         return S
 
     monkeypatch.setattr(lifted_metric, "coordinate_metric", planted)
@@ -184,7 +186,7 @@ def test_planted_base_curvature_error_shows_in_constant_curvature_row(monkeypatc
 
     def planted(metric_field_fn, z):
         jet, riem = inner(metric_field_fn, z)
-        return jet, (riem + 1e-8 if np.shape(z) == (3,) else riem)
+        return jet, (riem + 1e-8 if np.shape(z)[-1] == 3 else riem)  # the base chart's stack, not the lifted metric
 
     monkeypatch.setattr(curvature, "curvature_from_metric_field", planted)
     cfg = RunConfig(ModelParams(3), num_points=1, num_directions=4, seed=7, custom_v_offset=0.1)
@@ -193,13 +195,60 @@ def test_planted_base_curvature_error_shows_in_constant_curvature_row(monkeypatc
     assert not row.passed
 
 
+def test_worst_over_points_first_non_finite_value_wins() -> None:
+    nan, inf = float("nan"), float("inf")
+    worst = checks._worst_over_points({
+        "middle": [1e-9, nan, 2e-9],
+        "last": [1e-9, 3e-9, nan],
+        "first": [nan, 1.0, 2.0],
+        "inf_then_nan": [1.0, inf, nan],
+        "tie": [1e-9, 2e-9, 2e-9],
+        "detail": [(1.0, "a"), (3.0, "b"), (3.0, "c")],
+        "array": np.array([0.0, 4e-16, 1e-16]),
+    })
+    assert worst["middle"][1:] == (1, None) and np.isnan(worst["middle"][0])
+    assert worst["last"][1:] == (2, None) and np.isnan(worst["last"][0])
+    assert worst["first"][1:] == (0, None) and np.isnan(worst["first"][0])
+    assert worst["inf_then_nan"] == (inf, 1, None)
+    assert worst["tie"] == (2e-9, 1, None)  # ties keep the first point
+    assert worst["detail"] == (3.0, 1, "b")
+    assert worst["array"] == (4e-16, 1, None)
+
+
+@pytest.mark.parametrize(("dim", "count", "planted_at"), [(3, 5, 2), (3, 5, 4), (4, 7, 5)])
+def test_error_planted_at_one_point_of_a_stack_lands_on_that_point(dim, count, planted_at, monkeypatch) -> None:
+    # A 1e-9 error planted on one entry of the real coordinate metric at one
+    # sampled point moves frame_roundtrip there, far above every other
+    # point's round-off, and only there: the report names that point.  At
+    # (4,1,1) seven points make three tiles, and point 5 is the third of
+    # the second.
+    params = ModelParams(dim)
+    target = sample_chart_points(params, count, 7)[0][planted_at]
+    inner = lifted_metric.coordinate_metric
+
+    def planted(geo, data):
+        S = inner(geo, data)
+        if np.isrealobj(S):
+            hit = np.all(geo.x == target, axis=-1)
+            S = S.copy()
+            S[hit, 0, dim] += 1e-9
+        return S
+
+    monkeypatch.setattr(lifted_metric, "coordinate_metric", planted)
+    for offset in (None, 0.1):
+        cfg = RunConfig(params, num_points=count, num_directions=4, seed=7, custom_v_offset=offset)
+        row = next(r for r in run_verify(cfg).checks if r.name == "frame_roundtrip")
+        assert row.worst_point_id == planted_at
+        assert row.max_residual >= 0.99e-9 and not row.passed
+
+
 def test_missing_check_value_raises_instead_of_skipping(monkeypatch) -> None:
     def drop_einstein(*args):
-        values, families = evaluate_point(*args)
+        values, families = evaluate_points(*args)
         del values["einstein_identity"]
         return values, families
 
-    monkeypatch.setattr(checks, "evaluate_point", drop_einstein)
+    monkeypatch.setattr(checks, "evaluate_points", drop_einstein)
     cfg = RunConfig(ModelParams(3), num_points=1, num_directions=4, seed=7)
     with pytest.raises(RuntimeError, match="einstein_identity"):
         run_verify(cfg)

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from kahler_tube import checks, curvature
 from kahler_tube.cli import main
 
 FAST = ["--points", "2", "--directions", "5", "--seed", "7"]
@@ -99,6 +101,42 @@ def test_unwritable_output_path_exit_two(tmp_path, capsys, command, flag) -> Non
     assert code == 2
     assert f"error: cannot write {target}:" in capsys.readouterr().err
     assert not target.exists()
+
+
+def test_verify_non_finite_residual_exit_two(monkeypatch, capsys) -> None:
+    # A NaN residual at the last point reaches the report row, and the
+    # report writer refuses it: an error line and exit code 2, no traceback
+    # and nothing on stdout.
+    inner = checks.evaluate_points
+
+    def with_nan(*args):
+        values, families = inner(*args)
+        values["base_bianchi"] = np.array(values["base_bianchi"], dtype=float)
+        values["base_bianchi"][-1] = np.nan
+        return values, families
+
+    monkeypatch.setattr(checks, "evaluate_points", with_nan)
+    code = main(["verify", "--dim", "3", *FAST])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reports must contain finite numbers only\n"
+
+
+def test_sweep_non_finite_value_exit_two(monkeypatch, capsys) -> None:
+    inner = curvature.holomorphic_sectional_curvature
+
+    def with_nan(*args):
+        values = inner(*args)
+        values[1, 3] = np.nan
+        return values
+
+    monkeypatch.setattr(curvature, "holomorphic_sectional_curvature", with_nan)
+    code = main(["sweep", "--dim", "3", *FAST])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reports must contain finite numbers only\n"
 
 
 def test_sweep_stdout_layout(capsys) -> None:

@@ -130,6 +130,41 @@ def test_tiled_stencil_keeps_a_nan_error() -> None:
             assert np.isnan(field_jacobian(field, z, point_bytes).error)
 
 
+@pytest.mark.parametrize("point_bytes", [0, WORKING_SET // 12, WORKING_SET], ids=["one-call", "two-items", "one-item"])
+def test_stacked_stencil_equals_point_calls_bitwise(point_bytes: int) -> None:
+    # Each point of a stack has its own step h and each (point, axis) item
+    # its own six stencil points, so the stack, tiled or not, gives each
+    # point the value and error of its own call; the tiles cut across the
+    # points (two items a tile: 12 items of 4 points in 6 tiles).
+    zs = np.array([[0.3, -0.4, 0.8], [1.1, 0.2, -0.5], [-0.7, 0.9, 0.05], [0.0, 0.6, 1.4]])
+    field, calls = _counting(lambda p: _of_rank(p, 2))
+    stacked = field_jacobian(field, zs.reshape(2, 2, 3), point_bytes)
+    assert stacked.value.shape == (2, 2, 3, 3, 3) and np.shape(stacked.error) == (2, 2)
+    expected_calls = {0: [(72, 3)], WORKING_SET // 12: [(12, 3)] * 6, WORKING_SET: [(6, 3)] * 12}[point_bytes]
+    assert calls == expected_calls
+    for k, z in enumerate(zs):
+        one = field_jacobian(field, z)
+        np.testing.assert_array_equal(stacked.value.reshape(4, 3, 3, 3)[k], one.value)
+        assert stacked.error.reshape(4)[k] == one.error
+        assert np.ndim(one.error) == 0
+
+
+def test_a_nan_reaches_only_its_own_points_error() -> None:
+    # The second point's last axis leaves the field's domain on its minus
+    # side: that point's error (and derivative) is NaN, the others' are not.
+    zs = np.array([[0.3, -0.4, 0.9], [0.3, -0.4, 0.8], [1.1, 0.2, 0.95]])
+
+    def field(p: np.ndarray) -> np.ndarray:
+        return np.sqrt(p[..., 2] - 0.8)
+
+    with np.errstate(invalid="ignore"):
+        for point_bytes in (0, WORKING_SET // 6):
+            result = field_jacobian(field, zs, point_bytes)
+            assert [bool(v) for v in np.isnan(result.error)] == [False, True, False]
+            assert not np.isnan(result.value[[0, 2]]).any()
+            np.testing.assert_array_equal(result.value[0], field_jacobian(field, zs[0]).value)
+
+
 def test_complex_step_exact_on_exponential() -> None:
     a = np.array([0.7, -1.3, 2.1])
     z = np.array([0.3, -0.4, 0.8])

@@ -1,0 +1,108 @@
+"""Point independence of the stacked battery: a stack of points is its points.
+
+``run_verify`` evaluates its points in tiles, and every layer that runs under
+every lift profile is called once per tile, on stacks.  Each such layer
+reduces to one value per point over that point's own components, so a point's
+values must not depend on the stack it sits in: entry k of a stacked column
+equals the column of a stack of point k alone, and the one-point call of the
+layer at point k, bit for bit.  The report's worst point of a round-off row is
+picked by last-bit differences, so anything short of bitwise would show.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from kahler_tube import base_geometry, complex_structure
+from kahler_tube.base_geometry import ModelParams
+from kahler_tube.checks import CHECKS, evaluate_points
+from kahler_tube.curvature import curvature_from_metric_field
+from kahler_tube.frames import (
+    BundlePoint,
+    energy_frame_derivatives,
+    point_geometry,
+    step_geometry,
+    verify_brackets,
+)
+from kahler_tube.lifted_metric import LiftProfile, components_from_geometry
+from kahler_tube.sampling import sample_chart_points
+
+#: The rows that run under every lift profile, all of them stacked.
+STACKED_ROWS = [check.name for check in CHECKS if not check.integrable_only]
+
+
+def _column_values(column) -> np.ndarray:
+    return np.array([entry[0] if isinstance(entry, tuple) else entry for entry in column], dtype=float)
+
+
+@pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(count=st.sampled_from([1, 2, 4, 7]), seed=st.integers(min_value=0, max_value=2**16))
+@example(count=7, seed=1)
+@example(count=4, seed=7)
+def test_stacked_rows_equal_one_point_stacks_bitwise(dim: int, offset, count: int, seed: int) -> None:
+    params = ModelParams(dim)
+    profile = LiftProfile(offset)
+    pts = BundlePoint(*sample_chart_points(params, count, seed))
+    values, families = evaluate_points(params, pts, profile)
+    if offset is not None:  # only the stacked rows run
+        assert sorted(values) == sorted(STACKED_ROWS) and len(STACKED_ROWS) == 22
+    for k in range(count):
+        alone, alone_families = evaluate_points(params, pts[k:k + 1], profile)
+        assert set(alone) == set(values)
+        for name, column in values.items():  # the stacked rows, and the per-point rows of the slices
+            assert len(column) == count
+            np.testing.assert_array_equal(_column_values(column)[k:k + 1], _column_values(alone[name]), err_msg=name)
+        if families is not None:
+            for stacked, single in zip(families, alone_families):
+                np.testing.assert_array_equal(stacked[k:k + 1], single)
+
+
+def _layer_rows(geo, data, step_geo, step_data) -> list:
+    """Each stacked layer's per-point values, from the stacks or from one point's arrays."""
+    jet, riem = curvature_from_metric_field(base_geometry.metric_field(geo.params), geo.x)
+    closed = complex_structure.nijenhuis_closed_form(geo, data)
+    fd_n, off = complex_structure.nijenhuis_fd_full(geo, step_geo, step_data)
+    return [
+        jet.christoffel,
+        riem,
+        base_geometry.verify_constant_curvature(geo.base, riem),
+        base_geometry.first_bianchi_residual(geo.base.riem),
+        *verify_brackets(geo, step_geo),
+        *energy_frame_derivatives(geo, step_geo),
+        geo.frame.dual_pairing_residual(),
+        complex_structure.fundamental_form(step_geo, step_data),
+        closed,
+        fd_n,
+        off,
+    ]
+
+
+@pytest.mark.parametrize("offset", [None, 0.1], ids=["kahler", "offset"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_each_stacked_layer_equals_its_one_point_calls_bitwise(dim: int, offset) -> None:
+    # A layer takes a point or a stack: at one point, unbatched, it returns
+    # that point's row of the stacked call.  The point's arrays are indexed
+    # off the stacks (geo[k]) and, separately, built at the point alone.
+    params = ModelParams(dim)
+    profile = LiftProfile(offset)
+    pts = BundlePoint(*sample_chart_points(params, 3, 5))
+    geo = point_geometry(params, pts)
+    step_geo = step_geometry(geo)
+    stacked = _layer_rows(
+        geo, components_from_geometry(geo, profile), step_geo, components_from_geometry(step_geo, profile)
+    )
+    for k in range(3):
+        own_geo = point_geometry(params, pts[k])
+        own_step = step_geometry(own_geo)
+        built = _layer_rows(
+            own_geo, components_from_geometry(own_geo, profile), own_step, components_from_geometry(own_step, profile)
+        )
+        indexed = _layer_rows(
+            geo[k], components_from_geometry(geo[k], profile), step_geo[k], components_from_geometry(step_geo[k], profile)
+        )
+        for row, (whole, one, sliced) in enumerate(zip(stacked, built, indexed)):
+            np.testing.assert_array_equal(np.asarray(whole)[k], one, err_msg=f"layer value {row}")
+            np.testing.assert_array_equal(sliced, one, err_msg=f"layer value {row}")
