@@ -8,12 +8,11 @@ and whether it passes by exceeding its tolerance instead of staying below.
 one stacked ``BundlePoint`` and splits them into ``fd.tiles`` by the
 battery's bytes per point (``tile_point_bytes``: a small n = 3 or 4 run is
 one tile, an n = 5 point a tile of its own).  ``evaluate_points`` computes
-every per-point check value over one tile, one column per check: the
-layers that run under every profile once per tile, on stacks, each
-returning one value per point (the largest over that point's own
-components, so a point's value does not depend on its tile), and the
-integrable-only layers, for the Kähler profile only, point by point on the
-points of those stacks.  Each layer returns a float, an array of one float
+every per-point check value over one tile, one column per check: every
+layer, the integrable-only ones for the Kähler profile only, runs once per
+tile, on stacks, and returns one value per point (the largest over that
+point's own components, so a point's value does not depend on its tile);
+no layer runs point by point.  Each layer returns an array of one float
 per point or a tuple of them, unpacked straight into check names.
 ``_worst_over_points`` keeps, for each check, the worst value and the
 first point that reached it: the first non-finite value if any, else the
@@ -40,7 +39,6 @@ from .base_geometry import ModelParams
 from .fd import max_abs, tiles
 from .frames import (
     BundlePoint,
-    PointGeometry,
     energy_frame_derivatives,
     frame_derivative,
     frame_transform,
@@ -49,7 +47,7 @@ from .frames import (
     step_geometry,
     verify_brackets,
 )
-from .lifted_metric import LiftedMetricData, LiftProfile
+from .lifted_metric import LiftProfile
 from .report import CheckResult, SweepResult, VerifyReport, relative_spread
 from .sampling import sample_chart_points, sample_directions
 
@@ -206,15 +204,21 @@ def _positive_definite_residual(matrix: np.ndarray) -> np.ndarray:
 
 
 def tile_point_bytes(n: int) -> int:
-    """Bytes the battery holds per point of a verify tile: twenty complex (2n)^3 arrays.
+    """Bytes a verify tile holds per point: twenty complex (2n)^3 arrays, or the step families.
 
-    That bounds the tracemalloc peak per point of ``evaluate_points`` under
-    the offset profile, where only the stacked layers run: 44–61 KB at
-    n = 3, 108–136 KB at n = 4, 150–294 KB at n = 5 and 570–930 KB at n = 8
-    over tiles of 1 to 8 points, the most for a tile of one.  So seven
-    points at n = 3 make a tile, three at n = 4 and one from n = 5 on.
+    The layers that run under every profile hold twenty complex (2n)^3
+    arrays a point; the Kähler profile adds the curvature families on the
+    2n step points, complex, with their Jacobian and frame derivative,
+    2n 4 n^4 32 bytes, the larger from n = 4 on.  The layers that tile
+    their own stacks (the oracle's stencil, nabla K) add a fixed working
+    set of up to about 0.9 MB.  Tracemalloc peaks of ``evaluate_points``
+    over stacks of 1 to 8 points: offset 44–61 KB a point at n = 3,
+    108–136 at n = 4, 150–294 at n = 5; Kähler 0.46, 0.84, 1.2 and 9.7 MB
+    for one point at n = 3, 4, 5 and 8, each further point adding about
+    75 KB at n = 3, 0.38 MB at n = 4 and 1.0 MB at n = 5.  So seven points
+    make a tile at n = 3, two at n = 4 and one from n = 5 on.
     """
-    return 20 * 16 * (2 * n) ** 3
+    return max(20 * 16 * (2 * n) ** 3, 2 * n * 4 * n**4 * 32)
 
 
 def evaluate_points(
@@ -227,22 +231,21 @@ def evaluate_points(
     are built once here, as stacks, and handed to every layer.  So are the
     step geometry at the 2n complex-step points of each point
     (``step_geometry``) and its lifted blocks, from which every
-    complex-step layer reads its derivative.  Every layer that runs under
-    every profile is called once, on the stacks, and returns one value per
-    point, the maximum over that point's own components; so entry k equals
-    the value of a stack of point k alone, bit for bit, and a non-finite
-    value stays at its point.
+    complex-step layer reads its derivative.  Every layer is called once,
+    on the stacks, and returns one value per point, the maximum over that
+    point's own components; so entry k equals the value of a stack of point
+    k alone, bit for bit, and a non-finite value stays at its point.
 
-    The integrable-only layers run only for the Kähler profile, point by
-    point, on the points of the stacks (``geo[k]``, which indexes the
-    arrays already built): the closed connection ``W``, the curvature
-    oracle and the connection rows, and the closed curvature families
-    ``T`` at the point with their frame derivatives ``dT``, one
-    ``frame_derivative`` of ``curvature_blocks`` on the step, whose
-    assembly is the closed adapted curvature that the curvature rows,
-    ``local_symmetry`` and the parallel rows read.  The second item holds
-    the stacked ``T`` and the metric blocks ``G``, ``H`` (None for any other
-    profile), from which ``run_verify`` takes the holomorphic rows.
+    The integrable-only layers run only for the Kähler profile: the closed
+    connection ``W``, the curvature oracle (its stencil in tiles of (point,
+    axis) items) and the connection rows, and the closed curvature families
+    ``T`` with their frame derivatives ``dT``, one ``frame_derivative`` of
+    ``curvature_blocks`` on the step stack, whose assembly is the closed
+    adapted curvature that the curvature rows, ``local_symmetry`` (its
+    nabla K in tiles of (point, direction) items) and the parallel rows
+    read.  The second item holds ``T`` and the metric blocks ``G``, ``H``
+    (None for any other profile), from which ``run_verify`` takes the
+    holomorphic rows.
     """
     n = params.dim
     geo = point_geometry(params, pts)
@@ -304,55 +307,38 @@ def evaluate_points(
 
     values["lifted_kahler_identity"] = lifted_metric.kahler_identity_residual(params, data)
     values["lifted_w_consistency"] = lifted_metric.w_consistency_residual(params, data)
-    points = [
-        _integrable_values(geo[k], data[k], step_geo[k], step_data[k], S_ad[k], S_coord[k], J_ad[k])
-        for k in range(len(data.t))
-    ]
-    for name in points[0][0]:
-        values[name] = [point_values[name] for point_values, _ in points]
-    return values, (np.stack([T for _, T in points]), data.G, data.H)
-
-
-def _integrable_values(
-    geo: PointGeometry,
-    data: LiftedMetricData,
-    step_geo: PointGeometry,
-    step_data: LiftedMetricData,
-    S_ad: np.ndarray,
-    S_coord: np.ndarray,
-    J_ad: np.ndarray,
-) -> tuple[dict[str, Value], np.ndarray]:
-    """The integrable-only values at one point, with its closed curvature families ``T``."""
-    n = geo.n
-    values: dict[str, Value] = {}
 
     # Levi-Civita connection: closed forms against the Koszul oracle.
     jet, R_oracle_coord = curvature.curvature_oracle_coordinates(geo, step_geo, step_data)
     W = connection.coefficients_from_geometry(geo, data)
-    values["connection_match"], values["connection_nabla_g"], values["connection_torsion"] = (
-        connection.verify_connection(geo, W, jet)
-    )
-    values["mtensor_parallel"] = max(connection.mtensor_parallel_residuals(geo, step_data))
+    match, nabla_g, torsion = connection.verify_connection(geo, W, jet)
+    values.update(connection_match=list(zip(*match)), connection_nabla_g=nabla_g, connection_torsion=torsion)
+    values["mtensor_parallel"] = np.maximum(*connection.mtensor_parallel_residuals(geo, step_data))
 
-    # Curvature: closed blocks against the curvature oracle; identity
-    # battery on the oracle output so it stands on its own.
-    T, dT = frame_derivative(geo, curvature.curvature_blocks(step_geo, step_data))  # dT[direction, family]
-    R_closed_ad = curvature.assemble_adapted_curvature(T)
+    # Curvature: the identity battery on the oracle output, so that it stands on its own,
+    # then the closed blocks; the oracle's tensors are dropped before nabla K's tiles.
     R_oracle_ad = frame_transform(R_oracle_coord, "uddd", geo.frame, to="adapted")
-    sectors = curvature.sector_residuals(R_closed_ad, R_oracle_ad, n)
-    values["curvature_match"] = (
-        max(sectors.values()),
-        "per-family residuals: " + ", ".join(f"{k}={v:.3e}" for k, v in sectors.items()),
-    )
-    values["curvature_antisymmetry"] = curvature.direction_antisymmetry_residual(R_closed_ad)
     values["curvature_bianchi"] = base_geometry.first_bianchi_residual(R_oracle_coord)
     values["curvature_pair_skew"] = curvature.pair_skew_residual(R_oracle_coord, S_coord)
     values["curvature_j_invariance"] = curvature.j_invariance_residual(R_oracle_ad, S_ad, J_ad)
     values["einstein_identity"], values["ricci_mixed_zero"] = curvature.einstein_residuals(
         geo, S_coord, R_oracle_coord
     )
+    del jet, R_oracle_coord
+    T, dT = frame_derivative(geo, curvature.curvature_blocks(step_geo, step_data))  # dT[..., direction, family]
+    R_closed_ad = curvature.assemble_adapted_curvature(T)
+    sectors = curvature.sector_residuals(R_closed_ad, R_oracle_ad, n)
+    del R_oracle_ad
+    values["curvature_match"] = list(zip(np.maximum.reduce(list(sectors.values())), _family_details(sectors)))
+    values["curvature_antisymmetry"] = curvature.direction_antisymmetry_residual(R_closed_ad)
     values.update(curvature.parallel_block_residuals(geo, W, T, dT, R_closed_ad))
-    return values, T
+    return values, (T, data.G, data.H)
+
+
+def _family_details(sectors: dict[str, np.ndarray]) -> list[str]:
+    """``curvature_match``'s detail at each point: every family's residual there."""
+    return ["per-family residuals: " + ", ".join(f"{k}={v:.3e}" for k, v in zip(sectors, row))
+            for row in zip(*sectors.values())]
 
 
 def _worst_over_points(
@@ -383,8 +369,9 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
 
     The points are validated as one stacked ``BundlePoint`` and split into
     ``fd.tiles`` of ``fd.WORKING_SET`` at the battery's bytes per point
-    (``tile_point_bytes``), and ``evaluate_points`` evaluates each tile.
-    Tile sizes follow from n and the point count alone.
+    (``tile_point_bytes``), and ``evaluate_points`` evaluates each tile,
+    every layer once per tile.  Tile sizes follow from n and the point
+    count alone.
     """
     cfg.require_admissible()
     params = cfg.params

@@ -33,40 +33,41 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fd import complex_step
+from .fd import complex_step, max_abs
 from .frames import PointGeometry, frame_derivative, frame_structure_functions
 from .lifted_metric import LiftedMetricData
 
 
 def coefficients_from_geometry(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
-    """Closed-form W[c, a, b] (blocks above) of the integrable lift at the point of ``geo``."""
+    """Closed-form W[..., c, a, b] (blocks above) of the integrable lift at the point(s) of ``geo``."""
     n = geo.n
-    c, A, t = geo.params.curvature, geo.params.lift_const, data.t
+    c, A, t = geo.params.curvature, geo.params.lift_const, data.t[..., None, None, None]
     g, ginv, p, pr = geo.base.g, geo.base.g_inv, geo.p, geo.p_raised
     eye = np.eye(n)
     bound = 2.0 * c - A * A * t
 
-    inner = ginv + (c / (t * bound)) * np.outer(pr, pr)
+    inner = ginv + (c / (t * bound))[..., 0] * (pr[..., :, None] * pr[..., None, :])
     vv_vert = (0.5 / t) * (
-        np.einsum("ij,h->ijh", inner, p)
-        - np.einsum("ih,j->ijh", eye, pr)
-        - np.einsum("jh,i->ijh", eye, pr)
+        np.einsum("...ij,...h->...ijh", inner, p)
+        - np.einsum("ih,...j->...ijh", eye, pr)
+        - np.einsum("jh,...i->...ijh", eye, pr)
     )
-    mixed = -np.einsum("ihj->hij", vv_vert)
+    mixed = -np.einsum("...ihj->...hij", vv_vert)
     gamma = geo.base.gamma
 
-    W = np.zeros((2 * n, 2 * n, 2 * n))
-    W[:n, :n, :n] = gamma
-    W[n:, :n, :n] = (
+    W = np.zeros(data.t.shape + (2 * n,) * 3)
+    W[..., :n, :n, :n] = gamma
+    W[..., n:, :n, :n] = (
         (0.5 * (A * A * t - 2.0 * c))
-        * (np.einsum("ij,h->hij", g, p) + np.einsum("ih,j->hij", g, p))
-        + (0.5 * A * A * t) * np.einsum("hj,i->hij", g, p)
-        + (0.5 * (3.0 * c - 2.0 * A * A * t) / t) * (np.outer(p, p)[:, :, None] * p)
+        * (np.einsum("...ij,...h->...hij", g, p) + np.einsum("...ih,...j->...hij", g, p))
+        + (0.5 * A * A * t) * np.einsum("...hj,...i->...hij", g, p)
+        + (0.5 * (3.0 * c - 2.0 * A * A * t) / t)
+        * (p[..., :, None, None] * p[..., None, :, None] * p[..., None, None, :])
     )
-    W[n:, :n, n:] = -np.einsum("jih->hij", gamma)
-    W[:n, :n, n:] = np.einsum("hji->hij", mixed)
-    W[:n, n:, :n] = mixed
-    W[n:, n:, n:] = np.einsum("ijh->hij", vv_vert)
+    W[..., n:, :n, n:] = -np.einsum("...jih->...hij", gamma)
+    W[..., :n, :n, n:] = np.einsum("...hji->...hij", mixed)
+    W[..., :n, n:, :n] = mixed
+    W[..., n:, n:, n:] = np.einsum("...ijh->...hij", vv_vert)
     return W
 
 
@@ -98,7 +99,7 @@ def koszul_oracle(metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.nda
 
 
 def connection_to_adapted(christoffel: np.ndarray, geo: PointGeometry) -> np.ndarray:
-    """Transform coordinate Christoffels into adapted-frame coefficients.
+    """Transform coordinate Christoffels into adapted-frame coefficients, at a point or a stack.
 
     Uses the non-tensorial rule with the analytic frame derivative dM:
     W[c, a, b] = Minv[c, nu] (M[mu, a] dM[mu, nu, b] + M[mu, a] M[lam, b]
@@ -106,15 +107,20 @@ def connection_to_adapted(christoffel: np.ndarray, geo: PointGeometry) -> np.nda
     """
 
     fr = geo.frame
-    Z = fr.dM + np.swapaxes(christoffel @ fr.M, 0, 1)  # [mu, nu, b]
-    return np.tensordot(fr.Minv, np.tensordot(fr.M, Z, axes=([0], [0])), axes=([1], [1]))
+    m = christoffel.shape[-1]
+    flat = christoffel.shape[:-3] + (m, m * m)
+    Z = fr.dM + np.swapaxes(christoffel @ fr.M[..., None, :, :], -3, -2)  # [mu, nu, b]
+    X = (np.swapaxes(fr.M, -1, -2) @ Z.reshape(flat)).reshape(Z.shape)  # [a, nu, b]
+    return (fr.Minv @ np.swapaxes(X, -3, -2).reshape(flat)).reshape(Z.shape)
 
 
 def connection_to_coordinates(W: np.ndarray, geo: PointGeometry) -> np.ndarray:
     """Inverse of connection_to_adapted: coordinate Christoffels from W."""
     fr = geo.frame
-    U = np.tensordot(fr.M, np.tensordot(W, fr.Minv, axes=([1], [0])), axes=([1], [0]))  # [nu, b, mu]
-    return (np.swapaxes(U, 1, 2) - np.swapaxes(fr.dM, 0, 1)) @ fr.Minv
+    m = W.shape[-1]
+    inner = np.swapaxes(W, -2, -1).reshape(W.shape[:-3] + (m * m, m)) @ fr.Minv  # [c, b, mu]
+    U = (fr.M @ inner.reshape(W.shape[:-3] + (m, m * m))).reshape(W.shape)  # [nu, b, mu]
+    return (np.swapaxes(U, -2, -1) - np.swapaxes(fr.dM, -3, -2)) @ fr.Minv[..., None, :, :]
 
 
 def covariant_derivative(conn: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> np.ndarray:
@@ -158,15 +164,14 @@ def covariant_derivative(conn: np.ndarray, T: np.ndarray, dT: np.ndarray, varian
     return nabla
 
 
-def torsion_residual(W: np.ndarray, geo: PointGeometry) -> float:
-    """Max |W[c,a,b] - W[c,b,a] - structure[c,a,b]|, algebraic in the inputs."""
+def torsion_residual(W: np.ndarray, geo: PointGeometry) -> float | np.ndarray:
+    """Max |W[c,a,b] - W[c,b,a] - structure[c,a,b]| per point, algebraic in the inputs."""
     struct = frame_structure_functions(geo)
-    tors = W - np.einsum("cab->cba", W) - struct
-    return float(np.max(np.abs(tors)))
+    return max_abs(W - np.swapaxes(W, -2, -1) - struct, geo.t.ndim)
 
 
-def metric_compatibility_residual(geo: PointGeometry, W: np.ndarray, jet: KoszulJet) -> float:
-    """Max |coordinate covariant derivative of the lifted metric|.
+def metric_compatibility_residual(geo: PointGeometry, W: np.ndarray, jet: KoszulJet) -> float | np.ndarray:
+    """Max |coordinate covariant derivative of the lifted metric| per point.
 
     The metric and its derivative are the oracle's complex step ``jet`` of
     the analytic metric field; the connection is the closed-form adapted
@@ -176,34 +181,41 @@ def metric_compatibility_residual(geo: PointGeometry, W: np.ndarray, jet: Koszul
     """
 
     christoffel = connection_to_coordinates(W, geo)
-    return float(np.max(np.abs(covariant_derivative(christoffel, jet.G, jet.dG, "dd"))))
+    return max_abs(covariant_derivative(christoffel, jet.G, jet.dG, "dd"), geo.t.ndim)
 
 
 def verify_connection(
     geo: PointGeometry, W_closed: np.ndarray, jet: KoszulJet
-) -> tuple[tuple[float, str], float, float]:
+) -> tuple[tuple[float | np.ndarray, str | list[str]], float | np.ndarray, float | np.ndarray]:
     """Compare the closed-form adapted connection against the Koszul oracle's ``jet`` at ``geo``.
 
     Returns ``((closed_vs_oracle, worst_label), nabla_g, torsion)``: the
     largest coefficient deviation with a label naming it, the metric
-    compatibility residual and the torsion residual.
+    compatibility residual and the torsion residual, each one per point
+    (the labels a list for a stack).
     """
+    batch = geo.t.shape
     W_oracle = connection_to_adapted(jet.christoffel, geo)
-    diff = np.abs(W_closed - W_oracle)
-    worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
-    label = (
-        f"coefficient [{worst[0]},{worst[1]},{worst[2]}]: "
-        f"closed-form {W_closed[worst]:.17g} vs oracle {W_oracle[worst]:.17g}"
-    )
+    diff = np.abs(W_closed - W_oracle).reshape(batch + (-1,))
+    worst = np.asarray(np.argmax(diff, axis=-1))
+    labels = []
+    for k in np.ndindex(batch):
+        c, a, b = np.unravel_index(worst[k], W_closed.shape[-3:])
+        labels.append(
+            f"coefficient [{c},{a},{b}]: "
+            f"closed-form {W_closed[k + (c, a, b)]:.17g} vs oracle {W_oracle[k + (c, a, b)]:.17g}"
+        )
     return (
-        (float(diff[worst]), label),
+        (np.max(diff, axis=-1), labels if batch else labels[0]),
         metric_compatibility_residual(geo, W_closed, jet),
         torsion_residual(W_closed, geo),
     )
 
 
-def mtensor_parallel_residuals(geo: PointGeometry, step_data: LiftedMetricData) -> tuple[float, float]:
-    """Horizontal covariant constancy of the integrable lift's metric blocks.
+def mtensor_parallel_residuals(
+    geo: PointGeometry, step_data: LiftedMetricData
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Horizontal covariant constancy of the integrable lift's metric blocks, per point.
 
     Checks that the frame derivative of G along horizontal directions is
     absorbed by base Christoffel contractions, and likewise for H with the
@@ -212,9 +224,9 @@ def mtensor_parallel_residuals(geo: PointGeometry, step_data: LiftedMetricData) 
     (``frames.step_geometry``), read along the horizontal frame vectors.
     """
 
-    n = geo.n
-    (G, H), dGH = frame_derivative(geo, np.stack([step_data.G, step_data.H], axis=-3))
+    n, batch = geo.n, geo.t.ndim
+    GH, dGH = frame_derivative(geo, np.stack([step_data.G, step_data.H], axis=-3))
     gamma = geo.base.gamma  # the connection along the n horizontal frame vectors
-    covG = covariant_derivative(gamma, G, dGH[:n, 0], "dd")
-    covH = covariant_derivative(gamma, H, dGH[:n, 1], "uu")
-    return float(np.max(np.abs(covG))), float(np.max(np.abs(covH)))
+    covG = covariant_derivative(gamma, GH[..., 0, :, :], dGH[..., :n, 0, :, :], "dd")
+    covH = covariant_derivative(gamma, GH[..., 1, :, :], dGH[..., :n, 1, :, :], "uu")
+    return max_abs(covG, batch), max_abs(covH, batch)

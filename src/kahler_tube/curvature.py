@@ -39,13 +39,19 @@ import numpy as np
 
 from .base_geometry import DomainError
 from .connection import KoszulJet, covariant_derivative, koszul_christoffel, koszul_jet, koszul_oracle
-from .fd import complex_jacobian, field_jacobian, tiles
+from .fd import complex_jacobian, field_jacobian, max_abs, tiles
 from .frames import PointGeometry, frame_transform
 from .lifted_metric import LiftedMetricData, coordinate_metric, metric_field
 
 
 #: Index variance of each curvature family (layouts in the module docstring), in stacking order.
 _FAMILY_VARIANCE = {"hhh": "uddd", "vvh": "uuud", "vhh": "uddd", "vhv": "uuud"}
+
+#: The adapted sectors of each family, slots (output, argument, dir1, dir2), h horizontal and v vertical,
+#: then the eight the closed form leaves empty: those with an odd number of vertical slots.
+_SECTORS = {"hhh": ["hhhh"], "hhv": ["vvhh"], "vvh": ["hhvv"], "vvv": ["vvvv"],
+            "vhh": ["vhvh", "vhhv"], "vhv": ["hvvh", "hvhv"],
+            "structural_zero": ["hhhv", "hhvh", "hvhh", "vhhh", "hvvv", "vhvv", "vvhv", "vvvh"]}
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,13 +160,14 @@ def _koszul_curvature(
 ) -> tuple[KoszulJet, np.ndarray]:
     """``jet`` and the coordinate curvature from its Christoffels and their stencil derivative.
 
-    Each stencil point's Koszul evaluation holds up to four float (m, m, m)
-    arrays at once (``dG``, the first-kind symbols, their raised product and
-    its half): its ``point_bytes``.
+    Each stencil point's Koszul evaluation holds about five float (m, m, m)
+    arrays at once (its complex coordinate metric as two, ``dG``, the
+    first-kind symbols, their raised product): its ``point_bytes``.
+    Tracemalloc reads 6.4 to 6.7 at n = 3 to 5; five keeps two axes a tile at n = 5.
     """
     m = np.shape(z)[-1]
     field = partial(koszul_oracle, metric_field_fn)
-    gamma, dgamma = jet.christoffel, field_jacobian(field, z, point_bytes=4 * 8 * m**3).value
+    gamma, dgamma = jet.christoffel, field_jacobian(field, z, point_bytes=5 * 8 * m**3).value
     return jet, (
         np.einsum("...cadb->...abcd", dgamma)
         - np.einsum("...dacb->...abcd", dgamma)
@@ -174,99 +181,83 @@ def curvature_oracle_coordinates(
 ) -> tuple[KoszulJet, np.ndarray]:
     """The oracle's Koszul jet and coordinate curvature of the integrable lift at ``geo``.
 
+    At a stack of points the jet and the curvature follow its batch axes.
     The jet at the point is the complex step of the coordinate metric on the
     point's step geometry (``frames.step_geometry``) and its Kähler blocks
     ``step_data``, the same values ``koszul_jet(metric_field(geo.params),
     geo.z)`` evaluates; the Christoffels' stencil derivative evaluates
     ``metric_field`` on the outer stencil.
     """
-    G, dG = complex_jacobian(coordinate_metric(step_geo, step_data))
+    G, dG = complex_jacobian(coordinate_metric(step_geo, step_data), geo.t.ndim)
     jet = KoszulJet(G, dG.value, koszul_christoffel(G, dG.value))
     return _koszul_curvature(jet, metric_field(geo.params), geo.z)
 
 
-def _sector(R: np.ndarray, pattern: tuple[str, str, str, str], n: int) -> np.ndarray:
-    sl = {"h": slice(0, n), "v": slice(n, 2 * n)}
-    return R[sl[pattern[0]], sl[pattern[1]], sl[pattern[2]], sl[pattern[3]]]
+def _sectors_max(R: np.ndarray, patterns: list[str], n: int) -> float | np.ndarray:
+    """Largest |entry| per point over the adapted sectors ``patterns`` of R (h: first n slots, v: last n)."""
+    halves = {"h": slice(0, n), "v": slice(n, None)}
+    return np.maximum.reduce([max_abs(R[(..., *map(halves.get, pat))], R.ndim - 4) for pat in patterns])
 
 
 def sector_residuals(
     R_closed: np.ndarray, R_oracle: np.ndarray, n: int
-) -> dict[str, float]:
-    """Per-family max deviation between closed form and oracle (adapted frame).
+) -> dict[str, float | np.ndarray]:
+    """Per-family max deviation between closed form and oracle (adapted frame), per point.
 
     Families with two antisymmetry-related sectors report the worse of the
-    two; ``structural_zero`` is the largest oracle entry over the eight
-    sectors the closed form leaves empty.
+    two; ``structural_zero`` is the worst over the eight sectors the closed
+    form leaves empty, where it is zero: the largest oracle entry there.
     """
 
-    # (output, argument, dir1, dir2) with h = horizontal slice, v = vertical
-    sectors = {
-        "hhh": [("h", "h", "h", "h")],
-        "hhv": [("v", "v", "h", "h")],
-        "vvh": [("h", "h", "v", "v")],
-        "vvv": [("v", "v", "v", "v")],
-        "vhh": [("v", "h", "v", "h"), ("v", "h", "h", "v")],
-        "vhv": [("h", "v", "v", "h"), ("h", "v", "h", "v")],
-    }
-    family_sectors = {pat for pats in sectors.values() for pat in pats}
-    zero_sectors = [pat for pat in product("hv", repeat=4) if pat not in family_sectors]
-    out: dict[str, float] = {}
-    for name, pats in sectors.items():
-        out[name] = max(
-            float(np.max(np.abs(_sector(R_closed, pat, n) - _sector(R_oracle, pat, n))))
-            for pat in pats
-        )
-    out["structural_zero"] = max(
-        float(np.max(np.abs(_sector(R_oracle, pat, n)))) for pat in zero_sectors
-    )
-    return out
+    diff = R_closed - R_oracle
+    return {name: _sectors_max(diff, patterns, n) for name, patterns in _SECTORS.items()}
 
 
-def direction_antisymmetry_residual(R: np.ndarray) -> float:
-    return float(np.max(np.abs(R + np.einsum("abcd->abdc", R))))
+def direction_antisymmetry_residual(R: np.ndarray) -> float | np.ndarray:
+    return max_abs(R + np.swapaxes(R, -2, -1), R.ndim - 4)
 
 
-def pair_skew_residual(R: np.ndarray, metric: np.ndarray) -> float:
-    """Antisymmetry of the fully lowered tensor in (output, argument)."""
-    lowered = np.einsum("ea,abcd->ebcd", metric, R)
-    return float(np.max(np.abs(lowered + np.einsum("ebcd->becd", lowered))))
+def pair_skew_residual(R: np.ndarray, metric: np.ndarray) -> float | np.ndarray:
+    """Antisymmetry of the fully lowered tensor in (output, argument), per point."""
+    lowered = np.einsum("...ea,...abcd->...ebcd", metric, R)
+    return max_abs(lowered + np.swapaxes(lowered, -4, -3), R.ndim - 4)
 
 
-def j_invariance_residual(R: np.ndarray, metric: np.ndarray, J: np.ndarray) -> float:
-    """Residual of <K(X,Y) J Z, J W> = <K(X,Y) Z, W> (any single frame)."""
-    m = R.shape[0]
-    SJ_R = (metric @ J).T @ R.reshape(m, m**3)  # [w, (b, c, d)]
-    lhs = np.moveaxis(np.tensordot(SJ_R.reshape(R.shape), J, axes=([1], [0])), 3, 1)
-    rhs = (metric.T @ R.reshape(m, m**3)).reshape(R.shape)
-    return float(np.max(np.abs(lhs - rhs)))
+def j_invariance_residual(R: np.ndarray, metric: np.ndarray, J: np.ndarray) -> float | np.ndarray:
+    """Residual of <K(X,Y) J Z, J W> = <K(X,Y) Z, W> (any single frame), per point."""
+    m = R.shape[-1]
+    flat = R.reshape(R.shape[:-4] + (m, m**3))
+    SJ_R = (np.swapaxes(metric @ J, -1, -2) @ flat).reshape(R.shape)  # [w, b, c, d]
+    lhs = np.moveaxis(np.moveaxis(SJ_R, -3, -1) @ J[..., None, None, :, :], -1, -3)
+    rhs = (np.swapaxes(metric, -1, -2) @ flat).reshape(R.shape)
+    return max_abs(lhs - rhs, R.ndim - 4)
 
 
 def ricci_tensor(R: np.ndarray) -> np.ndarray:
-    return np.einsum("abad->db", R)
+    return np.einsum("...abad->...db", R)
 
 
 def einstein_residuals(
     geo: PointGeometry, S_coord: np.ndarray, R_coord: np.ndarray
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Ricci of the oracle curvature ``R_coord`` against (A n / 2) times the metric ``S_coord``.
 
-    Returns ``(identity, mixed_block)``: max |Ric - (A n / 2) S| in
-    coordinates and the largest horizontal-vertical entry of adapted Ric.
+    Returns ``(identity, mixed_block)``, each per point: max |Ric - (A n / 2) S|
+    in coordinates and the largest horizontal-vertical entry of adapted Ric.
     The curvature is produced entirely by finite differences, so a pass
     certifies the Einstein property independently of every closed form.
     """
 
+    n, batch = geo.n, geo.t.ndim
     ric = ricci_tensor(R_coord)
-    factor = 0.5 * geo.params.lift_const * geo.n
-    identity = float(np.max(np.abs(ric - factor * S_coord)))
+    factor = 0.5 * geo.params.lift_const * n
+    identity = max_abs(ric - factor * S_coord, batch)
     ric_ad = frame_transform(ric, "dd", geo.frame, "adapted")
-    n = geo.n
-    return identity, max(float(np.max(np.abs(ric_ad[:n, n:]))), float(np.max(np.abs(ric_ad[n:, :n]))))
+    return identity, np.maximum(max_abs(ric_ad[..., :n, n:], batch), max_abs(ric_ad[..., n:, :n], batch))
 
 
-def covariant_derivative_residual(W: np.ndarray, K: np.ndarray, dT: np.ndarray) -> float:
-    """Max |nabla K|: local symmetry of the curvature.
+def covariant_derivative_residual(W: np.ndarray, K: np.ndarray, dT: np.ndarray) -> float | np.ndarray:
+    """Max |nabla K| per point: local symmetry of the curvature.
 
     ``K`` is assembled from the stacked families and ``dT`` holds their
     frame derivatives (assembly is linear); the closed-form adapted
@@ -274,22 +265,30 @@ def covariant_derivative_residual(W: np.ndarray, K: np.ndarray, dT: np.ndarray) 
     the adapted frame: near machine precision, and sound as a certificate
     because the differentiated field and the connection are themselves
     oracle-certified pointwise by the other checks.  The (2n)^5 ``nabla K``
-    is taken over ``fd.tiles`` of frame directions, each direction's
-    ``dK`` and ``nabla K`` rows (and the product of one slot) held at a time.
+    of a point or a stack is taken over ``fd.tiles`` of (point, direction)
+    items: tiles of whole points while a point's ``nabla K`` fits
+    ``fd.WORKING_SET``, else one point at a time over tiles of its
+    directions, each direction's ``dK`` and ``nabla K`` rows (and the
+    product of one slot) held at a time; ``|nabla K|`` is taken in place.
     """
 
+    if K.ndim == 4:  # one point
+        return covariant_derivative_residual(W[None], K[None], dT[None])[0]
     m = K.shape[-1]
-    worst = [
-        np.max(np.abs(covariant_derivative(W[:, tile], K, assemble_adapted_curvature(dT[tile]), "uddd")))
-        for tile in tiles(m, 3 * K.itemsize * m**4)
-    ]
-    return float(np.max(worst))  # a NaN in any tile reaches the report, as from one call
+    row = 3 * K.itemsize * m**4  # one direction of one point
+    worst = np.empty((len(K), m))
+    for points in tiles(len(K), m * row):
+        for directions in tiles(m, (points.stop - points.start) * row):
+            dK = assemble_adapted_curvature(dT[points, directions])
+            nabla = covariant_derivative(W[points, :, directions], K[points], dK, "uddd")
+            worst[points, directions] = np.abs(nabla, out=nabla).reshape(nabla.shape[:2] + (-1,)).max(axis=-1)
+    return np.max(worst, axis=-1)  # a NaN in any tile reaches its point
 
 
 def parallel_block_residuals(
     geo: PointGeometry, W: np.ndarray, T: np.ndarray, dT: np.ndarray, K: np.ndarray
-) -> dict[str, float]:
-    """Frame-derivative parallelism of each curvature family and of K.
+) -> dict[str, float | np.ndarray]:
+    """Frame-derivative parallelism of each curvature family and of K, per point.
 
     Returns keys like ``parallel_hhh_horizontal``: the covariant derivative
     of the block along every frame direction of the stated type must vanish.
@@ -297,23 +296,24 @@ def parallel_block_residuals(
     vertical ones the mixed-slot closed-form coefficients ``W[:n, n:, :n]``;
     ``local_symmetry`` reads all of ``W`` and ``K``, the assembly of ``T``.
     ``T`` and ``dT`` are the ``frame_derivative`` of ``curvature_blocks`` on
-    the point's step geometry.  The eight block rows are two batched
+    the step geometry of the point(s).  The eight block rows are two batched
     ``covariant_derivative`` calls, one per variance (``uddd``: hhh and vhh;
     ``uuud``: vvh and vhv), with the horizontal and vertical connections on
-    one batch axis.
+    one batch axis after those of the points.
     """
 
     n = geo.n
-    conn = np.stack([geo.base.gamma, W[:n, n:, :n]])[:, None]  # [kind, 1, upper, direction, slot]
-    dT_kind = np.swapaxes(dT.reshape((2, n) + dT.shape[1:]), 1, 2)  # [kind, family, direction, ...]
+    conn = np.stack([geo.base.gamma, W[..., :n, n:, :n]], axis=-4)[..., None, :, :, :]  # [kind, 1, upper, dir, slot]
+    dT_kind = np.swapaxes(dT.reshape(dT.shape[:-6] + (2, n) + dT.shape[-5:]), -6, -5)  # [kind, family, dir, ...]
     names = list(_FAMILY_VARIANCE)  # hhh, vvh, vhh, vhv: the variances alternate
     out = {"local_symmetry": covariant_derivative_residual(W, K, dT)}  # the (2n)^5 peak, before the rows
     for first in (0, 1):
-        variance = _FAMILY_VARIANCE[names[first]]
-        nabla = covariant_derivative(conn, T[None, first::2], dT_kind[:, first::2], variance)
-        worst = np.max(np.abs(nabla).reshape(4, -1), axis=1)  # [(kind, family)]
-        for (kind, name), value in zip(product(("horizontal", "vertical"), names[first::2]), worst):
-            out[f"parallel_{name}_{kind}"] = float(value)
+        nabla = covariant_derivative(
+            conn, T[..., None, first::2, :, :, :, :], dT_kind[..., first::2, :, :, :, :, :], _FAMILY_VARIANCE[names[first]]
+        )
+        worst = max_abs(nabla, nabla.ndim - 5)  # [..., kind, family]
+        for (k, kind), (f, name) in product(enumerate(("horizontal", "vertical")), enumerate(names[first::2])):
+            out[f"parallel_{name}_{kind}"] = worst[..., k, f]
     return out
 
 

@@ -219,12 +219,17 @@ def test_worst_over_points_first_non_finite_value_wins() -> None:
 def test_error_planted_at_one_point_of_a_stack_lands_on_that_point(dim, count, planted_at, monkeypatch) -> None:
     # A 1e-9 error planted on one entry of the real coordinate metric at one
     # sampled point moves frame_roundtrip there, far above every other
-    # point's round-off, and only there: the report names that point.  At
-    # (4,1,1) seven points make three tiles, and point 5 is the third of
-    # the second.
+    # point's round-off, and only there: the report names that point.  So
+    # does a relative error of 1e-2 exp(x_0 + p_0) planted in the hhh family
+    # on that point's step geometry, which moves the family's value and its
+    # frame derivatives along both distributions: it fails curvature_match
+    # and both parallel_hhh rows at that point.  At (4,1,1) seven points
+    # make four tiles of two points or one, and point 5 is the first of the
+    # fourth.
     params = ModelParams(dim)
     target = sample_chart_points(params, count, 7)[0][planted_at]
     inner = lifted_metric.coordinate_metric
+    inner_blocks = curvature.curvature_blocks
 
     def planted(geo, data):
         S = inner(geo, data)
@@ -234,12 +239,54 @@ def test_error_planted_at_one_point_of_a_stack_lands_on_that_point(dim, count, p
             S[hit, 0, dim] += 1e-9
         return S
 
+    def planted_blocks(geo, data):
+        T = inner_blocks(geo, data)
+        hit = np.all(geo.x.real == target, axis=-1)  # the target's 2n step points
+        scale = np.where(hit, 1.0 + 1e-2 * np.exp(geo.x[..., 0] + geo.p[..., 0]), 1.0)
+        T[..., 0, :, :, :, :] *= scale[..., None, None, None, None]
+        return T
+
     monkeypatch.setattr(lifted_metric, "coordinate_metric", planted)
+    monkeypatch.setattr(curvature, "curvature_blocks", planted_blocks)
     for offset in (None, 0.1):
         cfg = RunConfig(params, num_points=count, num_directions=4, seed=7, custom_v_offset=offset)
-        row = next(r for r in run_verify(cfg).checks if r.name == "frame_roundtrip")
-        assert row.worst_point_id == planted_at
-        assert row.max_residual >= 0.99e-9 and not row.passed
+        rows = {r.name: r for r in run_verify(cfg).checks}
+        assert rows["frame_roundtrip"].max_residual >= 0.99e-9
+        planted_rows = ["frame_roundtrip"]
+        if offset is None:
+            planted_rows += ["curvature_match", "parallel_hhh_horizontal", "parallel_hhh_vertical"]
+        for name in planted_rows:
+            assert rows[name].worst_point_id == planted_at, name
+            assert not rows[name].passed, name
+
+
+def test_nan_planted_at_one_point_reaches_only_that_points_integrable_rows(monkeypatch) -> None:
+    # A NaN planted in the hhh family on the step geometry of point 2 of a
+    # stack of five makes the rows that read that family NaN at point 2 and
+    # nowhere else; every other value of the stack, at point 2 and at the
+    # other points, is bitwise the clean one.
+    params = ModelParams(3)
+    pts = BundlePoint(*sample_chart_points(params, 5, 7))
+    clean, _ = evaluate_points(params, pts, LiftProfile())
+    inner = curvature.curvature_blocks
+
+    def planted(geo, data):
+        T = inner(geo, data)
+        T[2, :, 0] = np.nan
+        return T
+
+    monkeypatch.setattr(curvature, "curvature_blocks", planted)
+    values, _ = evaluate_points(params, pts, LiftProfile())
+    reads_hhh = {"curvature_match", "curvature_antisymmetry", "local_symmetry",
+                 "parallel_hhh_horizontal", "parallel_hhh_vertical"}
+    assert set(values) == set(clean)
+    for name, column in values.items():
+        got = np.array([entry[0] if isinstance(entry, tuple) else entry for entry in column], dtype=float)
+        want = np.array([entry[0] if isinstance(entry, tuple) else entry for entry in clean[name]], dtype=float)
+        if name in reads_hhh:
+            assert np.isnan(got[2]), name
+            got[2] = want[2]
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def test_missing_check_value_raises_instead_of_skipping(monkeypatch) -> None:
