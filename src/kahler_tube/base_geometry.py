@@ -10,8 +10,6 @@ computed on first use.  Finite differences appear only in the oracles.
 Every function here accepts a stack of chart points ``(..., n)`` as well as
 a single point; the arrays below then carry the same leading batch axes,
 and a residual check returns one value per point (``fd.max_abs``).
-``PointStack`` gives every record built at a stack its points,
-``record[k]``.
 Points may be complex (for complex-step oracles): the closed forms are
 analytic and the chart guard compares the real part.
 
@@ -76,28 +74,8 @@ class ModelParams:
             raise DomainError(reason)
 
 
-class PointStack:
-    """A record built at a stack of points; ``record[k]`` is the record at point ``k``.
-
-    Every array the record holds, fields and values cached on first use
-    alike, carries the stack's batch axes first, so the record at point
-    ``k`` is the same arrays indexed at ``k``, nested records too: nothing
-    is evaluated again.
-    """
-
-    def __getitem__(self, k):
-        out = object.__new__(type(self))
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray):
-                value = value[k, ...]
-            elif isinstance(value, PointStack):
-                value = value[k]
-            out.__dict__[name] = value
-        return out
-
-
 @dataclass(frozen=True)
-class BaseMetricData(PointStack):
+class BaseMetricData:
     """Closed-form metric data of the base manifold at one chart point or a stack.
 
     ``gamma``, ``dgamma`` and ``riem`` are computed on first use: only

@@ -9,21 +9,21 @@ one stacked ``BundlePoint`` and splits them into ``fd.tiles`` by the
 battery's bytes per point (``tile_point_bytes``: a small n = 3 or 4 run is
 one tile, an n = 5 point a tile of its own).  ``evaluate_points`` computes
 every per-point check value over one tile, one column per check: every
-layer, the integrable-only ones for the Kähler profile only, runs once per
-tile, on stacks, and returns one value per point (the largest over that
-point's own components, so a point's value does not depend on its tile);
-no layer runs point by point.  Each layer returns an array of one float
-per point or a tuple of them, unpacked straight into check names.
-``_worst_over_points`` keeps, for each check, the worst value and the
-first point that reached it: the first non-finite value if any, else the
-largest.  The two holomorphic rows are added after it, from one
-``holomorphic_sample`` over the curvature families of all points, stacked
-as ``run_sweep`` stacks them: ``hol_sect_scale_invariance`` by the largest
-value and the cross-point ``hol_sect_nonconstancy``.  A final loop over
-``CHECKS`` builds one report row per check.  Checks are independent: a
-failing identity never aborts the others.  In offset (non-integrable) mode
-the integrable-only rows are skipped with a reason, and the Nijenhuis
-vanishing check is expected to fail — that failure is the negative test.
+layer, the integrable-only ones (the holomorphic sample among them) for
+the Kähler profile only, runs once per tile, on stacks, and returns one
+value per point (the largest over that point's own components, so a
+point's value does not depend on its tile); no layer runs point by point.
+Each layer returns an array of one float per point or a tuple of them,
+unpacked straight into check names.  ``_worst_over_points`` keeps, for
+each check, the worst value and the first point that reached it: the
+first non-finite value if any, else the largest.  The one cross-point
+row, ``hol_sect_nonconstancy``, is added after it from the sampled
+curvatures of every tile, which ``evaluate_points`` returns beside its
+columns.  A final loop over ``CHECKS`` builds one report row per check.
+Checks are independent: a failing identity never aborts the others.  In
+offset (non-integrable) mode the integrable-only rows are skipped with a
+reason, and the Nijenhuis vanishing check is expected to fail — that
+failure is the negative test.
 """
 
 from __future__ import annotations
@@ -127,9 +127,6 @@ _SKIP_REASON = "requires the integrable lift profile"
 #: A per-point check value, or a (value, detail) pair for rows with a detail.
 Value = float | tuple[float, str]
 
-#: The closed curvature families ``T`` and metric blocks ``G``, ``H`` at a point.
-Families = tuple[np.ndarray, np.ndarray, np.ndarray]
-
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -189,11 +186,6 @@ class RunConfig:
         }
 
 
-def _max_abs(array: np.ndarray) -> np.ndarray:
-    """Largest |component| of each point of a stack: one value per point."""
-    return max_abs(array, 1)
-
-
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -210,20 +202,16 @@ def tile_point_bytes(n: int) -> int:
     arrays a point; the Kähler profile adds the curvature families on the
     2n step points, complex, with their Jacobian and frame derivative,
     2n 4 n^4 32 bytes, the larger from n = 4 on.  The layers that tile
-    their own stacks (the oracle's stencil, nabla K) add a fixed working
-    set of up to about 0.9 MB.  Tracemalloc peaks of ``evaluate_points``
-    over stacks of 1 to 8 points: offset 44–61 KB a point at n = 3,
-    108–136 at n = 4, 150–294 at n = 5; Kähler 0.46, 0.84, 1.2 and 9.7 MB
-    for one point at n = 3, 4, 5 and 8, each further point adding about
-    75 KB at n = 3, 0.38 MB at n = 4 and 1.0 MB at n = 5.  So seven points
-    make a tile at n = 3, two at n = 4 and one from n = 5 on.
+    their own stacks (the oracle's stencil, nabla K) hold a fixed working
+    set on top, which this rule leaves out.  So seven points make a tile at
+    n = 3, two at n = 4 and one from n = 5 on.
     """
     return max(20 * 16 * (2 * n) ** 3, 2 * n * 4 * n**4 * 32)
 
 
 def evaluate_points(
-    params: ModelParams, pts: BundlePoint, profile: LiftProfile
-) -> tuple[dict[str, Sequence[Value]], Families | None]:
+    params: ModelParams, pts: BundlePoint, profile: LiftProfile, directions: np.ndarray
+) -> tuple[dict[str, Sequence[Value]], np.ndarray | None]:
     """Every per-point check value at the stack of points ``pts``, one column per check name.
 
     Entry k of a column is the value at point k.  The geometry, the lifted
@@ -243,9 +231,11 @@ def evaluate_points(
     ``curvature_blocks`` on the step stack, whose assembly is the closed
     adapted curvature that the curvature rows, ``local_symmetry`` (its
     nabla K in tiles of (point, direction) items) and the parallel rows
-    read.  The second item holds ``T`` and the metric blocks ``G``, ``H``
-    (None for any other profile), from which ``run_verify`` takes the
-    holomorphic rows.
+    read.  Once ``dT`` and the assembly are dropped, ``holomorphic_sample``
+    takes ``T`` and the metric blocks at ``directions``: its per-point
+    scale invariance is a column, and its ``(points, directions)``
+    curvatures are the second item (None for any other profile), from which
+    ``run_verify`` takes ``hol_sect_nonconstancy`` across tiles.
     """
     n = params.dim
     geo = point_geometry(params, pts)
@@ -257,10 +247,10 @@ def evaluate_points(
 
     # Base chart: closed forms against their own fd recomputation.
     base_field = base_geometry.metric_field(params)
-    values["base_metric_inverse"] = _max_abs(base.g @ base.g_inv - np.eye(n))
+    values["base_metric_inverse"] = max_abs(base.g @ base.g_inv - np.eye(n), 1)
     base_jet, riem_fd = curvature.curvature_from_metric_field(base_field, pts.x)
-    values["base_christoffel_fd"] = _max_abs(base.gamma - base_jet.christoffel)
-    values["base_riemann_fd"] = _max_abs(base.riem - riem_fd)
+    values["base_christoffel_fd"] = max_abs(base.gamma - base_jet.christoffel, 1)
+    values["base_riemann_fd"] = max_abs(base.riem - riem_fd, 1)
     values["base_constant_curvature"] = base_geometry.verify_constant_curvature(base, riem_fd)
     values["base_bianchi"] = base_geometry.first_bianchi_residual(base.riem)
     values["base_positive_definite"] = _positive_definite_residual(base.g)
@@ -278,29 +268,29 @@ def evaluate_points(
     S_ad = lifted_metric.adapted_metric_matrix(data)
     S_coord = lifted_metric.coordinate_metric(geo, data)
     back = frame_transform(S_coord, "dd", geo.frame, to="adapted")
-    values["frame_roundtrip"] = _max_abs(back - S_ad)
-    values["lifted_inverse_pair"] = _max_abs(data.G @ data.H - np.eye(n))
+    values["frame_roundtrip"] = max_abs(back - S_ad, 1)
+    values["lifted_inverse_pair"] = max_abs(data.G @ data.H - np.eye(n), 1)
     values["lifted_positive_definite"] = np.maximum(
         _positive_definite_residual(data.G), _positive_definite_residual(data.H)
     )
-    values["lifted_orthogonality"] = np.maximum(_max_abs(back[:, :n, n:]), _max_abs(back[:, n:, :n]))
+    values["lifted_orthogonality"] = np.maximum(max_abs(back[:, :n, n:], 1), max_abs(back[:, n:, :n], 1))
     values["full_metric_blocks"] = np.maximum(
-        _max_abs(back[:, :n, :n] - data.G), _max_abs(back[:, n:, n:] - data.H)
+        max_abs(back[:, :n, :n] - data.G, 1), max_abs(back[:, n:, n:] - data.H, 1)
     )
 
     # Almost complex structure and fundamental form, in coordinates.
     J_ad = complex_structure.adapted_j_matrix(data)
     J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
-    values["j_squared"] = _max_abs(J_coord @ J_coord + np.eye(2 * n))
-    values["hermitian"] = _max_abs(np.swapaxes(J_coord, -1, -2) @ S_coord @ J_coord - S_coord)
+    values["j_squared"] = max_abs(J_coord @ J_coord + np.eye(2 * n), 1)
+    values["hermitian"] = max_abs(np.swapaxes(J_coord, -1, -2) @ S_coord @ J_coord - S_coord, 1)
     values["fundamental_form_blocks"] = complex_structure.fundamental_form_block_residual(S_ad @ J_ad)
     values["fundamental_form_closed"] = complex_structure.fundamental_form(step_geo, step_data)
 
     # Integrability dichotomy.
     closed_n = complex_structure.nijenhuis_closed_form(geo, data)
-    values["nijenhuis_closed_form"] = _max_abs(closed_n)
+    values["nijenhuis_closed_form"] = max_abs(closed_n, 1)
     fd_n, off_distribution = complex_structure.nijenhuis_fd_full(geo, step_geo, step_data)
-    values["nijenhuis_fd_match"] = np.maximum(_max_abs(closed_n - fd_n), off_distribution)
+    values["nijenhuis_fd_match"] = np.maximum(max_abs(closed_n - fd_n, 1), off_distribution)
 
     if not profile.is_kahler:
         return values, None
@@ -332,7 +322,9 @@ def evaluate_points(
     values["curvature_match"] = list(zip(np.maximum.reduce(list(sectors.values())), _family_details(sectors)))
     values["curvature_antisymmetry"] = curvature.direction_antisymmetry_residual(R_closed_ad)
     values.update(curvature.parallel_block_residuals(geo, W, T, dT, R_closed_ad))
-    return values, (T, data.G, data.H)
+    del dT, R_closed_ad
+    hol, values["hol_sect_scale_invariance"] = curvature.holomorphic_sample(T, data.G, data.H, directions)
+    return values, hol
 
 
 def _family_details(sectors: dict[str, np.ndarray]) -> list[str]:
@@ -370,8 +362,9 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     The points are validated as one stacked ``BundlePoint`` and split into
     ``fd.tiles`` of ``fd.WORKING_SET`` at the battery's bytes per point
     (``tile_point_bytes``), and ``evaluate_points`` evaluates each tile,
-    every layer once per tile.  Tile sizes follow from n and the point
-    count alone.
+    every layer once per tile, holomorphic sampling included.  Tile sizes
+    follow from n and the point count alone.  ``hol_sect_nonconstancy``
+    spans the curvatures of every tile.
     """
     cfg.require_admissible()
     params = cfg.params
@@ -380,17 +373,15 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     directions = sample_directions(params, cfg.num_directions, cfg.seed)
 
     columns: dict[str, list[Value]] = {}
-    families = []
+    curvatures = []
     for tile in tiles(cfg.num_points, tile_point_bytes(params.dim)):
-        values, tile_families = evaluate_points(params, points[tile], profile)
+        values, hol = evaluate_points(params, BundlePoint(points.x[tile], points.p[tile]), profile, directions)
         for name, column in values.items():
             columns.setdefault(name, []).extend(column)
-        families.append(tile_families)
+        curvatures.append(hol)
     worst = _worst_over_points(columns)
     if profile.is_kahler:
-        T, G, H = (np.concatenate(parts) for parts in zip(*families))
-        hol, scale = curvature.holomorphic_sample(T, G, H, directions)  # (points, directions), (points,)
-        worst["hol_sect_scale_invariance"] = (float(np.max(scale)), int(np.argmax(scale)), None)
+        hol = np.concatenate(curvatures)  # (points, directions)
         lo, hi = float(np.min(hol)), float(np.max(hol))
         peak_point = int(np.unravel_index(int(np.argmax(hol)), hol.shape)[0])
         worst["hol_sect_nonconstancy"] = (

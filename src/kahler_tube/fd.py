@@ -79,9 +79,8 @@ _STEPS = np.array([1.0, 0.5, 0.25])
 
 #: Bytes a tiled stack is kept within (``tiles``).  Large blocks that numpy
 #: frees go back to the kernel (unmapped, or trimmed off the heap top), and
-#: the next call that allocates them faults every page in again.  With this
-#: budget a warm verify point at n = 4 or 5 takes no minor page fault (1,544
-#: at n = 5 with the curvature oracle's stencil and nabla K untiled).
+#: the next call that allocates them faults every page in again; stacks kept
+#: below this budget are reused from the heap instead.
 WORKING_SET = 512 * 1024
 
 

@@ -21,8 +21,7 @@ Everything here takes a stack of points as well as a single one:
 carries the same leading batch axes and the input's dtype, and a check
 returns one value per point (a float for one point), the largest over that
 point's own components, so a point's value does not depend on the stack it
-sits in.  ``geo[k]`` is point k of a stacked geometry, read off its arrays
-(``base_geometry.PointStack``).
+sits in.
 
 Ordering convention: adapted index a in [0, n) is the a-th horizontal
 vector, a in [n, 2n) the (a - n)-th vertical one.  Coordinates are ordered
@@ -37,14 +36,14 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .base_geometry import BaseMetricData, DomainError, ModelParams, PointStack, metric_at, momentum_gamma
+from .base_geometry import BaseMetricData, DomainError, ModelParams, metric_at, momentum_gamma
 from .fd import complex_jacobian, complex_points, max_abs
 
 T = TypeVar("T")
 
 
 @dataclass(frozen=True)
-class BundlePoint(PointStack):
+class BundlePoint:
     """A point of the punctured cotangent bundle, or a stack: base coordinates and momentum.
 
     ``x`` and ``p`` are one point ``(n,)`` each or stacks ``(..., n)``;
@@ -73,7 +72,7 @@ class BundlePoint(PointStack):
 
 
 @dataclass(frozen=True)
-class AdaptedFrame(PointStack):
+class AdaptedFrame:
     """Change of basis between coordinate and adapted frames.
 
     M[..., mu, a] holds the coordinate components of the a-th adapted
@@ -109,7 +108,7 @@ class AdaptedFrame(PointStack):
 
 
 @dataclass(frozen=True)
-class PointGeometry(PointStack):
+class PointGeometry:
     """Everything the lift needs at a bundle point (or a stack of them).
 
     Bundles the base metric data at the foot point with momentum-contracted

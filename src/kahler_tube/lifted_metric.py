@@ -22,7 +22,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .base_geometry import DomainError, ModelParams, PointStack
+from .base_geometry import DomainError, ModelParams
 from .frames import BundlePoint, PointGeometry, geometry_field, point_geometry
 
 T = TypeVar("T")
@@ -96,7 +96,7 @@ def _tube_test(params: ModelParams, t: np.ndarray) -> tuple[str | None, np.ndarr
 
 
 @dataclass(frozen=True)
-class LiftedMetricData(PointStack):
+class LiftedMetricData:
     """Blocks of the lifted metric, with the profile values used."""
 
     G: np.ndarray  # [..., i, j], horizontal block (covariant)

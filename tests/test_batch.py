@@ -289,10 +289,11 @@ def test_one_stacked_tile_stays_within_its_stated_bytes(dim: int, count: int) ->
     params = ModelParams(dim)
     tile = tiles(count, tile_point_bytes(dim))[0]
     assert tile.stop == {3: 6, 4: 2, 5: 1}[dim]
-    pts = BundlePoint(*sample_chart_points(params, count, 7))[tile]
+    pts = BundlePoint(*(coords[tile] for coords in sample_chart_points(params, count, 7)))
+    directions = sample_directions(params, 100, 7)
     stated_mb = tile.stop * tile_point_bytes(dim) / 1e6
-    assert _peak_mb(lambda: evaluate_points(params, pts, LiftProfile(0.1))) <= stated_mb
-    assert _peak_mb(lambda: evaluate_points(params, pts, KAHLER)) <= stated_mb + 1.1
+    assert _peak_mb(lambda: evaluate_points(params, pts, LiftProfile(0.1), directions)) <= stated_mb
+    assert _peak_mb(lambda: evaluate_points(params, pts, KAHLER, directions)) <= stated_mb + 1.1
 
 
 def test_sweep_memory_stays_one_point_deep() -> None:
@@ -309,6 +310,20 @@ def test_sweep_memory_stays_one_point_deep() -> None:
     # all points at once peaked at about 5.4 MB.
     cfg = RunConfig(ModelParams(3, 1.0, 1.0), num_points=100, num_directions=100, seed=7)
     assert _peak_mb(lambda: run_sweep(cfg)) < 1.5
+
+
+def test_verify_memory_stays_one_tile_deep() -> None:
+    # Measured at (5,1,1), 100 directions (tracemalloc peak): 1.24 MB for
+    # one point, 1.26 MB for 4 and 1.32 MB for 16, every point a tile of its
+    # own.  Each tile samples its own holomorphic curvatures after its dT and
+    # K are dropped, and run_verify keeps only the (points, directions)
+    # curvatures across tiles.  Carrying every tile's curvature families out
+    # and sampling once at the end peaked at 1.38 MB for 4 points and
+    # 2.17 MB for 16, growing with the point count.
+    def peak(count: int) -> float:
+        return _peak_mb(lambda: run_verify(RunConfig(ModelParams(5), num_points=count, seed=7)))
+
+    assert peak(16) - peak(1) < 0.25
 
 
 def test_sweep_never_assembles_the_adapted_curvature(monkeypatch) -> None:

@@ -147,12 +147,14 @@ def test_evaluator_keys_match_running_registry_rows(offset) -> None:
     params = ModelParams(3)
     profile = LiftProfile(offset)
     pts = BundlePoint(*sample_chart_points(params, 2, 7))
-    values, families = evaluate_points(params, pts, profile)
+    values, curvatures = evaluate_points(params, pts, profile, sample_directions(params, 5, 7))
     running = {c.name for c in CHECKS if profile.is_kahler or not c.integrable_only}
-    # run_verify takes the two holomorphic rows from the families of all points
-    assert set(values) == running - {"hol_sect_scale_invariance", "hol_sect_nonconstancy"}
+    # run_verify takes the cross-point row from the curvatures of every tile
+    assert set(values) == running - {"hol_sect_nonconstancy"}
     assert all(len(column) == 2 for column in values.values())
-    assert (families is not None) == profile.is_kahler
+    assert (curvatures is not None) == profile.is_kahler
+    if curvatures is not None:
+        assert curvatures.shape == (2, 5)
 
 
 def test_planted_coordinate_metric_error_shows_in_frame_rows(monkeypatch) -> None:
@@ -263,11 +265,13 @@ def test_error_planted_at_one_point_of_a_stack_lands_on_that_point(dim, count, p
 def test_nan_planted_at_one_point_reaches_only_that_points_integrable_rows(monkeypatch) -> None:
     # A NaN planted in the hhh family on the step geometry of point 2 of a
     # stack of five makes the rows that read that family NaN at point 2 and
-    # nowhere else; every other value of the stack, at point 2 and at the
-    # other points, is bitwise the clean one.
+    # nowhere else, and so are point 2's sampled curvatures; every other
+    # value of the stack, at point 2 and at the other points, is bitwise the
+    # clean one.
     params = ModelParams(3)
     pts = BundlePoint(*sample_chart_points(params, 5, 7))
-    clean, _ = evaluate_points(params, pts, LiftProfile())
+    directions = sample_directions(params, 5, 7)
+    clean, clean_curvatures = evaluate_points(params, pts, LiftProfile(), directions)
     inner = curvature.curvature_blocks
 
     def planted(geo, data):
@@ -276,9 +280,11 @@ def test_nan_planted_at_one_point_reaches_only_that_points_integrable_rows(monke
         return T
 
     monkeypatch.setattr(curvature, "curvature_blocks", planted)
-    values, _ = evaluate_points(params, pts, LiftProfile())
+    values, curvatures = evaluate_points(params, pts, LiftProfile(), directions)
     reads_hhh = {"curvature_match", "curvature_antisymmetry", "local_symmetry",
-                 "parallel_hhh_horizontal", "parallel_hhh_vertical"}
+                 "parallel_hhh_horizontal", "parallel_hhh_vertical", "hol_sect_scale_invariance"}
+    assert np.isnan(curvatures[2]).all()
+    np.testing.assert_array_equal(np.delete(curvatures, 2, axis=0), np.delete(clean_curvatures, 2, axis=0))
     assert set(values) == set(clean)
     for name, column in values.items():
         got = np.array([entry[0] if isinstance(entry, tuple) else entry for entry in column], dtype=float)
@@ -290,10 +296,10 @@ def test_nan_planted_at_one_point_reaches_only_that_points_integrable_rows(monke
 
 
 def test_missing_check_value_raises_instead_of_skipping(monkeypatch) -> None:
-    def drop_einstein(*args):
-        values, families = evaluate_points(*args)
+    def drop_einstein(params, pts, profile, directions):
+        values, curvatures = evaluate_points(params, pts, profile, directions)
         del values["einstein_identity"]
-        return values, families
+        return values, curvatures
 
     monkeypatch.setattr(checks, "evaluate_points", drop_einstein)
     cfg = RunConfig(ModelParams(3), num_points=1, num_directions=4, seed=7)

@@ -110,10 +110,10 @@ def test_verify_non_finite_residual_exit_two(monkeypatch, capsys) -> None:
     inner = checks.evaluate_points
 
     def with_nan(*args):
-        values, families = inner(*args)
+        values, curvatures = inner(*args)
         values["base_bianchi"] = np.array(values["base_bianchi"], dtype=float)
         values["base_bianchi"][-1] = np.nan
-        return values, families
+        return values, curvatures
 
     monkeypatch.setattr(checks, "evaluate_points", with_nan)
     code = main(["verify", "--dim", "3", *FAST])

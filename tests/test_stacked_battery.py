@@ -27,11 +27,12 @@ from kahler_tube.frames import (
     verify_brackets,
 )
 from kahler_tube.lifted_metric import LiftProfile, components_from_geometry
-from kahler_tube.sampling import sample_chart_points
+from kahler_tube.sampling import sample_chart_points, sample_directions
 
-#: Every row evaluate_points returns, all of them stacked: each but the two
-#: holomorphic rows, which run_verify takes from the families of all points.
-STACKED_ROWS = [check.name for check in CHECKS if not check.name.startswith("hol_sect")]
+#: Every row evaluate_points returns, all of them stacked: each but the
+#: cross-point hol_sect_nonconstancy, which run_verify takes from the
+#: curvatures of every tile.
+STACKED_ROWS = [check.name for check in CHECKS if check.name != "hol_sect_nonconstancy"]
 
 #: The stacked rows that run under every lift profile.
 PROFILE_ROWS = [check.name for check in CHECKS if not check.integrable_only]
@@ -54,20 +55,20 @@ def _column_details(column) -> list:
 def test_stacked_rows_equal_one_point_stacks_bitwise(dim: int, offset, count: int, seed: int) -> None:
     params = ModelParams(dim)
     profile = LiftProfile(offset)
-    pts = BundlePoint(*sample_chart_points(params, count, seed))
-    values, families = evaluate_points(params, pts, profile)
+    x, p = sample_chart_points(params, count, seed)
+    directions = sample_directions(params, 6, seed)
+    values, curvatures = evaluate_points(params, BundlePoint(x, p), profile, directions)
     assert sorted(values) == sorted(STACKED_ROWS if offset is None else PROFILE_ROWS)
-    assert (len(STACKED_ROWS), len(PROFILE_ROWS)) == (44, 22)
+    assert (len(STACKED_ROWS), len(PROFILE_ROWS)) == (45, 22)
     for k in range(count):
-        alone, alone_families = evaluate_points(params, pts[k:k + 1], profile)
+        alone, alone_curvatures = evaluate_points(params, BundlePoint(x[k:k + 1], p[k:k + 1]), profile, directions)
         assert set(alone) == set(values)
         for name, column in values.items():
             assert len(column) == count
             np.testing.assert_array_equal(_column_values(column)[k:k + 1], _column_values(alone[name]), err_msg=name)
             assert _column_details(column)[k:k + 1] == _column_details(alone[name]), name
-        if families is not None:
-            for stacked, single in zip(families, alone_families):
-                np.testing.assert_array_equal(stacked[k:k + 1], single)
+        if curvatures is not None:
+            np.testing.assert_array_equal(curvatures[k:k + 1], alone_curvatures)
 
 
 def _layer_rows(geo, data, step_geo, step_data, kahler: bool) -> list:
@@ -120,29 +121,24 @@ def _layer_rows(geo, data, step_geo, step_data, kahler: bool) -> list:
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_each_stacked_layer_equals_its_one_point_calls_bitwise(dim: int, offset) -> None:
     # A layer takes a point or a stack: at one point, unbatched, it returns
-    # that point's row of the stacked call.  The point's arrays are indexed
-    # off the stacks (geo[k]) and, separately, built at the point alone.
+    # that point's row of the stacked call, with the point's arrays built at
+    # the point alone.
     params = ModelParams(dim)
     profile = LiftProfile(offset)
-    pts = BundlePoint(*sample_chart_points(params, 3, 5))
-    geo = point_geometry(params, pts)
+    x, p = sample_chart_points(params, 3, 5)
+    geo = point_geometry(params, BundlePoint(x, p))
     step_geo = step_geometry(geo)
     kahler = profile.is_kahler
     stacked = _layer_rows(
         geo, components_from_geometry(geo, profile), step_geo, components_from_geometry(step_geo, profile), kahler
     )
     for k in range(3):
-        own_geo = point_geometry(params, pts[k])
+        own_geo = point_geometry(params, BundlePoint(x[k], p[k]))
         own_step = step_geometry(own_geo)
         built = _layer_rows(
             own_geo, components_from_geometry(own_geo, profile), own_step, components_from_geometry(own_step, profile),
             kahler,
         )
-        indexed = _layer_rows(
-            geo[k], components_from_geometry(geo[k], profile), step_geo[k], components_from_geometry(step_geo[k], profile),
-            kahler,
-        )
         assert len(built) == len(stacked) == (14 if offset is not None else 50)
-        for row, (whole, one, sliced) in enumerate(zip(stacked, built, indexed)):
+        for row, (whole, one) in enumerate(zip(stacked, built)):
             np.testing.assert_array_equal(np.asarray(whole)[k], one, err_msg=f"layer value {row}")
-            np.testing.assert_array_equal(sliced, one, err_msg=f"layer value {row}")
