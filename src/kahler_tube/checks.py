@@ -202,9 +202,9 @@ def tile_point_bytes(n: int) -> int:
     arrays a point; the Kähler profile adds the curvature families on the
     2n step points, complex, with their Jacobian and frame derivative,
     2n 4 n^4 32 bytes, the larger from n = 4 on.  The layers that tile
-    their own stacks (the oracle's stencil, nabla K) hold a fixed working
-    set on top, which this rule leaves out.  So seven points make a tile at
-    n = 3, two at n = 4 and one from n = 5 on.
+    their own stacks (the oracle's stencil, nabla K's odd sectors) hold a
+    fixed working set on top, which this rule leaves out.  So seven points
+    make a tile at n = 3, two at n = 4 and one from n = 5 on.
     """
     return max(20 * 16 * (2 * n) ** 3, 2 * n * 4 * n**4 * 32)
 
@@ -229,13 +229,15 @@ def evaluate_points(
     axis) items) and the connection rows, and the closed curvature families
     ``T`` with their frame derivatives ``dT``, one ``frame_derivative`` of
     ``curvature_blocks`` on the step stack, whose assembly is the closed
-    adapted curvature that the curvature rows, ``local_symmetry`` (its
-    nabla K in tiles of (point, direction) items) and the parallel rows
-    read.  Once ``dT`` and the assembly are dropped, ``holomorphic_sample``
-    takes ``T`` and the metric blocks at ``directions``: its per-point
-    scale invariance is a column, and its ``(points, directions)``
-    curvatures are the second item (None for any other profile), from which
-    ``run_verify`` takes ``hol_sect_nonconstancy`` across tiles.
+    adapted curvature that the curvature rows read.  ``local_symmetry`` is
+    nabla K: on its even sectors the eight parallel rows, from ``T`` and
+    ``dT`` family by family, on its odd ones W's off-diagonal blocks on the
+    assembly, in tiles of (point, horizontal direction) items.  Once ``dT``
+    and the assembly are dropped, ``holomorphic_sample`` takes ``T`` and
+    the metric blocks at ``directions``: its per-point scale invariance is
+    a column, and its ``(points, directions)`` curvatures are the second
+    item (None for any other profile), from which ``run_verify`` takes
+    ``hol_sect_nonconstancy`` across tiles.
     """
     n = params.dim
     geo = point_geometry(params, pts)
@@ -306,7 +308,7 @@ def evaluate_points(
     values["mtensor_parallel"] = np.maximum(*connection.mtensor_parallel_residuals(geo, step_data))
 
     # Curvature: the identity battery on the oracle output, so that it stands on its own,
-    # then the closed blocks; the oracle's tensors are dropped before nabla K's tiles.
+    # then the closed blocks; the oracle's tensors are dropped before the odd sectors' tiles.
     R_oracle_ad = frame_transform(R_oracle_coord, "uddd", geo.frame, to="adapted")
     values["curvature_bianchi"] = base_geometry.first_bianchi_residual(R_oracle_coord)
     values["curvature_pair_skew"] = curvature.pair_skew_residual(R_oracle_coord, S_coord)

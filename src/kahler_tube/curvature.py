@@ -256,32 +256,53 @@ def einstein_residuals(
     return identity, np.maximum(max_abs(ric_ad[..., :n, n:], batch), max_abs(ric_ad[..., n:, :n], batch))
 
 
-def covariant_derivative_residual(W: np.ndarray, K: np.ndarray, dT: np.ndarray) -> float | np.ndarray:
-    """Max |nabla K| per point: local symmetry of the curvature.
+def covariant_derivative_residual(W: np.ndarray, K: np.ndarray) -> float | np.ndarray:
+    """Max |nabla K| per point over the sectors with an odd number of vertical slots.
 
-    ``K`` is assembled from the stacked families and ``dT`` holds their
-    frame derivatives (assembly is linear); the closed-form adapted
-    connection W (``nabla_a e_b = W[c, a, b] e_c``) adds the rest, all in
-    the adapted frame: near machine precision, and sound as a certificate
-    because the differentiated field and the connection are themselves
-    oracle-certified pointwise by the other checks.  The (2n)^5 ``nabla K``
-    of a point or a stack is taken over ``fd.tiles`` of (point, direction)
-    items: tiles of whole points while a point's ``nabla K`` fits
-    ``fd.WORKING_SET``, else one point at a time over tiles of its
-    directions, each direction's ``dK`` and ``nabla K`` rows (and the
-    product of one slot) held at a time; ``|nabla K|`` is taken in place.
+    ``K`` is the assembled adapted curvature and ``W`` the closed-form
+    adapted connection (``nabla_a e_b = W[c, a, b] e_c``).  K and its frame
+    derivative vanish on the odd sectors, so there nabla K is only W's
+    off-diagonal blocks acting on K: along a horizontal direction l,
+    ``W[:n, l, n:]`` turns a vertical slot horizontal and ``W[n:, l, :n]``
+    a horizontal one vertical.  Along a vertical direction the two blocks,
+    ``W[:n, n:, n:]`` and ``W[n:, n:, :n]``, are structural zeros, so those
+    directions add nothing.  Each of the four slots is one product of half
+    size: the two blocks, transposed for a lower slot, with the opposite
+    half of K in that slot.  The even sectors are the families' own
+    covariant derivatives, the parallel rows of ``parallel_block_residuals``.
+    The work is taken over ``fd.tiles`` of (point, horizontal direction)
+    items, each sized at three (2n)^4 arrays: its rows of nabla K, one
+    slot's product, and room for its point's two slot-swapped copies of K.
     """
 
     if K.ndim == 4:  # one point
-        return covariant_derivative_residual(W[None], K[None], dT[None])[0]
-    m = K.shape[-1]
-    row = 3 * K.itemsize * m**4  # one direction of one point
-    worst = np.empty((len(K), m))
-    for points in tiles(len(K), m * row):
-        for directions in tiles(m, (points.stop - points.start) * row):
-            dK = assemble_adapted_curvature(dT[points, directions])
-            nabla = covariant_derivative(W[points, :, directions], K[points], dK, "uddd")
-            worst[points, directions] = np.abs(nabla, out=nabla).reshape(nabla.shape[:2] + (-1,)).max(axis=-1)
+        return covariant_derivative_residual(W[None], K[None])[0]
+    n = K.shape[-1] // 2
+    m = 2 * n
+    rows = m**3
+    # [point, direction, output half, row, column]: a lower slot reads the blocks reversed, from the right
+    blocks = np.moveaxis(np.stack([W[:, :n, :n, n:], W[:, n:, :n, :n]], axis=1), 3, 1)
+    item = 3 * K.itemsize * m**4
+    worst = np.empty((len(K), n))
+    for points in tiles(len(K), n * item):
+        P, Kp = points.stop - points.start, K[points]
+        # K with the halves of one slot swapped: slot 0 as rows, slots 1 and 2 copied to rows, slot 3 as columns
+        first = Kp.reshape(P, 1, 2, n, rows)[:, :, ::-1]
+        moved = [np.swapaxes(Kp, 1, slot) for slot in (2, 3)]
+        middle = [np.concatenate([X[:, n:], X[:, :n]], axis=1).reshape(P, 1, 2, n, rows) for X in moved]
+        last = np.swapaxes(Kp.reshape(P, 1, rows, 2, n), 2, 3)[:, :, ::-1]
+        for directions in tiles(n, P * item):
+            D = directions.stop - directions.start
+            right = blocks[points, directions, ::-1]
+            nabla, product = np.empty((P, D) + (m,) * 4), np.empty((P, D) + (m,) * 4)
+            np.matmul(blocks[points, directions], first, out=nabla.reshape(P, D, 2, n, rows))
+            for slot, X in enumerate(middle, 1):
+                np.matmul(np.swapaxes(right, -1, -2), X, out=product.reshape(P, D, 2, n, rows))
+                nabla -= np.swapaxes(product, 2, 2 + slot)
+            np.matmul(last, right, out=np.swapaxes(product.reshape(P, D, rows, 2, n), 2, 3))
+            nabla -= product
+            worst[points, directions] = np.abs(nabla, out=nabla).reshape(P, D, -1).max(axis=-1)
+            del nabla, product  # before the next tile's pair is allocated
     return np.max(worst, axis=-1)  # a NaN in any tile reaches its point
 
 
@@ -292,21 +313,25 @@ def parallel_block_residuals(
 
     Returns keys like ``parallel_hhh_horizontal``: the covariant derivative
     of the block along every frame direction of the stated type must vanish.
-    The connection along horizontal directions is the base Christoffels, along
-    vertical ones the mixed-slot closed-form coefficients ``W[:n, n:, :n]``;
-    ``local_symmetry`` reads all of ``W`` and ``K``, the assembly of ``T``.
     ``T`` and ``dT`` are the ``frame_derivative`` of ``curvature_blocks`` on
-    the step geometry of the point(s).  The eight block rows are two batched
+    the step geometry of the point(s).  The connection along horizontal
+    directions is the base Christoffels (``W[:n, :n, :n]`` copies them,
+    ``W[n:, :n, n:]`` is minus their transpose), along vertical ones
+    ``W[:n, n:, :n]`` (``W[n:, n:, n:]`` is its dual): the eight rows are
+    nabla K on its even sectors, family by family, in two batched
     ``covariant_derivative`` calls, one per variance (``uddd``: hhh and vhh;
     ``uuud``: vvh and vhv), with the horizontal and vertical connections on
-    one batch axis after those of the points.
+    one batch axis after those of the points.  ``local_symmetry`` is the
+    per-point maximum, NaN first, of the eight and of the odd sectors
+    (``covariant_derivative_residual`` on ``K``, the assembly of ``T``);
+    ``connection_match`` covers the W blocks that neither part reads.
     """
 
     n = geo.n
     conn = np.stack([geo.base.gamma, W[..., :n, n:, :n]], axis=-4)[..., None, :, :, :]  # [kind, 1, upper, dir, slot]
     dT_kind = np.swapaxes(dT.reshape(dT.shape[:-6] + (2, n) + dT.shape[-5:]), -6, -5)  # [kind, family, dir, ...]
     names = list(_FAMILY_VARIANCE)  # hhh, vvh, vhh, vhv: the variances alternate
-    out = {"local_symmetry": covariant_derivative_residual(W, K, dT)}  # the (2n)^5 peak, before the rows
+    out = {}
     for first in (0, 1):
         nabla = covariant_derivative(
             conn, T[..., None, first::2, :, :, :, :], dT_kind[..., first::2, :, :, :, :, :], _FAMILY_VARIANCE[names[first]]
@@ -314,7 +339,7 @@ def parallel_block_residuals(
         worst = max_abs(nabla, nabla.ndim - 5)  # [..., kind, family]
         for (k, kind), (f, name) in product(enumerate(("horizontal", "vertical")), enumerate(names[first::2])):
             out[f"parallel_{name}_{kind}"] = worst[..., k, f]
-    return out
+    return {"local_symmetry": np.maximum.reduce([covariant_derivative_residual(W, K), *out.values()]), **out}
 
 
 @cache

@@ -259,18 +259,24 @@ def test_curvature_oracle_memory_stays_one_level_deep() -> None:
 
 
 def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
-    # Measured at n = 5 (tracemalloc peak): about 1.05 MB for the layer, with
-    # the step geometry, the frame derivative of the stacked closed-form
-    # families and K built in the measured run, as evaluate_point builds
-    # them once for the curvature rows; local_symmetry assembles dK and
-    # takes nabla K two frame directions at a time (fd.tiles).  With the
-    # whole (2n)^5 dK and nabla K at once: 2.81 MB.  A second complex step
-    # of the assembled adapted-frame curvature alone peaked at about
-    # 3.2 MB; one of the coordinate-frame curvature at about 5.1 MB, because
-    # frame_transform then works on a complex (10, 10^4) stack.  The bound
-    # leaves 0.25 MB (about a quarter) above the measured peak.
+    # Measured at n = 5 (tracemalloc peak): about 1.05 MB with the step
+    # geometry, the frame derivative of the stacked closed-form families and
+    # K built in the measured run, as evaluate_point builds them once for
+    # the curvature rows; that build holds the peak, so the bound stays at
+    # 1.3 MB.  The layer alone, on inputs built outside the measured run,
+    # takes about 0.66 MB: no dK, the eight rows on the families, and nabla
+    # K's odd sectors in tiles of (point, horizontal direction) items.
+    # Assembling dK and taking the whole nabla K two frame directions at a
+    # time took 0.73 MB alone; with the whole (2n)^5 dK and nabla K at once,
+    # 2.81 MB.  A second complex step of the assembled adapted-frame
+    # curvature alone peaked at about 3.2 MB; one of the coordinate-frame
+    # curvature at about 5.1 MB, because frame_transform then works on a
+    # complex (10, 10^4) stack.  The bare bound leaves a quarter above the
+    # measured peak.
     W = coefficients_from_geometry(GEO_5, components_from_geometry(GEO_5))
     assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, *_parallel_inputs(GEO_5, *_step(GEO_5)))) < 1.3
+    inputs = _parallel_inputs(GEO_5, *_step(GEO_5))
+    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, *inputs)) < 0.82
 
 
 @pytest.mark.parametrize(("dim", "count"), [(3, 12), (4, 4), (5, 1)], ids=["n3x12", "n4x4", "n5"])
@@ -283,9 +289,9 @@ def test_one_stacked_tile_stays_within_its_stated_bytes(dim: int, count: int) ->
     # (measured: about 0.27 of 0.41 MB at n = 3, 0.26 of 0.52 MB at n = 4,
     # 0.29 of 0.8 MB at n = 5).  The Kähler profile stacks the integrable
     # layers too; those that tile their own stacks (the oracle's stencil,
-    # nabla K) add a fixed working set, which the oracle's own bound above
-    # caps at 1.1 MB (measured: about 0.96 of 1.5 MB at n = 3, 0.95 of
-    # 1.6 MB at n = 4, 1.2 of 1.9 MB at n = 5).
+    # nabla K's odd sectors) add a fixed working set, which the oracle's own
+    # bound above caps at 1.1 MB (measured: about 0.96 of 1.5 MB at n = 3,
+    # 0.93 of 1.6 MB at n = 4, 1.2 of 1.9 MB at n = 5).
     params = ModelParams(dim)
     tile = tiles(count, tile_point_bytes(dim))[0]
     assert tile.stop == {3: 6, 4: 2, 5: 1}[dim]

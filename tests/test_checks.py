@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kahler_tube import checks, curvature, lifted_metric
+from kahler_tube import checks, connection, curvature, lifted_metric
 from kahler_tube.base_geometry import DomainError, ModelParams
 from kahler_tube.checks import (
     CHECKS,
@@ -293,6 +293,30 @@ def test_nan_planted_at_one_point_reaches_only_that_points_integrable_rows(monke
             assert np.isnan(got[2]), name
             got[2] = want[2]
         np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "block", [(slice(None, 3), slice(None, 3), slice(None, 3)), (slice(3, None), slice(None, 3), slice(3, None)),
+              (slice(3, None), slice(3, None), slice(3, None))],
+    ids=["hhh", "vhv", "vvv"],
+)
+def test_connection_match_catches_the_w_blocks_local_symmetry_does_not_read(block, monkeypatch) -> None:
+    # local_symmetry reads W[:n, n:, :n] in the parallel rows and
+    # W[:n, :n, n:] and W[n:, :n, :n] in the odd sectors.  The horizontal
+    # diagonal blocks (base.gamma, which the parallel rows read instead, and
+    # minus its transpose) and W[n:, n:, n:] (the dual of the mixed block)
+    # it never reads: a relative 1e-4 error in any one of them alone must
+    # fail connection_match against the Koszul oracle.
+    inner = connection.coefficients_from_geometry
+
+    def planted(geo, data):
+        W = inner(geo, data)
+        W[(..., *block)] *= 1.0 + 1e-4
+        return W
+
+    monkeypatch.setattr(connection, "coefficients_from_geometry", planted)
+    report = run_verify(RunConfig(ModelParams(3, 2.0, 0.5), num_points=4, seed=7))
+    assert not next(c for c in report.checks if c.name == "connection_match").passed
 
 
 def test_missing_check_value_raises_instead_of_skipping(monkeypatch) -> None:

@@ -308,8 +308,9 @@ def test_batched_covariant_derivative_equals_each_item(variance: str, m: int, dt
 @pytest.mark.parametrize("variance", ["uddd", "uuud", "dd", "uu"])
 @pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)
 def test_covariant_derivative_on_a_subset_of_directions_is_its_slice(variance: str, m: int, dtype: type) -> None:
-    # local_symmetry takes nabla K over tiles of frame directions:
-    # conn[:, tile] with dT[tile], against the rows of the call on all of them.
+    # The parallel rows take each family's covariant derivative along the
+    # horizontal and the vertical frame directions apart: conn[:, tile] with
+    # dT[tile], against the rows of the call on all of them.
     rng = np.random.default_rng(m + 10)
     rank = len(variance)
     conn = _random(rng, dtype, m, m, m)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kahler_tube import curvature, frames
+from kahler_tube import curvature, fd, frames
 from kahler_tube.base_geometry import DomainError, ModelParams, first_bianchi_residual
 from kahler_tube.complex_structure import adapted_j_matrix
 from kahler_tube.connection import (
@@ -37,7 +37,7 @@ from kahler_tube.lifted_metric import (
     metric_field,
 )
 from kahler_tube.report import relative_spread
-from kahler_tube.sampling import sample_directions, sample_points
+from kahler_tube.sampling import sample_chart_points, sample_directions, sample_points
 
 import holomorphic_reference as reference_route
 
@@ -204,15 +204,105 @@ def test_tiled_koszul_stencil_equals_one_call_bitwise(dim: int, monkeypatch) -> 
     assert tiled.error == whole.error
 
 
-def test_local_symmetry_over_direction_tiles_equals_one_call() -> None:
-    geo = _sampled_geometry(5)
+def _stack_geometry(dim: int):
+    """The geometry of three sampled points at (dim, 1, 1), as one stack."""
+    params = ModelParams(dim)
+    return point_geometry(params, BundlePoint(*sample_chart_points(params, 3, 7)))
+
+
+def _dense_nabla_k(W, T, dT):
+    """The whole (2n)^5 nabla K per point from the assembly of ``T`` and ``dT``: local_symmetry's reference."""
+    return covariant_derivative(W, assemble_adapted_curvature(T), assemble_adapted_curvature(dT), "uddd")
+
+
+def _odd_sectors(m: int) -> np.ndarray:
+    """(m, m, m, m) mask of the adapted sectors with an odd number of vertical slots."""
+    v = (np.arange(m) >= m // 2).astype(int)
+    return (v[:, None, None, None] + v[:, None, None] + v[:, None] + v) % 2 == 1
+
+
+def _planted_families(geo, step, family: int, eps: float, kind: str):
+    """``T`` and ``dT`` with a relative error ``eps`` planted in one family of the step stack."""
+    T_step = curvature_blocks(*step)
+    block = T_step[..., family, :, :, :, :]
+    block *= 1.0 + eps * (np.random.default_rng(family).standard_normal(block.shape) if kind == "random" else 1.0)
+    return frame_derivative(geo, T_step)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_local_symmetry_equals_the_dense_nabla_k(dim: int) -> None:
+    # The dense nabla K of the assembly is kept on the test side only.  Its
+    # even sectors are the eight parallel rows and its odd ones
+    # covariant_derivative_residual, each to round-off, so local_symmetry is
+    # its maximum: within 1e-13 when nothing is planted, to 1e-10 relative
+    # with an error planted in one family.  hhh and vvh vanish at (2, 1, 1),
+    # so an error planted there stays at round-off and is compared as such.
+    geo = _stack_geometry(dim)
+    W = coefficients_from_geometry(geo, components_from_geometry(geo))
+    step = _step(geo)
+    odd = _odd_sectors(2 * dim)
+    cases = [_families(geo)] + [
+        _planted_families(geo, step, family, eps, kind)
+        for family in range(4) for kind in ("uniform", "random") for eps in (1e-6, 1e-2)
+    ]
+    for k, (T, dT) in enumerate(cases):
+        rows = parallel_block_residuals(geo, W, T, dT, assemble_adapted_curvature(T))
+        local = rows.pop("local_symmetry")
+        dense = np.abs(_dense_nabla_k(W, T, dT))
+        even_max, odd_max = (dense[..., sectors].max(axis=(-2, -1)) for sectors in (~odd, odd))
+        np.testing.assert_allclose(np.maximum.reduce(list(rows.values())), even_max, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(
+            covariant_derivative_residual(W, assemble_adapted_curvature(T)), odd_max, rtol=1e-12, atol=1e-15
+        )
+        dense_max = np.maximum(even_max, odd_max)
+        if k == 0 or dense_max.min() < 1e-12:
+            assert np.max(np.abs(local - dense_max)) <= 1e-13, k
+        else:
+            np.testing.assert_allclose(local, dense_max, rtol=1e-10, atol=0.0, err_msg=str(k))
+    clean_T = cases[0][0]
+    assert dim == 2 or all(np.abs(clean_T[:, f]).max() > 1e-3 for f in range(4))  # no vanishing family past n = 2
+
+
+def test_odd_sectors_over_tiles_equal_one_call(monkeypatch) -> None:
+    # At n = 5 each point is a tile of its own, its five horizontal
+    # directions three tiles (fd.tiles); with a working set that holds the
+    # whole stack the residual is one call, and every float is the same.
+    geo = _stack_geometry(5)
+    W = coefficients_from_geometry(geo, components_from_geometry(geo))
+    K = assemble_adapted_curvature(_families(geo)[0])
+    counts = []
+
+    def counted(count, item_bytes):
+        split = fd.tiles(count, item_bytes)
+        counts.append(len(split))
+        return split
+
+    monkeypatch.setattr(curvature, "tiles", counted)
+    tiled = covariant_derivative_residual(W, K)
+    assert counts == [3, 3, 3, 3]
+    monkeypatch.setattr(fd, "WORKING_SET", 1 << 40)
+    counts.clear()
+    np.testing.assert_array_equal(covariant_derivative_residual(W, K), tiled)
+    assert counts == [1, 1]
+
+
+def test_nan_in_one_directions_w_stays_at_its_point() -> None:
+    # A NaN in the connection along one direction at point 1 reaches
+    # local_symmetry there and nowhere else: along the last horizontal
+    # direction through the odd sectors (the last direction tile at n = 5),
+    # along the first vertical one through the parallel rows.
+    geo = _stack_geometry(5)
+    n = geo.n
     W = coefficients_from_geometry(geo, components_from_geometry(geo))
     T, dT = _families(geo)
     K = assemble_adapted_curvature(T)
-    whole = float(np.max(np.abs(covariant_derivative(W, K, assemble_adapted_curvature(dT), "uddd"))))
-    assert covariant_derivative_residual(W, K, dT) == whole
-    W[:, -1] = np.nan  # the last direction's tile
-    assert np.isnan(covariant_derivative_residual(W, K, dT))
+    clean = parallel_block_residuals(geo, W, T, dT, K)["local_symmetry"]
+    for direction in (n - 1, n):
+        planted = W.copy()
+        planted[1, :, direction] = np.nan
+        local = parallel_block_residuals(geo, planted, T, dT, K)["local_symmetry"]
+        assert np.isnan(local[1]), direction
+        np.testing.assert_array_equal(np.delete(local, 1), np.delete(clean, 1))
 
 
 def test_oracle_jet_from_the_step_geometry_equals_the_koszul_jet() -> None:
@@ -238,8 +328,9 @@ def test_curvature_oracle_pair_skew_near_the_tube_end() -> None:
 
 
 def test_assembly_of_a_stack_equals_assembly_per_item() -> None:
-    # covariant_derivative_residual assembles the frame derivatives of the
-    # families, a (directions, 4, n, n, n, n) stack, in one call.
+    # Leading axes carry through: the battery assembles a stack of points,
+    # and local_symmetry's dense reference above the frame derivatives of
+    # the families, a (directions, 4, n, n, n, n) stack, in one call.
     geo, data = _built(GENERIC)
     T = curvature_blocks(geo, data)
     stack = np.stack([T, 2.0 * T, np.random.default_rng(4).standard_normal(T.shape)])
