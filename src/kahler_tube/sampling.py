@@ -1,8 +1,10 @@
 """Deterministic sampling of chart points, tube momenta, and directions.
 
-Each concern draws from its own child of the master seed (a distinct
-``spawn_key``), so extending one stream — say, asking for more directions —
-never perturbs the points other checks see.
+Each drawn quantity (base directions, base radii, energy fractions,
+momentum directions, tangent directions) is one array draw from its own
+child of the master seed (a distinct ``spawn_key``).  So ``count`` rows are
+the first rows of any larger count, and extending one stream — say, asking
+for more directions — never perturbs the points other checks see.
 
 ``sample_chart_points`` returns the tube points as two stacked ``(count, n)``
 arrays, which the sweep passes straight to the stacked geometry and the
@@ -18,9 +20,12 @@ import numpy as np
 from .base_geometry import ModelParams, metric_at
 from .frames import BundlePoint
 
-_POINT_STREAM = 0
-_MOMENTUM_STREAM = 1
+#: The spawn key of each drawn quantity's child stream.
+_BASE_DIRECTION_STREAM = 0
+_MOMENTUM_DIRECTION_STREAM = 1
 _DIRECTION_STREAM = 2
+_BASE_RADIUS_STREAM = 3
+_ENERGY_STREAM = 4
 
 #: Fraction of the tube's energy range that sampling stays inside, away
 #: from the t -> 0 pole of the lift profile and the boundary degeneracy.
@@ -32,37 +37,34 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 
 
 def sample_base_coordinates(params: ModelParams, count: int, seed: int) -> np.ndarray:
-    """``count`` chart points uniform in the unit coordinate ball."""
-    rng = _generator(seed, _POINT_STREAM)
+    """``count`` chart points uniform in the unit coordinate ball.
+
+    Each is a normal direction, normalized and scaled to the radius
+    ``U^(1/n)`` with ``U`` uniform on ``[0, 1)``.
+    """
     n = params.dim
-    out = np.empty((count, n))
-    for k in range(count):
-        direction = rng.normal(size=n)
-        direction /= np.linalg.norm(direction)
-        out[k] = direction * rng.uniform() ** (1.0 / n)
-    return out
+    directions = _generator(seed, _BASE_DIRECTION_STREAM).normal(size=(count, n))
+    radii = _generator(seed, _BASE_RADIUS_STREAM).random(count) ** (1.0 / n)
+    norms = np.sqrt(np.einsum("ki,ki->k", directions, directions))
+    return directions * (radii / norms)[:, None]
 
 
 def sample_chart_points(params: ModelParams, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Tube points as stacked chart arrays ``(xs, ps)``, each ``(count, n)``.
 
-    The energy density t is drawn uniformly from the middle of the tube
-    range (``ENERGY_WINDOW`` times 2c/A²) and the momentum direction
-    uniformly on the inverse-metric sphere, then scaled to realize t.  The
-    inverse metrics come from one stacked ``metric_at``; the momentum draws
-    stay point by point, so the stream order does not depend on ``count``.
+    The energy density t is a ``[0, 1)`` uniform mapped onto
+    ``ENERGY_WINDOW`` of the tube range 2c/A², and the momentum direction
+    ``ξ`` is normal, scaled by ``sqrt(2t / ξ·g⁻¹ξ)`` to realize t.  The
+    inverse metrics come from one stacked ``metric_at``.
     """
-
     xs = sample_base_coordinates(params, count, seed)
-    rng = _generator(seed, _MOMENTUM_STREAM)
     lo, hi = ENERGY_WINDOW
-    t_max = 2.0 * params.curvature / params.lift_const**2
-    ps = np.empty_like(xs)
-    for k, g_inv in enumerate(metric_at(params, xs).g_inv):
-        t_target = rng.uniform(lo, hi) * t_max
-        xi = rng.normal(size=params.dim)
-        ps[k] = xi * np.sqrt(2.0 * t_target / float(xi @ g_inv @ xi))
-    return xs, ps
+    fractions = lo + (hi - lo) * _generator(seed, _ENERGY_STREAM).random(count)
+    t_target = fractions * (2.0 * params.curvature / params.lift_const**2)
+    xi = _generator(seed, _MOMENTUM_DIRECTION_STREAM).normal(size=(count, params.dim))
+    g_inv_xi = np.einsum("kij,kj->ki", metric_at(params, xs).g_inv, xi)
+    scale = np.sqrt(2.0 * t_target / np.einsum("ki,ki->k", xi, g_inv_xi))
+    return xs, xi * scale[:, None]
 
 
 def sample_points(params: ModelParams, count: int, seed: int) -> list[BundlePoint]:
