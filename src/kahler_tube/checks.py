@@ -40,7 +40,6 @@ from .fd import max_abs, tiles
 from .frames import (
     BundlePoint,
     energy_frame_derivatives,
-    frame_derivative,
     frame_transform,
     geometry_at,
     point_geometry,
@@ -196,17 +195,17 @@ def _positive_definite_residual(matrix: np.ndarray) -> np.ndarray:
 
 
 def tile_point_bytes(n: int) -> int:
-    """Bytes a verify tile holds per point: twenty complex (2n)^3 arrays, or the step families.
+    """Bytes a verify tile holds per point: twenty complex (2n)^3 arrays, or one step family.
 
     The layers that run under every profile hold twenty complex (2n)^3
-    arrays a point; the Kähler profile adds the curvature families on the
-    2n step points, complex, with their Jacobian and frame derivative,
-    2n 4 n^4 32 bytes, the larger from n = 4 on.  The layers that tile
-    their own stacks (the oracle's stencil, nabla K's odd sectors) hold a
-    fixed working set on top, which this rule leaves out.  So seven points
-    make a tile at n = 3, two at n = 4 and one from n = 5 on.
+    arrays a point; the Kähler profile adds one curvature family at a time
+    on the 2n step points, complex, with its Jacobian and frame derivative,
+    2n n^4 32 bytes, the larger from n = 7 on.  The layers that tile their
+    own stacks (the oracle's stencil, nabla K's odd sectors) hold a fixed
+    working set on top, which this rule leaves out.  So seven points make a
+    tile at n = 3, three at n = 4 and one from n = 5 on.
     """
-    return max(20 * 16 * (2 * n) ** 3, 2 * n * 4 * n**4 * 32)
+    return max(20 * 16 * (2 * n) ** 3, 2 * n * n**4 * 32)
 
 
 def evaluate_points(
@@ -226,18 +225,18 @@ def evaluate_points(
 
     The integrable-only layers run only for the Kähler profile: the closed
     connection ``W``, the curvature oracle (its stencil in tiles of (point,
-    axis) items) and the connection rows, and the closed curvature families
-    ``T`` with their frame derivatives ``dT``, one ``frame_derivative`` of
-    ``curvature_blocks`` on the step stack, whose assembly is the closed
+    axis) items) and the connection rows, and ``parallel_block_residuals``,
+    which builds the closed curvature families on the step stack one family
+    at a time, takes each one's frame derivative and its two parallel rows
+    and keeps only the real families ``T`` and their assembly, the closed
     adapted curvature that the curvature rows read.  ``local_symmetry`` is
-    nabla K: on its even sectors the eight parallel rows, from ``T`` and
-    ``dT`` family by family, on its odd ones W's off-diagonal blocks on the
-    assembly, in tiles of (point, horizontal direction) items.  Once ``dT``
-    and the assembly are dropped, ``holomorphic_sample`` takes ``T`` and
-    the metric blocks at ``directions``: its per-point scale invariance is
-    a column, and its ``(points, directions)`` curvatures are the second
-    item (None for any other profile), from which ``run_verify`` takes
-    ``hol_sect_nonconstancy`` across tiles.
+    nabla K: on its even sectors the eight parallel rows, on its odd ones
+    W's off-diagonal blocks on the assembly, in tiles of (point, horizontal
+    direction) items.  Once the assembly is dropped, ``holomorphic_sample``
+    takes ``T`` and the metric blocks at ``directions``: its per-point
+    scale invariance is a column, and its ``(points, directions)``
+    curvatures are the second item (None for any other profile), from which
+    ``run_verify`` takes ``hol_sect_nonconstancy`` across tiles.
     """
     n = params.dim
     geo = point_geometry(params, pts)
@@ -317,14 +316,13 @@ def evaluate_points(
         geo, S_coord, R_oracle_coord
     )
     del jet, R_oracle_coord
-    T, dT = frame_derivative(geo, curvature.curvature_blocks(step_geo, step_data))  # dT[..., direction, family]
-    R_closed_ad = curvature.assemble_adapted_curvature(T)
+    T, R_closed_ad, parallel = curvature.parallel_block_residuals(geo, W, step_geo, step_data)
     sectors = curvature.sector_residuals(R_closed_ad, R_oracle_ad, n)
     del R_oracle_ad
     values["curvature_match"] = list(zip(np.maximum.reduce(list(sectors.values())), _family_details(sectors)))
     values["curvature_antisymmetry"] = curvature.direction_antisymmetry_residual(R_closed_ad)
-    values.update(curvature.parallel_block_residuals(geo, W, T, dT, R_closed_ad))
-    del dT, R_closed_ad
+    values.update(parallel)
+    del R_closed_ad
     hol, values["hol_sect_scale_invariance"] = curvature.holomorphic_sample(T, data.G, data.H, directions)
     return values, hol
 

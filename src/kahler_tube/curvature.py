@@ -32,15 +32,14 @@ n(n+1) pair products u_i u_j and w_i w_j (``holomorphic_form``).
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import product
-from typing import Callable
+from typing import Callable, Collection
 
 import numpy as np
 
 from .base_geometry import DomainError
 from .connection import KoszulJet, covariant_derivative, koszul_christoffel, koszul_jet, koszul_oracle
 from .fd import complex_jacobian, field_jacobian, max_abs, tiles
-from .frames import PointGeometry, frame_transform
+from .frames import PointGeometry, frame_derivative, frame_transform
 from .lifted_metric import LiftedMetricData, coordinate_metric, metric_field
 
 
@@ -66,15 +65,19 @@ def _outer_sum(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray) -
     return X
 
 
-def curvature_blocks(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
+def curvature_blocks(
+    geo: PointGeometry, data: LiftedMetricData, families: Collection[str] = _FAMILY_VARIANCE
+) -> np.ndarray:
     """Closed-form curvature families of the integrable lift at the point(s) of ``geo``.
 
-    Returns ``T[..., family, i, j, k, l]``, the families stacked in
-    ``_FAMILY_VARIANCE`` order (hhh, vvh, vhh, vhv).  Every term is an outer
-    product of two ``(..., n, n)`` factors, so each family is a few
-    broadcast products of the shared outer products ``p p``, ``pr p`` and
-    ``pr pr`` (``pr = g^-1 p``) with the metric blocks, then its
-    antisymmetrised (hhh, vvh) or symmetrised (vhh, vhv) index pair.
+    Returns ``T[..., family, i, j, k, l]``, the named ``families`` stacked in
+    the order given, by default all four in ``_FAMILY_VARIANCE`` order (hhh,
+    vvh, vhh, vhv); a family's values do not depend on which others are
+    built.  Every term is an outer product of two ``(..., n, n)`` factors,
+    so each family is a few broadcast products of the shared outer products
+    ``p p``, ``pr p`` and ``pr pr`` (``pr = g^-1 p``) with the metric
+    blocks, then its antisymmetrised (hhh, vvh) or symmetrised (vhh, vhv)
+    index pair.
     """
     n = geo.n
     c, A = geo.params.curvature, geo.params.lift_const
@@ -85,31 +88,31 @@ def curvature_blocks(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
     pp = p[..., :, None] * p[..., None, :]
     rp = pr[..., :, None] * p[..., None, :]  # [i, k] = pr_i p_k
     rr = pr[..., :, None] * pr[..., None, :]
-    T = np.empty(rr.shape[:-2] + (4,) + (n,) * 4, dtype=np.result_type(rr, g, data.G, t))
-    hhh, vvh, vhh, vhv = (T[..., k, :, :, :, :] for k in range(4))
-
-    # hhh[h, i, j, k] = X - (X with i, j swapped), X = d_hi B_jk - (A^2/4) pr_h p_i g_jk
-    X = _outer_sum(eye, (0.5 * A * A) * t * g - (0.25 * A * A) * pp, (-0.25 * A * A) * rp, g)
-    np.subtract(X, np.swapaxes(X, -3, -2), out=hhh)
-
-    # vvh[i, j, h, k] = X - (X with i, j swapped), X[i, k, j, h] = d_ik C_jh + pr_i p_k ginv_jh / 4t^2
-    C = (-0.5 / t) * ginv + (0.25 / (t * t)) * rr
-    X = np.moveaxis(_outer_sum(eye, C, rp, (0.25 / (t * t)) * ginv), -3, -1)
-    np.subtract(X, np.swapaxes(X, -4, -3), out=vvh)
-
-    # vhh[i, j, k, h] = (A/2) d_ij G_hk + Y + (Y with k, h swapped),
-    # Y[i, k, j, h] = d_ik F_jh + pr_i p_k E_jh
-    Y = _outer_sum(eye, (0.25 / t) * bound * pp, rp, (0.25 * A * A) * g - (0.25 * c / (t * t)) * pp)
-    Y = np.swapaxes(Y, -3, -2)
-    np.add(Y, np.swapaxes(Y, -2, -1), out=vhh)
-    vhh += _outer(eye, (0.5 * A) * data.G)
-
-    # vhv[i, k, h, j] = -(A/2) d_ij H_hk + Y + (Y with k, h swapped),
-    # Y[i, h, k, j] = P_ih pr_k p_j + pr_i pr_h Q_kj
-    P = (-0.25 / (t * t)) * ginv + (0.25 * c / (t ** 3 * bound)) * rr
-    Y = _outer_sum(P, rp, rr, (-0.25 * A * A / (t * bound)) * eye)
-    np.add(Y, np.swapaxes(Y, -3, -2), out=vhv)
-    vhv -= (0.5 * A) * eye[:, None, None, :] * data.H[..., None, :, :, None]
+    T = np.empty(rr.shape[:-2] + (len(families),) + (n,) * 4, dtype=np.result_type(rr, g, data.G, t))
+    for family, out in zip(families, np.moveaxis(T, -5, 0)):
+        # hhh[h, i, j, k] = X - (X with i, j swapped), X = d_hi B_jk - (A^2/4) pr_h p_i g_jk
+        if family == "hhh":
+            X = _outer_sum(eye, (0.5 * A * A) * t * g - (0.25 * A * A) * pp, (-0.25 * A * A) * rp, g)
+            np.subtract(X, np.swapaxes(X, -3, -2), out=out)
+        # vvh[i, j, h, k] = X - (X with i, j swapped), X[i, k, j, h] = d_ik C_jh + pr_i p_k ginv_jh / 4t^2
+        elif family == "vvh":
+            C = (-0.5 / t) * ginv + (0.25 / (t * t)) * rr
+            X = np.moveaxis(_outer_sum(eye, C, rp, (0.25 / (t * t)) * ginv), -3, -1)
+            np.subtract(X, np.swapaxes(X, -4, -3), out=out)
+        # vhh[i, j, k, h] = (A/2) d_ij G_hk + Y + (Y with k, h swapped),
+        # Y[i, k, j, h] = d_ik F_jh + pr_i p_k E_jh
+        elif family == "vhh":
+            Y = _outer_sum(eye, (0.25 / t) * bound * pp, rp, (0.25 * A * A) * g - (0.25 * c / (t * t)) * pp)
+            Y = np.swapaxes(Y, -3, -2)
+            np.add(Y, np.swapaxes(Y, -2, -1), out=out)
+            out += _outer(eye, (0.5 * A) * data.G)
+        # vhv[i, k, h, j] = -(A/2) d_ij H_hk + Y + (Y with k, h swapped),
+        # Y[i, h, k, j] = P_ih pr_k p_j + pr_i pr_h Q_kj
+        else:
+            P = (-0.25 / (t * t)) * ginv + (0.25 * c / (t ** 3 * bound)) * rr
+            Y = _outer_sum(P, rp, rr, (-0.25 * A * A / (t * bound)) * eye)
+            np.add(Y, np.swapaxes(Y, -3, -2), out=out)
+            out -= (0.5 * A) * eye[:, None, None, :] * data.H[..., None, :, :, None]
     return T
 
 
@@ -307,39 +310,41 @@ def covariant_derivative_residual(W: np.ndarray, K: np.ndarray) -> float | np.nd
 
 
 def parallel_block_residuals(
-    geo: PointGeometry, W: np.ndarray, T: np.ndarray, dT: np.ndarray, K: np.ndarray
-) -> dict[str, float | np.ndarray]:
-    """Frame-derivative parallelism of each curvature family and of K, per point.
+    geo: PointGeometry, W: np.ndarray, step_geo: PointGeometry, step_data: LiftedMetricData
+) -> tuple[np.ndarray, np.ndarray, dict[str, float | np.ndarray]]:
+    """The closed families at the point(s) of ``geo``, their assembly K and the rows of nabla K, per point.
 
-    Returns keys like ``parallel_hhh_horizontal``: the covariant derivative
-    of the block along every frame direction of the stated type must vanish.
-    ``T`` and ``dT`` are the ``frame_derivative`` of ``curvature_blocks`` on
-    the step geometry of the point(s).  The connection along horizontal
-    directions is the base Christoffels (``W[:n, :n, :n]`` copies them,
-    ``W[n:, :n, n:]`` is minus their transpose), along vertical ones
-    ``W[:n, n:, :n]`` (``W[n:, n:, n:]`` is its dual): the eight rows are
-    nabla K on its even sectors, family by family, in two batched
-    ``covariant_derivative`` calls, one per variance (``uddd``: hhh and vhh;
-    ``uuud``: vvh and vhv), with the horizontal and vertical connections on
-    one batch axis after those of the points.  ``local_symmetry`` is the
-    per-point maximum, NaN first, of the eight and of the odd sectors
-    (``covariant_derivative_residual`` on ``K``, the assembly of ``T``);
-    ``connection_match`` covers the W blocks that neither part reads.
+    One family at a time, ``curvature_blocks`` builds it on the step
+    geometry ``step_geo`` with its blocks ``step_data``; its
+    ``frame_derivative`` gives its value, kept in ``T``, and its frame
+    derivatives, along which its covariant derivative must vanish: the rows
+    like ``parallel_hhh_horizontal``, along every frame direction of the
+    stated type.  The connection along horizontal directions is the base
+    Christoffels (``W[:n, :n, :n]`` copies them, ``W[n:, :n, n:]`` is minus
+    their transpose), along vertical ones ``W[:n, n:, :n]`` (``W[n:, n:, n:]``
+    is its dual): one ``covariant_derivative`` call a family, in its
+    variance, with the two connections on one batch axis after those of the
+    points.  A family's complex values, Jacobian and derivatives are dropped
+    before the next one is built.  The eight rows are nabla K on its even
+    sectors; ``local_symmetry`` is the per-point maximum, NaN first, of the
+    eight and of the odd sectors (``covariant_derivative_residual`` on the
+    assembly ``K`` of ``T``); ``connection_match`` covers the W blocks that
+    neither part reads.  Returns ``(T, K, rows)``.
     """
 
     n = geo.n
-    conn = np.stack([geo.base.gamma, W[..., :n, n:, :n]], axis=-4)[..., None, :, :, :]  # [kind, 1, upper, dir, slot]
-    dT_kind = np.swapaxes(dT.reshape(dT.shape[:-6] + (2, n) + dT.shape[-5:]), -6, -5)  # [kind, family, dir, ...]
-    names = list(_FAMILY_VARIANCE)  # hhh, vvh, vhh, vhv: the variances alternate
+    conn = np.stack([geo.base.gamma, W[..., :n, n:, :n]], axis=-4)  # [kind, upper, direction, slot]
+    T = np.empty(geo.t.shape + (4,) + (n,) * 4)
     out = {}
-    for first in (0, 1):
-        nabla = covariant_derivative(
-            conn, T[..., None, first::2, :, :, :, :], dT_kind[..., first::2, :, :, :, :, :], _FAMILY_VARIANCE[names[first]]
-        )
-        worst = max_abs(nabla, nabla.ndim - 5)  # [..., kind, family]
-        for (k, kind), (f, name) in product(enumerate(("horizontal", "vertical")), enumerate(names[first::2])):
-            out[f"parallel_{name}_{kind}"] = worst[..., k, f]
-    return {"local_symmetry": np.maximum.reduce([covariant_derivative_residual(W, K), *out.values()]), **out}
+    # each family is a view of T that keeps its family axis, of length one, to broadcast over the kinds
+    for (name, variance), family in zip(_FAMILY_VARIANCE.items(), np.split(T, 4, axis=-5)):
+        family[...], dT = frame_derivative(geo, curvature_blocks(step_geo, step_data, (name,)))
+        dT = dT.reshape(dT.shape[:-6] + (2, n) + dT.shape[-4:])  # [kind, direction, i, j, k, l]
+        worst = max_abs(covariant_derivative(conn, family, dT, variance), dT.ndim - 5)
+        del dT  # before the next family's step values are built
+        out[f"parallel_{name}_horizontal"], out[f"parallel_{name}_vertical"] = np.moveaxis(worst, -1, 0)
+    K = assemble_adapted_curvature(T)
+    return T, K, {"local_symmetry": np.maximum.reduce([covariant_derivative_residual(W, K), *out.values()]), **out}
 
 
 @cache

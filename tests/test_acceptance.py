@@ -29,7 +29,6 @@ from kahler_tube.connection import (
     verify_connection,
 )
 from kahler_tube.curvature import (
-    assemble_adapted_curvature,
     curvature_blocks,
     curvature_oracle_coordinates,
     direction_antisymmetry_residual,
@@ -38,7 +37,7 @@ from kahler_tube.curvature import (
     parallel_block_residuals,
     sector_residuals,
 )
-from kahler_tube.frames import BundlePoint, frame_derivative, frame_transform, point_geometry, step_geometry
+from kahler_tube.frames import BundlePoint, frame_transform, point_geometry, step_geometry
 from kahler_tube.lifted_metric import (
     KAHLER,
     LiftProfile,
@@ -109,8 +108,8 @@ def matrix_results() -> MatrixResults:
         for pt in sample_points(params, NUM_POINTS, SEED):
             geo, data = _built(params, pt)
             step = _step(geo)
-            T, dT = frame_derivative(geo, curvature_blocks(*step))
-            R_closed = assemble_adapted_curvature(T)
+            W = coefficients_from_geometry(geo, data)
+            _, R_closed, parallel = parallel_block_residuals(geo, W, *step)
             _, R_coord = curvature_oracle_coordinates(geo, *step)
             R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
             for family, res in sector_residuals(R_closed, R_oracle, geo.n).items():
@@ -119,8 +118,6 @@ def matrix_results() -> MatrixResults:
             identity, mixed_block = einstein_residuals(geo, coordinate_metric(geo, data), R_coord)
             einstein = max(einstein, identity)
             mixed = max(mixed, mixed_block)
-            W = coefficients_from_geometry(geo, data)
-            parallel = parallel_block_residuals(geo, W, T, dT, R_closed)
             nabla = max(nabla, parallel.pop("local_symmetry"))
             for name, res in parallel.items():
                 par[name] = max(par.get(name, 0.0), res)

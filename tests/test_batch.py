@@ -34,7 +34,6 @@ from kahler_tube.fd import COMPLEX_STEP, complex_step, field_jacobian, tiles
 from kahler_tube.frames import (
     BundlePoint,
     energy_frame_derivatives,
-    frame_derivative,
     frame_transform,
     geometry_at,
     geometry_field,
@@ -259,39 +258,41 @@ def test_curvature_oracle_memory_stays_one_level_deep() -> None:
 
 
 def test_parallel_blocks_memory_one_complex_step_of_the_blocks() -> None:
-    # Measured at n = 5 (tracemalloc peak): about 1.05 MB with the step
-    # geometry, the frame derivative of the stacked closed-form families and
-    # K built in the measured run, as evaluate_point builds them once for
-    # the curvature rows; that build holds the peak, so the bound stays at
-    # 1.3 MB.  The layer alone, on inputs built outside the measured run,
-    # takes about 0.66 MB: no dK, the eight rows on the families, and nabla
-    # K's odd sectors in tiles of (point, horizontal direction) items.
-    # Assembling dK and taking the whole nabla K two frame directions at a
-    # time took 0.73 MB alone; with the whole (2n)^5 dK and nabla K at once,
-    # 2.81 MB.  A second complex step of the assembled adapted-frame
-    # curvature alone peaked at about 3.2 MB; one of the coordinate-frame
-    # curvature at about 5.1 MB, because frame_transform then works on a
-    # complex (10, 10^4) stack.  The bare bound leaves a quarter above the
-    # measured peak.
+    # Measured at n = 5 (tracemalloc peak): about 0.68 MB with the step
+    # geometry built in the measured run and the layer building the
+    # closed-form families on it one family at a time, each family's complex
+    # step values, Jacobian and frame derivative dropped before the next; the
+    # bound, 1.3 MB before, is 0.85 MB.  Building all four families at once,
+    # with one frame derivative of the stack, took about 1.05 MB.  The layer
+    # on a step geometry built outside the measured run takes about
+    # 0.66 MB, held in nabla K's odd sectors, in tiles of (point, horizontal
+    # direction) items, as when the families came in from outside: no dK,
+    # the eight rows on the families.  Assembling dK and taking the whole
+    # nabla K two frame directions at a time took 0.73 MB alone; with the
+    # whole (2n)^5 dK and nabla K at once, 2.81 MB.  A second complex step
+    # of the assembled adapted-frame curvature alone peaked at about 3.2 MB;
+    # one of the coordinate-frame curvature at about 5.1 MB, because
+    # frame_transform then works on a complex (10, 10^4) stack.  The bare
+    # bound leaves a quarter above the measured peak.
     W = coefficients_from_geometry(GEO_5, components_from_geometry(GEO_5))
-    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, *_parallel_inputs(GEO_5, *_step(GEO_5)))) < 1.3
-    inputs = _parallel_inputs(GEO_5, *_step(GEO_5))
+    assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, *_step(GEO_5))) < 0.85
+    inputs = _step(GEO_5)
     assert _peak_mb(lambda: parallel_block_residuals(GEO_5, W, *inputs)) < 0.82
 
 
 @pytest.mark.parametrize(("dim", "count"), [(3, 12), (4, 4), (5, 1)], ids=["n3x12", "n4x4", "n5"])
 def test_one_stacked_tile_stays_within_its_stated_bytes(dim: int, count: int) -> None:
     # run_verify tiles its points by checks.tile_point_bytes: 12 points at
-    # n = 3 make two tiles of six, 4 points at n = 4 two tiles of two, an
-    # n = 5 point is a tile of its own.  Under the offset profile only the
-    # layers that run under every profile hold stacks, so the tile's
-    # tracemalloc peak must stay within its points times the stated bytes
-    # (measured: about 0.27 of 0.41 MB at n = 3, 0.26 of 0.52 MB at n = 4,
-    # 0.29 of 0.8 MB at n = 5).  The Kähler profile stacks the integrable
-    # layers too; those that tile their own stacks (the oracle's stencil,
-    # nabla K's odd sectors) add a fixed working set, which the oracle's own
-    # bound above caps at 1.1 MB (measured: about 0.96 of 1.5 MB at n = 3,
-    # 0.93 of 1.6 MB at n = 4, 1.2 of 1.9 MB at n = 5).
+    # n = 3 make two tiles of six, 4 points at n = 4 two tiles of two (three
+    # points fit a tile), an n = 5 point is a tile of its own.  Under the
+    # offset profile only the layers that run under every profile hold
+    # stacks, so the tile's tracemalloc peak must stay within its points
+    # times the stated bytes (measured: about 0.27 of 0.41 MB at n = 3, 0.25
+    # of 0.33 MB at n = 4, 0.29 of 0.32 MB at n = 5).  The Kähler profile
+    # stacks the integrable layers too; those that tile their own stacks (the
+    # oracle's stencil, nabla K's odd sectors) add a fixed working set, which
+    # the oracle's own bound above caps at 1.1 MB (measured: about 0.95 of
+    # 1.5 MB at n = 3, 0.93 of 1.4 MB at n = 4, 1.0 of 1.4 MB at n = 5).
     params = ModelParams(dim)
     tile = tiles(count, tile_point_bytes(dim))[0]
     assert tile.stop == {3: 6, 4: 2, 5: 1}[dim]
@@ -319,17 +320,32 @@ def test_sweep_memory_stays_one_point_deep() -> None:
 
 
 def test_verify_memory_stays_one_tile_deep() -> None:
-    # Measured at (5,1,1), 100 directions (tracemalloc peak): 1.24 MB for
-    # one point, 1.26 MB for 4 and 1.32 MB for 16, every point a tile of its
-    # own.  Each tile samples its own holomorphic curvatures after its dT and
-    # K are dropped, and run_verify keeps only the (points, directions)
-    # curvatures across tiles.  Carrying every tile's curvature families out
+    # Measured at (5,1,1), 100 directions (tracemalloc peak): 1.02 MB for
+    # one point, 1.05 MB for 4 and 1.11 MB for 16, every point a tile of its
+    # own (1.24, 1.26 and 1.32 MB when the four curvature families were
+    # built on the step stack at once).  Each tile samples its own
+    # holomorphic curvatures after its K is dropped, and run_verify keeps
+    # only the (points, directions) curvatures across tiles.  Carrying every tile's curvature families out
     # and sampling once at the end peaked at 1.38 MB for 4 points and
     # 2.17 MB for 16, growing with the point count.
     def peak(count: int) -> float:
         return _peak_mb(lambda: run_verify(RunConfig(ModelParams(5), num_points=count, seed=7)))
 
     assert peak(16) - peak(1) < 0.25
+
+
+def test_verify_point_memory_one_curvature_family_deep() -> None:
+    # The step stack holds one curvature family at a time: its complex
+    # values on the 2n step points, their Jacobian and frame derivative.
+    # Measured (tracemalloc peak, one point, seed 7): a (5,1,1) run_verify
+    # point takes 1.02 MB, held in holomorphic_sample, and a Kähler (8,1,1)
+    # evaluate_points point 4.95 MB, held in the family build.  With all four
+    # families on the step stack at once they took 1.24 and 9.73 MB.
+    assert _peak_mb(lambda: run_verify(RunConfig(ModelParams(5), num_points=1, seed=7))) < 1.1
+    params = ModelParams(8)
+    point = BundlePoint(*sample_chart_points(params, 1, 7))
+    directions = sample_directions(params, 100, 7)
+    assert _peak_mb(lambda: evaluate_points(params, point, KAHLER, directions)) < 6.0
 
 
 def test_sweep_never_assembles_the_adapted_curvature(monkeypatch) -> None:
@@ -503,9 +519,10 @@ def test_verify_runs_each_oracle_once_per_point(offset, monkeypatch) -> None:
     # on the tile's points only for the base chart (the batched outer
     # stencils, which lead with their stencil points, are not counted, nor
     # are their coordinate metrics).  curvature_blocks runs on the step stack
-    # only: its frame derivative gives the families at the points, which the
-    # curvature rows, local_symmetry, the eight parallel rows and the
-    # holomorphic rows share; every call is counted.
+    # only, once per family, each family named alone: their frame derivatives
+    # give the families at the points, which the curvature rows,
+    # local_symmetry, the eight parallel rows and the holomorphic rows share;
+    # every call is counted.
     calls: dict[str, list] = {}
 
     def leading(value, size):
@@ -518,14 +535,14 @@ def test_verify_runs_each_oracle_once_per_point(offset, monkeypatch) -> None:
     _count(monkeypatch, calls, connection, "koszul_jet", lambda args: leading(args[1], 2))
     _count(monkeypatch, calls, lifted_metric, "coordinate_metric",
            lambda args: leading(args[0].t, 2) if np.iscomplexobj(args[0].t) else None)
-    _count(monkeypatch, calls, curvature, "curvature_blocks", lambda args: np.shape(args[0].t))
+    _count(monkeypatch, calls, curvature, "curvature_blocks", lambda args: (np.shape(args[0].t),) + tuple(args[2:]))
     _run_two_points(offset)
     assert calls["geometry_at"] == [(2, 6, 3)]
     assert calls["components_from_geometry"] == [(2, 6)]
     assert calls["koszul_jet"] == [(2, 3)]
     if offset is None:
         assert calls["coordinate_metric"] == [(2, 6)]
-        assert calls["curvature_blocks"] == [(2, 6)]
+        assert calls["curvature_blocks"] == [((2, 6), (family,)) for family in ("hhh", "vvh", "vhh", "vhv")]
     else:
         assert "coordinate_metric" not in calls and "curvature_blocks" not in calls
 
@@ -536,16 +553,10 @@ def _step(geo):
     return step_geo, components_from_geometry(step_geo)
 
 
-def _parallel_inputs(geo, step_geo, step_data):
-    """What evaluate_point hands parallel_block_residuals: T, dT and K, from the step geometry."""
-    T, dT = frame_derivative(geo, curvature_blocks(step_geo, step_data))
-    return T, dT, assemble_adapted_curvature(T)
-
-
 #: Every layer that reads a complex step, with its arguments, built from the
 #: geometry, the lifted blocks and the step geometry with its blocks.
-#: parallel_block_residuals reads it through the frame derivative of the
-#: curvature families on the step, built as evaluate_point builds it.
+#: parallel_block_residuals reads it through the frame derivative of each
+#: curvature family, which it builds on the step geometry.
 DERIVATIVE_LAYERS = [
     (verify_brackets, lambda geo, data, step_geo, step_data: (geo, step_geo)),
     (energy_frame_derivatives, lambda geo, data, step_geo, step_data: (geo, step_geo)),
@@ -555,7 +566,7 @@ DERIVATIVE_LAYERS = [
     (
         parallel_block_residuals,
         lambda geo, data, step_geo, step_data: (
-            geo, coefficients_from_geometry(geo, data), *_parallel_inputs(geo, step_geo, step_data)
+            geo, coefficients_from_geometry(geo, data), step_geo, step_data
         ),
     ),
 ]

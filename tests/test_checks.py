@@ -241,11 +241,12 @@ def test_error_planted_at_one_point_of_a_stack_lands_on_that_point(dim, count, p
             S[hit, 0, dim] += 1e-9
         return S
 
-    def planted_blocks(geo, data):
-        T = inner_blocks(geo, data)
+    def planted_blocks(geo, data, families=("hhh", "vvh", "vhh", "vhv")):
+        T = inner_blocks(geo, data, families)
         hit = np.all(geo.x.real == target, axis=-1)  # the target's 2n step points
         scale = np.where(hit, 1.0 + 1e-2 * np.exp(geo.x[..., 0] + geo.p[..., 0]), 1.0)
-        T[..., 0, :, :, :, :] *= scale[..., None, None, None, None]
+        if "hhh" in families:
+            T[..., families.index("hhh"), :, :, :, :] *= scale[..., None, None, None, None]
         return T
 
     monkeypatch.setattr(lifted_metric, "coordinate_metric", planted)
@@ -274,9 +275,10 @@ def test_nan_planted_at_one_point_reaches_only_that_points_integrable_rows(monke
     clean, clean_curvatures = evaluate_points(params, pts, LiftProfile(), directions)
     inner = curvature.curvature_blocks
 
-    def planted(geo, data):
-        T = inner(geo, data)
-        T[2, :, 0] = np.nan
+    def planted(geo, data, families=("hhh", "vvh", "vhh", "vhv")):
+        T = inner(geo, data, families)
+        if "hhh" in families:
+            T[2, :, families.index("hhh")] = np.nan
         return T
 
     monkeypatch.setattr(curvature, "curvature_blocks", planted)

@@ -70,10 +70,9 @@ def _families(geo):
 
 
 def _parallel(pt, params=PARAMS):
-    """``parallel_block_residuals`` at ``pt``, with the inputs ``evaluate_point`` hands it."""
+    """The rows of ``parallel_block_residuals`` at ``pt``, with the inputs ``evaluate_points`` hands it."""
     geo, W = _coefficients(pt, params)
-    T, dT = _families(geo)
-    return parallel_block_residuals(geo, W, T, dT, assemble_adapted_curvature(T))
+    return parallel_block_residuals(geo, W, *_step(geo))[2]
 
 
 def _holomorphic_setup(pt, params=PARAMS):
@@ -221,16 +220,22 @@ def _odd_sectors(m: int) -> np.ndarray:
     return (v[:, None, None, None] + v[:, None, None] + v[:, None] + v) % 2 == 1
 
 
-def _planted_families(geo, step, family: int, eps: float, kind: str):
-    """``T`` and ``dT`` with a relative error ``eps`` planted in one family of the step stack."""
-    T_step = curvature_blocks(*step)
-    block = T_step[..., family, :, :, :, :]
-    block *= 1.0 + eps * (np.random.default_rng(family).standard_normal(block.shape) if kind == "random" else 1.0)
-    return frame_derivative(geo, T_step)
+def _planted_blocks(family: int, eps: float, kind: str):
+    """``curvature_blocks`` with a relative error ``eps`` planted in one family wherever it is built."""
+    name = ("hhh", "vvh", "vhh", "vhv")[family]
+
+    def planted(geo, data, families=("hhh", "vvh", "vhh", "vhv")):
+        T = curvature_blocks(geo, data, families)
+        if name in families:
+            block = T[..., families.index(name), :, :, :, :]
+            block *= 1.0 + eps * (np.random.default_rng(family).standard_normal(block.shape) if kind == "random" else 1.0)
+        return T
+
+    return planted
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-def test_local_symmetry_equals_the_dense_nabla_k(dim: int) -> None:
+def test_local_symmetry_equals_the_dense_nabla_k(dim: int, monkeypatch) -> None:
     # The dense nabla K of the assembly is kept on the test side only.  Its
     # even sectors are the eight parallel rows and its odd ones
     # covariant_derivative_residual, each to round-off, so local_symmetry is
@@ -241,12 +246,15 @@ def test_local_symmetry_equals_the_dense_nabla_k(dim: int) -> None:
     W = coefficients_from_geometry(geo, components_from_geometry(geo))
     step = _step(geo)
     odd = _odd_sectors(2 * dim)
-    cases = [_families(geo)] + [
-        _planted_families(geo, step, family, eps, kind)
+    cases = [curvature_blocks] + [
+        _planted_blocks(family, eps, kind)
         for family in range(4) for kind in ("uniform", "random") for eps in (1e-6, 1e-2)
     ]
-    for k, (T, dT) in enumerate(cases):
-        rows = parallel_block_residuals(geo, W, T, dT, assemble_adapted_curvature(T))
+    for k, blocks in enumerate(cases):
+        monkeypatch.setattr(curvature, "curvature_blocks", blocks)  # where the layer builds the families
+        T, dT = frame_derivative(geo, blocks(*step))
+        built, _, rows = parallel_block_residuals(geo, W, *step)
+        np.testing.assert_array_equal(built, T)
         local = rows.pop("local_symmetry")
         dense = np.abs(_dense_nabla_k(W, T, dT))
         even_max, odd_max = (dense[..., sectors].max(axis=(-2, -1)) for sectors in (~odd, odd))
@@ -259,7 +267,8 @@ def test_local_symmetry_equals_the_dense_nabla_k(dim: int) -> None:
             assert np.max(np.abs(local - dense_max)) <= 1e-13, k
         else:
             np.testing.assert_allclose(local, dense_max, rtol=1e-10, atol=0.0, err_msg=str(k))
-    clean_T = cases[0][0]
+        if k == 0:
+            clean_T = T
     assert dim == 2 or all(np.abs(clean_T[:, f]).max() > 1e-3 for f in range(4))  # no vanishing family past n = 2
 
 
@@ -294,13 +303,12 @@ def test_nan_in_one_directions_w_stays_at_its_point() -> None:
     geo = _stack_geometry(5)
     n = geo.n
     W = coefficients_from_geometry(geo, components_from_geometry(geo))
-    T, dT = _families(geo)
-    K = assemble_adapted_curvature(T)
-    clean = parallel_block_residuals(geo, W, T, dT, K)["local_symmetry"]
+    step = _step(geo)
+    clean = parallel_block_residuals(geo, W, *step)[2]["local_symmetry"]
     for direction in (n - 1, n):
         planted = W.copy()
         planted[1, :, direction] = np.nan
-        local = parallel_block_residuals(geo, planted, T, dT, K)["local_symmetry"]
+        local = parallel_block_residuals(geo, planted, *step)[2]["local_symmetry"]
         assert np.isnan(local[1]), direction
         np.testing.assert_array_equal(np.delete(local, 1), np.delete(clean, 1))
 
@@ -427,12 +435,13 @@ def test_parallel_block_identities() -> None:
 
 
 def test_batched_parallel_rows_equal_per_family_calls() -> None:
-    # The eight rows are two batched covariant derivatives; each equals the
-    # maximum of its own per-family call, as the rows were computed before.
+    # The eight rows are one covariant derivative a family, the horizontal
+    # and vertical connections batched; each row equals the maximum of its
+    # own call with one connection, as the rows were computed before.
     geo, W = _coefficients(GENERIC)
     n = geo.n
     T, dT = _families(geo)
-    rows = parallel_block_residuals(geo, W, T, dT, assemble_adapted_curvature(T))
+    rows = parallel_block_residuals(geo, W, *_step(geo))[2]
     families = {"hhh": "uddd", "vvh": "uuud", "vhh": "uddd", "vhv": "uuud"}
     for kind, conn, dirs in (("horizontal", geo.base.gamma, dT[:n]), ("vertical", W[:n, n:, :n], dT[n:])):
         for k, (name, variance) in enumerate(families.items()):

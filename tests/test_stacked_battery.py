@@ -99,7 +99,7 @@ def _layer_rows(geo, data, step_geo, step_data, kahler: bool) -> list:
     jet, R_oracle = curvature.curvature_oracle_coordinates(geo, step_geo, step_data)
     (match, labels), nabla_g, torsion = connection.verify_connection(geo, W, jet)
     T, dT = frame_derivative(geo, curvature.curvature_blocks(step_geo, step_data))
-    K = curvature.assemble_adapted_curvature(T)
+    _, K, parallel = curvature.parallel_block_residuals(geo, W, step_geo, step_data)
     R_oracle_ad = frame_transform(R_oracle, "uddd", geo.frame, to="adapted")
     S_coord = lifted_metric.coordinate_metric(geo, data)
     S_ad = lifted_metric.adapted_metric_matrix(data)
@@ -113,7 +113,7 @@ def _layer_rows(geo, data, step_geo, step_data, kahler: bool) -> list:
         curvature.pair_skew_residual(R_oracle, S_coord),
         curvature.j_invariance_residual(R_oracle_ad, S_ad, complex_structure.adapted_j_matrix(data)),
         *curvature.einstein_residuals(geo, S_coord, R_oracle),
-        *curvature.parallel_block_residuals(geo, W, T, dT, K).values(),  # local_symmetry and the eight rows
+        *parallel.values(),  # local_symmetry and the eight rows
     ]
 
 
