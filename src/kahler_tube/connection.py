@@ -20,11 +20,21 @@ given the horizontal frame brackets.
 
 The independent oracle recomputes coordinate Christoffel symbols of the
 full 2n-dimensional metric from complex-step derivatives of the metric
-field (standard Koszul formula) and transforms them into the adapted frame
+(standard Koszul formula) and transforms them into the adapted frame
 using the analytic derivatives of the change-of-basis matrix.  Torsion of
 the closed form is checked against the frame structure functions, and
 metric compatibility via a complex-step covariant derivative of the
-coordinate metric.
+coordinate metric.  ``koszul_jet`` builds the oracle's jet from a metric's
+values on ``fd.complex_points``, whichever route evaluated them.
+
+Oracle boundary.  The oracles (``koszul_jet`` and ``koszul_oracle``, the
+curvature oracles, ``complex_structure.nijenhuis_fd_full`` and the two
+``metric_field``s) read only the object's own definition: the base metric,
+``momentum_gamma``, the lifted blocks, ``coordinate_metric``, the frame
+matrices and ``adapted_j_matrix``.  No chain of calls or attribute reads
+from them reaches a closed form under certification, such as
+``curvature_blocks`` or the base Christoffels: ``tests/test_oracle_boundary.py``
+checks this on the source and lists both sides.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fd import complex_step, max_abs
+from .fd import complex_jacobian, complex_points, max_abs
 from .frames import PointGeometry, frame_derivative, frame_structure_functions
 from .lifted_metric import LiftedMetricData
 
@@ -75,14 +85,15 @@ def coefficients_from_geometry(geo: PointGeometry, data: LiftedMetricData) -> np
 KoszulJet = NamedTuple("KoszulJet", [("G", np.ndarray), ("dG", np.ndarray), ("christoffel", np.ndarray)])
 
 
-def koszul_jet(metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> KoszulJet:
-    """Koszul jet of an arbitrary metric field at one point ``(m,)`` or a stack ``(..., m)``.
+def koszul_jet(values: np.ndarray, batch_ndim: int) -> KoszulJet:
+    """Koszul jet from a metric's values on ``fd.complex_points(z)``, ``z`` one point or a stack.
 
-    One complex-step call of ``metric_field_fn`` gives the metric and its
-    partials exact to round-off, so the oracle is independent of every
-    closed form in the package.
+    ``batch_ndim`` is the number of batch axes of ``z``.  One complex step
+    gives the metric and its partials exact to round-off, so the jet reads
+    only the metric's values and is independent of every closed form in
+    the package.
     """
-    G, jac = complex_step(metric_field_fn, z)
+    G, jac = complex_jacobian(values, batch_ndim)
     return KoszulJet(G, jac.value, koszul_christoffel(G, jac.value))
 
 
@@ -94,8 +105,11 @@ def koszul_christoffel(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
 
 
 def koszul_oracle(metric_field_fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
-    """The Christoffel field of ``koszul_jet``, batch-generic, so a stencil evaluates it in one call."""
-    return koszul_jet(metric_field_fn, z).christoffel
+    """Christoffels of a metric field at ``z``: ``koszul_jet`` of one call on ``fd.complex_points(z)``.
+
+    Batch-generic, so a stencil evaluates it in one call.
+    """
+    return koszul_jet(metric_field_fn(complex_points(z)), np.ndim(z) - 1).christoffel
 
 
 def connection_to_adapted(christoffel: np.ndarray, geo: PointGeometry) -> np.ndarray:

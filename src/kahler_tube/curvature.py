@@ -15,7 +15,8 @@ argument), the six independent families are
 Every other sector vanishes identically.  The oracle recomputes the full
 2n-dimensional coordinate curvature from central differences of the Koszul
 Christoffel field (itself a complex step of the metric), so nothing in the
-oracle path touches the closed forms.
+oracle path touches the closed forms (the oracle boundary, stated in
+``connection``).
 
 The holomorphic sectional curvature reads the families directly, with no
 assembled (2n)^4 tensor.  For an adapted direction X = (u, w) with
@@ -37,8 +38,8 @@ from typing import Callable, Collection
 import numpy as np
 
 from .base_geometry import DomainError
-from .connection import KoszulJet, covariant_derivative, koszul_christoffel, koszul_jet, koszul_oracle
-from .fd import complex_jacobian, field_jacobian, max_abs, tiles
+from .connection import KoszulJet, covariant_derivative, koszul_jet, koszul_oracle
+from .fd import complex_points, field_jacobian, max_abs, tiles
 from .frames import PointGeometry, frame_derivative, frame_transform
 from .lifted_metric import LiftedMetricData, coordinate_metric, metric_field
 
@@ -143,7 +144,8 @@ def curvature_from_metric_field(
 
     ``z`` is one point ``(m,)`` or a stack ``(..., m)``; the jet and the
     curvature ``(..., m, m, m, m)`` follow its batch axes, each point's
-    values equal to the one-point call's.  ``koszul_oracle`` is the
+    values equal to the one-point call's.  The jet is ``koszul_jet`` of the
+    field's values on ``fd.complex_points(z)``; ``koszul_oracle`` is the
     Christoffel field: complex-step derivatives of the metric, exact to
     round-off and batch-generic.  Its derivative is one central-difference
     Jacobian (``fd.field_jacobian``) whose stencil of Koszul evaluations,
@@ -155,7 +157,8 @@ def curvature_from_metric_field(
     of ``z`` and then on ``m`` complex points per outer stencil point.  The
     Koszul jet at ``z`` comes back too.
     """
-    return _koszul_curvature(koszul_jet(metric_field_fn, z), metric_field_fn, z)
+    jet = koszul_jet(metric_field_fn(complex_points(z)), np.ndim(z) - 1)
+    return _koszul_curvature(jet, metric_field_fn, z)
 
 
 def _koszul_curvature(
@@ -185,14 +188,13 @@ def curvature_oracle_coordinates(
     """The oracle's Koszul jet and coordinate curvature of the integrable lift at ``geo``.
 
     At a stack of points the jet and the curvature follow its batch axes.
-    The jet at the point is the complex step of the coordinate metric on the
+    The jet at the point is ``koszul_jet`` of the coordinate metric on the
     point's step geometry (``frames.step_geometry``) and its Kähler blocks
-    ``step_data``, the same values ``koszul_jet(metric_field(geo.params),
-    geo.z)`` evaluates; the Christoffels' stencil derivative evaluates
-    ``metric_field`` on the outer stencil.
+    ``step_data``, the values ``metric_field(geo.params)`` takes on
+    ``fd.complex_points(geo.z)``; the Christoffels' stencil derivative
+    evaluates ``metric_field`` on the outer stencil.
     """
-    G, dG = complex_jacobian(coordinate_metric(step_geo, step_data), geo.t.ndim)
-    jet = KoszulJet(G, dG.value, koszul_christoffel(G, dG.value))
+    jet = koszul_jet(coordinate_metric(step_geo, step_data), geo.t.ndim)
     return _koszul_curvature(jet, metric_field(geo.params), geo.z)
 
 

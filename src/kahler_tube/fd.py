@@ -1,38 +1,34 @@
 """Complex-step and finite-difference differentiation.
 
 Every verification oracle in this package reduces to derivatives of
-closed-form fields, so this module has two derivatives.  ``complex_step``
-differentiates an analytic field exactly, in one call, on the stack
-``complex_points(x)`` of ``x + i h e_k``; ``complex_jacobian`` reads the
-value and the Jacobian off the field's values there.  ``complex_step`` is
-the derivative of chart fields: the oracle stencils and the base chart.
-The verify battery instead builds the geometry at a point's complex points
-once (``frames.step_geometry``), evaluates each closed form it
-differentiates on that one stack, and reads each Jacobian with
-``complex_jacobian``.  ``field_jacobian`` takes symmetric differences
-on one fixed stencil (relative step 1e-4, steps h, h/2 and h/4, two
-Richardson levels), only where a real difference must wrap a complex step:
-the curvature oracle differentiates the complex-step Koszul Christoffels.
-Both take one point ``(m,)`` or a stack ``(..., m)`` and return an error
-estimate next to the value, one per point: for differences the gap between
-the Richardson levels plus a round-off floor, for the complex step a
-round-off floor alone.  ``max_abs`` is the per-point reduction of every
-residual: the largest component of each point of a stack.
+closed-form fields, so this module has two derivatives.  The complex step
+is exact to round-off: a closed form is evaluated once on the stack
+``complex_points(x)`` of ``x + i h e_k``, either as a field of the chart
+points or as the geometry there (``frames.step_geometry``), and
+``complex_jacobian`` reads the value and the Jacobian off its values
+(``frames.frame_derivative`` reads frame derivatives the same way).
+``field_jacobian`` takes symmetric differences on one fixed stencil
+(relative step 1e-4, steps h, h/2 and h/4, two Richardson levels), only
+where a real difference must wrap a complex step: the curvature oracle
+differentiates the complex-step Koszul Christoffels.  Both take one point
+``(m,)`` or a stack ``(..., m)`` and return an error estimate next to the
+value, one per point: for differences the gap between the Richardson
+levels plus a round-off floor, for the complex step a round-off floor
+alone.  ``max_abs`` is the per-point reduction of every residual: the
+largest component of each point of a stack.
 
 Field contract: a field maps chart points ``(..., m)`` to values
 ``(..., *S)``; a single point ``(m,)`` gives an ``S``-shaped value and a
-stack of points gives a stack of values.  Fields must also accept complex
-stacks and be complex-analytic in the coordinates, so that ``complex_step``
-can differentiate them: closed forms are written with arithmetic, ``...``
-einsums and ``np.linalg`` (never ``abs`` or conjugation), arrays are
-allocated with the input's dtype, and domain guards compare ``.real``.
-Each derivative builds every point it needs (every axis and, for
-``field_jacobian``, both signs and every step).  ``complex_step`` evaluates
-the field once on that stack; ``field_jacobian`` evaluates it once per tile
-of whole (point, axis) items (``tiles``), a single tile unless the caller
-states that the field's evaluation holds enough memory per point for the
-stack to leave ``WORKING_SET``.  The fields differentiated are built by
-``frames.geometry_field`` / ``lifted_metric.lifted_field``.
+stack of points gives a stack of values.  Closed forms must also accept
+complex stacks and be complex-analytic in the coordinates, so that the
+complex step can differentiate them: they are written with arithmetic,
+``...`` einsums and ``np.linalg`` (never ``abs`` or conjugation), arrays
+are allocated with the input's dtype, and domain guards compare ``.real``.
+``field_jacobian`` builds every point it needs (every axis, both signs and
+every step) and evaluates the field once per tile of whole (point, axis)
+items (``tiles``), a single tile unless the caller states that the field's
+evaluation holds enough memory per point for the stack to leave
+``WORKING_SET``.
 """
 
 from __future__ import annotations
@@ -161,13 +157,13 @@ def _richardson(values: np.ndarray, steps: np.ndarray, h: np.ndarray) -> tuple[n
     return (16.0 * e1b - e1) / 15.0, worst(e1b - e1) + floor
 
 
-#: Imaginary step of ``complex_step``.  No difference is taken, so nothing
+#: Imaginary step of ``complex_points``.  No difference is taken, so nothing
 #: cancels and any step far below the field's scale is exact to round-off.
 COMPLEX_STEP = 1e-30
 
 
 def complex_points(x: np.ndarray) -> np.ndarray:
-    """The ``(..., m, m)`` stack ``x + i h e_k`` on which ``complex_step`` evaluates a field."""
+    """The ``(..., m, m)`` stack ``x + i h e_k`` on which a closed form is evaluated for ``complex_jacobian``."""
     x = np.asarray(x, dtype=float)
     return x[..., None, :] + (1j * COMPLEX_STEP) * np.eye(x.shape[-1])
 
@@ -177,26 +173,13 @@ def complex_jacobian(values: np.ndarray, batch_ndim: int = 0) -> tuple[np.ndarra
 
     ``batch_ndim`` is the number of leading batch axes of ``x``; the step
     axis follows them.  The value is the real part at the first step point
-    and the Jacobian ``Im f / h`` keeps the step axis as the derivative axis;
-    the error estimate is one per point of ``x``.
+    and the Jacobian ``Im f / h`` keeps the step axis as the derivative axis,
+    ``(..., m, *S)`` (Squire & Trapp, SIAM Rev. 40(1), 1998).  No difference
+    is taken, so both are exact up to round-off, which is the error
+    estimate, one per point of ``x``.
     """
     values = np.asarray(values)
     jac = values.imag / COMPLEX_STEP
     error = _EPS * (1.0 + max_abs(jac, batch_ndim))
     return np.take(values, 0, axis=batch_ndim).real, Derivative(jac, error)
 
-
-def complex_step(
-    field: Callable[[np.ndarray], np.ndarray], x: np.ndarray
-) -> tuple[np.ndarray, Derivative]:
-    """Value and all partial derivatives of an analytic ``field`` at ``x``.
-
-    ``x`` is one point ``(m,)`` or a stack ``(..., m)``.  The field is called
-    once, on ``complex_points(x)``; ``complex_jacobian`` reads off the value
-    and the Jacobian of shape ``(..., m, *S)``, derivative axis first after
-    the batch axes (Squire & Trapp, SIAM Rev. 40(1), 1998).  Both are exact
-    up to round-off, which is the error estimate.
-    """
-
-    x = np.asarray(x, dtype=float)
-    return complex_jacobian(field(complex_points(x)), x.ndim - 1)

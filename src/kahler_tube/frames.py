@@ -9,13 +9,14 @@ transform connection coefficients), the energy density t = g^ik p_i p_k / 2,
 and complex-step checks of the frame bracket relations.
 
 ``step_geometry`` builds the geometry at the 2n complex-step points
-z + i h e_k of each chart point, once per verified point; every layer that
-reads a derivative evaluates its closed form on that one stack, and
-``frame_derivative`` turns the values into adapted-frame derivatives.
+z + i h e_k (``fd.complex_points``) of each chart point, once per verified
+point; every layer that reads a derivative evaluates its closed form on
+that one stack, and ``frame_derivative`` turns the values into
+adapted-frame derivatives (``fd.complex_jacobian`` into coordinate ones).
 
 Everything here takes a stack of points as well as a single one:
 ``BundlePoint``, ``geometry_at``, ``step_geometry``, ``frame_derivative``,
-``frame_transform``, the fields built by ``geometry_field`` and the checks
+``frame_transform`` and the checks
 ``verify_brackets``, ``energy_frame_derivatives`` and
 ``AdaptedFrame.dual_pairing_residual``, real or complex; every array then
 carries the same leading batch axes and the input's dtype, and a check
@@ -32,14 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, TypeVar
 
 import numpy as np
 
 from .base_geometry import BaseMetricData, DomainError, ModelParams, metric_at, momentum_gamma
 from .fd import complex_jacobian, complex_points, max_abs
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -169,16 +167,6 @@ def geometry_at(params: ModelParams, x: np.ndarray, p: np.ndarray) -> PointGeome
 
 def point_geometry(params: ModelParams, pt: BundlePoint) -> PointGeometry:
     return geometry_at(params, pt.x, pt.p)
-
-
-def geometry_field(params: ModelParams, value: Callable[[PointGeometry], T]) -> Callable[[np.ndarray], T]:
-    """The field z = (q, p) -> value(geometry at z) on R^2n, for the fd oracles.
-
-    This is the only place a chart point z is split into (q, p); every field
-    differentiated by an oracle is built here or on top of it.
-    """
-    n = params.dim
-    return lambda z: value(geometry_at(params, z[..., :n], z[..., n:]))
 
 
 def frame_transform(values: np.ndarray, variance: str, frame: AdaptedFrame, to: str = "coordinate") -> np.ndarray:

@@ -12,20 +12,19 @@ Every function taking a PointGeometry accepts a stacked one; the profile
 and the tube guard then act on the array of energy densities, and the guard
 raises if any point of the stack leaves the tube.  Complex points (for the
 complex-step oracles) flow through unchanged: the profiles are analytic in
-t and every guard compares the real part.
+t and every guard compares the real part.  ``metric_field``, the coordinate
+metric as a field of chart points, is what the Koszul oracle differentiates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
 from .base_geometry import DomainError, ModelParams
-from .frames import BundlePoint, PointGeometry, geometry_field, point_geometry
-
-T = TypeVar("T")
+from .frames import BundlePoint, PointGeometry, geometry_at, point_geometry
 
 
 @dataclass(frozen=True)
@@ -160,22 +159,21 @@ def coordinate_metric(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
     return S
 
 
-def lifted_field(
-    params: ModelParams,
-    profile: LiftProfile,
-    value: Callable[[PointGeometry, LiftedMetricData], T],
-) -> Callable[[np.ndarray], T]:
-    """The field z -> value(geometry, lifted blocks) on R^2n, for the fd oracles.
-
-    Built on frames.geometry_field; the blocks go through the tube guard of
-    components_from_geometry, so a stencil point outside the tube raises.
-    """
-    return geometry_field(params, lambda geo: value(geo, components_from_geometry(geo, profile)))
-
-
 def metric_field(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
-    """The full coordinate metric of the integrable lift as a callable field for the oracles."""
-    return lifted_field(params, KAHLER, coordinate_metric)
+    """The coordinate metric of the integrable lift as a field of chart points z = (q, p), for the oracles.
+
+    At every evaluated point, one point ``(2n,)`` or a stack, real or
+    complex: ``geometry_at`` of z split into (q, p), the Kähler blocks
+    through the tube guard of ``components_from_geometry`` (so a stencil
+    point outside the tube raises), then ``coordinate_metric``.
+    """
+    n = params.dim
+
+    def field(z: np.ndarray) -> np.ndarray:
+        geo = geometry_at(params, z[..., :n], z[..., n:])
+        return coordinate_metric(geo, components_from_geometry(geo))
+
+    return field
 
 
 def kahler_identity_residual(params: ModelParams, data: LiftedMetricData) -> float:

@@ -37,6 +37,7 @@ from kahler_tube.curvature import (
     parallel_block_residuals,
     sector_residuals,
 )
+from kahler_tube.fd import complex_points
 from kahler_tube.frames import BundlePoint, frame_transform, point_geometry, step_geometry
 from kahler_tube.lifted_metric import (
     KAHLER,
@@ -187,7 +188,7 @@ def test_criterion_3_connection_certification(primary_points) -> None:
         geo, data = _built(PRIMARY, pt)
         W = coefficients_from_geometry(geo, data)
         (closed_vs_oracle, _), point_nabla_g, point_torsion = verify_connection(
-            geo, W, koszul_jet(metric_field(PRIMARY), geo.z)
+            geo, W, koszul_jet(metric_field(PRIMARY)(complex_points(geo.z)), 0)
         )
         match = max(match, closed_vs_oracle)
         nabla_g = max(nabla_g, point_nabla_g)

@@ -1,12 +1,14 @@
 """Batch- and dtype-generic geometry: a stack of points gives the stack of values.
 
-The fd primitives hand each field its stencil as ``(k, 2n)`` stacks (the
-whole stencil, or ``field_jacobian``'s tiles of whole axes), so every closed
-form they differentiate must treat leading axes as a batch; ``fd.complex_step`` hands it complex points, so the closed forms must
-also be analytic with guards on the real part.  The memory guards keep the
-nested oracle fields within budget.  A verify point builds one complex
-geometry of 2n points, the step geometry, and every layer that
-differentiates a closed form reads it instead of building its own.
+``fd.field_jacobian`` hands each field its stencil as ``(k, 2n)`` stacks
+(the whole stencil, or its tiles of whole axes), so every closed form must
+treat leading axes as a batch; the complex step evaluates it on the complex
+points ``fd.complex_points`` (or their geometry, ``frames.step_geometry``),
+so the closed forms must also be analytic with guards on the real part.
+The memory guards keep the nested oracle fields within budget.  A verify
+point builds one complex geometry of 2n points, the step geometry, and
+every layer that differentiates a closed form reads it instead of building
+its own.
 """
 
 import functools
@@ -30,13 +32,12 @@ from kahler_tube.curvature import (
     curvature_oracle_coordinates,
     parallel_block_residuals,
 )
-from kahler_tube.fd import COMPLEX_STEP, complex_step, field_jacobian, tiles
+from kahler_tube.fd import COMPLEX_STEP, complex_jacobian, complex_points, field_jacobian, tiles
 from kahler_tube.frames import (
     BundlePoint,
     energy_frame_derivatives,
     frame_transform,
     geometry_at,
-    geometry_field,
     point_geometry,
     step_geometry,
     verify_brackets,
@@ -47,7 +48,6 @@ from kahler_tube.lifted_metric import (
     adapted_metric_matrix,
     components_from_geometry,
     coordinate_metric,
-    lifted_field,
 )
 from kahler_tube.sampling import sample_chart_points, sample_directions, sample_points
 
@@ -103,28 +103,28 @@ def test_lifted_blocks_batch_equal_points(params: ModelParams, offset) -> None:
         _assert_stacked(getattr(batch, name), [getattr(s, name) for s in singles])
 
 
-def _j_field(params, profile):
-    return lifted_field(
-        params, profile,
-        lambda geo, data: frame_transform(adapted_j_matrix(data), "ud", geo.frame, to="coordinate"),
-    )
+def _closed_form(params, profile, value):
+    """``value(geometry, lifted blocks)`` at chart points z: one point or a stack, real or complex."""
+    n = params.dim
+
+    def at(z):
+        geo = geometry_at(params, z[..., :n], z[..., n:])
+        return value(geo, components_from_geometry(geo, profile))
+
+    return at
 
 
-def _metric_field(params, profile):
-    return lifted_field(params, profile, coordinate_metric)
-
-
-def _stacked_blocks_field(params, profile):
-    return lifted_field(params, profile, curvature_blocks)
+def _coordinate_j(geo, data):
+    return frame_transform(adapted_j_matrix(data), "ud", geo.frame, to="coordinate")
 
 
 @pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
 def test_fields_map_a_stack_to_the_stack_of_values(params: ModelParams, offset) -> None:
     profile = LiftProfile(offset)
     zs = _stack(params)
-    builders = [_metric_field, _j_field] + ([_stacked_blocks_field] if offset is None else [])
-    for build in builders:
-        field = build(params, profile)
+    values = [coordinate_metric, _coordinate_j] + ([curvature_blocks] if offset is None else [])
+    for value in values:
+        field = _closed_form(params, profile, value)
         _assert_stacked(field(zs), [field(z) for z in zs])
         # Any number of leading batch axes.
         _assert_stacked(field(zs.reshape(1, 5, -1))[0], [field(z) for z in zs])
@@ -135,7 +135,7 @@ def test_one_point_outside_the_tube_fails_the_whole_stack(params: ModelParams, o
     zs = _stack(params)
     n = params.dim
     zs[3, n:] *= 3.0  # |p|^2 grows ninefold: past 4c/A^2 from any sampled t
-    field = lifted_field(params, LiftProfile(offset), coordinate_metric)
+    field = _closed_form(params, LiftProfile(offset), coordinate_metric)
     if offset is None:
         with pytest.raises(DomainError, match="tube bound"):
             field(zs)
@@ -144,18 +144,13 @@ def test_one_point_outside_the_tube_fails_the_whole_stack(params: ModelParams, o
         field(zs)
 
 
-def _complex_stack(zs: np.ndarray) -> np.ndarray:
-    """The complex-step stack ``(5, 2n, 2n)`` around each point of ``zs``."""
-    return zs[:, None, :] + (1j * COMPLEX_STEP) * np.eye(zs.shape[-1])
-
-
 @pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
 def test_complex_stack_real_part_equals_real_evaluation(params: ModelParams, offset) -> None:
     n = params.dim
     zs = _stack(params)
-    zc = _complex_stack(zs)
+    zc = complex_points(zs)
     fields = [
-        (lifted_field(params, LiftProfile(offset), coordinate_metric), zs, zc),
+        (_closed_form(params, LiftProfile(offset), coordinate_metric), zs, zc),
         (base_geometry.metric_field(params), zs[:, :n], zc[..., :n]),
     ]
     for field, real, cplx in fields:
@@ -166,26 +161,26 @@ def test_complex_stack_real_part_equals_real_evaluation(params: ModelParams, off
 
 @pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
 def test_complex_step_jacobian_agrees_with_central_differences(params: ModelParams, offset) -> None:
+    # The closed forms are evaluated on the step geometry of the stack, as
+    # the battery does, the base metric field on the complex points.
     n = params.dim
     zs = _stack(params)
     profile = LiftProfile(offset)
-    fields = [
-        (lifted_field(params, profile, coordinate_metric), zs),
-        (base_geometry.metric_field(params), zs[:, :n]),
-        # Fields that allocate their output must take the input's dtype.
-        (lifted_field(params, profile, lambda geo, data: adapted_j_matrix(data)), zs),
-        (geometry_field(params, lambda geo: geo.frame.dM), zs),
+    step_geo = step_geometry(geometry_at(params, zs[:, :n], zs[:, n:]))
+    step_data = components_from_geometry(step_geo, profile)
+    values = [
+        coordinate_metric,
+        # Closed forms that allocate their output must take the input's dtype.
+        lambda geo, data: adapted_j_matrix(data),
+        lambda geo, data: geo.frame.dM,
     ]
     if offset is None:
-        fields.append((
-            lifted_field(
-                params, profile,
-                lambda geo, data: assemble_adapted_curvature(curvature_blocks(geo, data)),
-            ),
-            zs,
-        ))
-    for field, points in fields:
-        _, jac = complex_step(field, points)
+        values.append(lambda geo, data: assemble_adapted_curvature(curvature_blocks(geo, data)))
+    base_field = base_geometry.metric_field(params)
+    fields = [(base_field(complex_points(zs[:, :n])), base_field, zs[:, :n])]
+    fields += [(value(step_geo, step_data), _closed_form(params, profile, value), zs) for value in values]
+    for on_steps, field, points in fields:
+        _, jac = complex_jacobian(on_steps, 1)
         central = [field_jacobian(field, z).value for z in points]
         _assert_stacked(jac.value, central, 1e-7)
 
@@ -204,14 +199,14 @@ def test_block_coordinate_metric_equals_frame_transform(params: ModelParams, off
 def test_complex_point_whose_real_part_leaves_the_tube_raises(params: ModelParams, offset) -> None:
     n = params.dim
     zs = _stack(params)
-    field = lifted_field(params, LiftProfile(offset), coordinate_metric)
+    field = _closed_form(params, LiftProfile(offset), coordinate_metric)
     if offset is None:
         zs[3, n:] *= 3.0  # past 4c/A^2 from any sampled t
         with pytest.raises(DomainError, match="tube bound"):
-            field(_complex_stack(zs))
+            field(complex_points(zs))
     zs[3, n:] = 0.0  # real part on the zero section; the imaginary step stays
     with pytest.raises(DomainError):
-        field(_complex_stack(zs))
+        field(complex_points(zs))
 
 
 def test_guards_compare_the_real_part() -> None:
@@ -514,11 +509,11 @@ def test_verify_runs_each_oracle_once_per_point(offset, monkeypatch) -> None:
     # A verify tile builds one complex geometry of 2n points per point, the
     # step geometry, as one (points, 2n) stack with its lifted blocks for
     # the run's profile; every complex-step layer reads its derivative from
-    # them, once per tile.  The Koszul jet of the lifted metric is the
-    # complex step of the coordinate metric on that stack, so koszul_jet runs
-    # on the tile's points only for the base chart (the batched outer
-    # stencils, which lead with their stencil points, are not counted, nor
-    # are their coordinate metrics).  curvature_blocks runs on the step stack
+    # them, once per tile.  koszul_jet reads the Koszul jet of the base chart
+    # off the base metric on the tile's complex points and, for the Kähler
+    # profile, that of the lifted metric off the coordinate metric on the
+    # step stack (the batched outer stencils, which lead with their stencil
+    # points, are not counted, nor are their coordinate metrics).  curvature_blocks runs on the step stack
     # only, once per family, each family named alone: their frame derivatives
     # give the families at the points, which the curvature rows,
     # local_symmetry, the eight parallel rows and the holomorphic rows share;
@@ -532,18 +527,19 @@ def test_verify_runs_each_oracle_once_per_point(offset, monkeypatch) -> None:
            lambda args: leading(args[1], 2) if np.iscomplexobj(args[1]) else None)
     _count(monkeypatch, calls, lifted_metric, "components_from_geometry",
            lambda args: leading(args[0].t, 2) if np.iscomplexobj(args[0].t) else None)
-    _count(monkeypatch, calls, connection, "koszul_jet", lambda args: leading(args[1], 2))
+    _count(monkeypatch, calls, connection, "koszul_jet", lambda args: leading(args[0], 2))
     _count(monkeypatch, calls, lifted_metric, "coordinate_metric",
            lambda args: leading(args[0].t, 2) if np.iscomplexobj(args[0].t) else None)
     _count(monkeypatch, calls, curvature, "curvature_blocks", lambda args: (np.shape(args[0].t),) + tuple(args[2:]))
     _run_two_points(offset)
     assert calls["geometry_at"] == [(2, 6, 3)]
     assert calls["components_from_geometry"] == [(2, 6)]
-    assert calls["koszul_jet"] == [(2, 3)]
     if offset is None:
+        assert calls["koszul_jet"] == [(2, 3, 3, 3), (2, 6, 6, 6)]
         assert calls["coordinate_metric"] == [(2, 6)]
         assert calls["curvature_blocks"] == [((2, 6), (family,)) for family in ("hhh", "vvh", "vhh", "vhv")]
     else:
+        assert calls["koszul_jet"] == [(2, 3, 3, 3)]
         assert "coordinate_metric" not in calls and "curvature_blocks" not in calls
 
 

@@ -15,6 +15,7 @@ from kahler_tube.connection import (
     torsion_residual,
     verify_connection,
 )
+from kahler_tube.fd import complex_points
 from kahler_tube.frames import BundlePoint, point_geometry, step_geometry
 from kahler_tube.lifted_metric import components_from_geometry, metric_field
 from kahler_tube.sampling import sample_points
@@ -31,10 +32,15 @@ def _closed(pt: BundlePoint):
     return geo, coefficients_from_geometry(geo, components_from_geometry(geo))
 
 
+def _jet(geo):
+    """The Koszul oracle's jet at ``geo``: the metric field on the point's complex points."""
+    return koszul_jet(metric_field(PARAMS)(complex_points(geo.z)), 0)
+
+
 def _compared(pt: BundlePoint):
     """verify_connection at ``pt`` with the Koszul oracle's jet."""
     geo, W = _closed(pt)
-    return verify_connection(geo, W, koszul_jet(metric_field(PARAMS), geo.z))
+    return verify_connection(geo, W, _jet(geo))
 
 
 def test_anchor_coefficient_values() -> None:
@@ -78,7 +84,7 @@ def test_metric_compatibility_of_closed_form_coefficients() -> None:
     # The closed-form coordinate Christoffels must annihilate the covariant
     # derivative of the analytic lifted metric field.
     geo, W = _closed(GENERIC)
-    assert metric_compatibility_residual(geo, W, koszul_jet(metric_field(PARAMS), geo.z)) < 1e-7
+    assert metric_compatibility_residual(geo, W, _jet(geo)) < 1e-7
 
 
 def test_koszul_oracle_matches_closed_form_in_coordinates() -> None:

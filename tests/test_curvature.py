@@ -28,7 +28,7 @@ from kahler_tube.curvature import (
     ricci_tensor,
     sector_residuals,
 )
-from kahler_tube.fd import field_jacobian
+from kahler_tube.fd import complex_points, field_jacobian
 from kahler_tube.frames import BundlePoint, frame_derivative, frame_transform, point_geometry, step_geometry
 from kahler_tube.lifted_metric import (
     adapted_metric_matrix,
@@ -40,6 +40,7 @@ from kahler_tube.report import relative_spread
 from kahler_tube.sampling import sample_chart_points, sample_directions, sample_points
 
 import holomorphic_reference as reference_route
+from test_batch import _count
 
 PARAMS = ModelParams(3)
 # Flat-origin anchor: x = 0, p = (1,0,0), t = 1/2, v = 1, w = -4/3.
@@ -122,19 +123,15 @@ def test_closed_form_coordinate_curvature_matches_oracle() -> None:
 def test_curvature_oracle_takes_two_metric_field_calls(monkeypatch) -> None:
     # The Christoffels at the point come from the step geometry, the one
     # geometry of 2n complex points; every Koszul evaluation of the outer
-    # stencil is one more call.
+    # stencil is one more call.  metric_field calls its own binding of
+    # geometry_at, so every binding is counted, as the benchmark's tracer
+    # counts them.
     geo = point_geometry(PARAMS, GENERIC)
-    calls = []
-    inner = frames.geometry_at
-
-    def counting(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(frames, "geometry_at", counting)
+    calls = {}
+    _count(monkeypatch, calls, frames, "geometry_at", lambda args: np.shape(args[1]))
     _oracle(geo)
     n = PARAMS.dim
-    assert [np.shape(args[1]) for args in calls] == [(2 * n, n), (2 * n * 3 * 2, 2 * n, n)]
+    assert calls["geometry_at"] == [(2 * n, n), (2 * n * 3 * 2, 2 * n, n)]
 
 
 def _sampled_geometry(dim: int):
@@ -147,15 +144,10 @@ def test_curvature_oracle_tiles_its_stencil_by_working_set(dim: int, monkeypatch
     # The outer stencil's Koszul evaluations are one metric-field call at
     # n = 3 and tiles of whole axes (six points each) from n = 4 on.
     geo = _sampled_geometry(dim)
-    calls = []
-    inner = frames.geometry_at
-
-    def counting(*args):
-        calls.append(np.shape(args[1]))
-        return inner(*args)
-
-    monkeypatch.setattr(frames, "geometry_at", counting)
+    found = {}
+    _count(monkeypatch, found, frames, "geometry_at", lambda args: np.shape(args[1]))
     _oracle(geo)
+    calls = found["geometry_at"]
     m = 2 * dim
     assert calls[0] == (m, dim)  # the step geometry
     stencil = calls[1:]
@@ -316,7 +308,7 @@ def test_nan_in_one_directions_w_stays_at_its_point() -> None:
 def test_oracle_jet_from_the_step_geometry_equals_the_koszul_jet() -> None:
     geo = point_geometry(PARAMS, GENERIC)
     jet, _ = _oracle(geo)
-    for got, want in zip(jet, koszul_jet(metric_field(PARAMS), geo.z)):
+    for got, want in zip(jet, koszul_jet(metric_field(PARAMS)(complex_points(geo.z)), 0)):
         np.testing.assert_array_equal(got, want)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahler_tube.base_geometry import DomainError
-from kahler_tube.fd import WORKING_SET, complex_step, field_jacobian, tiles
+from kahler_tube.fd import COMPLEX_STEP, WORKING_SET, complex_jacobian, complex_points, field_jacobian, tiles
 
 
 def test_directional_derivative_exponential() -> None:
@@ -80,7 +80,7 @@ def test_each_primitive_evaluates_its_stencil_in_one_call(rank: int, m: int) -> 
     z = np.linspace(-0.4, 0.8, m)
     field, calls = _counting(lambda p: _of_rank(p, rank))
     fd = field_jacobian(field, z)
-    _, cs = complex_step(field, z)
+    _, cs = complex_jacobian(field(complex_points(z)))
     assert calls == [(6 * m, m), (m, m)]
     assert fd.value.shape == cs.value.shape == (m,) + (m,) * rank
     assert np.allclose(fd.value, cs.value, rtol=0.0, atol=1e-8)
@@ -173,7 +173,7 @@ def test_complex_step_exact_on_exponential() -> None:
         e = np.exp(w @ a)
         return np.stack([e, w[..., 0] * e], axis=-1)
 
-    value, jac = complex_step(field, z)
+    value, jac = complex_jacobian(field(complex_points(z)))
     e = np.exp(z @ a)
     expected = np.stack([a * e, a * z[0] * e + np.array([e, 0.0, 0.0])], axis=-1)  # [k, out]
     assert jac.value.shape == (3, 2)
@@ -195,25 +195,26 @@ def test_complex_step_exact_on_quartics(coeffs: list, x0: float) -> None:
     # No difference is taken, so the derivative is exact up to the round-off
     # of evaluating the polynomial, relative to the size of its terms.
     poly = np.polynomial.Polynomial(coeffs)
-    _, jac = complex_step(lambda z: poly(z[..., 0]), np.array([x0]))
+    _, jac = complex_jacobian(poly(complex_points(np.array([x0]))[..., 0]))
     scale = sum(abs(k * c * x0 ** (k - 1)) for k, c in enumerate(coeffs) if k)
     assert abs(float(jac.value[0]) - poly.deriv()(x0)) <= 1e-14 * max(scale, 1.0)
 
 
-def test_complex_step_makes_one_call_of_m_complex_points_per_base_point() -> None:
-    field, calls = _counting(_smooth)
+def test_complex_points_are_m_complex_points_per_base_point() -> None:
     z = np.array([0.3, -0.4, 0.8])
-    complex_step(field, z)
-    complex_step(field, np.stack([z, 2.0 * z, -z, z + 1.0]).reshape(2, 2, 3))
-    assert calls == [(3, 3), (2, 2, 3, 3)]
+    zs = np.stack([z, 2.0 * z, -z, z + 1.0]).reshape(2, 2, 3)
+    assert complex_points(z).shape == (3, 3)
+    assert complex_points(zs).shape == (2, 2, 3, 3)
+    np.testing.assert_array_equal(complex_points(zs).real, np.broadcast_to(zs[..., None, :], (2, 2, 3, 3)))
+    np.testing.assert_array_equal(complex_points(zs).imag[1, 0], COMPLEX_STEP * np.eye(3))
 
 
 def test_complex_step_stack_equals_points_bitwise() -> None:
     zs = np.array([[0.3, -0.4, 0.8], [1.1, 0.2, -0.5], [-0.7, 0.9, 0.05], [0.0, 0.6, 1.4]])
-    value, jac = complex_step(_smooth, zs)
-    assert value.shape == (4, 2) and jac.value.shape == (4, 3, 2)
+    value, jac = complex_jacobian(_smooth(complex_points(zs)), 1)
+    assert value.shape == (4, 2) and jac.value.shape == (4, 3, 2) and jac.error.shape == (4,)
     for k, z in enumerate(zs):
-        v1, j1 = complex_step(_smooth, z)
+        v1, j1 = complex_jacobian(_smooth(complex_points(z)))
         assert np.array_equal(value[k], v1)
         assert np.array_equal(jac.value[k], j1.value)
 
@@ -224,6 +225,7 @@ def test_complex_step_propagates_domain_error() -> None:
             raise DomainError("first coordinate must be positive")
         return np.log(z[..., 0])
 
-    assert complex_step(guarded, np.array([0.5, 0.0]))[1].value[0] == pytest.approx(2.0, rel=1e-15)
+    _, jac = complex_jacobian(guarded(complex_points(np.array([0.5, 0.0]))))
+    assert jac.value[0] == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(DomainError, match="first coordinate"):
-        complex_step(guarded, np.array([[0.5, 0.0], [-0.5, 0.0]]))
+        guarded(complex_points(np.array([[0.5, 0.0], [-0.5, 0.0]])))

@@ -16,7 +16,6 @@ from kahler_tube.lifted_metric import (
     components_from_geometry,
     coordinate_metric,
     kahler_identity_residual,
-    lifted_field,
     metric_field,
     tube_check,
     w_consistency_residual,
@@ -92,27 +91,15 @@ def test_metric_components_outside_tube_raise() -> None:
 GENERIC = BundlePoint(x=np.array([0.25, -0.15, 0.3]), p=np.array([0.5, 0.4, -0.2]))
 
 
-@pytest.mark.parametrize("offset", [None, 0.1])
-def test_metric_field_equals_pointwise_metric(offset) -> None:
-    profile = LiftProfile(offset)
-    field_value = lifted_field(PARAMS, profile, coordinate_metric)(GENERIC.z)
+def test_metric_field_equals_pointwise_metric() -> None:
     geo = point_geometry(PARAMS, GENERIC)
-    pointwise = coordinate_metric(geo, components_from_geometry(geo, profile))
-    assert np.array_equal(field_value, pointwise)
-    if offset is None:
-        assert np.array_equal(metric_field(PARAMS)(GENERIC.z), pointwise)
+    pointwise = coordinate_metric(geo, components_from_geometry(geo))
+    assert np.array_equal(metric_field(PARAMS)(GENERIC.z), pointwise)
 
 
-def test_lifted_field_equals_pointwise_components() -> None:
-    field = lifted_field(PARAMS, KAHLER, lambda geo, data: data.H)
-    pointwise = components_from_geometry(point_geometry(PARAMS, GENERIC))
-    assert np.array_equal(field(GENERIC.z), pointwise.H)
-
-
-def test_lifted_field_outside_tube_raises() -> None:
-    field = lifted_field(PARAMS, KAHLER, lambda geo, data: data.G)
-    with pytest.raises(DomainError):
-        field(np.array([0.0, 0.0, 0.0, 2.5, 0.0, 0.0]))
+def test_metric_field_outside_tube_raises() -> None:
+    with pytest.raises(DomainError, match="tube bound"):
+        metric_field(PARAMS)(np.array([0.0, 0.0, 0.0, 2.5, 0.0, 0.0]))
 
 
 def test_offset_profile_changes_v_only() -> None:

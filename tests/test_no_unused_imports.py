@@ -189,7 +189,7 @@ def test_gate_flags_a_private_package_import() -> None:
     source = (
         "from __future__ import annotations\n"
         "from numpy import _NoValue\n"
-        "from .fd import _EPS, complex_step\n"
+        "from .fd import _EPS, complex_jacobian\n"
         "from kahler_tube.connection import coefficients_from_geometry\n"
         "def public():\n"
         "    from kahler_tube.curvature import _blocks\n"
