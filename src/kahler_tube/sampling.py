@@ -2,9 +2,17 @@
 
 Each drawn quantity (base directions, base radii, energy fractions,
 momentum directions, tangent directions) is one array draw from its own
-child of the master seed (a distinct ``spawn_key``).  So ``count`` rows are
-the first rows of any larger count, and extending one stream — say, asking
-for more directions — never perturbs the points other checks see.
+stream: the standard library's Mersenne Twister seeded with the string
+``f"{seed}:{stream}"``.  A uniform is the top 53 bits of one little-endian
+64-bit word of that stream's ``randbytes``, so it is exact on ``[0, 1)``;
+normals come from the Box–Muller transform of uniform pairs ``(2j, 2j+1)``,
+entry ``i`` of a normal array reading only pair ``i // 2``.  So ``count``
+rows are the first rows of any larger count, and extending one stream — say,
+asking for more directions — never perturbs the points other checks see.
+The uniforms are the same bits everywhere; ``log1p``, ``cos`` and ``sin``
+are numpy SIMD ufuncs, like the radius's ``power``, so the samples are
+byte-identical on one machine only.  Sampling imports no ``numpy.random``,
+which would load its extension modules and ``hashlib`` into every process.
 
 ``sample_chart_points`` returns the tube points as two stacked ``(count, n)``
 arrays, which the sweep passes straight to the stacked geometry and the
@@ -15,12 +23,15 @@ per point.
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 
 from .base_geometry import ModelParams, metric_at
 from .frames import BundlePoint
 
-#: The spawn key of each drawn quantity's child stream.
+#: The key of each drawn quantity's stream.
 _BASE_DIRECTION_STREAM = 0
 _MOMENTUM_DIRECTION_STREAM = 1
 _DIRECTION_STREAM = 2
@@ -32,8 +43,28 @@ _ENERGY_STREAM = 4
 ENERGY_WINDOW = (0.05, 0.95)
 
 
-def _generator(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+def _uniform(seed: int, stream: int, count: int) -> np.ndarray:
+    """``count`` uniforms on ``[0, 1)``, multiples of 2⁻⁵³, from one stream."""
+    words = np.frombuffer(random.Random(f"{seed}:{stream}").randbytes(8 * count), "<u8")
+    return (words >> 11) * 2.0**-53
+
+
+def _normal(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals of ``shape`` from one stream, by Box–Muller.
+
+    Pair ``j`` of uniforms gives the entries ``2j`` and ``2j+1`` (in C order)
+    as ``r cos θ`` and ``r sin θ``, with ``r = sqrt(-2 log(1 - u₁))`` and
+    ``θ = 2π u₂``.
+    """
+    size = math.prod(shape)
+    u = _uniform(seed, stream, 2 * ((size + 1) // 2))
+    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = (2.0 * np.pi) * u[1::2]
+    pairs = np.empty((radius.size, 2))
+    pairs[:, 0] = np.cos(angle)
+    pairs[:, 1] = np.sin(angle)
+    pairs *= radius[:, None]
+    return pairs.reshape(-1)[:size].reshape(shape)
 
 
 def sample_base_coordinates(params: ModelParams, count: int, seed: int) -> np.ndarray:
@@ -43,8 +74,8 @@ def sample_base_coordinates(params: ModelParams, count: int, seed: int) -> np.nd
     ``U^(1/n)`` with ``U`` uniform on ``[0, 1)``.
     """
     n = params.dim
-    directions = _generator(seed, _BASE_DIRECTION_STREAM).normal(size=(count, n))
-    radii = _generator(seed, _BASE_RADIUS_STREAM).random(count) ** (1.0 / n)
+    directions = _normal(seed, _BASE_DIRECTION_STREAM, (count, n))
+    radii = _uniform(seed, _BASE_RADIUS_STREAM, count) ** (1.0 / n)
     norms = np.sqrt(np.einsum("ki,ki->k", directions, directions))
     return directions * (radii / norms)[:, None]
 
@@ -59,9 +90,9 @@ def sample_chart_points(params: ModelParams, count: int, seed: int) -> tuple[np.
     """
     xs = sample_base_coordinates(params, count, seed)
     lo, hi = ENERGY_WINDOW
-    fractions = lo + (hi - lo) * _generator(seed, _ENERGY_STREAM).random(count)
+    fractions = lo + (hi - lo) * _uniform(seed, _ENERGY_STREAM, count)
     t_target = fractions * (2.0 * params.curvature / params.lift_const**2)
-    xi = _generator(seed, _MOMENTUM_DIRECTION_STREAM).normal(size=(count, params.dim))
+    xi = _normal(seed, _MOMENTUM_DIRECTION_STREAM, (count, params.dim))
     g_inv_xi = np.einsum("kij,kj->ki", metric_at(params, xs).g_inv, xi)
     scale = np.sqrt(2.0 * t_target / np.einsum("ki,ki->k", xi, g_inv_xi))
     return xs, xi * scale[:, None]
@@ -74,5 +105,4 @@ def sample_points(params: ModelParams, count: int, seed: int) -> list[BundlePoin
 
 def sample_directions(params: ModelParams, count: int, seed: int) -> np.ndarray:
     """``count`` adapted-frame tangent directions (rows), standard normal."""
-    rng = _generator(seed, _DIRECTION_STREAM)
-    return rng.normal(size=(count, 2 * params.dim))
+    return _normal(seed, _DIRECTION_STREAM, (count, 2 * params.dim))

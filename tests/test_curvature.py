@@ -231,9 +231,10 @@ def test_local_symmetry_equals_the_dense_nabla_k(dim: int, monkeypatch) -> None:
     # The dense nabla K of the assembly is kept on the test side only.  Its
     # even sectors are the eight parallel rows and its odd ones
     # covariant_derivative_residual, each to round-off, so local_symmetry is
-    # its maximum: within 1e-13 when nothing is planted, to 1e-10 relative
-    # with an error planted in one family.  hhh and vvh vanish at (2, 1, 1),
-    # so an error planted there stays at round-off and is compared as such.
+    # its maximum.  Both routes sum O(1) terms that cancel to the planted
+    # error (or to round-off): against a long-double dense reference each
+    # stays within one eps of the operands' scale max(|dT|, |W| |T|) at
+    # n = 2 to 5, so they agree to 8 eps of it, whatever the planted size.
     geo = _stack_geometry(dim)
     W = coefficients_from_geometry(geo, components_from_geometry(geo))
     step = _step(geo)
@@ -254,11 +255,8 @@ def test_local_symmetry_equals_the_dense_nabla_k(dim: int, monkeypatch) -> None:
         np.testing.assert_allclose(
             covariant_derivative_residual(W, assemble_adapted_curvature(T)), odd_max, rtol=1e-12, atol=1e-15
         )
-        dense_max = np.maximum(even_max, odd_max)
-        if k == 0 or dense_max.min() < 1e-12:
-            assert np.max(np.abs(local - dense_max)) <= 1e-13, k
-        else:
-            np.testing.assert_allclose(local, dense_max, rtol=1e-10, atol=0.0, err_msg=str(k))
+        scale = max(np.abs(dT).max(), np.abs(W).max() * np.abs(T).max())
+        assert np.max(np.abs(local - np.maximum(even_max, odd_max))) <= 8 * np.finfo(float).eps * scale, k
         if k == 0:
             clean_T = T
     assert dim == 2 or all(np.abs(clean_T[:, f]).max() > 1e-3 for f in range(4))  # no vanishing family past n = 2

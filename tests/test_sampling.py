@@ -1,5 +1,8 @@
 """Deterministic sampling of tube points and tangent directions."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -10,10 +13,12 @@ from kahler_tube.lifted_metric import tube_check
 from kahler_tube.sampling import (
     _BASE_DIRECTION_STREAM,
     _BASE_RADIUS_STREAM,
+    _DIRECTION_STREAM,
     _ENERGY_STREAM,
     _MOMENTUM_DIRECTION_STREAM,
     ENERGY_WINDOW,
-    _generator,
+    _normal,
+    _uniform,
     sample_base_coordinates,
     sample_chart_points,
     sample_directions,
@@ -21,6 +26,61 @@ from kahler_tube.sampling import (
 )
 
 PARAMS = ModelParams(3, curvature=2.0, lift_const=0.5)
+
+#: The first three little-endian 64-bit words of ``random.Random(key).randbytes``.
+#: CPython documents only ``random()`` as reproducible across versions, so a
+#: change in ``randbytes`` shows here before it changes every report.
+GOLDEN_WORDS = {
+    "1:0": (0xD3078BEEB9D97D46, 0x44E11F096B75DD97, 0x967FD9CC5EDF4ECE),
+    "7:2": (0xC0A3054F405CFD6A, 0xE25AAB56D56BC784, 0x96EDB2082B6BCB3A),
+    "2031:4": (0xA8062A90093BD3D1, 0x6A34672F70D8D677, 0x47881538561D9274),
+}
+
+
+def _box_muller(u: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` Box–Muller normals of the uniform pairs ``u[2j], u[2j+1]``.
+
+    Array ufuncs, as in the sampler: a scalar call may take another kernel
+    and round differently.
+    """
+    r, angle = np.sqrt(-2.0 * np.log1p(-u[0::2])), 2.0 * np.pi * u[1::2]
+    return np.column_stack((np.cos(angle) * r, np.sin(angle) * r)).ravel()[:size]
+
+
+def test_uniforms_are_the_top_53_bits_of_the_keyed_randbytes() -> None:
+    for key, golden in GOLDEN_WORDS.items():
+        seed, stream = map(int, key.split(":"))
+        words = np.frombuffer(random.Random(key).randbytes(8 * 50), "<u8")
+        assert tuple(int(w) for w in words[:3]) == golden
+        u = _uniform(seed, stream, 50)
+        assert u.dtype == np.float64 and u.shape == (50,)
+        assert [x * 2**53 for x in u] == [int(w) >> 11 for w in words]  # exact, every one
+        assert np.all((0.0 <= u) & (u < 1.0))
+    assert _uniform(3, 0, 0).shape == (0,)
+
+
+def test_normals_are_box_muller_on_consecutive_uniform_pairs() -> None:
+    for shape in ((7, 3), (4, 6), (1, 1), (0, 5)):
+        size = math.prod(shape)
+        u = _uniform(9, 1, 2 * ((size + 1) // 2))
+        assert _normal(9, 1, shape).tobytes() == _box_muller(u, size).tobytes()
+    # The transform itself, against the standard library's scalar functions.
+    u = _uniform(9, 1, 40)
+    expected = [
+        z
+        for u1, u2 in zip(u[0::2], u[1::2])
+        for z in (math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(2.0 * math.pi * u2),
+                  math.sqrt(-2.0 * math.log1p(-u1)) * math.sin(2.0 * math.pi * u2))
+    ]
+    np.testing.assert_allclose(_normal(9, 1, (40,)), expected, rtol=1e-14, atol=1e-15)
+
+
+def test_normals_have_standard_moments() -> None:
+    z = _normal(5, 2, (200_000,))
+    assert abs(z.mean()) < 0.01
+    assert abs(z.var() - 1.0) < 0.01
+    assert abs(np.mean(z**4) - 3.0) < 0.05
+    assert abs(np.mean(np.abs(z) < 1.0) - 0.6827) < 0.005
 
 
 def test_points_land_inside_tube() -> None:
@@ -51,7 +111,8 @@ def test_determinism_and_seed_sensitivity() -> None:
 
 def test_streams_are_independent() -> None:
     # Requesting more directions must not perturb the sampled points, and
-    # vice versa: the two streams split from the seed independently.
+    # vice versa; and no two of the five streams share their draws, nor do
+    # neighbouring seeds, whose keys differ only in one digit.
     pts = sample_points(PARAMS, 4, seed=7)
     dirs_small = sample_directions(PARAMS, 3, seed=7)
     dirs_large = sample_directions(PARAMS, 10, seed=7)
@@ -59,6 +120,11 @@ def test_streams_are_independent() -> None:
     assert np.array_equal(dirs_small, dirs_large[:3])
     for pa, pb in zip(pts, pts_again):
         assert np.array_equal(pa.p, pb.p)
+    streams = (_BASE_DIRECTION_STREAM, _MOMENTUM_DIRECTION_STREAM, _DIRECTION_STREAM, _BASE_RADIUS_STREAM, _ENERGY_STREAM)
+    assert sorted(streams) == list(range(5))
+    draws = [_uniform(seed, stream, 64) for seed in (1, 7, 11, 17, 71) for stream in streams]
+    assert len({u.tobytes() for u in draws}) == len(draws)
+    assert max(abs(np.corrcoef(a, b)[0, 1]) for a, b in zip(draws, draws[1:])) < 0.5
 
 
 def test_prefix_stability_in_point_count() -> None:
@@ -67,6 +133,18 @@ def test_prefix_stability_in_point_count() -> None:
     for pa, pb in zip(few, many[:3]):
         assert np.array_equal(pa.x, pb.x)
         assert np.array_equal(pa.p, pb.p)
+
+
+def test_normal_prefixes_hold_where_a_pair_straddles_two_rows() -> None:
+    # At n = 3 an odd row count ends on the first half of a pair, whose
+    # second half starts the next row of a larger draw (the chart points'
+    # prefixes at n = 3 are test_chart_arrays_are_prefixes_of_larger_counts).
+    wide = _normal(4, 0, (9, 3))
+    for k in (1, 3, 5, 8):
+        assert _normal(4, 0, (k, 3)).tobytes() == wide[:k].tobytes()
+    for count in (1, 3, 7, 21):
+        few = sample_directions(PARAMS, count, seed=4)
+        assert few.tobytes() == sample_directions(PARAMS, 22, seed=4)[:count].tobytes()
 
 
 def test_direction_shape() -> None:
@@ -87,10 +165,11 @@ def test_chart_arrays_are_prefixes_of_larger_counts() -> None:
             assert few_ps.tobytes() == ps[:k].tobytes()
 
 
-def test_directions_are_one_normal_draw_on_spawn_key_2() -> None:
+def test_directions_are_box_muller_on_stream_2() -> None:
     for params, count, seed in ((PARAMS, 12, 1), (ModelParams(5), 100, 7), (ModelParams(2), 3, 2031)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2,))))
-        expected = rng.normal(size=(count, 2 * params.dim))
+        m = 2 * params.dim
+        words = np.frombuffer(random.Random(f"{seed}:2").randbytes(8 * count * m), "<u8")
+        expected = _box_muller((words >> 11) * 2.0**-53, count * m).reshape(count, m)
         assert sample_directions(params, count, seed).tobytes() == expected.tobytes()
 
 
@@ -101,7 +180,7 @@ def test_points_realize_their_drawn_energy_inside_the_ball(dim: int) -> None:
         t_max = 2.0 * params.curvature / params.lift_const**2
         for seed in range(20):
             xs, ps = sample_chart_points(params, 30, seed)
-            fractions = lo + (hi - lo) * _generator(seed, _ENERGY_STREAM).random(30)
+            fractions = lo + (hi - lo) * _uniform(seed, _ENERGY_STREAM, 30)
             t = point_geometry(params, BundlePoint(xs, ps)).t
             assert np.max(np.linalg.norm(xs, axis=1)) <= 1.0
             assert np.max(np.abs(t / (fractions * t_max) - 1.0)) <= 1e-14
@@ -110,36 +189,27 @@ def test_points_realize_their_drawn_energy_inside_the_ball(dim: int) -> None:
 
 def test_draw_calls_do_not_grow_with_count(monkeypatch: pytest.MonkeyPatch) -> None:
     # One draw per sampled quantity, whatever the count: a per-point loop
-    # in the sampler would make draws in proportion to it.
-    draws: list[tuple[int, str]] = []
+    # in the sampler would make draws in proportion to it.  Normals draw
+    # their uniforms through _uniform too.
+    draws: list[int] = []
+    uniform = sampling._uniform
 
-    class CountingGenerator:
-        def __init__(self, seed: int, stream: int) -> None:
-            self._rng, self._stream = _generator(seed, stream), stream
+    def counted(seed: int, stream: int, count: int) -> np.ndarray:
+        draws.append(stream)
+        return uniform(seed, stream, count)
 
-        def __getattr__(self, name: str):
-            draw = getattr(self._rng, name)
-
-            def counted(*args, **kwargs):
-                draws.append((self._stream, name))
-                return draw(*args, **kwargs)
-
-            return counted
-
-    monkeypatch.setattr(sampling, "_generator", CountingGenerator)
+    monkeypatch.setattr(sampling, "_uniform", counted)
     per_count = {}
     for count in (1, 10, 1000):
         draws.clear()
         sample_chart_points(PARAMS, count, seed=7)
         per_count[count] = sorted(draws)
     assert per_count[1] == per_count[10] == per_count[1000] == sorted(
-        [
-            (_BASE_DIRECTION_STREAM, "normal"),
-            (_BASE_RADIUS_STREAM, "random"),
-            (_ENERGY_STREAM, "random"),
-            (_MOMENTUM_DIRECTION_STREAM, "normal"),
-        ]
+        [_BASE_DIRECTION_STREAM, _BASE_RADIUS_STREAM, _ENERGY_STREAM, _MOMENTUM_DIRECTION_STREAM]
     )
+    draws.clear()
+    sample_directions(PARAMS, 1000, seed=7)
+    assert draws == [_DIRECTION_STREAM]
 
 
 def test_stacked_inverse_metrics_give_the_point_by_point_samples() -> None:
@@ -156,10 +226,10 @@ def test_stacked_inverse_metrics_give_the_point_by_point_samples() -> None:
             pt.x.tobytes() == x.tobytes() and pt.p.tobytes() == p.tobytes()
             for pt, x, p in zip(points, chart_xs, chart_ps, strict=True)
         )
-        base_directions = _generator(7, _BASE_DIRECTION_STREAM).normal(size=(count, n))
-        uniforms = _generator(7, _BASE_RADIUS_STREAM).random(count)
-        fractions = _generator(7, _ENERGY_STREAM).random(count)
-        momenta = _generator(7, _MOMENTUM_DIRECTION_STREAM).normal(size=(count, n))
+        base_directions = _normal(7, _BASE_DIRECTION_STREAM, (count, n))
+        uniforms = _uniform(7, _BASE_RADIUS_STREAM, count)
+        fractions = _uniform(7, _ENERGY_STREAM, count)
+        momenta = _normal(7, _MOMENTUM_DIRECTION_STREAM, (count, n))
         t_max = 2.0 * params.curvature / params.lift_const**2
         for d, u, f, xi, pt in zip(base_directions, uniforms, fractions, momenta, points, strict=True):
             # np.power, not the scalar **, so the radius takes the array
