@@ -314,6 +314,20 @@ def test_sweep_memory_stays_one_point_deep() -> None:
     assert _peak_mb(lambda: run_sweep(cfg)) < 1.5
 
 
+def test_sweep_csv_memory_stays_one_tile_deep() -> None:
+    # Measured at (3,1,1), 100 points x 100 directions, seed 7 (tracemalloc
+    # peak of run_sweep(cfg).to_csv()): about 1.07 MB, set by run_sweep;
+    # to_csv alone peaks at about 0.93 MB, the tile strings and their join.
+    # Writing the lines through one %.17g template per point peaked at
+    # 1.44 MB (1.37 MB for to_csv alone at seed 1).  The first call in a
+    # process also builds format_floats' lookup tables (a 0.26 MB peak, 0.18 MB
+    # kept) and peaks at about 1.19 MB; the warm-up call keeps the figure
+    # steady.
+    cfg = RunConfig(ModelParams(3, 1.0, 1.0), num_points=100, num_directions=100, seed=7)
+    run_sweep(cfg).to_csv()
+    assert _peak_mb(lambda: run_sweep(cfg).to_csv()) < 1.25
+
+
 def test_verify_memory_stays_one_tile_deep() -> None:
     # Measured at (5,1,1), 100 directions (tracemalloc peak): 1.02 MB for
     # one point, 1.05 MB for 4 and 1.11 MB for 16, every point a tile of its

@@ -5,15 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kahler_tube.base_geometry import ModelParams
 from kahler_tube.checks import RunConfig, run_sweep, run_verify
 from kahler_tube.report import (
+    FIELD_BYTES,
     CheckResult,
+    NonFiniteError,
     SweepResult,
     SweepRow,
     VerifyReport,
     format_float,
+    format_floats,
 )
 
 
@@ -56,6 +62,76 @@ def test_format_float_17_digits_roundtrip() -> None:
         format_float(float("nan"))
     with pytest.raises(ValueError):
         format_float(float("inf"))
+
+
+def _fields(x: np.ndarray) -> list[str]:
+    """``format_floats(x)`` row by row, NUL bytes dropped."""
+    return [row.tobytes().translate(None, b"\0").decode() for row in format_floats(x)]
+
+
+def _ulps(x: float, count: int = 64) -> list[float]:
+    """``x`` and the ``count`` doubles on each side of it."""
+    out, up, down = [x], x, x
+    for _ in range(count):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+def _halfway_ties() -> list[float]:
+    """Doubles ``n / 2**e`` (n odd) whose exact decimal has 18 significant digits.
+
+    Its last digit is a 5, so each is a tie at 17 digits: the correctly
+    rounded form goes to the even 17th digit, up or down by n.
+    """
+    ties = [1 + 2.0**-17, 1 + 3 * 2.0**-17]
+    for e in range(2, 26):
+        lo, hi = -(-(10**17) // 5**e), (10**18 - 1) // 5**e
+        for n in (lo, lo + 1, (lo + hi) // 2, (lo + hi) // 2 + 1, hi - 1, hi):
+            if n % 2 and n < 2**53 and len(str(n * 5**e)) == 18:
+                ties.append(n / 2**e)
+    return ties
+
+
+#: Signed zeros, the smallest subnormal, the ends of the fast domain and
+#: every power of ten from 1e-5 to 1e17 with 64 ulps on each side, powers of
+#: two, halfway ties, integers with trailing zeros and exponent forms.
+EDGE_FLOATS = [
+    0.0, 5e-324, 2.2250738585072014e-308, 1e22, 1e-7, 1e300, 1.7976931348623157e308,
+    *_ulps(1e-4), *_ulps(1e16),
+    *(v for m in range(-5, 18) for v in _ulps(float(f"1e{m}"))),
+    *(2.0**j for j in range(-30, 70)),
+    *_halfway_ties(),
+    *(float(d * 10**e) for d in (1, 12, 1200, 123456789, 99999999999999999) for e in range(13)),
+]
+
+
+def test_format_floats_edge_table_equals_format_float() -> None:
+    x = np.array(EDGE_FLOATS + [-v for v in EDGE_FLOATS])
+    assert len(_halfway_ties()) > 50
+    assert format_floats(x).shape == (x.size, FIELD_BYTES)
+    assert _fields(x) == [format_float(v) for v in x.tolist()]
+    assert _fields(x.reshape(2, -1)) == _fields(x)
+
+
+def test_format_floats_rejects_a_non_finite_entry() -> None:
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteError, match="finite"):
+            format_floats(np.array([0.5, bad, 1e30]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 40),
+        elements=st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e17, 1e17),
+    )
+)
+@example(np.array([0.5, -0.0, 5e-324, 1e16, -1234.5, 9.9999999999999991e-05, 1e22, 0.1]))
+def test_format_floats_equals_format_float(x: np.ndarray) -> None:
+    # fast path and format_float fallback mixed in one array
+    assert _fields(x) == [format_float(v) for v in x.tolist()]
 
 
 def test_json_emission_is_valid_and_ordered() -> None:
