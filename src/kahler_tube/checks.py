@@ -260,7 +260,7 @@ def evaluate_points(
     values["bracket_vert_vert"], values["bracket_mixed"], values["bracket_horiz_horiz"] = verify_brackets(
         geo, step_geo
     )
-    values["frame_dual_pairing"] = geo.frame.dual_pairing_residual()
+    values["frame_dual_pairing"] = geo.dual_pairing_residual()
     values["energy_frame_derivative"] = np.maximum(*energy_frame_derivatives(geo, step_geo))
 
     # Lifted metric blocks (defined for every profile).  The coordinate
@@ -268,7 +268,7 @@ def evaluate_points(
     # frame transform cross-checks the two.
     S_ad = lifted_metric.adapted_metric_matrix(data)
     S_coord = lifted_metric.coordinate_metric(geo, data)
-    back = frame_transform(S_coord, "dd", geo.frame, to="adapted")
+    back = frame_transform(S_coord, "dd", geo, to="adapted")
     values["frame_roundtrip"] = max_abs(back - S_ad, 1)
     values["lifted_inverse_pair"] = max_abs(data.G @ data.H - np.eye(n), 1)
     values["lifted_positive_definite"] = np.maximum(
@@ -281,7 +281,7 @@ def evaluate_points(
 
     # Almost complex structure and fundamental form, in coordinates.
     J_ad = complex_structure.adapted_j_matrix(data)
-    J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
+    J_coord = frame_transform(J_ad, "ud", geo, to="coordinate")
     values["j_squared"] = max_abs(J_coord @ J_coord + np.eye(2 * n), 1)
     values["hermitian"] = max_abs(np.swapaxes(J_coord, -1, -2) @ S_coord @ J_coord - S_coord, 1)
     values["fundamental_form_blocks"] = complex_structure.fundamental_form_block_residual(S_ad @ J_ad)
@@ -308,7 +308,7 @@ def evaluate_points(
 
     # Curvature: the identity battery on the oracle output, so that it stands on its own,
     # then the closed blocks; the oracle's tensors are dropped before the odd sectors' tiles.
-    R_oracle_ad = frame_transform(R_oracle_coord, "uddd", geo.frame, to="adapted")
+    R_oracle_ad = frame_transform(R_oracle_coord, "uddd", geo, to="adapted")
     values["curvature_bianchi"] = base_geometry.first_bianchi_residual(R_oracle_coord)
     values["curvature_pair_skew"] = curvature.pair_skew_residual(R_oracle_coord, S_coord)
     values["curvature_j_invariance"] = curvature.j_invariance_residual(R_oracle_ad, S_ad, J_ad)

@@ -57,7 +57,7 @@ def fundamental_form(step_geo: PointGeometry, step_data: LiftedMetricData) -> fl
 
     batch = step_data.t.ndim - 1
     phi_adapted = adapted_metric_matrix(step_data) @ adapted_j_matrix(step_data)
-    phi = frame_transform(phi_adapted, "dd", step_geo.frame, to="coordinate")
+    phi = frame_transform(phi_adapted, "dd", step_geo, to="coordinate")
     dw = complex_jacobian(phi, batch)[1].value  # [l, m, n] = d_l phi_mn
     dphi = dw + np.moveaxis(dw, -3, -1) + np.moveaxis(dw, -1, -3)
     return max_abs(dphi, batch)
@@ -119,11 +119,11 @@ def nijenhuis_fd_full(
     """
 
     n, batch = geo.n, geo.t.ndim
-    J_coord = frame_transform(adapted_j_matrix(step_data), "ud", step_geo.frame, to="coordinate")
+    J_coord = frame_transform(adapted_j_matrix(step_data), "ud", step_geo, to="coordinate")
     J, jac = complex_jacobian(J_coord, batch)
     dJ = jac.value  # [l, k, j] = d_l J^k_j
     a = np.einsum("...li,...lkj->...kij", J, dJ) - np.einsum("...kl,...ilj->...kij", J, dJ)
-    N = frame_transform(a - np.swapaxes(a, -2, -1), "udd", geo.frame, to="adapted")  # [k, i, j]
+    N = frame_transform(a - np.swapaxes(a, -2, -1), "udd", geo, to="adapted")  # [k, i, j]
     h, v = slice(None, n), slice(n, None)
     off = max_abs(np.stack([N[..., h, h, h], N[..., v, h, v], N[..., h, v, v]], axis=-4), batch)
     return np.stack([N[..., v, h, h], N[..., h, h, v], N[..., v, v, v]], axis=-4), off

@@ -120,21 +120,19 @@ def connection_to_adapted(christoffel: np.ndarray, geo: PointGeometry) -> np.nda
     christoffel[nu, mu, lam]), contracted one index at a time.
     """
 
-    fr = geo.frame
     m = christoffel.shape[-1]
     flat = christoffel.shape[:-3] + (m, m * m)
-    Z = fr.dM + np.swapaxes(christoffel @ fr.M[..., None, :, :], -3, -2)  # [mu, nu, b]
-    X = (np.swapaxes(fr.M, -1, -2) @ Z.reshape(flat)).reshape(Z.shape)  # [a, nu, b]
-    return (fr.Minv @ np.swapaxes(X, -3, -2).reshape(flat)).reshape(Z.shape)
+    Z = geo.dM + np.swapaxes(christoffel @ geo.M[..., None, :, :], -3, -2)  # [mu, nu, b]
+    X = (np.swapaxes(geo.M, -1, -2) @ Z.reshape(flat)).reshape(Z.shape)  # [a, nu, b]
+    return (geo.Minv @ np.swapaxes(X, -3, -2).reshape(flat)).reshape(Z.shape)
 
 
 def connection_to_coordinates(W: np.ndarray, geo: PointGeometry) -> np.ndarray:
     """Inverse of connection_to_adapted: coordinate Christoffels from W."""
-    fr = geo.frame
     m = W.shape[-1]
-    inner = np.swapaxes(W, -2, -1).reshape(W.shape[:-3] + (m * m, m)) @ fr.Minv  # [c, b, mu]
-    U = (fr.M @ inner.reshape(W.shape[:-3] + (m, m * m))).reshape(W.shape)  # [nu, b, mu]
-    return (np.swapaxes(U, -2, -1) - np.swapaxes(fr.dM, -3, -2)) @ fr.Minv[..., None, :, :]
+    inner = np.swapaxes(W, -2, -1).reshape(W.shape[:-3] + (m * m, m)) @ geo.Minv  # [c, b, mu]
+    U = (geo.M @ inner.reshape(W.shape[:-3] + (m, m * m))).reshape(W.shape)  # [nu, b, mu]
+    return (np.swapaxes(U, -2, -1) - np.swapaxes(geo.dM, -3, -2)) @ geo.Minv[..., None, :, :]
 
 
 def covariant_derivative(conn: np.ndarray, T: np.ndarray, dT: np.ndarray, variance: str) -> np.ndarray:

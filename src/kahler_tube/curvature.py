@@ -257,7 +257,7 @@ def einstein_residuals(
     ric = ricci_tensor(R_coord)
     factor = 0.5 * geo.params.lift_const * n
     identity = max_abs(ric - factor * S_coord, batch)
-    ric_ad = frame_transform(ric, "dd", geo.frame, "adapted")
+    ric_ad = frame_transform(ric, "dd", geo, "adapted")
     return identity, np.maximum(max_abs(ric_ad[..., :n, n:], batch), max_abs(ric_ad[..., n:, :n], batch))
 
 

@@ -18,7 +18,7 @@ Everything here takes a stack of points as well as a single one:
 ``BundlePoint``, ``geometry_at``, ``step_geometry``, ``frame_derivative``,
 ``frame_transform`` and the checks
 ``verify_brackets``, ``energy_frame_derivatives`` and
-``AdaptedFrame.dual_pairing_residual``, real or complex; every array then
+``PointGeometry.dual_pairing_residual``, real or complex; every array then
 carries the same leading batch axes and the input's dtype, and a check
 returns one value per point (a float for one point), the largest over that
 point's own components, so a point's value does not depend on the stack it
@@ -70,49 +70,17 @@ class BundlePoint:
 
 
 @dataclass(frozen=True)
-class AdaptedFrame:
-    """Change of basis between coordinate and adapted frames.
-
-    M[..., mu, a] holds the coordinate components of the a-th adapted
-    vector; Minv is its inverse, whose rows are the dual coframe; dM[mu, nu,
-    b] is the analytic partial of M[nu, b] along coordinate mu, computed on
-    first use from the momentum and the base data.
-    """
-
-    M: np.ndarray
-    Minv: np.ndarray
-    p: np.ndarray
-    base: BaseMetricData
-
-    @property
-    def n(self) -> int:
-        return self.M.shape[-1] // 2
-
-    @cached_property
-    def dM(self) -> np.ndarray:
-        n = self.n
-        dM = np.zeros(self.M.shape[:-2] + (2 * n,) * 3, dtype=self.M.dtype)
-        # d/dq^l of gamma_p[i, h], arranged as dM[l, n + h, i]
-        dgp = np.einsum("...k,...kihl->...ihl", self.p, self.base.dgamma)
-        dM[..., :n, n:, :n] = np.einsum("...ihl->...lhi", dgp)
-        # d/dp_l of gamma_p[i, h] = gamma^l_ih, arranged as dM[n + l, n + h, i]
-        dM[..., n:, n:, :n] = np.einsum("...lih->...lhi", self.base.gamma)
-        return dM
-
-    def dual_pairing_residual(self) -> float | np.ndarray:
-        """Max |coframe(frame) - identity| per point; zero up to round-off."""
-        eye = np.eye(self.M.shape[-1])
-        return max_abs(self.Minv @ self.M - eye, self.M.ndim - 2)
-
-
-@dataclass(frozen=True)
 class PointGeometry:
     """Everything the lift needs at a bundle point (or a stack of them).
 
     Bundles the base metric data at the foot point with momentum-contracted
     quantities, so the rest of the package can work from one object instead
-    of recomputing shared pieces.  The adapted frame is built on first use:
-    fields that never transform between frames do not pay for it.
+    of recomputing shared pieces.  It carries the adapted frame too:
+    M[..., mu, a] holds the coordinate components of the a-th adapted
+    vector, Minv is its inverse, whose rows are the dual coframe, and
+    dM[mu, nu, b] is the analytic partial of M[nu, b] along coordinate mu.
+    Each is built on first read, so a geometry that never changes frame
+    builds none of them; only the connection's frame change builds dM.
     """
 
     params: ModelParams
@@ -128,15 +96,34 @@ class PointGeometry:
         return self.params.dim
 
     @cached_property
-    def frame(self) -> AdaptedFrame:
+    def M(self) -> np.ndarray:
         n = self.n
-        gamma_p_t = np.swapaxes(self.gamma_p, -1, -2)
-        eye = np.eye(2 * n, dtype=gamma_p_t.dtype)
-        M = np.broadcast_to(eye, gamma_p_t.shape[:-2] + eye.shape).copy()
-        Minv = M.copy()
-        M[..., n:, :n] = gamma_p_t
-        Minv[..., n:, :n] = -gamma_p_t
-        return AdaptedFrame(M=M, Minv=Minv, p=self.p, base=self.base)
+        eye = np.eye(2 * n, dtype=self.gamma_p.dtype)
+        M = np.broadcast_to(eye, self.gamma_p.shape[:-2] + eye.shape).copy()
+        M[..., n:, :n] = np.swapaxes(self.gamma_p, -1, -2)
+        return M
+
+    @cached_property
+    def Minv(self) -> np.ndarray:
+        n = self.n
+        Minv = self.M.copy()  # M is unipotent: negate its off-diagonal block
+        Minv[..., n:, :n] = -Minv[..., n:, :n]
+        return Minv
+
+    @cached_property
+    def dM(self) -> np.ndarray:
+        n = self.n
+        dM = np.zeros(self.gamma_p.shape[:-2] + (2 * n,) * 3, dtype=self.gamma_p.dtype)
+        # d/dq^l of gamma_p[i, h], arranged as dM[l, n + h, i]
+        dgp = np.einsum("...k,...kihl->...ihl", self.p, self.base.dgamma)
+        dM[..., :n, n:, :n] = np.einsum("...ihl->...lhi", dgp)
+        # d/dp_l of gamma_p[i, h] = gamma^l_ih, arranged as dM[n + l, n + h, i]
+        dM[..., n:, n:, :n] = np.einsum("...lih->...lhi", self.base.gamma)
+        return dM
+
+    def dual_pairing_residual(self) -> float | np.ndarray:
+        """Max |coframe(frame) - identity| per point; zero up to round-off."""
+        return max_abs(self.Minv @ self.M - np.eye(2 * self.n), self.M.ndim - 2)
 
     @property
     def riem_p(self) -> np.ndarray:
@@ -169,17 +156,17 @@ def point_geometry(params: ModelParams, pt: BundlePoint) -> PointGeometry:
     return geometry_at(params, pt.x, pt.p)
 
 
-def frame_transform(values: np.ndarray, variance: str, frame: AdaptedFrame, to: str = "coordinate") -> np.ndarray:
+def frame_transform(values: np.ndarray, variance: str, geo: PointGeometry, to: str = "coordinate") -> np.ndarray:
     """Transform full 2n-dimensional tensor components between frames.
 
     variance has one letter per index, "u" (contravariant) or "d"
     (covariant).  ``to`` selects the target frame, "coordinate" or
     "adapted".  The tensor indices are the trailing axes of ``values``; any
-    leading axes are the batch axes of ``frame``.
+    leading axes are the batch axes of ``geo``.
     """
 
     T = np.asarray(values)
-    rank = T.ndim - (frame.M.ndim - 2)
+    rank = T.ndim - (geo.M.ndim - 2)
     if len(variance) != rank:
         raise ValueError(f"variance {variance!r} does not match tensor rank {rank}")
     if any(ch not in "ud" for ch in variance):
@@ -190,10 +177,10 @@ def frame_transform(values: np.ndarray, variance: str, frame: AdaptedFrame, to: 
     for axis, ch in enumerate(variance):
         if to == "coordinate":
             # upper: coord^mu = M[mu, a] T^a; lower: coord_nu = Minv[b, nu] T_b
-            mat, new_first = (frame.M, True) if ch == "u" else (frame.Minv, False)
+            mat, new_first = (geo.M, True) if ch == "u" else (geo.Minv, False)
         else:
             # upper: ad^a = Minv[a, mu] T^mu; lower: ad_b = M[nu, b] T_nu
-            mat, new_first = (frame.Minv, True) if ch == "u" else (frame.M, False)
+            mat, new_first = (geo.Minv, True) if ch == "u" else (geo.M, False)
         old = idx[axis]
         mat_idx = "z" + old if new_first else old + "z"
         out = idx[:axis] + "z" + idx[axis + 1:]
@@ -222,7 +209,7 @@ def frame_derivative(geo: PointGeometry, values: np.ndarray) -> tuple[np.ndarray
     matmul (one per point of a stack).  The result dT[a, ...] carries the
     frame direction first, after the batch axes of ``geo``.
     """
-    M = geo.frame.M
+    M = geo.M
     value, jac = complex_jacobian(values, M.ndim - 2)
     dT = np.swapaxes(M, -1, -2) @ jac.value.reshape(M.shape[:-1] + (-1,))
     return value, dT.reshape(jac.value.shape)
@@ -256,7 +243,7 @@ def verify_brackets(
     """
 
     n, batch = geo.n, geo.t.ndim
-    _, DM = frame_derivative(geo, step_geo.frame.M)
+    _, DM = frame_derivative(geo, step_geo.M)
     DbM = np.swapaxes(DM, -3, -2)  # [mu, a, b]: derivative of e_b along e_a
     h, v = slice(None, n), slice(n, None)
     dev = DbM - np.swapaxes(DbM, -2, -1) - frame_structure_functions(geo)

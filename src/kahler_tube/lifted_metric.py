@@ -147,7 +147,7 @@ def coordinate_metric(geo: PointGeometry, data: LiftedMetricData) -> np.ndarray:
     The frame is block-unipotent, so the coordinate form of the adapted
     block-diagonal metric is [[G + Gp H Gp^T, -Gp H], [-H Gp^T, H]] with
     Gp = gamma_p; it equals ``frame_transform(adapted_metric_matrix(data),
-    "dd", geo.frame)`` without building the frame.
+    "dd", geo)`` without building ``geo.M`` or ``geo.Minv``.
     """
     n = geo.n
     gH = geo.gamma_p @ data.H

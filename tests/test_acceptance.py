@@ -112,7 +112,7 @@ def matrix_results() -> MatrixResults:
             W = coefficients_from_geometry(geo, data)
             _, R_closed, parallel = parallel_block_residuals(geo, W, *step)
             _, R_coord = curvature_oracle_coordinates(geo, *step)
-            R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
+            R_oracle = frame_transform(R_coord, "uddd", geo, to="adapted")
             for family, res in sector_residuals(R_closed, R_oracle, geo.n).items():
                 fam[family] = max(fam.get(family, 0.0), res)
             antisym = max(antisym, direction_antisymmetry_residual(R_closed))
@@ -137,9 +137,9 @@ def test_criterion_1_almost_kahler(primary_points) -> None:
     for pt in primary_points:
         geo, data = _built(PRIMARY, pt)
         S_ad = adapted_metric_matrix(data)
-        S_coord = frame_transform(S_ad, "dd", geo.frame, to="coordinate")
+        S_coord = frame_transform(S_ad, "dd", geo, to="coordinate")
         J_ad = adapted_j_matrix(data)
-        J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
+        J_coord = frame_transform(J_ad, "ud", geo, to="coordinate")
         algebraic = max(
             algebraic,
             float(np.max(np.abs(J_coord @ J_coord + np.eye(2 * geo.n)))),

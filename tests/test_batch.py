@@ -89,7 +89,7 @@ def test_geometry_at_batch_equals_points(params: ModelParams) -> None:
     for name in ("t", "p_raised", "gamma_p", "riem_p", "z"):
         _assert_stacked(getattr(batch, name), [getattr(s, name) for s in singles])
     for name in ("M", "Minv", "dM"):
-        _assert_stacked(getattr(batch.frame, name), [getattr(s.frame, name) for s in singles])
+        _assert_stacked(getattr(batch, name), [getattr(s, name) for s in singles])
 
 
 @pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
@@ -115,7 +115,7 @@ def _closed_form(params, profile, value):
 
 
 def _coordinate_j(geo, data):
-    return frame_transform(adapted_j_matrix(data), "ud", geo.frame, to="coordinate")
+    return frame_transform(adapted_j_matrix(data), "ud", geo, to="coordinate")
 
 
 @pytest.mark.parametrize(("params", "offset"), CASES, ids=CASE_IDS)
@@ -172,7 +172,7 @@ def test_complex_step_jacobian_agrees_with_central_differences(params: ModelPara
         coordinate_metric,
         # Closed forms that allocate their output must take the input's dtype.
         lambda geo, data: adapted_j_matrix(data),
-        lambda geo, data: geo.frame.dM,
+        lambda geo, data: geo.dM,
     ]
     if offset is None:
         values.append(lambda geo, data: assemble_adapted_curvature(curvature_blocks(geo, data)))
@@ -191,7 +191,7 @@ def test_block_coordinate_metric_equals_frame_transform(params: ModelParams, off
     zs = _stack(params)
     geo = geometry_at(params, zs[:, :n], zs[:, n:])
     data = components_from_geometry(geo, LiftProfile(offset))
-    via_frame = frame_transform(adapted_metric_matrix(data), "dd", geo.frame, to="coordinate")
+    via_frame = frame_transform(adapted_metric_matrix(data), "dd", geo, to="coordinate")
     _assert_stacked(coordinate_metric(geo, data), via_frame)
 
 

@@ -41,7 +41,7 @@ def test_j_squared_is_minus_identity() -> None:
     J_ad = adapted_j_matrix(data)
     assert np.max(np.abs(J_ad @ J_ad + np.eye(6))) < 1e-13
     # and in coordinates, after the frame transform
-    J_coord = frame_transform(J_ad, "ud", geo.frame, to="coordinate")
+    J_coord = frame_transform(J_ad, "ud", geo, to="coordinate")
     assert np.max(np.abs(J_coord @ J_coord + np.eye(6))) < 1e-13
 
 

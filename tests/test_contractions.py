@@ -64,8 +64,7 @@ def _assert_agrees(actual: np.ndarray, reference: np.ndarray) -> None:
 
 def _frame_geometry(rng: np.random.Generator, m: int, dtype: type) -> SimpleNamespace:
     M = np.eye(m) + 0.3 * _random(rng, dtype, m, m)
-    frame = SimpleNamespace(M=M, Minv=np.linalg.inv(M), dM=_random(rng, dtype, m, m, m))
-    return SimpleNamespace(frame=frame)
+    return SimpleNamespace(M=M, Minv=np.linalg.inv(M), dM=_random(rng, dtype, m, m, m))
 
 
 @pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)
@@ -73,9 +72,8 @@ def test_connection_to_adapted_matches_einsum(m: int, dtype: type) -> None:
     rng = np.random.default_rng(m)
     geo = _frame_geometry(rng, m, dtype)
     christoffel = _random(rng, dtype, m, m, m)
-    fr = geo.frame
-    reference = np.einsum("cv,ma,mvb->cab", fr.Minv, fr.M, fr.dM) + np.einsum(
-        "cv,ma,lb,vml->cab", fr.Minv, fr.M, fr.M, christoffel
+    reference = np.einsum("cv,ma,mvb->cab", geo.Minv, geo.M, geo.dM) + np.einsum(
+        "cv,ma,lb,vml->cab", geo.Minv, geo.M, geo.M, christoffel
     )
     _assert_agrees(connection_to_adapted(christoffel, geo), reference)
 
@@ -85,9 +83,8 @@ def test_connection_to_coordinates_matches_einsum(m: int, dtype: type) -> None:
     rng = np.random.default_rng(m + 1)
     geo = _frame_geometry(rng, m, dtype)
     W = _random(rng, dtype, m, m, m)
-    fr = geo.frame
-    reference = np.einsum("vc,cab,am,bl->vml", fr.M, W, fr.Minv, fr.Minv) - np.einsum(
-        "mvb,bl->vml", fr.dM, fr.Minv
+    reference = np.einsum("vc,cab,am,bl->vml", geo.M, W, geo.Minv, geo.Minv) - np.einsum(
+        "mvb,bl->vml", geo.dM, geo.Minv
     )
     _assert_agrees(connection_to_coordinates(W, geo), reference)
 
@@ -277,7 +274,7 @@ def test_frame_derivative_matches_einsum(m: int) -> None:
     rng = np.random.default_rng(m + 7)
     A = rng.standard_normal((m, m, m, m)) / m
     M = np.eye(m) + 0.3 * rng.standard_normal((m, m))
-    geo = SimpleNamespace(z=rng.standard_normal(m), frame=SimpleNamespace(M=M))
+    geo = SimpleNamespace(z=rng.standard_normal(m), M=M)
 
     def field(z: np.ndarray) -> np.ndarray:
         return np.sin(np.tensordot(z, A, axes=1))

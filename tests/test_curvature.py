@@ -99,7 +99,7 @@ def _coefficients(pt, params=PARAMS):
 def test_blocks_match_oracle_per_family() -> None:
     geo, R_closed, _, _ = _adapted_setup(GENERIC)
     _, R_coord = _oracle(geo)
-    R_oracle = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
+    R_oracle = frame_transform(R_coord, "uddd", geo, to="adapted")
     res = sector_residuals(R_closed, R_oracle, geo.n)
     assert set(res) == {"hhh", "hhv", "vvh", "vvv", "vhh", "vhv", "structural_zero"}
     for family, value in res.items():
@@ -109,13 +109,13 @@ def test_blocks_match_oracle_per_family() -> None:
 def test_oracle_transforms_consistently() -> None:
     geo = point_geometry(PARAMS, GENERIC)
     _, R_coord = _oracle(geo)
-    R_ad = frame_transform(R_coord, "uddd", geo.frame, to="adapted")
-    assert np.max(np.abs(frame_transform(R_ad, "uddd", geo.frame, to="coordinate") - R_coord)) < 1e-9
+    R_ad = frame_transform(R_coord, "uddd", geo, to="adapted")
+    assert np.max(np.abs(frame_transform(R_ad, "uddd", geo, to="coordinate") - R_coord)) < 1e-9
 
 
 def test_closed_form_coordinate_curvature_matches_oracle() -> None:
     geo, R_ad, _, _ = _adapted_setup(GENERIC)
-    R_closed = frame_transform(R_ad, "uddd", geo.frame, to="coordinate")
+    R_closed = frame_transform(R_ad, "uddd", geo, to="coordinate")
     _, R_oracle = _oracle(geo)
     assert np.max(np.abs(R_closed - R_oracle)) < 1e-5
 

@@ -53,7 +53,7 @@ def test_full_metric_blocks() -> None:
     geo = point_geometry(PARAMS, ANCHOR)
     data = components_from_geometry(geo, KAHLER)
     S_coord = coordinate_metric(geo, data)
-    blocks = frame_transform(S_coord, "dd", geo.frame, to="adapted")
+    blocks = frame_transform(S_coord, "dd", geo, to="adapted")
     expected = adapted_metric_matrix(data)
     assert np.max(np.abs(blocks - expected)) < 1e-13
     # Off-diagonal blocks of the adapted matrix vanish by construction.

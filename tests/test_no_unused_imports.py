@@ -9,9 +9,10 @@ module-level function or class must be referenced by some package module,
 by name or as an attribute, or be listed in the package ``__all__``.  A
 public method or property of a package class must be read as an attribute
 somewhere in the package or in ``perfbench``.  No public ``verify_*``,
-``*_residual`` or ``*_residuals`` function is annotated to return a
-package-defined class: the layers hand the battery plain floats, arrays and
-tuples of them.  Pure ``ast``, so the gate needs no linter.
+``nijenhuis_*``, ``*_residual`` or ``*_residuals`` function, nor one listed
+in ``NAMED_RESIDUALS``, is annotated to return a package-defined class: the
+layers hand the battery plain floats, arrays and tuples of them.  Pure
+``ast``, so the gate needs no linter.
 """
 
 import ast
@@ -22,6 +23,11 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kahler_tube"
 MODULES = sorted(PACKAGE.glob("*.py"))
 PERFBENCH = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+
+#: Residual layers whose names the return-type rule's patterns miss.  The
+#: benchmark traces ``complex_structure.fundamental_form`` by that name, so
+#: its rename to a ``*_residual`` name waits for the next benchmark change.
+NAMED_RESIDUALS = frozenset({"fundamental_form"})
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -157,7 +163,11 @@ def record_returning_residuals(sources: dict[str, str]) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not node.name.startswith("_")
-        and (node.name.startswith(("verify_", "nijenhuis_")) or node.name.endswith(("_residual", "_residuals")))
+        and (
+            node.name.startswith(("verify_", "nijenhuis_"))
+            or node.name.endswith(("_residual", "_residuals"))
+            or node.name in NAMED_RESIDUALS
+        )
         and node.returns is not None
         and any(isinstance(name, ast.Name) and name.id in classes for name in ast.walk(node.returns))
     ]
@@ -254,12 +264,15 @@ def test_gate_flags_a_residual_returning_a_record() -> None:
             "    def pairing_residual(self) -> Frame:\n        return self\n"
             "def nijenhuis_closed_form(geo, data) -> NijenhuisData:\n    return NijenhuisData()\n"
             "def nijenhuis_fd_full(geo, profile) -> tuple[np.ndarray, float]:\n    return np.zeros(1), 0.0\n"
+            "def fundamental_form(geo, data) -> Comparison:\n    return Comparison()\n"
+            "def fundamental_form_closed(geo, data) -> Comparison:\n    return Comparison()\n"
         ),
     }
     assert record_returning_residuals(sources) == [
         "layers.verify_pair (line 2)",
         "layers.block_residuals (line 6)",
         "layers.nijenhuis_closed_form (line 17)",
+        "layers.fundamental_form (line 21)",
         "layers.pairing_residual (line 15)",
     ]
 

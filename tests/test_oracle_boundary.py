@@ -54,7 +54,7 @@ FORBIDDEN = frozenset({
     "base_geometry.BaseMetricData.dgamma",
     "base_geometry.BaseMetricData.riem",
     "frames.PointGeometry.riem_p",
-    "frames.AdaptedFrame.dM",
+    "frames.PointGeometry.dM",
 })
 
 #: The object's own definition, which the oracles evaluate: the gate's
@@ -64,7 +64,7 @@ DEFINITION = (
     "base_geometry.momentum_gamma",
     "lifted_metric.components_from_geometry",
     "lifted_metric.coordinate_metric",
-    "frames.PointGeometry.frame",
+    "frames.PointGeometry.M",
     "complex_structure.adapted_j_matrix",
 )
 
@@ -322,3 +322,19 @@ def test_gate_ignores_local_names() -> None:
         "    return curvature_blocks(gamma + riem_p)\n"
     )
     assert violations(sources) == []
+
+
+def test_gate_flags_a_planted_read_of_the_frame_derivative() -> None:
+    # dM is a member of the geometry that every oracle is handed: the gate
+    # flags an oracle's read of it, and the closed forms it reads in turn.
+    sources = package_sources()
+    sources["complex_structure"] += (
+        "\n\ndef nijenhuis_fd_full(geo: PointGeometry, step_geo: PointGeometry, step_data):\n"
+        "    return frame_transform(step_geo.dM, 'udd', geo, to='adapted'), 0.0\n"
+    )
+    chain = "complex_structure.nijenhuis_fd_full -> frames.PointGeometry.dM"
+    assert violations(sources) == [
+        f"{chain} -> base_geometry.BaseMetricData.dgamma",
+        f"{chain} -> base_geometry.BaseMetricData.gamma",
+        chain,
+    ]

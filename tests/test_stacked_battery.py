@@ -87,7 +87,7 @@ def _layer_rows(geo, data, step_geo, step_data, kahler: bool) -> list:
         base_geometry.first_bianchi_residual(geo.base.riem),
         *verify_brackets(geo, step_geo),
         *energy_frame_derivatives(geo, step_geo),
-        geo.frame.dual_pairing_residual(),
+        geo.dual_pairing_residual(),
         complex_structure.fundamental_form(step_geo, step_data),
         closed,
         fd_n,
@@ -100,7 +100,7 @@ def _layer_rows(geo, data, step_geo, step_data, kahler: bool) -> list:
     (match, labels), nabla_g, torsion = connection.verify_connection(geo, W, jet)
     T, dT = frame_derivative(geo, curvature.curvature_blocks(step_geo, step_data))
     _, K, parallel = curvature.parallel_block_residuals(geo, W, step_geo, step_data)
-    R_oracle_ad = frame_transform(R_oracle, "uddd", geo.frame, to="adapted")
+    R_oracle_ad = frame_transform(R_oracle, "uddd", geo, to="adapted")
     S_coord = lifted_metric.coordinate_metric(geo, data)
     S_ad = lifted_metric.adapted_metric_matrix(data)
     return rows + [
