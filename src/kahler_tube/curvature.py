@@ -174,11 +174,18 @@ def _koszul_curvature(
     m = np.shape(z)[-1]
     field = partial(koszul_oracle, metric_field_fn)
     gamma, dgamma = jet.christoffel, field_jacobian(field, z, point_bytes=5 * 8 * m**3).value
+    # GG[a, b, c, d] = sum_s gamma[a, c, s] gamma[s, d, b]: one (m^2, m) @ (m, m^2)
+    # product per point, [a, c, d, b], with b moved into place; the second
+    # product of the curvature is the same array with c and d swapped.
+    batch = gamma.shape[:-3]
+    GG = np.moveaxis(
+        (gamma.reshape(batch + (m * m, m)) @ gamma.reshape(batch + (m, m * m))).reshape(batch + (m,) * 4), -1, -3
+    )
     return jet, (
         np.einsum("...cadb->...abcd", dgamma)
         - np.einsum("...dacb->...abcd", dgamma)
-        + np.einsum("...acs,...sdb->...abcd", gamma, gamma)
-        - np.einsum("...ads,...scb->...abcd", gamma, gamma)
+        + GG
+        - np.swapaxes(GG, -1, -2)
     )
 
 
@@ -224,7 +231,8 @@ def direction_antisymmetry_residual(R: np.ndarray) -> float | np.ndarray:
 
 def pair_skew_residual(R: np.ndarray, metric: np.ndarray) -> float | np.ndarray:
     """Antisymmetry of the fully lowered tensor in (output, argument), per point."""
-    lowered = np.einsum("...ea,...abcd->...ebcd", metric, R)
+    m = R.shape[-1]
+    lowered = (metric @ R.reshape(R.shape[:-4] + (m, m**3))).reshape(R.shape)
     return max_abs(lowered + np.swapaxes(lowered, -4, -3), R.ndim - 4)
 
 

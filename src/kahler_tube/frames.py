@@ -3,10 +3,16 @@
 A chart point of the bundle is (q, p) in R^2n.  The horizontal frame fields
 are d/dq^i + gamma_p[i, h] d/dp_h with gamma_p[i, h] = p_k gamma^k_ih
 = -(c/2u) (p_i x_h + p_h x_i - (p.x) delta_ih), u = 1 + c|x|^2/4; the
-vertical ones are d/dp_i.  This module builds the change-of-basis matrix
-between the frames (with its analytic coordinate derivatives, needed to
-transform connection coefficients), the energy density t = g^ik p_i p_k / 2,
-and complex-step checks of the frame bracket relations.
+vertical ones are d/dp_i.  This module builds the energy density
+t = g^ik p_i p_k / 2, the change of tensor components between the frames,
+and complex-step checks of the frame bracket relations.  The
+change-of-basis matrix M = [[1, 0], [gamma_p^T, 1]] is block-unipotent, so
+``frame_transform`` works from gamma_p alone; M, its inverse and its
+analytic coordinate derivatives are built only where a matrix is read:
+``frame_derivative``, ``verify_brackets`` (which differentiates M itself),
+``PointGeometry.dual_pairing_residual`` and the connection's frame change
+(``connection.connection_to_adapted`` and ``connection_to_coordinates``,
+the only readers of the derivatives).
 
 ``step_geometry`` builds the geometry at the 2n complex-step points
 z + i h e_k (``fd.complex_points``) of each chart point, once per verified
@@ -79,8 +85,10 @@ class PointGeometry:
     M[..., mu, a] holds the coordinate components of the a-th adapted
     vector, Minv is its inverse, whose rows are the dual coframe, and
     dM[mu, nu, b] is the analytic partial of M[nu, b] along coordinate mu.
-    Each is built on first read, so a geometry that never changes frame
-    builds none of them; only the connection's frame change builds dM.
+    Each is built on first read: M by ``frame_derivative`` and
+    ``verify_brackets``, M and Minv by ``dual_pairing_residual``, and all
+    three by the connection's frame change.  ``frame_transform`` reads only
+    gamma_p and builds none of them.
     """
 
     params: ModelParams
@@ -163,29 +171,48 @@ def frame_transform(values: np.ndarray, variance: str, geo: PointGeometry, to: s
     (covariant).  ``to`` selects the target frame, "coordinate" or
     "adapted".  The tensor indices are the trailing axes of ``values``; any
     leading axes are the batch axes of ``geo``.
+
+    The frame is block-unipotent, M = [[1, 0], [gp^T, 1]] and
+    Minv = [[1, 0], [-gp^T, 1]] with gp = ``geo.gamma_p``, so the transform
+    reads only gp and builds neither matrix: each index moves one half of
+    the tensor by one half-size product with gp and keeps the other half.
+    To the adapted frame a lower index adds gp @ (vertical half) to its
+    horizontal half, and an upper one subtracts gp^T @ (horizontal half)
+    from its vertical half; to coordinates the signs flip.
     """
 
+    gp = geo.gamma_p
     T = np.asarray(values)
-    rank = T.ndim - (geo.M.ndim - 2)
+    rank = T.ndim - (gp.ndim - 2)
     if len(variance) != rank:
         raise ValueError(f"variance {variance!r} does not match tensor rank {rank}")
-    if any(ch not in "ud" for ch in variance):
+    if variance.strip("ud"):
         raise ValueError("variance letters must be 'u' or 'd'")
     if to not in ("coordinate", "adapted"):
         raise ValueError("target frame must be 'coordinate' or 'adapted'")
-    idx = "abcdefgh"[:rank]
+    n, gpT = gp.shape[-1], gp.swapaxes(-1, -2)
+    m, h, v = 2 * n, slice(None, n), slice(n, None)  # the horizontal and the vertical half
+    out = T.astype(np.promote_types(T.dtype, gp.dtype), order="C")
+    head = out.shape[:out.ndim - rank]
     for axis, ch in enumerate(variance):
-        if to == "coordinate":
-            # upper: coord^mu = M[mu, a] T^a; lower: coord_nu = Minv[b, nu] T_b
-            mat, new_first = (geo.M, True) if ch == "u" else (geo.Minv, False)
+        lower = ch == "d"
+        moved, read = (h, v) if lower else (v, h)
+        if axis == rank - 1:  # the last index: halves of each row, one product per point
+            # a matrix is used as it is, so the point calls make no reshape
+            P = out if rank == 2 else out.reshape(head + (m ** (rank - 1), m))
+            half, step = P[..., moved], P[..., read] @ (gpT if lower else gp)
+        else:  # halves of the rows, one product per point and value of the indices before it
+            g = gp if lower else gpT
+            if axis == 0:
+                P = out if rank == 2 else out.reshape(head + (m, m ** (rank - 1)))
+            else:
+                P, g = out.reshape(head + (m**axis, m, m ** (rank - axis - 1))), g[..., None, :, :]
+            half, step = P[..., moved, :], g @ P[..., read, :]
+        if lower == (to == "adapted"):
+            half += step
         else:
-            # upper: ad^a = Minv[a, mu] T^mu; lower: ad_b = M[nu, b] T_nu
-            mat, new_first = (geo.Minv, True) if ch == "u" else (geo.M, False)
-        old = idx[axis]
-        mat_idx = "z" + old if new_first else old + "z"
-        out = idx[:axis] + "z" + idx[axis + 1:]
-        T = np.einsum(f"...{mat_idx},...{idx}->...{out}", mat, T)
-    return T
+            half -= step
+    return out
 
 
 def step_geometry(geo: PointGeometry) -> PointGeometry:

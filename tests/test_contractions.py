@@ -8,7 +8,11 @@ pass complex stacks through the same code), and the two must agree to
 The same holds for the hand-written covariant derivatives and frame
 contractions that ``covariant_derivative`` and ``frame_derivative`` replaced,
 for the three Koszul einsums that ``koszul_christoffel``'s one matmul
-replaced, and for the ``m² × m²`` quadratic form that the holomorphic
+replaced, for the two ``ΓΓ`` einsums of the curvature oracle and the
+lowering einsum of ``pair_skew_residual``, for the per-index ``M``/``Minv``
+einsums that ``frame_transform``'s half-block products with ``gamma_p``
+replaced (every variance of rank 1 to 4, both targets, one point and a
+stack), and for the ``m² × m²`` quadratic form that the holomorphic
 sectional curvature folds onto the ``m(m+1)/2`` unordered index pairs; both
 hold for the assembled-tensor route kept test-side in
 ``holomorphic_reference``, and the family route of
@@ -20,12 +24,13 @@ outer products replaced, is kept as its reference on real stacks of points
 and on the complex step stack, at n = 2 to 5.
 """
 
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kahler_tube import ModelParams, complex_structure
+from kahler_tube import ModelParams, complex_structure, curvature
 from kahler_tube.connection import (
     connection_to_adapted,
     connection_to_coordinates,
@@ -39,9 +44,10 @@ from kahler_tube.curvature import (
     index_pairs,
     j_invariance_residual,
     pair_products,
+    pair_skew_residual,
 )
 from kahler_tube.fd import COMPLEX_STEP, complex_jacobian, complex_points
-from kahler_tube.frames import frame_derivative, geometry_at, point_geometry, step_geometry
+from kahler_tube.frames import frame_derivative, frame_transform, geometry_at, point_geometry, step_geometry
 from kahler_tube.lifted_metric import adapted_metric_matrix, components_from_geometry
 from kahler_tube.sampling import sample_points
 
@@ -87,6 +93,95 @@ def test_connection_to_coordinates_matches_einsum(m: int, dtype: type) -> None:
         "mvb,bl->vml", geo.dM, geo.Minv
     )
     _assert_agrees(connection_to_coordinates(W, geo), reference)
+
+
+def _frame_transform_einsum(values: np.ndarray, variance: str, M: np.ndarray, Minv: np.ndarray, to: str) -> np.ndarray:
+    """``frame_transform`` as it was written: one einsum with M or Minv per index."""
+    idx = "abcd"[:len(variance)]
+    for axis, ch in enumerate(variance):
+        if to == "coordinate":
+            # upper: coord^mu = M[mu, a] T^a; lower: coord_nu = Minv[b, nu] T_b
+            mat, new_first = (M, True) if ch == "u" else (Minv, False)
+        else:
+            # upper: ad^a = Minv[a, mu] T^mu; lower: ad_b = M[nu, b] T_nu
+            mat, new_first = (Minv, True) if ch == "u" else (M, False)
+        old = idx[axis]
+        mat_idx = "z" + old if new_first else old + "z"
+        values = np.einsum(f"...{mat_idx},...{idx}->...{idx[:axis]}z{idx[axis + 1:]}", mat, values)
+    return values
+
+
+def _unipotent_frame(rng: np.random.Generator, dtype: type, batch: tuple, m: int) -> tuple:
+    """A random gamma_p (batch, n, n) and the frame M = [[1, 0], [gamma_p^T, 1]] with its inverse."""
+    n = m // 2
+    gamma_p = _random(rng, dtype, *batch, n, n)
+    M = np.broadcast_to(np.eye(m, dtype=gamma_p.dtype), batch + (m, m)).copy()
+    M[..., n:, :n] = np.swapaxes(gamma_p, -1, -2)
+    Minv = M.copy()
+    Minv[..., n:, :n] = -Minv[..., n:, :n]
+    return SimpleNamespace(gamma_p=gamma_p), M, Minv
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=("point", "stack"))
+@pytest.mark.parametrize("rank", (1, 2, 3, 4))
+@pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)
+def test_frame_transform_matches_einsum(m: int, dtype: type, rank: int, batch: tuple) -> None:
+    rng = np.random.default_rng(m + 30 + rank)
+    geo, M, Minv = _unipotent_frame(rng, dtype, batch, m)
+    for variance in map("".join, product("ud", repeat=rank)):
+        values = _random(rng, dtype, *batch, *(m,) * rank)
+        for to in ("coordinate", "adapted"):
+            reference = _frame_transform_einsum(values, variance, M, Minv, to)
+            _assert_agrees(frame_transform(values, variance, geo, to), reference)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=("point", "stack"))
+@pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)
+def test_frame_transform_round_trips(m: int, dtype: type, batch: tuple) -> None:
+    # Coordinates to the adapted frame and back, on a transposed (not
+    # C-contiguous) input as well.
+    rng = np.random.default_rng(m + 40)
+    geo = _unipotent_frame(rng, dtype, batch, m)[0]
+    for variance in ("u", "d", "ud", "du", "udd", "uddd", "dduu"):
+        values = _random(rng, dtype, *batch, *(m,) * len(variance))
+        for tensor in (values, np.swapaxes(values, -1, -len(variance))):
+            back = frame_transform(frame_transform(tensor, variance, geo, "adapted"), variance, geo, "coordinate")
+            _assert_agrees(back, tensor)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=("point", "stack"))
+@pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)
+def test_oracle_curvature_products_match_einsum(
+    m: int, dtype: type, batch: tuple, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The curvature from given Christoffels and their derivative: the
+    # stencil derivative is planted, so only the contractions run.
+    rng = np.random.default_rng(m + 12)
+    gamma = _random(rng, dtype, *batch, m, m, m)
+    dgamma = _random(rng, dtype, *batch, m, m, m, m)
+    monkeypatch.setattr(curvature, "field_jacobian", lambda field, z, point_bytes: SimpleNamespace(value=dgamma))
+    jet = SimpleNamespace(christoffel=gamma)
+    _, R = curvature._koszul_curvature(jet, None, np.zeros(batch + (m,)))
+    reference = (
+        np.einsum("...cadb->...abcd", dgamma)
+        - np.einsum("...dacb->...abcd", dgamma)
+        + np.einsum("...acs,...sdb->...abcd", gamma, gamma)
+        - np.einsum("...ads,...scb->...abcd", gamma, gamma)
+    )
+    _assert_agrees(R, reference)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=("point", "stack"))
+@pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)
+def test_pair_skew_residual_matches_einsum(m: int, dtype: type, batch: tuple) -> None:
+    rng = np.random.default_rng(m + 13)
+    R = _random(rng, dtype, *batch, m, m, m, m)
+    metric = _random(rng, dtype, *batch, m, m)
+    lowered = np.einsum("...ea,...abcd->...ebcd", metric, R)
+    reference = np.max(np.abs(lowered + np.swapaxes(lowered, -4, -3)).reshape(batch + (-1,)), axis=-1)
+    residual = pair_skew_residual(R, metric)
+    assert np.shape(residual) == batch
+    assert np.max(np.abs(residual - reference)) <= 1e-12 * np.max(np.abs(lowered))
 
 
 @pytest.mark.parametrize(("m", "dtype"), CASES, ids=IDS)

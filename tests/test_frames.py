@@ -62,8 +62,12 @@ def test_frame_members_are_built_on_first_read(stacked: bool) -> None:
 
     geo = geometry_at(PARAMS, x, p)
     assert built(geo) == set()
-    frame_transform(np.ones(geo.t.shape + (m, m)), "ud", geo)
-    assert built(geo) == {"M", "Minv"}
+    # frame_transform reads only gamma_p: no frame matrix is built.
+    for variance in ("ud", "dd"):
+        for to in ("coordinate", "adapted"):
+            frame_transform(np.ones(geo.t.shape + (m, m)), variance, geo, to)
+    frame_transform(np.ones(geo.t.shape + (m,) * 4), "uddd", geo, "adapted")
+    assert built(geo) == set()
     connection_to_adapted(np.ones(geo.t.shape + (m, m, m)), geo)
     assert built(geo) == {"M", "Minv", "dM"}
 

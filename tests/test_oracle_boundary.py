@@ -64,7 +64,7 @@ DEFINITION = (
     "base_geometry.momentum_gamma",
     "lifted_metric.components_from_geometry",
     "lifted_metric.coordinate_metric",
-    "frames.PointGeometry.M",
+    "frames.frame_transform",
     "complex_structure.adapted_j_matrix",
 )
 
